@@ -52,30 +52,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Per-worker reusable buffers for the allocation pipeline.
-///
-/// Each batch worker (and each service worker) owns one
-/// `WorkerScratch` for its whole lifetime and threads it through every
-/// [`allocate_item_with`] call, so the liveness worklists, local
-/// def/use tables and interval endpoint arrays inside
-/// [`AnalysisScratch`] are allocated once per worker instead of once
-/// per function per round. Every consumer resets the buffers to the
-/// function at hand before reading them, so reuse never changes output
-/// bits — reports stay byte-identical to fresh-scratch runs (a
-/// property test pins this).
-#[derive(Default)]
-pub struct WorkerScratch {
-    /// Recycled liveness/interference buffers (see [`AnalysisScratch`]).
-    pub analysis: AnalysisScratch,
-}
-
-impl WorkerScratch {
-    /// Empty scratch; buffers grow to fit the first functions they see.
-    pub fn new() -> Self {
-        WorkerScratch::default()
-    }
-}
-
 /// Process-wide default worker count override (0 = resolve
 /// automatically). Set by CLI `--threads` flags so deep callers
 /// (figure runners, suite generators) need no plumbing.
@@ -131,7 +107,7 @@ where
 /// [`parallel_map`] with per-worker state: `init` runs once on each
 /// worker thread (and once inline for the sequential path) and the
 /// resulting value is passed by `&mut` to every `f` call that worker
-/// executes. This is how batch workers keep one [`WorkerScratch`]
+/// executes. This is how batch workers keep one [`AnalysisScratch`]
 /// alive across all the functions they process — state reuse without
 /// sharing, so determinism is untouched (output order is still
 /// reassembled by input index and `f` still sees every item exactly
@@ -250,8 +226,8 @@ impl BatchAllocator {
     pub fn run_refs(&self, functions: &[&Function]) -> BatchReport {
         let threads = self.effective_threads(functions.len());
         let start = Instant::now();
-        let items = parallel_map_with(functions, threads, WorkerScratch::new, |scratch, _, f| {
-            allocate_item_with(&self.pipeline, f, scratch)
+        let items = parallel_map_with(functions, threads, AnalysisScratch::new, |scratch, _, f| {
+            allocate_item(&self.pipeline, f, scratch)
         });
         let elapsed = start.elapsed();
         let summary = BatchSummary::from_items(&items);
@@ -270,22 +246,20 @@ impl BatchAllocator {
 /// behind [`BatchAllocator::run_refs`], exported so long-lived drivers
 /// (the `lra-service` worker pool) produce items byte-compatible with
 /// a batch run.
-pub fn allocate_item(pipeline: &AllocationPipeline, f: &Function) -> BatchItem {
-    allocate_item_with(pipeline, f, &mut WorkerScratch::new())
-}
-
-/// [`allocate_item`] with a caller-owned [`WorkerScratch`] — the
-/// variant long-lived workers call so analysis buffers are reused
-/// across functions. Identical output to a fresh scratch.
 ///
-/// The scratch crossing the `catch_unwind` boundary is sound: every
-/// analysis entry point resets its buffers to the function at hand
-/// before reading them, so a panic that leaves the scratch mid-write
-/// cannot leak state into the next item's result.
-pub fn allocate_item_with(
+/// Each batch (and service) worker owns one [`AnalysisScratch`] for its
+/// whole lifetime and passes it to every call, so the analysis buffers
+/// are allocated once per worker instead of once per function per
+/// round. The output is identical to a fresh `AnalysisScratch::new()`
+/// (a property test pins this), and the scratch crossing the
+/// `catch_unwind` boundary is sound: every analysis entry point resets
+/// its buffers to the function at hand before reading them, so a panic
+/// that leaves the scratch mid-write cannot leak state into the next
+/// item's result.
+pub fn allocate_item(
     pipeline: &AllocationPipeline,
     f: &Function,
-    scratch: &mut WorkerScratch,
+    scratch: &mut AnalysisScratch,
 ) -> BatchItem {
     // With tracing armed (LRA_TRACE, a service trace request, or the
     // profiler), bracket the run with a per-item collection. The trace
@@ -297,7 +271,7 @@ pub fn allocate_item_with(
     }
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pipeline.run_with(f, &mut scratch.analysis)
+        pipeline.run_with(f, scratch)
     }))
     .unwrap_or_else(|payload| Err(PipelineError::Panic(panic_message(&payload))));
     let elapsed = t0.elapsed();
@@ -307,26 +281,6 @@ pub fn allocate_item_with(
         outcome,
         elapsed,
         trace,
-    }
-}
-
-/// [`allocate_item_with`] under a remaining wall-clock budget: with
-/// `remaining` set the pipeline runs with
-/// [`AllocationPipeline::time_budget`] applied (a `Portfolio` caps its
-/// exact tier at the deadline and degrades to the cheap tier's answer
-/// past it), with `None` it is exactly [`allocate_item_with`]. This is
-/// the per-item engine the `lra-service` worker pool calls for
-/// deadline-carrying requests; budget-free requests stay on the
-/// byte-identical batch path.
-pub fn allocate_item_deadline(
-    pipeline: &AllocationPipeline,
-    f: &Function,
-    scratch: &mut WorkerScratch,
-    remaining: Option<Duration>,
-) -> BatchItem {
-    match remaining {
-        Some(budget) => allocate_item_with(&pipeline.clone().time_budget(Some(budget)), f, scratch),
-        None => allocate_item_with(pipeline, f, scratch),
     }
 }
 
@@ -677,8 +631,8 @@ mod tests {
 
     #[test]
     fn reused_scratch_matches_fresh_scratch_byte_for_byte() {
-        // One WorkerScratch threaded through functions of very
-        // different sizes must produce exactly what fresh scratch does.
+        // One scratch threaded through functions of very different
+        // sizes must produce exactly what fresh scratch does.
         let mut fs = corpus(6);
         fs.insert(2, {
             let mut b = FunctionBuilder::new("tiny");
@@ -688,10 +642,10 @@ mod tests {
             b.finish()
         });
         let p = pipeline();
-        let mut scratch = WorkerScratch::new();
+        let mut scratch = AnalysisScratch::new();
         for f in &fs {
-            let reused = allocate_item_with(&p, f, &mut scratch);
-            let fresh = allocate_item(&p, f);
+            let reused = allocate_item(&p, f, &mut scratch);
+            let fresh = allocate_item(&p, f, &mut AnalysisScratch::new());
             assert_eq!(reused.row(), fresh.row());
         }
     }
@@ -710,13 +664,14 @@ mod tests {
         };
         let p = pipeline();
         let fs = corpus(2);
-        let mut scratch = WorkerScratch::new();
-        let before = allocate_item_with(&p, &fs[0], &mut scratch);
-        let bad = allocate_item_with(&p, &broken, &mut scratch);
+        let mut scratch = AnalysisScratch::new();
+        let before = allocate_item(&p, &fs[0], &mut scratch);
+        let bad = allocate_item(&p, &broken, &mut scratch);
         assert!(matches!(bad.outcome, Err(PipelineError::Panic(_))));
-        let after = allocate_item_with(&p, &fs[1], &mut scratch);
-        assert_eq!(before.row(), allocate_item(&p, &fs[0]).row());
-        assert_eq!(after.row(), allocate_item(&p, &fs[1]).row());
+        let after = allocate_item(&p, &fs[1], &mut scratch);
+        let fresh = |f| allocate_item(&p, f, &mut AnalysisScratch::new()).row();
+        assert_eq!(before.row(), fresh(&fs[0]));
+        assert_eq!(after.row(), fresh(&fs[1]));
     }
 
     #[test]
@@ -815,19 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn allocate_item_deadline_without_a_budget_is_the_batch_path() {
-        let fs = corpus(3);
-        let p = pipeline();
-        let mut scratch = WorkerScratch::new();
-        for f in &fs {
-            let plain = allocate_item(&p, f);
-            let budgetless = allocate_item_deadline(&p, f, &mut scratch, None);
-            assert_eq!(plain.row(), budgetless.row());
-        }
-    }
-
-    #[test]
-    fn allocate_item_deadline_with_an_expired_budget_still_answers() {
+    fn allocate_item_under_an_expired_budget_still_answers() {
         use crate::portfolio::PortfolioConfig;
         // An already-expired budget must not error or hang: the
         // portfolio degrades to its cheap tier and the item carries a
@@ -839,11 +782,12 @@ mod tests {
         let cheap = AllocationPipeline::new(Target::new(TargetKind::St231))
             .portfolio(PortfolioConfig::default().node_budget(0))
             .registers(3);
-        let mut scratch = WorkerScratch::new();
+        let p = p.time_budget(Some(Duration::ZERO));
+        let mut scratch = AnalysisScratch::new();
         for f in &fs {
-            let item = allocate_item_deadline(&p, f, &mut scratch, Some(Duration::ZERO));
+            let item = allocate_item(&p, f, &mut scratch);
             assert!(item.outcome.is_ok(), "{}", f.name);
-            let reference = allocate_item_with(&cheap, f, &mut scratch);
+            let reference = allocate_item(&cheap, f, &mut scratch);
             assert_eq!(item.row(), reference.row(), "{}", f.name);
         }
     }
@@ -852,7 +796,7 @@ mod tests {
     fn allocate_item_matches_a_single_item_batch() {
         let fs = corpus(1);
         let p = pipeline();
-        let item = allocate_item(&p, &fs[0]);
+        let item = allocate_item(&p, &fs[0], &mut AnalysisScratch::new());
         let batch = BatchAllocator::new(p).run(&fs);
         assert_eq!(item.row(), batch.items[0].row());
     }

@@ -61,7 +61,6 @@ pub struct InstanceKey {
     cheap: String,
     node_budget: u64,
     time_budget: Option<Duration>,
-    split_remat: bool,
     weights: Vec<Cost>,
     /// Concatenated per-vertex adjacency rows (64 vertices per word).
     adjacency: Vec<u64>,
@@ -87,7 +86,6 @@ impl InstanceKey {
         cheap: &str,
         node_budget: u64,
         time_budget: Option<Duration>,
-        split_remat: bool,
     ) -> Self {
         let g = instance.graph();
         let n = g.vertex_count();
@@ -108,7 +106,11 @@ impl InstanceKey {
             fp,
             time_budget.map_or(u64::MAX, |d| d.as_nanos() as u64 | 1),
         );
-        fp = roll(fp, split_remat as u64);
+        // Rolls the constant an always-on escalation flag contributed
+        // when it was part of the key, so fingerprints — and therefore
+        // slot placement and which entries evict each other — stay
+        // identical to earlier builds.
+        fp = roll(fp, 1);
         for &w in &weights {
             fp = roll(fp, w);
         }
@@ -132,7 +134,6 @@ impl InstanceKey {
             cheap: cheap.to_string(),
             node_budget,
             time_budget,
-            split_remat,
             weights,
             adjacency,
             intervals,
@@ -151,7 +152,6 @@ impl PartialEq for InstanceKey {
             && self.registers == other.registers
             && self.node_budget == other.node_budget
             && self.time_budget == other.time_budget
-            && self.split_remat == other.split_remat
             && self.cheap == other.cheap
             && self.weights == other.weights
             && self.adjacency == other.adjacency
@@ -392,37 +392,29 @@ mod tests {
     }
 
     fn key_for(weight: Cost) -> InstanceKey {
-        InstanceKey::new(&inst(&[], vec![weight]), 1, "LH", 0, None, true)
+        InstanceKey::new(&inst(&[], vec![weight]), 1, "LH", 0, None)
     }
 
     #[test]
     fn identical_instances_share_a_key() {
         let a = inst(&[(0, 1), (1, 2)], vec![1, 2, 3]);
         let b = inst(&[(1, 2), (0, 1)], vec![1, 2, 3]);
-        let ka = InstanceKey::new(&a, 4, "LH", 100, None, true);
-        let kb = InstanceKey::new(&b, 4, "LH", 100, None, true);
+        let ka = InstanceKey::new(&a, 4, "LH", 100, None);
+        let kb = InstanceKey::new(&b, 4, "LH", 100, None);
         assert_eq!(ka, kb);
     }
 
     #[test]
     fn any_parameter_difference_changes_the_key() {
         let a = inst(&[(0, 1), (1, 2)], vec![1, 2, 3]);
-        let base = InstanceKey::new(&a, 4, "LH", 100, None, true);
+        let base = InstanceKey::new(&a, 4, "LH", 100, None);
         let diffs = [
-            InstanceKey::new(&inst(&[(0, 1)], vec![1, 2, 3]), 4, "LH", 100, None, true),
-            InstanceKey::new(
-                &inst(&[(0, 1), (1, 2)], vec![1, 2, 4]),
-                4,
-                "LH",
-                100,
-                None,
-                true,
-            ),
-            InstanceKey::new(&a, 5, "LH", 100, None, true),
-            InstanceKey::new(&a, 4, "GC", 100, None, true),
-            InstanceKey::new(&a, 4, "LH", 101, None, true),
-            InstanceKey::new(&a, 4, "LH", 100, Some(Duration::from_millis(1)), true),
-            InstanceKey::new(&a, 4, "LH", 100, None, false),
+            InstanceKey::new(&inst(&[(0, 1)], vec![1, 2, 3]), 4, "LH", 100, None),
+            InstanceKey::new(&inst(&[(0, 1), (1, 2)], vec![1, 2, 4]), 4, "LH", 100, None),
+            InstanceKey::new(&a, 5, "LH", 100, None),
+            InstanceKey::new(&a, 4, "GC", 100, None),
+            InstanceKey::new(&a, 4, "LH", 101, None),
+            InstanceKey::new(&a, 4, "LH", 100, Some(Duration::from_millis(1))),
         ];
         for (i, k) in diffs.iter().enumerate() {
             assert_ne!(&base, k, "variant {i} must not collide");
@@ -439,20 +431,20 @@ mod tests {
         let b =
             Instance::from_intervals(vec![Interval::new(0, 10), Interval::new(1, 3)], vec![1, 1]);
         assert_eq!(a.graph().edge_count(), b.graph().edge_count());
-        let ka = InstanceKey::new(&a, 1, "BLS", 100, None, true);
-        let kb = InstanceKey::new(&b, 1, "BLS", 100, None, true);
+        let ka = InstanceKey::new(&a, 1, "BLS", 100, None);
+        let kb = InstanceKey::new(&b, 1, "BLS", 100, None);
         assert_ne!(ka, kb);
         // An interval instance never collides with the bare-graph
         // instance of the same intersection graph.
         let bare = inst(&[(0, 1)], vec![1, 1]);
-        assert_ne!(ka, InstanceKey::new(&bare, 1, "BLS", 100, None, true));
+        assert_ne!(ka, InstanceKey::new(&bare, 1, "BLS", 100, None));
     }
 
     #[test]
     fn get_insert_and_stats() {
         let cache: ResultCache<u64> = ResultCache::new(8);
         let a = inst(&[(0, 1)], vec![1, 2]);
-        let k = InstanceKey::new(&a, 2, "LH", 10, None, true);
+        let k = InstanceKey::new(&a, 2, "LH", 10, None);
         assert_eq!(cache.get(&k), None);
         cache.insert(k.clone(), 42);
         assert_eq!(cache.get(&k), Some(42));

@@ -52,15 +52,15 @@
 
 use crate::assign::Assignment;
 use crate::coalesce;
-use crate::pipeline::{build_instance_from_costs_in, copy_affinities_with, InstanceKind};
+use crate::pipeline::{build_instance_from_costs, copy_affinities_with, InstanceKind};
 use crate::portfolio::{Portfolio, PortfolioConfig};
 use crate::problem::{Allocator, Instance};
 use crate::registry::{AllocatorRegistry, AllocatorSpec};
 use crate::verify::{self, Feasibility};
 use lra_graph::BitSet;
 use lra_ir::remat::RematTable;
-use lra_ir::{analysis, liveness, spill_cost, split};
-use lra_ir::{spill_code, AnalysisScratch, Function, FunctionAnalysis};
+use lra_ir::{analysis, liveness, spill_code, spill_cost, split};
+use lra_ir::{AnalysisScratch, Function, FunctionAnalysis};
 use lra_targets::Target;
 
 /// Whether (and how) the pipeline coalesces copy-related variables
@@ -141,9 +141,8 @@ pub struct AllocationPipeline {
 /// split + rematerialization escalation tier process-wide (any
 /// non-empty value other than `0`). The escape hatch for comparing
 /// against pre-escalation behaviour without rebuilding; the
-/// per-pipeline [`AllocationPipeline::escalation`] switch and the
-/// [`PortfolioConfig::split_remat`] knob are the programmatic
-/// equivalents.
+/// per-pipeline [`AllocationPipeline::escalation`] switch is the
+/// programmatic equivalent.
 pub fn escalation_forced_off() -> bool {
     std::env::var_os("LRA_NO_SPLIT").is_some_and(|v| !v.is_empty() && v != "0")
 }
@@ -242,16 +241,16 @@ impl AllocationPipeline {
     /// over-pressure live ranges split
     /// ([`split::split_pressure_ranges`]) and constant-like values
     /// rematerialized instead of spilled
-    /// ([`lra_ir::remat::rewrite_spill_code_remat`]), keeping the
-    /// escalated result only when it converges at no higher total
-    /// spill cost.
+    /// ([`spill_code::rewrite_spill_code`] with a [`RematTable`]),
+    /// keeping the escalated result only when it converges at no
+    /// higher total spill cost.
     ///
     /// The default (unset) turns the tier **on for `Portfolio`
-    /// pipelines** (honouring [`PortfolioConfig::split_remat`]) and off
-    /// for a directly-selected allocator — single-allocator runs are
-    /// measurement baselines (and the exact solver's fuel is budgeted
-    /// for the original function, not a split one), so they only
-    /// escalate on an explicit opt-in here. A portfolio whose
+    /// pipelines** and off for a directly-selected allocator —
+    /// single-allocator runs are measurement baselines (and the exact
+    /// solver's fuel is budgeted for the original function, not a
+    /// split one), so they only escalate on an explicit opt-in here.
+    /// A portfolio whose
     /// escalation budget is already spent (zero
     /// [`PortfolioConfig::node_budget`] or an expired
     /// [`PortfolioConfig::time_budget`]) keeps its degradation
@@ -304,9 +303,8 @@ impl AllocationPipeline {
 
     /// Whether a non-converged run of this pipeline enters the
     /// split + remat escalation tier (the resolution of the
-    /// [`AllocationPipeline::escalation`] builder, the
-    /// [`PortfolioConfig::split_remat`] knob and the `LRA_NO_SPLIT`
-    /// escape hatch).
+    /// [`AllocationPipeline::escalation`] builder, the portfolio's
+    /// escalation budget and the `LRA_NO_SPLIT` escape hatch).
     pub fn escalation_enabled(&self) -> bool {
         if escalation_forced_off() {
             return false;
@@ -314,9 +312,7 @@ impl AllocationPipeline {
         self.escalation.unwrap_or_else(|| {
             self.allocator.eq_ignore_ascii_case("Portfolio")
                 && self.portfolio.as_ref().is_none_or(|cfg| {
-                    cfg.split_remat
-                        && cfg.node_budget > 0
-                        && cfg.time_budget != Some(std::time::Duration::ZERO)
+                    cfg.node_budget > 0 && cfg.time_budget != Some(std::time::Duration::ZERO)
                 })
         })
     }
@@ -421,8 +417,8 @@ impl AllocationPipeline {
     /// constant-like values at their re-issue cost
     /// ([`spill_cost::spill_costs_with_remat`]) and rewrites their
     /// evictions as rematerializations instead of stores + reloads
-    /// ([`lra_ir::remat::rewrite_spill_code_remat`]); the table is kept
-    /// in lockstep with the fresh values every rewrite introduces.
+    /// ([`spill_code::rewrite_spill_code`]); the table is kept in
+    /// lockstep with the fresh values every rewrite introduces.
     #[allow(clippy::too_many_arguments)] // internal plumbing behind run_with
     fn run_loop(
         &self,
@@ -441,7 +437,7 @@ impl AllocationPipeline {
         // round anywhere.
         let mut func_analysis = {
             let _s = crate::trace::span(crate::trace::Phase::Analysis);
-            FunctionAnalysis::compute_in(f, scratch)
+            FunctionAnalysis::compute(f, scratch)
         };
         let max_live_before = func_analysis.liveness.max_live;
 
@@ -479,7 +475,7 @@ impl AllocationPipeline {
             };
             let inst = {
                 let _s = crate::trace::span(crate::trace::Phase::InstanceBuild);
-                build_instance_from_costs_in(&func, &func_analysis, self.kind, scratch, costs)
+                build_instance_from_costs(&func, &func_analysis, self.kind, scratch, costs)
             };
             if spec.needs_chordal && !inst.is_chordal() {
                 return Err(PipelineError::NeedsChordal(spec.name));
@@ -539,24 +535,18 @@ impl AllocationPipeline {
 
             // Rewrite the function so the spilled values live in memory
             // (or, for remat-classed values, are re-issued at each use).
-            // All three rewrites draw their block-edit buffers from the
-            // shared scratch, so per-round rewriting allocates from
-            // recycled storage.
+            // The rewrite draws its block-edit buffers from the shared
+            // scratch, so per-round rewriting allocates from recycled
+            // storage.
             let rewrite = {
                 let _s = crate::trace::span(crate::trace::Phase::Rewrite);
-                match remat.as_mut() {
-                    Some(table) => lra_ir::remat::rewrite_spill_code_remat_in(
-                        &func,
-                        &spill_set,
-                        table,
-                        self.optimized_spill,
-                        scratch,
-                    ),
-                    None if self.optimized_spill => {
-                        spill_code::rewrite_spill_code_optimized_in(&func, &spill_set, scratch)
-                    }
-                    None => spill_code::rewrite_spill_code_in(&func, &spill_set, scratch),
-                }
+                spill_code::rewrite_spill_code(
+                    &func,
+                    &spill_set,
+                    remat.as_mut(),
+                    self.optimized_spill,
+                    scratch,
+                )
             };
             stores += rewrite.stats.stores;
             loads += rewrite.stats.loads;
@@ -566,9 +556,9 @@ impl AllocationPipeline {
             func_analysis = {
                 let _s = crate::trace::span(crate::trace::Phase::Reanalyse);
                 if force_full {
-                    FunctionAnalysis::compute_in(&func, scratch)
+                    FunctionAnalysis::compute(&func, scratch)
                 } else {
-                    func_analysis.after_spill_in(&func, &rewrite.delta, scratch)
+                    func_analysis.after_spill(&func, &rewrite.delta, scratch)
                 }
             };
 
@@ -645,7 +635,7 @@ impl AllocationPipeline {
         let prep = {
             let _s = crate::trace::span(crate::trace::Phase::EscalatePrep);
             let live = liveness::analyze_in(f, scratch);
-            split::split_pressure_ranges_in(f, &live, r as usize, scratch).map(|split| {
+            split::split_pressure_ranges(f, &live, r as usize, scratch).map(|split| {
                 let table = RematTable::compute(f).map_split(&split.origin);
                 (split, table)
             })
@@ -1145,10 +1135,6 @@ mod tests {
         };
         use crate::portfolio::PortfolioConfig;
         assert!(with_cfg(PortfolioConfig::default()));
-        assert!(
-            !with_cfg(PortfolioConfig::default().split_remat(false)),
-            "the PortfolioConfig knob turns the tier off"
-        );
         assert!(
             !with_cfg(PortfolioConfig::default().node_budget(0)),
             "a spent escalation budget keeps the cheap-tier degradation contract"

@@ -67,9 +67,7 @@ pub mod registry;
 pub mod trace;
 pub mod verify;
 
-pub use batch::{
-    BatchAllocator, BatchItem, BatchReport, BatchSummary, ReportRow, RowStats, WorkerScratch,
-};
+pub use batch::{BatchAllocator, BatchItem, BatchReport, BatchSummary, ReportRow, RowStats};
 pub use cluster::LayeredHeuristic;
 pub use driver::{AllocatedFunction, AllocationPipeline, CoalesceMode, PipelineError};
 pub use layered::Layered;

@@ -29,45 +29,27 @@ pub enum InstanceKind {
 /// Compiles `f` down to a spill-everywhere instance for `target`.
 ///
 /// Runs the full [`FunctionAnalysis`] (dominators, loops, liveness,
-/// linearisation) and hands off to [`build_instance_with`]. Callers
-/// inside the spill-then-reanalyse loop should compute (or
-/// incrementally update) one `FunctionAnalysis` per round and call
-/// [`build_instance_with`] directly so nothing is analysed twice.
+/// linearisation) and the spill-cost estimate, then builds the
+/// instance with [`build_instance_from_costs`]. Callers inside the
+/// spill-then-reanalyse loop compute (or incrementally update) one
+/// `FunctionAnalysis` per round and call [`build_instance_from_costs`]
+/// directly so nothing is analysed twice.
 pub fn build_instance(f: &Function, target: &Target, kind: InstanceKind) -> Instance {
-    build_instance_with(f, &FunctionAnalysis::compute(f), target, kind)
-}
-
-/// [`build_instance`] on a precomputed [`FunctionAnalysis`]: spill-cost
-/// estimation plus interference/interval construction, borrowing the
-/// shared liveness, loop and linearisation results.
-pub fn build_instance_with(
-    f: &Function,
-    analysis: &FunctionAnalysis,
-    target: &Target,
-    kind: InstanceKind,
-) -> Instance {
-    build_instance_with_in(f, analysis, target, kind, &mut AnalysisScratch::new())
-}
-
-/// [`build_instance_with`] with caller-provided analysis scratch (see
-/// [`AnalysisScratch`]); identical output, recycled sweep buffers.
-pub fn build_instance_with_in(
-    f: &Function,
-    analysis: &FunctionAnalysis,
-    target: &Target,
-    kind: InstanceKind,
-    scratch: &mut AnalysisScratch,
-) -> Instance {
+    let scratch = &mut AnalysisScratch::new();
+    let analysis = FunctionAnalysis::compute(f, scratch);
     let costs = spill_cost::spill_costs(f, &analysis.liveness, &analysis.loops, target);
-    build_instance_from_costs_in(f, analysis, kind, scratch, costs)
+    build_instance_from_costs(f, &analysis, kind, scratch, costs)
 }
 
-/// [`build_instance_with_in`] with caller-provided spill costs — the
-/// entry point for cost models beyond plain spill-everywhere, such as
-/// the rematerialization discounts
+/// Builds the instance of `f` from a precomputed [`FunctionAnalysis`]
+/// and caller-provided spill costs, borrowing the shared liveness and
+/// linearisation results. `costs` carries the cost model — plain
+/// spill-everywhere ([`spill_cost::spill_costs`]) or the
+/// rematerialization discounts
 /// ([`lra_ir::spill_cost::spill_costs_with_remat`]) the escalation
-/// tier allocates under. `costs` must have one entry per value of `f`.
-pub fn build_instance_from_costs_in(
+/// tier allocates under — and must have one entry per value of `f`.
+/// `scratch` supplies recycled sweep buffers (see [`AnalysisScratch`]).
+pub fn build_instance_from_costs(
     f: &Function,
     analysis: &FunctionAnalysis,
     kind: InstanceKind,
@@ -82,7 +64,7 @@ pub fn build_instance_from_costs_in(
             Instance::from_weighted_graph(lra_graph::WeightedGraph::new(g, costs))
         }
         InstanceKind::LinearIntervals => {
-            let ivs = interference::live_intervals_in(f, live, &analysis.linearization, scratch);
+            let ivs = interference::live_intervals(f, live, &analysis.linearization, scratch);
             Instance::from_intervals(ivs, costs)
         }
     }

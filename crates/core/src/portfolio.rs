@@ -90,16 +90,6 @@ pub struct PortfolioConfig {
     /// are never memoized — their outcomes are timing-dependent, and
     /// caching one would freeze a machine-speed artefact.
     pub cache: bool,
-    /// Lets the pipeline escalate a stalled spill loop into the
-    /// split + rematerialization tier
-    /// ([`crate::driver::AllocationPipeline::escalation`]); default
-    /// `true`. The knob lives here so a portfolio-driven batch carries
-    /// one self-describing configuration, and it is part of the
-    /// [`InstanceKey`] so cached decisions never leak across
-    /// configurations that rewrite functions differently. Overridden
-    /// by the `LRA_NO_SPLIT` environment escape hatch
-    /// ([`crate::driver::escalation_forced_off`]).
-    pub split_remat: bool,
 }
 
 /// Default node fuel for **non-adaptive** configurations: enough for
@@ -116,7 +106,6 @@ impl Default for PortfolioConfig {
             adaptive: true,
             time_budget: None,
             cache: true,
-            split_remat: true,
         }
     }
 }
@@ -167,13 +156,6 @@ impl PortfolioConfig {
     /// ([`portfolio_cache`]).
     pub fn cache(mut self, enabled: bool) -> Self {
         self.cache = enabled;
-        self
-    }
-
-    /// Enables or disables the pipeline's split + rematerialization
-    /// escalation tier ([`PortfolioConfig::split_remat`]).
-    pub fn split_remat(mut self, enabled: bool) -> Self {
-        self.split_remat = enabled;
         self
     }
 }
@@ -303,7 +285,6 @@ impl Portfolio {
             self.cheap_spec.name,
             self.cfg.effective_node_budget(instance.vertex_count()),
             self.cfg.time_budget,
-            self.cfg.split_remat,
         );
         if let Some(hit) = portfolio_cache().get(&key) {
             return hit;
@@ -531,7 +512,6 @@ mod tests {
             "LH",
             cfg.effective_node_budget(inst.vertex_count()),
             cfg.time_budget,
-            cfg.split_remat,
         );
         assert!(
             portfolio_cache().get(&key).is_none(),

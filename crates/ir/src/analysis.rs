@@ -40,14 +40,9 @@ pub struct FunctionAnalysis {
 
 impl FunctionAnalysis {
     /// Analyses `f` from scratch: liveness, dominators → loops, and
-    /// the linearisation.
-    pub fn compute(f: &Function) -> Self {
-        Self::compute_in(f, &mut AnalysisScratch::new())
-    }
-
-    /// [`FunctionAnalysis::compute`] with caller-provided scratch
-    /// buffers (see [`AnalysisScratch`]); identical output.
-    pub fn compute_in(f: &Function, scratch: &mut AnalysisScratch) -> Self {
+    /// the linearisation. `scratch` supplies recycled buffers (see
+    /// [`AnalysisScratch`]); reusing it never changes the output.
+    pub fn compute(f: &Function, scratch: &mut AnalysisScratch) -> Self {
         let liveness = liveness::analyze_in(f, scratch);
         let dom = DomTree::compute(f);
         let loops = LoopInfo::compute(f, &dom);
@@ -67,21 +62,15 @@ impl FunctionAnalysis {
     /// from the rewrite's dirty frontier
     /// ([`liveness::analyze_incremental`]); the linearisation is
     /// re-laid-out over the same block order because instruction counts
-    /// shifted. The result equals [`FunctionAnalysis::compute`]`(f)`.
-    pub fn after_spill(&self, f: &Function, delta: &SpillDelta) -> Self {
-        self.after_spill_in(f, delta, &mut AnalysisScratch::new())
-    }
-
-    /// [`FunctionAnalysis::after_spill`] with caller-provided scratch
-    /// buffers; identical output.
-    pub fn after_spill_in(
+    /// shifted. The result equals [`FunctionAnalysis::compute`] of `f`.
+    pub fn after_spill(
         &self,
         f: &Function,
         delta: &SpillDelta,
         scratch: &mut AnalysisScratch,
     ) -> Self {
         FunctionAnalysis {
-            liveness: liveness::analyze_incremental_in(
+            liveness: liveness::analyze_incremental(
                 f,
                 &self.liveness,
                 &delta.dirty_blocks,
@@ -107,7 +96,7 @@ pub fn full_reanalysis_forced() -> bool {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::spill_code;
+    use crate::spill_code::rewrite_spill_code;
     use lra_graph::BitSet;
 
     /// A loopy function with a φ, calls and enough pressure to spill.
@@ -134,17 +123,14 @@ mod tests {
     #[test]
     fn after_spill_matches_fresh_compute() {
         let f = loopy_function();
-        let analysis = FunctionAnalysis::compute(&f);
+        let s = &mut AnalysisScratch::new();
+        let analysis = FunctionAnalysis::compute(&f, s);
         for victim in 0..f.value_count as usize {
             let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [victim]);
             for optimized in [false, true] {
-                let rewrite = if optimized {
-                    spill_code::rewrite_spill_code_optimized(&f, &spilled)
-                } else {
-                    spill_code::rewrite_spill_code(&f, &spilled)
-                };
-                let incremental = analysis.after_spill(&rewrite.function, &rewrite.delta);
-                let fresh = FunctionAnalysis::compute(&rewrite.function);
+                let rewrite = rewrite_spill_code(&f, &spilled, None, optimized, s);
+                let incremental = analysis.after_spill(&rewrite.function, &rewrite.delta, s);
+                let fresh = FunctionAnalysis::compute(&rewrite.function, s);
                 assert_eq!(
                     incremental.liveness, fresh.liveness,
                     "victim {victim}, optimized {optimized}"
@@ -160,17 +146,18 @@ mod tests {
         // Two consecutive rewrites, each incrementally re-analysed from
         // the previous round's result.
         let f = loopy_function();
-        let analysis = FunctionAnalysis::compute(&f);
+        let s = &mut AnalysisScratch::new();
+        let analysis = FunctionAnalysis::compute(&f, s);
         let spilled1 = BitSet::from_iter_with_capacity(f.value_count as usize, [0]);
-        let r1 = spill_code::rewrite_spill_code(&f, &spilled1);
-        let a1 = analysis.after_spill(&r1.function, &r1.delta);
+        let r1 = rewrite_spill_code(&f, &spilled1, None, false, s);
+        let a1 = analysis.after_spill(&r1.function, &r1.delta, s);
 
         let spilled2 = BitSet::from_iter_with_capacity(r1.function.value_count as usize, [1, 2]);
-        let r2 = spill_code::rewrite_spill_code_optimized(&r1.function, &spilled2);
-        let a2 = a1.after_spill(&r2.function, &r2.delta);
+        let r2 = rewrite_spill_code(&r1.function, &spilled2, None, true, s);
+        let a2 = a1.after_spill(&r2.function, &r2.delta, s);
         assert_eq!(
             a2.liveness,
-            FunctionAnalysis::compute(&r2.function).liveness
+            FunctionAnalysis::compute(&r2.function, s).liveness
         );
     }
 

@@ -1,7 +1,7 @@
 //! Recycled per-block instruction-edit buffers for IR rewrites.
 //!
-//! The spill rewrites ([`crate::spill_code`], [`crate::remat`]) and the
-//! live-range splitter ([`crate::split`]) all follow the same shape:
+//! The spill rewrite ([`crate::spill_code`]) and the live-range
+//! splitter ([`crate::split`]) follow the same shape:
 //! walk every block, emit a new instruction body, and append reloads /
 //! copies to the *tails* of predecessor blocks (φ operands materialise
 //! at the end of the incoming edge). Each used to allocate its own

@@ -130,14 +130,9 @@ pub fn linearize(f: &Function) -> Linearization {
 /// of any block where it is live-out). Holes are *not* represented —
 /// this is the deliberate over-approximation made by linear-scan
 /// allocators, and it is what makes the intersection graph an interval
-/// graph. Dead values get empty intervals.
-pub fn live_intervals(f: &Function, live: &Liveness, lin: &Linearization) -> Vec<Interval> {
-    live_intervals_in(f, live, lin, &mut AnalysisScratch::new())
-}
-
-/// [`live_intervals`] with caller-provided scratch for the endpoint
-/// arrays; identical output.
-pub fn live_intervals_in(
+/// graph. Dead values get empty intervals. `scratch` supplies the
+/// recycled endpoint arrays; reusing it never changes the output.
+pub fn live_intervals(
     f: &Function,
     live: &Liveness,
     lin: &Linearization,
@@ -317,7 +312,7 @@ mod tests {
         let f = b.finish();
         let live = liveness::analyze(&f);
         let lin = linearize(&f);
-        let ivs = live_intervals(&f, &live, &lin);
+        let ivs = live_intervals(&f, &live, &lin, &mut AnalysisScratch::new());
         // x live from its def through the use in n1.
         assert!(ivs[x.index()].overlaps(&ivs[y.index()]));
         assert!(max_overlap(&ivs) >= 2);
@@ -340,7 +335,7 @@ mod tests {
         let f = b.finish();
         let live = liveness::analyze(&f);
         let lin = linearize(&f);
-        let ivs = live_intervals(&f, &live, &lin);
+        let ivs = live_intervals(&f, &live, &lin, &mut AnalysisScratch::new());
         // A dead def still occupies its register for one point.
         assert_eq!(ivs[dead.index()].len(), 1);
         assert!(!ivs[x.index()].is_empty());
@@ -367,7 +362,7 @@ mod tests {
         let f = b.finish();
         let live = liveness::analyze(&f);
         let lin = linearize(&f);
-        let ivs = live_intervals(&f, &live, &lin);
+        let ivs = live_intervals(&f, &live, &lin, &mut AnalysisScratch::new());
         assert!(peo::is_chordal(&interval_graph(&ivs)));
     }
 }

@@ -310,7 +310,8 @@ pub fn analyze_in(f: &Function, scratch: &mut AnalysisScratch) -> Liveness {
 /// every unchanged value, and only the changed values need a (masked,
 /// dirty-seeded) dataflow solve. The result is **identical** to a
 /// fresh [`analyze`] of `f`; CI diffs the two paths end to end via the
-/// `LRA_FULL_REANALYSIS` escape hatch.
+/// `LRA_FULL_REANALYSIS` escape hatch. `scratch` supplies recycled
+/// buffers, as for [`analyze_in`].
 ///
 /// # Panics
 ///
@@ -318,27 +319,6 @@ pub fn analyze_in(f: &Function, scratch: &mut AnalysisScratch) -> Liveness {
 /// `changed_values`' capacity is not `f.value_count`, or if
 /// `dirty_blocks`' capacity is not the block count.
 pub fn analyze_incremental(
-    f: &Function,
-    prev: &Liveness,
-    dirty_blocks: &BitSet,
-    changed_values: &BitSet,
-) -> Liveness {
-    analyze_incremental_in(
-        f,
-        prev,
-        dirty_blocks,
-        changed_values,
-        &mut AnalysisScratch::new(),
-    )
-}
-
-/// [`analyze_incremental`] with caller-provided scratch buffers; same
-/// output, recycled allocations (see [`analyze_in`]).
-///
-/// # Panics
-///
-/// Same contract as [`analyze_incremental`].
-pub fn analyze_incremental_in(
     f: &Function,
     prev: &Liveness,
     dirty_blocks: &BitSet,
@@ -580,13 +560,10 @@ mod tests {
         let prev = analyze(&f);
         for victim in 0..f.value_count as usize {
             let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [victim]);
-            let rw = spill_code::rewrite_spill_code(&f, &spilled);
-            let inc = analyze_incremental(
-                &rw.function,
-                &prev,
-                &rw.delta.dirty_blocks,
-                &rw.delta.changed_values,
-            );
+            let s = &mut AnalysisScratch::new();
+            let rw = spill_code::rewrite_spill_code(&f, &spilled, None, false, s);
+            let (dirty, changed) = (&rw.delta.dirty_blocks, &rw.delta.changed_values);
+            let inc = analyze_incremental(&rw.function, &prev, dirty, changed, s);
             assert_eq!(inc, analyze(&rw.function), "victim {victim}");
         }
     }
@@ -607,6 +584,7 @@ mod tests {
             &prev,
             &BitSet::new(f.block_count()),
             &BitSet::new(f.value_count as usize),
+            &mut AnalysisScratch::new(),
         );
         assert_eq!(inc, prev);
     }
@@ -633,13 +611,10 @@ mod tests {
         let prev = analyze(&f);
         assert!(prev.live_in[1].is_empty() && prev.live_out[1].is_empty());
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [x.index()]);
-        let rw = crate::spill_code::rewrite_spill_code(&f, &spilled);
-        let inc = analyze_incremental(
-            &rw.function,
-            &prev,
-            &rw.delta.dirty_blocks,
-            &rw.delta.changed_values,
-        );
+        let s = &mut AnalysisScratch::new();
+        let rw = crate::spill_code::rewrite_spill_code(&f, &spilled, None, false, s);
+        let (dirty, changed) = (&rw.delta.dirty_blocks, &rw.delta.changed_values);
+        let inc = analyze_incremental(&rw.function, &prev, dirty, changed, s);
         assert_eq!(inc, analyze(&rw.function));
         assert!(inc.live_in[1].is_empty() && inc.live_out[1].is_empty());
     }

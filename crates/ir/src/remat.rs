@@ -21,25 +21,20 @@
 //!   definition does not dominate the use),
 //! * not a function parameter (parameters have no defining instruction).
 //!
-//! [`rewrite_spill_code_remat`] is the remat-aware counterpart of
-//! [`crate::spill_code::rewrite_spill_code`]: spilled values that carry
-//! a [`RematClass::Const`] tag are materialized at each use instead of
-//! stored and reloaded. It reports the same [`SpillDelta`] as the plain
-//! rewrites so the incremental-liveness path works unchanged, and it
-//! keeps the table in lockstep with the rewritten function's value
-//! space — a materialized clone is itself rematerializable, so repeated
-//! spill rounds never accumulate loads for constant values. Reloads the
-//! rewrite inserts are tagged [`RematClass::Reload`]: their spill slot
-//! is written exactly once, so evicting a reload in a later round
-//! re-issues the load at each use instead of paying a second
-//! store-and-reload round trip (and needs no callee-saved register
-//! across calls — the slot outlives them).
-
-#![allow(clippy::needless_range_loop)] // parallel arrays indexed by block id
+//! Handing a table to [`crate::spill_code::rewrite_spill_code`] makes
+//! the spill rewrite remat-aware: spilled values that carry a
+//! [`RematClass::Const`] tag are materialized at each use instead of
+//! stored and reloaded. The rewrite keeps the table in lockstep with
+//! the rewritten function's value space — a materialized clone is
+//! itself rematerializable, so repeated spill rounds never accumulate
+//! loads for constant values. Reloads the rewrite inserts are tagged
+//! [`RematClass::Reload`]: their spill slot is written exactly once, so
+//! evicting a reload in a later round re-issues the load at each use
+//! instead of paying a second store-and-reload round trip (and needs no
+//! callee-saved register across calls — the slot outlives them).
 
 use crate::cfg::{Function, Instr, Opcode, Value};
-use crate::scratch::AnalysisScratch;
-use crate::spill_code::{SpillDelta, SpillRewrite, SpillStats};
+use crate::spill_code::SpillStats;
 use lra_graph::BitSet;
 
 /// How a value may leave the register file when the allocator evicts
@@ -174,36 +169,38 @@ impl RematTable {
             .count()
     }
 
-    /// Registers a freshly created value: a materialized clone of
-    /// `template_of` (inheriting its class), or a plain new value
-    /// (reload, copy) when `template_of` is `None`.
-    fn push(&mut self, v: Value, template_of: Option<usize>) {
+    /// Registers `v`, the fresh value replacing one use of the spilled
+    /// value `of`, and returns the instruction that defines it.
+    ///
+    /// A [`RematClass::Const`] or [`RematClass::Reload`] origin is
+    /// re-issued: `v` inherits its class and a clone of its template.
+    /// A first-time [`RematClass::Spill`] gets a reload that is itself
+    /// [`RematClass::Reload`], since its slot was just written once.
+    /// The insertion is counted in `stats`: re-issued loads count as
+    /// loads, but the origin needs no second store.
+    pub(crate) fn replacement(&mut self, v: Value, of: Value, stats: &mut SpillStats) -> Instr {
         debug_assert_eq!(v.index(), self.classes.len());
-        match template_of {
-            Some(of) => {
-                self.classes.push(self.classes[of]);
-                let template = self.templates[of].clone().map(|mut t| {
-                    t.def = Some(v);
-                    t
-                });
-                self.templates.push(template);
+        let (class, template) = match self.class(of.index()) {
+            RematClass::Spill => (
+                RematClass::Reload,
+                Instr::new(Opcode::Load, Some(v), vec![]),
+            ),
+            inherited => {
+                let mut t = self.templates[of.index()]
+                    .clone()
+                    .expect("remat-able values carry a template");
+                t.def = Some(v);
+                (inherited, t)
             }
-            None => {
-                self.classes.push(RematClass::Spill);
-                self.templates.push(None);
-            }
+        };
+        if class == RematClass::Const {
+            stats.remats += 1;
+        } else {
+            stats.loads += 1;
         }
-    }
-
-    /// Registers a freshly created spill-slot reload as
-    /// [`RematClass::Reload`]: the slot it reads is written exactly
-    /// once, so a later eviction may re-issue the load at each use
-    /// instead of storing the reloaded value a second time.
-    fn push_reload(&mut self, v: Value) {
-        debug_assert_eq!(v.index(), self.classes.len());
-        self.classes.push(RematClass::Reload);
-        self.templates
-            .push(Some(Instr::new(Opcode::Load, Some(v), vec![])));
+        self.classes.push(class);
+        self.templates.push(Some(template.clone()));
+        template
     }
 
     /// Upgrades copies that are backed by a spill slot to
@@ -257,180 +254,18 @@ impl RematTable {
     }
 }
 
-/// Remat-aware spill rewriting: values in `spilled` that the table
-/// classifies [`RematClass::Const`] are re-materialized before each use
-/// (no store, no spill slot); every other spilled value takes the
-/// store-plus-reload path of [`crate::spill_code::rewrite_spill_code`].
-/// With `share_reloads`, consecutive uses in a block share one reload
-/// (and one materialization) per value, mirroring
-/// [`crate::spill_code::rewrite_spill_code_optimized`].
-///
-/// `table` must cover exactly the values of `f`; on return it covers
-/// the rewritten function (clones inherit their origin's class, fresh
-/// reloads become [`RematClass::Reload`] — their slot is written once,
-/// so a later eviction re-issues the load instead of storing again),
-/// so the caller can feed the result straight into the next spill
-/// round.
-///
-/// # Panics
-///
-/// Panics if `table.len()` differs from `f.value_count`.
-pub fn rewrite_spill_code_remat(
-    f: &Function,
-    spilled: &BitSet,
-    table: &mut RematTable,
-    share_reloads: bool,
-) -> SpillRewrite {
-    rewrite_spill_code_remat_in(
-        f,
-        spilled,
-        table,
-        share_reloads,
-        &mut AnalysisScratch::new(),
-    )
-}
-
-/// [`rewrite_spill_code_remat`] with caller-provided scratch for the
-/// block-edit buffers; identical output.
-pub fn rewrite_spill_code_remat_in(
-    f: &Function,
-    spilled: &BitSet,
-    table: &mut RematTable,
-    share_reloads: bool,
-    scratch: &mut AnalysisScratch,
-) -> SpillRewrite {
-    assert_eq!(
-        table.len(),
-        f.value_count as usize,
-        "remat table out of step with the function"
-    );
-    let mut next_value = f.value_count;
-    let mut stats = SpillStats::default();
-    let mut saved = 0usize;
-
-    let n = f.block_count();
-    let edits = scratch.edits_for(n);
-    let mut dirty = BitSet::new(n);
-
-    // One fresh value per reload *or* materialization, registered in
-    // the table as it is created so value indices stay in lockstep.
-    let mut fresh = |table: &mut RematTable, stats: &mut SpillStats, of: Value| -> (Value, Instr) {
-        let v = Value(next_value);
-        next_value += 1;
-        match table.class(of.index()) {
-            RematClass::Const => {
-                table.push(v, Some(of.index()));
-                stats.remats += 1;
-            }
-            // Evicting a reload re-issues the load (from the origin's
-            // write-once slot) — a load instruction, so it counts as
-            // one, but the origin needs no second store.
-            RematClass::Reload => {
-                table.push(v, Some(of.index()));
-                stats.loads += 1;
-            }
-            // A first-time spill: the reload it creates is itself
-            // re-issuable from the freshly written slot.
-            RematClass::Spill => {
-                table.push_reload(v);
-                stats.loads += 1;
-            }
-        }
-        let instr = table.templates[v.index()]
-            .clone()
-            .expect("remat-able values carry a template");
-        (v, instr)
-    };
-
-    for b in 0..n {
-        // value -> replacement already materialised in this block.
-        edits.avail.clear();
-        // Stores for spilled φ defs wait until after the φ run.
-        for instr in &f.blocks[b].instrs {
-            let mut instr = instr.clone();
-            let is_phi = instr.opcode == Opcode::Phi;
-            if is_phi {
-                for (i, u) in instr.uses.iter_mut().enumerate() {
-                    if spilled.contains(u.index()) {
-                        let p = f.blocks[b].preds[i];
-                        let (v, repl) = fresh(table, &mut stats, *u);
-                        edits.tails[p.index()].push(repl);
-                        *u = v;
-                        dirty.insert(b);
-                        dirty.insert(p.index());
-                    }
-                }
-            } else {
-                edits.flush_phi_stores(b);
-                for u in instr.uses.iter_mut() {
-                    if spilled.contains(u.index()) {
-                        dirty.insert(b);
-                        match edits.avail.get(u) {
-                            Some(&v) if share_reloads => {
-                                saved += 1;
-                                *u = v;
-                            }
-                            _ => {
-                                let key = *u;
-                                let (v, repl) = fresh(table, &mut stats, *u);
-                                edits.bodies[b].push(repl);
-                                edits.avail.insert(key, v);
-                                *u = v;
-                            }
-                        }
-                    }
-                }
-            }
-            let def = instr.def;
-            let def_spilled = def.is_some_and(|d| spilled.contains(d.index()));
-            if def_spilled && share_reloads {
-                // The freshly computed value is itself usable until the
-                // end of the block.
-                edits
-                    .avail
-                    .insert(def.expect("spilled def"), def.expect("spilled def"));
-            }
-            edits.bodies[b].push(instr);
-            // Rematerializable values are never stored: their spill
-            // slot is the defining instruction itself.
-            if def_spilled && !table.is_remat(def.expect("spilled def").index()) {
-                stats.stores += 1;
-                dirty.insert(b);
-                let store = Instr::new(Opcode::Store, None, vec![def.expect("spilled def")]);
-                if is_phi {
-                    edits.phi_stores.push(store);
-                } else {
-                    edits.bodies[b].push(store);
-                }
-            }
-        }
-        edits.flush_phi_stores(b);
-    }
-
-    let blocks = edits.finish(f);
-    let mut out = Function {
-        name: f.name.clone(),
-        blocks,
-        entry: f.entry,
-        value_count: next_value,
-        params: f.params.clone(),
-    };
-    out.recompute_preds();
-    debug_assert_eq!(out.validate(), Ok(()));
-    SpillRewrite {
-        stats,
-        saved_loads: saved,
-        delta: SpillDelta::new(f, spilled, next_value, dirty),
-        function: out,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::liveness;
-    use crate::spill_code;
+    use crate::scratch::AnalysisScratch;
+    use crate::spill_code::{rewrite_spill_code, SpillRewrite};
+
+    /// The remat-aware rewrite through a fresh scratch.
+    fn rewrite(f: &Function, spilled: &BitSet, t: &mut RematTable, share: bool) -> SpillRewrite {
+        rewrite_spill_code(f, spilled, Some(t), share, &mut AnalysisScratch::new())
+    }
 
     #[test]
     fn constants_classify_as_const() {
@@ -485,7 +320,7 @@ mod tests {
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [k.index()]);
         let mut t = RematTable::compute(&f);
-        let rw = rewrite_spill_code_remat(&f, &spilled, &mut t, false);
+        let rw = rewrite(&f, &spilled, &mut t, false);
         assert_eq!(rw.stats.stores, 0);
         assert_eq!(rw.stats.loads, 0);
         assert_eq!(rw.stats.remats, 2);
@@ -509,13 +344,40 @@ mod tests {
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [y.index()]);
         let mut t = RematTable::compute(&f);
-        let rw = rewrite_spill_code_remat(&f, &spilled, &mut t, false);
+        let rw = rewrite(&f, &spilled, &mut t, false);
         assert_eq!(rw.stats.stores, 1);
         assert_eq!(rw.stats.loads, 2);
         assert_eq!(rw.stats.remats, 0);
-        // Identical to the plain spill rewrite when nothing remats.
-        let plain = spill_code::rewrite_spill_code(&f, &spilled);
-        assert_eq!(rw.function, plain.function);
+
+        // The remat-aware rewrite is a superset of the plain one: on a
+        // spill set with no `Const` value, one round with a fresh table
+        // emits exactly what the table-free rewrite emits, over random
+        // SSA and JIT functions, with and without shared reloads.
+        use crate::genprog::{random_jit_function, random_ssa_function, JitConfig, SsaConfig};
+        use rand::{Rng, SeedableRng};
+        for seed in 0..12u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let f = if seed % 2 == 0 {
+                random_ssa_function(&mut rng, &SsaConfig::default(), "ssa")
+            } else {
+                random_jit_function(&mut rng, &JitConfig::default(), "jit")
+            };
+            let fresh = RematTable::compute(&f);
+            let spilled = BitSet::from_iter_with_capacity(
+                f.value_count as usize,
+                (0..f.value_count as usize)
+                    .filter(|&v| fresh.class(v) != RematClass::Const && rng.gen_range(0..3) == 0),
+            );
+            for share in [false, true] {
+                let scratch = &mut AnalysisScratch::new();
+                let plain = rewrite_spill_code(&f, &spilled, None, share, scratch);
+                let rw = rewrite(&f, &spilled, &mut fresh.clone(), share);
+                assert_eq!(rw.function, plain.function, "seed {seed} share {share}");
+                assert_eq!(rw.stats, plain.stats, "seed {seed} share {share}");
+                assert_eq!(rw.saved_loads, plain.saved_loads, "seed {seed}");
+                assert_eq!(rw.delta, plain.delta, "seed {seed} share {share}");
+            }
+        }
     }
 
     #[test]
@@ -530,7 +392,7 @@ mod tests {
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [k.index()]);
         let mut t = RematTable::compute(&f);
-        let rw = rewrite_spill_code_remat(&f, &spilled, &mut t, true);
+        let rw = rewrite(&f, &spilled, &mut t, true);
         assert_eq!(rw.stats.remats, 1);
         assert_eq!(rw.saved_loads, 1);
     }
@@ -552,7 +414,7 @@ mod tests {
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [kl.index()]);
         let mut t = RematTable::compute(&f);
-        let rw = rewrite_spill_code_remat(&f, &spilled, &mut t, false);
+        let rw = rewrite(&f, &spilled, &mut t, false);
         assert_eq!(rw.stats.remats, 1);
         assert_eq!(rw.stats.loads, 0);
         let last_in_l = rw.function.blocks[l.index()].instrs.last().unwrap();
@@ -575,7 +437,7 @@ mod tests {
             ks[..3].iter().map(|v| v.index()),
         );
         let mut t = RematTable::compute(&f);
-        let rw = rewrite_spill_code_remat(&f, &spilled, &mut t, false);
+        let rw = rewrite(&f, &spilled, &mut t, false);
         assert!(liveness::analyze(&rw.function).max_live < 5);
         assert_eq!(rw.stats.remats, 3);
     }
@@ -593,7 +455,7 @@ mod tests {
             (0..f.value_count as usize).filter(|v| v % 2 == 0),
         );
         let mut t = RematTable::compute(&f);
-        let rw = rewrite_spill_code_remat(&f, &spilled, &mut t, false);
+        let rw = rewrite(&f, &spilled, &mut t, false);
         for (b, blk) in rw.function.blocks.iter().enumerate() {
             if rw.delta.dirty_blocks.contains(b) {
                 continue;
@@ -620,11 +482,11 @@ mod tests {
         let f = b.finish();
         let mut t = RematTable::compute(&f);
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [y.index()]);
-        let r1 = rewrite_spill_code_remat(&f, &spilled, &mut t, false);
+        let r1 = rewrite(&f, &spilled, &mut t, false);
         let reload = f.value_count as usize;
         assert_eq!(t.class(reload), RematClass::Reload);
         let respill = BitSet::from_iter_with_capacity(r1.function.value_count as usize, [reload]);
-        let r2 = rewrite_spill_code_remat(&r1.function, &respill, &mut t, false);
+        let r2 = rewrite(&r1.function, &respill, &mut t, false);
         assert_eq!(r2.stats.stores, 0, "slot-backed values are never re-stored");
         assert_eq!(r2.stats.loads, 1, "the eviction re-issues one load");
         // The re-issue is itself slot-backed, so round 3 behaves the same.
@@ -655,7 +517,7 @@ mod tests {
         t.upgrade_slot_copies(&f, &spilled);
         assert_eq!(t.class(s.index()), RematClass::Reload);
         // The upgraded template re-issues a load defining s.
-        let rw = rewrite_spill_code_remat(
+        let rw = rewrite(
             &f,
             &BitSet::from_iter_with_capacity(f.value_count as usize, [v.index(), s.index()]),
             &mut t,

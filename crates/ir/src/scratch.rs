@@ -1,28 +1,29 @@
 //! Reusable analysis buffers for batch and service workers.
 //!
-//! `allocate_item`-style per-function drivers used to pay a fresh
-//! round of allocations for every function they analysed: the
-//! liveness transfer sets, the dataflow worklist, the per-block
-//! pressure-sweep live set, the interference sweep's live set and the
-//! interval endpoint arrays. None of those outlive one analysis call,
-//! so a long-lived worker can allocate them once and recycle them
-//! across every function it processes.
+//! Per-function drivers used to pay a fresh round of allocations for
+//! every function they analysed: the liveness transfer sets, the
+//! dataflow worklist, the per-block pressure-sweep live set, the
+//! interference sweep's live set and the interval endpoint arrays.
+//! None of those outlive one analysis call, so a long-lived worker can
+//! allocate them once and recycle them across every function it
+//! processes.
 //!
-//! [`AnalysisScratch`] is that recycled state. Every `_in` entry point
-//! ([`crate::liveness::analyze_in`],
+//! [`AnalysisScratch`] is that recycled state. Every entry point that
+//! takes one ([`crate::liveness::analyze_in`],
+//! [`crate::liveness::analyze_incremental`],
 //! [`crate::interference::interference_graph_in`],
-//! [`crate::interference::live_intervals_in`],
-//! [`crate::FunctionAnalysis::compute_in`]) resets the buffers it
+//! [`crate::interference::live_intervals`],
+//! [`crate::FunctionAnalysis::compute`]) resets the buffers it
 //! takes to the function at hand before using them, so a scratch can
 //! be reused across functions of any sizes — and even after a caller
 //! caught a panic mid-analysis — without affecting a single output
 //! bit. Reuse is a pure allocation saving; results are identical to
-//! the scratch-free paths, and a property test pins that.
+//! a fresh `AnalysisScratch::new()`, and a property test pins that.
 //!
-//! The per-round IR rewrites (spill insertion, splitting,
-//! rematerialization) recycle their block-edit buffers the same way:
-//! see [`crate::block_edits::BlockEdits`], owned here and handed out
-//! to the rewrites' `_in` entry points.
+//! The per-round IR rewrites ([`crate::spill_code::rewrite_spill_code`],
+//! [`crate::split::split_pressure_ranges`]) recycle their block-edit
+//! buffers the same way: see [`crate::block_edits::BlockEdits`], owned
+//! here and handed out to the rewrites.
 //!
 //! What is deliberately **not** in here: the interference adjacency
 //! matrix. `lra_graph::Graph::from_bit_matrix` retains the packed

@@ -1,34 +1,54 @@
-//! Spill-everywhere code insertion.
+//! Spill-code insertion: the one rewrite behind every spill round.
 //!
-//! Given a set of spilled values, rewrite the function so that each
-//! spilled value lives in memory: a [`Opcode::Store`] is inserted after
-//! its definition and a fresh [`Opcode::Load`] value is inserted before
-//! each use (φ uses reload at the end of the incoming predecessor).
-//! The reload values are short-lived, which is how spilling lowers the
-//! register pressure — the paper's §4.3 discusses exactly this residual
-//! pressure of reloads.
+//! Given a set of spilled values, [`rewrite_spill_code`] rewrites the
+//! function so that each spilled value lives in memory: a
+//! [`Opcode::Store`] is inserted after its definition and a fresh
+//! [`Opcode::Load`] value is inserted before each use (φ uses reload at
+//! the end of the incoming predecessor). The reload values are
+//! short-lived, which is how spilling lowers the register pressure —
+//! the paper's §4.3 discusses exactly this residual pressure of
+//! reloads.
+//!
+//! Two options refine that spill-everywhere rewrite:
+//!
+//! * `share_reloads` applies the basic load-store optimisation of
+//!   §2.1: within a basic block, consecutive uses of the same spilled
+//!   value share one reload ("if the variable can stay in a register
+//!   between two consecutive uses, a load is saved"), and uses in the
+//!   defining block read the defined value directly. Sound for SSA
+//!   inputs because the spill slot of an SSA value is written exactly
+//!   once.
+//! * a [`RematTable`] lets the escalation tier rematerialize instead of
+//!   spill: values classified [`RematClass::Const`](crate::remat::RematClass)
+//!   are re-issued before each use with no store, and evicted
+//!   slot-backed reloads re-issue their load with no second store (see
+//!   [`crate::remat`]). Without a table every value is treated as
+//!   `RematClass::Spill`.
 
 #![allow(clippy::needless_range_loop)] // parallel arrays indexed by block id
 
 use crate::cfg::{Function, Instr, Opcode, Value};
+use crate::remat::RematTable;
 use crate::scratch::AnalysisScratch;
 use lra_graph::BitSet;
 
-/// Statistics of a spill-everywhere rewrite.
+/// Statistics of a spill rewrite.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpillStats {
-    /// Stores inserted (one per definition of a spilled value).
+    /// Stores inserted (one per definition of a spilled value that is
+    /// not rematerializable).
     pub stores: usize,
-    /// Reloads inserted (one per use of a spilled value).
+    /// Reloads inserted (one per use of a spilled value, fewer with
+    /// shared reloads).
     pub loads: usize,
-    /// Materializations inserted instead of reloads (always 0 for the
-    /// plain rewrites; see [`crate::remat::rewrite_spill_code_remat`]).
+    /// Materializations inserted instead of reloads (always 0 without a
+    /// [`RematTable`]).
     pub remats: usize,
 }
 
 /// What a spill rewrite touched, in terms the incremental re-analysis
 /// ([`crate::liveness::analyze_incremental`]) consumes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpillDelta {
     /// Blocks whose instruction list differs from the input function
     /// (a use was remapped, or a load/store was inserted). Capacity =
@@ -42,12 +62,7 @@ pub struct SpillDelta {
 }
 
 impl SpillDelta {
-    pub(crate) fn new(
-        f: &Function,
-        spilled: &BitSet,
-        new_value_count: u32,
-        dirty_blocks: BitSet,
-    ) -> Self {
+    fn new(f: &Function, spilled: &BitSet, new_value_count: u32, dirty_blocks: BitSet) -> Self {
         let changed_values = BitSet::from_iter_with_capacity(
             new_value_count as usize,
             spilled
@@ -62,193 +77,99 @@ impl SpillDelta {
 }
 
 /// The full result of a spill rewrite: the function, the insertion
-/// statistics, the loads saved by reload sharing (0 on the plain
-/// path), and the [`SpillDelta`] feeding incremental re-analysis.
+/// statistics, the loads saved by reload sharing, and the
+/// [`SpillDelta`] feeding incremental re-analysis.
 #[derive(Clone, Debug)]
 pub struct SpillRewrite {
     /// The rewritten function.
     pub function: Function,
-    /// Stores/loads inserted.
+    /// Stores/loads/materializations inserted.
     pub stats: SpillStats,
-    /// Reloads saved relative to plain spill-everywhere (the §2.1
-    /// load-store optimisation); always 0 for [`rewrite_spill_code`].
+    /// Reloads (and materializations) saved relative to plain spill
+    /// everywhere by the §2.1 load-store optimisation; always 0 without
+    /// `share_reloads`.
     pub saved_loads: usize,
     /// Which blocks and values the rewrite touched.
     pub delta: SpillDelta,
 }
 
-/// Rewrites `f`, spilling every value in `spilled`.
-///
-/// Returns the rewritten function and insertion statistics. The
-/// rewritten function is in SSA form again if `f` was (each reload is a
-/// fresh value used exactly once). Convenience wrapper around
-/// [`rewrite_spill_code`] for callers that do not need the
-/// [`SpillDelta`].
-pub fn insert_spill_code(f: &Function, spilled: &BitSet) -> (Function, SpillStats) {
-    let r = rewrite_spill_code(f, spilled);
-    (r.function, r.stats)
-}
-
 /// Rewrites `f`, spilling every value in `spilled`, and reports which
 /// blocks and values were touched so the next analysis round can be
-/// incremental.
-pub fn rewrite_spill_code(f: &Function, spilled: &BitSet) -> SpillRewrite {
-    rewrite_spill_code_in(f, spilled, &mut AnalysisScratch::new())
-}
-
-/// [`rewrite_spill_code`] with caller-provided scratch for the
-/// block-edit buffers; identical output.
-pub fn rewrite_spill_code_in(
-    f: &Function,
-    spilled: &BitSet,
-    scratch: &mut AnalysisScratch,
-) -> SpillRewrite {
-    let mut next_value = f.value_count;
-    let mut stats = SpillStats::default();
-    let mut fresh = || {
-        let v = Value(next_value);
-        next_value += 1;
-        v
-    };
-
-    // New instruction lists per block; φ reloads append to predecessors,
-    // so build bodies first then splice pred tails.
-    let n = f.block_count();
-    let edits = scratch.edits_for(n);
-    let mut dirty = BitSet::new(n);
-
-    for b in 0..n {
-        // Stores for spilled φ defs must wait until after the whole φ
-        // run (φs are parallel and must stay first in the block).
-        for instr in &f.blocks[b].instrs {
-            let mut instr = instr.clone();
-            let is_phi = instr.opcode == Opcode::Phi;
-            if is_phi {
-                for (i, u) in instr.uses.iter_mut().enumerate() {
-                    if spilled.contains(u.index()) {
-                        let r = fresh();
-                        stats.loads += 1;
-                        let p = f.blocks[b].preds[i];
-                        edits.tails[p.index()].push(Instr::new(Opcode::Load, Some(r), vec![]));
-                        *u = r;
-                        dirty.insert(b);
-                        dirty.insert(p.index());
-                    }
-                }
-            } else {
-                edits.flush_phi_stores(b);
-                for u in instr.uses.iter_mut() {
-                    if spilled.contains(u.index()) {
-                        let r = fresh();
-                        stats.loads += 1;
-                        edits.bodies[b].push(Instr::new(Opcode::Load, Some(r), vec![]));
-                        *u = r;
-                        dirty.insert(b);
-                    }
-                }
-            }
-            let def_spilled = instr.def.is_some_and(|d| spilled.contains(d.index()));
-            let def = instr.def;
-            edits.bodies[b].push(instr);
-            if def_spilled {
-                stats.stores += 1;
-                dirty.insert(b);
-                let store = Instr::new(Opcode::Store, None, vec![def.expect("spilled def")]);
-                if is_phi {
-                    edits.phi_stores.push(store);
-                } else {
-                    edits.bodies[b].push(store);
-                }
-            }
-        }
-        edits.flush_phi_stores(b);
-    }
-
-    let blocks = edits.finish(f);
-
-    let mut out = Function {
-        name: f.name.clone(),
-        blocks,
-        entry: f.entry,
-        value_count: next_value,
-        params: f.params.clone(),
-    };
-    out.recompute_preds();
-    debug_assert_eq!(out.validate(), Ok(()));
-    SpillRewrite {
-        stats,
-        saved_loads: 0,
-        delta: SpillDelta::new(f, spilled, next_value, dirty),
-        function: out,
-    }
-}
-
-/// Convenience: spills `spilled` and reports the new `MaxLive`.
-pub fn max_live_after_spilling(f: &Function, spilled: &BitSet) -> usize {
-    let (g, _) = insert_spill_code(f, spilled);
-    crate::liveness::analyze(&g).max_live
-}
-
-/// Spill-everywhere with the basic load-store optimisation of §2.1:
-/// within a basic block, consecutive uses of the same spilled value
-/// share one reload ("if the variable can stay in a register between
-/// two consecutive uses, a load is saved"). Sound for SSA inputs
-/// because the spill slot of an SSA value is written exactly once.
+/// incremental. See the [module docs](self) for the two options.
 ///
-/// Returns the rewritten function, the insertion statistics, and the
-/// number of loads saved relative to plain spill-everywhere.
-/// Convenience wrapper around [`rewrite_spill_code_optimized`] for
-/// callers that do not need the [`SpillDelta`].
-pub fn insert_spill_code_optimized(
+/// With `remat` set, spilled [`RematClass::Const`](crate::remat::RematClass)
+/// values are materialized before each use instead of stored and
+/// reloaded. `table` must cover exactly the values of `f`; on return it
+/// covers the rewritten function (clones inherit their origin's class,
+/// fresh reloads become `RematClass::Reload` — their slot is written
+/// once, so a later eviction re-issues the load instead of storing
+/// again), so the caller can feed the result straight into the next
+/// spill round. With `remat` unset, each reload is a plain
+/// [`Opcode::Load`] and every spilled definition is stored.
+///
+/// The rewritten function is in SSA form again if `f` was (each reload
+/// is a fresh value). `scratch` supplies the recycled block-edit
+/// buffers; reusing it never changes the output.
+///
+/// # Panics
+///
+/// Panics if `remat` is set and its table's length differs from
+/// `f.value_count`.
+pub fn rewrite_spill_code(
     f: &Function,
     spilled: &BitSet,
-) -> (Function, SpillStats, usize) {
-    let r = rewrite_spill_code_optimized(f, spilled);
-    (r.function, r.stats, r.saved_loads)
-}
-
-/// [`rewrite_spill_code`] with the §2.1 shared-reload optimisation,
-/// reporting the touched blocks and values for incremental
-/// re-analysis.
-pub fn rewrite_spill_code_optimized(f: &Function, spilled: &BitSet) -> SpillRewrite {
-    rewrite_spill_code_optimized_in(f, spilled, &mut AnalysisScratch::new())
-}
-
-/// [`rewrite_spill_code_optimized`] with caller-provided scratch for
-/// the block-edit buffers; identical output.
-pub fn rewrite_spill_code_optimized_in(
-    f: &Function,
-    spilled: &BitSet,
+    mut remat: Option<&mut RematTable>,
+    share_reloads: bool,
     scratch: &mut AnalysisScratch,
 ) -> SpillRewrite {
+    if let Some(table) = &remat {
+        assert_eq!(
+            table.len(),
+            f.value_count as usize,
+            "remat table out of step with the function"
+        );
+    }
     let mut next_value = f.value_count;
     let mut stats = SpillStats::default();
     let mut saved = 0usize;
-    let fresh = |next_value: &mut u32| {
-        let v = Value(*next_value);
-        *next_value += 1;
-        v
-    };
 
     let n = f.block_count();
     let edits = scratch.edits_for(n);
     let mut dirty = BitSet::new(n);
 
+    // One fresh value per reload *or* materialization, registered in
+    // the table as it is created so value indices stay in lockstep.
+    let mut fresh = |remat: &mut Option<&mut RematTable>, stats: &mut SpillStats, of: Value| {
+        let v = Value(next_value);
+        next_value += 1;
+        let instr = match remat {
+            Some(table) => table.replacement(v, of, stats),
+            None => {
+                stats.loads += 1;
+                Instr::new(Opcode::Load, Some(v), vec![])
+            }
+        };
+        (v, instr)
+    };
+
     for b in 0..n {
-        // spilled value -> reload already materialised in this block.
-        edits.avail.clear();
-        // Stores for spilled φ defs wait until after the φ run.
+        // Spilled value -> replacement already materialised in this
+        // block. Only the shared-reload path touches the map.
+        if share_reloads {
+            edits.avail.clear();
+        }
+        // Stores for spilled φ defs wait until after the whole φ run
+        // (φs are parallel and must stay first in the block).
         for instr in &f.blocks[b].instrs {
             let mut instr = instr.clone();
             let is_phi = instr.opcode == Opcode::Phi;
             if is_phi {
                 for (i, u) in instr.uses.iter_mut().enumerate() {
                     if spilled.contains(u.index()) {
-                        let r = fresh(&mut next_value);
-                        stats.loads += 1;
                         let p = f.blocks[b].preds[i];
-                        edits.tails[p.index()].push(Instr::new(Opcode::Load, Some(r), vec![]));
-                        *u = r;
+                        let (v, repl) = fresh(&mut remat, &mut stats, *u);
+                        edits.tails[p.index()].push(repl);
+                        *u = v;
                         dirty.insert(b);
                         dirty.insert(p.index());
                     }
@@ -256,38 +177,41 @@ pub fn rewrite_spill_code_optimized_in(
             } else {
                 edits.flush_phi_stores(b);
                 for u in instr.uses.iter_mut() {
-                    if spilled.contains(u.index()) {
-                        dirty.insert(b);
-                        match edits.avail.get(u) {
-                            Some(&r) => {
-                                saved += 1;
-                                *u = r;
-                            }
-                            None => {
-                                let r = fresh(&mut next_value);
-                                stats.loads += 1;
-                                edits.bodies[b].push(Instr::new(Opcode::Load, Some(r), vec![]));
-                                edits.avail.insert(*u, r);
-                                *u = r;
-                            }
-                        }
+                    if !spilled.contains(u.index()) {
+                        continue;
                     }
+                    dirty.insert(b);
+                    if let Some(&v) = share_reloads.then(|| edits.avail.get(u)).flatten() {
+                        saved += 1;
+                        *u = v;
+                        continue;
+                    }
+                    let (v, repl) = fresh(&mut remat, &mut stats, *u);
+                    edits.bodies[b].push(repl);
+                    if share_reloads {
+                        edits.avail.insert(*u, v);
+                    }
+                    *u = v;
                 }
             }
-            let def = instr.def;
-            let def_spilled = def.is_some_and(|d| spilled.contains(d.index()));
-            if def_spilled {
-                // The freshly computed value is itself usable until the
-                // end of the block.
-                edits
-                    .avail
-                    .insert(def.expect("spilled def"), def.expect("spilled def"));
+            let def = instr.def.filter(|d| spilled.contains(d.index()));
+            if let Some(d) = def {
+                // A spilled def is a changed value, so its block is
+                // dirty even when a rematerializable def is not stored.
+                dirty.insert(b);
+                if share_reloads {
+                    // The freshly computed value is itself usable until
+                    // the end of the block.
+                    edits.avail.insert(d, d);
+                }
             }
             edits.bodies[b].push(instr);
-            if def_spilled {
+            // Rematerializable values are never stored: their spill
+            // slot is the defining instruction itself.
+            let stored = def.filter(|d| !remat.as_ref().is_some_and(|t| t.is_remat(d.index())));
+            if let Some(d) = stored {
                 stats.stores += 1;
-                dirty.insert(b);
-                let store = Instr::new(Opcode::Store, None, vec![def.expect("spilled def")]);
+                let store = Instr::new(Opcode::Store, None, vec![d]);
                 if is_phi {
                     edits.phi_stores.push(store);
                 } else {
@@ -322,6 +246,25 @@ mod tests {
     use crate::builder::FunctionBuilder;
     use crate::liveness;
 
+    /// The rewrite without a remat table, through a fresh scratch.
+    fn rewrite(f: &Function, spilled: &BitSet, share_reloads: bool) -> SpillRewrite {
+        rewrite_spill_code(f, spilled, None, share_reloads, &mut AnalysisScratch::new())
+    }
+
+    /// Runs `check` on the rewrite of `spilled` under every
+    /// configuration: `remat` ∈ {None, Some(fresh table)} ×
+    /// `share_reloads` ∈ {false, true}.
+    fn each_config(f: &Function, spilled: &BitSet, mut check: impl FnMut(bool, SpillRewrite)) {
+        for with_table in [false, true] {
+            for share_reloads in [false, true] {
+                let mut table = with_table.then(|| RematTable::compute(f));
+                let scratch = &mut AnalysisScratch::new();
+                let rw = rewrite_spill_code(f, spilled, table.as_mut(), share_reloads, scratch);
+                check(share_reloads, rw);
+            }
+        }
+    }
+
     /// Five values all live at once; spilling three of them drops the
     /// pressure to roughly two plus a reload.
     #[test]
@@ -340,10 +283,10 @@ mod tests {
             f.value_count as usize,
             vs[..3].iter().map(|v| v.index()),
         );
-        let (g, stats) = insert_spill_code(&f, &spilled);
-        assert_eq!(stats.stores, 3);
-        assert_eq!(stats.loads, 3);
-        let live_after = liveness::analyze(&g).max_live;
+        let rw = rewrite(&f, &spilled, false);
+        assert_eq!(rw.stats.stores, 3);
+        assert_eq!(rw.stats.loads, 3);
+        let live_after = liveness::analyze(&rw.function).max_live;
         assert!(live_after < 5, "pressure {live_after} should drop below 5");
     }
 
@@ -356,12 +299,12 @@ mod tests {
         b.op(e, &[x]);
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [x.index()]);
-        let (g, stats) = insert_spill_code(&f, &spilled);
-        assert_eq!(stats.stores, 1);
-        assert_eq!(stats.loads, 2);
-        assert_eq!(g.value_count, f.value_count + 2);
+        let rw = rewrite(&f, &spilled, false);
+        assert_eq!(rw.stats.stores, 1);
+        assert_eq!(rw.stats.loads, 2);
+        assert_eq!(rw.function.value_count, f.value_count + 2);
         // x itself is no longer used by any non-store instruction.
-        for blk in &g.blocks {
+        for blk in &rw.function.blocks {
             for instr in &blk.instrs {
                 if instr.opcode != Opcode::Store {
                     assert!(!instr.uses.contains(&x));
@@ -386,12 +329,12 @@ mod tests {
         b.op(j, &[m]);
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [xl.index()]);
-        let (g, stats) = insert_spill_code(&f, &spilled);
-        assert_eq!(stats.loads, 1);
+        let rw = rewrite(&f, &spilled, false);
+        assert_eq!(rw.stats.loads, 1);
         // The reload lands at the end of `l`, not in the join block.
-        let last_in_l = g.blocks[l.index()].instrs.last().unwrap();
+        let last_in_l = rw.function.blocks[l.index()].instrs.last().unwrap();
         assert_eq!(last_in_l.opcode, Opcode::Load);
-        assert!(g.validate().is_ok());
+        assert!(rw.function.validate().is_ok());
     }
 
     #[test]
@@ -401,10 +344,10 @@ mod tests {
         let x = b.op(e, &[]);
         b.op(e, &[x]);
         let f = b.finish();
-        let (g, stats) = insert_spill_code(&f, &BitSet::new(f.value_count as usize));
-        assert_eq!(stats, SpillStats::default());
-        assert_eq!(g.instr_count(), f.instr_count());
-        assert_eq!(g.value_count, f.value_count);
+        let rw = rewrite(&f, &BitSet::new(f.value_count as usize), false);
+        assert_eq!(rw.stats, SpillStats::default());
+        assert_eq!(rw.function.instr_count(), f.instr_count());
+        assert_eq!(rw.function.value_count, f.value_count);
     }
 
     #[test]
@@ -420,15 +363,14 @@ mod tests {
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [x.index()]);
 
-        let (_, plain_stats) = insert_spill_code(&f, &spilled);
-        assert_eq!(plain_stats.loads, 3);
+        assert_eq!(rewrite(&f, &spilled, false).stats.loads, 3);
 
-        let (g, opt_stats, saved) = insert_spill_code_optimized(&f, &spilled);
+        let rw = rewrite(&f, &spilled, true);
         // Uses in the defining block reuse x's register directly; the
         // second block needs the only real reload.
-        assert_eq!(opt_stats.loads, 1);
-        assert_eq!(saved, 2);
-        assert!(g.validate().is_ok());
+        assert_eq!(rw.stats.loads, 1);
+        assert_eq!(rw.saved_loads, 2);
+        assert!(rw.function.validate().is_ok());
     }
 
     #[test]
@@ -442,11 +384,11 @@ mod tests {
         b.op(e, &[x]);
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [x.index()]);
-        let (g, stats, saved) = insert_spill_code_optimized(&f, &spilled);
-        assert_eq!(stats.loads, 0);
-        assert_eq!(stats.stores, 1);
-        assert_eq!(saved, 2);
-        assert!(g.validate().is_ok());
+        let rw = rewrite(&f, &spilled, true);
+        assert_eq!(rw.stats.loads, 0);
+        assert_eq!(rw.stats.stores, 1);
+        assert_eq!(rw.saved_loads, 2);
+        assert!(rw.function.validate().is_ok());
     }
 
     #[test]
@@ -460,11 +402,23 @@ mod tests {
             f.value_count as usize,
             (0..f.value_count as usize).filter(|v| v % 2 == 0),
         );
-        let (_, plain) = insert_spill_code(&f, &spilled);
-        let (g, opt, saved) = insert_spill_code_optimized(&f, &spilled);
-        assert_eq!(opt.stores, plain.stores);
-        assert_eq!(opt.loads + saved, plain.loads);
-        assert!(g.validate().is_ok());
+        // Per table configuration, the unshared rewrite runs first and
+        // the shared one must insert the same stores and account for
+        // every unshared reload or materialization as inserted or saved.
+        let mut plain = SpillStats::default();
+        each_config(&f, &spilled, |share_reloads, rw| {
+            assert!(rw.function.validate().is_ok());
+            if !share_reloads {
+                assert_eq!(rw.saved_loads, 0);
+                plain = rw.stats;
+                return;
+            }
+            assert_eq!(rw.stats.stores, plain.stores);
+            assert_eq!(
+                rw.stats.loads + rw.stats.remats + rw.saved_loads,
+                plain.loads + plain.remats
+            );
+        });
     }
 
     #[test]
@@ -486,7 +440,7 @@ mod tests {
         b.op(j, &[m]);
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [xl.index()]);
-        let rw = rewrite_spill_code(&f, &spilled);
+        let rw = rewrite(&f, &spilled, false);
         let dirty: Vec<usize> = rw.delta.dirty_blocks.iter().collect();
         assert_eq!(dirty, vec![l.index(), j.index()]);
         // Changed values: the spilled original plus the one reload.
@@ -504,63 +458,44 @@ mod tests {
     #[test]
     fn delta_every_changed_value_occurrence_is_in_a_dirty_block() {
         // The contract analyze_incremental relies on, checked over
-        // random functions and spill sets for both rewrite flavours.
-        use crate::genprog::{random_jit_function, JitConfig};
+        // random SSA and JIT functions and spill sets for every
+        // rewriter configuration (constants included, so the remat
+        // configurations materialize as well as reload).
+        use crate::genprog::{random_jit_function, random_ssa_function, JitConfig, SsaConfig};
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-        for optimized in [false, true] {
-            let f = random_jit_function(&mut rng, &JitConfig::default(), "f");
+        let functions = [
+            random_jit_function(&mut rng, &JitConfig::default(), "jit"),
+            random_ssa_function(&mut rng, &SsaConfig::default(), "ssa"),
+        ];
+        for f in &functions {
             let spilled = BitSet::from_iter_with_capacity(
                 f.value_count as usize,
                 (0..f.value_count as usize).filter(|v| v % 3 == 0),
             );
-            let rw = if optimized {
-                rewrite_spill_code_optimized(&f, &spilled)
-            } else {
-                rewrite_spill_code(&f, &spilled)
-            };
-            for (b, blk) in rw.function.blocks.iter().enumerate() {
-                if rw.delta.dirty_blocks.contains(b) {
-                    continue;
-                }
-                // Clean block: instruction list byte-identical, no
-                // occurrence of any changed value.
-                assert_eq!(blk.instrs, f.blocks[b].instrs, "block {b} silently changed");
-                for instr in &blk.instrs {
-                    for v in instr.def.iter().chain(instr.uses.iter()) {
-                        assert!(
-                            !rw.delta.changed_values.contains(v.index()),
-                            "changed value {v} in clean block {b}"
-                        );
+            each_config(f, &spilled, |_, rw| {
+                for (b, blk) in rw.function.blocks.iter().enumerate() {
+                    if rw.delta.dirty_blocks.contains(b) {
+                        continue;
+                    }
+                    // Clean block: instruction list byte-identical, no
+                    // occurrence of any changed value.
+                    assert_eq!(blk.instrs, f.blocks[b].instrs, "block {b} silently changed");
+                    for instr in &blk.instrs {
+                        for v in instr.def.iter().chain(instr.uses.iter()) {
+                            assert!(
+                                !rw.delta.changed_values.contains(v.index()),
+                                "changed value {v} in clean block {b}"
+                            );
+                        }
                     }
                 }
-            }
+            });
         }
     }
 
     #[test]
-    fn wrappers_match_the_delta_reporting_path() {
-        let mut b = FunctionBuilder::new("f");
-        let e = b.entry_block();
-        let x = b.op(e, &[]);
-        b.op(e, &[x]);
-        b.op(e, &[x]);
-        let f = b.finish();
-        let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [x.index()]);
-        let (g1, s1) = insert_spill_code(&f, &spilled);
-        let rw = rewrite_spill_code(&f, &spilled);
-        assert_eq!(g1, rw.function);
-        assert_eq!(s1, rw.stats);
-        assert_eq!(rw.saved_loads, 0);
-        let (g2, s2, saved) = insert_spill_code_optimized(&f, &spilled);
-        let rwo = rewrite_spill_code_optimized(&f, &spilled);
-        assert_eq!(g2, rwo.function);
-        assert_eq!(s2, rwo.stats);
-        assert_eq!(saved, rwo.saved_loads);
-    }
-
-    #[test]
-    fn max_live_after_spilling_everything_is_small() {
+    fn spilling_everything_leaves_single_instruction_pressure() {
         let mut b = FunctionBuilder::new("f");
         let e = b.entry_block();
         let vs: Vec<Value> = (0..6).map(|_| b.op(e, &[])).collect();
@@ -571,7 +506,7 @@ mod tests {
         // All six reloads feed one instruction, so the reloads themselves
         // are simultaneously live: pressure = 6 at that point, but the
         // original long ranges are gone elsewhere.
-        let ml = max_live_after_spilling(&f, &all);
+        let ml = liveness::analyze(&rewrite(&f, &all, false).function).max_live;
         assert!(ml >= 6); // spill-everywhere cannot fix single-instruction pressure
     }
 }

@@ -322,7 +322,9 @@ mod tests {
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [y.index()]);
         let mut table = RematTable::compute(&f);
-        let rw = crate::remat::rewrite_spill_code_remat(&f, &spilled, &mut table, false);
+        let scratch = &mut crate::AnalysisScratch::new();
+        let rw =
+            crate::spill_code::rewrite_spill_code(&f, &spilled, Some(&mut table), false, scratch);
         // The rewrite introduced one reload of y, tagged Reload.
         let reload = f.value_count as usize;
         assert_eq!(rw.function.value_count as usize, reload + 1);

@@ -52,12 +52,6 @@ pub fn split_at_uses(f: &Function) -> SplitFunction {
     split_uses_where(f, |_| true, &mut AnalysisScratch::new())
 }
 
-/// [`split_at_uses`] with caller-provided scratch for the block-edit
-/// buffers; identical output.
-pub fn split_at_uses_in(f: &Function, scratch: &mut AnalysisScratch) -> SplitFunction {
-    split_uses_where(f, |_| true, scratch)
-}
-
 /// Splits the live ranges binding a stall point: every use of a value
 /// that is live into or out of a block whose maximum pressure exceeds
 /// `r` gets a fresh copy, exactly as in [`split_at_uses`]. Values that
@@ -65,13 +59,14 @@ pub fn split_at_uses_in(f: &Function, scratch: &mut AnalysisScratch) -> SplitFun
 ///
 /// Returns `None` when no block exceeds `r` (nothing is stalled) or
 /// when the over-pressure ranges have no splittable use — the caller
-/// then has nothing to escalate.
+/// then has nothing to escalate. `scratch` supplies the recycled
+/// block-edit buffers; reusing it never changes the output.
 ///
 /// # Examples
 ///
 /// ```
 /// use lra_ir::builder::FunctionBuilder;
-/// use lra_ir::{liveness, split};
+/// use lra_ir::{liveness, split, AnalysisScratch};
 ///
 /// let mut b = FunctionBuilder::new("f");
 /// let e = b.entry_block();
@@ -80,15 +75,10 @@ pub fn split_at_uses_in(f: &Function, scratch: &mut AnalysisScratch) -> SplitFun
 /// b.op(e, &[x, y]);
 /// let f = b.finish();
 /// let live = liveness::analyze(&f);
-/// assert!(split::split_pressure_ranges(&f, &live, 8).is_none()); // fits
+/// let scratch = &mut AnalysisScratch::new();
+/// assert!(split::split_pressure_ranges(&f, &live, 8, scratch).is_none()); // fits
 /// ```
-pub fn split_pressure_ranges(f: &Function, live: &Liveness, r: usize) -> Option<SplitFunction> {
-    split_pressure_ranges_in(f, live, r, &mut AnalysisScratch::new())
-}
-
-/// [`split_pressure_ranges`] with caller-provided scratch for the
-/// block-edit buffers; identical output.
-pub fn split_pressure_ranges_in(
+pub fn split_pressure_ranges(
     f: &Function,
     live: &Liveness,
     r: usize,
@@ -280,8 +270,9 @@ mod tests {
         b.op(e, &[x, y]);
         let f = b.finish();
         let live = liveness::analyze(&f);
-        assert!(split_pressure_ranges(&f, &live, 8).is_none());
-        assert!(split_pressure_ranges(&f, &live, live.max_live).is_none());
+        let scratch = &mut AnalysisScratch::new();
+        assert!(split_pressure_ranges(&f, &live, 8, scratch).is_none());
+        assert!(split_pressure_ranges(&f, &live, live.max_live, scratch).is_none());
     }
 
     #[test]
@@ -301,7 +292,8 @@ mod tests {
         b.op(tail, &[local]);
         let f = b.finish();
         let live = liveness::analyze(&f);
-        let s = split_pressure_ranges(&f, &live, 2).expect("three ranges exceed R=2");
+        let s = split_pressure_ranges(&f, &live, 2, &mut AnalysisScratch::new())
+            .expect("three ranges exceed R=2");
         // The three hot values' uses are split; `local` (born and dead
         // in the fitting tail block) is not.
         assert_eq!(s.copies, 3);
@@ -317,7 +309,7 @@ mod tests {
         for _ in 0..6 {
             let f = random_ssa_function(&mut rng, &SsaConfig::default(), "f");
             let live = liveness::analyze(&f);
-            let Some(s) = split_pressure_ranges(&f, &live, 3) else {
+            let Some(s) = split_pressure_ranges(&f, &live, 3, &mut AnalysisScratch::new()) else {
                 continue;
             };
             validate_strict_ssa(&s.function).expect("strict SSA");

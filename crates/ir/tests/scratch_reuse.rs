@@ -1,23 +1,19 @@
 //! Byte-identity of the recycled-scratch rewrite paths.
 //!
-//! Every `_in` entry point promises that reusing one
-//! [`AnalysisScratch`] across arbitrary functions produces output
-//! identical to a fresh scratch per call. These tests drive the spill,
-//! split and remat rewrites through one long-lived scratch over
-//! functions whose sizes swing up and down (so the recycled block-edit
-//! buffers are exercised both growing and shrinking) and compare every
-//! result against the scratch-free wrappers.
+//! Every entry point taking an [`AnalysisScratch`] promises that
+//! reusing one scratch across arbitrary functions produces output
+//! identical to a fresh `AnalysisScratch::new()` per call. These tests
+//! drive the spill rewrite (in every configuration) and the pressure
+//! splitter through one long-lived scratch over functions whose sizes
+//! swing up and down (so the recycled block-edit buffers are exercised
+//! both growing and shrinking) and compare every result against a
+//! fresh scratch.
 
 use lra_graph::BitSet;
 use lra_ir::genprog::{random_ssa_function, SsaConfig};
-use lra_ir::remat::{rewrite_spill_code_remat, rewrite_spill_code_remat_in, RematTable};
-use lra_ir::spill_code::{
-    rewrite_spill_code, rewrite_spill_code_in, rewrite_spill_code_optimized,
-    rewrite_spill_code_optimized_in,
-};
-use lra_ir::split::{
-    split_at_uses, split_at_uses_in, split_pressure_ranges, split_pressure_ranges_in,
-};
+use lra_ir::remat::RematTable;
+use lra_ir::spill_code::rewrite_spill_code;
+use lra_ir::split::split_pressure_ranges;
 use lra_ir::{liveness, AnalysisScratch, Function};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -52,31 +48,50 @@ fn spill_rewrites_reuse_matches_fresh_across_size_swings() {
     let mut shared = AnalysisScratch::new();
     for f in &swinging_functions() {
         let spilled = alternating_spill_set(f);
-
-        let fresh = rewrite_spill_code(f, &spilled);
-        let reused = rewrite_spill_code_in(f, &spilled, &mut shared);
-        assert_eq!(fresh.function, reused.function, "{}: plain", f.name);
-        assert_eq!(fresh.stats, reused.stats);
-
-        let fresh = rewrite_spill_code_optimized(f, &spilled);
-        let reused = rewrite_spill_code_optimized_in(f, &spilled, &mut shared);
-        assert_eq!(fresh.function, reused.function, "{}: optimized", f.name);
-        assert_eq!(fresh.stats, reused.stats);
-        assert_eq!(fresh.saved_loads, reused.saved_loads);
+        for with_table in [false, true] {
+            for share in [false, true] {
+                let mut fresh_table = with_table.then(|| RematTable::compute(f));
+                let mut reused_table = fresh_table.clone();
+                let scratch = &mut AnalysisScratch::new();
+                let fresh = rewrite_spill_code(f, &spilled, fresh_table.as_mut(), share, scratch);
+                let reused =
+                    rewrite_spill_code(f, &spilled, reused_table.as_mut(), share, &mut shared);
+                let config = format!("{}: table {with_table} share {share}", f.name);
+                assert_eq!(fresh.function, reused.function, "{config}");
+                assert_eq!(fresh.stats, reused.stats, "{config}");
+                assert_eq!(fresh.saved_loads, reused.saved_loads, "{config}");
+                assert_eq!(fresh.delta, reused.delta, "{config}");
+            }
+        }
     }
 }
 
 #[test]
 fn remat_rewrite_reuse_matches_fresh_across_size_swings() {
+    // Chained rounds: the second rewrite re-evicts values the first
+    // one created, so the table's reload and clone classes are
+    // exercised through the shared scratch too.
     let mut shared = AnalysisScratch::new();
     for f in &swinging_functions() {
-        let spilled = alternating_spill_set(f);
         let mut fresh_table = RematTable::compute(f);
         let mut reused_table = RematTable::compute(f);
-        let fresh = rewrite_spill_code_remat(f, &spilled, &mut fresh_table, true);
-        let reused = rewrite_spill_code_remat_in(f, &spilled, &mut reused_table, true, &mut shared);
-        assert_eq!(fresh.function, reused.function, "{}", f.name);
-        assert_eq!(fresh.stats, reused.stats);
+        let (mut fresh_f, mut reused_f) = (f.clone(), f.clone());
+        for round in 0..2 {
+            let spilled = alternating_spill_set(&fresh_f);
+            let scratch = &mut AnalysisScratch::new();
+            let fresh =
+                rewrite_spill_code(&fresh_f, &spilled, Some(&mut fresh_table), true, scratch);
+            let reused = rewrite_spill_code(
+                &reused_f,
+                &spilled,
+                Some(&mut reused_table),
+                true,
+                &mut shared,
+            );
+            assert_eq!(fresh.function, reused.function, "{} round {round}", f.name);
+            assert_eq!(fresh.stats, reused.stats);
+            (fresh_f, reused_f) = (fresh.function, reused.function);
+        }
     }
 }
 
@@ -84,15 +99,9 @@ fn remat_rewrite_reuse_matches_fresh_across_size_swings() {
 fn split_rewrites_reuse_matches_fresh_across_size_swings() {
     let mut shared = AnalysisScratch::new();
     for f in &swinging_functions() {
-        let fresh = split_at_uses(f);
-        let reused = split_at_uses_in(f, &mut shared);
-        assert_eq!(fresh.function, reused.function, "{}: at uses", f.name);
-        assert_eq!(fresh.origin, reused.origin);
-        assert_eq!(fresh.copies, reused.copies);
-
         let live = liveness::analyze(f);
-        let fresh = split_pressure_ranges(f, &live, 3);
-        let reused = split_pressure_ranges_in(f, &live, 3, &mut shared);
+        let fresh = split_pressure_ranges(f, &live, 3, &mut AnalysisScratch::new());
+        let reused = split_pressure_ranges(f, &live, 3, &mut shared);
         match (fresh, reused) {
             (None, None) => {}
             (Some(a), Some(b)) => {

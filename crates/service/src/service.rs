@@ -6,10 +6,10 @@
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::{MetricsInner, ServiceMetrics};
 use crate::queue::{BoundedQueue, PushError};
-use lra_core::batch::{self, BatchItem, WorkerScratch};
+use lra_core::batch::{self, BatchItem};
 use lra_core::driver::AllocationPipeline;
 use lra_core::portfolio::portfolio_cache;
-use lra_ir::Function;
+use lra_ir::{AnalysisScratch, Function};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -600,8 +600,8 @@ fn chaos_panic_item(function: &Function) -> BatchItem {
 fn worker_loop(shared: &Shared, worker_index: usize) {
     // One scratch per worker for its whole lifetime: analysis buffers
     // are recycled across every function this worker serves, with
-    // output bits untouched (see [`lra_core::batch::WorkerScratch`]).
-    let mut scratch = WorkerScratch::new();
+    // output bits untouched (see [`lra_core::batch::allocate_item`]).
+    let mut scratch = AnalysisScratch::new();
     loop {
         let run = shared.queue.pop_run(WORKER_CLAIM);
         if run.is_empty() {
@@ -649,6 +649,17 @@ fn worker_loop(shared: &Shared, worker_index: usize) {
             } else {
                 &shared.pipeline
             };
+            // A deadline-carrying request caps the exact tier at its
+            // remaining budget; budget-free requests stay on the
+            // byte-identical batch path.
+            let budgeted;
+            let pipeline = match remaining {
+                Some(left) => {
+                    budgeted = pipeline.clone().time_budget(Some(left));
+                    &budgeted
+                }
+                None => pipeline,
+            };
 
             // A trace-requesting job arms tracing for exactly its own
             // run (globally-armed tracing — LRA_TRACE — covers every
@@ -659,11 +670,10 @@ fn worker_loop(shared: &Shared, worker_index: usize) {
             let item = if fault.panic {
                 chaos_panic_item(&job.function)
             } else {
-                batch::allocate_item_deadline(pipeline, &job.function, &mut scratch, remaining)
+                batch::allocate_item(pipeline, &job.function, &mut scratch)
             };
             #[cfg(not(any(test, feature = "chaos")))]
-            let item =
-                batch::allocate_item_deadline(pipeline, &job.function, &mut scratch, remaining);
+            let item = batch::allocate_item(pipeline, &job.function, &mut scratch);
             drop(armed);
 
             if degraded {

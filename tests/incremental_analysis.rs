@@ -1,7 +1,9 @@
 //! The incremental re-analysis contract, end to end:
 //!
 //! * property test — after a randomized spill rewrite of a random
-//!   (SSA or JIT) function, `liveness::analyze_incremental` seeded
+//!   (SSA or JIT) function, in every rewriter configuration (with or
+//!   without a remat table, with or without shared reloads),
+//!   `liveness::analyze_incremental` seeded
 //!   from the previous fixed point equals a fresh
 //!   `liveness::analyze` of the rewritten function, field for field;
 //! * regression — `AllocationPipeline` reports (and whole
@@ -13,7 +15,9 @@
 use lra::core::pipeline::InstanceKind;
 use lra::graph::BitSet;
 use lra::ir::genprog::{random_jit_function, random_ssa_function, JitConfig, SsaConfig};
-use lra::ir::{liveness, spill_code, Function, FunctionAnalysis};
+use lra::ir::remat::RematTable;
+use lra::ir::spill_code::{rewrite_spill_code, SpillRewrite};
+use lra::ir::{liveness, AnalysisScratch, Function, FunctionAnalysis};
 use lra::targets::{Target, TargetKind};
 use lra::{AllocationPipeline, BatchAllocator};
 use proptest::prelude::*;
@@ -33,6 +37,13 @@ fn random_function(rng: &mut ChaCha8Rng, jit: bool) -> Function {
     }
 }
 
+/// Rewrites `spilled` in the rewriter configuration `config` (0..4):
+/// bit 0 selects a fresh [`RematTable`], bit 1 shared reloads.
+fn rewrite(f: &Function, spilled: &BitSet, config: u64, s: &mut AnalysisScratch) -> SpillRewrite {
+    let mut table = (config & 1 == 1).then(|| RematTable::compute(f));
+    rewrite_spill_code(f, spilled, table.as_mut(), config & 2 == 2, s)
+}
+
 fn random_spill_set(rng: &mut ChaCha8Rng, f: &Function, percent: u32) -> BitSet {
     BitSet::from_iter_with_capacity(
         f.value_count as usize,
@@ -47,26 +58,20 @@ proptest! {
     fn incremental_liveness_equals_fresh_analysis(seed in 0u64..10_000, percent in 5u32..60) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let jit = seed % 2 == 0;
-        let optimized = seed % 3 == 0;
         let f = random_function(&mut rng, jit);
         let prev = liveness::analyze(&f);
         let spilled = random_spill_set(&mut rng, &f, percent);
-        let rw = if optimized {
-            spill_code::rewrite_spill_code_optimized(&f, &spilled)
-        } else {
-            spill_code::rewrite_spill_code(&f, &spilled)
-        };
-        let incremental = liveness::analyze_incremental(
-            &rw.function,
-            &prev,
-            &rw.delta.dirty_blocks,
-            &rw.delta.changed_values,
-        );
-        let fresh = liveness::analyze(&rw.function);
-        prop_assert_eq!(
-            &incremental, &fresh,
-            "seed {} jit {} optimized {} diverged", seed, jit, optimized
-        );
+        let s = &mut AnalysisScratch::new();
+        for config in 0..4 {
+            let rw = rewrite(&f, &spilled, config, s);
+            let (dirty, changed) = (&rw.delta.dirty_blocks, &rw.delta.changed_values);
+            let incremental = liveness::analyze_incremental(&rw.function, &prev, dirty, changed, s);
+            let fresh = liveness::analyze(&rw.function);
+            prop_assert_eq!(
+                &incremental, &fresh,
+                "seed {} jit {} config {} diverged", seed, jit, config
+            );
+        }
     }
 
     #[test]
@@ -75,19 +80,28 @@ proptest! {
         // uses: the second incremental solve starts from the first
         // incremental result, not from a fresh analysis.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // Each configuration of the rewriter keeps one remat table
+        // across both rounds, as the escalated spill loop does.
         let f = random_function(&mut rng, seed % 2 == 1);
         let a0 = liveness::analyze(&f);
         let s1 = random_spill_set(&mut rng, &f, 25);
-        let r1 = spill_code::rewrite_spill_code(&f, &s1);
-        let a1 = liveness::analyze_incremental(
-            &r1.function, &a0, &r1.delta.dirty_blocks, &r1.delta.changed_values,
-        );
-        let s2 = random_spill_set(&mut rng, &r1.function, 20);
-        let r2 = spill_code::rewrite_spill_code_optimized(&r1.function, &s2);
-        let a2 = liveness::analyze_incremental(
-            &r2.function, &a1, &r2.delta.dirty_blocks, &r2.delta.changed_values,
-        );
-        prop_assert_eq!(&a2, &liveness::analyze(&r2.function), "seed {} diverged", seed);
+        let s = &mut AnalysisScratch::new();
+        for config in 0..4u64 {
+            let mut table = (config & 1 == 1).then(|| RematTable::compute(&f));
+            let share = config & 2 == 2;
+            let r1 = rewrite_spill_code(&f, &s1, table.as_mut(), share, s);
+            let a1 = liveness::analyze_incremental(
+                &r1.function, &a0, &r1.delta.dirty_blocks, &r1.delta.changed_values, s,
+            );
+            let s2 = random_spill_set(&mut rng, &r1.function, 20);
+            let r2 = rewrite_spill_code(&r1.function, &s2, table.as_mut(), !share, s);
+            let a2 = liveness::analyze_incremental(
+                &r2.function, &a1, &r2.delta.dirty_blocks, &r2.delta.changed_values, s,
+            );
+            prop_assert_eq!(
+                &a2, &liveness::analyze(&r2.function), "seed {} config {} diverged", seed, config
+            );
+        }
     }
 }
 
@@ -96,15 +110,18 @@ fn function_analysis_after_spill_matches_compute() {
     let mut rng = ChaCha8Rng::seed_from_u64(41);
     for jit in [false, true] {
         let f = random_function(&mut rng, jit);
-        let analysis = FunctionAnalysis::compute(&f);
+        let s = &mut AnalysisScratch::new();
+        let analysis = FunctionAnalysis::compute(&f, s);
         let spilled = random_spill_set(&mut rng, &f, 30);
-        let rw = spill_code::rewrite_spill_code(&f, &spilled);
-        let incremental = analysis.after_spill(&rw.function, &rw.delta);
-        let fresh = FunctionAnalysis::compute(&rw.function);
-        assert_eq!(incremental.liveness, fresh.liveness);
-        assert_eq!(incremental.linearization.order, fresh.linearization.order);
-        assert_eq!(incremental.linearization.base, fresh.linearization.base);
-        assert_eq!(incremental.linearization.end, fresh.linearization.end);
+        for config in 0..4 {
+            let rw = rewrite(&f, &spilled, config, s);
+            let incremental = analysis.after_spill(&rw.function, &rw.delta, s);
+            let fresh = FunctionAnalysis::compute(&rw.function, s);
+            assert_eq!(incremental.liveness, fresh.liveness, "config {config}");
+            assert_eq!(incremental.linearization.order, fresh.linearization.order);
+            assert_eq!(incremental.linearization.base, fresh.linearization.base);
+            assert_eq!(incremental.linearization.end, fresh.linearization.end);
+        }
     }
 }
 

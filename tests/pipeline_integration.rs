@@ -9,7 +9,7 @@ use lra::core::{verify, LayeredHeuristic, Optimal};
 use lra::ir::genprog::{
     random_jit_function, random_ssa_function, validate_strict_ssa, JitConfig, SsaConfig,
 };
-use lra::ir::{liveness, spill_code};
+use lra::ir::{liveness, spill_code, AnalysisScratch};
 use lra::targets::{Target, TargetKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -65,9 +65,10 @@ fn spilling_the_optimal_set_reduces_pressure_towards_r() {
     let r = 4u32;
     let alloc = Layered::bfpl().allocate(&inst, r);
     let spilled = alloc.spilled_set(&inst);
-    let (g, stats) = spill_code::insert_spill_code(&f, &spilled);
-    let after = liveness::analyze(&g).max_live;
-    assert!(stats.stores > 0 && stats.loads > 0);
+    let scratch = &mut AnalysisScratch::new();
+    let rw = spill_code::rewrite_spill_code(&f, &spilled, None, false, scratch);
+    let after = liveness::analyze(&rw.function).max_live;
+    assert!(rw.stats.stores > 0 && rw.stats.loads > 0);
     assert!(
         after < before,
         "spilling must lower MaxLive ({before} -> {after})"

@@ -1,21 +1,22 @@
 //! The worker-scratch reuse contract, end to end:
 //!
-//! * property test — one long-lived [`lra::WorkerScratch`] threaded
+//! * property test — one long-lived [`lra::AnalysisScratch`] threaded
 //!   through a stream of random SSA and JIT functions of wildly
 //!   different sizes produces reports byte-identical to fresh scratch
 //!   per function (buffer recycling never changes output bits);
 //! * the low-level analyses (`liveness::analyze_in`,
-//!   `interference_graph_in`, `live_intervals_in`) agree with their
-//!   scratch-free entry points on the same reused buffers;
+//!   `interference_graph_in`, `live_intervals`) on the same reused
+//!   buffers agree with their scratch-free forms, or with a fresh
+//!   `AnalysisScratch::new()` where no scratch-free form exists;
 //! * a panicking pipeline run mid-stream leaves the scratch usable
 //!   and uncontaminating.
 
-use lra::core::batch::{allocate_item, allocate_item_with};
+use lra::core::batch::allocate_item;
 use lra::core::pipeline::InstanceKind;
 use lra::ir::genprog::{random_jit_function, random_ssa_function, JitConfig, SsaConfig};
-use lra::ir::{interference, liveness, AnalysisScratch, Function};
+use lra::ir::{interference, liveness, Function};
 use lra::targets::{Target, TargetKind};
-use lra::{AllocationPipeline, WorkerScratch};
+use lra::{AllocationPipeline, AnalysisScratch};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -68,14 +69,14 @@ proptest! {
         for pipeline in pipelines() {
             // One scratch across the whole stream, exactly as a batch
             // or service worker holds it.
-            let mut scratch = WorkerScratch::new();
+            let mut scratch = AnalysisScratch::new();
             for i in 0..4u32 {
                 // Big → small → big: shrinking reuse is the risky
                 // direction (stale high bits), so force it every pair.
                 let scale = if i % 2 == 0 { 3 } else { 0 };
                 let f = random_function(&mut rng, (seed + i as u64).is_multiple_of(2), scale);
-                let reused = allocate_item_with(&pipeline, &f, &mut scratch);
-                let fresh = allocate_item(&pipeline, &f);
+                let reused = allocate_item(&pipeline, &f, &mut scratch);
+                let fresh = allocate_item(&pipeline, &f, &mut AnalysisScratch::new());
                 prop_assert_eq!(
                     reused.row(),
                     fresh.row(),
@@ -103,8 +104,8 @@ proptest! {
             prop_assert_eq!(g_in.edge_count(), g.edge_count(), "seed {} item {}: edges", seed, i);
 
             let lin = interference::linearize(&f);
-            let iv_in = interference::live_intervals_in(&f, &live, &lin, &mut scratch);
-            let iv = interference::live_intervals(&f, &live, &lin);
+            let iv_in = interference::live_intervals(&f, &live, &lin, &mut scratch);
+            let iv = interference::live_intervals(&f, &live, &lin, &mut AnalysisScratch::new());
             prop_assert_eq!(iv_in, iv, "seed {} item {}: intervals", seed, i);
         }
     }
@@ -124,13 +125,14 @@ fn scratch_survives_a_panicking_run_between_good_runs() {
     };
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     for pipeline in pipelines() {
-        let mut scratch = WorkerScratch::new();
+        let mut scratch = AnalysisScratch::new();
         let good = random_function(&mut rng, true, 2);
-        let first = allocate_item_with(&pipeline, &good, &mut scratch);
-        let bad = allocate_item_with(&pipeline, &broken, &mut scratch);
+        let first = allocate_item(&pipeline, &good, &mut scratch);
+        let bad = allocate_item(&pipeline, &broken, &mut scratch);
         assert!(bad.outcome.is_err(), "broken function must fail");
-        let second = allocate_item_with(&pipeline, &good, &mut scratch);
+        let second = allocate_item(&pipeline, &good, &mut scratch);
         assert_eq!(first.row(), second.row());
-        assert_eq!(first.row(), allocate_item(&pipeline, &good).row());
+        let fresh = allocate_item(&pipeline, &good, &mut AnalysisScratch::new());
+        assert_eq!(first.row(), fresh.row());
     }
 }
