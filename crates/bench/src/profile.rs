@@ -95,6 +95,7 @@ pub fn to_json(seed: u64, profiles: &[CorpusProfile]) -> String {
         let _ = writeln!(s, "      \"rounds\": {},", p.trace.rounds);
         let _ = writeln!(s, "      \"spill_delta\": {},", p.trace.spill_delta);
         let _ = writeln!(s, "      \"fuel\": {},", p.trace.fuel);
+        let _ = writeln!(s, "      \"fuel_consumed\": {},", p.trace.fuel_consumed);
         let _ = writeln!(s, "      \"cache_hits\": {},", p.trace.cache_hits());
         let _ = writeln!(s, "      \"cache_misses\": {},", p.trace.cache_misses());
         s.push_str("      \"phases\": [\n");
@@ -194,11 +195,16 @@ mod tests {
             );
         }
         // The portfolio corpora must have charged fuel somewhere
-        // (jit-large escalates under the standard node budget).
+        // (jit-large escalates under the standard node budget), and no
+        // corpus may consume more than it was granted.
         assert!(
             profiles.iter().any(|p| p.trace.fuel > 0),
             "no corpus recorded exact-solve fuel"
         );
+        assert!(profiles.iter().any(|p| p.trace.fuel_consumed > 0));
+        for p in &profiles {
+            assert!(p.trace.fuel_consumed <= p.trace.fuel, "{}", p.name);
+        }
     }
 
     #[test]
@@ -217,6 +223,7 @@ mod tests {
         for phase in Phase::ALL {
             assert!(json.contains(&format!("\"name\": \"{}\"", phase.name())));
         }
+        assert_eq!(json.matches("\"fuel_consumed\": ").count(), 4);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

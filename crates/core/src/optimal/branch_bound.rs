@@ -9,6 +9,16 @@
 //! (`GC` and `LH`) so pruning bites immediately; the bound is the spill
 //! cost accumulated so far (every completion only adds spills).
 //!
+//! The search runs in *search-position* space: vertices are renumbered
+//! once into their visit order, so the vertex at position `i` can only
+//! conflict with positions `< i` — the only ones holding a colour. Each
+//! position keeps just those earlier neighbours as a bit row of
+//! `⌈i/64⌉` words, all rows packed in one flat `Vec<u64>`, and the
+//! colours are one flat `R × words` array of bit rows over positions.
+//! A colour is free for position `i` iff its row misses the earlier
+//! neighbours on those first words. No per-node allocated set is kept:
+//! an improving leaf rebuilds it from the colour rows.
+//!
 //! JVM-method-sized graphs (≲ 40 vertices) solve in well under the node
 //! budget; the solver returns `None` if the budget is exhausted, so a
 //! caller can distinguish *certified* optima from timeouts.
@@ -17,6 +27,7 @@ use super::SolveBudget;
 use crate::baselines::ChaitinBriggs;
 use crate::cluster::LayeredHeuristic;
 use crate::problem::{Allocation, Allocator, Instance};
+use crate::trace;
 use lra_graph::{BitSet, Cost};
 use std::time::Instant;
 
@@ -25,23 +36,28 @@ use std::time::Instant;
 const DEADLINE_STRIDE: u64 = 4096;
 
 struct Search<'a> {
-    instance: &'a Instance,
-    order: Vec<usize>,
+    /// Earlier neighbours of position `i`: the words
+    /// `earlier[row_start[i]..row_start[i + 1]]`, covering positions
+    /// `< i` only.
+    earlier: &'a [u64],
+    row_start: &'a [usize],
+    /// Spill weight of the vertex at each position.
+    weight: &'a [Cost],
+    /// Positions holding each colour: row `c` is
+    /// `colours[c * words..(c + 1) * words]`.
+    colours: Vec<u64>,
+    words: usize,
     r: u32,
-    /// Vertices currently holding each colour, as bit rows: colour `c`
-    /// is free for `v` iff `assigned[c]` is disjoint from `v`'s
-    /// neighbourhood row — a word-level test instead of one
-    /// colour-lookup per neighbour on every search node.
-    assigned: Vec<BitSet>,
     best_spill: Cost,
-    best_set: BitSet,
+    /// Positions kept by the best solution found, as `words` words.
+    best_kept: Vec<u64>,
     nodes: u64,
     node_limit: u64,
     deadline: Option<Instant>,
 }
 
 impl Search<'_> {
-    fn run(&mut self, i: usize, spill: Cost, used_colors: u32, allocated: &mut BitSet) -> bool {
+    fn run(&mut self, i: usize, spill: Cost, used_colors: u32) -> bool {
         self.nodes += 1;
         if self.nodes > self.node_limit {
             return false;
@@ -56,34 +72,42 @@ impl Search<'_> {
         if spill >= self.best_spill {
             return true; // prune: cannot improve
         }
-        if i == self.order.len() {
+        if i == self.weight.len() {
             self.best_spill = spill;
-            self.best_set = allocated.clone();
+            for (k, kept) in self.best_kept.iter_mut().enumerate() {
+                *kept = self.colours[k..]
+                    .iter()
+                    .step_by(self.words)
+                    .fold(0, |acc, &w| acc | w);
+            }
             return true;
         }
-        let v = self.order[i];
-        let row = self.instance.graph().neighbor_row(v);
+        let row = &self.earlier[self.row_start[i]..self.row_start[i + 1]];
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
 
         // Try colours first (allocating is never charged), with symmetry
         // breaking: at most one fresh colour.
         let limit = (used_colors + 1).min(self.r);
         for c in 0..limit {
-            if !row.is_disjoint(&self.assigned[c as usize]) {
-                continue; // a neighbour holds this colour
+            let base = c as usize * self.words;
+            let taken = row
+                .iter()
+                .zip(&self.colours[base..])
+                .any(|(&nb, &col)| nb & col != 0);
+            if taken {
+                continue; // an earlier neighbour holds this colour
             }
-            self.assigned[c as usize].insert(v);
-            allocated.insert(v);
-            let ok = self.run(i + 1, spill, used_colors.max(c + 1), allocated);
-            allocated.remove(v);
-            self.assigned[c as usize].remove(v);
+            self.colours[base + word] |= bit;
+            let ok = self.run(i + 1, spill, used_colors.max(c + 1));
+            self.colours[base + word] &= !bit;
             if !ok {
                 return false;
             }
         }
 
         // Spill branch.
-        let w = self.instance.weighted_graph().weight(v);
-        self.run(i + 1, spill + w, used_colors, allocated)
+        let w = self.weight[i];
+        self.run(i + 1, spill + w, used_colors)
     }
 }
 
@@ -95,6 +119,7 @@ pub fn solve(instance: &Instance, r: u32, node_limit: u64) -> Option<Allocation>
 
 /// [`solve`] under a full [`SolveBudget`]: aborts (returning `None`)
 /// on node-fuel exhaustion *or* when the cooperative deadline passes.
+/// The nodes visited go to [`trace::add_fuel_consumed`].
 pub fn solve_budgeted(instance: &Instance, r: u32, budget: &SolveBudget) -> Option<Allocation> {
     if budget.expired() {
         return None;
@@ -114,34 +139,63 @@ pub fn solve_budgeted(instance: &Instance, r: u32, budget: &SolveBudget) -> Opti
         (seed_b.spill_cost, seed_b.allocated)
     };
 
+    let g = instance.graph();
     let wg = instance.weighted_graph();
     // Decreasing weight puts expensive spills early (strong bounds);
     // ties broken by degree so constrained vertices are decided first.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse((wg.weight(v), instance.graph().degree(v))));
+    order.sort_by_key(|&v| std::cmp::Reverse((wg.weight(v), g.degree(v))));
+    let mut position = vec![0; n];
+    for (i, &v) in order.iter().enumerate() {
+        position[v] = i;
+    }
+    let mut row_start = Vec::with_capacity(n + 1);
+    let mut earlier = Vec::new();
+    for (i, &v) in order.iter().enumerate() {
+        let start = earlier.len();
+        row_start.push(start);
+        earlier.resize(start + i.div_ceil(64), 0);
+        for &u in g.neighbor_indices(v) {
+            let p = position[u as usize];
+            if p < i {
+                earlier[start + p / 64] |= 1 << (p % 64);
+            }
+        }
+    }
+    row_start.push(earlier.len());
 
+    let words = n.div_ceil(64);
+    let weight: Vec<Cost> = order.iter().map(|&v| wg.weight(v)).collect();
     let mut search = Search {
-        instance,
-        order,
-        r,
-        // min(r, n): the search can never use more colours than
+        earlier: &earlier,
+        row_start: &row_start,
+        weight: &weight,
+        // min(r, n) rows: the search can never use more colours than
         // vertices, and an absurd caller-supplied R must not allocate
         // R bit rows.
-        assigned: vec![BitSet::new(n); (r as usize).min(n)],
+        colours: vec![0; (r as usize).min(n) * words],
+        words,
+        r,
         // `run` records strictly better solutions only, so start one
         // above the incumbent; if nothing beats it, return it as is.
         best_spill: incumbent_spill + 1,
-        best_set: incumbent_set.clone(),
+        best_kept: vec![0; words],
         nodes: 0,
         node_limit: budget.node_limit,
         deadline: budget.deadline,
     };
-    let completed = search.run(0, 0, 0, &mut BitSet::new(n));
+    let completed = search.run(0, 0, 0);
+    trace::add_fuel_consumed(search.nodes.min(budget.node_limit));
     if !completed {
         return None;
     }
     let best = if search.best_spill <= incumbent_spill {
-        search.best_set
+        BitSet::from_iter_with_capacity(
+            n,
+            (0..n)
+                .filter(|&i| search.best_kept[i / 64] & (1 << (i % 64)) != 0)
+                .map(|i| order[i]),
+        )
     } else {
         incumbent_set
     };
@@ -233,5 +287,68 @@ mod tests {
         let inst = instance(Graph::empty(6), vec![1, 2, 3, 4, 5, 6]);
         let a = solve(&inst, 1, 1000).unwrap();
         assert_eq!(a.spill_cost, 0);
+    }
+
+    #[test]
+    fn search_tree_is_pinned_by_its_smallest_completing_fuel() {
+        // (seed, vertices, edge %, R, smallest fuel at which the search
+        // completes, spill cost, spilled vertices). The smallest fuel is
+        // the number of nodes the complete search visits, so it pins the
+        // search tree itself, not just the optimum; the last three
+        // instances have more than 64 vertices, so their rows span
+        // several words.
+        #[allow(clippy::type_complexity)]
+        const CASES: [(u64, usize, u32, u32, u64, Cost, &[usize]); 13] = [
+            (1, 16, 30, 2, 334, 16, &[1, 3, 6, 9, 10, 13]),
+            (2, 18, 35, 3, 346, 16, &[2, 3, 4, 9]),
+            (3, 20, 25, 2, 224, 32, &[1, 3, 4, 10, 11, 13, 14, 16, 17]),
+            (4, 22, 40, 4, 14471, 3, &[9, 10]),
+            (5, 24, 30, 3, 10039, 11, &[0, 6, 12, 14, 17, 18]),
+            (
+                6,
+                26,
+                20,
+                2,
+                347,
+                46,
+                &[3, 6, 7, 10, 12, 14, 15, 16, 23, 24],
+            ),
+            (7, 28, 35, 4, 38551, 7, &[11, 17, 22, 26]),
+            (8, 30, 25, 3, 2952, 28, &[2, 9, 13, 15, 16, 18, 25, 26]),
+            (9, 32, 15, 2, 3824, 83, &[3, 9, 10, 14, 17, 18, 25]),
+            (10, 36, 20, 3, 152074, 10, &[13, 29, 32, 34]),
+            (31, 70, 4, 3, 729, 0, &[]),
+            (53, 80, 5, 4, 6197, 0, &[]),
+            (54, 66, 3, 3, 24827, 0, &[]),
+        ];
+        for (seed, n, edge_percent, r, fuel, spill, spilled) in CASES {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let g = generate::random_general(&mut rng, n, edge_percent);
+            let inst = instance(g, generate::random_weights(&mut rng, n, 3));
+            assert!(
+                solve(&inst, r, fuel - 1).is_none(),
+                "seed {seed}: done below {fuel}"
+            );
+            let _on = trace::arm();
+            trace::begin(false);
+            let a = solve(&inst, r, fuel).expect("completes at the pinned fuel");
+            let consumed = trace::take().expect("collecting").fuel_consumed;
+            assert_eq!(consumed, fuel, "seed {seed}: nodes visited");
+            assert_eq!(a.spill_cost, spill, "seed {seed}");
+            let got: Vec<usize> = (0..n).filter(|&v| !a.allocated.contains(v)).collect();
+            assert_eq!(got, spilled, "seed {seed}");
+            assert!(verify::check(&inst, &a, r).is_feasible());
+        }
+    }
+
+    #[test]
+    fn an_exhausted_search_consumes_exactly_its_fuel() {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let g = generate::random_general(&mut rng, 30, 40);
+        let inst = instance(g, generate::random_weights(&mut rng, 30, 2));
+        let _on = trace::arm();
+        trace::begin(false);
+        assert!(solve(&inst, 4, 10).is_none());
+        assert_eq!(trace::take().expect("collecting").fuel_consumed, 10);
     }
 }

@@ -13,17 +13,98 @@
 //! is exactly the pseudo-polynomial structure the paper exploits. Bags
 //! beyond [`MAX_BAG`] make the table too large; [`solve`] then returns
 //! `None` and the caller falls back to branch-and-bound.
+//!
+//! # Fuel
+//!
+//! Every bag accounts for all `2^|bag|` of its masks at one unit of
+//! node fuel each, so the fuel a solve needs, `Σ_b 2^|bag_b|`, is known
+//! as soon as the clique tree is built. Exhaustion is therefore decided
+//! up front: a DP that would run out of fuel is rejected before any
+//! table is built, reporting exactly the `spent` a per-mask counter
+//! would have reached. Masks with more than `R` members are charged but
+//! skipped without work.
+//!
+//! # Tables
+//!
+//! A bag's table is indexed densely by the subset of its parent
+//! separator that a mask keeps: `2^|separator|` entries, each holding
+//! the best value and the first bag mask reaching it. Masks are visited
+//! in increasing order and an entry is replaced only by a strictly
+//! better value, so ties resolve to the smallest mask. A mask's
+//! separator keys and owned weight are each read from two small tables,
+//! one per half of the mask.
 
 use super::SolveBudget;
 use crate::problem::{Allocation, Instance};
-use lra_graph::{cliques::CliqueTree, BitSet, Cost};
-use std::collections::HashMap;
+use crate::trace;
+use lra_graph::{cliques::CliqueTree, BitSet, Cost, Vertex};
 
-/// Largest bag size the DP will attempt (2^24 masks ≈ 16M per bag).
+/// Largest bag size the DP will attempt (2^22 masks ≈ 4M per bag).
 pub const MAX_BAG: usize = 22;
 
 /// How many DP masks pass between cooperative deadline checks.
 const DEADLINE_STRIDE: u64 = 65536;
+
+/// The mask of a table entry no bag mask has reached.
+const UNSET: u32 = u32::MAX;
+
+/// The best bag mask found for one separator subset, and its value.
+#[derive(Clone, Copy)]
+struct Entry {
+    value: Cost,
+    mask: u32,
+}
+
+/// A sum over the set bits of a bag mask, `mask ↦ Σ_{i ∈ mask} part[i]`,
+/// tabulated separately over the low and the high half of the mask. It
+/// serves both as the bag's owned weight and as a bit gather onto a
+/// separator key (`part[i]` the key bit of position `i`, or 0).
+struct Split {
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+    shift: u32,
+}
+
+impl Split {
+    fn new(part: &[u64]) -> Self {
+        let shift = part.len() / 2;
+        let half = |part: &[u64]| {
+            let mut t = vec![0u64; 1 << part.len()];
+            for m in 1..t.len() {
+                t[m] = t[m & (m - 1)] + part[m.trailing_zeros() as usize];
+            }
+            t
+        };
+        Split {
+            lo: half(&part[..shift]),
+            hi: half(&part[shift..]),
+            shift: shift as u32,
+        }
+    }
+
+    /// The key bits of a bag's positions on the separator it shares
+    /// with `other` (separator vertices keyed in increasing order).
+    fn gather(bag: &[Vertex], other: &BitSet) -> Self {
+        let mut next = 1u64;
+        let part: Vec<u64> = bag
+            .iter()
+            .map(|v| {
+                if !other.contains(v.index()) {
+                    return 0;
+                }
+                let bit = next;
+                next <<= 1;
+                bit
+            })
+            .collect();
+        Split::new(&part)
+    }
+
+    #[inline]
+    fn at(&self, mask: u32) -> u64 {
+        self.lo[(mask & ((1 << self.shift) - 1)) as usize] + self.hi[(mask >> self.shift) as usize]
+    }
+}
 
 /// Solves a chordal instance exactly, or returns `None` when a maximal
 /// clique exceeds [`MAX_BAG`] vertices.
@@ -35,11 +116,12 @@ pub fn solve(instance: &Instance, r: u32) -> Option<Allocation> {
     solve_budgeted(instance, r, &SolveBudget::unlimited())
 }
 
-/// [`solve`] under a [`SolveBudget`]: every enumerated bag mask costs
-/// one unit of node fuel, and the wall-clock deadline is checked every
-/// few tens of thousands of masks. Returns `None` on an oversized bag *or*
-/// an exhausted budget — either way no certified optimum exists within
-/// the caps and the caller decides what to fall back to.
+/// [`solve`] under a [`SolveBudget`]: every bag mask costs one unit of
+/// node fuel (a DP needing more than the budget is rejected before it
+/// starts), and the wall-clock deadline is checked every few tens of
+/// thousands of masks. Returns `None` on an oversized bag *or* an
+/// exhausted budget — either way no certified optimum exists within the
+/// caps and the caller decides what to fall back to.
 ///
 /// # Panics
 ///
@@ -49,11 +131,14 @@ pub fn solve_budgeted(instance: &Instance, r: u32, budget: &SolveBudget) -> Opti
     solve_metered(instance, r, budget, &mut spent)
 }
 
-/// [`solve_budgeted`] that also reports the node fuel consumed through
+/// [`solve_budgeted`] that also reports the node fuel charged through
 /// `spent` (valid on success *and* on abort), so a caller chaining a
 /// fallback solver can charge both against one budget instead of
 /// paying the cap twice — [`super::Optimal::try_allocate`] hands
-/// branch-and-bound only the remainder.
+/// branch-and-bound only the remainder. A DP rejected for want of fuel
+/// charges `node_limit + 1`, leaving no remainder, although it
+/// enumerated nothing; [`trace::add_fuel_consumed`] receives only the
+/// masks actually enumerated.
 ///
 /// # Panics
 ///
@@ -78,119 +163,124 @@ pub fn solve_metered(
     if tree.max_bag_size() > MAX_BAG {
         return None;
     }
-    let fuel_spent = spent;
 
     // Shortcut: R ≥ MaxLive means everything fits.
     if r as usize >= tree.max_bag_size() {
         return Some(instance.allocation_from_set(BitSet::full(n)));
     }
 
-    let k = tree.bag_count();
-    // Per-bag data in topological order; children processed first.
-    // table[b]: separator-subset key -> (best value, best full-bag mask)
-    let mut table: Vec<HashMap<u32, (Cost, u32)>> = vec![HashMap::new(); k];
-
-    // Precompute per-bag vertex lists and separator positions.
-    let bag_vs: Vec<Vec<usize>> = tree
-        .bags
-        .iter()
-        .map(|bag| bag.iter().map(|v| v.index()).collect())
-        .collect();
-    let sep_list: Vec<Vec<usize>> = (0..k).map(|b| tree.separator(b).iter().collect()).collect();
-
-    // For projecting a bag mask onto an ordered vertex list.
-    let project = |mask: u32, vs: &[usize], targets: &[usize]| -> u32 {
-        let mut key = 0u32;
-        for (i, &t) in targets.iter().enumerate() {
-            let pos = vs.iter().position(|&v| v == t).expect("target in bag");
-            if mask & (1 << pos) != 0 {
-                key |= 1 << i;
-            }
-        }
-        key
-    };
-
-    for &b in tree.topo.iter().rev() {
-        let vs = &bag_vs[b];
-        let sep = &sep_list[b];
-        let kb = vs.len();
-        let in_sep: Vec<bool> = vs.iter().map(|v| sep.contains(v)).collect();
-        let children = &tree.children[b];
-
-        // Cache child projections: for each child, positions of its
-        // separator vertices within our bag.
-        let child_seps: Vec<&Vec<usize>> = children.iter().map(|&c| &sep_list[c]).collect();
-
-        let mut best: HashMap<u32, (Cost, u32)> = HashMap::new();
-        for mask in 0u32..(1 << kb) {
-            *fuel_spent += 1;
-            if *fuel_spent > budget.node_limit
-                || (fuel_spent.is_multiple_of(DEADLINE_STRIDE) && budget.expired())
-            {
-                return None;
-            }
-            if (mask.count_ones()) > r {
-                continue;
-            }
-            // Weight of kept vertices owned by this bag (not shared with
-            // the parent — those are counted higher up).
-            let mut value: Cost = 0;
-            for (i, &v) in vs.iter().enumerate() {
-                if mask & (1 << i) != 0 && !in_sep[i] {
-                    value += wg.weight(v);
-                }
-            }
-            // Children contributions through their separators.
-            let mut feasible = true;
-            for (ci, &c) in children.iter().enumerate() {
-                let key = project(mask, vs, child_seps[ci]);
-                match table[c].get(&key) {
-                    Some(&(val, _)) => value += val,
-                    None => {
-                        feasible = false;
-                        break;
-                    }
-                }
-            }
-            if !feasible {
-                continue;
-            }
-            let parent_key = project(mask, vs, sep);
-            match best.entry(parent_key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((value, mask));
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if value > e.get().0 {
-                        e.insert((value, mask));
-                    }
-                }
-            }
-        }
-        table[b] = best;
+    let needed: u64 = tree.bags.iter().map(|bag| 1u64 << bag.len()).sum();
+    if needed > budget.node_limit {
+        *spent = budget.node_limit + 1;
+        return None;
     }
+
+    let k = tree.bag_count();
+    // tables[b]: parent-separator subset -> best (value, full-bag mask).
+    let mut tables: Vec<Vec<Entry>> = vec![Vec::new(); k];
+    // child_keys[b][j]: gathers a mask of b onto the separator of its
+    // j-th child, kept for the reconstruction.
+    let mut child_keys: Vec<Vec<Split>> = (0..k).map(|_| Vec::new()).collect();
+    let no_parent = BitSet::new(n);
+    let mut enumerated = 0u64;
+    let mut next_check = DEADLINE_STRIDE;
+
+    // Children before parents.
+    for &b in tree.topo.iter().rev() {
+        let vs = &tree.bags[b];
+        let children = &tree.children[b];
+        let parent = tree.parent[b].map_or(&no_parent, |p| &tree.bag_sets[p]);
+        // Weight of kept vertices owned by this bag (not shared with
+        // the parent — those are counted higher up).
+        let owned: Vec<Cost> = vs
+            .iter()
+            .map(|v| {
+                if parent.contains(v.index()) {
+                    0
+                } else {
+                    wg.weight(v.index())
+                }
+            })
+            .collect();
+        let owned = Split::new(&owned);
+        let parent_key = Split::gather(vs, parent);
+        let sep_len = tree.bag_sets[b].intersection_len(parent);
+        let keys: Vec<Split> = children
+            .iter()
+            .map(|&c| Split::gather(vs, &tree.bag_sets[c]))
+            .collect();
+
+        let mut best = vec![
+            Entry {
+                value: 0,
+                mask: UNSET
+            };
+            1 << sep_len
+        ];
+        let end = 1u32 << vs.len();
+        let mut mask = 0u32;
+        while mask < end {
+            if mask.count_ones() > r {
+                // Every mask below `mask + lowest bit` keeps all of
+                // `mask` and more, so none of them fits either.
+                mask += mask & mask.wrapping_neg();
+                continue;
+            }
+            let at = enumerated + u64::from(mask) + 1;
+            if at >= next_check {
+                next_check = at - at % DEADLINE_STRIDE + DEADLINE_STRIDE;
+                if budget.expired() {
+                    *spent = at;
+                    trace::add_fuel_consumed(at);
+                    return None;
+                }
+            }
+            let mut value = owned.at(mask);
+            let mut feasible = true;
+            for (key, &c) in keys.iter().zip(children) {
+                let e = tables[c][key.at(mask) as usize];
+                if e.mask == UNSET {
+                    feasible = false;
+                    break;
+                }
+                value += e.value;
+            }
+            if feasible {
+                let slot = &mut best[parent_key.at(mask) as usize];
+                if slot.mask == UNSET || value > slot.value {
+                    *slot = Entry { value, mask };
+                }
+            }
+            mask += 1;
+        }
+        enumerated += u64::from(end);
+        tables[b] = best;
+        child_keys[b] = keys;
+    }
+    *spent = enumerated;
+    trace::add_fuel_consumed(enumerated);
 
     // Reconstruct top-down.
     let mut allocated = BitSet::new(n);
-    let mut stack: Vec<(usize, u32)> = tree
+    let mut stack: Vec<(usize, usize)> = tree
         .topo
         .iter()
         .filter(|&&b| tree.parent[b].is_none())
-        .map(|&b| (b, 0u32))
+        .map(|&b| (b, 0))
         .collect();
     while let Some((b, key)) = stack.pop() {
-        let &(_, mask) = table[b]
-            .get(&key)
-            .expect("every separator subset with ≤ R kept is realisable");
-        let vs = &bag_vs[b];
-        for (i, &v) in vs.iter().enumerate() {
+        let mask = tables[b][key].mask;
+        assert_ne!(
+            mask, UNSET,
+            "every separator subset with ≤ R kept is realisable"
+        );
+        for (i, v) in tree.bags[b].iter().enumerate() {
             if mask & (1 << i) != 0 {
-                allocated.insert(v);
+                allocated.insert(v.index());
             }
         }
-        for &c in &tree.children[b] {
-            let key_c = project(mask, vs, &sep_list[c]);
-            stack.push((c, key_c));
+        for (key, &c) in child_keys[b].iter().zip(&tree.children[b]) {
+            stack.push((c, key.at(mask) as usize));
         }
     }
 
@@ -200,9 +290,10 @@ pub fn solve_metered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimal::Optimal;
     use crate::verify;
     use lra_graph::{generate, Graph, GraphBuilder, WeightedGraph};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn instance(g: Graph, w: Vec<Cost>) -> Instance {
@@ -324,5 +415,98 @@ mod tests {
         b.add_clique(&all);
         let inst = instance(b.build(), vec![1; MAX_BAG + 2]);
         assert!(solve(&inst, 2).is_none());
+    }
+
+    #[test]
+    fn fuel_is_decided_up_front_from_the_clique_tree() {
+        // (seed, R, Σ 2^|bag|, spill cost, spilled vertices) on seeded
+        // random chordal graphs with weights in {1, 2}, so ties are
+        // everywhere and the pinned allocation pins the tie-breaks.
+        #[allow(clippy::type_complexity)]
+        const CASES: [(u64, u32, u64, Cost, &[usize]); 10] = [
+            (0, 1, 92, 14, &[1, 5, 6, 10, 11, 12, 13, 14, 17, 19]),
+            (1, 2, 492, 15, &[2, 6, 7, 9, 11, 13, 15, 16, 20, 21, 22]),
+            (2, 3, 2468, 12, &[2, 5, 10, 14, 16, 18, 21, 23, 24, 25]),
+            (
+                3,
+                1,
+                320,
+                22,
+                &[1, 3, 6, 7, 8, 11, 13, 16, 17, 18, 20, 23, 26, 27, 28],
+            ),
+            (
+                4,
+                2,
+                928,
+                21,
+                &[0, 1, 4, 6, 9, 14, 15, 16, 17, 18, 20, 23, 26, 28, 30, 31],
+            ),
+            (5, 3, 672, 11, &[0, 1, 2, 11, 12, 16, 27, 28, 31]),
+            (
+                6,
+                1,
+                256,
+                25,
+                &[
+                    3, 4, 5, 6, 9, 10, 11, 12, 15, 17, 18, 22, 23, 24, 25, 28, 29, 30, 33, 34, 35,
+                    36,
+                ],
+            ),
+            (
+                7,
+                2,
+                254,
+                21,
+                &[1, 2, 3, 4, 7, 13, 20, 25, 31, 34, 35, 36, 37, 39, 40],
+            ),
+            (
+                8,
+                3,
+                50490,
+                21,
+                &[1, 5, 7, 8, 12, 13, 14, 15, 25, 28, 30, 32, 37, 38, 40, 42],
+            ),
+            (
+                9,
+                1,
+                324,
+                35,
+                &[
+                    0, 3, 5, 8, 9, 10, 11, 13, 14, 18, 22, 27, 28, 29, 30, 33, 34, 35, 37, 38, 39,
+                    41, 42, 43, 44, 45, 46,
+                ],
+            ),
+        ];
+        for (seed, r, masks, spill, spilled) in CASES {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = 20 + 3 * seed as usize;
+            let g = generate::random_chordal(&mut rng, n, n + 10, 4 + seed as usize % 3);
+            let w: Vec<Cost> = (0..n).map(|_| rng.gen_range(1..3)).collect();
+            let inst = instance(g, w);
+            let tree = CliqueTree::build(inst.graph(), inst.peo().unwrap());
+            let needed: u64 = tree.bags.iter().map(|bag| 1 << bag.len()).sum();
+            assert_eq!(needed, masks, "seed {seed}");
+
+            let _on = trace::arm();
+            trace::begin(false);
+            let mut spent = 0;
+            let a = solve_metered(&inst, r, &SolveBudget::nodes(needed), &mut spent)
+                .expect("completes on exactly the fuel it needs");
+            assert_eq!(spent, needed);
+            assert_eq!(trace::take().expect("collecting").fuel_consumed, needed);
+            assert_eq!(a.spill_cost, spill, "seed {seed}");
+            let got: Vec<usize> = (0..n).filter(|&v| !a.allocated.contains(v)).collect();
+            assert_eq!(got, spilled, "seed {seed}");
+
+            // One unit short: rejected before enumerating anything, yet
+            // charged node_limit + 1, so `try_allocate` hands
+            // branch-and-bound zero fuel and no node is visited.
+            trace::begin(false);
+            let short = SolveBudget::nodes(needed - 1);
+            assert!(solve_metered(&inst, r, &short, &mut spent).is_none());
+            assert_eq!(spent, needed);
+            assert_eq!(Optimal::new().try_allocate(&inst, r, &short), None);
+            assert_eq!(trace::take().expect("collecting").fuel_consumed, 0);
+        }
     }
 }

@@ -24,9 +24,12 @@ use std::time::{Duration, Instant};
 ///
 /// Two independent caps, both optional in effect:
 ///
-/// * **node fuel** — a deterministic cap on the search/DP work
-///   (branch-and-bound nodes, DP masks). Exceeding it aborts the
-///   solve. Because fuel is counted, not timed, two runs with the same
+/// * **node fuel** — a deterministic cap on the search/DP work, one
+///   unit per branch-and-bound node and per clique-tree DP mask.
+///   Exceeding it aborts the solve. A DP's mask count is fixed by its
+///   clique tree, so a DP that would exceed the cap is rejected before
+///   it enumerates anything, with the same outcome as running out
+///   mid-way. Because fuel is counted, not timed, two runs with the same
 ///   fuel always abort (or complete) at exactly the same point — this
 ///   is the budget to use when results must be reproducible, e.g.
 ///   across the [`crate::batch`] worker pool at different thread

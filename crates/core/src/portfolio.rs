@@ -309,9 +309,7 @@ impl Portfolio {
             };
         }
         // The fuel *granted* to the exact tier, recorded at the
-        // escalation decision: the solvers do not uniformly report
-        // consumed nodes, and the grant is what the budget policy
-        // actually controls.
+        // escalation decision; the solvers record what they consume.
         crate::trace::add_fuel(fuel);
         let budget = SolveBudget::nodes(fuel).with_time(self.cfg.time_budget);
         match self.exact.try_allocate(instance, r, &budget) {

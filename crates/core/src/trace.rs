@@ -5,8 +5,8 @@
 //! evaluation reasons about — pipeline → spill round → phase
 //! (analysis, spill costs, instance build, allocate, verify, rewrite,
 //! reanalyse) — plus the side counters a phase budget needs: fuel
-//! granted to exact solves, per-round spill deltas, and result-cache
-//! hit/miss attribution per shard.
+//! granted to and consumed by exact solves, per-round spill deltas,
+//! and result-cache hit/miss attribution per shard.
 //!
 //! # Cost contract
 //!
@@ -237,6 +237,10 @@ pub struct TraceReport {
     pub spill_delta: u64,
     /// Exact-solve fuel (node budget) granted via [`add_fuel`].
     pub fuel: u64,
+    /// Exact-solve work actually performed, recorded via
+    /// [`add_fuel_consumed`]: branch-and-bound nodes visited and
+    /// clique-tree DP masks enumerated.
+    pub fuel_consumed: u64,
     /// Result-cache hits, per shard (see [`CACHE_SHARDS`]).
     pub shard_hits: [u64; CACHE_SHARDS],
     /// Result-cache misses, per shard.
@@ -284,6 +288,7 @@ impl TraceReport {
         self.rounds += other.rounds;
         self.spill_delta += other.spill_delta;
         self.fuel += other.fuel;
+        self.fuel_consumed += other.fuel_consumed;
         for (into, from) in self.shard_hits.iter_mut().zip(other.shard_hits.iter()) {
             *into += from;
         }
@@ -431,6 +436,15 @@ pub fn add_fuel(nodes: u64) {
     with_report(|r| r.fuel += nodes);
 }
 
+/// Records exact-solve work actually performed: the branch-and-bound
+/// nodes a search visited or the masks a clique-tree DP enumerated.
+/// Only the portfolio grants fuel ([`add_fuel`]); inside it consumption
+/// never exceeds the grant, while an exact solve run outside it (the
+/// `Optimal` allocator, stepped layers) consumes without one.
+pub fn add_fuel_consumed(units: u64) {
+    with_report(|r| r.fuel_consumed += units);
+}
+
 /// Records one completed allocation round and the spill cost it
 /// charged.
 pub fn add_round(spill_cost: u64) {
@@ -466,6 +480,7 @@ mod tests {
         {
             let _s = span(Phase::Allocate);
             add_fuel(10);
+            add_fuel_consumed(10);
             add_round(5);
             cache_access(0, true);
         }
@@ -489,6 +504,7 @@ mod tests {
                 }
             }
             add_fuel(100_000);
+            add_fuel_consumed(2_500);
             add_round(42);
             cache_access(3, true);
             cache_access(3, false);
@@ -517,6 +533,7 @@ mod tests {
         assert_eq!(r.total_self_ns(), pipeline.total_ns);
 
         assert_eq!(r.fuel, 100_000);
+        assert_eq!(r.fuel_consumed, 2_500);
         assert_eq!(r.rounds, 1);
         assert_eq!(r.spill_delta, 42);
         assert_eq!(r.shard_hits[3], 1);
@@ -553,10 +570,12 @@ mod tests {
             self_ns: 80,
         };
         a.fuel = 7;
+        a.fuel_consumed = 5;
         a.shard_hits[1] = 3;
         let mut b = TraceReport {
             rounds: 4,
             spill_delta: 9,
+            fuel_consumed: 2,
             ..TraceReport::default()
         };
         b.phases[Phase::Allocate as usize] = PhaseStats {
@@ -577,6 +596,7 @@ mod tests {
         assert_eq!(a.rounds, 4);
         assert_eq!(a.spill_delta, 9);
         assert_eq!(a.fuel, 7);
+        assert_eq!(a.fuel_consumed, 7);
         assert_eq!(a.shard_hits[1], 3);
         assert_eq!(a.shard_misses[1], 2);
         assert!(a.events.is_empty());

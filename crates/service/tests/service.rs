@@ -577,56 +577,6 @@ fn overload_degrades_to_the_cheap_tier_and_stays_available() {
 }
 
 #[test]
-fn tracing_on_vs_off_is_byte_identical_for_batch_output() {
-    // The determinism contract of lra_core::trace: arming the recorder
-    // (guard or LRA_TRACE env) must not move a single output byte.
-    let fs = jit_corpus(6);
-    let batch = BatchAllocator::new(portfolio_pipeline()).threads(1);
-    let reference = batch.run(&fs);
-    assert!(
-        reference.items.iter().all(|i| i.trace.is_none()),
-        "tracing off: no traces collected"
-    );
-
-    // Door 1: the RAII guard.
-    let armed = {
-        let _on = lra_core::trace::arm();
-        batch.run(&fs)
-    };
-    assert_eq!(
-        armed.render(),
-        reference.render(),
-        "armed tracing must not change the rendered report"
-    );
-    for item in &armed.items {
-        let trace = item.trace.as_ref().expect("armed run collects per item");
-        assert_eq!(
-            trace.phases[lra_core::trace::Phase::Pipeline as usize].count,
-            1
-        );
-        assert!(trace.total_self_ns() > 0);
-    }
-
-    // Door 2: the LRA_TRACE environment variable, re-probed after a
-    // reset. Safe even though other tests run concurrently: tracing
-    // never changes output bytes, so at worst they also collect.
-    lra_core::trace::reset_for_tests();
-    std::env::set_var("LRA_TRACE", "1");
-    let from_env = batch.run(&fs);
-    std::env::remove_var("LRA_TRACE");
-    lra_core::trace::reset_for_tests();
-    assert_eq!(
-        from_env.render(),
-        reference.render(),
-        "LRA_TRACE=1 must not change the rendered report"
-    );
-    assert!(
-        from_env.items.iter().all(|i| i.trace.is_some()),
-        "LRA_TRACE=1 collects per item"
-    );
-}
-
-#[test]
 fn traced_submissions_return_traces_and_identical_rows() {
     let fs = jit_corpus(5);
     let reference: Vec<String> = BatchAllocator::new(portfolio_pipeline())
