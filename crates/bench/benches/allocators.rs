@@ -59,9 +59,7 @@ fn bench_interval_allocators(c: &mut Criterion) {
         b.iter(|| BeladyLinearScan::new().allocate(&inst, r))
     });
     group.bench_function("BFPL", |b| b.iter(|| Layered::bfpl().allocate(&inst, r)));
-    group.bench_function("Optimal(flow)", |b| {
-        b.iter(|| Optimal::new().allocate(&inst, r))
-    });
+    group.bench_function("Optimal(flow)", |b| b.iter(|| Optimal.allocate(&inst, r)));
     group.finish();
 }
 

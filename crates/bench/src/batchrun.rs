@@ -105,8 +105,7 @@ fn experiments(
                       functions: Vec<Function>| {
         // Every corpus opts into the split + remat escalation tier —
         // the §4.3 residual-pressure tail is exactly what these
-        // converged counts track (`LRA_NO_SPLIT=1` still disables it
-        // process-wide for before/after comparisons).
+        // converged counts track.
         let base = AllocationPipeline::new(Target::new(TargetKind::ArmCortexA8))
             .instance_kind(kind)
             .registers(r)

@@ -329,7 +329,7 @@ pub fn ablation_figure(workloads: &[Workload], rs: &[u32]) -> Vec<AblationRow> {
         .iter()
         .map(|&r| {
             per_program_costs_with(workloads, false, r, |inst, rr| {
-                Optimal::new().allocate(inst, rr).spill_cost
+                Optimal.allocate(inst, rr).spill_cost
             })
         })
         .collect();
@@ -440,7 +440,7 @@ pub fn spill_set_inclusion_study(workloads: &[Workload], rs: &[u32]) -> Inclusio
                 }
                 _ => base.clone(),
             };
-            let a = Optimal::new().allocate(&inst, r);
+            let a = Optimal.allocate(&inst, r);
             if let Some(p) = &prev_alloc {
                 // More registers -> allocate a superset.
                 if !p.is_subset(&a.allocated) {
@@ -463,7 +463,7 @@ pub fn spill_set_inclusion_study(workloads: &[Workload], rs: &[u32]) -> Inclusio
 pub fn bls_threshold_sweep(workloads: &[Workload], r: u32, thresholds: &[u32]) -> Vec<(u32, f64)> {
     use lra_core::baselines::BeladyLinearScan;
     let opt_costs = per_program_costs_with(workloads, false, r, |inst, rr| {
-        Optimal::new().allocate(inst, rr).spill_cost
+        Optimal.allocate(inst, rr).spill_cost
     });
     thresholds
         .iter()
@@ -519,10 +519,10 @@ pub fn split_study(
         .map(|&r| {
             let costs = batch::parallel_map(functions, batch::default_threads(), |_, f| {
                 let a = build_instance(f, &target, InstanceKind::LinearIntervals);
-                let whole = Optimal::new().allocate(&a, r).spill_cost;
+                let whole = Optimal.allocate(&a, r).spill_cost;
                 let s = split_at_uses(f);
                 let b = build_instance(&s.function, &target, InstanceKind::LinearIntervals);
-                let split = Optimal::new().allocate(&b, r).spill_cost;
+                let split = Optimal.allocate(&b, r).spill_cost;
                 (whole, split)
             });
             let (whole, split) = costs
@@ -608,9 +608,9 @@ pub fn ssa_conversion_study(
                 let ssa = build_instance(s, target, InstanceKind::LinearIntervals);
                 [
                     LayeredHeuristic::new().allocate(&orig, r).spill_cost,
-                    Optimal::new().allocate(&orig, r).spill_cost,
+                    Optimal.allocate(&orig, r).spill_cost,
                     Layered::bfpl().allocate(&ssa, r).spill_cost,
-                    Optimal::new().allocate(&ssa, r).spill_cost,
+                    Optimal.allocate(&ssa, r).spill_cost,
                 ]
             });
             let mut row = SsaConversionRow {
@@ -704,12 +704,9 @@ pub fn portfolio_study(
     cfg: &lra_core::portfolio::PortfolioConfig,
 ) -> Vec<PortfolioRow> {
     use lra_core::portfolio::{Portfolio, PortfolioSource};
-    // Validate the configuration once, loudly, before fanning out.
-    Portfolio::new(cfg.clone()).expect("portfolio cheap tier is a registered allocator");
+    let policy =
+        Portfolio::new(cfg.clone()).expect("portfolio cheap tier is a registered allocator");
     let outcomes = batch::parallel_map(workloads, batch::default_threads(), |_, w| {
-        // Allocator boxes are not Sync; each decision builds its own
-        // (construction is a few Box allocations, dwarfed by the solve).
-        let policy = Portfolio::new(cfg.clone()).expect("validated above");
         policy.decide(&w.instance, r)
     });
     let mut rows: Vec<PortfolioRow> = Vec::new();

@@ -132,19 +132,11 @@ pub struct AllocationPipeline {
     coalesce: CoalesceMode,
     max_rounds: u32,
     optimized_spill: bool,
+    /// The [`Portfolio`] policy's configuration; `Some` exactly when
+    /// the pipeline runs the `Portfolio` allocator.
     portfolio: Option<PortfolioConfig>,
     full_reanalysis: Option<bool>,
     escalation: Option<bool>,
-}
-
-/// `true` when the `LRA_NO_SPLIT` environment variable disables the
-/// split + rematerialization escalation tier process-wide (any
-/// non-empty value other than `0`). The escape hatch for comparing
-/// against pre-escalation behaviour without rebuilding; the
-/// per-pipeline [`AllocationPipeline::escalation`] switch is the
-/// programmatic equivalent.
-pub fn escalation_forced_off() -> bool {
-    std::env::var_os("LRA_NO_SPLIT").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 impl AllocationPipeline {
@@ -168,8 +160,17 @@ impl AllocationPipeline {
     }
 
     /// Selects the allocator by registry name (case-insensitive).
+    /// `Portfolio` keeps a configuration set by
+    /// [`AllocationPipeline::portfolio`] and otherwise runs
+    /// [`PortfolioConfig::default`]; any other name drops the
+    /// portfolio configuration.
     pub fn allocator(mut self, name: impl Into<String>) -> Self {
         self.allocator = name.into();
+        self.portfolio = if self.allocator.eq_ignore_ascii_case("Portfolio") {
+            Some(self.portfolio.take().unwrap_or_default())
+        } else {
+            None
+        };
         self
     }
 
@@ -256,8 +257,7 @@ impl AllocationPipeline {
     /// [`PortfolioConfig::time_budget`]) keeps its degradation
     /// contract — it behaves byte-identically to the cheap tier, so
     /// the split + remat step stays off there too unless forced on
-    /// here. Setting `LRA_NO_SPLIT=1` ([`escalation_forced_off`])
-    /// overrides everything and turns the tier off process-wide.
+    /// here.
     pub fn escalation(mut self, enabled: bool) -> Self {
         self.escalation = Some(enabled);
         self
@@ -275,14 +275,7 @@ impl AllocationPipeline {
     /// expired: the portfolio degrades deterministically to its cheap
     /// tier (see [`PortfolioConfig::time_budget`]).
     pub fn time_budget(mut self, budget: Option<std::time::Duration>) -> Self {
-        if self.allocator.eq_ignore_ascii_case("Portfolio") {
-            self.portfolio = Some(
-                self.portfolio
-                    .take()
-                    .unwrap_or_default()
-                    .time_budget(budget),
-            );
-        }
+        self.portfolio = self.portfolio.map(|cfg| cfg.time_budget(budget));
         self
     }
 
@@ -295,25 +288,19 @@ impl AllocationPipeline {
     pub fn degraded(&self) -> Self {
         let mut p = self.clone();
         p.escalation = Some(false);
-        if p.allocator.eq_ignore_ascii_case("Portfolio") {
-            p.portfolio = Some(p.portfolio.take().unwrap_or_default().node_budget(0));
-        }
+        p.portfolio = p.portfolio.map(|cfg| cfg.node_budget(0));
         p
     }
 
     /// Whether a non-converged run of this pipeline enters the
     /// split + remat escalation tier (the resolution of the
-    /// [`AllocationPipeline::escalation`] builder, the portfolio's
-    /// escalation budget and the `LRA_NO_SPLIT` escape hatch).
+    /// [`AllocationPipeline::escalation`] builder and the portfolio's
+    /// escalation budget).
     pub fn escalation_enabled(&self) -> bool {
-        if escalation_forced_off() {
-            return false;
-        }
         self.escalation.unwrap_or_else(|| {
-            self.allocator.eq_ignore_ascii_case("Portfolio")
-                && self.portfolio.as_ref().is_none_or(|cfg| {
-                    cfg.node_budget > 0 && cfg.time_budget != Some(std::time::Duration::ZERO)
-                })
+            self.portfolio.as_ref().is_some_and(|cfg| {
+                cfg.node_budget != Some(0) && cfg.time_budget != Some(std::time::Duration::ZERO)
+            })
         })
     }
 
@@ -346,8 +333,8 @@ impl AllocationPipeline {
             return Err(PipelineError::NeedsIntervals(spec.name));
         }
         let allocator: Box<dyn Allocator> = match &self.portfolio {
-            Some(cfg) if spec.name == "Portfolio" => Box::new(Portfolio::new(cfg.clone())?),
-            _ => spec.build(),
+            Some(cfg) => Box::new(Portfolio::new(cfg.clone())?),
+            None => spec.build(),
         };
         let r = self
             .registers
@@ -1183,7 +1170,7 @@ mod tests {
         assert!(!shed.escalation_enabled(), "degraded runs never escalate");
         assert_eq!(
             shed.portfolio.as_ref().map(|cfg| cfg.node_budget),
-            Some(0),
+            Some(Some(0)),
             "degraded portfolios run cheap-tier-only"
         );
         // The original pipeline is untouched (degraded() clones).

@@ -24,6 +24,7 @@
 //! pass; the fixed-point bookkeeping touches each clique membership a
 //! constant number of times per allocated vertex.
 
+use crate::optimal::{chordal_dp, SolveBudget};
 use crate::problem::{Allocation, Allocator, Instance};
 use lra_graph::{stable, BitSet, Cost, Vertex, WeightedGraph};
 
@@ -192,7 +193,7 @@ fn step_layer(selection: &WeightedGraph, candidates: &BitSet, step: u32) -> (Vec
     let weights: Vec<Cost> = old_of_new.iter().map(|&v| selection.weight(v)).collect();
     // Skip zero-weight vertices from layers for parity with Frank.
     let sub_inst = crate::problem::Instance::from_weighted_graph(WeightedGraph::new(sub, weights));
-    match crate::optimal::chordal_dp::solve(&sub_inst, step) {
+    match chordal_dp::solve(&sub_inst, step, &mut SolveBudget::unlimited()) {
         Some(a) => {
             let layer = a
                 .allocated
@@ -474,7 +475,7 @@ mod tests {
         use crate::optimal::Optimal;
         let inst = figure6();
         for r in 1..=4u32 {
-            let opt = Optimal::new().allocate(&inst, r);
+            let opt = Optimal.allocate(&inst, r);
             for step in 1..=3u32 {
                 let a = Layered::nl().with_step(step).allocate(&inst, r);
                 assert!(
@@ -494,7 +495,7 @@ mod tests {
         let inst = figure6();
         for r in 1..=3u32 {
             let a = Layered::nl().with_step(r).allocate(&inst, r);
-            let opt = Optimal::new().allocate(&inst, r);
+            let opt = Optimal.allocate(&inst, r);
             assert_eq!(a.spill_cost, opt.spill_cost, "R={r}");
         }
     }

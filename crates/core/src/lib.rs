@@ -44,7 +44,7 @@
 //! let inst = Instance::from_weighted_graph(WeightedGraph::new(g, vec![4, 2, 7, 1]));
 //!
 //! let bfpl = Layered::bfpl().allocate(&inst, 2);
-//! let opt = Optimal::new().allocate(&inst, 2);
+//! let opt = Optimal.allocate(&inst, 2);
 //! assert_eq!(bfpl.spill_cost, opt.spill_cost); // quasi-optimal in practice
 //! ```
 

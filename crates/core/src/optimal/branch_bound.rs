@@ -111,16 +111,13 @@ impl Search<'_> {
     }
 }
 
-/// Solves `instance` exactly with `r` registers, or returns `None` if
-/// the search exceeds `node_limit` nodes (no certified optimum).
-pub fn solve(instance: &Instance, r: u32, node_limit: u64) -> Option<Allocation> {
-    solve_budgeted(instance, r, &SolveBudget::nodes(node_limit))
-}
-
-/// [`solve`] under a full [`SolveBudget`]: aborts (returning `None`)
-/// on node-fuel exhaustion *or* when the cooperative deadline passes.
-/// The nodes visited go to [`trace::add_fuel_consumed`].
-pub fn solve_budgeted(instance: &Instance, r: u32, budget: &SolveBudget) -> Option<Allocation> {
+/// Solves `instance` exactly with `r` registers under `budget`: each
+/// search node costs one unit of node fuel, charged against
+/// `budget.node_limit` (an exhausted search is charged all of it), and
+/// the wall-clock deadline is checked every few thousand nodes.
+/// Returns `None` when either cap trips (no certified optimum). The
+/// nodes visited go to [`trace::add_fuel_consumed`].
+pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Allocation> {
     if budget.expired() {
         return None;
     }
@@ -185,7 +182,9 @@ pub fn solve_budgeted(instance: &Instance, r: u32, budget: &SolveBudget) -> Opti
         deadline: budget.deadline,
     };
     let completed = search.run(0, 0, 0);
-    trace::add_fuel_consumed(search.nodes.min(budget.node_limit));
+    let visited = search.nodes.min(budget.node_limit);
+    budget.charge(visited);
+    trace::add_fuel_consumed(visited);
     if !completed {
         return None;
     }
@@ -218,7 +217,7 @@ mod tests {
     fn c5_two_registers() {
         let c5 = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
         let inst = instance(c5, vec![5, 4, 3, 2, 1]);
-        let a = solve(&inst, 2, 1_000_000).unwrap();
+        let a = solve(&inst, 2, &mut SolveBudget::nodes(1_000_000)).unwrap();
         // C5 is 3-chromatic: one vertex must go; the cheapest is 1.
         assert_eq!(a.spill_cost, 1);
         assert!(verify::check(&inst, &a, 2).is_feasible());
@@ -232,7 +231,7 @@ mod tests {
             let w = generate::random_weights(&mut rng, 10, 2);
             let inst = instance(g, w);
             for r in 1..=3u32 {
-                let a = solve(&inst, r, 10_000_000).unwrap();
+                let a = solve(&inst, r, &mut SolveBudget::nodes(10_000_000)).unwrap();
                 let best = exhaustive(&inst, r);
                 assert_eq!(a.allocated_weight, best, "trial {trial} R={r}");
                 assert!(verify::check(&inst, &a, r).is_feasible());
@@ -258,7 +257,7 @@ mod tests {
     fn r_zero_spills_everything() {
         let g = Graph::from_edges(2, &[(0, 1)]);
         let inst = instance(g, vec![2, 3]);
-        let a = solve(&inst, 0, 1000).unwrap();
+        let a = solve(&inst, 0, &mut SolveBudget::nodes(1000)).unwrap();
         assert_eq!(a.spill_cost, 5);
     }
 
@@ -266,10 +265,10 @@ mod tests {
     fn expired_deadline_aborts_before_searching() {
         let c5 = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
         let inst = instance(c5, vec![5, 4, 3, 2, 1]);
-        let budget = SolveBudget::nodes(1_000_000).with_time(Some(std::time::Duration::ZERO));
-        assert!(solve_budgeted(&inst, 2, &budget).is_none());
+        let mut budget = SolveBudget::nodes(1_000_000).with_time(Some(std::time::Duration::ZERO));
+        assert!(solve(&inst, 2, &mut budget).is_none());
         // The same search without the dead deadline completes.
-        assert!(solve_budgeted(&inst, 2, &SolveBudget::nodes(1_000_000)).is_some());
+        assert!(solve(&inst, 2, &mut SolveBudget::nodes(1_000_000)).is_some());
     }
 
     #[test]
@@ -277,7 +276,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let g = generate::random_general(&mut rng, 30, 40);
         let inst = instance(g, generate::random_weights(&mut rng, 30, 2));
-        assert!(solve(&inst, 4, 10).is_none());
+        assert!(solve(&inst, 4, &mut SolveBudget::nodes(10)).is_none());
     }
 
     #[test]
@@ -285,7 +284,7 @@ mod tests {
         // Edgeless graph: everything allocated by every heuristic; the
         // search should confirm rather than regress.
         let inst = instance(Graph::empty(6), vec![1, 2, 3, 4, 5, 6]);
-        let a = solve(&inst, 1, 1000).unwrap();
+        let a = solve(&inst, 1, &mut SolveBudget::nodes(1000)).unwrap();
         assert_eq!(a.spill_cost, 0);
     }
 
@@ -326,14 +325,16 @@ mod tests {
             let g = generate::random_general(&mut rng, n, edge_percent);
             let inst = instance(g, generate::random_weights(&mut rng, n, 3));
             assert!(
-                solve(&inst, r, fuel - 1).is_none(),
+                solve(&inst, r, &mut SolveBudget::nodes(fuel - 1)).is_none(),
                 "seed {seed}: done below {fuel}"
             );
             let _on = trace::arm();
             trace::begin(false);
-            let a = solve(&inst, r, fuel).expect("completes at the pinned fuel");
+            let mut budget = SolveBudget::nodes(fuel);
+            let a = solve(&inst, r, &mut budget).expect("completes at the pinned fuel");
             let consumed = trace::take().expect("collecting").fuel_consumed;
             assert_eq!(consumed, fuel, "seed {seed}: nodes visited");
+            assert_eq!(budget.node_limit, 0, "seed {seed}: charged every node");
             assert_eq!(a.spill_cost, spill, "seed {seed}");
             let got: Vec<usize> = (0..n).filter(|&v| !a.allocated.contains(v)).collect();
             assert_eq!(got, spilled, "seed {seed}");
@@ -348,7 +349,9 @@ mod tests {
         let inst = instance(g, generate::random_weights(&mut rng, 30, 2));
         let _on = trace::arm();
         trace::begin(false);
-        assert!(solve(&inst, 4, 10).is_none());
+        let mut budget = SolveBudget::nodes(10);
+        assert!(solve(&inst, 4, &mut budget).is_none());
         assert_eq!(trace::take().expect("collecting").fuel_consumed, 10);
+        assert_eq!(budget.node_limit, 0);
     }
 }

@@ -20,9 +20,9 @@
 //! node fuel each, so the fuel a solve needs, `Σ_b 2^|bag_b|`, is known
 //! as soon as the clique tree is built. Exhaustion is therefore decided
 //! up front: a DP that would run out of fuel is rejected before any
-//! table is built, reporting exactly the `spent` a per-mask counter
-//! would have reached. Masks with more than `R` members are charged but
-//! skipped without work.
+//! table is built and charged all of the budget, exactly what a
+//! per-mask counter running out would have charged. Masks with more
+//! than `R` members are charged but skipped without work.
 //!
 //! # Tables
 //!
@@ -106,50 +106,20 @@ impl Split {
     }
 }
 
-/// Solves a chordal instance exactly, or returns `None` when a maximal
-/// clique exceeds [`MAX_BAG`] vertices.
+/// Solves a chordal instance exactly under `budget`. Every bag mask
+/// costs one unit of node fuel, charged against `budget.node_limit`
+/// (a DP needing more than the budget is rejected before it starts and
+/// charged all of it); the wall-clock deadline is checked every few
+/// tens of thousands of masks. Returns `None` on an oversized bag
+/// (beyond [`MAX_BAG`], charged nothing) *or* an exhausted budget —
+/// either way no certified optimum exists within the caps and the
+/// caller decides what to fall back to. [`trace::add_fuel_consumed`]
+/// receives only the masks actually enumerated.
 ///
 /// # Panics
 ///
 /// Panics if the instance is not chordal.
-pub fn solve(instance: &Instance, r: u32) -> Option<Allocation> {
-    solve_budgeted(instance, r, &SolveBudget::unlimited())
-}
-
-/// [`solve`] under a [`SolveBudget`]: every bag mask costs one unit of
-/// node fuel (a DP needing more than the budget is rejected before it
-/// starts), and the wall-clock deadline is checked every few tens of
-/// thousands of masks. Returns `None` on an oversized bag *or* an
-/// exhausted budget — either way no certified optimum exists within the
-/// caps and the caller decides what to fall back to.
-///
-/// # Panics
-///
-/// Panics if the instance is not chordal.
-pub fn solve_budgeted(instance: &Instance, r: u32, budget: &SolveBudget) -> Option<Allocation> {
-    let mut spent = 0;
-    solve_metered(instance, r, budget, &mut spent)
-}
-
-/// [`solve_budgeted`] that also reports the node fuel charged through
-/// `spent` (valid on success *and* on abort), so a caller chaining a
-/// fallback solver can charge both against one budget instead of
-/// paying the cap twice — [`super::Optimal::try_allocate`] hands
-/// branch-and-bound only the remainder. A DP rejected for want of fuel
-/// charges `node_limit + 1`, leaving no remainder, although it
-/// enumerated nothing; [`trace::add_fuel_consumed`] receives only the
-/// masks actually enumerated.
-///
-/// # Panics
-///
-/// Panics if the instance is not chordal.
-pub fn solve_metered(
-    instance: &Instance,
-    r: u32,
-    budget: &SolveBudget,
-    spent: &mut u64,
-) -> Option<Allocation> {
-    *spent = 0;
+pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Allocation> {
     if budget.expired() {
         return None;
     }
@@ -171,7 +141,7 @@ pub fn solve_metered(
 
     let needed: u64 = tree.bags.iter().map(|bag| 1u64 << bag.len()).sum();
     if needed > budget.node_limit {
-        *spent = budget.node_limit + 1;
+        budget.node_limit = 0;
         return None;
     }
 
@@ -230,7 +200,7 @@ pub fn solve_metered(
             if at >= next_check {
                 next_check = at - at % DEADLINE_STRIDE + DEADLINE_STRIDE;
                 if budget.expired() {
-                    *spent = at;
+                    budget.charge(at);
                     trace::add_fuel_consumed(at);
                     return None;
                 }
@@ -257,7 +227,7 @@ pub fn solve_metered(
         tables[b] = best;
         child_keys[b] = keys;
     }
-    *spent = enumerated;
+    budget.charge(enumerated);
     trace::add_fuel_consumed(enumerated);
 
     // Reconstruct top-down.
@@ -305,7 +275,7 @@ mod tests {
         let mut b = GraphBuilder::new(5);
         b.add_clique(&[0, 1, 2, 3, 4]);
         let inst = instance(b.build(), vec![5, 9, 2, 7, 4]);
-        let a = solve(&inst, 2).unwrap();
+        let a = solve(&inst, 2, &mut SolveBudget::unlimited()).unwrap();
         // Keep 9 and 7; spill 5+2+4 = 11.
         assert_eq!(a.spill_cost, 11);
         assert!(a.allocated.contains(1) && a.allocated.contains(3));
@@ -320,7 +290,7 @@ mod tests {
             let g = generate::random_chordal(&mut rng, 18, 24, 4);
             let w = generate::random_weights(&mut rng, 18, 2);
             let inst = instance(g, w);
-            let a = solve(&inst, 1).unwrap();
+            let a = solve(&inst, 1, &mut SolveBudget::unlimited()).unwrap();
             let brute = stable::max_weight_stable_set_brute(inst.weighted_graph(), None);
             assert_eq!(a.allocated_weight, brute.weight);
             assert!(verify::check(&inst, &a, 1).is_feasible());
@@ -333,7 +303,7 @@ mod tests {
         let g = generate::random_chordal(&mut rng, 25, 30, 5);
         let inst = instance(g, vec![3; 25]);
         let ml = inst.max_live() as u32;
-        let a = solve(&inst, ml).unwrap();
+        let a = solve(&inst, ml, &mut SolveBudget::unlimited()).unwrap();
         assert_eq!(a.spill_cost, 0);
     }
 
@@ -342,7 +312,7 @@ mod tests {
         // Two triangles; R=2 spills the cheapest vertex of each.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
         let inst = instance(g, vec![5, 1, 4, 2, 6, 3]);
-        let a = solve(&inst, 2).unwrap();
+        let a = solve(&inst, 2, &mut SolveBudget::unlimited()).unwrap();
         assert_eq!(a.spill_cost, 1 + 2);
         assert!(!a.allocated.contains(1));
         assert!(!a.allocated.contains(3));
@@ -358,7 +328,7 @@ mod tests {
             let w = generate::random_weights(&mut rng, 12, 2);
             let inst = instance(g.clone(), w.clone());
             for r in 1..=4u32 {
-                let a = solve(&inst, r).unwrap();
+                let a = solve(&inst, r, &mut SolveBudget::unlimited()).unwrap();
                 let best = brute_force(&inst, r);
                 assert_eq!(
                     a.allocated_weight, best,
@@ -395,8 +365,8 @@ mod tests {
         let mut b = GraphBuilder::new(6);
         b.add_clique(&[0, 1, 2, 3, 4, 5]);
         let inst = instance(b.build(), vec![1; 6]);
-        assert!(solve_budgeted(&inst, 2, &SolveBudget::nodes(3)).is_none());
-        assert!(solve_budgeted(&inst, 2, &SolveBudget::unlimited()).is_some());
+        assert!(solve(&inst, 2, &mut SolveBudget::nodes(3)).is_none());
+        assert!(solve(&inst, 2, &mut SolveBudget::unlimited()).is_some());
     }
 
     #[test]
@@ -404,8 +374,8 @@ mod tests {
         let mut b = GraphBuilder::new(5);
         b.add_clique(&[0, 1, 2, 3, 4]);
         let inst = instance(b.build(), vec![2; 5]);
-        let budget = SolveBudget::unlimited().with_time(Some(std::time::Duration::ZERO));
-        assert!(solve_budgeted(&inst, 2, &budget).is_none());
+        let mut budget = SolveBudget::unlimited().with_time(Some(std::time::Duration::ZERO));
+        assert!(solve(&inst, 2, &mut budget).is_none());
     }
 
     #[test]
@@ -414,7 +384,9 @@ mod tests {
         let all: Vec<usize> = (0..MAX_BAG + 2).collect();
         b.add_clique(&all);
         let inst = instance(b.build(), vec![1; MAX_BAG + 2]);
-        assert!(solve(&inst, 2).is_none());
+        let mut budget = SolveBudget::nodes(1000);
+        assert!(solve(&inst, 2, &mut budget).is_none());
+        assert_eq!(budget.node_limit, 1000, "an oversized bag charges nothing");
     }
 
     #[test]
@@ -489,23 +461,23 @@ mod tests {
 
             let _on = trace::arm();
             trace::begin(false);
-            let mut spent = 0;
-            let a = solve_metered(&inst, r, &SolveBudget::nodes(needed), &mut spent)
-                .expect("completes on exactly the fuel it needs");
-            assert_eq!(spent, needed);
+            let mut budget = SolveBudget::nodes(needed);
+            let a = solve(&inst, r, &mut budget).expect("completes on exactly the fuel it needs");
+            assert_eq!(budget.node_limit, 0, "seed {seed}: charged every mask");
             assert_eq!(trace::take().expect("collecting").fuel_consumed, needed);
             assert_eq!(a.spill_cost, spill, "seed {seed}");
             let got: Vec<usize> = (0..n).filter(|&v| !a.allocated.contains(v)).collect();
             assert_eq!(got, spilled, "seed {seed}");
 
             // One unit short: rejected before enumerating anything, yet
-            // charged node_limit + 1, so `try_allocate` hands
-            // branch-and-bound zero fuel and no node is visited.
+            // charged the whole budget, so `try_allocate` leaves
+            // branch-and-bound no fuel and no node is visited.
             trace::begin(false);
             let short = SolveBudget::nodes(needed - 1);
-            assert!(solve_metered(&inst, r, &short, &mut spent).is_none());
-            assert_eq!(spent, needed);
-            assert_eq!(Optimal::new().try_allocate(&inst, r, &short), None);
+            let mut left = short;
+            assert!(solve(&inst, r, &mut left).is_none());
+            assert_eq!(left.node_limit, 0, "seed {seed}: charged all of it");
+            assert_eq!(Optimal.try_allocate(&inst, r, &short), None);
             assert_eq!(trace::take().expect("collecting").fuel_consumed, 0);
         }
     }

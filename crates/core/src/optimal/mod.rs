@@ -12,6 +12,13 @@
 //! * general instances → [`branch_bound`]: branch-and-bound over
 //!   colour assignments with symmetry breaking, for the JVM-sized
 //!   graphs of §6.2.
+//!
+//! [`Optimal::try_allocate`] is the one dispatch. Each solver has one
+//! entry point, `solve(instance, r, &mut SolveBudget)`, which charges
+//! its work against the budget, so a chordal instance whose DP gives
+//! up hands branch-and-bound exactly the fuel that is left. The
+//! unbudgeted [`Allocator::allocate`] is `try_allocate` under
+//! [`OPTIMAL_NODE_LIMIT`], panicking if even that runs out.
 
 pub mod branch_bound;
 pub mod chordal_dp;
@@ -39,13 +46,16 @@ use std::time::{Duration, Instant};
 ///   speed and load, so results guarded only by a deadline are *not*
 ///   deterministic; use it as a hard latency guard on top of the fuel.
 ///
-/// The budgeted entry points ([`Optimal::try_allocate`],
-/// [`branch_bound::solve_budgeted`], [`chordal_dp::solve_budgeted`])
-/// return `None` when either cap trips — a *bounded* outcome the
-/// caller can distinguish from a certified optimum.
+/// [`Optimal::try_allocate`] and the two solvers return `None` when
+/// either cap trips — a *bounded* outcome the caller can distinguish
+/// from a certified optimum. The solvers take the budget by `&mut` and
+/// charge the work they did against [`SolveBudget::node_limit`], so a
+/// caller chaining them (as `try_allocate` chains the DP and its
+/// branch-and-bound fallback) pays the cap once, not once per solver.
 #[derive(Clone, Copy, Debug)]
 pub struct SolveBudget {
-    /// Maximum search nodes / DP masks before the solver gives up.
+    /// Search nodes / DP masks left before the solver gives up. Each
+    /// solve subtracts the work it charged.
     pub node_limit: u64,
     /// Wall-clock instant after which the solver gives up.
     pub deadline: Option<Instant>,
@@ -76,15 +86,6 @@ pub fn scaled_node_fuel(n_temps: usize) -> u64 {
 }
 
 impl SolveBudget {
-    /// A deterministic fuel-only budget sized for an `n_temps`-vertex
-    /// instance ([`scaled_node_fuel`]): small instances get enough
-    /// fuel to certify, huge ones get a hard latency lid. This is the
-    /// budget `PortfolioConfig::default()` (and therefore the
-    /// allocation service) escalates under.
-    pub fn scaled_for(n_temps: usize) -> Self {
-        SolveBudget::nodes(scaled_node_fuel(n_temps))
-    }
-
     /// No caps: the solver runs to completion (or to the structural
     /// limits like [`chordal_dp::MAX_BAG`]).
     pub fn unlimited() -> Self {
@@ -114,30 +115,21 @@ impl SolveBudget {
     pub fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
+
+    /// Charges `work` units of node fuel.
+    fn charge(&mut self, work: u64) {
+        self.node_limit = self.node_limit.saturating_sub(work);
+    }
 }
+
+/// The node fuel [`Optimal`]'s [`Allocator::allocate`] runs under:
+/// far more than any evaluation instance needs, so running out means
+/// the instance is too large for exact solving.
+pub const OPTIMAL_NODE_LIMIT: u64 = 100_000_000;
 
 /// The exact allocator, dispatching on instance structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Optimal {
-    /// Node budget for the branch-and-bound fallback; exceeded budgets
-    /// panic (the evaluation sizes instances so this never triggers).
-    pub node_limit: u64,
-}
-
-impl Optimal {
-    /// Default configuration (one hundred million search nodes).
-    pub fn new() -> Self {
-        Optimal {
-            node_limit: 100_000_000,
-        }
-    }
-}
-
-impl Default for Optimal {
-    fn default() -> Self {
-        Optimal::new()
-    }
-}
+pub struct Optimal;
 
 impl Optimal {
     /// Budgeted exact solve: like [`Allocator::allocate`] but returns
@@ -164,22 +156,16 @@ impl Optimal {
         if instance.intervals().is_some() {
             return Some(flow::solve(instance, r));
         }
+        let mut budget = *budget;
         if instance.is_chordal() {
-            let mut spent = 0;
-            if let Some(a) = chordal_dp::solve_metered(instance, r, budget, &mut spent) {
+            if let Some(a) = chordal_dp::solve(instance, r, &mut budget) {
                 return Some(a);
             }
-            let remaining = budget.node_limit.saturating_sub(spent);
-            if remaining == 0 {
+            if budget.node_limit == 0 {
                 return None;
             }
-            let fallback = SolveBudget {
-                node_limit: remaining,
-                deadline: budget.deadline,
-            };
-            return branch_bound::solve_budgeted(instance, r, &fallback);
         }
-        branch_bound::solve_budgeted(instance, r, budget)
+        branch_bound::solve(instance, r, &mut budget)
     }
 }
 
@@ -188,39 +174,31 @@ impl Allocator for Optimal {
         "Optimal"
     }
 
-    /// Computes a certified optimal allocation.
+    /// Computes a certified optimal allocation:
+    /// [`Optimal::try_allocate`] under [`OPTIMAL_NODE_LIMIT`].
     ///
     /// # Panics
     ///
-    /// Panics if the instance is non-chordal *and* the branch-and-bound
-    /// search exceeds `node_limit` (meaning the instance is too large
-    /// for exact solving), or if a chordal instance without intervals
-    /// has cliques too large for the DP and the fallback also exceeds
-    /// the limit.
+    /// Panics if the solve needs more than [`OPTIMAL_NODE_LIMIT`]
+    /// nodes or DP masks (the instance is too large for exact
+    /// solving).
     fn allocate(&self, instance: &Instance, r: u32) -> Allocation {
-        if instance.intervals().is_some() {
-            return flow::solve(instance, r);
-        }
-        if instance.is_chordal() {
-            if let Some(a) = chordal_dp::solve(instance, r) {
-                return a;
-            }
-        }
-        match branch_bound::solve(instance, r, self.node_limit) {
-            Some(a) => a,
-            None => panic!(
-                "Optimal: branch-and-bound exceeded {} nodes on a {}-vertex instance",
-                self.node_limit,
-                instance.vertex_count()
-            ),
-        }
+        self.try_allocate(instance, r, &SolveBudget::nodes(OPTIMAL_NODE_LIMIT))
+            .unwrap_or_else(|| {
+                panic!(
+                    "Optimal: branch-and-bound exceeded {} nodes on a {}-vertex instance",
+                    OPTIMAL_NODE_LIMIT,
+                    instance.vertex_count()
+                )
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lra_graph::{Graph, Interval, WeightedGraph};
+    use crate::trace;
+    use lra_graph::{Cost, Graph, GraphBuilder, Interval, WeightedGraph};
 
     #[test]
     fn dispatch_interval_instance() {
@@ -232,7 +210,7 @@ mod tests {
             ],
             vec![3, 5, 4],
         );
-        let a = Optimal::new().allocate(&inst, 2);
+        let a = Optimal.allocate(&inst, 2);
         // Three mutually overlapping intervals, two registers: spill the
         // cheapest (3).
         assert_eq!(a.spill_cost, 3);
@@ -242,7 +220,7 @@ mod tests {
     fn dispatch_chordal_graph_instance() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let inst = Instance::from_weighted_graph(WeightedGraph::new(g, vec![3, 5, 4]));
-        let a = Optimal::new().allocate(&inst, 2);
+        let a = Optimal.allocate(&inst, 2);
         assert_eq!(a.spill_cost, 3);
     }
 
@@ -252,7 +230,7 @@ mod tests {
         let inst = Instance::from_weighted_graph(WeightedGraph::new(c5, vec![1, 1, 1, 1, 1]));
         // C5 with 2 registers: at most 4 vertices allocatable (C5 is
         // 3-chromatic), so the optimum spills exactly one unit.
-        let a = Optimal::new().allocate(&inst, 2);
+        let a = Optimal.allocate(&inst, 2);
         assert_eq!(a.spill_cost, 1);
     }
 
@@ -264,10 +242,32 @@ mod tests {
         // node_limit instead of paying the cap once per tier.
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let inst = Instance::from_weighted_graph(WeightedGraph::new(g, vec![3, 5, 4]));
-        let starved = Optimal::new().try_allocate(&inst, 2, &SolveBudget::nodes(2));
+        let starved = Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(2));
         assert_eq!(starved, None);
-        let fueled = Optimal::new().try_allocate(&inst, 2, &SolveBudget::nodes(1000));
+        let fueled = Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(1000));
         assert_eq!(fueled.expect("certifies").spill_cost, 3);
+
+        // A clique beyond MAX_BAG: the DP declines without charging,
+        // so branch-and-bound gets the whole budget: 1341 nodes, the
+        // size of its complete search tree.
+        let n = chordal_dp::MAX_BAG + 2;
+        let mut b = GraphBuilder::new(n);
+        b.add_clique(&(0..n).collect::<Vec<_>>());
+        let weights = (1..=n as Cost).collect();
+        let inst = Instance::from_weighted_graph(WeightedGraph::new(b.build(), weights));
+        assert!(inst.is_chordal() && inst.intervals().is_none());
+        assert_eq!(
+            Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(1340)),
+            None
+        );
+        let _on = trace::arm();
+        trace::begin(false);
+        let a = Optimal
+            .try_allocate(&inst, 2, &SolveBudget::nodes(1341))
+            .expect("the fallback gets every unit");
+        assert_eq!(trace::take().expect("collecting").fuel_consumed, 1341);
+        // Keep the two heaviest: spill 1 + … + 22.
+        assert_eq!(a.spill_cost, 253);
     }
 
     #[test]
@@ -284,7 +284,6 @@ mod tests {
             (10_000, 400_000),
         ] {
             assert_eq!(scaled_node_fuel(n), fuel, "scaled_node_fuel({n})");
-            assert_eq!(SolveBudget::scaled_for(n).node_limit, fuel);
         }
         // Monotone: more temporaries never means less fuel.
         let mut prev = 0;
@@ -305,8 +304,8 @@ mod tests {
         // only {c}: the R=2 spill set is NOT included in the R=1 one.
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)]);
         let inst = Instance::from_weighted_graph(WeightedGraph::new(g, vec![3, 2, 1, 2, 3]));
-        let r1 = Optimal::new().allocate(&inst, 1);
-        let r2 = Optimal::new().allocate(&inst, 2);
+        let r1 = Optimal.allocate(&inst, 1);
+        let r2 = Optimal.allocate(&inst, 2);
         let s1 = r1.spilled_set(&inst);
         let s2 = r2.spilled_set(&inst);
         assert_eq!(s1.iter().collect::<Vec<_>>(), vec![1, 3]);

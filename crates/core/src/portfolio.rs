@@ -21,6 +21,15 @@
 //!    expired deadline, or a zero budget all degrade to the cheap
 //!    result — the policy never errors and never runs unbounded.
 //!
+//! # Fuel
+//!
+//! [`PortfolioConfig::node_budget`] is the one fuel setting. `None`
+//! (the default) grants each escalation [`scaled_node_fuel`] of the
+//! instance's vertex count — 2000 per temporary, clamped to
+//! 20000–400000 — and `Some(n)` pins `n` nodes; `Some(0)` never
+//! escalates. The DP and branch-and-bound tiers of one escalation
+//! share that fuel.
+//!
 //! # Determinism
 //!
 //! With [`PortfolioConfig::time_budget`] unset (the default), every
@@ -65,17 +74,12 @@ pub struct PortfolioConfig {
     /// that instance instead of failing.
     pub cheap: String,
     /// Deterministic node fuel for the exact escalation, per
-    /// [`SolveBudget::node_limit`]. `0` disables escalation entirely.
-    /// Ignored while [`PortfolioConfig::adaptive`] is set — the fuel
-    /// is then [`scaled_node_fuel`]`(n_temps)` instead.
-    pub node_budget: u64,
-    /// Size-adaptive fuel (the default): each escalation runs under
-    /// [`SolveBudget::scaled_for`] the instance's vertex count, so
-    /// small methods certify while huge ones keep a hard latency lid.
-    /// Setting an explicit [`PortfolioConfig::node_budget`] turns
-    /// this off. Fuel stays a pure function of the instance, so
-    /// adaptive budgets keep the thread-count byte-identity contract.
-    pub adaptive: bool,
+    /// [`SolveBudget::node_limit`]. `None` (the default) sizes it per
+    /// instance: [`scaled_node_fuel`]`(n_temps)`, so small methods
+    /// certify while huge ones keep a hard latency lid; fuel stays a
+    /// pure function of the instance, so this keeps the thread-count
+    /// byte-identity contract. `Some(0)` disables escalation entirely.
+    pub node_budget: Option<u64>,
     /// Optional wall-clock budget for the exact escalation. `None`
     /// (the default) keeps the policy fully deterministic;
     /// `Some(Duration::ZERO)` — an already-expired budget — degrades
@@ -92,18 +96,11 @@ pub struct PortfolioConfig {
     pub cache: bool,
 }
 
-/// Default node fuel for **non-adaptive** configurations: enough for
-/// the exact solver to finish on JVM98-sized methods (tens of
-/// temporaries) and to improve a useful fraction of larger ones,
-/// while keeping the worst case at a few milliseconds per function.
-pub const DEFAULT_NODE_BUDGET: u64 = 100_000;
-
 impl Default for PortfolioConfig {
     fn default() -> Self {
         PortfolioConfig {
             cheap: "LH".to_string(),
-            node_budget: DEFAULT_NODE_BUDGET,
-            adaptive: true,
+            node_budget: None,
             time_budget: None,
             cache: true,
         }
@@ -118,31 +115,20 @@ impl PortfolioConfig {
     }
 
     /// Sets an explicit deterministic node fuel for the exact
-    /// escalation, turning size-adaptive scaling **off** (an explicit
+    /// escalation in place of the size-scaled default (an explicit
     /// fuel is a reproducibility pin; silently rescaling it would
     /// defeat the point).
     pub fn node_budget(mut self, nodes: u64) -> Self {
-        self.node_budget = nodes;
-        self.adaptive = false;
-        self
-    }
-
-    /// Enables or disables size-adaptive fuel
-    /// ([`PortfolioConfig::adaptive`]).
-    pub fn adaptive_budget(mut self, enabled: bool) -> Self {
-        self.adaptive = enabled;
+        self.node_budget = Some(nodes);
         self
     }
 
     /// The fuel one escalation over an `n_temps`-vertex instance runs
-    /// under: [`scaled_node_fuel`] when adaptive, the configured
-    /// [`PortfolioConfig::node_budget`] otherwise.
+    /// under: the configured [`PortfolioConfig::node_budget`], or
+    /// [`scaled_node_fuel`] when none is set.
     pub fn effective_node_budget(&self, n_temps: usize) -> u64 {
-        if self.adaptive {
-            scaled_node_fuel(n_temps)
-        } else {
-            self.node_budget
-        }
+        self.node_budget
+            .unwrap_or_else(|| scaled_node_fuel(n_temps))
     }
 
     /// Sets (or clears) the wall-clock budget for the exact
@@ -212,7 +198,6 @@ pub struct Portfolio {
     cheap_spec: &'static AllocatorSpec,
     cheap: Box<dyn Allocator>,
     fallback: LayeredHeuristic,
-    exact: Optimal,
 }
 
 impl std::fmt::Debug for Portfolio {
@@ -238,7 +223,6 @@ impl Portfolio {
             cheap: cheap_spec.build(),
             cheap_spec,
             fallback: LayeredHeuristic::new(),
-            exact: Optimal::new(),
             cfg,
         })
     }
@@ -276,9 +260,8 @@ impl Portfolio {
             return self.decide_uncached(instance, r);
         }
         // The key must carry the fuel the escalation would actually
-        // run under: with adaptive budgets that is the size-scaled
-        // fuel, which differs per instance (and from the unused
-        // `node_budget` field).
+        // run under: without an explicit budget that is the
+        // size-scaled fuel, which differs per instance.
         let key = InstanceKey::new(
             instance,
             r,
@@ -312,7 +295,7 @@ impl Portfolio {
         // escalation decision; the solvers record what they consume.
         crate::trace::add_fuel(fuel);
         let budget = SolveBudget::nodes(fuel).with_time(self.cfg.time_budget);
-        match self.exact.try_allocate(instance, r, &budget) {
+        match Optimal.try_allocate(instance, r, &budget) {
             Some(exact) if exact.spill_cost < cheap_cost => PortfolioOutcome {
                 allocation: exact,
                 cheap_cost,
@@ -540,15 +523,17 @@ mod tests {
     #[test]
     fn default_config_is_adaptive_and_explicit_fuel_is_not() {
         let adaptive = PortfolioConfig::default();
-        assert!(adaptive.adaptive);
+        assert_eq!(adaptive.node_budget, None);
         assert_eq!(adaptive.effective_node_budget(5), scaled_node_fuel(5));
         assert_eq!(adaptive.effective_node_budget(300), scaled_node_fuel(300));
         let pinned = PortfolioConfig::default().node_budget(12_345);
-        assert!(!pinned.adaptive, "an explicit fuel pins the budget");
+        assert_eq!(
+            pinned.node_budget,
+            Some(12_345),
+            "an explicit fuel pins the budget"
+        );
         assert_eq!(pinned.effective_node_budget(5), 12_345);
         assert_eq!(pinned.effective_node_budget(300), 12_345);
-        let back_on = pinned.adaptive_budget(true);
-        assert_eq!(back_on.effective_node_budget(300), scaled_node_fuel(300));
     }
 
     #[test]

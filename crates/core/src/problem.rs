@@ -174,8 +174,9 @@ impl Allocation {
 ///
 /// Implementations must return a *feasible* allocation: the subgraph
 /// induced by the allocated set must be `r`-colourable (see
-/// [`crate::verify`]).
-pub trait Allocator {
+/// [`crate::verify`]). Allocators are `Send + Sync`, so one instance
+/// can serve every worker of a parallel run.
+pub trait Allocator: Send + Sync {
     /// Short name used in experiment tables (`GC`, `NL`, `BFPL`, …).
     fn name(&self) -> &'static str;
 

@@ -122,7 +122,7 @@ static SPECS: &[AllocatorSpec] = &[
         description: "certified exact solver (flow / clique-tree DP / branch-and-bound)",
         needs_intervals: false,
         needs_chordal: false,
-        build: || Box::new(Optimal::new()),
+        build: || Box::new(Optimal),
     },
     AllocatorSpec {
         name: "Portfolio",

@@ -245,8 +245,13 @@ impl Client {
         while done < functions.len() {
             while outstanding < PIPELINE_WINDOW {
                 let Some(k) = pending.pop_front() else { break };
-                let req =
-                    proto::alloc_request_deadline(base + k as u64, &texts[k], self.deadline_ms);
+                let req = proto::alloc_request_full(
+                    base + k as u64,
+                    &texts[k],
+                    self.deadline_ms,
+                    None,
+                    false,
+                );
                 self.send_line(&req)?;
                 outstanding += 1;
             }

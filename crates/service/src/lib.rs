@@ -58,6 +58,6 @@ pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use metrics::{PhaseAgg, ServiceMetrics};
 pub use server::{serve, Server};
 pub use service::{
-    AllocationService, ServeOutcome, ServiceConfig, SubmitError, Ticket, DEFAULT_QUEUE_CAPACITY,
-    DEFAULT_READ_TIMEOUT,
+    AllocationService, ServeOutcome, ServiceConfig, SubmitError, SubmitOptions, Ticket,
+    DEFAULT_QUEUE_CAPACITY, DEFAULT_READ_TIMEOUT,
 };

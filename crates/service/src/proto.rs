@@ -265,24 +265,19 @@ impl Parser<'_> {
 }
 
 /// Builds the `alloc` request line for one function (already rendered
-/// by [`lra_ir::textio::print`]).
+/// by [`lra_ir::textio::print`]) with none of the optional fields:
+/// [`alloc_request_full`] with every extension unset.
 pub fn alloc_request(id: u64, function_text: &str) -> String {
-    alloc_request_deadline(id, function_text, None)
+    alloc_request_full(id, function_text, None, None, false)
 }
 
-/// [`alloc_request`] with an optional relative deadline: with
-/// `deadline_ms` set the request carries a wall-clock budget the
-/// server anchors at parse time; past it, a still-queued request is
-/// shed with [`RejectReason::DeadlineExceeded`] instead of served.
-pub fn alloc_request_deadline(id: u64, function_text: &str, deadline_ms: Option<u64>) -> String {
-    alloc_request_full(id, function_text, deadline_ms, None, false)
-}
-
-/// The fully-general `alloc` request builder: optional relative
-/// deadline, optional correlation `trace_id` (echoed in the
-/// response), optional `trace:true` (the response then carries flat
-/// per-phase timing fields). [`alloc_request`] and
-/// [`alloc_request_deadline`] are the common-case shorthands.
+/// The `alloc` request builder: optional relative deadline (with
+/// `deadline_ms` set the server anchors a wall-clock budget at parse
+/// time; past it, a still-queued request is shed with
+/// [`RejectReason::DeadlineExceeded`] instead of served), optional
+/// correlation `trace_id` (echoed in the response), optional
+/// `trace:true` (the response then carries flat per-phase timing
+/// fields).
 pub fn alloc_request_full(
     id: u64,
     function_text: &str,
@@ -312,11 +307,23 @@ pub fn op_request(id: u64, op: &str) -> String {
     format!("{{\"op\":\"{}\",\"id\":{id}}}", escape(op))
 }
 
-/// Builds the response line for one completed request.
-pub fn alloc_response(id: u64, row: &ReportRow) -> String {
-    match &row.outcome {
+/// Builds the response line for one completed request, with the
+/// optional trace extensions: the request's `trace_id` echoed
+/// verbatim, and — for a successful row whose request asked
+/// `trace:true` — the per-phase timing report as **flat** scalar
+/// fields (the protocol's parser rejects nested containers by
+/// design): `trace_total_us`, one `phase_<name>_us` self-time per
+/// [`lra_core::trace::Phase`], `trace_rounds`, `trace_spill_delta`,
+/// `trace_fuel`, `trace_cache_hits` and `trace_cache_misses`.
+pub fn alloc_response(
+    id: u64,
+    row: &ReportRow,
+    trace_id: Option<&str>,
+    trace: Option<&lra_core::trace::TraceReport>,
+) -> String {
+    let mut line = match &row.outcome {
         Ok(r) => format!(
-            "{{\"id\":{id},\"ok\":true,\"function\":\"{}\",\"spill_cost\":{},\"rounds\":{},\"stores\":{},\"loads\":{},\"converged\":{},\"verified\":{},\"escalated\":{}}}",
+            "{{\"id\":{id},\"ok\":true,\"function\":\"{}\",\"spill_cost\":{},\"rounds\":{},\"stores\":{},\"loads\":{},\"converged\":{},\"verified\":{},\"escalated\":{}",
             escape(&row.function),
             r.spill_cost,
             r.rounds,
@@ -327,45 +334,26 @@ pub fn alloc_response(id: u64, row: &ReportRow) -> String {
             r.escalated
         ),
         Err(e) => format!(
-            "{{\"id\":{id},\"ok\":false,\"function\":\"{}\",\"error\":\"{}\"}}",
+            "{{\"id\":{id},\"ok\":false,\"function\":\"{}\",\"error\":\"{}\"",
             escape(&row.function),
             escape(e)
         ),
-    }
-}
-
-/// [`alloc_response`] with the optional trace extensions: the
-/// request's `trace_id` echoed verbatim, and — for a successful row
-/// whose request asked `trace:true` — the per-phase timing report as
-/// **flat** scalar fields (the protocol's parser rejects nested
-/// containers by design): `trace_total_us`, one `phase_<name>_us`
-/// self-time per [`lra_core::trace::Phase`], `trace_rounds`,
-/// `trace_spill_delta`, `trace_fuel`, `trace_cache_hits` and
-/// `trace_cache_misses`. Without either extension this is byte-for-
-/// byte [`alloc_response`].
-pub fn alloc_response_traced(
-    id: u64,
-    row: &ReportRow,
-    trace_id: Option<&str>,
-    trace: Option<&lra_core::trace::TraceReport>,
-) -> String {
-    let mut line = alloc_response(id, row);
-    let mut extra = String::new();
+    };
     if let Some(tid) = trace_id {
-        let _ = write!(extra, ",\"trace_id\":\"{}\"", escape(tid));
+        let _ = write!(line, ",\"trace_id\":\"{}\"", escape(tid));
     }
     if let (Some(t), Ok(_)) = (trace, &row.outcome) {
-        let _ = write!(extra, ",\"trace_total_us\":{}", t.total_self_ns() / 1_000);
+        let _ = write!(line, ",\"trace_total_us\":{}", t.total_self_ns() / 1_000);
         for phase in lra_core::trace::Phase::ALL {
             let _ = write!(
-                extra,
+                line,
                 ",\"phase_{}_us\":{}",
                 phase.name(),
                 t.phase_self_us(phase)
             );
         }
         let _ = write!(
-            extra,
+            line,
             ",\"trace_rounds\":{},\"trace_spill_delta\":{},\"trace_fuel\":{},\
              \"trace_cache_hits\":{},\"trace_cache_misses\":{}",
             t.rounds,
@@ -375,12 +363,7 @@ pub fn alloc_response_traced(
             t.cache_misses()
         );
     }
-    if !extra.is_empty() {
-        debug_assert!(line.ends_with('}'));
-        line.pop();
-        line.push_str(&extra);
-        line.push('}');
-    }
+    line.push('}');
     line
 }
 
@@ -416,15 +399,10 @@ impl RejectReason {
     }
 }
 
-/// Builds the load-shedding rejection line.
-pub fn rejected_response(id: u64, reason: RejectReason) -> String {
-    rejected_response_traced(id, reason, None)
-}
-
-/// [`rejected_response`] with the request's `trace_id` echoed, so a
-/// pipelined caller can correlate sheds too (a shed request has no
-/// timing to report — the pipeline never ran).
-pub fn rejected_response_traced(id: u64, reason: RejectReason, trace_id: Option<&str>) -> String {
+/// Builds the load-shedding rejection line, echoing the request's
+/// `trace_id` (if any) so a pipelined caller can correlate sheds too
+/// (a shed request has no timing to report — the pipeline never ran).
+pub fn rejected_response(id: u64, reason: RejectReason, trace_id: Option<&str>) -> String {
     let mut line = format!(
         "{{\"id\":{id},\"rejected\":true,\"reason\":\"{}\"",
         reason.as_str()
@@ -595,7 +573,7 @@ mod tests {
             outcome: Err("pipeline panicked: \"boom\"".to_string()),
         };
         for (id, row) in [(5u64, &ok), (6, &err)] {
-            let line = alloc_response(id, row);
+            let line = alloc_response(id, row, None, None);
             match parse_response(&line).unwrap() {
                 Response::Row { id: got, row: r } => {
                     assert_eq!(got, id);
@@ -608,14 +586,15 @@ mod tests {
 
     #[test]
     fn rejection_and_error_lines_parse() {
-        match parse_response(&rejected_response(11, RejectReason::QueueFull)).unwrap() {
+        match parse_response(&rejected_response(11, RejectReason::QueueFull, None)).unwrap() {
             Response::Rejected { id, reason } => {
                 assert_eq!(id, 11);
                 assert_eq!(reason, RejectReason::QueueFull);
             }
             other => panic!("{other:?}"),
         }
-        match parse_response(&rejected_response(12, RejectReason::DeadlineExceeded)).unwrap() {
+        match parse_response(&rejected_response(12, RejectReason::DeadlineExceeded, None)).unwrap()
+        {
             Response::Rejected { id, reason } => {
                 assert_eq!(id, 12);
                 assert_eq!(reason, RejectReason::DeadlineExceeded);
@@ -677,18 +656,13 @@ mod tests {
                 escalated: false,
             }),
         };
-        // Without extensions, byte-identical to the plain builder.
-        assert_eq!(
-            alloc_response_traced(5, &row, None, None),
-            alloc_response(5, &row)
-        );
         let mut t = lra_core::trace::TraceReport::default();
         t.phases[lra_core::trace::Phase::Allocate as usize].self_ns = 301_000;
         t.phases[lra_core::trace::Phase::Allocate as usize].count = 3;
         t.rounds = 3;
         t.fuel = 100_000;
         t.shard_hits[2] = 1;
-        let line = alloc_response_traced(5, &row, Some("req-5"), Some(&t));
+        let line = alloc_response(5, &row, Some("req-5"), Some(&t));
         // The extended line is still one flat object the protocol
         // parser accepts, and the standard row survives intact.
         let fields = parse_object(&line).unwrap();
@@ -712,12 +686,12 @@ mod tests {
             function: "jit::m1".to_string(),
             outcome: Err("boom".to_string()),
         };
-        let line = alloc_response_traced(6, &err, Some("req-6"), Some(&t));
+        let line = alloc_response(6, &err, Some("req-6"), Some(&t));
         let fields = parse_object(&line).unwrap();
         assert_eq!(fields["trace_id"].as_str(), Some("req-6"));
         assert!(!fields.contains_key("trace_total_us"));
 
-        let rej = rejected_response_traced(7, RejectReason::QueueFull, Some("req-7"));
+        let rej = rejected_response(7, RejectReason::QueueFull, Some("req-7"));
         let fields = parse_object(&rej).unwrap();
         assert_eq!(fields["trace_id"].as_str(), Some("req-7"));
         match parse_response(&rej).unwrap() {
@@ -730,10 +704,12 @@ mod tests {
 
     #[test]
     fn deadline_requests_carry_the_budget() {
-        let req = alloc_request_deadline(
+        let req = alloc_request_full(
             9,
             "fn f values=0 entry=0 params=-\nbb0: succs=-\nend\n",
             Some(250),
+            None,
+            false,
         );
         let map = parse_object(&req).unwrap();
         assert_eq!(map["deadline_ms"].as_u64(), Some(250));
@@ -741,5 +717,104 @@ mod tests {
         // format of deadline-free clients unchanged.
         let bare = alloc_request(9, "fn f values=0 entry=0 params=-\nbb0: succs=-\nend\n");
         assert!(!parse_object(&bare).unwrap().contains_key("deadline_ms"));
+    }
+
+    #[test]
+    fn wire_lines_are_pinned_byte_for_byte() {
+        // Every request, response and rejection line the protocol
+        // emits, with none of the trace extensions, with `trace_id`
+        // only, and with `trace_id` plus `trace:true` timings. Any
+        // change here is a wire-format change that every deployed
+        // client sees.
+        let text = "fn f values=1 entry=0 params=-\nbb0: succs=-\nend\n";
+        let ok = ReportRow {
+            function: "jit::m0".to_string(),
+            outcome: Ok(RowStats {
+                spill_cost: 42,
+                rounds: 3,
+                stores: 7,
+                loads: 9,
+                converged: true,
+                verified: true,
+                escalated: false,
+            }),
+        };
+        let err = ReportRow {
+            function: "jit::\"m1\"".to_string(),
+            outcome: Err("pipeline panicked: \"boom\"".to_string()),
+        };
+        let mut t = lra_core::trace::TraceReport::default();
+        t.phases[lra_core::trace::Phase::Allocate as usize].self_ns = 301_000;
+        t.phases[lra_core::trace::Phase::Allocate as usize].count = 3;
+        t.phases[lra_core::trace::Phase::Verify as usize].self_ns = 12_500;
+        t.rounds = 3;
+        t.spill_delta = 17;
+        t.fuel = 100_000;
+        t.shard_hits[2] = 1;
+        t.shard_misses[5] = 2;
+        let ok_traced = concat!(
+            r#"{"id":5,"ok":true,"function":"jit::m0","spill_cost":42,"rounds":3,"stores":7,"loads":9,"converged":true,"verified":true,"escalated":false,"trace_id":"req-5""#,
+            r#","trace_total_us":313,"phase_pipeline_us":0,"phase_round_us":0,"phase_analysis_us":0,"phase_spill_costs_us":0,"phase_instance_build_us":0,"phase_allocate_us":301,"phase_verify_us":12,"phase_rewrite_us":0,"phase_reanalyse_us":0,"phase_escalate_prep_us":0"#,
+            r#","trace_rounds":3,"trace_spill_delta":17,"trace_fuel":100000,"trace_cache_hits":1,"trace_cache_misses":2}"#,
+        );
+        let cases: [(String, &str); 14] = [
+            (
+                alloc_request(3, text),
+                r#"{"op":"alloc","id":3,"fn":"fn f values=1 entry=0 params=-\nbb0: succs=-\nend\n"}"#,
+            ),
+            (
+                alloc_request_full(4, text, None, Some("req-4"), false),
+                r#"{"op":"alloc","id":4,"fn":"fn f values=1 entry=0 params=-\nbb0: succs=-\nend\n","trace_id":"req-4"}"#,
+            ),
+            (
+                alloc_request_full(5, text, None, Some("req-5"), true),
+                r#"{"op":"alloc","id":5,"fn":"fn f values=1 entry=0 params=-\nbb0: succs=-\nend\n","trace_id":"req-5","trace":true}"#,
+            ),
+            (
+                alloc_request_full(6, text, Some(250), Some("req-6"), true),
+                r#"{"op":"alloc","id":6,"fn":"fn f values=1 entry=0 params=-\nbb0: succs=-\nend\n","deadline_ms":250,"trace_id":"req-6","trace":true}"#,
+            ),
+            (
+                alloc_response(5, &ok, None, None),
+                r#"{"id":5,"ok":true,"function":"jit::m0","spill_cost":42,"rounds":3,"stores":7,"loads":9,"converged":true,"verified":true,"escalated":false}"#,
+            ),
+            (
+                alloc_response(5, &ok, Some("req-5"), None),
+                r#"{"id":5,"ok":true,"function":"jit::m0","spill_cost":42,"rounds":3,"stores":7,"loads":9,"converged":true,"verified":true,"escalated":false,"trace_id":"req-5"}"#,
+            ),
+            (alloc_response(5, &ok, Some("req-5"), Some(&t)), ok_traced),
+            (
+                alloc_response(6, &err, None, None),
+                r#"{"id":6,"ok":false,"function":"jit::\"m1\"","error":"pipeline panicked: \"boom\""}"#,
+            ),
+            (
+                alloc_response(6, &err, Some("req-6"), None),
+                r#"{"id":6,"ok":false,"function":"jit::\"m1\"","error":"pipeline panicked: \"boom\"","trace_id":"req-6"}"#,
+            ),
+            // An error row carries no timings, even when asked for.
+            (
+                alloc_response(6, &err, Some("req-6"), Some(&t)),
+                r#"{"id":6,"ok":false,"function":"jit::\"m1\"","error":"pipeline panicked: \"boom\"","trace_id":"req-6"}"#,
+            ),
+            (
+                rejected_response(7, RejectReason::QueueFull, None),
+                r#"{"id":7,"rejected":true,"reason":"queue_full"}"#,
+            ),
+            (
+                rejected_response(7, RejectReason::QueueFull, Some("req-7")),
+                r#"{"id":7,"rejected":true,"reason":"queue_full","trace_id":"req-7"}"#,
+            ),
+            (
+                rejected_response(8, RejectReason::DeadlineExceeded, None),
+                r#"{"id":8,"rejected":true,"reason":"deadline_exceeded"}"#,
+            ),
+            (
+                rejected_response(8, RejectReason::DeadlineExceeded, Some("req-8")),
+                r#"{"id":8,"rejected":true,"reason":"deadline_exceeded","trace_id":"req-8"}"#,
+            ),
+        ];
+        for (i, (got, want)) in cases.iter().enumerate() {
+            assert_eq!(got, want, "line {i}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! thread per client, responses written from the worker callbacks.
 
 use crate::proto;
-use crate::service::{AllocationService, ServeOutcome, ServiceConfig, SubmitError};
+use crate::service::{AllocationService, ServeOutcome, ServiceConfig, SubmitError, SubmitOptions};
 use crate::ServiceMetrics;
 use lra_ir::textio;
 use std::io::{self, BufRead as _, BufReader, Write as _};
@@ -275,7 +275,7 @@ fn handle_connection(
                 let cb_service = Arc::clone(service);
                 let on_done = move |outcome| {
                     let line = match outcome {
-                        ServeOutcome::Served(item) => proto::alloc_response_traced(
+                        ServeOutcome::Served(item) => proto::alloc_response(
                             id,
                             &item.row(),
                             trace_id.as_deref(),
@@ -284,7 +284,7 @@ fn handle_connection(
                             // keeps its wire format unchanged.
                             if trace { item.trace.as_ref() } else { None },
                         ),
-                        ServeOutcome::DeadlineExpired { .. } => proto::rejected_response_traced(
+                        ServeOutcome::DeadlineExpired { .. } => proto::rejected_response(
                             id,
                             proto::RejectReason::DeadlineExceeded,
                             trace_id.as_deref(),
@@ -300,17 +300,12 @@ fn handle_connection(
                     }
                     write_line(&cb_writer, &line);
                 };
-                let submitted = if trace {
-                    service.submit_traced_with(function, deadline, on_done)
-                } else {
-                    service.submit_with_deadline(function, deadline, on_done)
-                };
-                match submitted {
+                match service.submit_with(function, SubmitOptions { deadline, trace }, on_done) {
                     Ok(()) => {}
                     Err(SubmitError::QueueFull { .. }) => {
                         write_line(
                             &writer,
-                            &proto::rejected_response_traced(
+                            &proto::rejected_response(
                                 id,
                                 proto::RejectReason::QueueFull,
                                 reject_trace_id.as_deref(),

@@ -1,6 +1,13 @@
 //! The in-process allocation service: a persistent worker pool over a
 //! bounded request queue, with deadline shedding and watermark-based
 //! graceful degradation.
+//!
+//! A request enters through one of two calls that differ only in how
+//! the answer comes back: [`AllocationService::submit`] returns a
+//! [`Ticket`] to wait on, [`AllocationService::submit_with`] runs a
+//! callback on the worker thread. Both take [`SubmitOptions`] — an
+//! optional deadline and per-request tracing — and `submit` is
+//! `submit_with` whose callback feeds the ticket's channel.
 
 #[cfg(any(test, feature = "chaos"))]
 use crate::fault::{FaultInjector, FaultPlan};
@@ -174,28 +181,31 @@ impl ServeOutcome {
     }
 }
 
-/// How a completed request's [`ServeOutcome`] gets back to the
-/// submitter.
-enum Responder {
-    /// An in-process ticket wait.
-    Channel(mpsc::Sender<ServeOutcome>),
-    /// An arbitrary completion callback (the TCP front end writes the
-    /// response line from it, on the worker thread).
-    Callback(Box<dyn FnOnce(ServeOutcome) + Send>),
+/// Per-request options for [`AllocationService::submit`] and
+/// [`AllocationService::submit_with`]. The default sets neither: no
+/// deadline, no tracing — the byte-identical batch path.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SubmitOptions {
+    /// Absolute deadline: a request still queued at this instant is
+    /// shed ([`ServeOutcome::DeadlineExpired`]) instead of run, and a
+    /// request that starts before it runs under the remaining
+    /// wall-clock budget ([`AllocationPipeline::time_budget`]). Wait on
+    /// such a ticket with [`Ticket::wait_outcome`].
+    pub deadline: Option<Instant>,
+    /// Arm [`lra_core::trace`] around the run, so the item comes back
+    /// with a populated [`lra_core::batch::BatchItem::trace`]. Output
+    /// bytes are identical to an untraced submission.
+    pub trace: bool,
 }
+
+/// A completion callback, run on the worker thread.
+type OnDone = Box<dyn FnOnce(ServeOutcome) + Send>;
 
 struct Job {
     function: Function,
-    responder: Responder,
+    on_done: OnDone,
     enqueued: Instant,
-    /// Absolute point past which the request is shed instead of
-    /// served (`None` = no deadline).
-    deadline: Option<Instant>,
-    /// Whether the worker arms [`lra_core::trace`] around this job so
-    /// its [`BatchItem::trace`] comes back populated (the `trace:true`
-    /// proto request). Tracing never changes output bytes, only
-    /// attaches the side-channel report.
-    trace: bool,
+    opts: SubmitOptions,
 }
 
 struct Shared {
@@ -279,7 +289,7 @@ impl Ticket {
 /// ```
 /// use lra_core::driver::AllocationPipeline;
 /// use lra_ir::builder::FunctionBuilder;
-/// use lra_service::{AllocationService, ServiceConfig};
+/// use lra_service::{AllocationService, ServiceConfig, SubmitOptions};
 /// use lra_targets::{Target, TargetKind};
 ///
 /// let pipeline = AllocationPipeline::new(Target::new(TargetKind::St231)).registers(2);
@@ -288,7 +298,9 @@ impl Ticket {
 /// let e = b.entry_block();
 /// let x = b.op(e, &[]);
 /// b.op(e, &[x]);
-/// let ticket = service.submit(b.finish()).expect("queue has room");
+/// let ticket = service
+///     .submit(b.finish(), SubmitOptions::default())
+///     .expect("queue has room");
 /// assert!(ticket.wait().outcome.is_ok());
 /// let metrics = service.shutdown();
 /// assert_eq!(metrics.served, 1);
@@ -328,54 +340,22 @@ impl AllocationService {
         }
     }
 
-    /// Submits one function, returning a [`Ticket`] to wait on.
+    /// Submits one function, returning a [`Ticket`] to wait on:
+    /// [`AllocationService::submit_with`] whose callback feeds the
+    /// ticket.
     ///
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] when the queue is at capacity,
     /// [`SubmitError::ShuttingDown`] after shutdown began. The
     /// function is returned inside the error either way.
-    pub fn submit(&self, function: Function) -> Result<Ticket, SubmitError> {
-        self.submit_deadline(function, None)
-    }
-
-    /// [`AllocationService::submit`] with an optional absolute
-    /// deadline: if the request is still queued at `deadline`, the
-    /// worker sheds it ([`ServeOutcome::DeadlineExpired`]) instead of
-    /// running the pipeline, and a request that starts before the
-    /// deadline runs under the remaining wall-clock budget
-    /// ([`AllocationPipeline::time_budget`]). Wait on the ticket with
-    /// [`Ticket::wait_outcome`].
-    ///
-    /// # Errors
-    ///
-    /// Same rejections as [`AllocationService::submit`].
-    pub fn submit_deadline(
-        &self,
-        function: Function,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, SubmitError> {
+    pub fn submit(&self, function: Function, opts: SubmitOptions) -> Result<Ticket, SubmitError> {
         let (tx, rx) = mpsc::channel();
-        self.enqueue(function, Responder::Channel(tx), deadline, false)?;
-        Ok(Ticket { rx })
-    }
-
-    /// [`AllocationService::submit_deadline`] with per-request tracing:
-    /// the worker arms [`lra_core::trace`] around the run, so the
-    /// returned item carries a populated
-    /// [`lra_core::batch::BatchItem::trace`]. Output bytes are
-    /// identical to an untraced submission.
-    ///
-    /// # Errors
-    ///
-    /// Same rejections as [`AllocationService::submit`].
-    pub fn submit_traced(
-        &self,
-        function: Function,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(function, Responder::Channel(tx), deadline, true)?;
+        // A submitter that dropped its ticket no longer wants the
+        // answer, so a dead channel is ignored.
+        self.submit_with(function, opts, move |outcome| {
+            let _ = tx.send(outcome);
+        })?;
         Ok(Ticket { rx })
     }
 
@@ -390,67 +370,14 @@ impl AllocationService {
     pub fn submit_with(
         &self,
         function: Function,
+        opts: SubmitOptions,
         on_done: impl FnOnce(ServeOutcome) + Send + 'static,
-    ) -> Result<(), SubmitError> {
-        self.submit_with_deadline(function, None, on_done)
-    }
-
-    /// [`AllocationService::submit_with`] with an optional absolute
-    /// deadline (the callback analogue of
-    /// [`AllocationService::submit_deadline`]).
-    ///
-    /// # Errors
-    ///
-    /// Same rejections as [`AllocationService::submit`].
-    pub fn submit_with_deadline(
-        &self,
-        function: Function,
-        deadline: Option<Instant>,
-        on_done: impl FnOnce(ServeOutcome) + Send + 'static,
-    ) -> Result<(), SubmitError> {
-        self.enqueue(
-            function,
-            Responder::Callback(Box::new(on_done)),
-            deadline,
-            false,
-        )
-    }
-
-    /// [`AllocationService::submit_with_deadline`] with per-request
-    /// tracing (the callback analogue of
-    /// [`AllocationService::submit_traced`]) — the TCP front end's
-    /// entry point for `trace:true` requests.
-    ///
-    /// # Errors
-    ///
-    /// Same rejections as [`AllocationService::submit`].
-    pub fn submit_traced_with(
-        &self,
-        function: Function,
-        deadline: Option<Instant>,
-        on_done: impl FnOnce(ServeOutcome) + Send + 'static,
-    ) -> Result<(), SubmitError> {
-        self.enqueue(
-            function,
-            Responder::Callback(Box::new(on_done)),
-            deadline,
-            true,
-        )
-    }
-
-    fn enqueue(
-        &self,
-        function: Function,
-        responder: Responder,
-        deadline: Option<Instant>,
-        trace: bool,
     ) -> Result<(), SubmitError> {
         let job = Job {
             function,
-            responder,
+            on_done: Box::new(on_done),
             enqueued: Instant::now(),
-            deadline,
-            trace,
+            opts,
         };
         self.shared.queue.try_push(job).map_err(|e| {
             self.shared.metrics.record_rejected();
@@ -480,7 +407,7 @@ impl AllocationService {
         for f in functions {
             let mut function = f.clone();
             loop {
-                match self.submit(function) {
+                match self.submit(function, SubmitOptions::default()) {
                     Ok(t) => {
                         tickets.push(t);
                         break;
@@ -557,18 +484,9 @@ const WORKER_CLAIM: usize = 4;
 /// Delivers one outcome to its submitter, absorbing callback panics
 /// (user code must not kill a worker — the queue behind it still holds
 /// accepted requests the drain contract promises to serve; the panic
-/// message still reaches stderr via the process panic hook). A
-/// submitter that dropped its ticket no longer wants the answer, so a
-/// dead channel is ignored too.
-fn respond(responder: Responder, outcome: ServeOutcome) {
-    match responder {
-        Responder::Channel(tx) => {
-            let _ = tx.send(outcome);
-        }
-        Responder::Callback(cb) => {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || cb(outcome)));
-        }
-    }
+/// message still reaches stderr via the process panic hook).
+fn respond(on_done: OnDone, outcome: ServeOutcome) {
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || on_done(outcome)));
 }
 
 /// A chaos-injected worker panic, caught exactly the way a pipeline
@@ -624,12 +542,13 @@ fn worker_loop(shared: &Shared, worker_index: usize) {
             // is waiting for. `saturating_duration_since` makes a
             // deadline at-or-before now deterministically zero.
             let remaining = job
+                .opts
                 .deadline
                 .map(|d| d.saturating_duration_since(Instant::now()));
             if remaining.is_some_and(|left| left.is_zero()) {
                 shared.metrics.record_deadline_exceeded();
                 respond(
-                    job.responder,
+                    job.on_done,
                     ServeOutcome::DeadlineExpired {
                         function: job.function.name,
                     },
@@ -665,7 +584,7 @@ fn worker_loop(shared: &Shared, worker_index: usize) {
             // run (globally-armed tracing — LRA_TRACE — covers every
             // job without this guard). The guard drops right after the
             // item is built.
-            let armed = job.trace.then(lra_core::trace::arm);
+            let armed = job.opts.trace.then(lra_core::trace::arm);
             #[cfg(any(test, feature = "chaos"))]
             let item = if fault.panic {
                 chaos_panic_item(&job.function)
@@ -685,7 +604,7 @@ fn worker_loop(shared: &Shared, worker_index: usize) {
             shared
                 .metrics
                 .record_served(worker_index, job.enqueued.elapsed());
-            respond(job.responder, ServeOutcome::Served(item));
+            respond(job.on_done, ServeOutcome::Served(item));
         }
     }
 }
@@ -733,7 +652,11 @@ mod tests {
         );
         let tickets: Vec<_> = fs
             .iter()
-            .map(|f| service.submit(f.clone()).expect("queue has room"))
+            .map(|f| {
+                service
+                    .submit(f.clone(), SubmitOptions::default())
+                    .expect("queue has room")
+            })
             .collect();
         let items: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
         let report = service.fault_report().expect("a fault plan is installed");
@@ -769,7 +692,8 @@ mod tests {
         let service = AllocationService::start(ServiceConfig::new(pipeline()).workers(1));
         assert!(service.fault_report().is_none(), "no plan, no injector");
         for f in &fs {
-            assert!(service.submit(f.clone()).unwrap().wait().outcome.is_ok());
+            let ticket = service.submit(f.clone(), SubmitOptions::default());
+            assert!(ticket.unwrap().wait().outcome.is_ok());
         }
         service.shutdown();
     }

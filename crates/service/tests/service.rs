@@ -8,7 +8,9 @@ use lra_core::pipeline::InstanceKind;
 use lra_core::portfolio::PortfolioConfig;
 use lra_ir::genprog::{random_jit_function, random_ssa_function, JitConfig, SsaConfig};
 use lra_ir::Function;
-use lra_service::{serve, AllocationService, Client, ServeOutcome, ServiceConfig, SubmitError};
+use lra_service::{
+    serve, AllocationService, Client, ServeOutcome, ServiceConfig, SubmitError, SubmitOptions,
+};
 use lra_targets::{Target, TargetKind};
 use rand::SeedableRng as _;
 use rand_chacha::ChaCha8Rng;
@@ -102,7 +104,7 @@ fn concurrent_submitters_get_deterministic_per_request_reports() {
                 for (k, f) in fs.iter().enumerate().filter(|(k, _)| k % 2 == t) {
                     let mut function = f.clone();
                     let ticket = loop {
-                        match service.submit(function) {
+                        match service.submit(function, SubmitOptions::default()) {
                             Ok(ticket) => break ticket,
                             Err(SubmitError::QueueFull { function: back, .. }) => {
                                 function = back;
@@ -143,7 +145,7 @@ fn full_queue_rejects_and_recovers() {
     let (entered_tx, entered_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel();
     service
-        .submit_with(fs[0].clone(), move |_| {
+        .submit_with(fs[0].clone(), SubmitOptions::default(), move |_| {
             entered_tx.send(()).unwrap();
             release_rx.recv().unwrap();
         })
@@ -151,9 +153,13 @@ fn full_queue_rejects_and_recovers() {
     // Wait until the worker is inside the callback — the queue is now
     // empty and the only worker is pinned.
     entered_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-    let t1 = service.submit(fs[1].clone()).expect("slot 1 of 2");
-    let t2 = service.submit(fs[2].clone()).expect("slot 2 of 2");
-    match service.submit(fs[3].clone()) {
+    let t1 = service
+        .submit(fs[1].clone(), SubmitOptions::default())
+        .expect("slot 1 of 2");
+    let t2 = service
+        .submit(fs[2].clone(), SubmitOptions::default())
+        .expect("slot 2 of 2");
+    match service.submit(fs[3].clone(), SubmitOptions::default()) {
         Err(SubmitError::QueueFull { capacity, function }) => {
             assert_eq!(capacity, 2);
             assert_eq!(function.name, fs[3].name, "the function comes back");
@@ -176,11 +182,17 @@ fn panicking_callback_does_not_kill_the_worker_or_the_drain_contract() {
     let service =
         AllocationService::start(ServiceConfig::new(pipeline()).workers(1).queue_capacity(8));
     service
-        .submit_with(fs[0].clone(), |_| panic!("callback bug"))
+        .submit_with(fs[0].clone(), SubmitOptions::default(), |_| {
+            panic!("callback bug")
+        })
         .expect("accepted");
     // The single worker must survive the panic and keep serving.
-    let t1 = service.submit(fs[1].clone()).expect("accepted");
-    let t2 = service.submit(fs[2].clone()).expect("accepted");
+    let t1 = service
+        .submit(fs[1].clone(), SubmitOptions::default())
+        .expect("accepted");
+    let t2 = service
+        .submit(fs[2].clone(), SubmitOptions::default())
+        .expect("accepted");
     assert!(t1.wait().outcome.is_ok());
     assert!(t2.wait().outcome.is_ok());
     let metrics = service.shutdown();
@@ -197,7 +209,11 @@ fn shutdown_drains_every_accepted_request() {
         AllocationService::start(ServiceConfig::new(pipeline()).workers(2).queue_capacity(16));
     let tickets: Vec<_> = fs
         .iter()
-        .map(|f| service.submit(f.clone()).expect("queue has room"))
+        .map(|f| {
+            service
+                .submit(f.clone(), SubmitOptions::default())
+                .expect("queue has room")
+        })
         .collect();
     let metrics = service.shutdown();
     assert_eq!(metrics.served, 6, "no accepted request may be dropped");
@@ -205,7 +221,7 @@ fn shutdown_drains_every_accepted_request() {
         assert!(t.wait().outcome.is_ok(), "drained results stay readable");
     }
     // After shutdown, new submissions are refused.
-    match service.submit(fs[0].clone()) {
+    match service.submit(fs[0].clone(), SubmitOptions::default()) {
         Err(SubmitError::ShuttingDown { .. }) => {}
         other => panic!("expected ShuttingDown, got {:?}", other.map(|_| "ticket")),
     }
@@ -440,7 +456,7 @@ fn shutdown_under_load_answers_every_accepted_request_exactly_once() {
                     let mut accepted = 0u64;
                     for f in fs.iter().cycle().skip(t).take(40) {
                         let answered = Arc::clone(&answered);
-                        match service.submit_with(f.clone(), move |_| {
+                        match service.submit_with(f.clone(), SubmitOptions::default(), move |_| {
                             answered.fetch_add(1, Ordering::SeqCst);
                         }) {
                             Ok(()) => accepted += 1,
@@ -481,16 +497,24 @@ fn expired_deadlines_are_shed_at_dequeue_not_run() {
     let (entered_tx, entered_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel();
     service
-        .submit_with(fs[0].clone(), move |_| {
+        .submit_with(fs[0].clone(), SubmitOptions::default(), move |_| {
             entered_tx.send(()).unwrap();
             release_rx.recv().unwrap();
         })
         .expect("accepted");
     entered_rx.recv_timeout(Duration::from_secs(10)).unwrap();
     let doomed = service
-        .submit_deadline(fs[1].clone(), Some(Instant::now()))
+        .submit(
+            fs[1].clone(),
+            SubmitOptions {
+                deadline: Some(Instant::now()),
+                trace: false,
+            },
+        )
         .expect("accepted");
-    let healthy = service.submit(fs[2].clone()).expect("accepted");
+    let healthy = service
+        .submit(fs[2].clone(), SubmitOptions::default())
+        .expect("accepted");
     release_tx.send(()).unwrap();
     match doomed.wait_outcome() {
         ServeOutcome::DeadlineExpired { function } => assert_eq!(function, fs[1].name),
@@ -547,7 +571,7 @@ fn overload_degrades_to_the_cheap_tier_and_stays_available() {
     let (entered_tx, entered_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel();
     service
-        .submit_with(fs[0].clone(), move |_| {
+        .submit_with(fs[0].clone(), SubmitOptions::default(), move |_| {
             entered_tx.send(()).unwrap();
             release_rx.recv().unwrap();
         })
@@ -555,7 +579,11 @@ fn overload_degrades_to_the_cheap_tier_and_stays_available() {
     entered_rx.recv_timeout(Duration::from_secs(10)).unwrap();
     let tickets: Vec<_> = fs[1..]
         .iter()
-        .map(|f| service.submit(f.clone()).expect("burst fits the queue"))
+        .map(|f| {
+            service
+                .submit(f.clone(), SubmitOptions::default())
+                .expect("burst fits the queue")
+        })
         .collect();
     release_tx.send(()).unwrap();
     for t in tickets {
@@ -589,7 +617,13 @@ fn traced_submissions_return_traces_and_identical_rows() {
     let service = AllocationService::start(ServiceConfig::new(portfolio_pipeline()).workers(2));
     for (k, f) in fs.iter().enumerate() {
         let item = service
-            .submit_traced(f.clone(), None)
+            .submit(
+                f.clone(),
+                SubmitOptions {
+                    deadline: None,
+                    trace: true,
+                },
+            )
             .expect("queue has room")
             .wait();
         assert_eq!(
@@ -604,7 +638,10 @@ fn traced_submissions_return_traces_and_identical_rows() {
         );
     }
     // Untraced submissions on the same service stay trace-free.
-    let plain = service.submit(fs[0].clone()).expect("accepted").wait();
+    let plain = service
+        .submit(fs[0].clone(), SubmitOptions::default())
+        .expect("accepted")
+        .wait();
     assert!(
         plain.trace.is_none(),
         "untraced submissions collect nothing"

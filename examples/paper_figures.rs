@@ -112,7 +112,7 @@ fn main() {
     let inst2 = Instance::from_weighted_graph(WeightedGraph::new(g2.build(), vec![3, 2, 1, 2, 3]));
     let names2 = ["a", "b", "c", "d", "e"];
     for r in [1u32, 2] {
-        let opt = Optimal::new().allocate(&inst2, r);
+        let opt = Optimal.allocate(&inst2, r);
         let spilled: Vec<&str> = opt.spilled_set(&inst2).iter().map(|v| names2[v]).collect();
         println!("R = {r}: optimal spill set = {{{}}}", spilled.join(", "));
     }

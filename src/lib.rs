@@ -74,4 +74,4 @@ pub use lra_core::{
     PortfolioOutcome, PortfolioSource, ReportRow, RowStats, SolveBudget,
 };
 pub use lra_ir::AnalysisScratch;
-pub use lra_service::{AllocationService, ServiceConfig, ServiceMetrics};
+pub use lra_service::{AllocationService, ServiceConfig, ServiceMetrics, SubmitOptions};

@@ -3,7 +3,7 @@
 
 use lra::core::baselines::ChaitinBriggs;
 use lra::core::layered::Layered;
-use lra::core::optimal::{branch_bound, chordal_dp, flow};
+use lra::core::optimal::{branch_bound, chordal_dp, flow, SolveBudget};
 use lra::core::problem::{Allocator, Instance};
 use lra::core::{verify, LayeredHeuristic, Optimal};
 use lra::graph::{generate, peo, stable, WeightedGraph};
@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn layered_feasible_and_bounded(seed in 0u64..10_000, n in 8usize..40, r in 1u32..6) {
         let inst = chordal_instance(seed, n);
-        let opt = Optimal::new().allocate(&inst, r);
+        let opt = Optimal.allocate(&inst, r);
         prop_assert!(verify::check(&inst, &opt, r).is_feasible());
         for alg in [Layered::nl(), Layered::bl(), Layered::fpl(), Layered::bfpl()] {
             let a = alg.allocate(&inst, r);
@@ -91,7 +91,7 @@ proptest! {
     fn dp_and_flow_agree(seed in 0u64..10_000, n in 5usize..30, r in 1u32..6) {
         let inst = interval_instance(seed, n);
         let by_flow = flow::solve(&inst, r);
-        if let Some(by_dp) = chordal_dp::solve(&inst, r) {
+        if let Some(by_dp) = chordal_dp::solve(&inst, r, &mut SolveBudget::unlimited()) {
             prop_assert_eq!(by_flow.spill_cost, by_dp.spill_cost);
         }
         prop_assert!(verify::check(&inst, &by_flow, r).is_feasible());
@@ -102,8 +102,8 @@ proptest! {
     #[test]
     fn branch_bound_matches_dp(seed in 0u64..10_000, n in 5usize..16, r in 1u32..4) {
         let inst = chordal_instance(seed, n);
-        let dp = chordal_dp::solve(&inst, r).expect("small bags");
-        let bb = branch_bound::solve(&inst, r, 50_000_000).expect("within budget");
+        let dp = chordal_dp::solve(&inst, r, &mut SolveBudget::unlimited()).expect("small bags");
+        let bb = branch_bound::solve(&inst, r, &mut SolveBudget::nodes(50_000_000)).expect("within budget");
         prop_assert_eq!(dp.spill_cost, bb.spill_cost);
     }
 
@@ -116,7 +116,7 @@ proptest! {
         let gc = ChaitinBriggs::new().allocate(&inst, r);
         prop_assert!(verify::check(&inst, &lh, r).is_feasible());
         prop_assert!(verify::check(&inst, &gc, r).is_feasible());
-        let opt = branch_bound::solve(&inst, r, 50_000_000).expect("within budget");
+        let opt = branch_bound::solve(&inst, r, &mut SolveBudget::nodes(50_000_000)).expect("within budget");
         prop_assert!(lh.spill_cost >= opt.spill_cost);
         prop_assert!(gc.spill_cost >= opt.spill_cost);
     }
@@ -127,7 +127,7 @@ proptest! {
         let inst = chordal_instance(seed, n);
         let mut prev = u64::MAX;
         for r in 1..=6u32 {
-            let c = Optimal::new().allocate(&inst, r).spill_cost;
+            let c = Optimal.allocate(&inst, r).spill_cost;
             prop_assert!(c <= prev);
             prev = c;
         }
@@ -145,8 +145,8 @@ proptest! {
         for v in 0..n {
             wp[perm[v]] = w[v];
         }
-        let a = Optimal::new().allocate(&Instance::from_weighted_graph(WeightedGraph::new(g, w)), r);
-        let b = Optimal::new().allocate(&Instance::from_weighted_graph(WeightedGraph::new(h, wp)), r);
+        let a = Optimal.allocate(&Instance::from_weighted_graph(WeightedGraph::new(g, w)), r);
+        let b = Optimal.allocate(&Instance::from_weighted_graph(WeightedGraph::new(h, wp)), r);
         prop_assert_eq!(a.spill_cost, b.spill_cost);
     }
 
@@ -155,7 +155,7 @@ proptest! {
     #[test]
     fn optimum_is_maximal(seed in 0u64..10_000, n in 6usize..20, r in 1u32..4) {
         let inst = chordal_instance(seed, n);
-        let opt = Optimal::new().allocate(&inst, r);
+        let opt = Optimal.allocate(&inst, r);
         // Adding any single spilled vertex must be infeasible or
         // weight-neutral (zero-weight vertices may be interchangeable).
         let spilled = opt.spilled_set(&inst);

@@ -159,7 +159,7 @@ fn interval_view_pipeline_matches_flow_optimum() {
     let f = small_chordal_function(9);
     let inst = build_instance(&f, &target, InstanceKind::LinearIntervals);
     for r in 2u32..=8 {
-        let direct = lra::core::Optimal::new().allocate(&inst, r).spill_cost;
+        let direct = lra::core::Optimal.allocate(&inst, r).spill_cost;
         let piped = AllocationPipeline::new(target)
             .allocator("Optimal")
             .instance_kind(InstanceKind::LinearIntervals)

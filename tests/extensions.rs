@@ -32,7 +32,7 @@ fn step_layers_bounded_by_optimal_on_suite_functions() {
         let f = ssa_function(seed);
         let inst = build_instance(&f, &target, InstanceKind::LinearIntervals);
         for r in [2u32, 4] {
-            let opt = Optimal::new().allocate(&inst, r).spill_cost;
+            let opt = Optimal.allocate(&inst, r).spill_cost;
             for step in [1u32, 2] {
                 let a = Layered::bfpl().with_step(step).allocate(&inst, r);
                 assert!(verify::check(&inst, &a, r).is_feasible());
@@ -97,8 +97,8 @@ fn split_then_allocate_models_reload_pressure() {
         let whole = build_instance(&f, &target, InstanceKind::LinearIntervals);
         let split = build_instance(&s.function, &target, InstanceKind::LinearIntervals);
         let r = 4;
-        let c_whole = Optimal::new().allocate(&whole, r).spill_cost;
-        let c_split = Optimal::new().allocate(&split, r).spill_cost;
+        let c_whole = Optimal.allocate(&whole, r).spill_cost;
+        let c_split = Optimal.allocate(&split, r).spill_cost;
         // The split model accounts for reload sub-ranges, so it can
         // only be as cheap or costlier than the whole-range model.
         assert!(
@@ -122,7 +122,7 @@ fn ssa_conversion_unlocks_layered_allocation() {
         assert!(inst.is_chordal(), "converted methods must be chordal");
         let r = 6;
         let bfpl = Layered::bfpl().allocate(&inst, r);
-        let opt = Optimal::new().allocate(&inst, r);
+        let opt = Optimal.allocate(&inst, r);
         assert!(verify::check(&inst, &bfpl, r).is_feasible());
         assert!(bfpl.spill_cost >= opt.spill_cost);
         assert!(

@@ -33,7 +33,7 @@ fn figure6_instance() -> Instance {
 fn figure6_bias_closes_the_gap_to_optimal() {
     let inst = figure6_instance();
     let bl = Layered::bl().allocate(&inst, 2);
-    let opt = Optimal::new().allocate(&inst, 2);
+    let opt = Optimal.allocate(&inst, 2);
     assert_eq!(opt.spill_cost, 4);
     assert_eq!(bl.spill_cost, opt.spill_cost, "BL is optimal on Figure 6");
 }
@@ -56,7 +56,7 @@ fn figure6_all_layered_variants_feasible_across_r() {
                     alg.name()
                 );
             }
-            let opt = Optimal::new().allocate(&inst, r);
+            let opt = Optimal.allocate(&inst, r);
             assert!(
                 a.spill_cost >= opt.spill_cost,
                 "{} beat Optimal",
@@ -78,7 +78,7 @@ fn gc_is_dominated_by_layered_on_the_suite_sample() {
         for w in &workloads {
             total_gc += ChaitinBriggs::new().allocate(&w.instance, r).spill_cost;
             total_bfpl += Layered::bfpl().allocate(&w.instance, r).spill_cost;
-            total_opt += Optimal::new().allocate(&w.instance, r).spill_cost;
+            total_opt += Optimal.allocate(&w.instance, r).spill_cost;
         }
         assert!(
             total_bfpl <= total_gc,
@@ -103,7 +103,7 @@ fn lh_close_to_optimal_on_jvm_sample() {
             let lh = LayeredHeuristic::new().allocate(&w.instance, r);
             assert!(verify::check(&w.instance, &lh, r).is_feasible());
             total_lh += lh.spill_cost;
-            total_opt += Optimal::new().allocate(&w.instance, r).spill_cost;
+            total_opt += Optimal.allocate(&w.instance, r).spill_cost;
         }
         assert!(total_lh >= total_opt);
         assert!(
@@ -146,7 +146,7 @@ fn spill_set_inclusion_holds_empirically_on_suite_sample() {
         let mut prev_spilled: Option<lra_graph::BitSet> = None;
         let mut ok = true;
         for r in 1..=4u32 {
-            let a = Optimal::new().allocate(&w.instance, r);
+            let a = Optimal.allocate(&w.instance, r);
             let spilled = a.spilled_set(&w.instance);
             if let Some(prev) = &prev_spilled {
                 if !spilled.is_subset(prev) {

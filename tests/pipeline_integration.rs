@@ -23,7 +23,7 @@ fn full_ssa_pipeline_feasible_for_every_allocator() {
         validate_strict_ssa(&f).expect("strict SSA");
         let inst = build_instance(&f, &target, InstanceKind::LinearIntervals);
         for r in [1u32, 2, 4, 8] {
-            let opt = Optimal::new().allocate(&inst, r);
+            let opt = Optimal.allocate(&inst, r);
             assert!(verify::check(&inst, &opt, r).is_feasible());
             for a in [
                 Layered::nl().allocate(&inst, r),

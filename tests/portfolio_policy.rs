@@ -83,15 +83,15 @@ fn portfolio_first_round_cost_never_exceeds_the_cheap_tier() {
     }
 }
 
-/// The size-adaptive default budget (`SolveBudget::scaled_for`) is a
-/// pure function of the instance, so a batch under
+/// The size-scaled default budget (`scaled_node_fuel`) is a pure
+/// function of the instance, so a batch under
 /// `PortfolioConfig::default()` must stay byte-identical at any
 /// worker count — fuel-only determinism extends to adaptive fuel.
 #[test]
 fn adaptive_budget_batches_are_byte_identical_across_thread_counts() {
     let fs = jit_subset(6);
     let cfg = PortfolioConfig::default();
-    assert!(cfg.adaptive, "the default budget is size-adaptive");
+    assert_eq!(cfg.node_budget, None, "the default budget is size-scaled");
     let pipeline = base_pipeline().portfolio(cfg);
     let seq = BatchAllocator::new(pipeline.clone()).threads(1).run(&fs);
     let par = BatchAllocator::new(pipeline.clone()).threads(2).run(&fs);
@@ -109,4 +109,57 @@ fn portfolio_is_selectable_by_registry_name() {
     let report = BatchAllocator::new(base_pipeline().allocator("Portfolio")).run(&fs);
     assert_eq!(report.summary.failed, 0);
     assert_eq!(report.summary.functions, 2);
+}
+
+/// Naming `Portfolio` after configuring it keeps the configuration: a
+/// spent node budget still degrades the run to the cheap tier.
+#[test]
+fn naming_portfolio_keeps_an_explicit_config() {
+    let fs = jit_subset(4);
+    let spent = PortfolioConfig::default().node_budget(0);
+    let renamed = base_pipeline()
+        .portfolio(spent.clone())
+        .allocator("Portfolio");
+    assert!(!renamed.escalation_enabled(), "the zero budget survived");
+    let report = BatchAllocator::new(renamed).run(&fs);
+    let configured = BatchAllocator::new(base_pipeline().portfolio(spent)).run(&fs);
+    let default = BatchAllocator::new(base_pipeline().allocator("Portfolio")).run(&fs);
+    assert_eq!(report.render(), configured.render());
+    assert_ne!(report.render(), default.render(), "the default escalates");
+}
+
+/// Naming another allocator after configuring a portfolio runs that
+/// allocator, unescalated as every directly-selected allocator is.
+#[test]
+fn naming_another_allocator_drops_the_portfolio() {
+    let fs = jit_subset(4);
+    let lh = base_pipeline()
+        .portfolio(PortfolioConfig::default())
+        .allocator("LH");
+    assert!(!lh.escalation_enabled(), "baselines stay unescalated");
+    let report = BatchAllocator::new(lh).run(&fs);
+    let direct = BatchAllocator::new(base_pipeline().allocator("LH")).run(&fs);
+    assert_eq!(report.render(), direct.render());
+    for item in &report.items {
+        let run = item.outcome.as_ref().expect("allocates");
+        assert_eq!(run.allocator, "LH");
+        assert!(!run.escalated);
+    }
+}
+
+/// The registry name, in any case, is the default-config portfolio.
+#[test]
+fn portfolio_by_name_is_the_default_config() {
+    let fs = jit_subset(4);
+    let by_name = BatchAllocator::new(base_pipeline().allocator("portfolio")).run(&fs);
+    let by_config =
+        BatchAllocator::new(base_pipeline().portfolio(PortfolioConfig::default())).run(&fs);
+    assert_eq!(by_name.render(), by_config.render());
+    assert_eq!(by_name.summary, by_config.summary);
+    for item in &by_name.items {
+        assert_eq!(
+            item.outcome.as_ref().expect("allocates").allocator,
+            "Portfolio"
+        );
+    }
 }
