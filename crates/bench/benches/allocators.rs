@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lra_core::baselines::{BeladyLinearScan, ChaitinBriggs, LinearScan};
 use lra_core::layered::Layered;
+use lra_core::optimal::{branch_bound, SolveBudget};
 use lra_core::problem::{Allocator, Instance};
 use lra_core::{LayeredHeuristic, Optimal};
 use lra_graph::{generate, WeightedGraph};
@@ -31,6 +32,35 @@ fn interval_instance(n: usize) -> Instance {
     let ivs = generate::random_interval_set(&mut rng, &profile);
     let w = generate::random_weights(&mut rng, n, 3);
     Instance::from_intervals(ivs, w)
+}
+
+/// A general graph with about 12 neighbours per vertex: dense enough
+/// that every `exact_tier` search runs out of its fuel.
+fn general_instance(n: usize) -> Instance {
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let g = generate::random_general(&mut rng, n, (1200 / n) as u32);
+    let w = generate::random_weights(&mut rng, n, 3);
+    Instance::from_weighted_graph(WeightedGraph::new(g, w))
+}
+
+/// The exact tier's two kernels: a branch-and-bound search under the
+/// standard corpora's 50,000-node fuel at each row width (40 vertices
+/// fit one word, 100 two, 200 four, and 300 need the run-time width),
+/// and the `GC` run that seeds its incumbent.
+fn bench_exact_tier(c: &mut Criterion) {
+    let r = 6;
+    let mut group = c.benchmark_group("exact_tier");
+    group.sample_size(10);
+    for n in [40usize, 100, 200, 300] {
+        let inst = general_instance(n);
+        group.bench_with_input(BenchmarkId::new("branch_bound", n), &inst, |b, inst| {
+            b.iter(|| branch_bound::solve(inst, r, &mut SolveBudget::nodes(50_000)))
+        });
+        group.bench_with_input(BenchmarkId::new("GC", n), &inst, |b, inst| {
+            b.iter(|| ChaitinBriggs::new().allocate(inst, r))
+        });
+    }
+    group.finish();
 }
 
 fn bench_chordal_allocators(c: &mut Criterion) {
@@ -79,6 +109,7 @@ criterion_group!(
     benches,
     bench_chordal_allocators,
     bench_interval_allocators,
-    bench_instance_sizes
+    bench_instance_sizes,
+    bench_exact_tier
 );
 criterion_main!(benches);

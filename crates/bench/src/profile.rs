@@ -75,14 +75,14 @@ pub fn run(seed: u64) -> Vec<CorpusProfile> {
 }
 
 /// Serialises corpus profiles as the `BENCH_phases.json` document
-/// (schema `lra-bench/phases-v1`; hand-rolled, no serde in the build
+/// (schema `lra-bench/phases-v2`; hand-rolled, no serde in the build
 /// environment). See `docs/benchmarks.md` for the field reference.
 pub fn to_json(seed: u64, profiles: &[CorpusProfile]) -> String {
     use std::fmt::Write as _;
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"lra-bench/phases-v1\",");
+    let _ = writeln!(s, "  \"schema\": \"lra-bench/phases-v2\",");
     let _ = writeln!(s, "  \"seed\": {seed},");
     s.push_str("  \"corpora\": [\n");
     for (i, p) in profiles.iter().enumerate() {
@@ -96,6 +96,9 @@ pub fn to_json(seed: u64, profiles: &[CorpusProfile]) -> String {
         let _ = writeln!(s, "      \"spill_delta\": {},", p.trace.spill_delta);
         let _ = writeln!(s, "      \"fuel\": {},", p.trace.fuel);
         let _ = writeln!(s, "      \"fuel_consumed\": {},", p.trace.fuel_consumed);
+        let _ = writeln!(s, "      \"exact_won\": {},", p.trace.exact_won);
+        let _ = writeln!(s, "      \"exact_tied\": {},", p.trace.exact_tied);
+        let _ = writeln!(s, "      \"exact_exhausted\": {},", p.trace.exact_exhausted);
         let _ = writeln!(s, "      \"cache_hits\": {},", p.trace.cache_hits());
         let _ = writeln!(s, "      \"cache_misses\": {},", p.trace.cache_misses());
         s.push_str("      \"phases\": [\n");
@@ -205,13 +208,16 @@ mod tests {
         for p in &profiles {
             assert!(p.trace.fuel_consumed <= p.trace.fuel, "{}", p.name);
         }
+        // Every escalation that was granted fuel settled one way.
+        assert!(profiles.iter().any(|p| p.trace.exact_won > 0));
+        assert!(profiles.iter().any(|p| p.trace.exact_exhausted > 0));
     }
 
     #[test]
     fn phases_json_is_balanced_and_carries_the_schema() {
         let profiles = run(3);
         let json = to_json(3, &profiles);
-        assert!(json.contains("\"schema\": \"lra-bench/phases-v1\""));
+        assert!(json.contains("\"schema\": \"lra-bench/phases-v2\""));
         for name in [
             "lao-kernels/BFPL/R4",
             "specjvm98/LH/R6",
@@ -223,7 +229,14 @@ mod tests {
         for phase in Phase::ALL {
             assert!(json.contains(&format!("\"name\": \"{}\"", phase.name())));
         }
-        assert_eq!(json.matches("\"fuel_consumed\": ").count(), 4);
+        for field in [
+            "fuel_consumed",
+            "exact_won",
+            "exact_tied",
+            "exact_exhausted",
+        ] {
+            assert_eq!(json.matches(&format!("\"{field}\": ")).count(), 4);
+        }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

@@ -11,94 +11,237 @@
 //!
 //! The search runs in *search-position* space: vertices are renumbered
 //! once into their visit order, so the vertex at position `i` can only
-//! conflict with positions `< i` — the only ones holding a colour. Each
-//! position keeps just those earlier neighbours as a bit row of
-//! `⌈i/64⌉` words, all rows packed in one flat `Vec<u64>`, and the
-//! colours are one flat `R × words` array of bit rows over positions.
-//! A colour is free for position `i` iff its row misses the earlier
-//! neighbours on those first words. No per-node allocated set is kept:
-//! an improving leaf rebuilds it from the colour rows.
+//! conflict with positions `< i` — the only ones holding a colour.
+//! Every row is a bit set over positions of one fixed width of `W`
+//! words, `W = ⌈n/64⌉`: position `i`'s row holds just its earlier
+//! neighbours (the bits at `≥ i` stay zero), all rows packed at stride
+//! `W` in one flat `Vec<u64>`, and the colours are one flat `R × W`
+//! array of rows over positions. A colour is free for position `i` iff
+//! its row misses the earlier neighbours. No per-node allocated set is
+//! kept: an improving leaf rebuilds it from the colour rows.
 //!
-//! JVM-method-sized graphs (≲ 40 vertices) solve in well under the node
-//! budget; the solver returns `None` if the budget is exhausted, so a
-//! caller can distinguish *certified* optima from timeouts.
+//! There is one search body, generic over the row width: instances of
+//! up to 256 vertices run it at a compile-time width of 1–4 words, where
+//! each colour test is an unrolled, branch-free AND over the whole row,
+//! and wider ones at a run-time width, where it reads only the words
+//! that can hold an earlier position and stops at the first shared bit.
+//! Fuel and deadline are tested together at one precomputed node count
+//! (the next deadline stride or the end of the fuel, whichever is
+//! first), so counting a node costs one comparison. A child that cannot
+//! beat the best solution is counted where it is generated — the same
+//! node, fuel and deadline accounting a visit would do — instead of
+//! being visited by a recursive call.
+//!
+//! The solver returns `None` if the budget is exhausted, so a caller can
+//! distinguish *certified* optima from timeouts. Sparse graphs of a few
+//! hundred vertices can complete; a dense 40-vertex one may not.
 
 use super::SolveBudget;
 use crate::baselines::ChaitinBriggs;
 use crate::cluster::LayeredHeuristic;
 use crate::problem::{Allocation, Allocator, Instance};
 use crate::trace;
-use lra_graph::{BitSet, Cost};
+use lra_graph::{BitSet, Cost, Graph};
 use std::time::Instant;
 
 /// How many search nodes pass between cooperative deadline checks.
-/// A power of two so the check compiles to a mask test.
 const DEADLINE_STRIDE: u64 = 4096;
 
-struct Search<'a> {
-    /// Earlier neighbours of position `i`: the words
-    /// `earlier[row_start[i]..row_start[i + 1]]`, covering positions
-    /// `< i` only.
-    earlier: &'a [u64],
-    row_start: &'a [usize],
+/// A row width in `u64` words: [`Words`] fixes it at compile time,
+/// a `usize` carries it at run time.
+trait Width: Copy {
+    /// The row stride in words.
+    fn words(self) -> usize;
+
+    /// How many leading words of position `i`'s row a colour test
+    /// reads: all of them at a compile-time width, only those that can
+    /// hold a position `< i` at a run-time width.
+    fn live(self, i: usize) -> usize;
+
+    /// `true` iff the rows `a` and `b` share no bit: one unrolled,
+    /// branch-free pass at a compile-time width, a scan that stops at
+    /// the first shared bit at a run-time width.
+    fn disjoint(self, a: &[u64], b: &[u64]) -> bool;
+}
+
+/// The compile-time row width of `W` words.
+#[derive(Clone, Copy)]
+struct Words<const W: usize>;
+
+impl<const W: usize> Width for Words<W> {
+    #[inline(always)]
+    fn words(self) -> usize {
+        W
+    }
+
+    #[inline(always)]
+    fn live(self, _: usize) -> usize {
+        W
+    }
+
+    #[inline(always)]
+    fn disjoint(self, a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).fold(0, |acc, (&x, &y)| acc | x & y) == 0
+    }
+}
+
+impl Width for usize {
+    #[inline(always)]
+    fn words(self) -> usize {
+        self
+    }
+
+    #[inline(always)]
+    fn live(self, i: usize) -> usize {
+        i / 64 + 1
+    }
+
+    #[inline(always)]
+    fn disjoint(self, a: &[u64], b: &[u64]) -> bool {
+        !a.iter().zip(b).any(|(&x, &y)| x & y != 0)
+    }
+}
+
+/// The branch-and-bound search over rows of width `X`.
+struct Kernel<'a, X> {
+    width: X,
+    /// Earlier neighbours of position `i`: the row
+    /// `earlier[i * W..(i + 1) * W]`.
+    earlier: Vec<u64>,
     /// Spill weight of the vertex at each position.
     weight: &'a [Cost],
     /// Positions holding each colour: row `c` is
-    /// `colours[c * words..(c + 1) * words]`.
+    /// `colours[c * W..(c + 1) * W]`.
     colours: Vec<u64>,
-    words: usize,
     r: u32,
     best_spill: Cost,
-    /// Positions kept by the best solution found, as `words` words.
+    /// Positions kept by the best solution found, as one row.
     best_kept: Vec<u64>,
     nodes: u64,
+    /// The next node count at which [`Kernel::count_node`] looks at
+    /// the fuel or the clock: the first count past `node_limit` or the
+    /// next multiple of [`DEADLINE_STRIDE`], whichever comes first.
+    checkpoint: u64,
     node_limit: u64,
     deadline: Option<Instant>,
 }
 
-impl Search<'_> {
-    fn run(&mut self, i: usize, spill: Cost, used_colors: u32) -> bool {
-        self.nodes += 1;
-        if self.nodes > self.node_limit {
-            return false;
+/// The search's input, in search-position space.
+struct Problem<'a> {
+    g: &'a Graph,
+    /// The vertex at each position.
+    order: Vec<usize>,
+    /// Spill weight of the vertex at each position.
+    weight: Vec<Cost>,
+    r: u32,
+    /// Spill cost of the heuristic incumbent the search must beat.
+    incumbent_spill: Cost,
+}
+
+impl<'a, X: Width> Kernel<'a, X> {
+    /// Builds the rows of `p`'s search at row width `width`.
+    fn new(width: X, p: &'a Problem<'_>, budget: &SolveBudget) -> Self {
+        let w = width.words();
+        let n = p.order.len();
+        let mut position = vec![0; n];
+        for (i, &v) in p.order.iter().enumerate() {
+            position[v] = i;
         }
-        if self.nodes.is_multiple_of(DEADLINE_STRIDE) {
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    return false;
+        let mut earlier = vec![0; n * w];
+        for (i, &v) in p.order.iter().enumerate() {
+            for &u in p.g.neighbor_indices(v) {
+                let q = position[u as usize];
+                if q < i {
+                    earlier[i * w + q / 64] |= 1 << (q % 64);
                 }
             }
         }
-        if spill >= self.best_spill {
-            return true; // prune: cannot improve
+        Kernel {
+            width,
+            earlier,
+            weight: &p.weight,
+            // min(r, n) rows: the search can never use more colours than
+            // vertices, and an absurd caller-supplied R must not allocate
+            // R bit rows.
+            colours: vec![0; (p.r as usize).min(n) * w],
+            r: p.r,
+            // `run` records strictly better solutions only, so start one
+            // above the incumbent; if nothing beats it, it stands.
+            best_spill: p.incumbent_spill + 1,
+            best_kept: vec![0; w],
+            nodes: 0,
+            checkpoint: budget.node_limit.saturating_add(1).min(DEADLINE_STRIDE),
+            node_limit: budget.node_limit,
+            deadline: budget.deadline,
         }
+    }
+
+    /// Charges one search node: `false` once the fuel is spent or, at
+    /// every [`DEADLINE_STRIDE`]th node, the deadline has passed.
+    #[inline(always)]
+    fn count_node(&mut self) -> bool {
+        self.nodes += 1;
+        self.nodes < self.checkpoint || self.at_checkpoint()
+    }
+
+    /// [`Kernel::count_node`] at a checkpoint: the fuel test, the
+    /// deadline test, and the next checkpoint.
+    #[cold]
+    fn at_checkpoint(&mut self) -> bool {
+        if self.nodes > self.node_limit {
+            return false;
+        }
+        if let Some(d) = self.deadline {
+            if Instant::now() >= d {
+                return false;
+            }
+        }
+        self.checkpoint = (self.nodes + DEADLINE_STRIDE).min(self.node_limit.saturating_add(1));
+        true
+    }
+
+    /// Visits the child node at position `i`: one that cannot improve
+    /// on the best solution is counted in place, the rest are searched.
+    #[inline(always)]
+    fn child(&mut self, i: usize, spill: Cost, used_colors: u32) -> bool {
+        if spill >= self.best_spill {
+            return self.count_node();
+        }
+        self.run(i, spill, used_colors)
+    }
+
+    /// Searches the subtree at position `i` with `spill` charged so
+    /// far, which must be below the best spill. Returns `false` when
+    /// the budget aborts the search.
+    fn run(&mut self, i: usize, spill: Cost, used_colors: u32) -> bool {
+        if !self.count_node() {
+            return false;
+        }
+        let w = self.width.words();
         if i == self.weight.len() {
             self.best_spill = spill;
             for (k, kept) in self.best_kept.iter_mut().enumerate() {
                 *kept = self.colours[k..]
                     .iter()
-                    .step_by(self.words)
-                    .fold(0, |acc, &w| acc | w);
+                    .step_by(w)
+                    .fold(0, |acc, &col| acc | col);
             }
             return true;
         }
-        let row = &self.earlier[self.row_start[i]..self.row_start[i + 1]];
         let (word, bit) = (i / 64, 1u64 << (i % 64));
 
         // Try colours first (allocating is never charged), with symmetry
         // breaking: at most one fresh colour.
         let limit = (used_colors + 1).min(self.r);
+        let live = self.width.live(i);
         for c in 0..limit {
-            let base = c as usize * self.words;
-            let taken = row
-                .iter()
-                .zip(&self.colours[base..])
-                .any(|(&nb, &col)| nb & col != 0);
-            if taken {
+            let base = c as usize * w;
+            let row = &self.earlier[i * w..i * w + live];
+            if !self.width.disjoint(row, &self.colours[base..base + live]) {
                 continue; // an earlier neighbour holds this colour
             }
             self.colours[base + word] |= bit;
-            let ok = self.run(i + 1, spill, used_colors.max(c + 1));
+            let ok = self.child(i + 1, spill, used_colors.max(c + 1));
             self.colours[base + word] &= !bit;
             if !ok {
                 return false;
@@ -106,8 +249,30 @@ impl Search<'_> {
         }
 
         // Spill branch.
-        let w = self.weight[i];
-        self.run(i + 1, spill + w, used_colors)
+        let spill = spill + self.weight[i];
+        self.child(i + 1, spill, used_colors)
+    }
+}
+
+/// What one search left behind: whether it completed, the nodes it
+/// visited, and its best solution (meaningful only if it beat the
+/// incumbent, i.e. `best_spill <= incumbent_spill`).
+struct Outcome {
+    completed: bool,
+    nodes: u64,
+    best_spill: Cost,
+    best_kept: Vec<u64>,
+}
+
+/// Runs `p`'s search at row width `width`.
+fn search<X: Width>(width: X, p: &Problem<'_>, budget: &SolveBudget) -> Outcome {
+    let mut kernel = Kernel::new(width, p, budget);
+    let completed = kernel.run(0, 0, 0);
+    Outcome {
+        completed,
+        nodes: kernel.nodes,
+        best_spill: kernel.best_spill,
+        best_kept: kernel.best_kept,
     }
 }
 
@@ -142,58 +307,32 @@ pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Al
     // ties broken by degree so constrained vertices are decided first.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&v| std::cmp::Reverse((wg.weight(v), g.degree(v))));
-    let mut position = vec![0; n];
-    for (i, &v) in order.iter().enumerate() {
-        position[v] = i;
-    }
-    let mut row_start = Vec::with_capacity(n + 1);
-    let mut earlier = Vec::new();
-    for (i, &v) in order.iter().enumerate() {
-        let start = earlier.len();
-        row_start.push(start);
-        earlier.resize(start + i.div_ceil(64), 0);
-        for &u in g.neighbor_indices(v) {
-            let p = position[u as usize];
-            if p < i {
-                earlier[start + p / 64] |= 1 << (p % 64);
-            }
-        }
-    }
-    row_start.push(earlier.len());
-
-    let words = n.div_ceil(64);
-    let weight: Vec<Cost> = order.iter().map(|&v| wg.weight(v)).collect();
-    let mut search = Search {
-        earlier: &earlier,
-        row_start: &row_start,
-        weight: &weight,
-        // min(r, n) rows: the search can never use more colours than
-        // vertices, and an absurd caller-supplied R must not allocate
-        // R bit rows.
-        colours: vec![0; (r as usize).min(n) * words],
-        words,
+    let problem = Problem {
+        g,
+        weight: order.iter().map(|&v| wg.weight(v)).collect(),
+        order,
         r,
-        // `run` records strictly better solutions only, so start one
-        // above the incumbent; if nothing beats it, return it as is.
-        best_spill: incumbent_spill + 1,
-        best_kept: vec![0; words],
-        nodes: 0,
-        node_limit: budget.node_limit,
-        deadline: budget.deadline,
+        incumbent_spill,
     };
-    let completed = search.run(0, 0, 0);
-    let visited = search.nodes.min(budget.node_limit);
+    let outcome = match n.div_ceil(64) {
+        0 | 1 => search(Words::<1>, &problem, budget),
+        2 => search(Words::<2>, &problem, budget),
+        3 => search(Words::<3>, &problem, budget),
+        4 => search(Words::<4>, &problem, budget),
+        words => search(words, &problem, budget),
+    };
+    let visited = outcome.nodes.min(budget.node_limit);
     budget.charge(visited);
     trace::add_fuel_consumed(visited);
-    if !completed {
+    if !outcome.completed {
         return None;
     }
-    let best = if search.best_spill <= incumbent_spill {
+    let best = if outcome.best_spill <= incumbent_spill {
         BitSet::from_iter_with_capacity(
             n,
             (0..n)
-                .filter(|&i| search.best_kept[i / 64] & (1 << (i % 64)) != 0)
-                .map(|i| order[i]),
+                .filter(|&i| outcome.best_kept[i / 64] & (1 << (i % 64)) != 0)
+                .map(|i| problem.order[i]),
         )
     } else {
         incumbent_set
@@ -272,6 +411,24 @@ mod tests {
     }
 
     #[test]
+    fn a_deadline_is_checked_every_stride_nodes() {
+        // Dense enough that ten million nodes cannot finish in time.
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let g = generate::random_general(&mut rng, 60, 30);
+        let inst = instance(g, generate::random_weights(&mut rng, 60, 2));
+        let _on = trace::arm();
+        trace::begin(false);
+        let fuel = 10_000_000;
+        let mut budget =
+            SolveBudget::nodes(fuel).with_time(Some(std::time::Duration::from_millis(1)));
+        assert!(solve(&inst, 4, &mut budget).is_none());
+        let consumed = trace::take().expect("collecting").fuel_consumed;
+        assert!(consumed < fuel, "stopped by the clock, not the fuel");
+        assert_eq!(consumed % DEADLINE_STRIDE, 0, "{consumed} nodes");
+        assert_eq!(budget.node_limit, fuel - consumed);
+    }
+
+    #[test]
     fn node_limit_returns_none() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let g = generate::random_general(&mut rng, 30, 40);
@@ -293,11 +450,12 @@ mod tests {
         // (seed, vertices, edge %, R, smallest fuel at which the search
         // completes, spill cost, spilled vertices). The smallest fuel is
         // the number of nodes the complete search visits, so it pins the
-        // search tree itself, not just the optimum; the last three
+        // search tree itself, not just the optimum. The last seven
         // instances have more than 64 vertices, so their rows span
-        // several words.
+        // several words: two, three (150), four (220) and five (300),
+        // one case per kernel width.
         #[allow(clippy::type_complexity)]
-        const CASES: [(u64, usize, u32, u32, u64, Cost, &[usize]); 13] = [
+        const CASES: [(u64, usize, u32, u32, u64, Cost, &[usize]); 17] = [
             (1, 16, 30, 2, 334, 16, &[1, 3, 6, 9, 10, 13]),
             (2, 18, 35, 3, 346, 16, &[2, 3, 4, 9]),
             (3, 20, 25, 2, 224, 32, &[1, 3, 4, 10, 11, 13, 14, 16, 17]),
@@ -319,6 +477,10 @@ mod tests {
             (31, 70, 4, 3, 729, 0, &[]),
             (53, 80, 5, 4, 6197, 0, &[]),
             (54, 66, 3, 3, 24827, 0, &[]),
+            (12, 150, 1, 3, 6654, 0, &[]),
+            (264, 220, 1, 4, 18875, 0, &[]),
+            (516, 300, 1, 4, 6171, 0, &[]),
+            (577, 300, 2, 5, 17685, 0, &[]),
         ];
         for (seed, n, edge_percent, r, fuel, spill, spilled) in CASES {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -338,7 +500,10 @@ mod tests {
             assert_eq!(a.spill_cost, spill, "seed {seed}");
             let got: Vec<usize> = (0..n).filter(|&v| !a.allocated.contains(v)).collect();
             assert_eq!(got, spilled, "seed {seed}");
-            assert!(verify::check(&inst, &a, r).is_feasible());
+            assert!(
+                verify::check(&inst, &a, r).is_feasible(),
+                "seed {seed}: feasible"
+            );
         }
     }
 

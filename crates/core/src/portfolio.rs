@@ -61,6 +61,7 @@ use crate::driver::PipelineError;
 use crate::optimal::{scaled_node_fuel, Optimal, SolveBudget};
 use crate::problem::{Allocation, Allocator, Instance};
 use crate::registry::{AllocatorRegistry, AllocatorSpec};
+use crate::trace::{self, ExactOutcome};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -293,33 +294,31 @@ impl Portfolio {
         }
         // The fuel *granted* to the exact tier, recorded at the
         // escalation decision; the solvers record what they consume.
-        crate::trace::add_fuel(fuel);
+        trace::add_fuel(fuel);
         let budget = SolveBudget::nodes(fuel).with_time(self.cfg.time_budget);
-        match Optimal.try_allocate(instance, r, &budget) {
-            Some(exact) if exact.spill_cost < cheap_cost => PortfolioOutcome {
-                allocation: exact,
-                cheap_cost,
-                escalated: true,
-                certified: true,
-                source: PortfolioSource::Exact,
-            },
-            Some(_) => PortfolioOutcome {
+        let (allocation, certified, source, settled) =
+            match Optimal.try_allocate(instance, r, &budget) {
+                Some(exact) if exact.spill_cost < cheap_cost => {
+                    (exact, true, PortfolioSource::Exact, ExactOutcome::Won)
+                }
                 // The exact solver certified that the cheap result is
                 // already optimal (or tied); keep the cheap allocation
                 // so the outcome is independent of solver tie-breaks.
-                allocation: cheap,
-                cheap_cost,
-                escalated: true,
-                certified: true,
-                source: PortfolioSource::Cheap,
-            },
-            None => PortfolioOutcome {
-                allocation: cheap,
-                cheap_cost,
-                escalated: true,
-                certified: false,
-                source: PortfolioSource::Cheap,
-            },
+                Some(_) => (cheap, true, PortfolioSource::Cheap, ExactOutcome::Tied),
+                None => (
+                    cheap,
+                    false,
+                    PortfolioSource::Cheap,
+                    ExactOutcome::Exhausted,
+                ),
+            };
+        trace::add_exact_outcome(settled);
+        PortfolioOutcome {
+            allocation,
+            cheap_cost,
+            escalated: true,
+            certified,
+            source,
         }
     }
 }
@@ -398,6 +397,25 @@ mod tests {
         let out = p.decide(&inst, 1);
         assert!(!out.escalated);
         assert_eq!(out.allocation.spill_cost, 0);
+    }
+
+    #[test]
+    fn uncached_escalations_count_how_they_ended() {
+        let _on = trace::arm();
+        for fuel in [1, 1_000_000] {
+            let cfg = PortfolioConfig::default().node_budget(fuel).cache(false);
+            trace::begin(false);
+            let out = Portfolio::new(cfg).unwrap().decide(&c5(), 2);
+            let t = trace::take().expect("collecting");
+            assert_eq!(out.certified, fuel > 1, "one node cannot finish C5");
+            let counted = (t.exact_won, t.exact_tied, t.exact_exhausted);
+            let expected = match (out.certified, out.source) {
+                (false, _) => (0, 0, 1),
+                (true, PortfolioSource::Exact) => (1, 0, 0),
+                (true, PortfolioSource::Cheap) => (0, 1, 0),
+            };
+            assert_eq!(counted, expected, "fuel {fuel}");
+        }
     }
 
     #[test]

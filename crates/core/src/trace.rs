@@ -241,6 +241,15 @@ pub struct TraceReport {
     /// [`add_fuel_consumed`]: branch-and-bound nodes visited and
     /// clique-tree DP masks enumerated.
     pub fuel_consumed: u64,
+    /// Escalations to the exact tier that found a strictly cheaper
+    /// allocation than the cheap tier, recorded via
+    /// [`add_exact_outcome`].
+    pub exact_won: u64,
+    /// Escalations whose exact search completed but certified the
+    /// cheap tier's cost as optimal.
+    pub exact_tied: u64,
+    /// Escalations whose exact search ran out of fuel (or time).
+    pub exact_exhausted: u64,
     /// Result-cache hits, per shard (see [`CACHE_SHARDS`]).
     pub shard_hits: [u64; CACHE_SHARDS],
     /// Result-cache misses, per shard.
@@ -289,6 +298,9 @@ impl TraceReport {
         self.spill_delta += other.spill_delta;
         self.fuel += other.fuel;
         self.fuel_consumed += other.fuel_consumed;
+        self.exact_won += other.exact_won;
+        self.exact_tied += other.exact_tied;
+        self.exact_exhausted += other.exact_exhausted;
         for (into, from) in self.shard_hits.iter_mut().zip(other.shard_hits.iter()) {
             *into += from;
         }
@@ -445,6 +457,26 @@ pub fn add_fuel_consumed(units: u64) {
     with_report(|r| r.fuel_consumed += units);
 }
 
+/// How one escalation to the exact tier ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExactOutcome {
+    /// The exact tier found a strictly cheaper allocation.
+    Won,
+    /// The exact tier completed and certified the cheap cost optimal.
+    Tied,
+    /// The exact tier ran out of its budget.
+    Exhausted,
+}
+
+/// Records how one escalation to the exact tier ended.
+pub fn add_exact_outcome(outcome: ExactOutcome) {
+    with_report(|r| match outcome {
+        ExactOutcome::Won => r.exact_won += 1,
+        ExactOutcome::Tied => r.exact_tied += 1,
+        ExactOutcome::Exhausted => r.exact_exhausted += 1,
+    });
+}
+
 /// Records one completed allocation round and the spill cost it
 /// charged.
 pub fn add_round(spill_cost: u64) {
@@ -571,11 +603,15 @@ mod tests {
         };
         a.fuel = 7;
         a.fuel_consumed = 5;
+        a.exact_won = 1;
+        a.exact_exhausted = 2;
         a.shard_hits[1] = 3;
         let mut b = TraceReport {
             rounds: 4,
             spill_delta: 9,
             fuel_consumed: 2,
+            exact_tied: 3,
+            exact_exhausted: 1,
             ..TraceReport::default()
         };
         b.phases[Phase::Allocate as usize] = PhaseStats {
@@ -597,6 +633,7 @@ mod tests {
         assert_eq!(a.spill_delta, 9);
         assert_eq!(a.fuel, 7);
         assert_eq!(a.fuel_consumed, 7);
+        assert_eq!((a.exact_won, a.exact_tied, a.exact_exhausted), (1, 3, 3));
         assert_eq!(a.shard_hits[1], 3);
         assert_eq!(a.shard_misses[1], 2);
         assert!(a.events.is_empty());

@@ -35,6 +35,9 @@ pub(crate) struct MetricsInner {
     phase_self_ns: [AtomicU64; PHASE_COUNT],
     /// Completed spans per phase (same indexing).
     phase_count: [AtomicU64; PHASE_COUNT],
+    /// Exact-tier escalations won, tied and exhausted, fed from the
+    /// same traces.
+    exact: [AtomicU64; 3],
     /// Cache counters at service start; metrics report the delta so a
     /// server's hit rate is not polluted by earlier process history.
     cache_base: CacheStats,
@@ -52,6 +55,7 @@ impl MetricsInner {
                 .collect(),
             phase_self_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             phase_count: std::array::from_fn(|_| AtomicU64::new(0)),
+            exact: std::array::from_fn(|_| AtomicU64::new(0)),
             cache_base,
         }
     }
@@ -76,13 +80,18 @@ impl MetricsInner {
         self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one served item's trace into the per-phase aggregates.
+    /// Folds one served item's trace into the per-phase aggregates
+    /// and the exact-tier outcome counts.
     pub(crate) fn record_phases(&self, trace: &TraceReport) {
         for (i, stats) in trace.phases.iter().enumerate() {
             if stats.count > 0 {
                 self.phase_self_ns[i].fetch_add(stats.self_ns, Ordering::Relaxed);
                 self.phase_count[i].fetch_add(stats.count, Ordering::Relaxed);
             }
+        }
+        let outcomes = [trace.exact_won, trace.exact_tied, trace.exact_exhausted];
+        for (into, n) in self.exact.iter().zip(outcomes) {
+            into.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -113,6 +122,9 @@ impl MetricsInner {
                 count: self.phase_count[i].load(Ordering::Relaxed),
                 self_ns: self.phase_self_ns[i].load(Ordering::Relaxed),
             }),
+            exact_won: self.exact[0].load(Ordering::Relaxed),
+            exact_tied: self.exact[1].load(Ordering::Relaxed),
+            exact_exhausted: self.exact[2].load(Ordering::Relaxed),
         }
     }
 }
@@ -163,6 +175,14 @@ pub struct ServiceMetrics {
     /// Per-phase aggregate attribution, indexed by
     /// [`Phase`] discriminant. All zero unless tracing was armed.
     pub phases: [PhaseAgg; PHASE_COUNT],
+    /// Escalations to the exact tier that found a strictly cheaper
+    /// allocation, summed over traced requests (zero unless tracing was
+    /// armed).
+    pub exact_won: u64,
+    /// Escalations whose exact search certified the cheap cost optimal.
+    pub exact_tied: u64,
+    /// Escalations whose exact search ran out of its budget.
+    pub exact_exhausted: u64,
 }
 
 impl ServiceMetrics {
@@ -321,6 +341,19 @@ impl ServiceMetrics {
                 agg.count
             );
         }
+        let _ = writeln!(
+            out,
+            "# HELP lra_exact_outcomes_total How escalations to the exact tier ended \
+             (populated for traced requests)."
+        );
+        let _ = writeln!(out, "# TYPE lra_exact_outcomes_total counter");
+        for (outcome, n) in [
+            ("won", self.exact_won),
+            ("tied", self.exact_tied),
+            ("exhausted", self.exact_exhausted),
+        ] {
+            let _ = writeln!(out, "lra_exact_outcomes_total{{outcome=\"{outcome}\"}} {n}");
+        }
         out.push_str("# EOF");
         out
     }
@@ -386,6 +419,8 @@ mod tests {
         t.phases[Phase::Allocate as usize].self_ns = 9_000;
         t.phases[Phase::Verify as usize].count = 3;
         t.phases[Phase::Verify as usize].self_ns = 1_000;
+        t.exact_won = 1;
+        t.exact_exhausted = 2;
         inner.record_phases(&t);
         inner.record_phases(&t);
         let m = inner.snapshot(0, 8, 1, CacheStats::default());
@@ -393,6 +428,7 @@ mod tests {
         assert_eq!(m.phases[Phase::Allocate as usize].self_ns, 18_000);
         assert_eq!(m.phases[Phase::Verify as usize].self_ns, 2_000);
         assert_eq!(m.phases[Phase::Rewrite as usize].count, 0);
+        assert_eq!((m.exact_won, m.exact_tied, m.exact_exhausted), (2, 0, 4));
     }
 
     /// A minimal Prometheus text-format checker: validates comment
@@ -460,6 +496,7 @@ mod tests {
         let mut t = TraceReport::default();
         t.phases[Phase::Allocate as usize].count = 1;
         t.phases[Phase::Allocate as usize].self_ns = 5_000;
+        t.exact_tied = 4;
         inner.record_phases(&t);
         let m = inner.snapshot(1, 8, 2, CacheStats::default());
         let text = m.render_prometheus();
@@ -476,6 +513,12 @@ mod tests {
         assert_eq!(samples["lra_service_time_us_bucket{le=\"+Inf\"}"], "3");
         assert_eq!(samples["lra_phase_self_us_total{phase=\"allocate\"}"], "5");
         assert_eq!(samples["lra_phase_spans_total{phase=\"allocate\"}"], "1");
+        assert_eq!(samples["lra_exact_outcomes_total{outcome=\"won\"}"], "0");
+        assert_eq!(samples["lra_exact_outcomes_total{outcome=\"tied\"}"], "4");
+        assert_eq!(
+            samples["lra_exact_outcomes_total{outcome=\"exhausted\"}"],
+            "0"
+        );
         // Cumulative bucket counts are non-decreasing and end at count.
         let mut buckets: Vec<(u64, u64)> = samples
             .iter()
