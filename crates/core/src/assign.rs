@@ -1,11 +1,13 @@
 //! Register assignment (the decoupled second phase).
 //!
 //! Once the allocation has chosen *which* variables live in registers,
-//! the assignment picks *which register* each one gets. On chordal
-//! graphs a greedy sweep along the reverse perfect elimination order —
-//! the *tree-scan* of SSA-based allocation — is optimal; on general
-//! graphs the cluster structure of `LH` guarantees one register per
-//! cluster, and we fall back to greedy/exact colouring.
+//! the assignment picks *which register* each one gets. Every
+//! [`Allocation`] already carries that choice as its colouring: on
+//! chordal graphs a greedy sweep along the reverse perfect elimination
+//! order — the *tree-scan* of SSA-based allocation, optimal there; on
+//! general graphs the allocator's own colouring, such as one register
+//! per `LH` cluster. [`assign`] checks it ([`crate::verify`]) and hands
+//! it over.
 
 use crate::problem::{Allocation, Instance};
 use crate::verify::{self, Feasibility};

@@ -7,7 +7,8 @@
 //! Select: pop the stack, giving each vertex the lowest colour unused by
 //! its coloured neighbours; vertices that find no colour become actual
 //! spills. In the spill-everywhere model, spilled variables leave the
-//! graph entirely and the process repeats until a colouring succeeds.
+//! graph entirely and the process repeats until a colouring succeeds;
+//! that colouring is the allocation's witness.
 //!
 //! Simplify keeps a worklist: a bit set of the remaining vertices whose
 //! degree is below `R`, lowest index first, with degrees lowered as
@@ -125,7 +126,7 @@ impl Allocator for ChaitinBriggs {
             }
 
             if !spilled_any {
-                return instance.allocation_from_set(present);
+                return instance.allocation_with_colors(present, color);
             }
         }
     }

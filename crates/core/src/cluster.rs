@@ -9,7 +9,8 @@
 //!
 //! Because every cluster is a stable set, assigning one register per
 //! allocated cluster is a proper colouring — the allocation is feasible
-//! by construction on *any* graph.
+//! by construction on *any* graph, and that colouring is the witness the
+//! allocation carries.
 //!
 //! Complexity: `O(R(|V| + |E|))` as each clustering pass visits every
 //! candidate and its neighbours once.
@@ -86,13 +87,16 @@ impl Allocator for LayeredHeuristic {
         clusters.sort_by_key(|c| std::cmp::Reverse(wg.weight_of_slice(c)));
         clusters.truncate(r as usize);
 
+        // Cluster k is register k.
         let mut allocated = BitSet::new(n);
-        for c in &clusters {
+        let mut colors = vec![0; n];
+        for (k, c) in clusters.iter().enumerate() {
             for &v in c {
                 allocated.insert(v);
+                colors[v] = k as u32;
             }
         }
-        instance.allocation_from_set(allocated)
+        instance.allocation_with_colors(allocated, colors)
     }
 }
 

@@ -312,8 +312,7 @@ mod tests {
 
     #[test]
     fn conservative_preserves_colourability() {
-        use crate::verify;
-        use lra_graph::generate;
+        use lra_graph::{coloring, generate};
         use rand::Rng as _;
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(21);
@@ -333,7 +332,7 @@ mod tests {
             let c = conservative_coalesce(&inst, &aff, r);
             let all = lra_graph::BitSet::full(c.instance.vertex_count());
             assert!(
-                verify::check_set(&c.instance, &all, r).is_feasible(),
+                coloring::exact_coloring(c.instance.graph(), &all, r).is_some(),
                 "Briggs merge broke {r}-colourability"
             );
         }

@@ -16,8 +16,8 @@
 //!    incrementally from the spill rewrite's dirty blocks; set
 //!    `LRA_FULL_REANALYSIS=1` (or [`AllocationPipeline::full_reanalysis`])
 //!    to force the byte-identical full recomputation instead,
-//! 5. **assignment + verification** — concrete registers are assigned
-//!    and the result is checked ([`crate::verify`]).
+//! 5. **assignment + verification** — the allocator's colouring is
+//!    checked ([`crate::verify`]) and becomes the register assignment.
 //!
 //! The pipeline is builder-configured and returns an
 //! [`AllocatedFunction`] report with everything a client (or a test)
@@ -480,7 +480,7 @@ impl AllocationPipeline {
             if round.spilled.is_empty() {
                 round_costs.push(round.cost);
                 crate::trace::add_round(round.cost);
-                converged = true;
+                converged = round.verdict.is_feasible();
                 break (round.assignment, round.verdict);
             }
 
@@ -555,8 +555,8 @@ impl AllocationPipeline {
             // (the §4.3 residual-pressure limit). Either way the last
             // round's (feasible) partial assignment is reported and
             // `converged` stays false — the flag is set exclusively by
-            // a round that spills nothing, so a budget or stall exit
-            // can never claim convergence. (Audited: relaxing the
+            // a round that spills nothing and verifies, so a budget or
+            // stall exit can never claim convergence. (Audited: relaxing the
             // stall cutoff to "only while MaxLive > R" lets allocators
             // that spill even at fitting pressure — the layered family
             // can leave values uncovered when MaxLive ≤ R — churn all
@@ -795,9 +795,10 @@ pub struct AllocatedFunction {
     /// Allocation rounds executed (1 = no residual-pressure iteration
     /// was needed beyond the initial allocation).
     pub rounds: u32,
-    /// `true` when the last round spilled nothing: every remaining
-    /// value (including all reloads) holds a register and
-    /// [`AllocatedFunction::assignment`] is total on live values.
+    /// `true` when the last round spilled nothing and its verdict is
+    /// [`Feasibility::Feasible`]: every remaining value (including all
+    /// reloads) holds a register and [`AllocatedFunction::assignment`]
+    /// is total on live values.
     pub converged: bool,
     /// Total spill cost over all rounds — the allocation cost.
     pub spill_cost: u64,

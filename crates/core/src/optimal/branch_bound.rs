@@ -18,7 +18,8 @@
 //! `W` in one flat `Vec<u64>`, and the colours are one flat `R × W`
 //! array of rows over positions. A colour is free for position `i` iff
 //! its row misses the earlier neighbours. No per-node allocated set is
-//! kept: an improving leaf rebuilds it from the colour rows.
+//! kept: an improving leaf copies the colour rows, which are both the
+//! allocated set and its witness colouring.
 //!
 //! There is one search body, generic over the row width: instances of
 //! up to 256 vertices run it at a compile-time width of 1–4 words, where
@@ -115,8 +116,8 @@ struct Kernel<'a, X> {
     colours: Vec<u64>,
     r: u32,
     best_spill: Cost,
-    /// Positions kept by the best solution found, as one row.
-    best_kept: Vec<u64>,
+    /// The colour rows of the best solution found.
+    best_colours: Vec<u64>,
     nodes: u64,
     /// The next node count at which [`Kernel::count_node`] looks at
     /// the fuel or the clock: the first count past `node_limit` or the
@@ -156,19 +157,20 @@ impl<'a, X: Width> Kernel<'a, X> {
                 }
             }
         }
+        // min(r, n) rows: the search can never use more colours than
+        // vertices, and an absurd caller-supplied R must not allocate R
+        // bit rows.
+        let colours = vec![0; (p.r as usize).min(n) * w];
         Kernel {
             width,
             earlier,
             weight: &p.weight,
-            // min(r, n) rows: the search can never use more colours than
-            // vertices, and an absurd caller-supplied R must not allocate
-            // R bit rows.
-            colours: vec![0; (p.r as usize).min(n) * w],
+            best_colours: colours.clone(),
+            colours,
             r: p.r,
             // `run` records strictly better solutions only, so start one
             // above the incumbent; if nothing beats it, it stands.
             best_spill: p.incumbent_spill + 1,
-            best_kept: vec![0; w],
             nodes: 0,
             checkpoint: budget.node_limit.saturating_add(1).min(DEADLINE_STRIDE),
             node_limit: budget.node_limit,
@@ -217,17 +219,12 @@ impl<'a, X: Width> Kernel<'a, X> {
         if !self.count_node() {
             return false;
         }
-        let w = self.width.words();
         if i == self.weight.len() {
             self.best_spill = spill;
-            for (k, kept) in self.best_kept.iter_mut().enumerate() {
-                *kept = self.colours[k..]
-                    .iter()
-                    .step_by(w)
-                    .fold(0, |acc, &col| acc | col);
-            }
+            self.best_colours.copy_from_slice(&self.colours);
             return true;
         }
+        let w = self.width.words();
         let (word, bit) = (i / 64, 1u64 << (i % 64));
 
         // Try colours first (allocating is never charged), with symmetry
@@ -261,7 +258,7 @@ struct Outcome {
     completed: bool,
     nodes: u64,
     best_spill: Cost,
-    best_kept: Vec<u64>,
+    best_colours: Vec<u64>,
 }
 
 /// Runs `p`'s search at row width `width`.
@@ -272,7 +269,7 @@ fn search<X: Width>(width: X, p: &Problem<'_>, budget: &SolveBudget) -> Outcome 
         completed,
         nodes: kernel.nodes,
         best_spill: kernel.best_spill,
-        best_kept: kernel.best_kept,
+        best_colours: kernel.best_colours,
     }
 }
 
@@ -295,11 +292,7 @@ pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Al
     // on any graph; GC too.
     let seed_a = LayeredHeuristic::new().allocate(instance, r);
     let seed_b = ChaitinBriggs::new().allocate(instance, r);
-    let (incumbent_spill, incumbent_set) = if seed_a.spill_cost <= seed_b.spill_cost {
-        (seed_a.spill_cost, seed_a.allocated)
-    } else {
-        (seed_b.spill_cost, seed_b.allocated)
-    };
+    let incumbent = std::cmp::min_by_key(seed_a, seed_b, |a| a.spill_cost);
 
     let g = instance.graph();
     let wg = instance.weighted_graph();
@@ -312,7 +305,7 @@ pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Al
         weight: order.iter().map(|&v| wg.weight(v)).collect(),
         order,
         r,
-        incumbent_spill,
+        incumbent_spill: incumbent.spill_cost,
     };
     let outcome = match n.div_ceil(64) {
         0 | 1 => search(Words::<1>, &problem, budget),
@@ -327,17 +320,22 @@ pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Al
     if !outcome.completed {
         return None;
     }
-    let best = if outcome.best_spill <= incumbent_spill {
-        BitSet::from_iter_with_capacity(
-            n,
-            (0..n)
-                .filter(|&i| outcome.best_kept[i / 64] & (1 << (i % 64)) != 0)
-                .map(|i| problem.order[i]),
-        )
-    } else {
-        incumbent_set
-    };
-    Some(instance.allocation_from_set(best))
+    if outcome.best_spill > incumbent.spill_cost {
+        return Some(incumbent);
+    }
+    // Colour row `c` holds the positions of register `c`.
+    let w = n.div_ceil(64);
+    let mut allocated = BitSet::new(n);
+    let mut colors = vec![0; n];
+    for (c, row) in outcome.best_colours.chunks(w.max(1)).enumerate() {
+        for (i, &v) in problem.order.iter().enumerate() {
+            if row[i / 64] & (1 << (i % 64)) != 0 {
+                allocated.insert(v);
+                colors[v] = c as u32;
+            }
+        }
+    }
+    Some(instance.allocation_with_colors(allocated, colors))
 }
 
 #[cfg(test)]

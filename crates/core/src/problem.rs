@@ -7,11 +7,12 @@
 //! when the instance was built from intervals).
 //!
 //! Allocators return an [`Allocation`]: the set of variables kept in
-//! registers; everything else is spilled, and the **allocation cost** is
-//! the total spill cost of the spilled variables — the quantity every
-//! figure of the paper reports (normalised to the optimum).
+//! registers, with a register for each; everything else is spilled, and
+//! the **allocation cost** is the total spill cost of the spilled
+//! variables — the quantity every figure of the paper reports
+//! (normalised to the optimum).
 
-use lra_graph::{cliques, peo, BitSet, Cost, Graph, Interval, Vertex, WeightedGraph};
+use lra_graph::{cliques, coloring, peo, BitSet, Cost, Graph, Interval, Vertex, WeightedGraph};
 
 /// A spill-everywhere problem instance.
 #[derive(Clone, Debug)]
@@ -132,13 +133,32 @@ impl Instance {
     }
 
     /// Builds the [`Allocation`] that keeps exactly `allocated` in
-    /// registers.
+    /// registers, colouring the set first-fit along the reverse PEO
+    /// (the tree-scan assignment, optimal on chordal graphs). Without a
+    /// PEO it colours first-fit in vertex order, which may need more
+    /// than `R` colours: allocators on general graphs hand over their
+    /// own colouring through [`Instance::allocation_with_colors`].
     pub fn allocation_from_set(&self, allocated: BitSet) -> Allocation {
+        let g = self.graph();
+        let kept = |v: &Vertex| allocated.contains(v.index());
+        let colors = match &self.peo {
+            Some(order) => {
+                coloring::greedy_coloring_in_order(g, order.iter().rev().copied().filter(kept))
+            }
+            None => coloring::greedy_coloring_in_order(g, g.vertices().filter(kept)),
+        };
+        self.allocation_with_colors(allocated, colors)
+    }
+
+    /// Builds the [`Allocation`] that keeps exactly `allocated` in
+    /// registers, with `colors[v]` the register of each allocated `v`.
+    pub fn allocation_with_colors(&self, allocated: BitSet, colors: Vec<u32>) -> Allocation {
         let allocated_weight = self.wg.weight_of_set(&allocated);
         Allocation {
             spill_cost: self.total_weight() - allocated_weight,
             allocated_weight,
             allocated,
+            colors,
         }
     }
 }
@@ -153,6 +173,10 @@ pub struct Allocation {
     pub spill_cost: Cost,
     /// Total weight of the allocated variables (the dual view).
     pub allocated_weight: Cost,
+    /// The witness colouring, one entry per variable: `colors[v]` is
+    /// the register of allocated `v`; entries of spilled variables mean
+    /// nothing. [`crate::verify::check`] checks it.
+    pub colors: Vec<u32>,
 }
 
 impl Allocation {
@@ -172,9 +196,10 @@ impl Allocation {
 /// A spill-everywhere allocator: selects the variables to keep in
 /// registers given `r` available registers.
 ///
-/// Implementations must return a *feasible* allocation: the subgraph
-/// induced by the allocated set must be `r`-colourable (see
-/// [`crate::verify`]). Allocators are `Send + Sync`, so one instance
+/// Implementations must return a *feasible* allocation: its colouring
+/// gives every allocated variable a register below `r` and never the
+/// same register to two interfering ones (see [`crate::verify`]).
+/// Allocators are `Send + Sync`, so one instance
 /// can serve every worker of a parallel run.
 pub trait Allocator: Send + Sync {
     /// Short name used in experiment tables (`GC`, `NL`, `BFPL`, …).

@@ -1,30 +1,31 @@
 //! Feasibility checking for allocations.
 //!
-//! An allocation with `R` registers is feasible when the subgraph
-//! induced by the allocated variables is `R`-colourable — then the
-//! assignment phase (tree-scan / greedy colouring) succeeds without
-//! further spills.
-//!
-//! For chordal instances the check is exact and cheap: every maximal
-//! clique must contain at most `R` allocated vertices. For general
-//! graphs colourability is NP-complete; we use greedy colouring and
-//! fall back to exhaustive search on small graphs.
+//! An allocation with `R` registers is feasible when its allocated
+//! variables can share `R` registers without two interfering ones
+//! meeting. Every allocator hands over the colouring it built with the
+//! allocated set ([`Allocation::colors`]): a layer of the layered
+//! allocators, an `LH` cluster, a `GC` select colour and a
+//! branch-and-bound colour row are each one register, and a set chosen
+//! on a chordal graph is coloured along the reverse PEO (the tree-scan).
+//! [`check`] does not search for a colouring; it checks that one in a
+//! single O(V + E) pass: every allocated variable has a colour below
+//! `R`, and no edge joins two allocated variables of the same colour.
 
 use crate::problem::{Allocation, Instance};
-use lra_graph::{coloring, BitSet};
+use lra_graph::coloring;
 
 /// The result of a feasibility check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Feasibility {
-    /// Definitely feasible, with a witness colouring (register
-    /// assignment) for the allocated vertices.
+    /// The allocation's colouring checked out; it is carried here as
+    /// the register assignment (entries of spilled variables mean
+    /// nothing).
     Feasible(Vec<u32>),
-    /// Definitely infeasible: the named clique has more than `R`
-    /// allocated members, or no colouring exists.
+    /// The colouring fails: a colour is out of range, or two
+    /// interfering allocated variables share one.
     Infeasible(String),
-    /// Greedy colouring failed and the graph is too large for the exact
-    /// check — feasibility unknown (only possible on large non-chordal
-    /// instances).
+    /// Never returned: [`check`] always decides. Kept for callers that
+    /// match on every verdict by name.
     Unknown,
 }
 
@@ -35,102 +36,25 @@ impl Feasibility {
     }
 }
 
-/// Checks that `alloc` fits in `r` registers on `instance`.
+/// Checks that `alloc`'s colouring fits in `r` registers on `instance`.
 pub fn check(instance: &Instance, alloc: &Allocation, r: u32) -> Feasibility {
-    check_set(instance, &alloc.allocated, r)
-}
-
-/// Checks that the vertex set `allocated` induces an `r`-colourable
-/// subgraph of the instance graph.
-pub fn check_set(instance: &Instance, allocated: &BitSet, r: u32) -> Feasibility {
-    let g = instance.graph();
-
-    if let Some(cliques) = instance.maximal_cliques() {
-        // Chordal: ω of the induced subgraph = max allocated per clique.
-        for (i, clique) in cliques.iter().enumerate() {
-            let inside = clique
-                .iter()
-                .filter(|v| allocated.contains(v.index()))
-                .count();
-            if inside > r as usize {
-                return Feasibility::Infeasible(format!(
-                    "maximal clique #{i} has {inside} allocated vertices for {r} registers"
-                ));
-            }
-        }
-        // Colour the allocated subgraph greedily along the reverse PEO
-        // (the tree-scan assignment); this must succeed given the clique
-        // check above.
-        let order = instance.peo().expect("chordal instance has a PEO");
-        let mut colors = vec![0u32; g.vertex_count()];
-        let mut assigned = BitSet::new(g.vertex_count());
-        for v in order.iter().rev() {
-            let v = v.index();
-            if !allocated.contains(v) {
-                continue;
-            }
-            let mut used = vec![false; r as usize];
-            for &u in g.neighbor_indices(v) {
-                let u = u as usize;
-                if assigned.contains(u) && (colors[u] as usize) < used.len() {
-                    used[colors[u] as usize] = true;
-                }
-            }
-            match used.iter().position(|&b| !b) {
-                Some(c) => {
-                    colors[v] = c as u32;
-                    assigned.insert(v);
-                }
-                None => {
-                    return Feasibility::Infeasible(
-                        "greedy PEO colouring exceeded R on a chordal graph".into(),
-                    )
-                }
-            }
-        }
-        return Feasibility::Feasible(colors);
+    let colors = &alloc.colors;
+    if let Some(v) = alloc.allocated.iter().find(|&v| colors[v] >= r) {
+        return Feasibility::Infeasible(format!(
+            "variable {v} has colour {} of {r} registers",
+            colors[v]
+        ));
     }
-
-    // General graph: greedy colouring on the allocated subgraph, in
-    // decreasing-degree order.
-    let members: Vec<usize> = allocated.iter().collect();
-    let mut order = members.clone();
-    order.sort_by_key(|&v| std::cmp::Reverse(g.adjacent_count_in(v, allocated)));
-    let mut colors: Vec<Option<u32>> = vec![None; g.vertex_count()];
-    let mut greedy_ok = true;
-    for &v in &order {
-        let mut used = vec![false; r as usize];
-        for &u in g.neighbor_indices(v) {
-            if let Some(c) = colors[u as usize] {
-                if (c as usize) < used.len() {
-                    used[c as usize] = true;
-                }
-            }
-        }
-        match used.iter().position(|&b| !b) {
-            Some(c) => colors[v] = Some(c as u32),
-            None => {
-                greedy_ok = false;
-                break;
-            }
-        }
+    if !coloring::is_proper_coloring(instance.graph(), colors, Some(&alloc.allocated)) {
+        return Feasibility::Infeasible("two interfering variables share a colour".into());
     }
-    if greedy_ok {
-        return Feasibility::Feasible(colors.into_iter().map(|c| c.unwrap_or(0)).collect());
-    }
-    if members.len() <= 48 {
-        return match coloring::exact_coloring(g, allocated, r) {
-            Some(w) => Feasibility::Feasible(w),
-            None => Feasibility::Infeasible("no R-colouring exists (exact search)".into()),
-        };
-    }
-    Feasibility::Unknown
+    Feasibility::Feasible(colors.clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lra_graph::{Graph, WeightedGraph};
+    use lra_graph::{BitSet, Graph, WeightedGraph};
 
     fn instance(n: usize, edges: &[(usize, usize)]) -> Instance {
         Instance::from_weighted_graph(WeightedGraph::unit(Graph::from_edges(n, edges)))
@@ -139,23 +63,24 @@ mod tests {
     #[test]
     fn triangle_needs_three_registers() {
         let inst = instance(3, &[(0, 1), (1, 2), (0, 2)]);
-        let all = BitSet::full(3);
-        assert!(check_set(&inst, &all, 3).is_feasible());
-        assert!(!check_set(&inst, &all, 2).is_feasible());
+        let all = inst.allocation_from_set(BitSet::full(3));
+        assert!(check(&inst, &all, 3).is_feasible());
+        assert!(!check(&inst, &all, 2).is_feasible());
     }
 
     #[test]
     fn spilling_restores_feasibility() {
         let inst = instance(3, &[(0, 1), (1, 2), (0, 2)]);
-        let two = BitSet::from_iter_with_capacity(3, [0, 2]);
-        assert!(check_set(&inst, &two, 2).is_feasible());
+        let two = inst.allocation_from_set(BitSet::from_iter_with_capacity(3, [0, 2]));
+        assert!(check(&inst, &two, 2).is_feasible());
     }
 
     #[test]
     fn witness_coloring_is_proper() {
         let inst = instance(4, &[(0, 1), (1, 2), (2, 3), (0, 2)]);
         let all = BitSet::full(4);
-        if let Feasibility::Feasible(colors) = check_set(&inst, &all, 3) {
+        let alloc = inst.allocation_from_set(all.clone());
+        if let Feasibility::Feasible(colors) = check(&inst, &alloc, 3) {
             assert!(coloring::is_proper_coloring(
                 inst.graph(),
                 &colors,
@@ -167,18 +92,50 @@ mod tests {
     }
 
     #[test]
-    fn non_chordal_exact_fallback() {
-        // C5 needs 3 colours; greedy in some orders may fail at 3 but
-        // the exact fallback must answer correctly for both 2 and 3.
+    fn non_chordal_witness_decides() {
+        // C5 has no PEO: the set is coloured first-fit in vertex order
+        // (0, 1, 0, 1, 2), which fits 3 registers and not 2.
         let inst = instance(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let all = BitSet::full(5);
-        assert!(!check_set(&inst, &all, 2).is_feasible());
-        assert!(check_set(&inst, &all, 3).is_feasible());
+        let all = inst.allocation_from_set(BitSet::full(5));
+        assert_eq!(all.colors, vec![0, 1, 0, 1, 2]);
+        assert!(!check(&inst, &all, 2).is_feasible());
+        assert!(check(&inst, &all, 3).is_feasible());
+    }
+
+    #[test]
+    fn colour_at_or_above_r_is_infeasible() {
+        let inst = instance(3, &[(0, 1)]);
+        let all = BitSet::full(3);
+        let alloc = inst.allocation_with_colors(all.clone(), vec![0, 1, 2]);
+        assert!(check(&inst, &alloc, 3).is_feasible());
+        assert!(matches!(
+            check(&inst, &alloc, 2),
+            Feasibility::Infeasible(_)
+        ));
+        // A spilled variable's entry is not checked.
+        let spilled = BitSet::from_iter_with_capacity(3, [0, 1]);
+        let alloc = inst.allocation_with_colors(spilled, vec![0, 1, 7]);
+        assert!(check(&inst, &alloc, 2).is_feasible());
+    }
+
+    #[test]
+    fn adjacent_vertices_sharing_a_colour_are_infeasible() {
+        let inst = instance(3, &[(0, 1), (1, 2)]);
+        let clash = inst.allocation_with_colors(BitSet::full(3), vec![0, 0, 1]);
+        assert!(matches!(
+            check(&inst, &clash, 3),
+            Feasibility::Infeasible(_)
+        ));
+        // The same colours are fine once one end of the edge is spilled.
+        let spilled = BitSet::from_iter_with_capacity(3, [1, 2]);
+        let alloc = inst.allocation_with_colors(spilled, vec![0, 0, 1]);
+        assert!(check(&inst, &alloc, 2).is_feasible());
     }
 
     #[test]
     fn empty_allocation_always_feasible() {
         let inst = instance(3, &[(0, 1), (1, 2), (0, 2)]);
-        assert!(check_set(&inst, &BitSet::new(3), 0).is_feasible());
+        let none = inst.allocation_from_set(BitSet::new(3));
+        assert!(check(&inst, &none, 0).is_feasible());
     }
 }

@@ -3,8 +3,9 @@
 //! On a chordal graph, colouring greedily along the *reverse* of a
 //! perfect elimination order is optimal and uses exactly `ω(G)` colours
 //! — this is the *tree-scan* assignment of SSA-based allocation. On
-//! general graphs greedy colouring is a heuristic; a small exact
-//! branch-and-bound is provided for verification.
+//! general graphs greedy colouring is a heuristic. [`is_proper_coloring`]
+//! checks a colouring in one pass over the edges; [`exact_coloring`], a
+//! small exhaustive search, is a reference for tests.
 
 use crate::bitset::BitSet;
 use crate::graph::{Graph, Vertex};
@@ -33,11 +34,14 @@ pub fn greedy_peo_coloring(g: &Graph, order: &[Vertex]) -> Vec<Color> {
     greedy_coloring_in_order(g, order.iter().rev().copied())
 }
 
-/// Greedily colours `g` visiting vertices in the given order.
+/// Greedily colours the vertices of `g` that `order` visits, in that
+/// order.
 ///
 /// Assigns each vertex the smallest colour not used by an
-/// already-coloured neighbour. Optimal for chordal graphs when the order
-/// is a reversed PEO; a heuristic otherwise.
+/// already-coloured neighbour; vertices `order` skips get colour 0 and
+/// constrain no one, so a filtered order colours an induced subgraph.
+/// Optimal for chordal graphs when the order is a reversed PEO; a
+/// heuristic otherwise.
 pub fn greedy_coloring_in_order(g: &Graph, order: impl Iterator<Item = Vertex>) -> Vec<Color> {
     let n = g.vertex_count();
     let mut colors: Vec<Option<Color>> = vec![None; n];
@@ -59,10 +63,7 @@ pub fn greedy_coloring_in_order(g: &Graph, order: impl Iterator<Item = Vertex>) 
             .expect("first-fit colour exists") as Color;
         colors[v] = Some(c);
     }
-    colors
-        .into_iter()
-        .map(|c| c.expect("all vertices coloured"))
-        .collect()
+    colors.into_iter().map(|c| c.unwrap_or(0)).collect()
 }
 
 /// The number of distinct colours in a colouring.
@@ -82,9 +83,10 @@ pub fn is_proper_coloring(g: &Graph, colors: &[Color], domain: Option<&BitSet>) 
 /// Decides by exhaustive search whether the subgraph of `g` induced by
 /// `domain` is `k`-colourable, returning a witness colouring.
 ///
-/// Exponential; intended for verification on small graphs (the JVM-sized
-/// methods of the evaluation). Colour symmetry is broken by allowing at
-/// most one previously-unused colour per vertex.
+/// Exponential; a reference for tests on small graphs (allocations are
+/// checked against the colouring their allocator hands over). Colour
+/// symmetry is broken by allowing at most one previously-unused colour
+/// per vertex.
 ///
 /// # Panics
 ///

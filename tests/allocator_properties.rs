@@ -6,7 +6,7 @@ use lra::core::layered::Layered;
 use lra::core::optimal::{branch_bound, chordal_dp, flow, SolveBudget};
 use lra::core::problem::{Allocator, Instance};
 use lra::core::{verify, LayeredHeuristic, Optimal};
-use lra::graph::{generate, peo, stable, WeightedGraph};
+use lra::graph::{coloring, generate, peo, stable, WeightedGraph};
 use proptest::prelude::*;
 use rand::Rng as _;
 use rand::SeedableRng;
@@ -107,16 +107,22 @@ proptest! {
         prop_assert_eq!(dp.spill_cost, bb.spill_cost);
     }
 
-    /// LH and GC are feasible on arbitrary graphs and never beat the
-    /// exact optimum.
+    /// LH, GC and branch-and-bound are feasible on arbitrary graphs,
+    /// each `Feasible` verdict is confirmed by an exhaustive colouring
+    /// search, and no heuristic beats the exact optimum.
     #[test]
     fn general_graph_allocators_sound(seed in 0u64..10_000, n in 5usize..18, r in 1u32..5) {
         let inst = general_instance(seed, n);
         let lh = LayeredHeuristic::new().allocate(&inst, r);
         let gc = ChaitinBriggs::new().allocate(&inst, r);
-        prop_assert!(verify::check(&inst, &lh, r).is_feasible());
-        prop_assert!(verify::check(&inst, &gc, r).is_feasible());
         let opt = branch_bound::solve(&inst, r, &mut SolveBudget::nodes(50_000_000)).expect("within budget");
+        for (name, a) in [("LH", &lh), ("GC", &gc), ("B&B", &opt)] {
+            prop_assert!(verify::check(&inst, a, r).is_feasible(), "{} infeasible", name);
+            prop_assert!(
+                coloring::exact_coloring(inst.graph(), &a.allocated, r).is_some(),
+                "{} verified, yet no {}-colouring exists", name, r
+            );
+        }
         prop_assert!(lh.spill_cost >= opt.spill_cost);
         prop_assert!(gc.spill_cost >= opt.spill_cost);
     }
@@ -166,7 +172,7 @@ proptest! {
             let mut bigger = opt.allocated.clone();
             bigger.insert(v);
             prop_assert!(
-                !verify::check_set(&inst, &bigger, r).is_feasible(),
+                coloring::exact_coloring(inst.graph(), &bigger, r).is_none(),
                 "optimal allocation missed a free vertex {v}"
             );
         }

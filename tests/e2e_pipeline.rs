@@ -4,6 +4,7 @@
 //! full-spill, and the verifier accepts the result, for every register
 //! count in `2..=8`.
 
+use lra::bench::batchrun;
 use lra::core::pipeline::{build_instance, InstanceKind};
 use lra::targets::{Target, TargetKind};
 use lra::AllocationPipeline;
@@ -168,5 +169,50 @@ fn interval_view_pipeline_matches_flow_optimum() {
             .run(&f)
             .unwrap();
         assert_eq!(piped.first_round_spill_cost(), direct, "R={r}");
+    }
+}
+
+/// Rows of the standard corpora that once shipped `converged` with no
+/// register assignment at all, because the verifier searched for a
+/// colouring of a general graph and gave up. Each must converge with a
+/// `Feasible` verdict, and every value the final function defines or
+/// uses must hold a register.
+#[test]
+fn converged_rows_carry_a_total_assignment() {
+    for (seed, experiment, names) in [
+        (
+            2013,
+            "jit-huge/Portfolio/R6",
+            &["crypto::h6", "sunflow::h24"][..],
+        ),
+        (2036, "specjvm98/LH/R6", &["raytrace::m0"][..]),
+    ] {
+        let exp = batchrun::standard_experiments(seed)
+            .into_iter()
+            .find(|e| e.name == experiment)
+            .unwrap_or_else(|| panic!("standard experiment {experiment}"));
+        for &name in names {
+            let f = exp.functions.iter().find(|f| f.name == name);
+            let report = exp.pipeline.run(f.expect(name)).expect(name);
+            assert!(report.converged, "{experiment} {name}: not converged");
+            assert!(
+                report.verdict.is_feasible(),
+                "{experiment} {name}: verdict {:?}",
+                report.verdict
+            );
+            let unassigned: Vec<usize> = report
+                .function
+                .blocks
+                .iter()
+                .flat_map(|b| &b.instrs)
+                .flat_map(|i| i.def.iter().chain(&i.uses))
+                .map(|v| v.index())
+                .filter(|&v| report.assignment.register_of(v).is_none())
+                .collect();
+            assert!(
+                unassigned.is_empty(),
+                "{experiment} {name}: values without a register: {unassigned:?}"
+            );
+        }
     }
 }

@@ -96,9 +96,9 @@ fn jit_pipeline_with_all_jvm_allocators() {
             assert!(verify::check(&precise, &lh, r).is_feasible());
             assert!(verify::check(&precise, &gc, r).is_feasible());
             assert!(verify::check(&coarse, &ls, r).is_feasible());
-            // The linear-scan allocation is feasible on the precise
-            // graph too (the interval graph is a supergraph).
-            assert!(verify::check_set(&precise, &ls.allocated, r).is_feasible());
+            // The linear-scan registers are proper on the precise graph
+            // too (the interval graph is a supergraph).
+            assert!(verify::check(&precise, &ls, r).is_feasible());
         }
     }
 }
