@@ -99,8 +99,8 @@ pub fn to_json(seed: u64, profiles: &[CorpusProfile]) -> String {
         let _ = writeln!(s, "      \"exact_won\": {},", p.trace.exact_won);
         let _ = writeln!(s, "      \"exact_tied\": {},", p.trace.exact_tied);
         let _ = writeln!(s, "      \"exact_exhausted\": {},", p.trace.exact_exhausted);
-        let _ = writeln!(s, "      \"cache_hits\": {},", p.trace.cache_hits());
-        let _ = writeln!(s, "      \"cache_misses\": {},", p.trace.cache_misses());
+        let _ = writeln!(s, "      \"cache_hits\": {},", p.trace.cache_hits);
+        let _ = writeln!(s, "      \"cache_misses\": {},", p.trace.cache_misses);
         s.push_str("      \"phases\": [\n");
         for (j, phase) in Phase::ALL.iter().enumerate() {
             let st = p.trace.phases[*phase as usize];
@@ -140,10 +140,9 @@ pub fn chrome_trace(seed: u64) -> String {
         .iter()
         .max_by_key(|f| f.value_count)
         .expect("jit-large corpus is non-empty");
-    let _on = trace::arm();
     trace::begin(true);
     let _ = crate::batchrun::jit_large_pipeline().run(f);
-    let report = trace::take().expect("tracing was armed");
+    let report = trace::take().expect("begin started a collection");
     let mut s = String::new();
     let _ = writeln!(s, "{{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
     for (i, e) in report.events.iter().enumerate() {

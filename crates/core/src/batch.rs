@@ -223,11 +223,15 @@ impl BatchAllocator {
     /// per-item failure contract. (The panic message still goes to
     /// stderr via the process panic hook; the report stays
     /// deterministic because the hook writes to a different stream.)
+    ///
+    /// The batch is traced ([`BatchItem::trace`]) when the calling
+    /// thread holds a [`crate::trace::arm`] guard or `LRA_TRACE` is set.
     pub fn run_refs(&self, functions: &[&Function]) -> BatchReport {
         let threads = self.effective_threads(functions.len());
+        let traced = crate::trace::enabled() || crate::trace::env_requested();
         let start = Instant::now();
         let items = parallel_map_with(functions, threads, AnalysisScratch::new, |scratch, _, f| {
-            allocate_item(&self.pipeline, f, scratch)
+            allocate_item(&self.pipeline, f, scratch, traced)
         });
         let elapsed = start.elapsed();
         let summary = BatchSummary::from_items(&items);
@@ -256,16 +260,17 @@ impl BatchAllocator {
 /// its buffers to the function at hand before reading them, so a panic
 /// that leaves the scratch mid-write cannot leak state into the next
 /// item's result.
+///
+/// With `traced` set, the run is bracketed by a per-item collection on
+/// the calling thread ([`crate::trace::begin`] … [`crate::trace::take`]).
+/// The trace rides along as a side channel on the item — rows and
+/// rendering never read it, so output bytes are identical either way.
 pub fn allocate_item(
     pipeline: &AllocationPipeline,
     f: &Function,
     scratch: &mut AnalysisScratch,
+    traced: bool,
 ) -> BatchItem {
-    // With tracing armed (LRA_TRACE, a service trace request, or the
-    // profiler), bracket the run with a per-item collection. The trace
-    // rides along as a side channel on the item — rows and rendering
-    // never read it, so output bytes are identical either way.
-    let traced = crate::trace::enabled();
     if traced {
         crate::trace::begin(false);
     }
@@ -309,10 +314,11 @@ pub struct BatchItem {
     /// Wall-clock time this item spent in the pipeline (excluded from
     /// [`BatchReport::render`] to keep batch output deterministic).
     pub elapsed: Duration,
-    /// Per-phase trace collected while this item ran, when tracing was
-    /// armed ([`crate::trace`]); `None` otherwise. Like `elapsed`, a
-    /// side channel: [`BatchItem::row`] and every renderer ignore it,
-    /// so traced and untraced runs stay byte-identical.
+    /// Per-phase trace collected while this item ran, when its
+    /// submitter asked for tracing ([`crate::trace`]); `None`
+    /// otherwise. Like `elapsed`, a side channel: [`BatchItem::row`]
+    /// and every renderer ignore it, so traced and untraced runs stay
+    /// byte-identical.
     pub trace: Option<crate::trace::TraceReport>,
 }
 
@@ -644,8 +650,8 @@ mod tests {
         let p = pipeline();
         let mut scratch = AnalysisScratch::new();
         for f in &fs {
-            let reused = allocate_item(&p, f, &mut scratch);
-            let fresh = allocate_item(&p, f, &mut AnalysisScratch::new());
+            let reused = allocate_item(&p, f, &mut scratch, false);
+            let fresh = allocate_item(&p, f, &mut AnalysisScratch::new(), false);
             assert_eq!(reused.row(), fresh.row());
         }
     }
@@ -665,11 +671,11 @@ mod tests {
         let p = pipeline();
         let fs = corpus(2);
         let mut scratch = AnalysisScratch::new();
-        let before = allocate_item(&p, &fs[0], &mut scratch);
-        let bad = allocate_item(&p, &broken, &mut scratch);
+        let before = allocate_item(&p, &fs[0], &mut scratch, false);
+        let bad = allocate_item(&p, &broken, &mut scratch, false);
         assert!(matches!(bad.outcome, Err(PipelineError::Panic(_))));
-        let after = allocate_item(&p, &fs[1], &mut scratch);
-        let fresh = |f| allocate_item(&p, f, &mut AnalysisScratch::new()).row();
+        let after = allocate_item(&p, &fs[1], &mut scratch, false);
+        let fresh = |f| allocate_item(&p, f, &mut AnalysisScratch::new(), false).row();
         assert_eq!(before.row(), fresh(&fs[0]));
         assert_eq!(after.row(), fresh(&fs[1]));
     }
@@ -785,9 +791,9 @@ mod tests {
         let p = p.time_budget(Some(Duration::ZERO));
         let mut scratch = AnalysisScratch::new();
         for f in &fs {
-            let item = allocate_item(&p, f, &mut scratch);
+            let item = allocate_item(&p, f, &mut scratch, false);
             assert!(item.outcome.is_ok(), "{}", f.name);
-            let reference = allocate_item(&cheap, f, &mut scratch);
+            let reference = allocate_item(&cheap, f, &mut scratch, false);
             assert_eq!(item.row(), reference.row(), "{}", f.name);
         }
     }
@@ -796,7 +802,7 @@ mod tests {
     fn allocate_item_matches_a_single_item_batch() {
         let fs = corpus(1);
         let p = pipeline();
-        let item = allocate_item(&p, &fs[0], &mut AnalysisScratch::new());
+        let item = allocate_item(&p, &fs[0], &mut AnalysisScratch::new(), false);
         let batch = BatchAllocator::new(p).run(&fs);
         assert_eq!(item.row(), batch.items[0].row());
     }

@@ -414,7 +414,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let g = generate::random_general(&mut rng, 60, 30);
         let inst = instance(g, generate::random_weights(&mut rng, 60, 2));
-        let _on = trace::arm();
         trace::begin(false);
         let fuel = 10_000_000;
         let mut budget =
@@ -488,7 +487,6 @@ mod tests {
                 solve(&inst, r, &mut SolveBudget::nodes(fuel - 1)).is_none(),
                 "seed {seed}: done below {fuel}"
             );
-            let _on = trace::arm();
             trace::begin(false);
             let mut budget = SolveBudget::nodes(fuel);
             let a = solve(&inst, r, &mut budget).expect("completes at the pinned fuel");
@@ -510,7 +508,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let g = generate::random_general(&mut rng, 30, 40);
         let inst = instance(g, generate::random_weights(&mut rng, 30, 2));
-        let _on = trace::arm();
         trace::begin(false);
         let mut budget = SolveBudget::nodes(10);
         assert!(solve(&inst, 4, &mut budget).is_none());

@@ -459,7 +459,6 @@ mod tests {
             let needed: u64 = tree.bags.iter().map(|bag| 1 << bag.len()).sum();
             assert_eq!(needed, masks, "seed {seed}");
 
-            let _on = trace::arm();
             trace::begin(false);
             let mut budget = SolveBudget::nodes(needed);
             let a = solve(&inst, r, &mut budget).expect("completes on exactly the fuel it needs");

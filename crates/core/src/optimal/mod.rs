@@ -260,7 +260,6 @@ mod tests {
             Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(1340)),
             None
         );
-        let _on = trace::arm();
         trace::begin(false);
         let a = Optimal
             .try_allocate(&inst, 2, &SolveBudget::nodes(1341))

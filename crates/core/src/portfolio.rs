@@ -401,7 +401,6 @@ mod tests {
 
     #[test]
     fn uncached_escalations_count_how_they_ended() {
-        let _on = trace::arm();
         for fuel in [1, 1_000_000] {
             let cfg = PortfolioConfig::default().node_budget(fuel).cache(false);
             trace::begin(false);

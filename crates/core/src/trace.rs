@@ -6,16 +6,18 @@
 //! (analysis, spill costs, instance build, allocate, verify, rewrite,
 //! reanalyse) — plus the side counters a phase budget needs: fuel
 //! granted to and consumed by exact solves, per-round spill deltas,
-//! and result-cache hit/miss attribution per shard.
+//! exact-tier outcomes and result-cache hits and misses.
 //!
 //! # Cost contract
 //!
-//! Tracing is **off by default** and costs exactly one relaxed atomic
-//! load per instrumentation point while off ([`enabled`]). No
-//! `Instant::now()` call, no thread-local access, no allocation
-//! happens on a disabled probe. When enabled, all state lives in a
-//! thread-local [`TraceReport`] collector, so recording never takes a
-//! lock and never synchronises with other workers.
+//! Tracing is **off by default**. Every probe ([`span`] and the
+//! `add_*` counters) first reads one switch: this thread's collecting
+//! flag, a `const`-initialised thread-local `Cell<bool>` set by
+//! [`begin`] and cleared by [`take`]. While it is off a probe costs
+//! that one read — no `Instant::now()` call, no `RefCell` borrow, no
+//! allocation. While it is on, all state lives in a thread-local
+//! [`TraceReport`] collector, so recording never takes a lock and never
+//! synchronises with other workers.
 //!
 //! # Determinism contract
 //!
@@ -26,29 +28,33 @@
 //!
 //! # Enabling
 //!
-//! Two doors, same switch:
+//! Whether a unit of work is traced is decided once, where it is
+//! submitted, and handed to the thread that runs it:
 //!
-//! * the `LRA_TRACE` environment variable (any non-empty value other
-//!   than `0`) arms tracing process-wide — the env is read once, on
-//!   the first probe;
-//! * [`arm`] returns an RAII guard arming tracing for its lifetime —
-//!   the per-request door the service's `trace:true` requests and the
-//!   `lra-bench profile` subcommand use.
+//! * [`crate::batch::BatchAllocator::run_refs`] traces a batch when its
+//!   calling thread holds an [`arm`] guard or the `LRA_TRACE`
+//!   environment variable is set ([`env_requested`]); every worker
+//!   then brackets each item with [`begin`] … [`take`];
+//! * the service traces a job when its `SubmitOptions::trace` is set or
+//!   `LRA_TRACE` was set when the service started.
+//!
+//! [`arm`] arms only the thread that calls it, for the guard's
+//! lifetime: a thread it spawns starts unarmed, and untraced work on
+//! other threads never collects.
 //!
 //! # Protocol
 //!
-//! A worker brackets each unit of work with [`begin`] … [`take`]:
+//! A thread brackets each unit of work with [`begin`] … [`take`]:
 //!
 //! ```
 //! use lra_core::trace;
 //!
-//! let _on = trace::arm();
 //! trace::begin(false);
 //! {
 //!     let _span = trace::span(trace::Phase::Allocate);
 //!     // ... allocate ...
 //! }
-//! let report = trace::take().expect("tracing is armed");
+//! let report = trace::take().expect("begin started a collection");
 //! assert_eq!(report.phases[trace::Phase::Allocate as usize].count, 1);
 //! ```
 //!
@@ -57,11 +63,9 @@
 //! so summing self time over all phases reproduces the bracketed wall
 //! time without double counting.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::time::Instant;
-
-pub use crate::cache::CACHE_SHARDS;
 
 /// The phases the recorder attributes time to, in pipeline order.
 /// `Pipeline` and `Round` are the two container spans; their *self*
@@ -129,71 +133,34 @@ impl Phase {
     }
 }
 
-/// Sentinel: the armed counter has not yet been initialised from the
-/// `LRA_TRACE` environment variable.
-const UNINIT: u32 = u32::MAX;
-
-/// How many reasons tracing is currently on: the env contributes 1,
-/// each live [`ArmGuard`] contributes 1. `UNINIT` until first probed.
-static ARMED: AtomicU32 = AtomicU32::new(UNINIT);
-
-/// Whether `LRA_TRACE` requests tracing (non-empty and not `"0"`).
-fn env_requests_trace() -> bool {
+/// Whether `LRA_TRACE` requests tracing (set, non-empty and not
+/// `"0"`). Read afresh on every call, so callers read it once per
+/// submission point: once per batch, once per service start.
+pub fn env_requested() -> bool {
     std::env::var_os("LRA_TRACE").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// The armed count, lazily initialised from the environment on first
-/// use. Exactly one relaxed load on the fast path.
-fn armed_count() -> u32 {
-    let v = ARMED.load(Ordering::Relaxed);
-    if v != UNINIT {
-        return v;
-    }
-    let from_env = u32::from(env_requests_trace());
-    match ARMED.compare_exchange(UNINIT, from_env, Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => from_env,
-        Err(current) => current,
-    }
-}
-
-/// Whether tracing is currently armed. This is the disabled-path cost
-/// of every probe: one relaxed atomic load (plus, once per process,
-/// the lazy `LRA_TRACE` read).
-#[inline]
+/// Whether this thread holds an [`arm`] guard.
 pub fn enabled() -> bool {
-    armed_count() > 0
+    ARMS.with(Cell::get) > 0
 }
 
-/// Re-reads `LRA_TRACE` on the next probe, discarding the memoised
-/// env decision (live [`ArmGuard`]s are discarded with it). Test-only
-/// plumbing for exercising the env path; production code arms via
-/// [`arm`] or the environment at process start.
-#[doc(hidden)]
-pub fn reset_for_tests() {
-    ARMED.store(UNINIT, Ordering::Relaxed);
-}
-
-/// Arms tracing for the guard's lifetime (in addition to any other
-/// arming reason). Used per-request by the service and per-run by the
-/// profiler; guards nest freely across threads.
+/// Arms tracing on the calling thread for the guard's lifetime: a
+/// batch submitted from this thread is traced on every worker it runs
+/// on. Guards nest; other threads are unaffected.
 #[must_use = "tracing is armed only while the guard lives"]
 pub fn arm() -> ArmGuard {
-    armed_count(); // settle the lazy env init before counting up
-    ARMED.fetch_add(1, Ordering::Relaxed);
-    ArmGuard(())
+    ARMS.with(|a| a.set(a.get() + 1));
+    ArmGuard(PhantomData)
 }
 
-/// RAII handle from [`arm`]; dropping it disarms that one reason.
-pub struct ArmGuard(());
+/// RAII handle from [`arm`]; dropping it disarms that one reason. Not
+/// `Send`: it must drop on the thread it armed.
+pub struct ArmGuard(PhantomData<*const ()>);
 
 impl Drop for ArmGuard {
     fn drop(&mut self) {
-        // fetch_update instead of fetch_sub: a test's reset_for_tests
-        // may have re-sentineled the counter under us, and wrapping
-        // below zero would arm tracing forever.
-        let _ = ARMED.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            (v != UNINIT && v > 0).then(|| v - 1)
-        });
+        ARMS.with(|a| a.set(a.get() - 1));
     }
 }
 
@@ -250,26 +217,16 @@ pub struct TraceReport {
     pub exact_tied: u64,
     /// Escalations whose exact search ran out of fuel (or time).
     pub exact_exhausted: u64,
-    /// Result-cache hits, per shard (see [`CACHE_SHARDS`]).
-    pub shard_hits: [u64; CACHE_SHARDS],
-    /// Result-cache misses, per shard.
-    pub shard_misses: [u64; CACHE_SHARDS],
+    /// Result-cache hits, recorded via [`cache_access`].
+    pub cache_hits: u64,
+    /// Result-cache misses.
+    pub cache_misses: u64,
     /// Completed spans in completion order — populated only when the
     /// collector was started in detail mode ([`begin`] with `detail`).
     pub events: Vec<SpanEvent>,
 }
 
 impl TraceReport {
-    /// Total cache hits across shards.
-    pub fn cache_hits(&self) -> u64 {
-        self.shard_hits.iter().sum()
-    }
-
-    /// Total cache misses across shards.
-    pub fn cache_misses(&self) -> u64 {
-        self.shard_misses.iter().sum()
-    }
-
     /// Elapsed microseconds attributed to `phase` (children included).
     pub fn phase_total_us(&self, phase: Phase) -> u64 {
         self.phases[phase as usize].total_ns / 1_000
@@ -301,19 +258,14 @@ impl TraceReport {
         self.exact_won += other.exact_won;
         self.exact_tied += other.exact_tied;
         self.exact_exhausted += other.exact_exhausted;
-        for (into, from) in self.shard_hits.iter_mut().zip(other.shard_hits.iter()) {
-            *into += from;
-        }
-        for (into, from) in self.shard_misses.iter_mut().zip(other.shard_misses.iter()) {
-            *into += from;
-        }
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
     }
 }
 
 /// The per-thread recorder. `child_ns[d]` accumulates the elapsed
 /// time of completed children of the currently-open span at depth `d`.
 struct Collector {
-    active: bool,
     detail: bool,
     origin: Instant,
     depth: usize,
@@ -322,8 +274,12 @@ struct Collector {
 }
 
 thread_local! {
+    /// Whether this thread is collecting: set by [`begin`], cleared by
+    /// [`take`]. The one switch every probe reads.
+    static COLLECTING: Cell<bool> = const { Cell::new(false) };
+    /// Live [`arm`] guards on this thread.
+    static ARMS: Cell<u32> = const { Cell::new(0) };
     static COLLECTOR: RefCell<Collector> = RefCell::new(Collector {
-        active: false,
         detail: false,
         origin: Instant::now(),
         depth: 0,
@@ -337,9 +293,9 @@ thread_local! {
 /// kept as [`SpanEvent`]s (the chrome://tracing export's input);
 /// without it only the aggregate counters accrue.
 pub fn begin(detail: bool) {
+    COLLECTING.with(|on| on.set(true));
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
-        c.active = true;
         c.detail = detail;
         c.origin = Instant::now();
         c.depth = 0;
@@ -349,48 +305,48 @@ pub fn begin(detail: bool) {
 }
 
 /// Stops collecting on this thread and returns the report, or `None`
-/// when no collection was active (tracing disarmed, or [`begin`] was
-/// never called on this thread).
+/// when no collection was active ([`begin`] was not called on this
+/// thread since the last `take`).
 pub fn take() -> Option<TraceReport> {
-    COLLECTOR.with(|c| {
-        let mut c = c.borrow_mut();
-        if !c.active {
-            return None;
-        }
-        c.active = false;
-        Some(std::mem::take(&mut c.report))
-    })
+    if !COLLECTING.with(|on| on.replace(false)) {
+        return None;
+    }
+    Some(COLLECTOR.with(|c| std::mem::take(&mut c.borrow_mut().report)))
+}
+
+/// Whether this thread is between [`begin`] and [`take`].
+#[inline]
+fn collecting() -> bool {
+    COLLECTING.with(Cell::get)
 }
 
 /// An open phase span; records into the thread's collector on drop.
-/// Inert (a no-op to create and drop) when tracing is disarmed or no
-/// collection is active on this thread.
+/// Inert (a no-op to create and drop) when no collection is active on
+/// this thread.
 #[must_use = "a span measures the scope it is bound to"]
 pub struct SpanGuard {
     live: Option<(Phase, Instant)>,
 }
 
-/// Opens a span of `phase`. One relaxed atomic load when tracing is
-/// disarmed; otherwise the span clocks its scope and attributes the
-/// elapsed/self time to `phase` when dropped.
+/// Opens a span of `phase`. One thread-local read when this thread is
+/// not collecting; otherwise the span clocks its scope and attributes
+/// the elapsed/self time to `phase` when dropped.
 pub fn span(phase: Phase) -> SpanGuard {
-    if !enabled() {
+    if !collecting() {
         return SpanGuard { live: None };
     }
-    let live = COLLECTOR.with(|c| {
+    COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
-        if !c.active {
-            return None;
-        }
         c.depth += 1;
         let d = c.depth;
         if c.child_ns.len() <= d {
             c.child_ns.resize(d + 1, 0);
         }
         c.child_ns[d] = 0;
-        Some((phase, Instant::now()))
     });
-    SpanGuard { live }
+    SpanGuard {
+        live: Some((phase, Instant::now())),
+    }
 }
 
 impl Drop for SpanGuard {
@@ -401,9 +357,9 @@ impl Drop for SpanGuard {
         let dur_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         COLLECTOR.with(|c| {
             let mut c = c.borrow_mut();
-            // A begin() between open and drop reset the stack; this
-            // guard's bookkeeping no longer applies.
-            if !c.active || c.depth == 0 {
+            // A begin() or take() between open and drop reset the
+            // stack; this guard's bookkeeping no longer applies.
+            if !collecting() || c.depth == 0 {
                 return;
             }
             let d = c.depth;
@@ -428,18 +384,12 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Runs `record` against the active collector's report, if tracing is
-/// armed and this thread is collecting.
+/// Runs `record` against the collector's report, if this thread is
+/// collecting.
 fn with_report(record: impl FnOnce(&mut TraceReport)) {
-    if !enabled() {
-        return;
+    if collecting() {
+        COLLECTOR.with(|c| record(&mut c.borrow_mut().report));
     }
-    COLLECTOR.with(|c| {
-        let mut c = c.borrow_mut();
-        if c.active {
-            record(&mut c.report);
-        }
-    });
 }
 
 /// Records fuel (an exact-solve node budget) granted to this unit of
@@ -486,16 +436,13 @@ pub fn add_round(spill_cost: u64) {
     });
 }
 
-/// Attributes one result-cache lookup to `shard`.
-pub fn cache_access(shard: usize, hit: bool) {
+/// Records one result-cache lookup.
+pub fn cache_access(hit: bool) {
     with_report(|r| {
-        let counters = if hit {
-            &mut r.shard_hits
+        if hit {
+            r.cache_hits += 1;
         } else {
-            &mut r.shard_misses
-        };
-        if let Some(c) = counters.get_mut(shard) {
-            *c += 1;
+            r.cache_misses += 1;
         }
     });
 }
@@ -507,21 +454,20 @@ mod tests {
 
     #[test]
     fn disabled_probes_record_nothing() {
-        // Whatever the process-wide state, an un-begun thread never
-        // collects.
+        // An armed thread that never began does not collect.
+        let _on = arm();
         {
             let _s = span(Phase::Allocate);
             add_fuel(10);
             add_fuel_consumed(10);
             add_round(5);
-            cache_access(0, true);
+            cache_access(true);
         }
         assert_eq!(take(), None);
     }
 
     #[test]
     fn spans_attribute_self_time_to_the_right_phase() {
-        let _on = arm();
         begin(false);
         {
             let _outer = span(Phase::Pipeline);
@@ -538,9 +484,9 @@ mod tests {
             add_fuel(100_000);
             add_fuel_consumed(2_500);
             add_round(42);
-            cache_access(3, true);
-            cache_access(3, false);
-            cache_access(CACHE_SHARDS + 5, true); // out of range: ignored
+            cache_access(true);
+            cache_access(false);
+            cache_access(false);
         }
         let r = take().expect("collection was active");
         assert_eq!(take(), None, "take() drains");
@@ -568,16 +514,12 @@ mod tests {
         assert_eq!(r.fuel_consumed, 2_500);
         assert_eq!(r.rounds, 1);
         assert_eq!(r.spill_delta, 42);
-        assert_eq!(r.shard_hits[3], 1);
-        assert_eq!(r.shard_misses[3], 1);
-        assert_eq!(r.cache_hits(), 1);
-        assert_eq!(r.cache_misses(), 1);
+        assert_eq!((r.cache_hits, r.cache_misses), (1, 2));
         assert!(r.events.is_empty(), "no detail requested");
     }
 
     #[test]
     fn detail_mode_keeps_span_events() {
-        let _on = arm();
         begin(true);
         {
             let _outer = span(Phase::Pipeline);
@@ -605,7 +547,7 @@ mod tests {
         a.fuel_consumed = 5;
         a.exact_won = 1;
         a.exact_exhausted = 2;
-        a.shard_hits[1] = 3;
+        a.cache_hits = 3;
         let mut b = TraceReport {
             rounds: 4,
             spill_delta: 9,
@@ -619,7 +561,7 @@ mod tests {
             total_ns: 50,
             self_ns: 50,
         };
-        b.shard_misses[1] = 2;
+        b.cache_misses = 2;
         b.events.push(SpanEvent {
             phase: Phase::Allocate,
             start_ns: 0,
@@ -634,24 +576,23 @@ mod tests {
         assert_eq!(a.fuel, 7);
         assert_eq!(a.fuel_consumed, 7);
         assert_eq!((a.exact_won, a.exact_tied, a.exact_exhausted), (1, 3, 3));
-        assert_eq!(a.shard_hits[1], 3);
-        assert_eq!(a.shard_misses[1], 2);
+        assert_eq!((a.cache_hits, a.cache_misses), (3, 2));
         assert!(a.events.is_empty());
     }
 
     #[test]
     fn arming_nests() {
-        // Other tests in this binary arm() concurrently, so only the
-        // monotone direction is assertable here: while any guard
-        // lives, tracing is on. (Full disarm-on-drop is covered by
-        // the byte-identity integration tests, which run the batch
-        // path after their guards dropped.)
+        assert!(!enabled());
         let g1 = arm();
         assert!(enabled());
         let g2 = arm();
+        std::thread::spawn(|| assert!(!enabled(), "a spawned thread starts unarmed"))
+            .join()
+            .expect("spawned thread");
         drop(g1);
         assert!(enabled(), "still armed by g2");
         drop(g2);
+        assert!(!enabled(), "dropping the last guard disarms");
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod service;
 
 pub use client::{Client, LoadResult, RetryPolicy};
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
-pub use metrics::{PhaseAgg, ServiceMetrics};
+pub use metrics::ServiceMetrics;
 pub use server::{serve, Server};
 pub use service::{
     AllocationService, ServeOutcome, ServiceConfig, SubmitError, SubmitOptions, Ticket,

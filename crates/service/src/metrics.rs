@@ -10,12 +10,15 @@
 //! reservoir; that mutex was the ROADMAP's next shared-state scaling
 //! suspect.) Percentiles are log₂-bucketed: the reported value is the
 //! upper bound of the bucket holding the nearest-rank sample, within
-//! a factor of two of the exact order statistic.
+//! a factor of two of the exact order statistic. Per-phase attribution
+//! is each traced request's [`TraceReport`], merged under one lock that
+//! untraced requests never take.
 
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 use lra_core::cache::CacheStats;
-use lra_core::trace::{Phase, TraceReport, PHASE_COUNT};
+use lra_core::trace::{Phase, TraceReport};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// The live counters the service updates as it runs; snapshotted into
@@ -29,15 +32,9 @@ pub(crate) struct MetricsInner {
     /// `latency_shards[i]`, so the hot path is contention-free by
     /// construction. Merged on [`MetricsInner::snapshot`].
     latency_shards: Vec<LatencyHistogram>,
-    /// Aggregate self-time per pipeline phase, in nanoseconds
-    /// (indexed by [`Phase`] discriminant). Fed from per-item traces
-    /// when tracing is armed; all zero otherwise.
-    phase_self_ns: [AtomicU64; PHASE_COUNT],
-    /// Completed spans per phase (same indexing).
-    phase_count: [AtomicU64; PHASE_COUNT],
-    /// Exact-tier escalations won, tied and exhausted, fed from the
-    /// same traces.
-    exact: [AtomicU64; 3],
+    /// Every traced job's report, merged. Untraced jobs never take
+    /// this lock.
+    trace: Mutex<TraceReport>,
     /// Cache counters at service start; metrics report the delta so a
     /// server's hit rate is not polluted by earlier process history.
     cache_base: CacheStats,
@@ -53,9 +50,7 @@ impl MetricsInner {
             latency_shards: (0..workers.max(1))
                 .map(|_| LatencyHistogram::new())
                 .collect(),
-            phase_self_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            phase_count: std::array::from_fn(|_| AtomicU64::new(0)),
-            exact: std::array::from_fn(|_| AtomicU64::new(0)),
+            trace: Mutex::new(TraceReport::default()),
             cache_base,
         }
     }
@@ -80,19 +75,9 @@ impl MetricsInner {
         self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one served item's trace into the per-phase aggregates
-    /// and the exact-tier outcome counts.
-    pub(crate) fn record_phases(&self, trace: &TraceReport) {
-        for (i, stats) in trace.phases.iter().enumerate() {
-            if stats.count > 0 {
-                self.phase_self_ns[i].fetch_add(stats.self_ns, Ordering::Relaxed);
-                self.phase_count[i].fetch_add(stats.count, Ordering::Relaxed);
-            }
-        }
-        let outcomes = [trace.exact_won, trace.exact_tied, trace.exact_exhausted];
-        for (into, n) in self.exact.iter().zip(outcomes) {
-            into.fetch_add(n, Ordering::Relaxed);
-        }
+    /// Folds one served item's trace into the merged report.
+    pub(crate) fn record_trace(&self, trace: &TraceReport) {
+        self.trace.lock().expect("metrics trace lock").merge(trace);
     }
 
     pub(crate) fn snapshot(
@@ -118,29 +103,13 @@ impl MetricsInner {
             p50: Duration::from_micros(latency.percentile_us(50)),
             p95: Duration::from_micros(latency.percentile_us(95)),
             latency,
-            phases: std::array::from_fn(|i| PhaseAgg {
-                count: self.phase_count[i].load(Ordering::Relaxed),
-                self_ns: self.phase_self_ns[i].load(Ordering::Relaxed),
-            }),
-            exact_won: self.exact[0].load(Ordering::Relaxed),
-            exact_tied: self.exact[1].load(Ordering::Relaxed),
-            exact_exhausted: self.exact[2].load(Ordering::Relaxed),
+            trace: self.trace.lock().expect("metrics trace lock").clone(),
         }
     }
 }
 
-/// Aggregate attribution for one pipeline phase across all served
-/// requests (zero unless tracing was armed for some of them).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseAgg {
-    /// Completed spans of this phase.
-    pub count: u64,
-    /// Total self nanoseconds attributed to this phase.
-    pub self_ns: u64,
-}
-
 /// A point-in-time snapshot of one server's counters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ServiceMetrics {
     /// Requests completed (successfully or with a per-item error).
     pub served: u64,
@@ -172,17 +141,10 @@ pub struct ServiceMetrics {
     /// The merged service-time histogram the percentiles came from
     /// (the `metrics` op exposes it bucket-by-bucket).
     pub latency: HistogramSnapshot,
-    /// Per-phase aggregate attribution, indexed by
-    /// [`Phase`] discriminant. All zero unless tracing was armed.
-    pub phases: [PhaseAgg; PHASE_COUNT],
-    /// Escalations to the exact tier that found a strictly cheaper
-    /// allocation, summed over traced requests (zero unless tracing was
-    /// armed).
-    pub exact_won: u64,
-    /// Escalations whose exact search certified the cheap cost optimal.
-    pub exact_tied: u64,
-    /// Escalations whose exact search ran out of its budget.
-    pub exact_exhausted: u64,
+    /// The traces of every traced request, merged
+    /// ([`TraceReport::merge`]): per-phase attribution and exact-tier
+    /// outcomes. All zero unless some request was traced.
+    pub trace: TraceReport,
 }
 
 impl ServiceMetrics {
@@ -319,12 +281,11 @@ impl ServiceMetrics {
         );
         let _ = writeln!(out, "# TYPE lra_phase_self_us_total counter");
         for phase in Phase::ALL {
-            let agg = self.phases[phase as usize];
             let _ = writeln!(
                 out,
                 "lra_phase_self_us_total{{phase=\"{}\"}} {}",
                 phase.name(),
-                agg.self_ns / 1_000
+                self.trace.phase_self_us(phase)
             );
         }
         let _ = writeln!(
@@ -333,12 +294,11 @@ impl ServiceMetrics {
         );
         let _ = writeln!(out, "# TYPE lra_phase_spans_total counter");
         for phase in Phase::ALL {
-            let agg = self.phases[phase as usize];
             let _ = writeln!(
                 out,
                 "lra_phase_spans_total{{phase=\"{}\"}} {}",
                 phase.name(),
-                agg.count
+                self.trace.phases[phase as usize].count
             );
         }
         let _ = writeln!(
@@ -348,9 +308,9 @@ impl ServiceMetrics {
         );
         let _ = writeln!(out, "# TYPE lra_exact_outcomes_total counter");
         for (outcome, n) in [
-            ("won", self.exact_won),
-            ("tied", self.exact_tied),
-            ("exhausted", self.exact_exhausted),
+            ("won", self.trace.exact_won),
+            ("tied", self.trace.exact_tied),
+            ("exhausted", self.trace.exact_exhausted),
         ] {
             let _ = writeln!(out, "lra_exact_outcomes_total{{outcome=\"{outcome}\"}} {n}");
         }
@@ -421,9 +381,9 @@ mod tests {
         t.phases[Phase::Verify as usize].self_ns = 1_000;
         t.exact_won = 1;
         t.exact_exhausted = 2;
-        inner.record_phases(&t);
-        inner.record_phases(&t);
-        let m = inner.snapshot(0, 8, 1, CacheStats::default());
+        inner.record_trace(&t);
+        inner.record_trace(&t);
+        let m = inner.snapshot(0, 8, 1, CacheStats::default()).trace;
         assert_eq!(m.phases[Phase::Allocate as usize].count, 6);
         assert_eq!(m.phases[Phase::Allocate as usize].self_ns, 18_000);
         assert_eq!(m.phases[Phase::Verify as usize].self_ns, 2_000);
@@ -497,7 +457,7 @@ mod tests {
         t.phases[Phase::Allocate as usize].count = 1;
         t.phases[Phase::Allocate as usize].self_ns = 5_000;
         t.exact_tied = 4;
-        inner.record_phases(&t);
+        inner.record_trace(&t);
         let m = inner.snapshot(1, 8, 2, CacheStats::default());
         let text = m.render_prometheus();
         let samples = check_prometheus(&text);

@@ -18,8 +18,8 @@
 //! budget runs out. An optional `trace_id` string is echoed verbatim
 //! in the request's response (alloc rows and rejections alike) so
 //! callers can correlate pipelined traffic; `trace:true` additionally
-//! asks the server to run the request with
-//! [`lra_core::trace`] armed and return flat per-phase timing fields.
+//! asks the server to trace the request's run ([`lra_core::trace`])
+//! and return flat per-phase timing fields.
 //!
 //! Responses echo the request `id`:
 //!
@@ -356,11 +356,7 @@ pub fn alloc_response(
             line,
             ",\"trace_rounds\":{},\"trace_spill_delta\":{},\"trace_fuel\":{},\
              \"trace_cache_hits\":{},\"trace_cache_misses\":{}",
-            t.rounds,
-            t.spill_delta,
-            t.fuel,
-            t.cache_hits(),
-            t.cache_misses()
+            t.rounds, t.spill_delta, t.fuel, t.cache_hits, t.cache_misses
         );
     }
     line.push('}');
@@ -661,7 +657,7 @@ mod tests {
         t.phases[lra_core::trace::Phase::Allocate as usize].count = 3;
         t.rounds = 3;
         t.fuel = 100_000;
-        t.shard_hits[2] = 1;
+        t.cache_hits = 1;
         let line = alloc_response(5, &row, Some("req-5"), Some(&t));
         // The extended line is still one flat object the protocol
         // parser accepts, and the standard row survives intact.
@@ -750,8 +746,8 @@ mod tests {
         t.rounds = 3;
         t.spill_delta = 17;
         t.fuel = 100_000;
-        t.shard_hits[2] = 1;
-        t.shard_misses[5] = 2;
+        t.cache_hits = 1;
+        t.cache_misses = 2;
         let ok_traced = concat!(
             r#"{"id":5,"ok":true,"function":"jit::m0","spill_cost":42,"rounds":3,"stores":7,"loads":9,"converged":true,"verified":true,"escalated":false,"trace_id":"req-5""#,
             r#","trace_total_us":313,"phase_pipeline_us":0,"phase_round_us":0,"phase_analysis_us":0,"phase_spill_costs_us":0,"phase_instance_build_us":0,"phase_allocate_us":301,"phase_verify_us":12,"phase_rewrite_us":0,"phase_reanalyse_us":0,"phase_escalate_prep_us":0"#,

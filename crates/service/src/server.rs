@@ -262,8 +262,8 @@ fn handle_connection(
                     .map(|ms| Instant::now() + Duration::from_millis(ms));
                 // Optional trace extensions: a correlation id echoed
                 // in every response to this request, and a per-request
-                // tracing flag (the worker arms lra_core::trace around
-                // the run; the response gains flat phase timings).
+                // tracing flag (the worker traces the run; the response
+                // gains flat phase timings).
                 let trace_id = fields
                     .get("trace_id")
                     .and_then(proto::Json::as_str)

@@ -192,9 +192,10 @@ pub struct SubmitOptions {
     /// wall-clock budget ([`AllocationPipeline::time_budget`]). Wait on
     /// such a ticket with [`Ticket::wait_outcome`].
     pub deadline: Option<Instant>,
-    /// Arm [`lra_core::trace`] around the run, so the item comes back
-    /// with a populated [`lra_core::batch::BatchItem::trace`]. Output
-    /// bytes are identical to an untraced submission.
+    /// Trace the run ([`lra_core::trace`]), so the item comes back with
+    /// a populated [`lra_core::batch::BatchItem::trace`]. Output bytes
+    /// are identical to an untraced submission. A service started with
+    /// `LRA_TRACE` set traces every job.
     pub trace: bool,
 }
 
@@ -216,6 +217,8 @@ struct Shared {
     /// pipeline clone.
     degraded_pipeline: AllocationPipeline,
     degrade_watermark: Option<usize>,
+    /// `LRA_TRACE` as read at start: trace every job.
+    trace_all: bool,
     metrics: MetricsInner,
     workers: usize,
     #[cfg(any(test, feature = "chaos"))]
@@ -323,6 +326,7 @@ impl AllocationService {
             degraded_pipeline: cfg.pipeline.degraded(),
             pipeline: cfg.pipeline,
             degrade_watermark: cfg.degrade_watermark,
+            trace_all: lra_core::trace::env_requested(),
             metrics: MetricsInner::new(portfolio_cache().stats(), workers),
             workers,
             #[cfg(any(test, feature = "chaos"))]
@@ -580,26 +584,21 @@ fn worker_loop(shared: &Shared, worker_index: usize) {
                 None => pipeline,
             };
 
-            // A trace-requesting job arms tracing for exactly its own
-            // run (globally-armed tracing — LRA_TRACE — covers every
-            // job without this guard). The guard drops right after the
-            // item is built.
-            let armed = job.opts.trace.then(lra_core::trace::arm);
+            let traced = job.opts.trace || shared.trace_all;
             #[cfg(any(test, feature = "chaos"))]
             let item = if fault.panic {
                 chaos_panic_item(&job.function)
             } else {
-                batch::allocate_item(pipeline, &job.function, &mut scratch)
+                batch::allocate_item(pipeline, &job.function, &mut scratch, traced)
             };
             #[cfg(not(any(test, feature = "chaos")))]
-            let item = batch::allocate_item(pipeline, &job.function, &mut scratch);
-            drop(armed);
+            let item = batch::allocate_item(pipeline, &job.function, &mut scratch, traced);
 
             if degraded {
                 shared.metrics.record_degraded();
             }
             if let Some(trace) = &item.trace {
-                shared.metrics.record_phases(trace);
+                shared.metrics.record_trace(trace);
             }
             shared
                 .metrics

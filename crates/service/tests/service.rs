@@ -648,12 +648,86 @@ fn traced_submissions_return_traces_and_identical_rows() {
     );
     let metrics = service.shutdown();
     // The per-phase aggregates saw every traced request.
-    let allocate = metrics.phases[lra_core::trace::Phase::Allocate as usize];
+    let allocate = metrics.trace.phases[lra_core::trace::Phase::Allocate as usize];
     assert!(
         allocate.count >= fs.len() as u64,
         "allocate spans must aggregate into the service metrics"
     );
     assert!(allocate.self_ns > 0);
+}
+
+#[test]
+fn traced_and_plain_submissions_running_together_trace_only_their_own_jobs() {
+    // Tracing is decided per job: while traced jobs run on one worker,
+    // plain jobs on the other must collect nothing. Every pass flips
+    // which positions are traced and all passes are queued before any
+    // answer is awaited, so the two kinds of job overlap.
+    let fs = jit_corpus(6);
+    let reference = BatchAllocator::new(portfolio_pipeline())
+        .threads(1)
+        .run(&fs)
+        .rows();
+    let service = AllocationService::start(ServiceConfig::new(portfolio_pipeline()).workers(2));
+    let mut tickets = Vec::new();
+    for pass in 0..4 {
+        for (k, f) in fs.iter().enumerate() {
+            let trace = (k + pass) % 2 == 0;
+            let opts = SubmitOptions {
+                deadline: None,
+                trace,
+            };
+            let ticket = service.submit(f.clone(), opts).expect("queue has room");
+            tickets.push((k, trace, ticket));
+        }
+    }
+    for (k, trace, ticket) in tickets {
+        let item = ticket.wait();
+        assert_eq!(item.row(), reference[k], "item {k} must match the batch");
+        if trace {
+            let t = item.trace.as_ref().expect("a traced job collects");
+            let pipeline = t.phases[lra_core::trace::Phase::Pipeline as usize];
+            assert_eq!(pipeline.count, 1, "item {k}");
+        } else {
+            assert!(item.trace.is_none(), "plain item {k} collected a trace");
+        }
+    }
+    service.shutdown();
+}
+
+#[test]
+fn tracing_armed_by_a_guard_is_byte_identical_and_stays_on_its_thread() {
+    // The determinism contract of lra_core::trace: a batch submitted
+    // from an armed thread renders the same bytes and carries one
+    // pipeline span per item; batches from other threads stay untraced.
+    let fs = jit_corpus(6);
+    let batch = BatchAllocator::new(portfolio_pipeline()).threads(2);
+    let reference = batch.run(&fs);
+    assert!(
+        reference.items.iter().all(|i| i.trace.is_none()),
+        "tracing off: no traces collected"
+    );
+    let (armed, elsewhere) = {
+        let _on = lra_core::trace::arm();
+        let elsewhere = std::thread::scope(|s| s.spawn(|| batch.run(&fs)).join().unwrap());
+        (batch.run(&fs), elsewhere)
+    };
+    assert_eq!(
+        armed.render(),
+        reference.render(),
+        "armed tracing must not change the rendered report"
+    );
+    for item in &armed.items {
+        let trace = item.trace.as_ref().expect("armed run collects per item");
+        assert_eq!(
+            trace.phases[lra_core::trace::Phase::Pipeline as usize].count,
+            1
+        );
+        assert!(trace.total_self_ns() > 0);
+    }
+    assert!(
+        elsewhere.items.iter().all(|i| i.trace.is_none()),
+        "a guard arms only its own thread"
+    );
 }
 
 #[test]

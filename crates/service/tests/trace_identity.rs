@@ -1,9 +1,8 @@
-//! The trace determinism contract, in a process of its own: arming the
-//! recorder must not move a single output byte, and with tracing off no
-//! trace is collected. The second half needs the global arming counter
-//! to itself — other tests arm it for their own jobs, and `LRA_TRACE`
-//! is re-probed through a reset — so this is the only test in its
-//! binary.
+//! The `LRA_TRACE` door of the trace determinism contract, in a
+//! process of its own because `std::env::set_var` is not thread-safe:
+//! setting the variable must not move a single output byte, and it
+//! traces every batch item and every service job. The `arm()` door is
+//! tested in `service.rs`.
 
 use lra_core::batch::BatchAllocator;
 use lra_core::driver::AllocationPipeline;
@@ -11,6 +10,7 @@ use lra_core::pipeline::InstanceKind;
 use lra_core::portfolio::PortfolioConfig;
 use lra_ir::genprog::{random_jit_function, JitConfig};
 use lra_ir::Function;
+use lra_service::{AllocationService, ServiceConfig, SubmitOptions};
 use lra_targets::{Target, TargetKind};
 use rand::SeedableRng as _;
 use rand_chacha::ChaCha8Rng;
@@ -38,42 +38,18 @@ fn portfolio_pipeline() -> AllocationPipeline {
 
 #[test]
 fn tracing_on_vs_off_is_byte_identical_for_batch_output() {
-    // The determinism contract of lra_core::trace: arming the recorder
-    // (guard or LRA_TRACE env) must not move a single output byte.
     let fs = jit_corpus(6);
-    let batch = BatchAllocator::new(portfolio_pipeline()).threads(1);
+    let batch = BatchAllocator::new(portfolio_pipeline()).threads(2);
     let reference = batch.run(&fs);
     assert!(
         reference.items.iter().all(|i| i.trace.is_none()),
         "tracing off: no traces collected"
     );
 
-    // Door 1: the RAII guard.
-    let armed = {
-        let _on = lra_core::trace::arm();
-        batch.run(&fs)
-    };
-    assert_eq!(
-        armed.render(),
-        reference.render(),
-        "armed tracing must not change the rendered report"
-    );
-    for item in &armed.items {
-        let trace = item.trace.as_ref().expect("armed run collects per item");
-        assert_eq!(
-            trace.phases[lra_core::trace::Phase::Pipeline as usize].count,
-            1
-        );
-        assert!(trace.total_self_ns() > 0);
-    }
-
-    // Door 2: the LRA_TRACE environment variable, re-probed after a
-    // reset.
-    lra_core::trace::reset_for_tests();
     std::env::set_var("LRA_TRACE", "1");
     let from_env = batch.run(&fs);
+    let service = AllocationService::start(ServiceConfig::new(portfolio_pipeline()).workers(2));
     std::env::remove_var("LRA_TRACE");
-    lra_core::trace::reset_for_tests();
     assert_eq!(
         from_env.render(),
         reference.render(),
@@ -83,4 +59,19 @@ fn tracing_on_vs_off_is_byte_identical_for_batch_output() {
         from_env.items.iter().all(|i| i.trace.is_some()),
         "LRA_TRACE=1 collects per item"
     );
+
+    // The service read the variable once, at start: plain submissions
+    // made after it was unset are still traced.
+    for (k, f) in fs.iter().enumerate() {
+        let item = service
+            .submit(f.clone(), SubmitOptions::default())
+            .expect("queue has room")
+            .wait();
+        assert_eq!(item.row(), reference.items[k].row());
+        assert!(
+            item.trace.is_some(),
+            "a service started under LRA_TRACE traces every job"
+        );
+    }
+    service.shutdown();
 }

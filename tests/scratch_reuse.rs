@@ -75,8 +75,8 @@ proptest! {
                 // direction (stale high bits), so force it every pair.
                 let scale = if i % 2 == 0 { 3 } else { 0 };
                 let f = random_function(&mut rng, (seed + i as u64).is_multiple_of(2), scale);
-                let reused = allocate_item(&pipeline, &f, &mut scratch);
-                let fresh = allocate_item(&pipeline, &f, &mut AnalysisScratch::new());
+                let reused = allocate_item(&pipeline, &f, &mut scratch, false);
+                let fresh = allocate_item(&pipeline, &f, &mut AnalysisScratch::new(), false);
                 prop_assert_eq!(
                     reused.row(),
                     fresh.row(),
@@ -127,12 +127,12 @@ fn scratch_survives_a_panicking_run_between_good_runs() {
     for pipeline in pipelines() {
         let mut scratch = AnalysisScratch::new();
         let good = random_function(&mut rng, true, 2);
-        let first = allocate_item(&pipeline, &good, &mut scratch);
-        let bad = allocate_item(&pipeline, &broken, &mut scratch);
+        let first = allocate_item(&pipeline, &good, &mut scratch, false);
+        let bad = allocate_item(&pipeline, &broken, &mut scratch, false);
         assert!(bad.outcome.is_err(), "broken function must fail");
-        let second = allocate_item(&pipeline, &good, &mut scratch);
+        let second = allocate_item(&pipeline, &good, &mut scratch, false);
         assert_eq!(first.row(), second.row());
-        let fresh = allocate_item(&pipeline, &good, &mut AnalysisScratch::new());
+        let fresh = allocate_item(&pipeline, &good, &mut AnalysisScratch::new(), false);
         assert_eq!(first.row(), fresh.row());
     }
 }
