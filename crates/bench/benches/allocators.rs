@@ -43,8 +43,9 @@ fn general_instance(n: usize) -> Instance {
     Instance::from_weighted_graph(WeightedGraph::new(g, w))
 }
 
-/// The exact tier's two kernels: a branch-and-bound search under the
-/// standard corpora's 50,000-node fuel at each row width (40 vertices
+/// The exact tier's two kernels: a branch-and-bound search under a
+/// fixed 50,000-node fuel (ten times the standard corpora's, kept so
+/// the rows stay comparable) at each row width (40 vertices
 /// fit one word, 100 two, 200 four, and 300 need the run-time width),
 /// and the `GC` run that seeds its incumbent.
 fn bench_exact_tier(c: &mut Criterion) {

@@ -49,14 +49,25 @@ impl BatchExperiment {
     }
 }
 
+/// The fuels `lra-bench portfolio --sweep` compares: 1×, ½, ¼ and ⅒
+/// of the 50,000 nodes the standard corpora ran under while an
+/// exhausted search still discarded what it had found.
+pub const FUEL_SWEEP: [u64; 4] = [50_000, 25_000, 12_500, 5_000];
+
 /// The deterministic portfolio configuration the standard corpora run
 /// under: `LH` first, exact escalation under **node fuel only** — no
 /// wall-clock deadline, so the escalation outcome (and therefore the
-/// rendered report) is byte-identical at any worker count. The fuel is
-/// sized so one escalation costs a few milliseconds at worst while
-/// still letting the small half of the `jit-large` size mix certify.
+/// rendered report) is byte-identical at any worker count.
+///
+/// The fuel, 5,000 nodes, is the data's pick, not a guess: it is the
+/// smallest [`FUEL_SWEEP`] fuel at which the seed-2013 final
+/// `total_spill_cost` of both `jit-large/Portfolio/R6` and
+/// `jit-huge/Portfolio/R6` is no higher than under the old 50,000-node
+/// pin without anytime search (`docs/benchmarks.md`, "Fuel frontier").
+/// The anytime exact tier keeps what an exhausted search found, so
+/// most of the gain arrives early in the search.
 pub fn standard_portfolio_config() -> PortfolioConfig {
-    PortfolioConfig::default().node_budget(50_000)
+    PortfolioConfig::default().node_budget(5_000)
 }
 
 /// The pipeline the `jit-large` batch corpus runs — and the one the
@@ -90,6 +101,15 @@ pub fn standard_experiments(seed: u64) -> Vec<BatchExperiment> {
 /// keeps each corpus's default shown above.
 pub fn standard_experiments_with_policy(seed: u64, policy: Option<&str>) -> Vec<BatchExperiment> {
     experiments(seed, policy, standard_portfolio_config())
+}
+
+/// [`standard_experiments`] with the portfolio corpora under `cfg`
+/// instead of [`standard_portfolio_config`] (the fuel sweep).
+pub fn standard_experiments_with_portfolio(
+    seed: u64,
+    cfg: PortfolioConfig,
+) -> Vec<BatchExperiment> {
+    experiments(seed, None, cfg)
 }
 
 fn experiments(

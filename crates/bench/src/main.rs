@@ -8,6 +8,7 @@
 //! cargo run --release -p lra-bench -- batch --threads 4
 //! cargo run --release -p lra-bench -- batch --policy portfolio
 //! cargo run --release -p lra-bench -- portfolio --budget-nodes 100000
+//! cargo run --release -p lra-bench -- portfolio --sweep  # fuel frontier
 //! cargo run --release -p lra-bench -- record           # BENCH_batch.json
 //! cargo run --release -p lra-bench -- profile          # BENCH_phases.json
 //! cargo run --release -p lra-bench -- chaos --seed 7   # fault-injected soak
@@ -29,7 +30,7 @@ use std::io::Write as _;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lra-bench <fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|ablation|inclusion|bls-sweep|split|ssa|stats|pipeline|batch|portfolio|serve|loadgen|chaos|record|profile|all> [--seed N] [--threads N] [--out PATH] [--chrome PATH] [--policy NAME] [--budget-nodes N] [--budget-ms N] [--addr HOST:PORT] [--queue N] [--repeat N] [--local] [--shutdown] [--panic-every N] [--latency-every N] [--latency-ms N] [--drop-every N]"
+        "usage: lra-bench <fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|ablation|inclusion|bls-sweep|split|ssa|stats|pipeline|batch|portfolio|serve|loadgen|chaos|record|profile|all> [--seed N] [--threads N] [--out PATH] [--chrome PATH] [--policy NAME] [--budget-nodes N] [--budget-ms N] [--sweep] [--addr HOST:PORT] [--queue N] [--repeat N] [--local] [--shutdown] [--panic-every N] [--latency-every N] [--latency-ms N] [--drop-every N]"
     );
     std::process::exit(2)
 }
@@ -236,6 +237,39 @@ fn run_portfolio(seed: u64, budget_nodes: Option<u64>, budget_ms: Option<u64>) {
     );
 }
 
+/// `portfolio --sweep`: the fuel frontier. Runs the standard corpora
+/// on one traced worker at each [`FUEL_SWEEP`] fuel and prints, per
+/// corpus, the final total spill cost, the converged count and the
+/// `allocate` self-time — the data `standard_portfolio_config`'s fuel
+/// is chosen from. Costs and counts are deterministic; times are not.
+///
+/// [`FUEL_SWEEP`]: lra_bench::batchrun::FUEL_SWEEP
+fn run_fuel_sweep(seed: u64) {
+    use lra_bench::batchrun::{
+        standard_experiments_with_portfolio, standard_portfolio_config, FUEL_SWEEP,
+    };
+    use lra_core::trace::Phase;
+    println!("# Fuel frontier, seed {seed}: standard corpora, 1 worker, tracing armed");
+    println!(
+        "{:>7} {:<24} {:>16} {:>9} {:>12}",
+        "fuel", "corpus", "total_spill_cost", "converged", "allocate_ms"
+    );
+    for fuel in FUEL_SWEEP {
+        let cfg = standard_portfolio_config().node_budget(fuel);
+        let experiments = standard_experiments_with_portfolio(seed, cfg);
+        for p in lra_bench::profile::profile(&experiments) {
+            let allocate = p.trace.phases[Phase::Allocate as usize].self_ns;
+            println!(
+                "{fuel:>7} {:<24} {:>16} {:>9} {:>12.1}",
+                p.name,
+                p.summary.total_spill_cost,
+                p.summary.converged,
+                allocate as f64 / 1e6
+            );
+        }
+    }
+}
+
 /// `record`: re-run the standard corpora at several worker counts and
 /// persist the min/median wall-clock baselines (plus spill aggregates
 /// and the service-throughput runs) as `BENCH_batch.json`.
@@ -280,7 +314,7 @@ fn run_record(seed: u64, out: &str) {
 
 /// `profile`: run the standard corpora single-worker with phase
 /// tracing armed and persist the merged per-phase self-times as
-/// `BENCH_phases.json` (schema `lra-bench/phases-v2`). `--chrome PATH`
+/// `BENCH_phases.json` (schema `lra-bench/phases-v3`). `--chrome PATH`
 /// additionally re-runs the heaviest jit-large function in span-event
 /// detail and writes a chrome://tracing document to `PATH`.
 fn run_profile(seed: u64, out: &str, chrome: Option<&str>) {
@@ -394,6 +428,7 @@ fn main() {
     let mut queue = lra_service::DEFAULT_QUEUE_CAPACITY;
     let mut repeat = 1usize;
     let mut local = false;
+    let mut sweep = false;
     let mut send_shutdown = false;
     let mut panic_every = 7u64;
     let mut latency_every = 5u64;
@@ -482,6 +517,7 @@ fn main() {
                     .unwrap_or_else(|| usage());
             }
             "--local" => local = true,
+            "--sweep" => sweep = true,
             "--shutdown" => send_shutdown = true,
             "all" => which.extend([
                 "fig8",
@@ -694,6 +730,7 @@ fn main() {
             }
             "pipeline" => run_pipeline_demo(seed),
             "batch" => run_batch(seed, threads, policy.as_deref()),
+            "portfolio" if sweep => run_fuel_sweep(seed),
             "portfolio" => run_portfolio(seed, budget_nodes, budget_ms),
             "serve" => run_serve(&addr, threads, queue),
             "loadgen" => run_loadgen(&addr, seed, repeat, local, send_shutdown),

@@ -10,8 +10,9 @@
 //! allocation time to within the fixed per-item bracketing overhead
 //! (CI asserts ≥ 90% coverage).
 
-use crate::batchrun::standard_experiments;
+use crate::batchrun::{standard_experiments, BatchExperiment};
 use lra_core::trace::{self, Phase, TraceReport};
+use lra_core::BatchSummary;
 use std::time::{Duration, Instant};
 
 /// One corpus's merged phase profile.
@@ -28,6 +29,8 @@ pub struct CorpusProfile {
     pub alloc: Duration,
     /// Phase counters merged over every item.
     pub trace: TraceReport,
+    /// The batch's aggregate outcome (spill cost, converged count).
+    pub summary: BatchSummary,
 }
 
 impl CorpusProfile {
@@ -48,8 +51,14 @@ impl CorpusProfile {
 /// here — the trace-on/trace-off byte-identity is pinned by tests and
 /// the CI diff; this run is about where the time went.
 pub fn run(seed: u64) -> Vec<CorpusProfile> {
+    profile(&standard_experiments(seed))
+}
+
+/// Profiles each of `experiments` as [`run`] profiles the standard
+/// corpora.
+pub fn profile(experiments: &[BatchExperiment]) -> Vec<CorpusProfile> {
     let _on = trace::arm();
-    standard_experiments(seed)
+    experiments
         .iter()
         .map(|exp| {
             let t0 = Instant::now();
@@ -69,20 +78,21 @@ pub fn run(seed: u64) -> Vec<CorpusProfile> {
                 wall,
                 alloc,
                 trace: merged,
+                summary: report.summary,
             }
         })
         .collect()
 }
 
 /// Serialises corpus profiles as the `BENCH_phases.json` document
-/// (schema `lra-bench/phases-v2`; hand-rolled, no serde in the build
+/// (schema `lra-bench/phases-v3`; hand-rolled, no serde in the build
 /// environment). See `docs/benchmarks.md` for the field reference.
 pub fn to_json(seed: u64, profiles: &[CorpusProfile]) -> String {
     use std::fmt::Write as _;
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"lra-bench/phases-v2\",");
+    let _ = writeln!(s, "  \"schema\": \"lra-bench/phases-v3\",");
     let _ = writeln!(s, "  \"seed\": {seed},");
     s.push_str("  \"corpora\": [\n");
     for (i, p) in profiles.iter().enumerate() {
@@ -98,6 +108,7 @@ pub fn to_json(seed: u64, profiles: &[CorpusProfile]) -> String {
         let _ = writeln!(s, "      \"fuel_consumed\": {},", p.trace.fuel_consumed);
         let _ = writeln!(s, "      \"exact_won\": {},", p.trace.exact_won);
         let _ = writeln!(s, "      \"exact_tied\": {},", p.trace.exact_tied);
+        let _ = writeln!(s, "      \"exact_improved\": {},", p.trace.exact_improved);
         let _ = writeln!(s, "      \"exact_exhausted\": {},", p.trace.exact_exhausted);
         let _ = writeln!(s, "      \"cache_hits\": {},", p.trace.cache_hits);
         let _ = writeln!(s, "      \"cache_misses\": {},", p.trace.cache_misses);
@@ -207,8 +218,19 @@ mod tests {
         for p in &profiles {
             assert!(p.trace.fuel_consumed <= p.trace.fuel, "{}", p.name);
         }
-        // Every escalation that was granted fuel settled one way.
+        // Every escalation that was granted fuel settled one way: the
+        // standard config pins one fuel per escalation, so the four
+        // outcomes count the grants.
+        let pin = crate::batchrun::standard_portfolio_config()
+            .node_budget
+            .expect("the standard config pins its fuel");
+        for p in &profiles {
+            let t = &p.trace;
+            let settled = t.exact_won + t.exact_tied + t.exact_improved + t.exact_exhausted;
+            assert_eq!(settled * pin, t.fuel, "{}", p.name);
+        }
         assert!(profiles.iter().any(|p| p.trace.exact_won > 0));
+        assert!(profiles.iter().any(|p| p.trace.exact_improved > 0));
         assert!(profiles.iter().any(|p| p.trace.exact_exhausted > 0));
     }
 
@@ -216,7 +238,7 @@ mod tests {
     fn phases_json_is_balanced_and_carries_the_schema() {
         let profiles = run(3);
         let json = to_json(3, &profiles);
-        assert!(json.contains("\"schema\": \"lra-bench/phases-v2\""));
+        assert!(json.contains("\"schema\": \"lra-bench/phases-v3\""));
         for name in [
             "lao-kernels/BFPL/R4",
             "specjvm98/LH/R6",
@@ -232,6 +254,7 @@ mod tests {
             "fuel_consumed",
             "exact_won",
             "exact_tied",
+            "exact_improved",
             "exact_exhausted",
         ] {
             assert_eq!(json.matches(&format!("\"{field}\": ")).count(), 4);

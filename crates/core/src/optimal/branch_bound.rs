@@ -5,9 +5,10 @@
 //! search: vertices are processed in decreasing-weight order and each is
 //! either assigned one of the colours `0..R` or spilled. Colour symmetry
 //! is broken by allowing at most one previously unused colour per
-//! vertex; the incumbent is seeded with the best heuristic solution
-//! (`GC` and `LH`) so pruning bites immediately; the bound is the spill
-//! cost accumulated so far (every completion only adds spills).
+//! vertex; the incumbent is the better of the caller's allocation (the
+//! portfolio's cheap tier) and `GC`, so pruning bites immediately; the
+//! bound is the spill cost accumulated so far (every completion only
+//! adds spills).
 //!
 //! The search runs in *search-position* space: vertices are renumbered
 //! once into their visit order, so the vertex at position `i` can only
@@ -33,9 +34,12 @@
 //! node, fuel and deadline accounting a visit would do — instead of
 //! being visited by a recursive call.
 //!
-//! The solver returns `None` if the budget is exhausted, so a caller can
-//! distinguish *certified* optima from timeouts. Sparse graphs of a few
-//! hundred vertices can complete; a dense 40-vertex one may not.
+//! The search is *anytime*: [`solve_from`] marks a completed search's
+//! answer certified, and when the budget runs out it still hands back
+//! the best allocation it holds, uncertified, if that is strictly
+//! cheaper than the caller's. [`solve`] keeps only certified optima.
+//! Sparse graphs of a few hundred vertices can complete; a dense
+//! 40-vertex one may not.
 
 use super::SolveBudget;
 use crate::baselines::ChaitinBriggs;
@@ -273,26 +277,45 @@ fn search<X: Width>(width: X, p: &Problem<'_>, budget: &SolveBudget) -> Outcome 
     }
 }
 
-/// Solves `instance` exactly with `r` registers under `budget`: each
-/// search node costs one unit of node fuel, charged against
-/// `budget.node_limit` (an exhausted search is charged all of it), and
-/// the wall-clock deadline is checked every few thousand nodes.
-/// Returns `None` when either cap trips (no certified optimum). The
-/// nodes visited go to [`trace::add_fuel_consumed`].
+/// Solves `instance` exactly with `r` registers under `budget`, seeded
+/// with `LH`'s allocation: [`solve_from`], keeping certified optima
+/// only. Returns `None` when either cap trips.
 pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Allocation> {
+    let lh = LayeredHeuristic::new().allocate(instance, r);
+    match solve_from(instance, r, budget, &lh)? {
+        (a, true) => Some(a),
+        (_, false) => None,
+    }
+}
+
+/// Searches for an allocation of `instance` with `r` registers cheaper
+/// than `incumbent`, under `budget`: each search node costs one unit of
+/// node fuel, charged against `budget.node_limit` (an exhausted search
+/// is charged all of it), and the wall-clock deadline is checked every
+/// few thousand nodes. `GC` seeds the search beside `incumbent`.
+///
+/// Returns `Some((optimum, true))` when the search completes — a
+/// certified optimum, possibly no cheaper than `incumbent` — and, when
+/// a cap trips, `Some((best, false))` with the best allocation held if
+/// it is strictly cheaper than `incumbent`, else `None`. The nodes
+/// visited go to [`trace::add_fuel_consumed`].
+pub fn solve_from(
+    instance: &Instance,
+    r: u32,
+    budget: &mut SolveBudget,
+    incumbent: &Allocation,
+) -> Option<(Allocation, bool)> {
     if budget.expired() {
         return None;
     }
     let n = instance.vertex_count();
     if r == 0 {
-        return Some(instance.allocation_from_set(BitSet::new(n)));
+        return Some((instance.allocation_from_set(BitSet::new(n)), true));
     }
 
-    // Incumbent: the better of the two polynomial heuristics. LH works
-    // on any graph; GC too.
-    let seed_a = LayeredHeuristic::new().allocate(instance, r);
-    let seed_b = ChaitinBriggs::new().allocate(instance, r);
-    let incumbent = std::cmp::min_by_key(seed_a, seed_b, |a| a.spill_cost);
+    // The second seed: GC works on any graph.
+    let gc = ChaitinBriggs::new().allocate(instance, r);
+    let seed_spill = gc.spill_cost.min(incumbent.spill_cost);
 
     let g = instance.graph();
     let wg = instance.weighted_graph();
@@ -305,7 +328,7 @@ pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Al
         weight: order.iter().map(|&v| wg.weight(v)).collect(),
         order,
         r,
-        incumbent_spill: incumbent.spill_cost,
+        incumbent_spill: seed_spill,
     };
     let outcome = match n.div_ceil(64) {
         0 | 1 => search(Words::<1>, &problem, budget),
@@ -317,25 +340,32 @@ pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Al
     let visited = outcome.nodes.min(budget.node_limit);
     budget.charge(visited);
     trace::add_fuel_consumed(visited);
-    if !outcome.completed {
-        return None;
-    }
-    if outcome.best_spill > incumbent.spill_cost {
-        return Some(incumbent);
-    }
-    // Colour row `c` holds the positions of register `c`.
-    let w = n.div_ceil(64);
-    let mut allocated = BitSet::new(n);
-    let mut colors = vec![0; n];
-    for (c, row) in outcome.best_colours.chunks(w.max(1)).enumerate() {
-        for (i, &v) in problem.order.iter().enumerate() {
-            if row[i / 64] & (1 << (i % 64)) != 0 {
-                allocated.insert(v);
-                colors[v] = c as u32;
+    let held = if outcome.best_spill <= seed_spill {
+        // Colour row `c` holds the positions of register `c`.
+        let w = n.div_ceil(64);
+        let mut allocated = BitSet::new(n);
+        let mut colors = vec![0; n];
+        for (c, row) in outcome.best_colours.chunks(w.max(1)).enumerate() {
+            for (i, &v) in problem.order.iter().enumerate() {
+                if row[i / 64] & (1 << (i % 64)) != 0 {
+                    allocated.insert(v);
+                    colors[v] = c as u32;
+                }
             }
         }
+        Some(instance.allocation_with_colors(allocated, colors))
+    } else {
+        (gc.spill_cost < incumbent.spill_cost).then_some(gc)
+    };
+    match held {
+        Some(a) if outcome.completed || a.spill_cost < incumbent.spill_cost => {
+            Some((a, outcome.completed))
+        }
+        // A complete search that found nothing cheaper certifies the
+        // incumbent.
+        None if outcome.completed => Some((incumbent.clone(), true)),
+        _ => None,
     }
-    Some(instance.allocation_with_colors(allocated, colors))
 }
 
 #[cfg(test)]
@@ -501,6 +531,62 @@ mod tests {
                 "seed {seed}: feasible"
             );
         }
+    }
+
+    #[test]
+    fn anytime_answers_improve_with_fuel_and_are_certified_only_when_complete() {
+        // On fixed instances and a fixed incumbent the search order is
+        // fixed, so the best allocation held is monotone in fuel. Two
+        // incumbents: LH, as the portfolio passes it, and spilling
+        // everything, which any search improves on at once.
+        let mut uncertified = 0;
+        for (seed, n, edge_percent, r) in [(1, 30, 40, 4), (5, 24, 30, 3), (7, 28, 35, 4)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let g = generate::random_general(&mut rng, n, edge_percent);
+            let inst = instance(g, generate::random_weights(&mut rng, n, 3));
+            let lh = LayeredHeuristic::new().allocate(&inst, r);
+            let none = inst.allocation_from_set(BitSet::new(n));
+            for incumbent in [&lh, &none] {
+                trace::begin(false);
+                let complete = solve_from(&inst, r, &mut SolveBudget::nodes(u64::MAX), incumbent);
+                let needed = trace::take().expect("collecting").fuel_consumed;
+                let (optimum, certified) = complete.expect("an unlimited search completes");
+                assert!(certified, "seed {seed}");
+                let mut fuels: Vec<u64> = (0..40)
+                    .map(|k| 1 << k)
+                    .take_while(|&f| f < 2 * needed)
+                    .collect();
+                fuels.extend([needed - 1, needed]);
+                fuels.sort_unstable();
+                let mut last = incumbent.spill_cost;
+                for fuel in fuels {
+                    let got = solve_from(&inst, r, &mut SolveBudget::nodes(fuel), incumbent);
+                    let cost = match got {
+                        Some((a, certified)) => {
+                            assert_eq!(certified, fuel >= needed, "seed {seed}, fuel {fuel}");
+                            assert!(
+                                verify::check(&inst, &a, r).is_feasible(),
+                                "seed {seed}, fuel {fuel}: feasible"
+                            );
+                            if !certified {
+                                assert!(a.spill_cost < incumbent.spill_cost);
+                                uncertified += 1;
+                            }
+                            a.spill_cost
+                        }
+                        None => {
+                            assert!(fuel < needed, "seed {seed}: completes at {fuel}");
+                            incumbent.spill_cost
+                        }
+                    };
+                    assert!(cost <= last, "seed {seed}, fuel {fuel}: {cost} > {last}");
+                    assert!(cost >= optimum.spill_cost);
+                    last = cost;
+                }
+                assert_eq!(last, optimum.spill_cost, "seed {seed}");
+            }
+        }
+        assert!(uncertified > 0, "no exhausted search held an improvement");
     }
 
     #[test]

@@ -260,7 +260,9 @@ pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Al
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::LayeredHeuristic;
     use crate::optimal::Optimal;
+    use crate::problem::Allocator;
     use crate::verify;
     use lra_graph::{generate, Graph, GraphBuilder, WeightedGraph};
     use rand::{Rng, SeedableRng};
@@ -476,7 +478,8 @@ mod tests {
             let mut left = short;
             assert!(solve(&inst, r, &mut left).is_none());
             assert_eq!(left.node_limit, 0, "seed {seed}: charged all of it");
-            assert_eq!(Optimal.try_allocate(&inst, r, &short), None);
+            let lh = LayeredHeuristic::new().allocate(&inst, r);
+            assert_eq!(Optimal.try_allocate(&inst, r, &short, &lh), None);
             assert_eq!(trace::take().expect("collecting").fuel_consumed, 0);
         }
     }

@@ -13,17 +13,21 @@
 //!   colour assignments with symmetry breaking, for the JVM-sized
 //!   graphs of §6.2.
 //!
-//! [`Optimal::try_allocate`] is the one dispatch. Each solver has one
-//! entry point, `solve(instance, r, &mut SolveBudget)`, which charges
-//! its work against the budget, so a chordal instance whose DP gives
-//! up hands branch-and-bound exactly the fuel that is left. The
-//! unbudgeted [`Allocator::allocate`] is `try_allocate` under
-//! [`OPTIMAL_NODE_LIMIT`], panicking if even that runs out.
+//! [`Optimal::try_allocate`] is the one dispatch. Each solver charges
+//! its work against one `&mut SolveBudget`, so a chordal instance
+//! whose DP gives up hands branch-and-bound exactly the fuel that is
+//! left.
+//! Branch-and-bound is anytime: out of fuel, it still hands back a
+//! cheaper allocation than the caller's incumbent if it found one,
+//! marked uncertified. The unbudgeted [`Allocator::allocate`] is
+//! `try_allocate` under [`OPTIMAL_NODE_LIMIT`], keeping certified
+//! answers only and panicking if even that fuel runs out.
 
 pub mod branch_bound;
 pub mod chordal_dp;
 pub mod flow;
 
+use crate::cluster::LayeredHeuristic;
 use crate::problem::{Allocation, Allocator, Instance};
 use std::time::{Duration, Instant};
 
@@ -46,9 +50,10 @@ use std::time::{Duration, Instant};
 ///   speed and load, so results guarded only by a deadline are *not*
 ///   deterministic; use it as a hard latency guard on top of the fuel.
 ///
-/// [`Optimal::try_allocate`] and the two solvers return `None` when
-/// either cap trips — a *bounded* outcome the caller can distinguish
-/// from a certified optimum. The solvers take the budget by `&mut` and
+/// When either cap trips, the DP returns `None` and branch-and-bound
+/// returns its best allocation marked uncertified (or `None`) — a
+/// *bounded* outcome the caller can distinguish from a certified
+/// optimum. The solvers take the budget by `&mut` and
 /// charge the work they did against [`SolveBudget::node_limit`], so a
 /// caller chaining them (as `try_allocate` chains the DP and its
 /// branch-and-bound fallback) pays the cap once, not once per solver.
@@ -132,9 +137,15 @@ pub const OPTIMAL_NODE_LIMIT: u64 = 100_000_000;
 pub struct Optimal;
 
 impl Optimal {
-    /// Budgeted exact solve: like [`Allocator::allocate`] but returns
-    /// `None` instead of panicking when `budget` trips before a
-    /// certified optimum is found.
+    /// Budgeted exact solve that tries to beat `incumbent` (the
+    /// portfolio's cheap-tier allocation, which also seeds
+    /// branch-and-bound). Reports how the solve ended:
+    ///
+    /// * `Some((optimum, true))` — a certified optimum, whether or not
+    ///   it is cheaper than `incumbent`;
+    /// * `Some((better, false))` — the budget tripped, but the search
+    ///   held an allocation strictly cheaper than `incumbent`;
+    /// * `None` — the budget tripped with nothing cheaper in hand.
     ///
     /// Interval instances always complete (min-cost flow is
     /// polynomial and far below any realistic budget). Chordal
@@ -142,30 +153,41 @@ impl Optimal {
     /// (oversized bag or exhausted fuel), branch-and-bound runs on the
     /// fuel the DP left — the two tiers share one budget, so the total
     /// work never exceeds `node_limit`. General instances go straight
-    /// to branch-and-bound. A `None` therefore means "no certified
-    /// optimum within the budget", never an error.
+    /// to branch-and-bound.
     pub fn try_allocate(
         &self,
         instance: &Instance,
         r: u32,
         budget: &SolveBudget,
-    ) -> Option<Allocation> {
+        incumbent: &Allocation,
+    ) -> Option<(Allocation, bool)> {
         if budget.expired() {
             return None;
         }
         if instance.intervals().is_some() {
-            return Some(flow::solve(instance, r));
+            return Some((flow::solve(instance, r), true));
         }
         let mut budget = *budget;
         if instance.is_chordal() {
             if let Some(a) = chordal_dp::solve(instance, r, &mut budget) {
-                return Some(a);
+                return Some((a, true));
             }
             if budget.node_limit == 0 {
                 return None;
             }
         }
-        branch_bound::solve(instance, r, &mut budget)
+        branch_bound::solve_from(instance, r, &mut budget, incumbent)
+    }
+
+    /// [`Optimal::try_allocate`] seeded with `LH`, keeping certified
+    /// optima only: `None` when `budget` trips, whatever the search
+    /// held.
+    fn certified(&self, instance: &Instance, r: u32, budget: &SolveBudget) -> Option<Allocation> {
+        let lh = LayeredHeuristic::new().allocate(instance, r);
+        match self.try_allocate(instance, r, budget, &lh)? {
+            (a, true) => Some(a),
+            (_, false) => None,
+        }
     }
 }
 
@@ -174,8 +196,9 @@ impl Allocator for Optimal {
         "Optimal"
     }
 
-    /// Computes a certified optimal allocation:
-    /// [`Optimal::try_allocate`] under [`OPTIMAL_NODE_LIMIT`].
+    /// Computes a certified optimal allocation under
+    /// [`OPTIMAL_NODE_LIMIT`]. An uncertified answer is never
+    /// returned: the figure runners normalise to this one.
     ///
     /// # Panics
     ///
@@ -183,7 +206,7 @@ impl Allocator for Optimal {
     /// nodes or DP masks (the instance is too large for exact
     /// solving).
     fn allocate(&self, instance: &Instance, r: u32) -> Allocation {
-        self.try_allocate(instance, r, &SolveBudget::nodes(OPTIMAL_NODE_LIMIT))
+        self.certified(instance, r, &SolveBudget::nodes(OPTIMAL_NODE_LIMIT))
             .unwrap_or_else(|| {
                 panic!(
                     "Optimal: branch-and-bound exceeded {} nodes on a {}-vertex instance",
@@ -242,10 +265,13 @@ mod tests {
         // node_limit instead of paying the cap once per tier.
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let inst = Instance::from_weighted_graph(WeightedGraph::new(g, vec![3, 5, 4]));
-        let starved = Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(2));
+        let lh = LayeredHeuristic::new().allocate(&inst, 2);
+        let starved = Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(2), &lh);
         assert_eq!(starved, None);
-        let fueled = Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(1000));
-        assert_eq!(fueled.expect("certifies").spill_cost, 3);
+        let fueled = Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(1000), &lh);
+        let (a, certified) = fueled.expect("certifies");
+        assert!(certified);
+        assert_eq!(a.spill_cost, 3);
 
         // A clique beyond MAX_BAG: the DP declines without charging,
         // so branch-and-bound gets the whole budget: 1341 nodes, the
@@ -256,17 +282,47 @@ mod tests {
         let weights = (1..=n as Cost).collect();
         let inst = Instance::from_weighted_graph(WeightedGraph::new(b.build(), weights));
         assert!(inst.is_chordal() && inst.intervals().is_none());
+        let lh = LayeredHeuristic::new().allocate(&inst, 2);
+        // LH already keeps the two heaviest, so one node short of the
+        // end the search holds nothing cheaper.
         assert_eq!(
-            Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(1340)),
+            Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(1340), &lh),
             None
         );
         trace::begin(false);
-        let a = Optimal
-            .try_allocate(&inst, 2, &SolveBudget::nodes(1341))
+        let (a, certified) = Optimal
+            .try_allocate(&inst, 2, &SolveBudget::nodes(1341), &lh)
             .expect("the fallback gets every unit");
+        assert!(certified);
         assert_eq!(trace::take().expect("collecting").fuel_consumed, 1341);
         // Keep the two heaviest: spill 1 + … + 22.
         assert_eq!(a.spill_cost, 253);
+    }
+
+    #[test]
+    fn optimal_returns_certified_answers_only() {
+        // Dense enough that 2,000 nodes cannot finish, while the
+        // anytime search holds something cheaper than its seed.
+        use lra_graph::generate;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+        let g = generate::random_general(&mut rng, 30, 40);
+        let inst = Instance::from_weighted_graph(WeightedGraph::new(
+            g,
+            generate::random_weights(&mut rng, 30, 2),
+        ));
+        let starved = SolveBudget::nodes(2_000);
+        // A worse incumbent than LH, so the exhausted search has
+        // something to improve on.
+        let poor = inst.allocation_from_set(lra_graph::BitSet::new(30));
+        let (held, certified) = Optimal
+            .try_allocate(&inst, 4, &starved, &poor)
+            .expect("the search improves on spilling everything");
+        assert!(!certified && held.spill_cost < poor.spill_cost);
+        // The allocator's certified arm drops what an exhausted search
+        // holds, so `allocate` can only panic at such a fuel.
+        assert_eq!(Optimal.certified(&inst, 4, &starved), None);
+        assert!(Optimal.allocate(&inst, 4).spill_cost <= held.spill_cost);
     }
 
     #[test]

@@ -16,10 +16,14 @@
 //!    permits, escalate to [`Optimal::try_allocate`] under a
 //!    [`SolveBudget`] — a deterministic node-fuel cap plus an optional
 //!    wall-clock deadline threaded cooperatively through the exact
-//!    solvers;
-//! 3. keep whichever allocation costs less. An exhausted budget, an
-//!    expired deadline, or a zero budget all degrade to the cheap
-//!    result — the policy never errors and never runs unbounded.
+//!    solvers — with the cheap allocation as the search's incumbent;
+//! 3. keep whichever allocation costs less. The exact search is
+//!    anytime: when the budget runs out it still hands back the best
+//!    allocation it found, and the policy keeps that one, uncertified,
+//!    if it is strictly cheaper. An exhausted budget with nothing
+//!    cheaper in hand, an expired deadline, or a zero budget all
+//!    degrade to the cheap result — the policy never errors and never
+//!    runs unbounded.
 //!
 //! # Fuel
 //!
@@ -168,9 +172,12 @@ pub fn portfolio_cache() -> &'static ResultCache<PortfolioOutcome> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PortfolioSource {
     /// The cheap tier's result was kept (no escalation, an exhausted
-    /// budget, or an exact result that was no better).
+    /// budget with nothing cheaper in hand, or an exact result that was
+    /// no better).
     Cheap,
-    /// The exact tier found a strictly cheaper allocation.
+    /// The exact tier found a strictly cheaper allocation: a certified
+    /// optimum, or — with [`PortfolioOutcome::certified`] `false` — the
+    /// best allocation an exhausted search held.
     Exact,
 }
 
@@ -187,7 +194,10 @@ pub struct PortfolioOutcome {
     pub escalated: bool,
     /// `true` if the exact tier ran to completion within the budget —
     /// the final allocation is then a certified optimum (whether or
-    /// not it beat the cheap one).
+    /// not it beat the cheap one). `false` with
+    /// [`PortfolioSource::Exact`] means the budget ran out and the
+    /// allocation is the cheaper one the search held, not proven
+    /// optimal.
     pub certified: bool,
     /// Which tier produced [`PortfolioOutcome::allocation`].
     pub source: PortfolioSource,
@@ -297,15 +307,20 @@ impl Portfolio {
         trace::add_fuel(fuel);
         let budget = SolveBudget::nodes(fuel).with_time(self.cfg.time_budget);
         let (allocation, certified, source, settled) =
-            match Optimal.try_allocate(instance, r, &budget) {
-                Some(exact) if exact.spill_cost < cheap_cost => {
-                    (exact, true, PortfolioSource::Exact, ExactOutcome::Won)
+            match Optimal.try_allocate(instance, r, &budget, &cheap) {
+                Some((exact, certified)) if exact.spill_cost < cheap_cost => {
+                    let settled = if certified {
+                        ExactOutcome::Won
+                    } else {
+                        ExactOutcome::Improved
+                    };
+                    (exact, certified, PortfolioSource::Exact, settled)
                 }
                 // The exact solver certified that the cheap result is
                 // already optimal (or tied); keep the cheap allocation
                 // so the outcome is independent of solver tie-breaks.
-                Some(_) => (cheap, true, PortfolioSource::Cheap, ExactOutcome::Tied),
-                None => (
+                Some((_, true)) => (cheap, true, PortfolioSource::Cheap, ExactOutcome::Tied),
+                _ => (
                     cheap,
                     false,
                     PortfolioSource::Cheap,
@@ -401,20 +416,53 @@ mod tests {
 
     #[test]
     fn uncached_escalations_count_how_they_ended() {
-        for fuel in [1, 1_000_000] {
+        use lra_graph::generate;
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+        // C5 at one node (exhausted) and at plenty (won), and a dense
+        // 30-vertex graph whose LH allocation the search improves on
+        // long before it can finish (improved) or certifies (tied).
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let g = generate::random_general(&mut rng, 30, 40);
+        let dense = Instance::from_weighted_graph(WeightedGraph::new(
+            g,
+            generate::random_weights(&mut rng, 30, 2),
+        ));
+        let mut seen = [0; 4];
+        for (inst, r, fuel) in [
+            (c5(), 2, 1),
+            (c5(), 2, 1_000_000),
+            (dense.clone(), 4, 2_000),
+            (dense, 1, 1_000_000),
+        ] {
             let cfg = PortfolioConfig::default().node_budget(fuel).cache(false);
             trace::begin(false);
-            let out = Portfolio::new(cfg).unwrap().decide(&c5(), 2);
+            let out = Portfolio::new(cfg).unwrap().decide(&inst, r);
             let t = trace::take().expect("collecting");
-            assert_eq!(out.certified, fuel > 1, "one node cannot finish C5");
-            let counted = (t.exact_won, t.exact_tied, t.exact_exhausted);
-            let expected = match (out.certified, out.source) {
-                (false, _) => (0, 0, 1),
-                (true, PortfolioSource::Exact) => (1, 0, 0),
-                (true, PortfolioSource::Cheap) => (0, 1, 0),
+            assert!(out.escalated && out.allocation.spill_cost <= out.cheap_cost);
+            assert_eq!(t.fuel, fuel, "one escalation granted fuel");
+            let counted = [
+                t.exact_won,
+                t.exact_tied,
+                t.exact_improved,
+                t.exact_exhausted,
+            ];
+            let ended = match (out.certified, out.source) {
+                (true, PortfolioSource::Exact) => 0,
+                (true, PortfolioSource::Cheap) => 1,
+                (false, PortfolioSource::Exact) => 2,
+                (false, PortfolioSource::Cheap) => 3,
             };
-            assert_eq!(counted, expected, "fuel {fuel}");
+            let mut expected = [0; 4];
+            expected[ended] = 1;
+            assert_eq!(counted, expected, "fuel {fuel}, R = {r}");
+            assert_eq!(
+                out.source == PortfolioSource::Exact,
+                out.allocation.spill_cost < out.cheap_cost
+            );
+            seen[ended] += 1;
         }
+        assert_eq!(seen, [1; 4], "won, tied, improved, exhausted");
     }
 
     #[test]

@@ -208,14 +208,20 @@ pub struct TraceReport {
     /// [`add_fuel_consumed`]: branch-and-bound nodes visited and
     /// clique-tree DP masks enumerated.
     pub fuel_consumed: u64,
-    /// Escalations to the exact tier that found a strictly cheaper
-    /// allocation than the cheap tier, recorded via
-    /// [`add_exact_outcome`].
+    /// Escalations to the exact tier that certified a strictly
+    /// cheaper allocation than the cheap tier, recorded via
+    /// [`add_exact_outcome`]. With `exact_tied`, `exact_improved` and
+    /// `exact_exhausted` it sums to the escalations granted fuel.
     pub exact_won: u64,
     /// Escalations whose exact search completed but certified the
     /// cheap tier's cost as optimal.
     pub exact_tied: u64,
-    /// Escalations whose exact search ran out of fuel (or time).
+    /// Escalations whose exact search ran out of fuel (or time) but
+    /// held a strictly cheaper allocation than the cheap tier, which
+    /// the portfolio keeps uncertified.
+    pub exact_improved: u64,
+    /// Escalations whose exact search ran out of fuel (or time) with
+    /// nothing cheaper than the cheap tier.
     pub exact_exhausted: u64,
     /// Result-cache hits, recorded via [`cache_access`].
     pub cache_hits: u64,
@@ -257,6 +263,7 @@ impl TraceReport {
         self.fuel_consumed += other.fuel_consumed;
         self.exact_won += other.exact_won;
         self.exact_tied += other.exact_tied;
+        self.exact_improved += other.exact_improved;
         self.exact_exhausted += other.exact_exhausted;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -410,11 +417,14 @@ pub fn add_fuel_consumed(units: u64) {
 /// How one escalation to the exact tier ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExactOutcome {
-    /// The exact tier found a strictly cheaper allocation.
+    /// The exact tier certified a strictly cheaper allocation.
     Won,
     /// The exact tier completed and certified the cheap cost optimal.
     Tied,
-    /// The exact tier ran out of its budget.
+    /// The exact tier ran out of its budget holding a strictly cheaper
+    /// allocation, kept uncertified.
+    Improved,
+    /// The exact tier ran out of its budget with nothing cheaper.
     Exhausted,
 }
 
@@ -423,6 +433,7 @@ pub fn add_exact_outcome(outcome: ExactOutcome) {
     with_report(|r| match outcome {
         ExactOutcome::Won => r.exact_won += 1,
         ExactOutcome::Tied => r.exact_tied += 1,
+        ExactOutcome::Improved => r.exact_improved += 1,
         ExactOutcome::Exhausted => r.exact_exhausted += 1,
     });
 }
@@ -553,6 +564,7 @@ mod tests {
             spill_delta: 9,
             fuel_consumed: 2,
             exact_tied: 3,
+            exact_improved: 2,
             exact_exhausted: 1,
             ..TraceReport::default()
         };
@@ -575,7 +587,15 @@ mod tests {
         assert_eq!(a.spill_delta, 9);
         assert_eq!(a.fuel, 7);
         assert_eq!(a.fuel_consumed, 7);
-        assert_eq!((a.exact_won, a.exact_tied, a.exact_exhausted), (1, 3, 3));
+        assert_eq!(
+            (
+                a.exact_won,
+                a.exact_tied,
+                a.exact_improved,
+                a.exact_exhausted
+            ),
+            (1, 3, 2, 3)
+        );
         assert_eq!((a.cache_hits, a.cache_misses), (3, 2));
         assert!(a.events.is_empty());
     }

@@ -310,6 +310,7 @@ impl ServiceMetrics {
         for (outcome, n) in [
             ("won", self.trace.exact_won),
             ("tied", self.trace.exact_tied),
+            ("improved", self.trace.exact_improved),
             ("exhausted", self.trace.exact_exhausted),
         ] {
             let _ = writeln!(out, "lra_exact_outcomes_total{{outcome=\"{outcome}\"}} {n}");
@@ -380,6 +381,7 @@ mod tests {
         t.phases[Phase::Verify as usize].count = 3;
         t.phases[Phase::Verify as usize].self_ns = 1_000;
         t.exact_won = 1;
+        t.exact_improved = 3;
         t.exact_exhausted = 2;
         inner.record_trace(&t);
         inner.record_trace(&t);
@@ -388,7 +390,15 @@ mod tests {
         assert_eq!(m.phases[Phase::Allocate as usize].self_ns, 18_000);
         assert_eq!(m.phases[Phase::Verify as usize].self_ns, 2_000);
         assert_eq!(m.phases[Phase::Rewrite as usize].count, 0);
-        assert_eq!((m.exact_won, m.exact_tied, m.exact_exhausted), (2, 0, 4));
+        assert_eq!(
+            (
+                m.exact_won,
+                m.exact_tied,
+                m.exact_improved,
+                m.exact_exhausted
+            ),
+            (2, 0, 6, 4)
+        );
     }
 
     /// A minimal Prometheus text-format checker: validates comment
@@ -475,6 +485,10 @@ mod tests {
         assert_eq!(samples["lra_phase_spans_total{phase=\"allocate\"}"], "1");
         assert_eq!(samples["lra_exact_outcomes_total{outcome=\"won\"}"], "0");
         assert_eq!(samples["lra_exact_outcomes_total{outcome=\"tied\"}"], "4");
+        assert_eq!(
+            samples["lra_exact_outcomes_total{outcome=\"improved\"}"],
+            "0"
+        );
         assert_eq!(
             samples["lra_exact_outcomes_total{outcome=\"exhausted\"}"],
             "0"

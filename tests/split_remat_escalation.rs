@@ -97,10 +97,15 @@ fn escalation_is_thread_count_and_reanalysis_invariant() {
 }
 
 /// Regression: the converged counts the tier buys on the standard
-/// corpora at seed 2013. The PR-6 baselines were 15/54 (specjvm98)
-/// and 10/27 (jit-large); splitting + rematerialization rescues 11
-/// and 9 functions respectively. A drop here means the escalation
-/// tier regressed.
+/// corpora at seed 2013. The pre-escalation baselines were 15/54
+/// (specjvm98) and 10/27 (jit-large); splitting + rematerialization
+/// rescues 11 and 12 functions respectively. Since the exact tier
+/// keeps what an exhausted search finds, jit-large's base runs are
+/// cheaper but converge less often on their own (5/27): the tier
+/// accepts an escalated run only at no higher cost than the base run,
+/// so `montecarlo::m0`, `montecarlo::m2` and `batik::m2` now end
+/// cheaper but unconverged. A drop here means the escalation tier
+/// regressed.
 #[test]
 fn split_remat_rescues_the_standard_corpora_tails() {
     let jvm98 = experiment("specjvm98/").run(2).summary;
@@ -114,8 +119,8 @@ fn split_remat_rescues_the_standard_corpora_tails() {
 
     let large = experiment("jit-large/").run(2).summary;
     assert_eq!(large.functions, 27);
-    assert_eq!(large.converged, 19, "jit-large converged");
-    assert_eq!(large.escalated, 9, "jit-large escalated");
+    assert_eq!(large.converged, 17, "jit-large converged");
+    assert_eq!(large.escalated, 12, "jit-large escalated");
     assert!(
         large.converged > 10,
         "must beat the pre-escalation baseline"
