@@ -55,7 +55,10 @@ fn bench_exact_tier(c: &mut Criterion) {
     for n in [40usize, 100, 200, 300] {
         let inst = general_instance(n);
         group.bench_with_input(BenchmarkId::new("branch_bound", n), &inst, |b, inst| {
-            b.iter(|| branch_bound::solve(inst, r, &mut SolveBudget::nodes(50_000)))
+            b.iter(|| {
+                let lh = LayeredHeuristic::new().allocate(inst, r);
+                branch_bound::solve_from(inst, r, &mut SolveBudget::nodes(50_000), &lh)
+            })
         });
         group.bench_with_input(BenchmarkId::new("GC", n), &inst, |b, inst| {
             b.iter(|| ChaitinBriggs::new().allocate(inst, r))

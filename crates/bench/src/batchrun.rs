@@ -54,20 +54,13 @@ impl BatchExperiment {
 /// exhausted search still discarded what it had found.
 pub const FUEL_SWEEP: [u64; 4] = [50_000, 25_000, 12_500, 5_000];
 
-/// The deterministic portfolio configuration the standard corpora run
-/// under: `LH` first, exact escalation under **node fuel only** — no
-/// wall-clock deadline, so the escalation outcome (and therefore the
-/// rendered report) is byte-identical at any worker count.
-///
-/// The fuel, 5,000 nodes, is the data's pick, not a guess: it is the
-/// smallest [`FUEL_SWEEP`] fuel at which the seed-2013 final
-/// `total_spill_cost` of both `jit-large/Portfolio/R6` and
-/// `jit-huge/Portfolio/R6` is no higher than under the old 50,000-node
-/// pin without anytime search (`docs/benchmarks.md`, "Fuel frontier").
-/// The anytime exact tier keeps what an exhausted search found, so
-/// most of the gain arrives early in the search.
+/// The portfolio configuration the standard corpora run under:
+/// [`PortfolioConfig::default`], whose 5,000-node fuel the
+/// [`FUEL_SWEEP`] frontier picked. Fuel only, no wall-clock deadline,
+/// so the escalation outcome (and therefore the rendered report) is
+/// byte-identical at any worker count.
 pub fn standard_portfolio_config() -> PortfolioConfig {
-    PortfolioConfig::default().node_budget(5_000)
+    PortfolioConfig::default()
 }
 
 /// The pipeline the `jit-large` batch corpus runs — and the one the
@@ -495,6 +488,15 @@ pub fn to_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_standard_corpora_run_the_default_portfolio_config() {
+        // The default is the frontier's pick; the frozen benchmark
+        // package reaches it through `standard_portfolio_config`.
+        assert_eq!(standard_portfolio_config(), PortfolioConfig::default());
+        assert_eq!(PortfolioConfig::default().node_budget, 5_000);
+        assert!(FUEL_SWEEP.contains(&5_000));
+    }
 
     #[test]
     fn standard_experiments_have_all_four_corpora() {

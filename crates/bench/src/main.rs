@@ -195,12 +195,11 @@ fn run_batch(seed: u64, threads: usize, policy: Option<&str>) {
 
 /// `portfolio`: run the budgeted portfolio policy over the large
 /// non-SSA JIT corpus and print the per-program cheap-vs-portfolio
-/// comparison. The node fuel is the deterministic cap: size-scaled
-/// per function by default, pinned by `--budget-nodes`. The optional
+/// comparison. The node fuel is the deterministic cap: the default
+/// 5,000 nodes per escalation, or `--budget-nodes`. The optional
 /// `--budget-ms` wall-clock deadline is a latency guard whose
 /// escalation outcomes are machine-dependent (noted on stderr).
 fn run_portfolio(seed: u64, budget_nodes: Option<u64>, budget_ms: Option<u64>) {
-    use lra_core::optimal::{MAX_SCALED_NODE_FUEL, MIN_SCALED_NODE_FUEL, SCALED_FUEL_PER_TEMP};
     use lra_core::portfolio::PortfolioConfig;
     let mut cfg =
         PortfolioConfig::default().time_budget(budget_ms.map(std::time::Duration::from_millis));
@@ -210,18 +209,10 @@ fn run_portfolio(seed: u64, budget_nodes: Option<u64>, budget_ms: Option<u64>) {
     let registers = 6;
     let ws = lra_bench::suites::jit_large(seed);
     let rows = lra_bench::experiments::portfolio_study(&ws, registers, &cfg);
-    let fuel = match cfg.node_budget {
-        Some(nodes) => format!("{nodes} nodes"),
-        None => format!(
-            "size-scaled fuel: {SCALED_FUEL_PER_TEMP} per temporary, \
-             clamped {MIN_SCALED_NODE_FUEL}–{MAX_SCALED_NODE_FUEL}"
-        ),
-    };
-    let budget_label = match (cfg.time_budget, cfg.node_budget) {
-        (Some(d), _) => format!("{fuel} + {} ms per function", d.as_millis()),
-        (None, Some(_)) => format!("{fuel} per function"),
-        (None, None) => fuel,
-    };
+    let deadline = cfg
+        .time_budget
+        .map_or(String::new(), |d| format!(" + {} ms", d.as_millis()));
+    let budget_label = format!("{} nodes{deadline} per function", cfg.node_budget);
     if cfg.time_budget.is_some() {
         eprintln!("(wall-clock budget set: escalation outcomes depend on machine speed)");
     }

@@ -221,9 +221,7 @@ mod tests {
         // Every escalation that was granted fuel settled one way: the
         // standard config pins one fuel per escalation, so the four
         // outcomes count the grants.
-        let pin = crate::batchrun::standard_portfolio_config()
-            .node_budget
-            .expect("the standard config pins its fuel");
+        let pin = crate::batchrun::standard_portfolio_config().node_budget;
         for p in &profiles {
             let t = &p.trace;
             let settled = t.exact_won + t.exact_tied + t.exact_improved + t.exact_exhausted;

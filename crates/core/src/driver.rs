@@ -19,6 +19,12 @@
 //! 5. **assignment + verification** — the allocator's colouring is
 //!    checked ([`crate::verify`]) and becomes the register assignment.
 //!
+//! A run that stalls above the register count can restart once from
+//! the original function with its live ranges split and constants
+//! rematerialized: the escalation tier. It is a plain switch, off
+//! unless [`AllocationPipeline::escalation`] turns it on, for
+//! `Portfolio` as for every other allocator.
+//!
 //! The pipeline is builder-configured and returns an
 //! [`AllocatedFunction`] report with everything a client (or a test)
 //! wants to know: cumulative and per-round spill costs, the spilled
@@ -136,7 +142,7 @@ pub struct AllocationPipeline {
     /// the pipeline runs the `Portfolio` allocator.
     portfolio: Option<PortfolioConfig>,
     full_reanalysis: Option<bool>,
-    escalation: Option<bool>,
+    escalation: bool,
 }
 
 impl AllocationPipeline {
@@ -155,7 +161,7 @@ impl AllocationPipeline {
             optimized_spill: false,
             portfolio: None,
             full_reanalysis: None,
-            escalation: None,
+            escalation: false,
         }
     }
 
@@ -246,20 +252,10 @@ impl AllocationPipeline {
     /// keeping the escalated result only when it converges at no
     /// higher total spill cost.
     ///
-    /// The default (unset) turns the tier **on for `Portfolio`
-    /// pipelines** and off for a directly-selected allocator —
-    /// single-allocator runs are measurement baselines (and the exact
-    /// solver's fuel is budgeted for the original function, not a
-    /// split one), so they only escalate on an explicit opt-in here.
-    /// A portfolio whose
-    /// escalation budget is already spent (zero
-    /// [`PortfolioConfig::node_budget`] or an expired
-    /// [`PortfolioConfig::time_budget`]) keeps its degradation
-    /// contract — it behaves byte-identically to the cheap tier, so
-    /// the split + remat step stays off there too unless forced on
-    /// here.
+    /// Off by default, for every allocator `Portfolio` included: the
+    /// tier runs exactly when this was called with `true`.
     pub fn escalation(mut self, enabled: bool) -> Self {
-        self.escalation = Some(enabled);
+        self.escalation = enabled;
         self
     }
 
@@ -287,21 +283,9 @@ impl AllocationPipeline {
     /// costlier allocations) instead of breaking (rejections).
     pub fn degraded(&self) -> Self {
         let mut p = self.clone();
-        p.escalation = Some(false);
+        p.escalation = false;
         p.portfolio = p.portfolio.map(|cfg| cfg.node_budget(0));
         p
-    }
-
-    /// Whether a non-converged run of this pipeline enters the
-    /// split + remat escalation tier (the resolution of the
-    /// [`AllocationPipeline::escalation`] builder and the portfolio's
-    /// escalation budget).
-    pub fn escalation_enabled(&self) -> bool {
-        self.escalation.unwrap_or_else(|| {
-            self.portfolio.as_ref().is_some_and(|cfg| {
-                cfg.node_budget != Some(0) && cfg.time_budget != Some(std::time::Duration::ZERO)
-            })
-        })
     }
 
     /// Runs the full pipeline on `f`.
@@ -355,7 +339,7 @@ impl AllocationPipeline {
         // result is kept only when it converges at no higher spill
         // cost, so escalation is monotone per function (and therefore
         // in every corpus aggregate).
-        let (outcome, escalated, split_copies) = if !base.converged && self.escalation_enabled() {
+        let (outcome, escalated, split_copies) = if !base.converged && self.escalation {
             match self.escalate(f, scratch, allocator.as_ref(), spec, r, force_full, &base) {
                 Some((esc, copies)) => (esc, true, copies),
                 None => (base, false, 0),
@@ -651,7 +635,9 @@ impl AllocationPipeline {
     }
 
     /// One allocation round: allocate on `inst` (or its coalesced
-    /// quotient), and translate the result back to value space.
+    /// quotient), and translate the result back to value space. The
+    /// uncoalesced round is the quotient round with the identity class
+    /// map and no saved moves.
     fn allocate_round(
         &self,
         inst: &Instance,
@@ -683,68 +669,39 @@ impl AllocationPipeline {
                 }
             }
         };
+        let (solved, saved_moves) = match &quotient {
+            Some(co) => (&co.instance, co.saved_moves),
+            None => (inst, 0),
+        };
+        let class = |v: usize| quotient.as_ref().map_or(v, |co| co.class_of[v]);
 
-        match quotient {
-            None => {
-                let alloc = {
-                    let _s = crate::trace::span(crate::trace::Phase::Allocate);
-                    allocator.allocate(inst, r)
-                };
-                let verdict = {
-                    let _s = crate::trace::span(crate::trace::Phase::Verify);
-                    verify::check(inst, &alloc, r)
-                };
-                let assignment =
-                    assignment_from(&verdict, n, |v| alloc.allocated.contains(v).then_some(v));
-                RoundOutcome {
-                    cost: alloc.spill_cost,
-                    spilled: alloc.spilled_set(inst).iter().collect(),
-                    assignment,
-                    verdict,
-                    saved_moves: 0,
-                }
-            }
-            Some(co) => {
-                let alloc = {
-                    let _s = crate::trace::span(crate::trace::Phase::Allocate);
-                    allocator.allocate(&co.instance, r)
-                };
-                let verdict = {
-                    let _s = crate::trace::span(crate::trace::Phase::Verify);
-                    verify::check(&co.instance, &alloc, r)
-                };
-                let assignment = assignment_from(&verdict, n, |v| {
-                    let class = co.class_of[v];
-                    alloc.allocated.contains(class).then_some(class)
-                });
-                let spilled = (0..n)
-                    .filter(|&v| !alloc.allocated.contains(co.class_of[v]))
-                    .collect();
-                RoundOutcome {
-                    cost: alloc.spill_cost,
-                    spilled,
-                    assignment,
-                    verdict,
-                    saved_moves: co.saved_moves,
-                }
-            }
+        let alloc = {
+            let _s = crate::trace::span(crate::trace::Phase::Allocate);
+            allocator.allocate(solved, r)
+        };
+        let verdict = {
+            let _s = crate::trace::span(crate::trace::Phase::Verify);
+            verify::check(solved, &alloc, r)
+        };
+        // The witness colours classes: each value takes its class's
+        // colour, or no register when its class was spilled.
+        let assignment = match &verdict {
+            Feasibility::Feasible(colors) => Assignment::from_registers(
+                (0..n)
+                    .map(|v| alloc.allocated.contains(class(v)).then(|| colors[class(v)]))
+                    .collect(),
+            ),
+            _ => Assignment::from_registers(vec![None; n]),
+        };
+        RoundOutcome {
+            cost: alloc.spill_cost,
+            spilled: (0..n)
+                .filter(|&v| !alloc.allocated.contains(class(v)))
+                .collect(),
+            assignment,
+            verdict,
+            saved_moves,
         }
-    }
-}
-
-/// Expands a feasibility witness into a per-value [`Assignment`]:
-/// `slot_of(v)` names the witness slot (the vertex, or its coalesced
-/// class) whose colour `v` receives, or `None` for spilled values.
-fn assignment_from(
-    verdict: &Feasibility,
-    n: usize,
-    slot_of: impl Fn(usize) -> Option<usize>,
-) -> Assignment {
-    match verdict {
-        Feasibility::Feasible(colors) => {
-            Assignment::from_registers((0..n).map(|v| slot_of(v).map(|s| colors[s])).collect())
-        }
-        _ => Assignment::from_registers(vec![None; n]),
     }
 }
 
@@ -1108,83 +1065,118 @@ mod tests {
         assert!(escalations > 0, "no seed exercised the escalation tier");
     }
 
+    /// Everything a run reports except the allocator's name, as text:
+    /// two runs render alike exactly when they made the same decisions.
+    fn rendered(r: &AllocatedFunction) -> String {
+        format!(
+            "{}{:?}",
+            lra_ir::textio::print(&r.function),
+            (
+                r.rounds,
+                r.converged,
+                &r.round_costs,
+                (r.stores, r.loads, r.remats),
+                &r.assignment,
+                r.escalated,
+                r.split_copies,
+            )
+        )
+    }
+
     #[test]
-    fn escalation_defaults_follow_the_allocator_and_the_budget() {
-        let t = Target::new(TargetKind::St231);
-        let p = |a: &str| AllocationPipeline::new(t).allocator(a);
-        assert!(!p("LH").escalation_enabled(), "baselines stay unescalated");
-        assert!(p("LH").escalation(true).escalation_enabled());
-        assert!(p("Portfolio").escalation_enabled(), "Portfolio defaults on");
-        assert!(!p("Portfolio").escalation(false).escalation_enabled());
-        let with_cfg = |cfg: crate::portfolio::PortfolioConfig| {
-            AllocationPipeline::new(t)
-                .portfolio(cfg)
-                .escalation_enabled()
-        };
+    fn portfolio_escalates_only_when_asked_even_at_zero_fuel() {
+        // The split + remat tier is a plain switch: a Portfolio
+        // pipeline runs it exactly when `.escalation(true)` was
+        // called, whatever its fuel. At zero fuel it is the cheap tier
+        // with the split + remat tier, byte for byte.
         use crate::portfolio::PortfolioConfig;
-        assert!(with_cfg(PortfolioConfig::default()));
-        assert!(
-            !with_cfg(PortfolioConfig::default().node_budget(0)),
-            "a spent escalation budget keeps the cheap-tier degradation contract"
-        );
-        assert!(
-            !with_cfg(PortfolioConfig::default().time_budget(Some(std::time::Duration::ZERO))),
-            "an expired time budget likewise degrades to the cheap tier"
-        );
+        let t = Target::new(TargetKind::St231);
+        let p = |nodes| {
+            AllocationPipeline::new(t)
+                .portfolio(PortfolioConfig::default().node_budget(nodes))
+                .registers(3)
+        };
+        let lh_on = AllocationPipeline::new(t)
+            .allocator("LH")
+            .registers(3)
+            .escalation(true);
+        let mut escalated = [0; 2];
+        for seed in 0..24u64 {
+            let f = small_function(seed);
+            for nodes in [0, 5_000] {
+                let off = p(nodes).run(&f).unwrap();
+                assert!(!off.escalated, "seed {seed}, {nodes} nodes: unasked");
+            }
+            let on = p(5_000).escalation(true).run(&f).unwrap();
+            let zero_on = p(0).escalation(true).run(&f).unwrap();
+            assert_eq!(
+                rendered(&zero_on),
+                rendered(&lh_on.run(&f).unwrap()),
+                "seed {seed}"
+            );
+            escalated[0] += usize::from(on.escalated);
+            escalated[1] += usize::from(zero_on.escalated);
+        }
+        assert!(escalated[0] > 0 && escalated[1] > 0, "{escalated:?}");
     }
 
     #[test]
     fn time_budget_flows_into_the_portfolio_config() {
-        use crate::portfolio::PortfolioConfig;
+        use std::time::Duration;
         let t = Target::new(TargetKind::St231);
-        // An expired budget degrades the portfolio to its cheap tier,
-        // which escalation_enabled() observes.
+        let budget_of = |p: &AllocationPipeline| p.portfolio.as_ref().map(|cfg| cfg.time_budget);
         let expired = AllocationPipeline::new(t)
             .allocator("Portfolio")
-            .time_budget(Some(std::time::Duration::ZERO));
-        assert!(!expired.escalation_enabled());
-        // A live budget keeps escalation available.
-        let live = AllocationPipeline::new(t)
-            .portfolio(PortfolioConfig::default())
-            .time_budget(Some(std::time::Duration::from_secs(5)));
-        assert!(live.escalation_enabled());
+            .time_budget(Some(Duration::ZERO));
+        assert_eq!(budget_of(&expired), Some(Some(Duration::ZERO)));
+        let live = expired.clone().time_budget(Some(Duration::from_secs(5)));
+        assert_eq!(budget_of(&live), Some(Some(Duration::from_secs(5))));
+        // An expired budget degrades the portfolio to its cheap tier.
+        let lh = AllocationPipeline::new(t).allocator("LH");
+        for seed in 0..4u64 {
+            let f = small_function(seed);
+            assert_eq!(
+                rendered(&expired.clone().registers(3).run(&f).unwrap()),
+                rendered(&lh.clone().registers(3).run(&f).unwrap()),
+                "seed {seed}"
+            );
+        }
         // On a directly-selected allocator the call is a no-op: no
         // portfolio config materialises.
-        let lh = AllocationPipeline::new(t)
-            .allocator("LH")
-            .time_budget(Some(std::time::Duration::ZERO));
-        assert!(lh.portfolio.is_none());
+        assert_eq!(budget_of(&lh.time_budget(Some(Duration::ZERO))), None);
         // Clearing the budget restores the default behaviour.
-        let cleared = expired.time_budget(None);
-        assert!(cleared.escalation_enabled());
+        assert_eq!(budget_of(&expired.time_budget(None)), Some(None));
     }
 
     #[test]
     fn degraded_pipelines_pin_the_cheap_tier() {
         use crate::portfolio::PortfolioConfig;
         let t = Target::new(TargetKind::St231);
+        let fuel_of = |p: &AllocationPipeline| p.portfolio.as_ref().map(|cfg| cfg.node_budget);
         let base = AllocationPipeline::new(t)
             .portfolio(PortfolioConfig::default().node_budget(50_000))
+            .registers(3)
             .escalation(true);
-        assert!(base.escalation_enabled());
         let shed = base.degraded();
-        assert!(!shed.escalation_enabled(), "degraded runs never escalate");
-        assert_eq!(
-            shed.portfolio.as_ref().map(|cfg| cfg.node_budget),
-            Some(Some(0)),
-            "degraded portfolios run cheap-tier-only"
-        );
+        assert_eq!(fuel_of(&shed), Some(0), "degraded runs are cheap-tier-only");
         // The original pipeline is untouched (degraded() clones).
-        assert!(base.escalation_enabled());
-        // A degraded run still completes and verifies.
-        let f = small_function(7);
-        let report = shed.registers(3).run(&f).expect("cheap tier still runs");
-        assert!(report.verdict.is_feasible());
-        assert!(!report.escalated);
-        // Non-portfolio pipelines degrade to escalation-off only.
-        let lh = AllocationPipeline::new(t).allocator("LH").degraded();
-        assert!(lh.portfolio.is_none());
-        assert!(!lh.escalation_enabled());
+        assert_eq!(fuel_of(&base), Some(50_000));
+        // Portfolio or not, a degraded run is the cheap allocator with
+        // the split + remat tier off, even where the original escalates.
+        let lh = AllocationPipeline::new(t).allocator("LH").registers(3);
+        let lh_shed = lh.clone().escalation(true).degraded();
+        assert_eq!(fuel_of(&lh_shed), None);
+        let mut escalated = 0;
+        for seed in 0..24u64 {
+            let f = small_function(seed);
+            escalated += usize::from(base.run(&f).unwrap().escalated);
+            let plain = rendered(&lh.run(&f).unwrap());
+            let report = shed.run(&f).expect("cheap tier still runs");
+            assert!(report.verdict.is_feasible());
+            assert_eq!(rendered(&report), plain, "seed {seed}");
+            assert_eq!(rendered(&lh_shed.run(&f).unwrap()), plain, "seed {seed}");
+        }
+        assert!(escalated > 0, "no seed exercised the escalation tier");
     }
 
     #[test]

@@ -37,13 +37,12 @@
 //! The search is *anytime*: [`solve_from`] marks a completed search's
 //! answer certified, and when the budget runs out it still hands back
 //! the best allocation it holds, uncertified, if that is strictly
-//! cheaper than the caller's. [`solve`] keeps only certified optima.
+//! cheaper than the caller's.
 //! Sparse graphs of a few hundred vertices can complete; a dense
 //! 40-vertex one may not.
 
 use super::SolveBudget;
 use crate::baselines::ChaitinBriggs;
-use crate::cluster::LayeredHeuristic;
 use crate::problem::{Allocation, Allocator, Instance};
 use crate::trace;
 use lra_graph::{BitSet, Cost, Graph};
@@ -277,17 +276,6 @@ fn search<X: Width>(width: X, p: &Problem<'_>, budget: &SolveBudget) -> Outcome 
     }
 }
 
-/// Solves `instance` exactly with `r` registers under `budget`, seeded
-/// with `LH`'s allocation: [`solve_from`], keeping certified optima
-/// only. Returns `None` when either cap trips.
-pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Allocation> {
-    let lh = LayeredHeuristic::new().allocate(instance, r);
-    match solve_from(instance, r, budget, &lh)? {
-        (a, true) => Some(a),
-        (_, false) => None,
-    }
-}
-
 /// Searches for an allocation of `instance` with `r` registers cheaper
 /// than `incumbent`, under `budget`: each search node costs one unit of
 /// node fuel, charged against `budget.node_limit` (an exhausted search
@@ -371,6 +359,7 @@ pub fn solve_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::LayeredHeuristic;
     use crate::verify;
     use lra_graph::{generate, Graph, WeightedGraph};
     use rand::SeedableRng;
@@ -378,6 +367,13 @@ mod tests {
 
     fn instance(g: Graph, w: Vec<Cost>) -> Instance {
         Instance::from_weighted_graph(WeightedGraph::new(g, w))
+    }
+
+    /// The search seeded with `LH`, keeping certified optima only.
+    fn solve(inst: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Allocation> {
+        let lh = LayeredHeuristic::new().allocate(inst, r);
+        let (a, certified) = solve_from(inst, r, budget, &lh)?;
+        certified.then_some(a)
     }
 
     #[test]

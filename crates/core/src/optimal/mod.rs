@@ -16,7 +16,9 @@
 //! [`Optimal::try_allocate`] is the one dispatch. Each solver charges
 //! its work against one `&mut SolveBudget`, so a chordal instance
 //! whose DP gives up hands branch-and-bound exactly the fuel that is
-//! left.
+//! left. The caller picks the fuel: the portfolio grants every
+//! escalation the same
+//! [`PortfolioConfig::node_budget`](crate::portfolio::PortfolioConfig::node_budget).
 //! Branch-and-bound is anytime: out of fuel, it still hands back a
 //! cheaper allocation than the caller's incumbent if it found one,
 //! marked uncertified. The unbudgeted [`Allocator::allocate`] is
@@ -64,30 +66,6 @@ pub struct SolveBudget {
     pub node_limit: u64,
     /// Wall-clock instant after which the solver gives up.
     pub deadline: Option<Instant>,
-}
-
-/// Smallest fuel [`scaled_node_fuel`] ever grants: enough for the
-/// exact tiers to certify any lao-kernel/JVM98-sized method outright.
-pub const MIN_SCALED_NODE_FUEL: u64 = 20_000;
-
-/// Largest fuel [`scaled_node_fuel`] ever grants: caps the worst-case
-/// exact-tier latency on the ~200-temporary tail of a JIT corpus at a
-/// few milliseconds per function.
-pub const MAX_SCALED_NODE_FUEL: u64 = 400_000;
-
-/// Fuel granted per temporary between the two clamps. The curve is
-/// linear because branch-and-bound node cost is roughly linear in the
-/// vertex count (each node scans a bit row), so constant fuel would
-/// give big instances *less* wall-clock than small ones.
-pub const SCALED_FUEL_PER_TEMP: u64 = 2_000;
-
-/// The size-adaptive default node fuel:
-/// `clamp(SCALED_FUEL_PER_TEMP × n_temps, MIN.., MAX..)`. Purely a
-/// function of the instance size, so budgets stay deterministic at
-/// any worker count.
-pub fn scaled_node_fuel(n_temps: usize) -> u64 {
-    (SCALED_FUEL_PER_TEMP.saturating_mul(n_temps as u64))
-        .clamp(MIN_SCALED_NODE_FUEL, MAX_SCALED_NODE_FUEL)
 }
 
 impl SolveBudget {
@@ -323,30 +301,6 @@ mod tests {
         // holds, so `allocate` can only panic at such a fuel.
         assert_eq!(Optimal.certified(&inst, 4, &starved), None);
         assert!(Optimal.allocate(&inst, 4).spill_cost <= held.spill_cost);
-    }
-
-    #[test]
-    fn scaled_fuel_curve_is_pinned() {
-        // The curve is part of the determinism contract (cache keys
-        // embed the effective fuel), so its exact values are pinned.
-        for (n, fuel) in [
-            (0, 20_000),
-            (5, 20_000),
-            (10, 20_000),
-            (35, 70_000),
-            (100, 200_000),
-            (200, 400_000),
-            (10_000, 400_000),
-        ] {
-            assert_eq!(scaled_node_fuel(n), fuel, "scaled_node_fuel({n})");
-        }
-        // Monotone: more temporaries never means less fuel.
-        let mut prev = 0;
-        for n in 0..512 {
-            let f = scaled_node_fuel(n);
-            assert!(f >= prev);
-            prev = f;
-        }
     }
 
     #[test]

@@ -27,10 +27,9 @@
 //!
 //! # Fuel
 //!
-//! [`PortfolioConfig::node_budget`] is the one fuel setting. `None`
-//! (the default) grants each escalation [`scaled_node_fuel`] of the
-//! instance's vertex count — 2000 per temporary, clamped to
-//! 20000–400000 — and `Some(n)` pins `n` nodes; `Some(0)` never
+//! [`PortfolioConfig::node_budget`] is the one fuel setting: every
+//! escalation gets the same `n` nodes, 5,000 by default (the fuel
+//! frontier's pick, see [`PortfolioConfig::default`]), and `0` never
 //! escalates. The DP and branch-and-bound tiers of one escalation
 //! share that fuel.
 //!
@@ -62,7 +61,7 @@
 use crate::cache::{InstanceKey, ResultCache};
 use crate::cluster::LayeredHeuristic;
 use crate::driver::PipelineError;
-use crate::optimal::{scaled_node_fuel, Optimal, SolveBudget};
+use crate::optimal::{Optimal, SolveBudget};
 use crate::problem::{Allocation, Allocator, Instance};
 use crate::registry::{AllocatorRegistry, AllocatorSpec};
 use crate::trace::{self, ExactOutcome};
@@ -78,13 +77,11 @@ pub struct PortfolioConfig {
     /// chordality the instance lacks), the policy substitutes `LH` for
     /// that instance instead of failing.
     pub cheap: String,
-    /// Deterministic node fuel for the exact escalation, per
-    /// [`SolveBudget::node_limit`]. `None` (the default) sizes it per
-    /// instance: [`scaled_node_fuel`]`(n_temps)`, so small methods
-    /// certify while huge ones keep a hard latency lid; fuel stays a
-    /// pure function of the instance, so this keeps the thread-count
-    /// byte-identity contract. `Some(0)` disables escalation entirely.
-    pub node_budget: Option<u64>,
+    /// Deterministic node fuel for each exact escalation, per
+    /// [`SolveBudget::node_limit`]. Counted, not timed, so it keeps the
+    /// thread-count byte-identity contract. `0` disables escalation
+    /// entirely.
+    pub node_budget: u64,
     /// Optional wall-clock budget for the exact escalation. `None`
     /// (the default) keeps the policy fully deterministic;
     /// `Some(Duration::ZERO)` — an already-expired budget — degrades
@@ -102,10 +99,21 @@ pub struct PortfolioConfig {
 }
 
 impl Default for PortfolioConfig {
+    /// `LH` first, then exact escalation under 5,000 nodes of fuel, no
+    /// wall-clock deadline, cache on.
+    ///
+    /// The fuel is the data's pick, not a guess: it is the smallest
+    /// `lra-bench portfolio --sweep` fuel (50,000, 25,000, 12,500 and
+    /// 5,000 nodes) at which the seed-2013 final `total_spill_cost` of
+    /// both `jit-large/Portfolio/R6` and `jit-huge/Portfolio/R6` is no
+    /// higher than under the old 50,000-node pin without anytime search
+    /// (`docs/benchmarks.md`, "Fuel frontier"). The exact tier keeps
+    /// what an exhausted search found, so most of the gain arrives
+    /// early in the search.
     fn default() -> Self {
         PortfolioConfig {
             cheap: "LH".to_string(),
-            node_budget: None,
+            node_budget: 5_000,
             time_budget: None,
             cache: true,
         }
@@ -119,21 +127,10 @@ impl PortfolioConfig {
         self
     }
 
-    /// Sets an explicit deterministic node fuel for the exact
-    /// escalation in place of the size-scaled default (an explicit
-    /// fuel is a reproducibility pin; silently rescaling it would
-    /// defeat the point).
+    /// Sets the deterministic node fuel of each exact escalation.
     pub fn node_budget(mut self, nodes: u64) -> Self {
-        self.node_budget = Some(nodes);
+        self.node_budget = nodes;
         self
-    }
-
-    /// The fuel one escalation over an `n_temps`-vertex instance runs
-    /// under: the configured [`PortfolioConfig::node_budget`], or
-    /// [`scaled_node_fuel`] when none is set.
-    pub fn effective_node_budget(&self, n_temps: usize) -> u64 {
-        self.node_budget
-            .unwrap_or_else(|| scaled_node_fuel(n_temps))
     }
 
     /// Sets (or clears) the wall-clock budget for the exact
@@ -270,14 +267,11 @@ impl Portfolio {
         if !self.cfg.cache || self.cfg.time_budget.is_some() {
             return self.decide_uncached(instance, r);
         }
-        // The key must carry the fuel the escalation would actually
-        // run under: without an explicit budget that is the
-        // size-scaled fuel, which differs per instance.
         let key = InstanceKey::new(
             instance,
             r,
             self.cheap_spec.name,
-            self.cfg.effective_node_budget(instance.vertex_count()),
+            self.cfg.node_budget,
             self.cfg.time_budget,
         );
         if let Some(hit) = portfolio_cache().get(&key) {
@@ -291,7 +285,7 @@ impl Portfolio {
     fn decide_uncached(&self, instance: &Instance, r: u32) -> PortfolioOutcome {
         let cheap = self.cheap_for(instance).allocate(instance, r);
         let cheap_cost = cheap.spill_cost;
-        let fuel = self.cfg.effective_node_budget(instance.vertex_count());
+        let fuel = self.cfg.node_budget;
         let escalate = cheap_cost > 0 && fuel > 0 && self.cfg.time_budget != Some(Duration::ZERO);
         if !escalate {
             return PortfolioOutcome {
@@ -552,13 +546,7 @@ mod tests {
         let p = Portfolio::new(cfg.clone()).unwrap();
         let out = p.decide(&inst, 2);
         assert!(out.escalated);
-        let key = InstanceKey::new(
-            &inst,
-            2,
-            "LH",
-            cfg.effective_node_budget(inst.vertex_count()),
-            cfg.time_budget,
-        );
+        let key = InstanceKey::new(&inst, 2, "LH", cfg.node_budget, cfg.time_budget);
         assert!(
             portfolio_cache().get(&key).is_none(),
             "timing-dependent outcome must not be cached"
@@ -583,43 +571,6 @@ mod tests {
         assert!(!t.certified);
         assert!(f.certified);
         assert_eq!(f.allocation.spill_cost, 1);
-    }
-
-    #[test]
-    fn default_config_is_adaptive_and_explicit_fuel_is_not() {
-        let adaptive = PortfolioConfig::default();
-        assert_eq!(adaptive.node_budget, None);
-        assert_eq!(adaptive.effective_node_budget(5), scaled_node_fuel(5));
-        assert_eq!(adaptive.effective_node_budget(300), scaled_node_fuel(300));
-        let pinned = PortfolioConfig::default().node_budget(12_345);
-        assert_eq!(
-            pinned.node_budget,
-            Some(12_345),
-            "an explicit fuel pins the budget"
-        );
-        assert_eq!(pinned.effective_node_budget(5), 12_345);
-        assert_eq!(pinned.effective_node_budget(300), 12_345);
-    }
-
-    #[test]
-    fn adaptive_decisions_match_the_equivalent_explicit_fuel() {
-        // Adaptive fuel is just scaled_node_fuel(n) — a decision under
-        // the default adaptive config must be bit-identical to one
-        // under that fuel pinned explicitly (caches off so both solve).
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let inst =
-            Instance::from_weighted_graph(WeightedGraph::new(g, vec![4301, 4302, 4303, 4304, 1]));
-        let adaptive = Portfolio::new(PortfolioConfig::default().cache(false)).unwrap();
-        let pinned = Portfolio::new(
-            PortfolioConfig::default()
-                .node_budget(scaled_node_fuel(inst.vertex_count()))
-                .cache(false),
-        )
-        .unwrap();
-        let a = adaptive.decide(&inst, 2);
-        let b = pinned.decide(&inst, 2);
-        assert!(outcomes_equal(&a, &b));
-        assert!(a.escalated && a.certified);
     }
 
     #[test]

@@ -20,70 +20,34 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Capped exponential backoff with deterministic jitter for
-/// `queue_full` resubmissions, plus a retry budget so a wedged server
-/// fails the run fast instead of spinning forever.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Resubmissions allowed **per request** before the run fails
-    /// with a `retry budget exhausted` error.
-    pub budget: u32,
-    /// First backoff; attempt `n` waits `base * 2^n`, jittered.
-    pub base: Duration,
-    /// Ceiling on any single backoff.
-    pub cap: Duration,
-    /// Jitter seed: the same (seed, id, attempt) always waits the
-    /// same time, so load tests stay reproducible.
-    pub seed: u64,
-}
+/// `queue_full` resubmissions allowed **per request** before the run
+/// fails with a `retry budget exhausted` error. Deep enough that a
+/// healthy-but-saturated server (CI runs a 27-method corpus against a
+/// queue of 8) never exhausts it; a *dead* server fails faster still,
+/// via the transport error.
+const RETRY_BUDGET: u32 = 1000;
 
-impl Default for RetryPolicy {
-    /// 1000 resubmissions per request, 200µs doubling to a 20ms cap.
-    /// Deep enough that a healthy-but-saturated server (CI runs a
-    /// 27-method corpus against a queue of 8) never exhausts it; a
-    /// *dead* server fails faster still, via the transport error.
-    fn default() -> Self {
-        RetryPolicy {
-            budget: 1000,
-            base: Duration::from_micros(200),
-            cap: Duration::from_millis(20),
-            seed: 0x5EED,
-        }
-    }
-}
+/// First backoff; attempt `n` waits `RETRY_BASE * 2^n`, jittered.
+const RETRY_BASE: Duration = Duration::from_micros(200);
 
-impl RetryPolicy {
-    /// Sets the per-request resubmission budget.
-    pub fn budget(mut self, attempts: u32) -> Self {
-        self.budget = attempts;
-        self
-    }
+/// Ceiling on any single backoff.
+const RETRY_CAP: Duration = Duration::from_millis(20);
 
-    /// Sets the backoff range (first wait and ceiling).
-    pub fn backoff_range(mut self, base: Duration, cap: Duration) -> Self {
-        self.base = base;
-        self.cap = cap;
-        self
-    }
+/// Jitter seed: the same (id, attempt) always waits the same time, so
+/// load tests stay reproducible.
+const RETRY_SEED: u64 = 0x5EED;
 
-    /// Sets the jitter seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The wait before resubmission number `attempt` (0-based) of
-    /// request `id`: `base * 2^attempt` capped at `cap`, scaled into
-    /// `[1/2, 1]` of itself by deterministic jitter so synchronized
-    /// clients desynchronize instead of stampeding in lockstep.
-    pub fn backoff(&self, id: u64, attempt: u32) -> Duration {
-        let exp = (self.base.as_nanos() as u64)
-            .checked_shl(attempt.min(24))
-            .unwrap_or(u64::MAX)
-            .min(self.cap.as_nanos() as u64);
-        let h = splitmix64(self.seed ^ id.wrapping_mul(0x9E37_79B9) ^ u64::from(attempt));
-        Duration::from_nanos(exp / 2 + (exp / 2) * (h % 1024) / 1024)
-    }
+/// The wait before resubmission number `attempt` (0-based) of request
+/// `id`: `RETRY_BASE * 2^attempt` capped at `RETRY_CAP`, scaled into
+/// `[1/2, 1]` of itself by deterministic jitter so synchronized
+/// clients desynchronize instead of stampeding in lockstep.
+fn backoff(id: u64, attempt: u32) -> Duration {
+    let exp = (RETRY_BASE.as_nanos() as u64)
+        .checked_shl(attempt.min(24))
+        .unwrap_or(u64::MAX)
+        .min(RETRY_CAP.as_nanos() as u64);
+    let h = splitmix64(RETRY_SEED ^ id.wrapping_mul(0x9E37_79B9) ^ u64::from(attempt));
+    Duration::from_nanos(exp / 2 + (exp / 2) * (h % 1024) / 1024)
 }
 
 /// How many alloc requests the client keeps in flight. Well above any
@@ -97,7 +61,6 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     next_id: u64,
-    retry: RetryPolicy,
     deadline_ms: Option<u64>,
 }
 
@@ -148,15 +111,8 @@ impl Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
             next_id: 0,
-            retry: RetryPolicy::default(),
             deadline_ms: None,
         })
-    }
-
-    /// Replaces the `queue_full` resubmission policy.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
     }
 
     /// Attaches a relative deadline (milliseconds) to every alloc
@@ -208,8 +164,9 @@ impl Client {
     }
 
     /// Ships every function through the server (pipelined up to a
-    /// fixed window, resubmitting `queue_full` rejections under the
-    /// [`RetryPolicy`]) and returns the rows in submission order. A
+    /// fixed window, resubmitting `queue_full` rejections after a
+    /// capped, jittered exponential backoff, at most 1000 times per
+    /// request) and returns the rows in submission order. A
     /// `deadline_exceeded` rejection is final — it becomes the
     /// request's error row, not a retry.
     ///
@@ -278,7 +235,7 @@ impl Client {
                             // capped-exponentially with deterministic
                             // jitter, up to the retry budget.
                             let attempt = attempts[k];
-                            if attempt >= self.retry.budget {
+                            if attempt >= RETRY_BUDGET {
                                 return Err(io::Error::other(format!(
                                     "retry budget exhausted: request {id} rejected {attempt} times"
                                 )));
@@ -286,7 +243,7 @@ impl Client {
                             attempts[k] = attempt + 1;
                             retries += 1;
                             pending.push_back(k);
-                            std::thread::sleep(self.retry.backoff(id, attempt));
+                            std::thread::sleep(backoff(id, attempt));
                         }
                         RejectReason::DeadlineExceeded => {
                             // Final: the budget the request carried is
@@ -394,6 +351,32 @@ impl Client {
                 io::ErrorKind::InvalidData,
                 format!("unexpected shutdown response {other:?}"),
             )),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_doubles_to_its_cap_under_a_pinned_jitter() {
+        // Waits in ns at attempts 0, 1, 3, 6, 7 and 30: 200 µs doubling
+        // per attempt, capped at 20 ms from attempt 7 on, each scaled
+        // into [1/2, 1] of itself by the seeded jitter.
+        let attempts = [0, 1, 3, 6, 7, 30];
+        let cases: [(u64, [u64; 6]); 4] = [
+            (0, [142578, 346093, 1014062, 6425000, 14238281, 12578125]),
+            (1, [112207, 271289, 844531, 12537500, 12734375, 17148437]),
+            (27, [110644, 315820, 1360937, 8362500, 14160156, 14824218]),
+            (
+                1 << 40,
+                [171191, 255468, 953125, 9750000, 12187500, 10380859],
+            ),
+        ];
+        for (id, waits) in cases {
+            let got = attempts.map(|a| backoff(id, a).as_nanos() as u64);
+            assert_eq!(got, waits, "request {id}");
         }
     }
 }

@@ -24,7 +24,7 @@
 //!   protocol ([`proto`]) whose functions travel as
 //!   [`lra_ir::textio`] text, plus the matching pipelined
 //!   [`client::Client`] / load generator with a budgeted,
-//!   jittered-backoff retry loop ([`client::RetryPolicy`]).
+//!   jittered-backoff retry loop.
 //! * an overload posture: requests may carry wall-clock deadlines
 //!   (shed unstarted at dequeue as `deadline_exceeded`), a queue
 //!   watermark that degrades service to the cheap allocator tier
@@ -53,7 +53,7 @@ pub mod queue;
 pub mod server;
 mod service;
 
-pub use client::{Client, LoadResult, RetryPolicy};
+pub use client::{Client, LoadResult};
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use metrics::ServiceMetrics;
 pub use server::{serve, Server};

@@ -7,7 +7,8 @@
 //!
 //! * the cheap `LH` heuristic alone,
 //! * the `Portfolio` policy (LH first, exact escalation under a
-//!   deterministic node-fuel budget),
+//!   deterministic node-fuel budget), with the split + remat tier on
+//!   for the methods whose spill loop stalls,
 //! * the same policy with a zero budget, demonstrating the graceful
 //!   degradation contract: no budget means the cheap result, never an
 //!   error.
@@ -47,7 +48,9 @@ fn main() {
         ("LH (cheap tier alone)", base().allocator("LH")),
         (
             "Portfolio (100k nodes)",
-            base().portfolio(PortfolioConfig::default().node_budget(100_000)),
+            base()
+                .portfolio(PortfolioConfig::default().node_budget(100_000))
+                .escalation(true),
         ),
         (
             "Portfolio (zero budget)",

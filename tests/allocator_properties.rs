@@ -103,7 +103,9 @@ proptest! {
     fn branch_bound_matches_dp(seed in 0u64..10_000, n in 5usize..16, r in 1u32..4) {
         let inst = chordal_instance(seed, n);
         let dp = chordal_dp::solve(&inst, r, &mut SolveBudget::unlimited()).expect("small bags");
-        let bb = branch_bound::solve(&inst, r, &mut SolveBudget::nodes(50_000_000)).expect("within budget");
+        let lh = LayeredHeuristic::new().allocate(&inst, r);
+        let (bb, certified) = branch_bound::solve_from(&inst, r, &mut SolveBudget::nodes(50_000_000), &lh).expect("within budget");
+        prop_assert!(certified);
         prop_assert_eq!(dp.spill_cost, bb.spill_cost);
     }
 
@@ -115,7 +117,8 @@ proptest! {
         let inst = general_instance(seed, n);
         let lh = LayeredHeuristic::new().allocate(&inst, r);
         let gc = ChaitinBriggs::new().allocate(&inst, r);
-        let opt = branch_bound::solve(&inst, r, &mut SolveBudget::nodes(50_000_000)).expect("within budget");
+        let (opt, certified) = branch_bound::solve_from(&inst, r, &mut SolveBudget::nodes(50_000_000), &lh).expect("within budget");
+        prop_assert!(certified);
         for (name, a) in [("LH", &lh), ("GC", &gc), ("B&B", &opt)] {
             prop_assert!(verify::check(&inst, a, r).is_feasible(), "{} infeasible", name);
             prop_assert!(

@@ -83,15 +83,14 @@ fn portfolio_first_round_cost_never_exceeds_the_cheap_tier() {
     }
 }
 
-/// The size-scaled default budget (`scaled_node_fuel`) is a pure
-/// function of the instance, so a batch under
+/// The default budget is a fixed node fuel, so a batch under
 /// `PortfolioConfig::default()` must stay byte-identical at any
-/// worker count — fuel-only determinism extends to adaptive fuel.
+/// worker count — fuel-only determinism covers the default too.
 #[test]
 fn adaptive_budget_batches_are_byte_identical_across_thread_counts() {
     let fs = jit_subset(6);
     let cfg = PortfolioConfig::default();
-    assert_eq!(cfg.node_budget, None, "the default budget is size-scaled");
+    assert_eq!(cfg.node_budget, 5_000, "the default budget is a fixed fuel");
     let pipeline = base_pipeline().portfolio(cfg);
     let seq = BatchAllocator::new(pipeline.clone()).threads(1).run(&fs);
     let par = BatchAllocator::new(pipeline.clone()).threads(2).run(&fs);
@@ -120,11 +119,12 @@ fn naming_portfolio_keeps_an_explicit_config() {
     let renamed = base_pipeline()
         .portfolio(spent.clone())
         .allocator("Portfolio");
-    assert!(!renamed.escalation_enabled(), "the zero budget survived");
     let report = BatchAllocator::new(renamed).run(&fs);
     let configured = BatchAllocator::new(base_pipeline().portfolio(spent)).run(&fs);
+    let cheap = BatchAllocator::new(base_pipeline().allocator("LH")).run(&fs);
     let default = BatchAllocator::new(base_pipeline().allocator("Portfolio")).run(&fs);
     assert_eq!(report.render(), configured.render());
+    assert_eq!(report.render(), cheap.render(), "the zero budget survived");
     assert_ne!(report.render(), default.render(), "the default escalates");
 }
 
@@ -136,7 +136,6 @@ fn naming_another_allocator_drops_the_portfolio() {
     let lh = base_pipeline()
         .portfolio(PortfolioConfig::default())
         .allocator("LH");
-    assert!(!lh.escalation_enabled(), "baselines stay unescalated");
     let report = BatchAllocator::new(lh).run(&fs);
     let direct = BatchAllocator::new(base_pipeline().allocator("LH")).run(&fs);
     assert_eq!(report.render(), direct.render());
