@@ -85,14 +85,14 @@ pub fn profile(experiments: &[BatchExperiment]) -> Vec<CorpusProfile> {
 }
 
 /// Serialises corpus profiles as the `BENCH_phases.json` document
-/// (schema `lra-bench/phases-v3`; hand-rolled, no serde in the build
+/// (schema `lra-bench/phases-v4`; hand-rolled, no serde in the build
 /// environment). See `docs/benchmarks.md` for the field reference.
 pub fn to_json(seed: u64, profiles: &[CorpusProfile]) -> String {
     use std::fmt::Write as _;
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"lra-bench/phases-v3\",");
+    let _ = writeln!(s, "  \"schema\": \"lra-bench/phases-v4\",");
     let _ = writeln!(s, "  \"seed\": {seed},");
     s.push_str("  \"corpora\": [\n");
     for (i, p) in profiles.iter().enumerate() {
@@ -110,6 +110,11 @@ pub fn to_json(seed: u64, profiles: &[CorpusProfile]) -> String {
         let _ = writeln!(s, "      \"exact_tied\": {},", p.trace.exact_tied);
         let _ = writeln!(s, "      \"exact_improved\": {},", p.trace.exact_improved);
         let _ = writeln!(s, "      \"exact_exhausted\": {},", p.trace.exact_exhausted);
+        let _ = writeln!(
+            s,
+            "      \"chordality_tests\": {},",
+            p.trace.chordality_tests
+        );
         let _ = writeln!(s, "      \"cache_hits\": {},", p.trace.cache_hits);
         let _ = writeln!(s, "      \"cache_misses\": {},", p.trace.cache_misses);
         s.push_str("      \"phases\": [\n");
@@ -230,13 +235,18 @@ mod tests {
         assert!(profiles.iter().any(|p| p.trace.exact_won > 0));
         assert!(profiles.iter().any(|p| p.trace.exact_improved > 0));
         assert!(profiles.iter().any(|p| p.trace.exact_exhausted > 0));
+        // Outside the portfolio, the interval corpus carries its PEO
+        // and LH never asks for one: neither runs a chordality test.
+        for p in profiles.iter().filter(|p| !p.name.contains("Portfolio")) {
+            assert_eq!(p.trace.chordality_tests, 0, "{}", p.name);
+        }
     }
 
     #[test]
     fn phases_json_is_balanced_and_carries_the_schema() {
         let profiles = run(3);
         let json = to_json(3, &profiles);
-        assert!(json.contains("\"schema\": \"lra-bench/phases-v3\""));
+        assert!(json.contains("\"schema\": \"lra-bench/phases-v4\""));
         for name in [
             "lao-kernels/BFPL/R4",
             "specjvm98/LH/R6",
@@ -254,6 +264,7 @@ mod tests {
             "exact_tied",
             "exact_improved",
             "exact_exhausted",
+            "chordality_tests",
         ] {
             assert_eq!(json.matches(&format!("\"{field}\": ")).count(), 4);
         }

@@ -2,7 +2,8 @@
 //!
 //! An [`Instance`] is a weighted interference graph, optionally enriched
 //! with structure the solvers can exploit: a perfect elimination order
-//! (present exactly when the graph is chordal — the SSA case) and the
+//! (present exactly when the graph is chordal — the SSA case — and
+//! computed the first time a solver asks for it) and the
 //! live intervals of a linearised program (the linear-scan view, present
 //! when the instance was built from intervals).
 //!
@@ -13,27 +14,33 @@
 //! (normalised to the optimum).
 
 use lra_graph::{cliques, coloring, peo, BitSet, Cost, Graph, Interval, Vertex, WeightedGraph};
+use std::sync::OnceLock;
 
 /// A spill-everywhere problem instance.
+///
+/// The PEO and the maximal cliques are computed on first use and
+/// cached: an allocator that never asks for them (`LH`, `GC`) never
+/// pays for the chordality test.
 #[derive(Clone, Debug)]
 pub struct Instance {
     wg: WeightedGraph,
-    peo: Option<Vec<Vertex>>,
     intervals: Option<Vec<Interval>>,
-    // OnceLock (not cell::OnceCell) so instances stay Sync and can be
+    // OnceLocks (not cell::OnceCell) so instances stay Sync and can be
     // shared across the `crate::batch` worker pool.
-    cliques: std::sync::OnceLock<Option<Vec<Vec<Vertex>>>>,
+    peo: OnceLock<Option<Vec<Vertex>>>,
+    cliques: OnceLock<Option<Vec<Vec<Vertex>>>>,
 }
 
 impl Instance {
-    /// Wraps a weighted graph, detecting chordality (and caching a PEO).
+    /// Wraps a weighted graph. Chordality is tested on the first call
+    /// that needs a PEO ([`Instance::peo`] and the accessors built on
+    /// it), not here.
     pub fn from_weighted_graph(wg: WeightedGraph) -> Self {
-        let order = peo::perfect_elimination_order(wg.graph());
         Instance {
             wg,
-            peo: order,
             intervals: None,
-            cliques: std::sync::OnceLock::new(),
+            peo: OnceLock::new(),
+            cliques: OnceLock::new(),
         }
     }
 
@@ -52,9 +59,9 @@ impl Instance {
         debug_assert!(peo::is_perfect_elimination_order(&g, &order));
         Instance {
             wg: WeightedGraph::new(g, weights),
-            peo: Some(order),
             intervals: Some(intervals),
-            cliques: std::sync::OnceLock::new(),
+            peo: OnceLock::from(Some(order)),
+            cliques: OnceLock::new(),
         }
     }
 
@@ -75,12 +82,21 @@ impl Instance {
 
     /// `true` if the interference graph is chordal (SSA instances).
     pub fn is_chordal(&self) -> bool {
-        self.peo.is_some()
+        self.peo().is_some()
     }
 
-    /// A perfect elimination order, when the graph is chordal.
+    /// A perfect elimination order, when the graph is chordal. The
+    /// first call on an instance not built from intervals runs the
+    /// MCS-plus-Golumbic test (counted as
+    /// [`crate::trace::TraceReport::chordality_tests`]); later calls
+    /// and clones read the cached answer.
     pub fn peo(&self) -> Option<&[Vertex]> {
-        self.peo.as_deref()
+        self.peo
+            .get_or_init(|| {
+                crate::trace::add_chordality_test();
+                peo::perfect_elimination_order(self.wg.graph())
+            })
+            .as_deref()
     }
 
     /// The live intervals, when the instance came from a linearised
@@ -94,8 +110,7 @@ impl Instance {
     pub fn maximal_cliques(&self) -> Option<&[Vec<Vertex>]> {
         self.cliques
             .get_or_init(|| {
-                self.peo
-                    .as_ref()
+                self.peo()
                     .map(|order| cliques::maximal_cliques(self.wg.graph(), order))
             })
             .as_deref()
@@ -105,9 +120,11 @@ impl Instance {
     /// (equal to the chromatic number); for general instances, a greedy
     /// clique lower bound.
     pub fn max_live(&self) -> usize {
-        match (&self.peo, &self.intervals) {
-            (_, Some(ivs)) => lra_graph::interval::max_overlap(ivs),
-            (Some(order), None) => cliques::max_clique_size(self.wg.graph(), order),
+        // Interval instances carry their PEO from construction, so
+        // asking for it here never runs a chordality test on them.
+        match (&self.intervals, self.peo()) {
+            (Some(ivs), _) => lra_graph::interval::max_overlap(ivs),
+            (None, Some(order)) => cliques::max_clique_size(self.wg.graph(), order),
             (None, None) => {
                 // Greedy clique heuristic (lower bound on ω).
                 let g = self.wg.graph();
@@ -138,10 +155,14 @@ impl Instance {
     /// PEO it colours first-fit in vertex order, which may need more
     /// than `R` colours: allocators on general graphs hand over their
     /// own colouring through [`Instance::allocation_with_colors`].
+    /// An empty set needs no order, so it never forces the PEO.
     pub fn allocation_from_set(&self, allocated: BitSet) -> Allocation {
+        if allocated.is_empty() {
+            return self.allocation_with_colors(allocated, vec![0; self.vertex_count()]);
+        }
         let g = self.graph();
         let kept = |v: &Vertex| allocated.contains(v.index());
-        let colors = match &self.peo {
+        let colors = match self.peo() {
             Some(order) => {
                 coloring::greedy_coloring_in_order(g, order.iter().rev().copied().filter(kept))
             }
@@ -245,7 +266,13 @@ mod tests {
             Interval::new(5, 8),
         ];
         let inst = Instance::from_intervals(ivs, vec![1, 2, 3]);
+        crate::trace::begin(false);
         assert!(inst.is_chordal());
+        assert_eq!(
+            crate::trace::take().unwrap().chordality_tests,
+            0,
+            "PEO came free"
+        );
         assert!(inst.intervals().is_some());
         assert_eq!(inst.max_live(), 2);
         assert_eq!(inst.total_weight(), 6);
@@ -260,6 +287,80 @@ mod tests {
         assert_eq!(alloc.spilled_count(&inst), 2);
         let spilled = alloc.spilled_set(&inst);
         assert!(spilled.contains(0) && spilled.contains(2) && !spilled.contains(1));
+    }
+
+    // Lazy caches must not cost the batch pool its shared instances.
+    const _: fn() = || {
+        fn shared<T: Send + Sync>() {}
+        shared::<Instance>();
+    };
+
+    #[test]
+    fn lh_on_a_non_chordal_precise_instance_never_tests_chordality() {
+        use crate::pipeline::{build_instance, InstanceKind};
+        use crate::{trace, verify, AllocationPipeline, LayeredHeuristic};
+        use lra_ir::genprog::{self, JitConfig};
+        use lra_targets::{Target, TargetKind};
+        use rand::SeedableRng;
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(6);
+        let target = Target::new(TargetKind::ArmCortexA8);
+        let (f, inst) = (0..100)
+            .map(|i| {
+                let f =
+                    genprog::random_jit_function(&mut rng, &JitConfig::default(), format!("f{i}"));
+                let inst = build_instance(&f, &target, InstanceKind::PreciseGraph);
+                (f, inst)
+            })
+            .find(|(_, inst)| !peo::is_chordal(inst.graph()))
+            .expect("a non-chordal JIT function");
+        let n = inst.vertex_count();
+
+        trace::begin(false);
+        let alloc = LayeredHeuristic::new().allocate(&inst, 2);
+        assert!(verify::check(&inst, &alloc, 2).is_feasible());
+        let none = inst.allocation_from_set(BitSet::new(n));
+        assert_eq!(none.colors, vec![0; n]);
+        assert_eq!(none.spill_cost, inst.total_weight());
+        let pipeline = AllocationPipeline::new(target).allocator("LH").registers(2);
+        pipeline.run(&f).expect("LH runs on any graph");
+        assert_eq!(trace::take().unwrap().chordality_tests, 0);
+
+        trace::begin(false);
+        assert!(!inst.is_chordal() && inst.peo().is_none());
+        assert_eq!(trace::take().unwrap().chordality_tests, 1);
+    }
+
+    #[test]
+    fn clones_share_the_one_lazily_computed_peo() {
+        use crate::trace;
+        use lra_graph::generate;
+        use rand::SeedableRng;
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let g = generate::random_chordal(&mut rng, 30, 40, 5);
+        let want = peo::perfect_elimination_order(&g).expect("chordal");
+        let inst = Instance::from_weighted_graph(WeightedGraph::unit(g));
+        let before = inst.clone();
+
+        trace::begin(false);
+        assert_eq!(inst.peo(), Some(&want[..]));
+        let after = inst.clone();
+        assert_eq!(after.peo(), Some(&want[..]));
+        assert_eq!(inst.maximal_cliques(), after.maximal_cliques());
+        assert_eq!(
+            trace::take().unwrap().chordality_tests,
+            1,
+            "a clone keeps the cache"
+        );
+
+        trace::begin(false);
+        assert_eq!(before.peo(), Some(&want[..]));
+        assert_eq!(
+            trace::take().unwrap().chordality_tests,
+            1,
+            "an earlier clone tests anew"
+        );
     }
 
     #[test]

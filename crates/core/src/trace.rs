@@ -6,7 +6,8 @@
 //! (analysis, spill costs, instance build, allocate, verify, rewrite,
 //! reanalyse) — plus the side counters a phase budget needs: fuel
 //! granted to and consumed by exact solves, per-round spill deltas,
-//! exact-tier outcomes and result-cache hits and misses.
+//! exact-tier outcomes, chordality tests and result-cache hits and
+//! misses.
 //!
 //! # Cost contract
 //!
@@ -223,6 +224,10 @@ pub struct TraceReport {
     /// Escalations whose exact search ran out of fuel (or time) with
     /// nothing cheaper than the cheap tier.
     pub exact_exhausted: u64,
+    /// Chordality tests actually run, recorded via
+    /// [`add_chordality_test`]: the first PEO request on an instance
+    /// not built from intervals (see `Instance::peo`).
+    pub chordality_tests: u64,
     /// Result-cache hits, recorded via [`cache_access`].
     pub cache_hits: u64,
     /// Result-cache misses.
@@ -265,6 +270,7 @@ impl TraceReport {
         self.exact_tied += other.exact_tied;
         self.exact_improved += other.exact_improved;
         self.exact_exhausted += other.exact_exhausted;
+        self.chordality_tests += other.chordality_tests;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
     }
@@ -447,6 +453,11 @@ pub fn add_round(spill_cost: u64) {
     });
 }
 
+/// Records one chordality test (an MCS order plus its PEO check).
+pub fn add_chordality_test() {
+    with_report(|r| r.chordality_tests += 1);
+}
+
 /// Records one result-cache lookup.
 pub fn cache_access(hit: bool) {
     with_report(|r| {
@@ -472,6 +483,7 @@ mod tests {
             add_fuel(10);
             add_fuel_consumed(10);
             add_round(5);
+            add_chordality_test();
             cache_access(true);
         }
         assert_eq!(take(), None);
@@ -495,6 +507,7 @@ mod tests {
             add_fuel(100_000);
             add_fuel_consumed(2_500);
             add_round(42);
+            add_chordality_test();
             cache_access(true);
             cache_access(false);
             cache_access(false);
@@ -525,6 +538,7 @@ mod tests {
         assert_eq!(r.fuel_consumed, 2_500);
         assert_eq!(r.rounds, 1);
         assert_eq!(r.spill_delta, 42);
+        assert_eq!(r.chordality_tests, 1);
         assert_eq!((r.cache_hits, r.cache_misses), (1, 2));
         assert!(r.events.is_empty(), "no detail requested");
     }
@@ -558,6 +572,7 @@ mod tests {
         a.fuel_consumed = 5;
         a.exact_won = 1;
         a.exact_exhausted = 2;
+        a.chordality_tests = 4;
         a.cache_hits = 3;
         let mut b = TraceReport {
             rounds: 4,
@@ -566,6 +581,7 @@ mod tests {
             exact_tied: 3,
             exact_improved: 2,
             exact_exhausted: 1,
+            chordality_tests: 1,
             ..TraceReport::default()
         };
         b.phases[Phase::Allocate as usize] = PhaseStats {
@@ -596,6 +612,7 @@ mod tests {
             ),
             (1, 3, 2, 3)
         );
+        assert_eq!(a.chordality_tests, 5);
         assert_eq!((a.cache_hits, a.cache_misses), (3, 2));
         assert!(a.events.is_empty());
     }

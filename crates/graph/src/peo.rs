@@ -112,10 +112,11 @@ pub fn lex_bfs_order(g: &Graph) -> Vec<Vertex> {
 /// Checks whether `order` (elimination order: first vertex eliminated
 /// first) is a perfect elimination order of `g`.
 ///
-/// Uses the standard single-pass check: for every vertex `v`, let `u` be
-/// its earliest-eliminated later neighbour; then all other later
-/// neighbours of `v` must be adjacent to `u`. Runs in O(|V| + |E|)
-/// amortised bit-set operations.
+/// Uses the standard single-pass check: for every vertex `v`, let its
+/// *parent* `u` be its earliest-eliminated later neighbour; then all
+/// other later neighbours of `v` must be adjacent to `u`. Two scans of
+/// each neighbour list and one bit-row probe per edge: O(|V| + |E|),
+/// with no allocation beyond the position table.
 ///
 /// Returns `false` (rather than panicking) if `order` is not a
 /// permutation of the vertices.
@@ -131,22 +132,14 @@ pub fn is_perfect_elimination_order(g: &Graph, order: &[Vertex]) -> bool {
         }
         pos[v.index()] = i;
     }
-    for &v in order {
-        let v = v.index();
-        // Later neighbours of v in elimination order.
-        let mut later: Vec<usize> = g
-            .neighbor_indices(v)
-            .iter()
-            .map(|&u| u as usize)
-            .filter(|&u| pos[u] > pos[v])
-            .collect();
-        if later.len() <= 1 {
+    for (i, &v) in order.iter().enumerate() {
+        let nbrs = g.neighbor_indices(v.index());
+        let later = nbrs.iter().map(|&u| u as usize).filter(|&u| pos[u] > i);
+        let Some(parent) = later.clone().min_by_key(|&u| pos[u]) else {
             continue;
-        }
-        later.sort_by_key(|&u| pos[u]);
-        let first = later[0];
-        let row = g.neighbor_row(first);
-        if !later[1..].iter().all(|&u| row.contains(u)) {
+        };
+        let row = g.neighbor_row(parent);
+        if !later.filter(|&u| u != parent).all(|u| row.contains(u)) {
             return false;
         }
     }
@@ -288,6 +281,89 @@ mod tests {
         assert!(!is_perfect_elimination_order(&g, &[Vertex::new(0)]));
         let dup = vec![Vertex::new(0); 7];
         assert!(!is_perfect_elimination_order(&g, &dup));
+    }
+
+    /// The sort-based check `is_perfect_elimination_order` used to
+    /// run: collect and sort every vertex's later neighbours.
+    fn sorted_later_reference(g: &Graph, order: &[Vertex]) -> bool {
+        let n = g.vertex_count();
+        if order.len() != n {
+            return false;
+        }
+        let mut pos = vec![usize::MAX; n];
+        for (i, v) in order.iter().enumerate() {
+            if v.index() >= n || pos[v.index()] != usize::MAX {
+                return false;
+            }
+            pos[v.index()] = i;
+        }
+        for &v in order {
+            let v = v.index();
+            let mut later: Vec<usize> = g
+                .neighbor_indices(v)
+                .iter()
+                .map(|&u| u as usize)
+                .filter(|&u| pos[u] > pos[v])
+                .collect();
+            if later.len() <= 1 {
+                continue;
+            }
+            later.sort_by_key(|&u| pos[u]);
+            let row = g.neighbor_row(later[0]);
+            if !later[1..].iter().all(|&u| row.contains(u)) {
+                return false;
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn peo_check_matches_the_sort_based_reference() {
+        use crate::generate;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x9e0);
+        let (mut accepted, mut rejected) = (0, 0);
+        for round in 0..300 {
+            let n = rng.gen_range(1..40);
+            let tree_size = n + rng.gen_range(0..n);
+            let g = if round % 2 == 0 {
+                generate::random_chordal(&mut rng, n, tree_size, 4)
+            } else {
+                let mut b = GraphBuilder::new(n);
+                for _ in 0..rng.gen_range(0..3 * n) {
+                    let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    if u != v {
+                        b.add_edge(u, v);
+                    }
+                }
+                b.build()
+            };
+            let mut mcs = mcs_order(&g);
+            mcs.reverse();
+            let mut shuffled: Vec<Vertex> = g.vertices().collect();
+            shuffled.shuffle(&mut rng);
+            let mut repeated = mcs.clone();
+            repeated[rng.gen_range(0..n)] = mcs[rng.gen_range(0..n)];
+            let mut out_of_range = mcs.clone();
+            out_of_range[rng.gen_range(0..n)] = Vertex::new(n);
+            for order in [
+                &mcs[..],
+                &shuffled[..],
+                &repeated[..],
+                &out_of_range[..],
+                &mcs[1..],
+            ] {
+                let got = is_perfect_elimination_order(&g, order);
+                assert_eq!(got, sorted_later_reference(&g, order), "round {round}");
+                if got {
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
     }
 
     #[test]

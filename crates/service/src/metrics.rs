@@ -315,6 +315,17 @@ impl ServiceMetrics {
         ] {
             let _ = writeln!(out, "lra_exact_outcomes_total{{outcome=\"{outcome}\"}} {n}");
         }
+        let _ = writeln!(
+            out,
+            "# HELP lra_chordality_tests_total Chordality tests run on instances \
+             (populated for traced requests)."
+        );
+        let _ = writeln!(out, "# TYPE lra_chordality_tests_total counter");
+        let _ = writeln!(
+            out,
+            "lra_chordality_tests_total {}",
+            self.trace.chordality_tests
+        );
         out.push_str("# EOF");
         out
     }
@@ -383,6 +394,7 @@ mod tests {
         t.exact_won = 1;
         t.exact_improved = 3;
         t.exact_exhausted = 2;
+        t.chordality_tests = 5;
         inner.record_trace(&t);
         inner.record_trace(&t);
         let m = inner.snapshot(0, 8, 1, CacheStats::default()).trace;
@@ -399,6 +411,7 @@ mod tests {
             ),
             (2, 0, 6, 4)
         );
+        assert_eq!(m.chordality_tests, 10);
     }
 
     /// A minimal Prometheus text-format checker: validates comment
@@ -467,6 +480,7 @@ mod tests {
         t.phases[Phase::Allocate as usize].count = 1;
         t.phases[Phase::Allocate as usize].self_ns = 5_000;
         t.exact_tied = 4;
+        t.chordality_tests = 7;
         inner.record_trace(&t);
         let m = inner.snapshot(1, 8, 2, CacheStats::default());
         let text = m.render_prometheus();
@@ -493,6 +507,7 @@ mod tests {
             samples["lra_exact_outcomes_total{outcome=\"exhausted\"}"],
             "0"
         );
+        assert_eq!(samples["lra_chordality_tests_total"], "7");
         // Cumulative bucket counts are non-decreasing and end at count.
         let mut buckets: Vec<(u64, u64)> = samples
             .iter()
