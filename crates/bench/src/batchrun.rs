@@ -49,10 +49,10 @@ impl BatchExperiment {
     }
 }
 
-/// The fuels `lra-bench portfolio --sweep` compares: 1×, ½, ¼ and ⅒
-/// of the 50,000 nodes the standard corpora ran under while an
+/// The fuels `lra-bench portfolio --sweep` compares: 1×, ½, ¼, ⅒ and
+/// 1⁄20 of the 50,000 nodes the standard corpora ran under while an
 /// exhausted search still discarded what it had found.
-pub const FUEL_SWEEP: [u64; 4] = [50_000, 25_000, 12_500, 5_000];
+pub const FUEL_SWEEP: [u64; 5] = [50_000, 25_000, 12_500, 5_000, 2_500];
 
 /// The portfolio configuration the standard corpora run under:
 /// [`PortfolioConfig::default`], whose 5,000-node fuel the

@@ -29,6 +29,7 @@ pub mod branch_bound;
 pub mod chordal_dp;
 pub mod flow;
 
+use crate::baselines::ChaitinBriggs;
 use crate::cluster::LayeredHeuristic;
 use crate::problem::{Allocation, Allocator, Instance};
 use std::time::{Duration, Instant};
@@ -116,8 +117,8 @@ pub struct Optimal;
 
 impl Optimal {
     /// Budgeted exact solve that tries to beat `incumbent` (the
-    /// portfolio's cheap-tier allocation, which also seeds
-    /// branch-and-bound). Reports how the solve ended:
+    /// portfolio's cheap-tier allocation, which is branch-and-bound's
+    /// only seed). Reports how the solve ended:
     ///
     /// * `Some((optimum, true))` — a certified optimum, whether or not
     ///   it is cheaper than `incumbent`;
@@ -157,15 +158,28 @@ impl Optimal {
         branch_bound::solve_from(instance, r, &mut budget, incumbent)
     }
 
-    /// [`Optimal::try_allocate`] seeded with `LH`, keeping certified
-    /// optima only: `None` when `budget` trips, whatever the search
-    /// held.
+    /// [`Optimal::try_allocate`] seeded with [`certified_seed`],
+    /// keeping certified optima only: `None` when `budget` trips,
+    /// whatever the search held.
     fn certified(&self, instance: &Instance, r: u32, budget: &SolveBudget) -> Option<Allocation> {
-        let lh = LayeredHeuristic::new().allocate(instance, r);
-        match self.try_allocate(instance, r, budget, &lh)? {
+        match self.try_allocate(instance, r, budget, &certified_seed(instance, r))? {
             (a, true) => Some(a),
             (_, false) => None,
         }
+    }
+}
+
+/// The incumbent of [`Optimal`]'s certified path: the cheaper of `LH`
+/// and `GC`. Both matter: branch-and-bound visits vertices by weight,
+/// and from `LH` alone it can search for millions of nodes for an
+/// `R`-colouring that `GC` finds at once.
+fn certified_seed(instance: &Instance, r: u32) -> Allocation {
+    let lh = LayeredHeuristic::new().allocate(instance, r);
+    let gc = ChaitinBriggs::new().allocate(instance, r);
+    if gc.spill_cost < lh.spill_cost {
+        gc
+    } else {
+        lh
     }
 }
 
@@ -252,8 +266,10 @@ mod tests {
         assert_eq!(a.spill_cost, 3);
 
         // A clique beyond MAX_BAG: the DP declines without charging,
-        // so branch-and-bound gets the whole budget: 1341 nodes, the
-        // size of its complete search tree.
+        // so branch-and-bound gets the whole budget: 329 nodes, the
+        // size of its complete search tree (1,341 before the
+        // forward-checking bound: once both colours are in use, every
+        // later vertex is forced to spill).
         let n = chordal_dp::MAX_BAG + 2;
         let mut b = GraphBuilder::new(n);
         b.add_clique(&(0..n).collect::<Vec<_>>());
@@ -264,22 +280,22 @@ mod tests {
         // LH already keeps the two heaviest, so one node short of the
         // end the search holds nothing cheaper.
         assert_eq!(
-            Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(1340), &lh),
+            Optimal.try_allocate(&inst, 2, &SolveBudget::nodes(328), &lh),
             None
         );
         trace::begin(false);
         let (a, certified) = Optimal
-            .try_allocate(&inst, 2, &SolveBudget::nodes(1341), &lh)
+            .try_allocate(&inst, 2, &SolveBudget::nodes(329), &lh)
             .expect("the fallback gets every unit");
         assert!(certified);
-        assert_eq!(trace::take().expect("collecting").fuel_consumed, 1341);
+        assert_eq!(trace::take().expect("collecting").fuel_consumed, 329);
         // Keep the two heaviest: spill 1 + … + 22.
         assert_eq!(a.spill_cost, 253);
     }
 
     #[test]
     fn optimal_returns_certified_answers_only() {
-        // Dense enough that 2,000 nodes cannot finish, while the
+        // Dense enough that 1,000 nodes cannot finish, while the
         // anytime search holds something cheaper than its seed.
         use lra_graph::generate;
         use rand::SeedableRng;
@@ -289,7 +305,7 @@ mod tests {
             g,
             generate::random_weights(&mut rng, 30, 2),
         ));
-        let starved = SolveBudget::nodes(2_000);
+        let starved = SolveBudget::nodes(1_000);
         // A worse incumbent than LH, so the exhausted search has
         // something to improve on.
         let poor = inst.allocation_from_set(lra_graph::BitSet::new(30));

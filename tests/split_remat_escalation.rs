@@ -103,9 +103,15 @@ fn escalation_is_thread_count_and_reanalysis_invariant() {
 /// keeps what an exhausted search finds, jit-large's base runs are
 /// cheaper but converge less often on their own (5/27): the tier
 /// accepts an escalated run only at no higher cost than the base run,
-/// so `montecarlo::m0`, `montecarlo::m2` and `batik::m2` now end
-/// cheaper but unconverged. A drop here means the escalation tier
-/// regressed.
+/// so `montecarlo::m0`, `montecarlo::m2` and `batik::m2` ended
+/// cheaper but unconverged (17/27, 12 escalated). Since the exact tier
+/// prunes on forced spills and seeds with the cheap tier alone, the
+/// base runs of `compiler::m2` (1,348, as before), `derby::m1`
+/// (2,790,748 → 2,642,438) and `sunflow::m1` (1,228,028 → 1,202,988)
+/// end no costlier but unconverged, and no escalated run converges at
+/// or below their cost; `montecarlo::m2` converges again (15/27, 8
+/// escalated, total spill 9,727,573 → 9,488,915). A drop here means
+/// the escalation tier regressed.
 #[test]
 fn split_remat_rescues_the_standard_corpora_tails() {
     let jvm98 = experiment("specjvm98/").run(2).summary;
@@ -119,8 +125,8 @@ fn split_remat_rescues_the_standard_corpora_tails() {
 
     let large = experiment("jit-large/").run(2).summary;
     assert_eq!(large.functions, 27);
-    assert_eq!(large.converged, 17, "jit-large converged");
-    assert_eq!(large.escalated, 12, "jit-large escalated");
+    assert_eq!(large.converged, 15, "jit-large converged");
+    assert_eq!(large.escalated, 8, "jit-large escalated");
     assert!(
         large.converged > 10,
         "must beat the pre-escalation baseline"
