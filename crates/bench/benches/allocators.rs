@@ -10,7 +10,7 @@ use lra_core::layered::Layered;
 use lra_core::optimal::{branch_bound, SolveBudget};
 use lra_core::problem::{Allocator, Instance};
 use lra_core::{LayeredHeuristic, Optimal};
-use lra_graph::{generate, WeightedGraph};
+use lra_graph::{generate, interval, Cost, Interval, WeightedGraph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -21,7 +21,7 @@ fn chordal_instance(n: usize) -> Instance {
     Instance::from_weighted_graph(WeightedGraph::new(g, w))
 }
 
-fn interval_instance(n: usize) -> Instance {
+fn interval_parts(n: usize) -> (Vec<Interval>, Vec<Cost>) {
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let profile = generate::IntervalProfile {
         n,
@@ -31,7 +31,7 @@ fn interval_instance(n: usize) -> Instance {
     };
     let ivs = generate::random_interval_set(&mut rng, &profile);
     let w = generate::random_weights(&mut rng, n, 3);
-    Instance::from_intervals(ivs, w)
+    (ivs, w)
 }
 
 /// A general graph with about 12 neighbours per vertex: dense enough
@@ -80,8 +80,13 @@ fn bench_chordal_allocators(c: &mut Criterion) {
     group.finish();
 }
 
+/// The allocators on one interval instance, whose cliques are cached
+/// after the first `BFPL` iteration; `BFPL+build` builds the instance
+/// inside the timed closure, as every pipeline round does, so it also
+/// pays for the graph, the PEO and the clique sweep.
 fn bench_interval_allocators(c: &mut Criterion) {
-    let inst = interval_instance(400);
+    let (ivs, w) = interval_parts(400);
+    let inst = Instance::from_intervals(ivs.clone(), w.clone());
     let r = 8;
     let mut group = c.benchmark_group("interval_400v_r8");
     group.sample_size(20);
@@ -91,6 +96,12 @@ fn bench_interval_allocators(c: &mut Criterion) {
     });
     group.bench_function("BFPL", |b| b.iter(|| Layered::bfpl().allocate(&inst, r)));
     group.bench_function("Optimal(flow)", |b| b.iter(|| Optimal.allocate(&inst, r)));
+    group.bench_function("BFPL+build", |b| {
+        b.iter(|| Layered::bfpl().allocate(&Instance::from_intervals(ivs.clone(), w.clone()), r))
+    });
+    group.bench_with_input(BenchmarkId::new("interval_graph", 400), &ivs, |b, ivs| {
+        b.iter(|| interval::interval_graph(ivs))
+    });
     group.finish();
 }
 

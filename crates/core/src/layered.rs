@@ -232,13 +232,24 @@ fn fixed_point_extension(
         .expect("chordal instance has maximal cliques");
     let n = instance.vertex_count();
 
-    // vertex -> cliques containing it.
-    let mut cliques_of: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // vertex -> cliques containing it, flat: the ids of `v`'s cliques
+    // are `ids[start[v]..start[v + 1]]` (counts, then prefix sums).
+    let mut start = vec![0u32; n + 1];
+    for &v in cliques.members() {
+        start[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut ids = vec![0u32; cliques.members().len()];
+    let mut cursor = start.clone();
     for (ci, clique) in cliques.iter().enumerate() {
-        for v in clique {
-            cliques_of[v.index()].push(ci as u32);
+        for &v in clique {
+            ids[cursor[v as usize] as usize] = ci as u32;
+            cursor[v as usize] += 1;
         }
     }
+    let cliques_of = |v: usize| &ids[start[v] as usize..start[v + 1] as usize];
     let mut allocated_per_clique = vec![0u32; cliques.len()];
     let mut clique_full = vec![false; cliques.len()];
 
@@ -248,7 +259,7 @@ fn fixed_point_extension(
                   clique_full: &mut [bool],
                   candidates: &mut BitSet| {
         for v in fresh {
-            for &ci in &cliques_of[v.index()] {
+            for &ci in cliques_of(v.index()) {
                 let ci = ci as usize;
                 if clique_full[ci] {
                     continue;
@@ -256,8 +267,8 @@ fn fixed_point_extension(
                 allocated_per_clique[ci] += 1;
                 if allocated_per_clique[ci] >= r {
                     clique_full[ci] = true;
-                    for u in &cliques[ci] {
-                        candidates.remove(u.index());
+                    for &u in cliques.get(ci) {
+                        candidates.remove(u as usize);
                     }
                 }
             }
@@ -515,6 +526,108 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_step_panics() {
         let _ = Layered::nl().with_step(0);
+    }
+
+    /// The fixed point as it ran on per-clique `Vec`s and a
+    /// `Vec<Vec<u32>>` vertex-to-clique index, on top of the same `R`
+    /// layers (`BL`/`NL` are `BFPL`/`FPL` without the fixed point).
+    fn reference_fixed_point(instance: &Instance, bias: bool, r: u32) -> Allocation {
+        let layers = Layered {
+            bias,
+            fixed_point: false,
+            step: 1,
+        };
+        let mut allocated = layers.allocate(instance, r).allocated;
+        if r == 0 {
+            return instance.allocation_from_set(allocated);
+        }
+        let wg = instance.weighted_graph();
+        let n = wg.vertex_count();
+        let order = instance.peo().unwrap();
+        let selection = if bias {
+            WeightedGraph::new(wg.graph().clone(), biased_weights(wg))
+        } else {
+            wg.clone()
+        };
+        let cliques: Vec<Vec<Vertex>> = lra_graph::maximal_cliques(wg.graph(), order)
+            .iter()
+            .map(|c| c.iter().map(|&v| Vertex::new(v as usize)).collect())
+            .collect();
+        let mut cliques_of: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (ci, clique) in cliques.iter().enumerate() {
+            for v in clique {
+                cliques_of[v.index()].push(ci as u32);
+            }
+        }
+        let mut count = vec![0u32; cliques.len()];
+        let mut full = vec![false; cliques.len()];
+        let mut candidates = BitSet::full(n);
+        candidates.difference_with(&allocated);
+        let mut fresh: Vec<Vertex> = allocated.iter().map(Vertex::new).collect();
+        loop {
+            for v in &fresh {
+                for &ci in &cliques_of[v.index()] {
+                    let ci = ci as usize;
+                    if !full[ci] {
+                        count[ci] += 1;
+                        if count[ci] >= r {
+                            full[ci] = true;
+                            for u in &cliques[ci] {
+                                candidates.remove(u.index());
+                            }
+                        }
+                    }
+                }
+            }
+            if candidates.is_empty() {
+                break;
+            }
+            let layer =
+                stable::max_weight_stable_set_restricted(&selection, order, Some(&candidates));
+            if layer.vertices.is_empty() {
+                break;
+            }
+            for v in &layer.vertices {
+                allocated.insert(v.index());
+                candidates.remove(v.index());
+            }
+            fresh = layer.vertices;
+        }
+        instance.allocation_from_set(allocated)
+    }
+
+    #[test]
+    fn fixed_point_matches_the_per_clique_vec_reference() {
+        use lra_graph::generate;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        for trial in 0..120 {
+            let n = rng.gen_range(1..90);
+            let inst = if trial % 2 == 0 {
+                let profile = generate::IntervalProfile {
+                    n,
+                    points: rng.gen_range(2..3 * n as u32 + 3),
+                    mean_len: rng.gen_range(1..8),
+                    long_lived_percent: rng.gen_range(0..30),
+                };
+                let ivs = generate::random_interval_set(&mut rng, &profile);
+                Instance::from_intervals(ivs, generate::random_weights(&mut rng, n, 3))
+            } else {
+                let g = generate::random_chordal(&mut rng, n, n + 10, 5);
+                let w = generate::random_weights(&mut rng, n, 3);
+                Instance::from_weighted_graph(WeightedGraph::new(g, w))
+            };
+            for r in [0, 1, 2, 3, 4, 6, 8] {
+                for (alg, bias) in [(Layered::bfpl(), true), (Layered::fpl(), false)] {
+                    assert_eq!(
+                        alg.allocate(&inst, r),
+                        reference_fixed_point(&inst, bias, r),
+                        "trial {trial}: {n} vertices, {} at R={r}",
+                        alg.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -354,7 +354,7 @@ mod tests {
                 .maximal_cliques()
                 .unwrap()
                 .iter()
-                .all(|c| c.iter().filter(|v| set.contains(v.index())).count() <= r as usize);
+                .all(|c| c.iter().filter(|&&v| set.contains(v as usize)).count() <= r as usize);
             if ok {
                 best = best.max(inst.weighted_graph().weight_of_set(&set));
             }

@@ -13,7 +13,9 @@
 //! variables — the quantity every figure of the paper reports
 //! (normalised to the optimum).
 
-use lra_graph::{cliques, coloring, peo, BitSet, Cost, Graph, Interval, Vertex, WeightedGraph};
+use lra_graph::{
+    cliques, coloring, interval, peo, BitSet, Cliques, Cost, Graph, Interval, Vertex, WeightedGraph,
+};
 use std::sync::OnceLock;
 
 /// A spill-everywhere problem instance.
@@ -28,7 +30,7 @@ pub struct Instance {
     // OnceLocks (not cell::OnceCell) so instances stay Sync and can be
     // shared across the `crate::batch` worker pool.
     peo: OnceLock<Option<Vec<Vertex>>>,
-    cliques: OnceLock<Option<Vec<Vec<Vertex>>>>,
+    cliques: OnceLock<Option<Cliques>>,
 }
 
 impl Instance {
@@ -54,8 +56,8 @@ impl Instance {
     /// Panics if `weights.len() != intervals.len()`.
     pub fn from_intervals(intervals: Vec<Interval>, weights: Vec<Cost>) -> Self {
         assert_eq!(intervals.len(), weights.len(), "one weight per interval");
-        let g = lra_graph::interval::interval_graph(&intervals);
-        let order = lra_graph::interval::interval_peo(&intervals);
+        let g = interval::interval_graph(&intervals);
+        let order = interval::interval_peo(&intervals);
         debug_assert!(peo::is_perfect_elimination_order(&g, &order));
         Instance {
             wg: WeightedGraph::new(g, weights),
@@ -106,14 +108,19 @@ impl Instance {
     }
 
     /// The maximal cliques of a chordal instance (computed once and
-    /// cached); `None` for non-chordal instances.
-    pub fn maximal_cliques(&self) -> Option<&[Vec<Vertex>]> {
+    /// cached); `None` for non-chordal instances. Interval instances
+    /// take them from the endpoint sweep
+    /// ([`lra_graph::interval::maximal_cliques`]), other chordal ones
+    /// from the PEO.
+    pub fn maximal_cliques(&self) -> Option<&Cliques> {
         self.cliques
-            .get_or_init(|| {
-                self.peo()
-                    .map(|order| cliques::maximal_cliques(self.wg.graph(), order))
+            .get_or_init(|| match &self.intervals {
+                Some(ivs) => Some(interval::maximal_cliques(ivs)),
+                None => self
+                    .peo()
+                    .map(|order| cliques::maximal_cliques(self.wg.graph(), order)),
             })
-            .as_deref()
+            .as_ref()
     }
 
     /// MaxLive: the size of the largest clique for chordal instances
@@ -123,7 +130,7 @@ impl Instance {
         // Interval instances carry their PEO from construction, so
         // asking for it here never runs a chordality test on them.
         match (&self.intervals, self.peo()) {
-            (Some(ivs), _) => lra_graph::interval::max_overlap(ivs),
+            (Some(ivs), _) => interval::max_overlap(ivs),
             (None, Some(order)) => cliques::max_clique_size(self.wg.graph(), order),
             (None, None) => {
                 // Greedy clique heuristic (lower bound on ω).

@@ -238,11 +238,6 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Elapsed microseconds attributed to `phase` (children included).
-    pub fn phase_total_us(&self, phase: Phase) -> u64 {
-        self.phases[phase as usize].total_ns / 1_000
-    }
-
     /// Self microseconds attributed to `phase`.
     pub fn phase_self_us(&self, phase: Phase) -> u64 {
         self.phases[phase as usize].self_ns / 1_000

@@ -7,11 +7,18 @@
 //! how many of its members are already allocated; the exact solver runs a
 //! dynamic program over the **clique tree**.
 //!
-//! For a chordal graph with PEO `σ`, every maximal clique has the form
-//! `C(v) = {v} ∪ RN(v)` where `RN(v)` are the neighbours of `v`
-//! eliminated after `v` (Fulkerson & Gross). `C(v)` fails to be maximal
-//! exactly when it is contained in `C(u)` for some *earlier* neighbour
-//! `u` of `v`, which we test with bit-set containment.
+//! Maximal cliques are stored flat in one [`Cliques`] arena (members plus
+//! offsets), never one `Vec` per clique. Two enumerations fill it:
+//!
+//! * [`maximal_cliques`], for any chordal graph with a PEO `σ`. Every
+//!   maximal clique has the form `C(v) = {v} ∪ RN(v)`, where `RN(v)` are
+//!   the neighbours of `v` eliminated after `v` (Fulkerson & Gross).
+//!   `C(v)` fails to be maximal exactly when it is contained in `C(u)`
+//!   for some *earlier* neighbour `u` of `v`, which we test with bit-set
+//!   containment.
+//! * [`crate::interval::maximal_cliques`], for interval graphs: the live
+//!   sets where a start is followed by an end in one sweep over the sorted
+//!   endpoints, O(n log n + Σ|C|).
 //!
 //! A **clique tree** is a maximum-weight spanning tree of the clique
 //! intersection graph (weights = intersection sizes); it satisfies the
@@ -21,11 +28,86 @@ use crate::bitset::BitSet;
 use crate::graph::{Graph, Vertex};
 use crate::peo;
 
+/// A family of cliques in one flat arena: clique `i` is the slice
+/// `members[offsets[i]..offsets[i + 1]]` of vertex indices.
+///
+/// # Examples
+///
+/// ```
+/// use lra_graph::{maximal_cliques, Graph};
+///
+/// let g = Graph::from_edges(3, &[(0, 2)]);
+/// let cs = maximal_cliques(&g, &[0, 1, 2].map(lra_graph::Vertex::new));
+/// assert_eq!(cs.len(), 2);
+/// assert_eq!(cs.get(0), &[0, 2]);
+/// assert_eq!(cs.get(1), &[1]);
+/// assert_eq!(cs.members().len(), 3);
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Cliques {
+    members: Vec<u32>,
+    offsets: Vec<u32>,
+}
+
+impl Cliques {
+    /// An empty family.
+    pub(crate) fn new() -> Self {
+        Cliques {
+            members: Vec::new(),
+            offsets: vec![0],
+        }
+    }
+
+    /// Appends one clique.
+    pub(crate) fn push(&mut self, clique: &[u32]) {
+        self.members.extend_from_slice(clique);
+        self.close();
+    }
+
+    /// Ends the clique whose members were appended since the last one.
+    fn close(&mut self) {
+        let end = u32::try_from(self.members.len()).expect("clique arena fits in u32");
+        self.offsets.push(end);
+    }
+
+    /// The number of cliques.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Returns `true` if the family holds no clique.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The members of clique `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> &[u32] {
+        &self.members[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The cliques in order, each as a slice of vertex indices.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.members[w[0] as usize..w[1] as usize])
+    }
+
+    /// Every membership, clique after clique: its length is `Σ|C|`.
+    pub fn members(&self) -> &[u32] {
+        &self.members
+    }
+}
+
 /// Enumerates the maximal cliques of a chordal graph.
 ///
-/// `order` must be a perfect elimination order of `g`. Returns each
-/// clique as a sorted vector of vertices; a chordal graph on `n` vertices
-/// has at most `n` maximal cliques.
+/// `order` must be a perfect elimination order of `g`. Clique `C(v)`
+/// comes at `v`'s place in `order`, listing its members in increasing
+/// index order; a chordal graph on `n` vertices has at most
+/// `n` maximal cliques.
 ///
 /// # Examples
 ///
@@ -34,11 +116,12 @@ use crate::peo;
 ///
 /// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
 /// let order = peo::perfect_elimination_order(&g).unwrap();
-/// let mut cliques = maximal_cliques(&g, &order);
-/// cliques.sort();
-/// assert_eq!(cliques.len(), 2); // {0,1,2} and {2,3}
+/// let cliques = maximal_cliques(&g, &order);
+/// let mut sets: Vec<&[u32]> = cliques.iter().collect();
+/// sets.sort();
+/// assert_eq!(sets, vec![&[0, 1, 2][..], &[2, 3][..]]);
 /// ```
-pub fn maximal_cliques(g: &Graph, order: &[Vertex]) -> Vec<Vec<Vertex>> {
+pub fn maximal_cliques(g: &Graph, order: &[Vertex]) -> Cliques {
     let n = g.vertex_count();
     debug_assert!(peo::is_perfect_elimination_order(g, order));
     let mut pos = vec![0usize; n];
@@ -60,7 +143,7 @@ pub fn maximal_cliques(g: &Graph, order: &[Vertex]) -> Vec<Vec<Vertex>> {
     };
 
     let candidates: Vec<BitSet> = (0..n).map(candidate).collect();
-    let mut cliques = Vec::new();
+    let mut cliques = Cliques::new();
     for &v in order {
         let v = v.index();
         let cv = &candidates[v];
@@ -72,9 +155,8 @@ pub fn maximal_cliques(g: &Graph, order: &[Vertex]) -> Vec<Vec<Vertex>> {
             .filter(|&u| pos[u] < pos[v])
             .any(|u| cv.is_subset(&candidates[u]));
         if !dominated {
-            let mut members: Vec<Vertex> = cv.iter().map(Vertex::new).collect();
-            members.sort();
-            cliques.push(members);
+            cliques.members.extend(cv.iter().map(|u| u as u32));
+            cliques.close();
         }
     }
     cliques
@@ -127,7 +209,10 @@ impl CliqueTree {
     /// of clique trees.
     pub fn build(g: &Graph, order: &[Vertex]) -> Self {
         let n = g.vertex_count();
-        let bags = maximal_cliques(g, order);
+        let bags: Vec<Vec<Vertex>> = maximal_cliques(g, order)
+            .iter()
+            .map(|c| c.iter().map(|&v| Vertex::new(v as usize)).collect())
+            .collect();
         let k = bags.len();
         let bag_sets: Vec<BitSet> = bags
             .iter()
@@ -300,8 +385,8 @@ mod tests {
     fn cliques_of(g: &Graph) -> Vec<Vec<usize>> {
         let order = peo::perfect_elimination_order(g).unwrap();
         let mut cs: Vec<Vec<usize>> = maximal_cliques(g, &order)
-            .into_iter()
-            .map(|c| c.into_iter().map(|v| v.index()).collect())
+            .iter()
+            .map(|c| c.iter().map(|&v| v as usize).collect())
             .collect();
         cs.sort();
         cs

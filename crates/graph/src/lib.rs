@@ -56,7 +56,7 @@ pub mod stable;
 pub mod weights;
 
 pub use bitset::{BitMatrix, BitRow, BitSet};
-pub use cliques::{maximal_cliques, CliqueTree};
+pub use cliques::{maximal_cliques, CliqueTree, Cliques};
 pub use graph::{Graph, GraphBuilder, Vertex};
 pub use interval::Interval;
 pub use weights::{Cost, WeightedGraph};

@@ -94,11 +94,6 @@ impl WeightedGraph {
     pub fn weight_of_slice(&self, vs: &[usize]) -> Cost {
         vs.iter().map(|&v| self.weights[v]).sum()
     }
-
-    /// Splits into the underlying graph and the weight vector.
-    pub fn into_parts(self) -> (Graph, Vec<Cost>) {
-        (self.graph, self.weights)
-    }
 }
 
 #[cfg(test)]

@@ -32,8 +32,8 @@ proptest! {
         let g = generate::random_chordal(&mut rng, n, n + 8, 4);
         let order = peo::perfect_elimination_order(&g).expect("chordal");
         let cs = cliques::maximal_cliques(&g, &order);
-        for c in &cs {
-            let idx: Vec<usize> = c.iter().map(|v| v.index()).collect();
+        for c in cs.iter() {
+            let idx: Vec<usize> = c.iter().map(|&v| v as usize).collect();
             prop_assert!(g.is_clique(&idx));
             for v in 0..n {
                 if !idx.contains(&v) {
@@ -43,7 +43,7 @@ proptest! {
         }
         for (u, v) in g.edges() {
             prop_assert!(
-                cs.iter().any(|c| c.contains(&u) && c.contains(&v)),
+                cs.iter().any(|c| c.contains(&(u.index() as u32)) && c.contains(&(v.index() as u32))),
                 "edge ({u},{v}) not covered by any maximal clique"
             );
         }
@@ -83,7 +83,8 @@ proptest! {
     }
 
     /// Interval graphs: edges are exactly pairwise overlaps, MaxLive
-    /// equals the max clique, and the end-point order is a PEO.
+    /// equals the max clique, and the end-point order is a PEO, also
+    /// with zero-length and repeated intervals mixed in.
     #[test]
     fn interval_graph_consistency(seed in 0u64..10_000, n in 1usize..50) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -93,13 +94,24 @@ proptest! {
             mean_len: 5,
             long_lived_percent: 20,
         };
-        let ivs = generate::random_interval_set(&mut rng, &profile);
+        let mut ivs = generate::random_interval_set(&mut rng, &profile);
+        for _ in 0..rng.gen_range(0..=n) {
+            let iv = ivs[rng.gen_range(0..ivs.len())];
+            let at = rng.gen_range(iv.start..=iv.end);
+            ivs.push(if rng.gen_range(0..2) == 0 { iv } else { interval::Interval::new(at, at) });
+        }
+        let n = ivs.len();
         let g = interval::interval_graph(&ivs);
+        let mut pairs = Vec::new();
         for i in 0..n {
             for j in i + 1..n {
                 prop_assert_eq!(g.has_edge(i, j), ivs[i].overlaps(&ivs[j]));
+                if ivs[i].overlaps(&ivs[j]) {
+                    pairs.push((i, j));
+                }
             }
         }
+        prop_assert_eq!(&g, &Graph::from_edges(n, &pairs));
         let order = interval::interval_peo(&ivs);
         prop_assert!(peo::is_perfect_elimination_order(&g, &order));
         prop_assert_eq!(

@@ -101,13 +101,6 @@ impl FunctionBuilder {
         v
     }
 
-    /// Appends an instruction with an explicit (pre-minted) def.
-    pub fn define_existing(&mut self, b: BlockId, opcode: Opcode, def: Value, uses: &[Value]) {
-        self.f.blocks[b.index()]
-            .instrs
-            .push(Instr::new(opcode, Some(def), uses.to_vec()));
-    }
-
     /// Appends an effect-only instruction (no def), e.g. a store or a
     /// use-only terminator computation.
     pub fn effect(&mut self, b: BlockId, opcode: Opcode, uses: &[Value]) {
