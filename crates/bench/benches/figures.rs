@@ -1,8 +1,6 @@
 //! One Criterion bench per paper figure: regenerates the figure's data
-//! series end to end (suite generation excluded from timing). These are
-//! the `cargo bench` entry points referenced by DESIGN.md's
-//! per-experiment index; the printable tables come from the
-//! `lra-bench` binary.
+//! series end to end (suite generation excluded from timing). The
+//! printable tables come from the `lra-bench` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lra_bench::experiments;

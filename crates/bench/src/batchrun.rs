@@ -413,6 +413,7 @@ pub fn record_service(seed: u64, worker_counts: &[usize]) -> Vec<RecordedService
 /// environment has no serde).
 pub fn to_json(
     seed: u64,
+    host: &str,
     experiments: &[RecordedExperiment],
     service: &[RecordedServiceRun],
 ) -> String {
@@ -422,6 +423,7 @@ pub fn to_json(
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"lra-bench/batch-v5\",");
     let _ = writeln!(s, "  \"seed\": {seed},");
+    let _ = writeln!(s, "  \"host\": {host},");
     s.push_str("  \"experiments\": [\n");
     for (i, e) in experiments.iter().enumerate() {
         s.push_str("    {\n");
@@ -489,6 +491,10 @@ pub fn to_json(
 mod tests {
     use super::*;
 
+    fn host() -> String {
+        crate::host::stamp_json(std::path::Path::new("."))
+    }
+
     #[test]
     fn the_standard_corpora_run_the_default_portfolio_config() {
         // The default is the frontier's pick; the frozen benchmark
@@ -540,8 +546,9 @@ mod tests {
             assert!(e.functions > 0);
         }
 
-        let json = to_json(3, &recorded, &[]);
+        let json = to_json(3, &host(), &recorded, &[]);
         assert!(json.contains("\"schema\": \"lra-bench/batch-v5\""));
+        assert!(json.contains("\"host\": {\"nproc\": "));
         assert!(json.contains("\"escalated\""));
         assert!(json.contains("\"min_ms\""));
         assert!(json.contains("\"threads\": 1"));
@@ -572,7 +579,7 @@ mod tests {
                 samples: 1,
             }],
         };
-        let json = to_json(0, &[rec], &[]);
+        let json = to_json(0, &host(), &[rec], &[]);
         assert!(json.contains("odd\\\"name\\\\here"));
     }
 
@@ -615,7 +622,7 @@ mod tests {
             r.cache_hit_rate_cold
         );
         assert!(r.queue_high_water <= SERVICE_RECORD_QUEUE_CAPACITY);
-        let json = to_json(3, &[], &runs);
+        let json = to_json(3, &host(), &[], &runs);
         assert!(json.contains("\"service\": ["));
         assert!(json.contains("\"workers\": 2"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

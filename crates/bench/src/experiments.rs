@@ -51,12 +51,10 @@ fn columns(names: &[&str]) -> Vec<Column> {
         .collect()
 }
 
-fn chordal_columns() -> Vec<Column> {
-    columns(&CHORDAL_FIGURE_SET)
-}
-
-fn jvm_columns() -> Vec<Column> {
-    columns(&JVM_FIGURE_SET)
+fn optimal_index(cols: &[Column]) -> usize {
+    cols.iter()
+        .position(|c| c.name == "Optimal")
+        .expect("column set includes Optimal")
 }
 
 /// The instance view `col` must see for `w`: linear scans need
@@ -119,29 +117,29 @@ fn per_program_costs(workloads: &[Workload], col: &Column, r: u32) -> BTreeMap<&
     acc
 }
 
-/// Per-program costs for a custom instance-level cost function — used
-/// by the parameterised studies (ablation, threshold sweeps) whose
-/// configured allocators are not registry entries. Fans over the
-/// workloads with [`batch::parallel_map`].
-fn per_program_costs_with(
-    workloads: &[Workload],
-    linear_scan_view: bool,
-    r: u32,
-    run: impl Fn(&Instance, u32) -> u64 + Sync,
-) -> BTreeMap<&'static str, u64> {
-    let costs = batch::parallel_map(workloads, batch::default_threads(), |_, w| {
-        let inst = if linear_scan_view {
-            w.linear_scan_instance()
-        } else {
-            &w.instance
-        };
-        run(inst, r)
-    });
-    let mut acc: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for (w, c) in workloads.iter().zip(costs) {
-        *acc.entry(w.program).or_insert(0) += c;
-    }
-    acc
+/// The normalised costs behind Figures 8–14 at `r` registers: per
+/// column, `cost(alg, program) / cost(Optimal, program)` over the
+/// programs whose optimal cost is positive, in program order.
+fn normalised_costs(workloads: &[Workload], cols: &[Column], r: u32) -> Vec<Vec<f64>> {
+    let per_alg: Vec<BTreeMap<&'static str, u64>> = cols
+        .iter()
+        .map(|c| per_program_costs(workloads, c, r))
+        .collect();
+    let opt = &per_alg[optimal_index(cols)];
+    let included: Vec<&'static str> = opt
+        .iter()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(&p, _)| p)
+        .collect();
+    per_alg
+        .iter()
+        .map(|costs| {
+            included
+                .iter()
+                .map(|p| costs[p] as f64 / opt[p] as f64)
+                .collect()
+        })
+        .collect()
 }
 
 /// One row of a mean-cost figure: register count plus the mean
@@ -159,47 +157,27 @@ pub struct MeanRow {
 /// Runs a Figure-8/9/10-style experiment: for each `R`, the mean over
 /// programs of `cost(alg, program) / cost(Optimal, program)`.
 pub fn mean_cost_figure(workloads: &[Workload], rs: &[u32]) -> Vec<MeanRow> {
-    figure_with_columns(workloads, rs, chordal_columns())
+    figure_with_columns(workloads, rs, columns(&CHORDAL_FIGURE_SET))
 }
 
 /// Figure 14: the same statistic on the non-chordal JVM suite with the
 /// JIT algorithm set.
 pub fn jvm_mean_figure(workloads: &[Workload], rs: &[u32]) -> Vec<MeanRow> {
-    figure_with_columns(workloads, rs, jvm_columns())
+    figure_with_columns(workloads, rs, columns(&JVM_FIGURE_SET))
 }
 
 fn figure_with_columns(workloads: &[Workload], rs: &[u32], cols: Vec<Column>) -> Vec<MeanRow> {
-    let opt_idx = cols
-        .iter()
-        .position(|c| c.name == "Optimal")
-        .expect("column set includes Optimal");
     rs.iter()
         .map(|&r| {
-            let per_alg: Vec<BTreeMap<&'static str, u64>> = cols
-                .iter()
-                .map(|c| per_program_costs(workloads, c, r))
-                .collect();
-            let opt = &per_alg[opt_idx];
-            let included: Vec<&'static str> = opt
-                .iter()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(&p, _)| p)
-                .collect();
-            let values = cols
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let ratios: Vec<f64> = included
-                        .iter()
-                        .map(|p| per_alg[i][p] as f64 / opt[p] as f64)
-                        .collect();
-                    (c.name, stats::mean(&ratios))
-                })
-                .collect();
+            let ratios = normalised_costs(workloads, &cols, r);
             MeanRow {
                 registers: r,
-                values,
-                programs: included.len(),
+                values: cols
+                    .iter()
+                    .zip(&ratios)
+                    .map(|(c, x)| (c.name, stats::mean(x)))
+                    .collect(),
+                programs: ratios[0].len(),
             }
         })
         .collect()
@@ -221,39 +199,22 @@ pub struct DistributionRow {
 /// programs of normalised allocation costs, per algorithm and register
 /// count (Optimal excluded — it is 1.0 by definition).
 pub fn distribution_figure(workloads: &[Workload], rs: &[u32]) -> Vec<DistributionRow> {
-    let cols = chordal_columns();
-    let opt_idx = cols
-        .iter()
-        .position(|c| c.name == "Optimal")
-        .expect("Optimal present");
+    let cols = columns(&CHORDAL_FIGURE_SET);
+    let opt_idx = optimal_index(&cols);
     let mut out = Vec::new();
     for &r in rs {
-        let per_alg: Vec<BTreeMap<&'static str, u64>> = cols
-            .iter()
-            .map(|c| per_program_costs(workloads, c, r))
-            .collect();
-        let opt = &per_alg[opt_idx];
-        let included: Vec<&'static str> = opt
-            .iter()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(&p, _)| p)
-            .collect();
-        if included.is_empty() {
+        let ratios = normalised_costs(workloads, &cols, r);
+        if ratios[opt_idx].is_empty() {
             continue;
         }
-        for (i, c) in cols.iter().enumerate() {
-            if i == opt_idx {
-                continue;
+        for (i, (c, x)) in cols.iter().zip(&ratios).enumerate() {
+            if i != opt_idx {
+                out.push(DistributionRow {
+                    registers: r,
+                    algorithm: c.name,
+                    summary: stats::five_number_summary(x),
+                });
             }
-            let ratios: Vec<f64> = included
-                .iter()
-                .map(|p| per_alg[i][p] as f64 / opt[p] as f64)
-                .collect();
-            out.push(DistributionRow {
-                registers: r,
-                algorithm: c.name,
-                summary: stats::five_number_summary(&ratios),
-            });
         }
     }
     out
@@ -273,11 +234,8 @@ pub struct PerBenchmarkRow {
 /// registers. Benchmarks with zero optimal cost report 1.0 for every
 /// algorithm that also spills nothing.
 pub fn jvm_per_benchmark_figure(workloads: &[Workload], r: u32) -> Vec<PerBenchmarkRow> {
-    let cols = jvm_columns();
-    let opt_idx = cols
-        .iter()
-        .position(|c| c.name == "Optimal")
-        .expect("Optimal present");
+    let cols = columns(&JVM_FIGURE_SET);
+    let opt_idx = optimal_index(&cols);
     let per_alg: Vec<BTreeMap<&'static str, u64>> = cols
         .iter()
         .map(|c| per_program_costs(workloads, c, r))
@@ -309,96 +267,6 @@ pub fn jvm_per_benchmark_figure(workloads: &[Workload], r: u32) -> Vec<PerBenchm
         .collect()
 }
 
-/// One row of the ablation study: a layered-allocator configuration
-/// with its quality and runtime.
-#[derive(Clone, Debug)]
-pub struct AblationRow {
-    /// Configuration label (`NL/step1`, `BFPL/step2`, …).
-    pub config: String,
-    /// Mean normalised cost over programs, per register count.
-    pub mean_by_r: Vec<(u32, f64)>,
-    /// Total wall-clock time over the whole suite sweep.
-    pub total_time: std::time::Duration,
-}
-
-/// Ablation study over the layered design space (bias × fixed point ×
-/// step), quantifying what each §4 improvement buys and what the
-/// `step ≥ 2` dynamic program costs.
-pub fn ablation_figure(workloads: &[Workload], rs: &[u32]) -> Vec<AblationRow> {
-    let opt_costs: Vec<BTreeMap<&'static str, u64>> = rs
-        .iter()
-        .map(|&r| {
-            per_program_costs_with(workloads, false, r, |inst, rr| {
-                Optimal.allocate(inst, rr).spill_cost
-            })
-        })
-        .collect();
-
-    let mut configs: Vec<(String, Layered)> = Vec::new();
-    for step in [1u32, 2] {
-        for (bias, fixed_point) in [(false, false), (true, false), (false, true), (true, true)] {
-            let alg = Layered {
-                bias,
-                fixed_point,
-                step: 1,
-            };
-            let label = format!("{}/step{step}", alg.name());
-            configs.push((label, alg.with_step(step)));
-        }
-    }
-
-    configs
-        .into_iter()
-        .map(|(config, alg)| {
-            let start = std::time::Instant::now();
-            let mean_by_r = rs
-                .iter()
-                .enumerate()
-                .map(|(ri, &r)| {
-                    let costs = per_program_costs_with(workloads, false, r, |inst, rr| {
-                        alg.allocate(inst, rr).spill_cost
-                    });
-                    let ratios: Vec<f64> = opt_costs[ri]
-                        .iter()
-                        .filter(|&(_, &c)| c > 0)
-                        .map(|(p, &c)| costs[p] as f64 / c as f64)
-                        .collect();
-                    (r, stats::mean(&ratios))
-                })
-                .collect();
-            AblationRow {
-                config,
-                mean_by_r,
-                total_time: start.elapsed(),
-            }
-        })
-        .collect()
-}
-
-/// Renders the ablation study.
-pub fn render_ablation_table(title: &str, rows: &[AblationRow]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "# {title}");
-    if rows.is_empty() {
-        s.push_str("(no data)\n");
-        return s;
-    }
-    let _ = write!(s, "{:>12}", "config");
-    for (r, _) in &rows[0].mean_by_r {
-        let _ = write!(s, " {:>7}", format!("R={r}"));
-    }
-    let _ = writeln!(s, " {:>10}", "time");
-    for row in rows {
-        let _ = write!(s, "{:>12}", row.config);
-        for (_, v) in &row.mean_by_r {
-            let _ = write!(s, " {v:>7.3}");
-        }
-        let _ = writeln!(s, " {:>8.0}ms", row.total_time.as_secs_f64() * 1e3);
-    }
-    s
-}
-
 /// Result of the §2.3 spill-set inclusion study.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InclusionStats {
@@ -421,7 +289,6 @@ pub struct InclusionStats {
 /// still an optimum of the original weights, and among the optima it
 /// maximises overlap with the previous allocation.
 pub fn spill_set_inclusion_study(workloads: &[Workload], rs: &[u32]) -> InclusionStats {
-    use lra_core::problem::Instance;
     // Each function's register sweep is independent; fan functions
     // across the pool (the sweep itself is inherently sequential).
     let per_function = batch::parallel_map(workloads, batch::default_threads(), |_, w| {
@@ -457,111 +324,6 @@ pub fn spill_set_inclusion_study(workloads: &[Workload], rs: &[u32]) -> Inclusio
     }
 }
 
-/// Sweeps the `BLS` cost-band threshold and reports the mean normalised
-/// cost at each setting (threshold 0 degenerates to pure furthest-first
-/// only among exact cost ties; large thresholds approach pure Belady).
-pub fn bls_threshold_sweep(workloads: &[Workload], r: u32, thresholds: &[u32]) -> Vec<(u32, f64)> {
-    use lra_core::baselines::BeladyLinearScan;
-    let opt_costs = per_program_costs_with(workloads, false, r, |inst, rr| {
-        Optimal.allocate(inst, rr).spill_cost
-    });
-    thresholds
-        .iter()
-        .map(|&t| {
-            let costs = per_program_costs_with(workloads, true, r, |inst, rr| {
-                BeladyLinearScan {
-                    threshold_percent: t,
-                }
-                .allocate(inst, rr)
-                .spill_cost
-            });
-            let ratios: Vec<f64> = opt_costs
-                .iter()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(p, &c)| costs[p] as f64 / c as f64)
-                .collect();
-            (t, stats::mean(&ratios))
-        })
-        .collect()
-}
-
-/// One row of the live-range-splitting study: spill-everywhere cost on
-/// the original program versus on the program split at every use
-/// (§2.1's load-store-optimisation view).
-#[derive(Clone, Debug)]
-pub struct SplitRow {
-    /// Register count.
-    pub registers: u32,
-    /// Total optimal spill cost over the suite, unsplit.
-    pub whole_ranges: u64,
-    /// Total optimal spill cost over the suite, split at every use.
-    pub split_ranges: u64,
-}
-
-/// Quantifies §2.1 item 3 / §4.3: spill-everywhere on use-split live
-/// ranges is the Appel–George load-store formulation, in which the
-/// short per-use sub-ranges (the future reloads) must themselves be
-/// allocated. Comparing its optimal cost with the whole-range optimum
-/// measures how much the plain spill-everywhere model *underestimates*
-/// by ignoring residual reload pressure.
-pub fn split_study(
-    functions: &[lra_ir::Function],
-    target: &lra_targets::Target,
-    rs: &[u32],
-) -> Vec<SplitRow> {
-    use lra_core::pipeline::{build_instance, InstanceKind};
-    use lra_ir::split::split_at_uses;
-    // §2.1 item 3 holds in the Appel–George regime where stores are
-    // free (a value may sit in memory and a register at once), so the
-    // study prices both sides with a store-free cost model.
-    let target = target.with_memory_costs(target.load_cost(), 0);
-    rs.iter()
-        .map(|&r| {
-            let costs = batch::parallel_map(functions, batch::default_threads(), |_, f| {
-                let a = build_instance(f, &target, InstanceKind::LinearIntervals);
-                let whole = Optimal.allocate(&a, r).spill_cost;
-                let s = split_at_uses(f);
-                let b = build_instance(&s.function, &target, InstanceKind::LinearIntervals);
-                let split = Optimal.allocate(&b, r).spill_cost;
-                (whole, split)
-            });
-            let (whole, split) = costs
-                .iter()
-                .fold((0u64, 0u64), |(w, s), &(cw, cs)| (w + cw, s + cs));
-            SplitRow {
-                registers: r,
-                whole_ranges: whole,
-                split_ranges: split,
-            }
-        })
-        .collect()
-}
-
-/// Renders the splitting study.
-pub fn render_split_table(title: &str, rows: &[SplitRow]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "# {title}");
-    let _ = writeln!(
-        s,
-        "{:>10} {:>14} {:>14} {:>8}",
-        "registers", "whole ranges", "split at uses", "ratio"
-    );
-    for r in rows {
-        let ratio = if r.whole_ranges > 0 {
-            r.split_ranges as f64 / r.whole_ranges as f64
-        } else {
-            1.0
-        };
-        let _ = writeln!(
-            s,
-            "{:>10} {:>14} {:>14} {:>8.3}",
-            r.registers, r.whole_ranges, r.split_ranges, ratio
-        );
-    }
-    s
-}
-
 /// One row of the SSA-conversion study: allocation cost on the
 /// original non-SSA method versus on its pruned-SSA conversion.
 #[derive(Clone, Debug)]
@@ -578,37 +340,48 @@ pub struct SsaConversionRow {
     pub opt_ssa: u64,
 }
 
+impl SsaConversionRow {
+    /// `LH / Opt` on the original graphs and `BFPL / Opt` on the
+    /// converted ones; 1.0 where the optimum is zero.
+    pub fn ratios(&self) -> [f64; 2] {
+        let ratio = |a: u64, b: u64| if b > 0 { a as f64 / b as f64 } else { 1.0 };
+        [
+            ratio(self.lh_non_ssa, self.opt_non_ssa),
+            ratio(self.bfpl_ssa, self.opt_ssa),
+        ]
+    }
+}
+
 /// The "pre-spill phase in any compiler" study (§7): convert each JVM
 /// method to pruned SSA (`lra_ir::ssa::into_ssa`) and compare the
 /// layered-optimal allocator on the resulting chordal graph with the
 /// `LH` approximation on the original non-chordal graph. SSA versioning
 /// splits each variable at its merge points, so the SSA optimum is a
 /// finer-grained (never worse-modelled) target.
-pub fn ssa_conversion_study(
-    functions: &[lra_ir::Function],
-    target: &lra_targets::Target,
-    rs: &[u32],
-) -> Vec<SsaConversionRow> {
+///
+/// The original side is each workload's precise-graph instance, so
+/// `workloads` must use that view (the SPEC JVM98 suite does).
+pub fn ssa_conversion_study(workloads: &[Workload], rs: &[u32]) -> Vec<SsaConversionRow> {
     use lra_core::pipeline::build_instance;
     use lra_core::LayeredHeuristic;
     use lra_ir::ssa::into_ssa;
     let converted: Vec<lra_ir::Function> =
-        batch::parallel_map(functions, batch::default_threads(), |_, f| {
-            into_ssa(f).function
+        batch::parallel_map(workloads, batch::default_threads(), |_, w| {
+            into_ssa(&w.ir).function
         });
-    let pairs: Vec<(&lra_ir::Function, &lra_ir::Function)> =
-        functions.iter().zip(&converted).collect();
+    let pairs: Vec<(&Workload, &lra_ir::Function)> = workloads.iter().zip(&converted).collect();
     rs.iter()
         .map(|&r| {
-            let cells = batch::parallel_map(&pairs, batch::default_threads(), |_, &(f, s)| {
-                let orig = build_instance(f, target, InstanceKind::PreciseGraph);
+            let cells = batch::parallel_map(&pairs, batch::default_threads(), |_, &(w, s)| {
+                debug_assert_eq!(w.kind, InstanceKind::PreciseGraph);
+                let orig = &w.instance;
                 // The SSA side uses the linearised-interval view: still
                 // chordal (intervals), and the exact optimum stays
                 // polynomial (min-cost flow) at SSA-converted sizes.
-                let ssa = build_instance(s, target, InstanceKind::LinearIntervals);
+                let ssa = build_instance(s, &w.target, InstanceKind::LinearIntervals);
                 [
-                    LayeredHeuristic::new().allocate(&orig, r).spill_cost,
-                    Optimal.allocate(&orig, r).spill_cost,
+                    LayeredHeuristic::new().allocate(orig, r).spill_cost,
+                    Optimal.allocate(orig, r).spill_cost,
                     Layered::bfpl().allocate(&ssa, r).spill_cost,
                     Optimal.allocate(&ssa, r).spill_cost,
                 ]
@@ -648,17 +421,11 @@ pub fn render_ssa_conversion_table(title: &str, rows: &[SsaConversionRow]) -> St
         "registers", "LH(non-SSA)", "Opt(non-SSA)", "LH/Opt", "BFPL(SSA)", "Opt(SSA)", "BFPL/Opt"
     );
     for r in rows {
-        let ratio = |a: u64, b: u64| if b > 0 { a as f64 / b as f64 } else { 1.0 };
+        let [lh, bfpl] = r.ratios();
         let _ = writeln!(
             s,
             "{:>10} {:>12} {:>12} {:>9.4} {:>12} {:>12} {:>10.4}",
-            r.registers,
-            r.lh_non_ssa,
-            r.opt_non_ssa,
-            ratio(r.lh_non_ssa, r.opt_non_ssa),
-            r.bfpl_ssa,
-            r.opt_ssa,
-            ratio(r.bfpl_ssa, r.opt_ssa)
+            r.registers, r.lh_non_ssa, r.opt_non_ssa, lh, r.bfpl_ssa, r.opt_ssa, bfpl
         );
     }
     s
@@ -667,7 +434,7 @@ pub fn render_ssa_conversion_table(title: &str, rows: &[SsaConversionRow]) -> St
 /// One row of the portfolio study: a program's aggregate spill cost
 /// under the cheap tier alone versus under the full budgeted policy,
 /// plus the policy's escalation statistics.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PortfolioRow {
     /// Program (benchmark application) name.
     pub program: &'static str,
@@ -719,13 +486,7 @@ pub fn portfolio_study(
             None => {
                 rows.push(PortfolioRow {
                     program: w.program,
-                    functions: 0,
-                    cheap_cost: 0,
-                    portfolio_cost: 0,
-                    escalated: 0,
-                    certified: 0,
-                    exact_wins: 0,
-                    improved: 0,
+                    ..PortfolioRow::default()
                 });
                 rows.last_mut().expect("just pushed")
             }
@@ -766,13 +527,7 @@ pub fn render_portfolio_table(title: &str, rows: &[PortfolioRow]) -> String {
     );
     let mut total = PortfolioRow {
         program: "TOTAL",
-        functions: 0,
-        cheap_cost: 0,
-        portfolio_cost: 0,
-        escalated: 0,
-        certified: 0,
-        exact_wins: 0,
-        improved: 0,
+        ..PortfolioRow::default()
     };
     let saved = |cheap: u64, portfolio: u64| {
         if cheap > 0 {
@@ -820,7 +575,7 @@ pub fn render_portfolio_table(title: &str, rows: &[PortfolioRow]) -> String {
 }
 
 /// Suite shape statistics (sizes and register pressure), for the
-/// `stats` CLI command and the calibration notes in EXPERIMENTS.md.
+/// `stats` CLI command.
 /// An empty workload set renders an explicit `(empty suite)` report
 /// instead of aborting.
 pub fn render_suite_stats(title: &str, workloads: &[Workload]) -> String {
@@ -936,20 +691,6 @@ pub fn render_per_benchmark_table(title: &str, rows: &[PerBenchmarkRow]) -> Stri
     s
 }
 
-/// Renders mean rows as CSV (one line per `(R, algorithm)`).
-pub fn mean_rows_to_csv(rows: &[MeanRow]) -> String {
-    let mut s = String::from("registers,algorithm,mean_normalized_cost,programs\n");
-    for row in rows {
-        for (name, v) in &row.values {
-            s.push_str(&format!(
-                "{},{},{:.6},{}\n",
-                row.registers, name, v, row.programs
-            ));
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1033,7 +774,5 @@ mod tests {
         let t = render_mean_table("fig", &rows);
         assert!(t.contains("registers"));
         assert!(t.contains("BFPL"));
-        let csv = mean_rows_to_csv(&rows);
-        assert!(csv.starts_with("registers,algorithm"));
     }
 }

@@ -9,30 +9,70 @@
 //! cargo run --release -p lra-bench -- batch --policy portfolio
 //! cargo run --release -p lra-bench -- portfolio --budget-nodes 100000
 //! cargo run --release -p lra-bench -- portfolio --sweep  # fuel frontier
+//! cargo run --release -p lra-bench -- paper            # BENCH_paper.json
 //! cargo run --release -p lra-bench -- record           # BENCH_batch.json
 //! cargo run --release -p lra-bench -- profile          # BENCH_phases.json
 //! cargo run --release -p lra-bench -- chaos --seed 7   # fault-injected soak
 //! ```
 //!
-//! Tables are printed to stdout and mirrored as CSV under
-//! `target/experiments/`. `batch` prints a **deterministic** report to
-//! stdout (identical at any `--threads` setting; timings go to
-//! stderr); `record` persists median wall-clock baselines to
-//! `BENCH_batch.json` at the repo root. `--threads N` also sets the
-//! worker count every figure runner fans out with.
+//! Tables are printed to stdout; `paper` writes every figure and study
+//! table to `BENCH_paper.json`, the one machine-readable form. `batch`
+//! prints a **deterministic** report to stdout (identical at any
+//! `--threads` setting; timings go to stderr); `record` persists
+//! median wall-clock baselines to `BENCH_batch.json` at the repo root.
+//! `--threads N` also sets the worker count every figure runner fans
+//! out with.
 
-use lra_bench::experiments::{
-    self, distribution_figure, jvm_mean_figure, jvm_per_benchmark_figure, mean_cost_figure,
-    CHORDAL_REGISTER_COUNTS, JVM_REGISTER_COUNTS,
-};
+use lra_bench::experiments;
+use lra_bench::paper::{self, Suite, Suites};
 use lra_bench::suites;
-use std::io::Write as _;
+
+/// Every command `lra-bench` accepts besides `all`; `all` runs the
+/// first [`ALL`] of them, in this order.
+const COMMANDS: [&str; 20] = [
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "inclusion",
+    "ssa",
+    "stats",
+    "pipeline",
+    "batch",
+    "portfolio",
+    "paper",
+    "serve",
+    "loadgen",
+    "chaos",
+    "record",
+    "profile",
+];
+const ALL: usize = 14;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lra-bench <fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|ablation|inclusion|bls-sweep|split|ssa|stats|pipeline|batch|portfolio|serve|loadgen|chaos|record|profile|all> [--seed N] [--threads N] [--out PATH] [--chrome PATH] [--policy NAME] [--budget-nodes N] [--budget-ms N] [--sweep] [--addr HOST:PORT] [--queue N] [--repeat N] [--local] [--shutdown] [--panic-every N] [--latency-every N] [--latency-ms N] [--drop-every N]"
+        "usage: lra-bench <{}|all> [--seed N] [--threads N] [--out PATH] [--chrome PATH] [--policy NAME] [--budget-nodes N] [--budget-ms N] [--sweep] [--addr HOST:PORT] [--queue N] [--repeat N] [--local] [--shutdown] [--panic-every N] [--latency-every N] [--latency-ms N] [--drop-every N]",
+        COMMANDS.join("|")
     );
     std::process::exit(2)
+}
+
+/// The value following a flag, parsed; the usage line when it is
+/// missing or does not parse.
+fn arg<T: std::str::FromStr>(value: Option<&String>) -> T {
+    arg_where(value, |_| true)
+}
+
+/// [`arg`], also rejecting a value `ok` refuses.
+fn arg_where<T: std::str::FromStr>(value: Option<&String>, ok: impl Fn(&T) -> bool) -> T {
+    value
+        .and_then(|s| s.parse().ok())
+        .filter(ok)
+        .unwrap_or_else(|| usage())
 }
 
 /// `serve`: host the jit-large pipeline behind the TCP front end until
@@ -285,7 +325,8 @@ fn run_record(seed: u64, out: &str) {
             r.cache_hit_rate_warm
         );
     }
-    let json = lra_bench::batchrun::to_json(seed, &recorded, &service);
+    let host = lra_bench::host::stamp_json(std::path::Path::new("."));
+    let json = lra_bench::batchrun::to_json(seed, &host, &recorded, &service);
     std::fs::write(out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     for e in &recorded {
         let base = e.timings.first().map_or(0.0, |t| t.min_ms);
@@ -332,7 +373,8 @@ fn run_profile(seed: u64, out: &str, chrome: Option<&str>) {
             }
         }
     }
-    let json = lra_bench::profile::to_json(seed, &profiles);
+    let host = lra_bench::host::stamp_json(std::path::Path::new("."));
+    let json = lra_bench::profile::to_json(seed, &host, &profiles);
     std::fs::write(out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("phase profile written to {out}");
     if let Some(path) = chrome {
@@ -392,17 +434,6 @@ fn run_pipeline_demo(seed: u64) {
     }
 }
 
-fn save_csv(name: &str, contents: &str) {
-    let dir = std::path::Path::new("target/experiments");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.csv"));
-        if let Ok(mut f) = std::fs::File::create(&path) {
-            let _ = f.write_all(contents.as_bytes());
-            eprintln!("(csv written to {})", path.display());
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -429,128 +460,25 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                out = Some(it.next().cloned().unwrap_or_else(|| usage()));
-            }
-            "--chrome" => {
-                chrome = Some(it.next().cloned().unwrap_or_else(|| usage()));
-            }
-            "--policy" => {
-                policy = Some(it.next().cloned().unwrap_or_else(|| usage()));
-            }
-            "--budget-nodes" => {
-                budget_nodes = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--budget-ms" => {
-                budget_ms = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--addr" => {
-                addr = it.next().cloned().unwrap_or_else(|| usage());
-            }
-            "--queue" => {
-                queue = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--repeat" => {
-                repeat = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--panic-every" => {
-                panic_every = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n != 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--latency-every" => {
-                latency_every = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--latency-ms" => {
-                latency_ms = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--drop-every" => {
-                drop_every = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n != 1)
-                    .unwrap_or_else(|| usage());
-            }
+            "--seed" => seed = arg(it.next()),
+            "--threads" => threads = arg(it.next()),
+            "--out" => out = Some(arg(it.next())),
+            "--chrome" => chrome = Some(arg(it.next())),
+            "--policy" => policy = Some(arg(it.next())),
+            "--budget-nodes" => budget_nodes = Some(arg(it.next())),
+            "--budget-ms" => budget_ms = Some(arg(it.next())),
+            "--addr" => addr = arg(it.next()),
+            "--queue" => queue = arg_where(it.next(), |&n| n > 0),
+            "--repeat" => repeat = arg_where(it.next(), |&n| n > 0),
+            "--panic-every" => panic_every = arg_where(it.next(), |&n| n != 1),
+            "--latency-every" => latency_every = arg(it.next()),
+            "--latency-ms" => latency_ms = arg(it.next()),
+            "--drop-every" => drop_every = arg_where(it.next(), |&n| n != 1),
             "--local" => local = true,
             "--sweep" => sweep = true,
             "--shutdown" => send_shutdown = true,
-            "all" => which.extend([
-                "fig8",
-                "fig9",
-                "fig10",
-                "fig11",
-                "fig12",
-                "fig13",
-                "fig14",
-                "fig15",
-                "ablation",
-                "inclusion",
-                "bls-sweep",
-                "split",
-                "ssa",
-                "stats",
-                "pipeline",
-                "batch",
-                "portfolio",
-            ]),
-            "fig8" => which.push("fig8"),
-            "fig9" => which.push("fig9"),
-            "fig10" => which.push("fig10"),
-            "fig11" => which.push("fig11"),
-            "fig12" => which.push("fig12"),
-            "fig13" => which.push("fig13"),
-            "fig14" => which.push("fig14"),
-            "fig15" => which.push("fig15"),
-            "ablation" => which.push("ablation"),
-            "inclusion" => which.push("inclusion"),
-            "bls-sweep" => which.push("bls-sweep"),
-            "split" => which.push("split"),
-            "ssa" => which.push("ssa"),
-            "stats" => which.push("stats"),
-            "pipeline" => which.push("pipeline"),
-            "batch" => which.push("batch"),
-            "portfolio" => which.push("portfolio"),
-            "serve" => which.push("serve"),
-            "loadgen" => which.push("loadgen"),
-            "chaos" => which.push("chaos"),
-            "record" => which.push("record"),
-            "profile" => which.push("profile"),
+            "all" => which.extend(&COMMANDS[..ALL]),
+            c if COMMANDS.contains(&c) => which.push(c),
             _ => usage(),
         }
     }
@@ -559,165 +487,24 @@ fn main() {
     // pool; --threads pins its worker count process-wide.
     lra_core::batch::set_default_threads(threads);
 
-    // Generate only the suites the requested figures need.
-    let needs = |names: &[&str]| which.iter().any(|f| names.contains(f));
-    let spec: Option<Vec<suites::Workload>> =
-        needs(&["fig8", "fig11", "stats"]).then(|| suites::spec2000int(seed));
-    let eembc: Option<Vec<suites::Workload>> =
-        needs(&["fig9", "fig12", "stats"]).then(|| suites::eembc(seed));
-    let lao: Option<Vec<suites::Workload>> =
-        needs(&["fig10", "fig13", "ablation", "inclusion", "stats"])
-            .then(|| suites::lao_kernels(seed));
-    let jvm: Option<Vec<suites::Workload>> =
-        needs(&["fig14", "fig15", "bls-sweep", "inclusion", "stats"])
-            .then(|| suites::specjvm98(seed));
-    let get = |name: &str| -> &[suites::Workload] {
-        match name {
-            "spec" => spec.as_deref().expect("suite generated"),
-            "eembc" => eembc.as_deref().expect("suite generated"),
-            "lao" => lao.as_deref().expect("suite generated"),
-            "jvm" => jvm.as_deref().expect("suite generated"),
-            _ => unreachable!(),
-        }
-    };
+    // Each suite is generated on first use, once.
+    let suites = Suites::new(seed);
 
     for f in which {
         match f {
-            "fig8" => {
-                let rows = mean_cost_figure(get("spec"), &CHORDAL_REGISTER_COUNTS);
-                print!(
-                    "{}",
-                    experiments::render_mean_table(
-                        "Figure 8: allocation cost, SPEC CPU2000int on ST231 (normalised to Optimal)",
-                        &rows
-                    )
-                );
-                save_csv("fig8", &experiments::mean_rows_to_csv(&rows));
-            }
-            "fig9" => {
-                let rows = mean_cost_figure(get("eembc"), &CHORDAL_REGISTER_COUNTS);
-                print!(
-                    "{}",
-                    experiments::render_mean_table(
-                        "Figure 9: allocation cost, EEMBC on ST231 (normalised to Optimal)",
-                        &rows
-                    )
-                );
-                save_csv("fig9", &experiments::mean_rows_to_csv(&rows));
-            }
-            "fig10" => {
-                let rows = mean_cost_figure(get("lao"), &CHORDAL_REGISTER_COUNTS);
-                print!(
-                    "{}",
-                    experiments::render_mean_table(
-                        "Figure 10: allocation cost, lao-kernels on ARMv7 (normalised to Optimal)",
-                        &rows
-                    )
-                );
-                save_csv("fig10", &experiments::mean_rows_to_csv(&rows));
-            }
-            "fig11" | "fig12" | "fig13" => {
-                let (suite, title) = match f {
-                    "fig11" => (
-                        "spec",
-                        "Figure 11: distribution over SPEC CPU2000int programs (ST231)",
-                    ),
-                    "fig12" => (
-                        "eembc",
-                        "Figure 12: distribution over EEMBC programs (ST231)",
-                    ),
-                    _ => (
-                        "lao",
-                        "Figure 13: distribution over lao-kernels programs (ARMv7)",
-                    ),
-                };
-                let rows = distribution_figure(get(suite), &CHORDAL_REGISTER_COUNTS);
-                print!("{}", experiments::render_distribution_table(title, &rows));
-            }
-            "fig14" => {
-                let rows = jvm_mean_figure(get("jvm"), &JVM_REGISTER_COUNTS);
-                print!(
-                    "{}",
-                    experiments::render_mean_table(
-                        "Figure 14: layered-heuristic vs other allocators, SPEC JVM98 (normalised to Optimal)",
-                        &rows
-                    )
-                );
-                save_csv("fig14", &experiments::mean_rows_to_csv(&rows));
-            }
-            "fig15" => {
-                let rows = jvm_per_benchmark_figure(get("jvm"), 6);
-                print!(
-                    "{}",
-                    experiments::render_per_benchmark_table(
-                        "Figure 15: per-benchmark normalised cost, SPEC JVM98 at R = 6",
-                        &rows
-                    )
-                );
-            }
-            "ablation" => {
-                // lao-kernels: small enough that the step-2 clique-tree
-                // DP actually runs instead of falling back to Frank.
-                let rows = experiments::ablation_figure(get("lao"), &[2, 4, 8, 16]);
-                print!(
-                    "{}",
-                    experiments::render_ablation_table(
-                        "Ablation: bias x fixed-point x step on lao-kernels (mean normalised cost + total time)",
-                        &rows
-                    )
-                );
-            }
-            "inclusion" => {
-                println!("# Spill-set inclusion study (§2.3): existence of inclusion-monotone optimal chains");
-                for (label, suite, rs) in [
-                    ("lao-kernels, R = 1..8", "lao", vec![1u32, 2, 3, 4, 6, 8]),
-                    (
-                        "specjvm98 (interval view), R = 2..16",
-                        "jvm",
-                        vec![2, 4, 6, 8, 10, 12, 14, 16],
-                    ),
-                ] {
-                    let s = experiments::spill_set_inclusion_study(get(suite), &rs);
-                    println!(
-                        "{label}: {}/{} functions inclusion-monotone ({:.1}%)",
-                        s.monotone,
-                        s.total,
-                        100.0 * s.monotone as f64 / s.total.max(1) as f64
-                    );
-                }
-            }
-            "bls-sweep" => {
-                let ws = get("jvm");
-                println!("# BLS threshold sweep, SPEC JVM98 at R = 6 (mean normalised cost)");
-                println!("{:>10} {:>8}", "threshold", "cost");
-                for (t, v) in experiments::bls_threshold_sweep(ws, 6, &[0, 5, 10, 25, 50, 100, 400])
-                {
-                    println!("{t:>9}% {v:>8.3}");
-                }
-            }
-            "split" => {
-                let functions = suites::lao_kernel_functions(seed);
-                let target = lra_targets::Target::new(lra_targets::TargetKind::ArmCortexA8);
-                let rows = experiments::split_study(&functions, &target, &[2, 4, 8, 16]);
-                print!(
-                    "{}",
-                    experiments::render_split_table(
-                        "Live-range splitting (\u{a7}2.1/\u{a7}4.3): optimal cost, whole ranges vs use-split ranges with reload pressure (lao-kernels)",
-                        &rows
-                    )
-                );
-            }
+            "inclusion" => print!("{}", paper::render_inclusion(&paper::inclusion(&suites))),
             "ssa" => {
-                let functions = suites::specjvm98_functions(seed);
-                let target = lra_targets::Target::new(lra_targets::TargetKind::ArmCortexA8);
-                let rows = experiments::ssa_conversion_study(&functions, &target, &[4, 6, 8]);
+                let rows = paper::ssa(&suites);
                 print!(
                     "{}",
-                    experiments::render_ssa_conversion_table(
-                        "SSA conversion as a pre-spill phase (\u{a7}7): JVM98 methods, total spill cost",
-                        &rows
-                    )
+                    experiments::render_ssa_conversion_table(paper::SSA_TITLE, &rows)
                 );
+            }
+            "paper" => {
+                let out = out.as_deref().unwrap_or("BENCH_paper.json");
+                let json = paper::reproduce(&suites);
+                std::fs::write(out, json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+                println!("paper reproduction written to {out}");
             }
             "pipeline" => run_pipeline_demo(seed),
             "batch" => run_batch(seed, threads, policy.as_deref()),
@@ -743,13 +530,12 @@ fn main() {
                 chrome.as_deref(),
             ),
             "stats" => {
-                for (title, suite) in [
-                    ("SPEC CPU2000int workload shape", "spec"),
-                    ("EEMBC workload shape", "eembc"),
-                    ("lao-kernels workload shape", "lao"),
-                    ("SPEC JVM98 workload shape", "jvm"),
-                ] {
-                    print!("{}", experiments::render_suite_stats(title, get(suite)));
+                for suite in Suite::ALL {
+                    let title = format!("{} workload shape", suite.name());
+                    print!(
+                        "{}",
+                        experiments::render_suite_stats(&title, suites.get(suite))
+                    );
                     println!();
                 }
                 print!(
@@ -761,7 +547,11 @@ fn main() {
                 );
                 println!();
             }
-            _ => unreachable!(),
+            name => {
+                let fig = paper::FIGURES.iter().find(|f| f.name == name);
+                let fig = fig.expect("every other command is a figure");
+                print!("{}", fig.render(&fig.run(suites.get(fig.suite))));
+            }
         }
         println!();
     }

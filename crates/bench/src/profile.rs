@@ -87,13 +87,14 @@ pub fn profile(experiments: &[BatchExperiment]) -> Vec<CorpusProfile> {
 /// Serialises corpus profiles as the `BENCH_phases.json` document
 /// (schema `lra-bench/phases-v4`; hand-rolled, no serde in the build
 /// environment). See `docs/benchmarks.md` for the field reference.
-pub fn to_json(seed: u64, profiles: &[CorpusProfile]) -> String {
+pub fn to_json(seed: u64, host: &str, profiles: &[CorpusProfile]) -> String {
     use std::fmt::Write as _;
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"lra-bench/phases-v4\",");
     let _ = writeln!(s, "  \"seed\": {seed},");
+    let _ = writeln!(s, "  \"host\": {host},");
     s.push_str("  \"corpora\": [\n");
     for (i, p) in profiles.iter().enumerate() {
         s.push_str("    {\n");
@@ -245,8 +246,10 @@ mod tests {
     #[test]
     fn phases_json_is_balanced_and_carries_the_schema() {
         let profiles = run(3);
-        let json = to_json(3, &profiles);
+        let host = crate::host::stamp_json(std::path::Path::new("."));
+        let json = to_json(3, &host, &profiles);
         assert!(json.contains("\"schema\": \"lra-bench/phases-v4\""));
+        assert!(json.contains("\"host\": {\"nproc\": "));
         for name in [
             "lao-kernels/BFPL/R4",
             "specjvm98/LH/R6",

@@ -5,7 +5,7 @@
 //!
 //! * **LS** (the paper's `DLS`, JikesRVM's default): on overflow, spill
 //!   the candidate with the lowest spill cost.
-//! * **BLS**: among candidates whose cost is within a threshold of the
+//! * **BLS**: among candidates whose cost is within 25% of the
 //!   cheapest, spill the one whose interval extends *furthest* —
 //!   Belady's furthest-first rule, which is optimal for unweighted
 //!   straight-line code.
@@ -25,32 +25,25 @@ impl LinearScan {
 }
 
 /// Linear scan with Belady's furthest-first tie-breaking (`BLS`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BeladyLinearScan {
-    /// Candidates within `threshold_percent` of the minimum cost are
-    /// considered cost-equivalent; the furthest-ending one is spilled.
-    pub threshold_percent: u32,
-}
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BeladyLinearScan;
 
 impl BeladyLinearScan {
-    /// The configuration used in the reproduction (25% band).
+    /// Creates the allocator.
     pub fn new() -> Self {
-        BeladyLinearScan {
-            threshold_percent: 25,
-        }
+        BeladyLinearScan
     }
 }
 
-impl Default for BeladyLinearScan {
-    fn default() -> Self {
-        BeladyLinearScan::new()
-    }
-}
+/// `BLS` treats overflow candidates within this percentage of the
+/// cheapest one's cost as cost-equivalent and spills the
+/// furthest-ending of them.
+const BLS_BAND_PERCENT: Cost = 25;
 
 /// Spill-choice rule on register overflow.
 enum Victim {
     CheapestCost,
-    FurthestWithinThreshold(u32),
+    FurthestWithinBand,
 }
 
 fn scan(instance: &Instance, r: u32, rule: Victim) -> Allocation {
@@ -91,13 +84,13 @@ fn scan(instance: &Instance, r: u32, rule: Victim) -> Allocation {
                 .iter()
                 .min_by_key(|&&v| (wg.weight(v), v))
                 .expect("candidates nonempty"),
-            Victim::FurthestWithinThreshold(pct) => {
+            Victim::FurthestWithinBand => {
                 let min_cost = candidates
                     .iter()
                     .map(|&v| wg.weight(v))
                     .min()
                     .expect("candidates nonempty");
-                let band: Cost = min_cost + min_cost * pct as Cost / 100;
+                let band = min_cost + min_cost * BLS_BAND_PERCENT / 100;
                 *candidates
                     .iter()
                     .filter(|&&v| wg.weight(v) <= band)
@@ -139,11 +132,7 @@ impl Allocator for BeladyLinearScan {
     ///
     /// Panics if the instance carries no live intervals.
     fn allocate(&self, instance: &Instance, r: u32) -> Allocation {
-        scan(
-            instance,
-            r,
-            Victim::FurthestWithinThreshold(self.threshold_percent),
-        )
+        scan(instance, r, Victim::FurthestWithinBand)
     }
 }
 

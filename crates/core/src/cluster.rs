@@ -16,20 +16,16 @@
 //! candidate and its neighbours once.
 
 use crate::problem::{Allocation, Allocator, Instance};
-use lra_graph::{BitSet, Cost};
+use lra_graph::BitSet;
 
 /// The `LH` allocator of §5.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LayeredHeuristic {
-    /// Apply the §4.1 weight bias to the ordering (off in the paper's
-    /// evaluation; exposed for the ablation benchmarks).
-    pub bias: bool,
-}
+pub struct LayeredHeuristic;
 
 impl LayeredHeuristic {
-    /// The allocator as evaluated in the paper (no bias).
+    /// The allocator as evaluated in the paper.
     pub fn new() -> Self {
-        LayeredHeuristic { bias: false }
+        LayeredHeuristic
     }
 }
 
@@ -73,17 +69,12 @@ impl Allocator for LayeredHeuristic {
         let wg = instance.weighted_graph();
         let n = wg.vertex_count();
 
-        // Candidates ordered by decreasing (possibly biased) weight.
-        let keys: Vec<Cost> = if self.bias {
-            crate::layered::biased_weights(wg)
-        } else {
-            wg.weights().to_vec()
-        };
+        // Candidates ordered by decreasing weight.
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| std::cmp::Reverse(keys[v]));
+        order.sort_by_key(|&v| std::cmp::Reverse(wg.weight(v)));
 
         let mut clusters = cluster_vertices(instance, &order);
-        // Allocate the R clusters of greatest *raw* total weight.
+        // Allocate the R clusters of greatest total weight.
         clusters.sort_by_key(|c| std::cmp::Reverse(wg.weight_of_slice(c)));
         clusters.truncate(r as usize);
 

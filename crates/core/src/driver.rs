@@ -6,7 +6,7 @@
 //! 1. **analysis** — liveness, loop frequencies, spill costs and the
 //!    interference instance ([`crate::pipeline::build_instance`]),
 //! 2. **allocation** — a registry-selected allocator picks the variables
-//!    kept in registers (optionally on a coalesced quotient graph),
+//!    kept in registers,
 //! 3. **spill-code rewriting** — stores/reloads are inserted for the
 //!    spilled set ([`lra_ir::spill_code`]),
 //! 4. **re-analysis** — the rewritten function is re-analysed and
@@ -57,8 +57,7 @@
 //! ```
 
 use crate::assign::Assignment;
-use crate::coalesce;
-use crate::pipeline::{build_instance_from_costs, copy_affinities_with, InstanceKind};
+use crate::pipeline::{build_instance_from_costs, InstanceKind};
 use crate::portfolio::{Portfolio, PortfolioConfig};
 use crate::problem::{Allocator, Instance};
 use crate::registry::{AllocatorRegistry, AllocatorSpec};
@@ -68,22 +67,6 @@ use lra_ir::remat::RematTable;
 use lra_ir::{analysis, liveness, spill_code, spill_cost, split};
 use lra_ir::{AnalysisScratch, Function, FunctionAnalysis};
 use lra_targets::Target;
-
-/// Whether (and how) the pipeline coalesces copy-related variables
-/// before allocating.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CoalesceMode {
-    /// No coalescing (the paper's setting: spilling studied in
-    /// isolation).
-    #[default]
-    Off,
-    /// Briggs-conservative merges only (never hurts colourability).
-    Conservative,
-    /// Merge every non-interfering affine pair. May break chordality;
-    /// rounds where the quotient loses chordality fall back to the
-    /// uncoalesced graph when the selected allocator requires a PEO.
-    Aggressive,
-}
 
 /// Why a pipeline run could not start or finish.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -135,7 +118,6 @@ pub struct AllocationPipeline {
     kind: InstanceKind,
     allocator: String,
     registers: Option<u32>,
-    coalesce: CoalesceMode,
     max_rounds: u32,
     optimized_spill: bool,
     /// The [`Portfolio`] policy's configuration; `Some` exactly when
@@ -148,7 +130,7 @@ pub struct AllocationPipeline {
 impl AllocationPipeline {
     /// A pipeline for `target` with the defaults: the `BFPL` allocator,
     /// the precise-graph instance view, the target's architectural
-    /// register count, no coalescing, plain spill-everywhere rewriting,
+    /// register count, plain spill-everywhere rewriting,
     /// and at most 8 spill-then-reanalyse rounds.
     pub fn new(target: Target) -> Self {
         AllocationPipeline {
@@ -156,7 +138,6 @@ impl AllocationPipeline {
             kind: InstanceKind::PreciseGraph,
             allocator: "BFPL".to_string(),
             registers: None,
-            coalesce: CoalesceMode::Off,
             max_rounds: 8,
             optimized_spill: false,
             portfolio: None,
@@ -202,12 +183,6 @@ impl AllocationPipeline {
     /// size).
     pub fn registers(mut self, r: u32) -> Self {
         self.registers = Some(r);
-        self
-    }
-
-    /// Enables copy/φ coalescing before each allocation round.
-    pub fn coalescing(mut self, mode: CoalesceMode) -> Self {
-        self.coalesce = mode;
         self
     }
 
@@ -374,7 +349,6 @@ impl AllocationPipeline {
             stores: outcome.stores,
             loads: outcome.loads,
             remats: outcome.remats,
-            saved_moves: outcome.saved_moves,
             verdict: outcome.verdict,
             max_live_before: outcome.max_live_before,
             max_live_after: outcome.max_live_after,
@@ -403,8 +377,8 @@ impl AllocationPipeline {
     ) -> Result<LoopOutcome, PipelineError> {
         // The one analysis of the round: built once here, then updated
         // incrementally after each spill rewrite. Instance
-        // construction, spill costs, the coalescing affinities and the
-        // stall check below all borrow it — no second liveness run per
+        // construction, spill costs and the stall check below all
+        // borrow it — no second liveness run per
         // round anywhere.
         let mut func_analysis = {
             let _s = crate::trace::span(crate::trace::Phase::Analysis);
@@ -418,7 +392,6 @@ impl AllocationPipeline {
         let mut stores = 0usize;
         let mut loads = 0usize;
         let mut remats = 0usize;
-        let mut saved_moves = 0u64;
         let mut converged = false;
         let mut rounds = 0u32;
         let mut prev_max_live = max_live_before;
@@ -451,15 +424,7 @@ impl AllocationPipeline {
             if spec.needs_chordal && !inst.is_chordal() {
                 return Err(PipelineError::NeedsChordal(spec.name));
             }
-            let round = self.allocate_round(
-                &inst,
-                &func,
-                &func_analysis,
-                allocator,
-                spec.needs_chordal,
-                r,
-            );
-            saved_moves += round.saved_moves;
+            let round = allocate_round(&inst, allocator, r);
 
             if round.spilled.is_empty() {
                 round_costs.push(round.cost);
@@ -575,7 +540,6 @@ impl AllocationPipeline {
             stores,
             loads,
             remats,
-            saved_moves,
             assignment,
             verdict,
             max_live_before,
@@ -633,75 +597,33 @@ impl AllocationPipeline {
         esc.max_live_before = base.max_live_before;
         Some((esc, split.copies))
     }
+}
 
-    /// One allocation round: allocate on `inst` (or its coalesced
-    /// quotient), and translate the result back to value space. The
-    /// uncoalesced round is the quotient round with the identity class
-    /// map and no saved moves.
-    fn allocate_round(
-        &self,
-        inst: &Instance,
-        func: &Function,
-        func_analysis: &FunctionAnalysis,
-        allocator: &dyn Allocator,
-        needs_chordal: bool,
-        r: u32,
-    ) -> RoundOutcome {
-        let n = inst.vertex_count();
-        let quotient = match self.coalesce {
-            CoalesceMode::Off => None,
-            mode => {
-                let aff = copy_affinities_with(func, &func_analysis.loops);
-                if aff.is_empty() {
-                    None
-                } else {
-                    let co = match mode {
-                        CoalesceMode::Aggressive => coalesce::aggressive_coalesce(inst, &aff),
-                        _ => coalesce::conservative_coalesce(inst, &aff, r),
-                    };
-                    // A layered allocator cannot run on a quotient that
-                    // lost chordality; skip coalescing for this round.
-                    if needs_chordal && !co.instance.is_chordal() {
-                        None
-                    } else {
-                        Some(co)
-                    }
-                }
-            }
-        };
-        let (solved, saved_moves) = match &quotient {
-            Some(co) => (&co.instance, co.saved_moves),
-            None => (inst, 0),
-        };
-        let class = |v: usize| quotient.as_ref().map_or(v, |co| co.class_of[v]);
-
-        let alloc = {
-            let _s = crate::trace::span(crate::trace::Phase::Allocate);
-            allocator.allocate(solved, r)
-        };
-        let verdict = {
-            let _s = crate::trace::span(crate::trace::Phase::Verify);
-            verify::check(solved, &alloc, r)
-        };
-        // The witness colours classes: each value takes its class's
-        // colour, or no register when its class was spilled.
-        let assignment = match &verdict {
-            Feasibility::Feasible(colors) => Assignment::from_registers(
-                (0..n)
-                    .map(|v| alloc.allocated.contains(class(v)).then(|| colors[class(v)]))
-                    .collect(),
-            ),
-            _ => Assignment::from_registers(vec![None; n]),
-        };
-        RoundOutcome {
-            cost: alloc.spill_cost,
-            spilled: (0..n)
-                .filter(|&v| !alloc.allocated.contains(class(v)))
+/// One allocation round: allocate on `inst`, check the allocation
+/// and turn its colouring into the register assignment.
+fn allocate_round(inst: &Instance, allocator: &dyn Allocator, r: u32) -> RoundOutcome {
+    let n = inst.vertex_count();
+    let alloc = {
+        let _s = crate::trace::span(crate::trace::Phase::Allocate);
+        allocator.allocate(inst, r)
+    };
+    let verdict = {
+        let _s = crate::trace::span(crate::trace::Phase::Verify);
+        verify::check(inst, &alloc, r)
+    };
+    let assignment = match &verdict {
+        Feasibility::Feasible(colors) => Assignment::from_registers(
+            (0..n)
+                .map(|v| alloc.allocated.contains(v).then(|| colors[v]))
                 .collect(),
-            assignment,
-            verdict,
-            saved_moves,
-        }
+        ),
+        _ => Assignment::from_registers(vec![None; n]),
+    };
+    RoundOutcome {
+        cost: alloc.spill_cost,
+        spilled: (0..n).filter(|&v| !alloc.allocated.contains(v)).collect(),
+        assignment,
+        verdict,
     }
 }
 
@@ -710,7 +632,6 @@ struct RoundOutcome {
     spilled: Vec<usize>,
     assignment: Assignment,
     verdict: Feasibility,
-    saved_moves: u64,
 }
 
 /// Everything one allocate → rewrite loop produces; the base run and
@@ -725,7 +646,6 @@ struct LoopOutcome {
     stores: usize,
     loads: usize,
     remats: usize,
-    saved_moves: u64,
     assignment: Assignment,
     verdict: Feasibility,
     max_live_before: usize,
@@ -781,8 +701,6 @@ pub struct AllocatedFunction {
     /// the run escalated: only the escalation tier classifies values as
     /// rematerializable).
     pub remats: usize,
-    /// Move cost removed by coalescing (0 when coalescing is off).
-    pub saved_moves: u64,
     /// Concrete register per value of [`AllocatedFunction::function`]
     /// (`None` for spilled values). When `converged` is `false` the
     /// entries for the final round's spilled values and for the reloads
@@ -939,27 +857,6 @@ mod tests {
         let direct = Layered::bfpl().allocate(&inst, 3).spill_cost;
         let report = AllocationPipeline::new(t).registers(3).run(&f).unwrap();
         assert_eq!(report.first_round_spill_cost(), direct);
-    }
-
-    #[test]
-    fn coalescing_reports_saved_moves() {
-        let t = Target::new(TargetKind::St231);
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let cfg = SsaConfig {
-            target_instrs: 80,
-            copy_percent: 15,
-            branch_percent: 25,
-            ..SsaConfig::default()
-        };
-        let f = random_ssa_function(&mut rng, &cfg, "with_copies");
-        let plain = AllocationPipeline::new(t).registers(6).run(&f).unwrap();
-        let coalesced = AllocationPipeline::new(t)
-            .registers(6)
-            .coalescing(CoalesceMode::Conservative)
-            .run(&f)
-            .unwrap();
-        assert_eq!(plain.saved_moves, 0);
-        assert!(coalesced.verdict.is_feasible());
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! pass; the fixed-point bookkeeping touches each clique membership a
 //! constant number of times per allocated vertex.
 
-use crate::optimal::{chordal_dp, SolveBudget};
 use crate::problem::{Allocation, Allocator, Instance};
 use lra_graph::{stable, BitSet, Cost, Vertex, WeightedGraph};
 
@@ -35,12 +34,6 @@ pub struct Layered {
     pub bias: bool,
     /// Iterate to a fixed point after the `R` layers (`FPL`/`BFPL`).
     pub fixed_point: bool,
-    /// Registers allocated per layer. The paper evaluates `step = 1`
-    /// (one Frank stable set per layer) and notes that `step ≥ 2` can
-    /// be solved by dynamic programming; we implement that with the
-    /// clique-tree DP, falling back to single-register layers when a
-    /// clique is too large for the DP table.
-    pub step: u32,
 }
 
 impl Layered {
@@ -49,7 +42,6 @@ impl Layered {
         Layered {
             bias: false,
             fixed_point: false,
-            step: 1,
         }
     }
 
@@ -58,7 +50,6 @@ impl Layered {
         Layered {
             bias: true,
             fixed_point: false,
-            step: 1,
         }
     }
 
@@ -67,7 +58,6 @@ impl Layered {
         Layered {
             bias: false,
             fixed_point: true,
-            step: 1,
         }
     }
 
@@ -76,20 +66,7 @@ impl Layered {
         Layered {
             bias: true,
             fixed_point: true,
-            step: 1,
         }
-    }
-
-    /// Uses `step` registers per layer (stepwise-optimal allocation by
-    /// dynamic programming; §2.2's `O(Ω^step · n)` trade-off).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is zero.
-    pub fn with_step(mut self, step: u32) -> Self {
-        assert!(step >= 1, "step must be at least 1");
-        self.step = step;
-        self
     }
 }
 
@@ -143,28 +120,21 @@ impl Allocator for Layered {
         let mut candidates = BitSet::full(n);
         let mut allocated = BitSet::new(n);
 
-        // Algorithm 2: layers of stepwise-optimal allocations covering
-        // `r` registers in total. With step = 1 each layer is one
-        // maximum weighted stable set (Frank); with step ≥ 2 each layer
-        // is an optimal `step`-register allocation by clique-tree DP.
-        let mut used = 0u32;
-        while !candidates.is_empty() && used < r {
-            let s = self.step.min(r - used);
-            let (layer, consumed): (Vec<usize>, u32) = if s == 1 {
-                let set =
-                    stable::max_weight_stable_set_restricted(&selection, order, Some(&candidates));
-                (set.vertices.iter().map(|v| v.index()).collect(), 1)
-            } else {
-                step_layer(&selection, &candidates, s)
-            };
-            if layer.is_empty() {
+        // Algorithm 2: `r` layers, each one maximum weighted stable set
+        // of the remaining candidates (Frank).
+        for _ in 0..r {
+            if candidates.is_empty() {
+                break;
+            }
+            let layer =
+                stable::max_weight_stable_set_restricted(&selection, order, Some(&candidates));
+            if layer.vertices.is_empty() {
                 break; // only zero-weight candidates remain
             }
-            for &v in &layer {
-                allocated.insert(v);
-                candidates.remove(v);
+            for v in &layer.vertices {
+                allocated.insert(v.index());
+                candidates.remove(v.index());
             }
-            used += consumed;
         }
 
         if self.fixed_point && r > 0 {
@@ -179,41 +149,6 @@ impl Allocator for Layered {
         }
 
         instance.allocation_from_set(allocated)
-    }
-}
-
-/// One `step`-register layer: the optimal `step`-colourable subset of
-/// the candidate-induced subgraph, by clique-tree DP. Falls back to a
-/// single Frank stable set when the DP bails out (oversized clique) —
-/// in that case only **one** register of the budget is consumed.
-///
-/// Returns the layer and the number of registers it fills.
-fn step_layer(selection: &WeightedGraph, candidates: &BitSet, step: u32) -> (Vec<usize>, u32) {
-    let (sub, old_of_new) = selection.graph().induced_subgraph(candidates);
-    let weights: Vec<Cost> = old_of_new.iter().map(|&v| selection.weight(v)).collect();
-    // Skip zero-weight vertices from layers for parity with Frank.
-    let sub_inst = crate::problem::Instance::from_weighted_graph(WeightedGraph::new(sub, weights));
-    match chordal_dp::solve(&sub_inst, step, &mut SolveBudget::unlimited()) {
-        Some(a) => {
-            let layer = a
-                .allocated
-                .iter()
-                .filter(|&v| sub_inst.weighted_graph().weight(v) > 0)
-                .map(|v| old_of_new[v])
-                .collect();
-            (layer, step)
-        }
-        None => {
-            let order = sub_inst
-                .peo()
-                .expect("induced subgraph of chordal is chordal");
-            let layer = stable::max_weight_stable_set(sub_inst.weighted_graph(), order)
-                .vertices
-                .iter()
-                .map(|v| old_of_new[v.index()])
-                .collect();
-            (layer, 1)
-        }
     }
 }
 
@@ -374,7 +309,7 @@ mod tests {
         }
     }
 
-    /// Figure 6: with R=2 and step 1, the unbiased allocator may pick
+    /// Figure 6: with R=2, the unbiased allocator may pick
     /// the stable set {b, f}; the bias makes it pick {c, f} (c has more
     /// neighbours), which lets the second layer allocate {b, d} and
     /// saves one cost unit overall.
@@ -481,53 +416,6 @@ mod tests {
         assert!(verify::check(&inst, &a, 1).is_feasible());
     }
 
-    #[test]
-    fn step_two_is_feasible_and_bounded() {
-        use crate::optimal::Optimal;
-        let inst = figure6();
-        for r in 1..=4u32 {
-            let opt = Optimal.allocate(&inst, r);
-            for step in 1..=3u32 {
-                let a = Layered::nl().with_step(step).allocate(&inst, r);
-                assert!(
-                    verify::check(&inst, &a, r).is_feasible(),
-                    "step {step} infeasible at R={r}"
-                );
-                assert!(a.spill_cost >= opt.spill_cost);
-            }
-        }
-    }
-
-    #[test]
-    fn step_equal_to_r_is_exactly_optimal() {
-        // A single layer covering all R registers IS the optimal
-        // R-register allocation (stepwise optimality becomes global).
-        use crate::optimal::Optimal;
-        let inst = figure6();
-        for r in 1..=3u32 {
-            let a = Layered::nl().with_step(r).allocate(&inst, r);
-            let opt = Optimal.allocate(&inst, r);
-            assert_eq!(a.spill_cost, opt.spill_cost, "R={r}");
-        }
-    }
-
-    #[test]
-    fn step_two_can_beat_step_one() {
-        // Figure 6 again: step 1 without bias may lose one unit to the
-        // tie; a single 2-register layer is optimal by construction.
-        let inst = figure6();
-        let s1 = Layered::nl().allocate(&inst, 2);
-        let s2 = Layered::nl().with_step(2).allocate(&inst, 2);
-        assert!(s2.spill_cost <= s1.spill_cost);
-        assert_eq!(s2.spill_cost, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_step_panics() {
-        let _ = Layered::nl().with_step(0);
-    }
-
     /// The fixed point as it ran on per-clique `Vec`s and a
     /// `Vec<Vec<u32>>` vertex-to-clique index, on top of the same `R`
     /// layers (`BL`/`NL` are `BFPL`/`FPL` without the fixed point).
@@ -535,7 +423,6 @@ mod tests {
         let layers = Layered {
             bias,
             fixed_point: false,
-            step: 1,
         };
         let mut allocated = layers.allocate(instance, r).allocated;
         if r == 0 {

@@ -56,7 +56,6 @@ pub mod baselines;
 pub mod batch;
 pub mod cache;
 pub mod cluster;
-pub mod coalesce;
 pub mod driver;
 pub mod layered;
 pub mod optimal;
@@ -69,7 +68,7 @@ pub mod verify;
 
 pub use batch::{BatchAllocator, BatchItem, BatchReport, BatchSummary, ReportRow, RowStats};
 pub use cluster::LayeredHeuristic;
-pub use driver::{AllocatedFunction, AllocationPipeline, CoalesceMode, PipelineError};
+pub use driver::{AllocatedFunction, AllocationPipeline, PipelineError};
 pub use layered::Layered;
 pub use optimal::{Optimal, SolveBudget};
 pub use portfolio::{Portfolio, PortfolioConfig, PortfolioOutcome, PortfolioSource};

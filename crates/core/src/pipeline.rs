@@ -12,8 +12,6 @@
 //!   figures normalise against `Optimal` without an ILP solver.
 
 use crate::problem::Instance;
-use lra_ir::dom::DomTree;
-use lra_ir::loops::LoopInfo;
 use lra_ir::{interference, spill_cost, AnalysisScratch, Function, FunctionAnalysis};
 use lra_targets::Target;
 
@@ -70,51 +68,6 @@ pub fn build_instance_from_costs(
     }
 }
 
-/// Extracts copy-affinities from `f` for the coalescing passes:
-///
-/// * each [`lra_ir::Opcode::Copy`] contributes an affinity between its
-///   destination and source, weighted by the block frequency (the cost
-///   of the move that coalescing would remove);
-/// * each φ contributes an affinity between its def and every use,
-///   weighted by the incoming predecessor's frequency (the cost of the
-///   move that SSA destruction would otherwise insert on that edge).
-pub fn copy_affinities(f: &Function) -> crate::coalesce::Affinities {
-    let dom = DomTree::compute(f);
-    let loops = LoopInfo::compute(f, &dom);
-    copy_affinities_with(f, &loops)
-}
-
-/// [`copy_affinities`] on a precomputed loop analysis — the variant the
-/// pipeline's coalescing rounds use so the shared
-/// [`FunctionAnalysis::loops`] is not recomputed per round.
-pub fn copy_affinities_with(f: &Function, loops: &LoopInfo) -> crate::coalesce::Affinities {
-    use lra_ir::Opcode;
-    let mut aff = crate::coalesce::Affinities::new();
-    for b in f.block_ids() {
-        let freq = loops.frequency(b);
-        let block = f.block(b);
-        for instr in &block.instrs {
-            match instr.opcode {
-                Opcode::Copy => {
-                    if let (Some(d), Some(u)) = (instr.def, instr.uses.first()) {
-                        aff.add(d.index(), u.index(), freq.max(1));
-                    }
-                }
-                Opcode::Phi => {
-                    if let Some(d) = instr.def {
-                        for (i, u) in instr.uses.iter().enumerate() {
-                            let pf = loops.frequency(block.preds[i]);
-                            aff.add(d.index(), u.index(), pf.max(1));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    aff
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,56 +113,6 @@ mod tests {
             );
         }
         assert!(coarse.max_live() >= precise.max_live());
-    }
-
-    #[test]
-    fn phi_affinities_extracted() {
-        use lra_ir::builder::FunctionBuilder;
-        let mut b = FunctionBuilder::new("f");
-        let e = b.entry_block();
-        let l = b.block();
-        let r = b.block();
-        let j = b.block();
-        b.set_succs(e, &[l, r]);
-        b.set_succs(l, &[j]);
-        b.set_succs(r, &[j]);
-        let xl = b.op(l, &[]);
-        let xr = b.op(r, &[]);
-        let m = b.phi(j, &[xl, xr]);
-        let c = b.copy(j, m);
-        b.op(j, &[c]);
-        let f = b.finish();
-        let aff = copy_affinities(&f);
-        // Two φ affinities plus one copy affinity.
-        assert_eq!(aff.len(), 3);
-        let pairs: Vec<(usize, usize)> = aff.pairs().iter().map(|&(a, b, _)| (a, b)).collect();
-        assert!(pairs.contains(&(xl.index().min(m.index()), xl.index().max(m.index()))));
-        assert!(pairs.contains(&(m.index().min(c.index()), m.index().max(c.index()))));
-    }
-
-    #[test]
-    fn coalescing_a_real_function_removes_moves() {
-        use crate::coalesce;
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
-        let t = Target::new(TargetKind::St231);
-        let cfg = SsaConfig {
-            branch_percent: 30,
-            loop_percent: 15,
-            ..SsaConfig::default()
-        };
-        let f = genprog::random_ssa_function(&mut rng, &cfg, "f");
-        let inst = build_instance(&f, &t, InstanceKind::PreciseGraph);
-        let aff = copy_affinities(&f);
-        if aff.is_empty() {
-            return; // this seed produced no φs; other tests cover φs
-        }
-        let c = coalesce::aggressive_coalesce(&inst, &aff);
-        assert!(c.instance.vertex_count() <= inst.vertex_count());
-        assert_eq!(
-            c.instance.total_weight(),
-            inst.total_weight(),
-            "coalescing preserves total spill weight"
-        );
     }
 
     #[test]

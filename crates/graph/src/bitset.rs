@@ -222,18 +222,6 @@ impl BitSet {
         }
     }
 
-    /// In-place union with a borrowed matrix row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn union_with_row(&mut self, row: BitRow<'_>) {
-        assert_eq!(self.capacity, row.capacity(), "capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(row.words()) {
-            *a |= b;
-        }
-    }
-
     /// Iterates over the keys in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter::over(&self.words)
@@ -369,14 +357,6 @@ impl<'a> BitRow<'a> {
     /// Iterates over the keys in increasing order.
     pub fn iter(&self) -> Iter<'a> {
         Iter::over(self.words)
-    }
-
-    /// Copies the row into an owned [`BitSet`] of the same capacity.
-    pub fn to_bitset(&self) -> BitSet {
-        BitSet {
-            words: self.words.to_vec(),
-            capacity: self.capacity,
-        }
     }
 }
 
@@ -744,10 +724,7 @@ mod tests {
         assert_eq!(row.intersection_len(&b), 2);
         assert!(!row.is_disjoint(&b));
         assert_eq!(row.capacity(), 100);
-        assert_eq!(
-            row.to_bitset().iter().collect::<Vec<_>>(),
-            vec![1, 5, 64, 99]
-        );
+        assert_eq!(row.iter().collect::<Vec<_>>(), vec![1, 5, 64, 99]);
         assert_eq!(format!("{row:?}"), "{1, 5, 64, 99}");
         let empty = BitSet::new(100);
         assert!(row.is_disjoint(&empty));
@@ -762,8 +739,6 @@ mod tests {
         let mut s = BitSet::from_iter_with_capacity(100, [1, 2, 64, 99]);
         s.difference_with_row(m.row(0));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 99]);
-        s.union_with_row(m.row(0));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 2, 3, 64, 99]);
     }
 
     #[test]

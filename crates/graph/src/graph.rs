@@ -342,29 +342,6 @@ impl Graph {
             .all(|(i, &u)| vs[i + 1..].iter().all(|&v| !self.has_edge(u, v)))
     }
 
-    /// The subgraph induced by `keep`, together with the mapping from new
-    /// vertex index to original index.
-    ///
-    /// Vertices keep their relative order.
-    pub fn induced_subgraph(&self, keep: &BitSet) -> (Graph, Vec<usize>) {
-        let old_of_new: Vec<usize> = keep.iter().collect();
-        let mut new_of_old = vec![usize::MAX; self.vertex_count()];
-        for (new, &old) in old_of_new.iter().enumerate() {
-            new_of_old[old] = new;
-        }
-        let k = old_of_new.len();
-        let mut m = BitMatrix::new(k, k);
-        for (new_u, &old_u) in old_of_new.iter().enumerate() {
-            for &old_v in self.neighbor_indices(old_u) {
-                let old_v = old_v as usize;
-                if keep.contains(old_v) && old_v > old_u {
-                    m.insert(new_u, new_of_old[old_v]);
-                }
-            }
-        }
-        (Graph::from_bit_matrix(m), old_of_new)
-    }
-
     /// The maximum size of a set of vertices in `subset` that are all in
     /// one clique with vertex `v` — used by verifiers. Returns the number
     /// of members of `subset` adjacent to `v`.
@@ -434,18 +411,6 @@ mod tests {
         let g = b.build();
         assert_eq!(g.edge_count(), 3);
         assert!(g.is_clique(&[0, 2, 4]));
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_structure() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]);
-        let keep = BitSet::from_iter_with_capacity(5, [1, 2, 3]);
-        let (sub, map) = g.induced_subgraph(&keep);
-        assert_eq!(sub.vertex_count(), 3);
-        assert_eq!(map, vec![1, 2, 3]);
-        // Edges among {1,2,3}: (1,2),(2,3),(1,3) -> triangle.
-        assert_eq!(sub.edge_count(), 3);
-        assert!(sub.is_clique(&[0, 1, 2]));
     }
 
     #[test]

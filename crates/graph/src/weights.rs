@@ -70,11 +70,6 @@ impl WeightedGraph {
         &self.weights
     }
 
-    /// Replaces the weight of `v`.
-    pub fn set_weight(&mut self, v: usize, w: Cost) {
-        self.weights[v] = w;
-    }
-
     /// The number of vertices (variables).
     pub fn vertex_count(&self) -> usize {
         self.graph.vertex_count()
@@ -103,12 +98,10 @@ mod tests {
     #[test]
     fn weight_accessors() {
         let g = Graph::from_edges(3, &[(0, 1)]);
-        let mut wg = WeightedGraph::new(g, vec![2, 3, 4]);
+        let wg = WeightedGraph::new(g, vec![2, 3, 4]);
         assert_eq!(wg.weight(1), 3);
         assert_eq!(wg.total_weight(), 9);
-        wg.set_weight(1, 10);
-        assert_eq!(wg.total_weight(), 16);
-        assert_eq!(wg.weights(), &[2, 10, 4]);
+        assert_eq!(wg.weights(), &[2, 3, 4]);
     }
 
     #[test]

@@ -193,30 +193,4 @@ proptest! {
             }
         }
     }
-
-    /// An induced subgraph holds exactly the original edges between
-    /// kept vertices, reindexed by keep-order, in sorted CSR order.
-    #[test]
-    fn induced_subgraph_matches_edge_filter(seed in 0u64..10_000, n in 1usize..30) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let m = rng.gen_range(0..n * 2 + 1);
-        let edges: Vec<(usize, usize)> = (0..m)
-            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
-            .collect();
-        let g = Graph::from_edges(n, &edges);
-        let keep_set =
-            BitSet::from_iter_with_capacity(n, (0..n).filter(|_| rng.gen_bool(0.6)));
-        let (sub, keep) = g.induced_subgraph(&keep_set);
-        prop_assert_eq!(keep.to_vec(), keep_set.iter().collect::<Vec<_>>());
-        prop_assert_eq!(sub.vertex_count(), keep.len());
-        for (i, &u) in keep.iter().enumerate() {
-            for (j, &v) in keep.iter().enumerate() {
-                prop_assert_eq!(sub.has_edge(i, j), g.has_edge(u, v));
-            }
-            prop_assert!(sub
-                .neighbor_indices(i)
-                .windows(2)
-                .all(|w| w[0] < w[1]));
-        }
-    }
 }

@@ -36,9 +36,10 @@ pub struct SsaConfig {
     pub loop_percent: u32,
     /// Percent chance that an instruction is a call.
     pub call_percent: u32,
-    /// Percent chance that an instruction is a register copy (feeds the
-    /// coalescing passes). Zero keeps the RNG stream identical to
-    /// configurations predating this knob.
+    /// Percent chance that an instruction is a register copy (a move
+    /// between two values, as copy propagation leaves behind). Zero
+    /// keeps the RNG stream identical to configurations predating this
+    /// knob.
     pub copy_percent: u32,
     /// Number of function parameters.
     pub params: usize,

@@ -135,13 +135,6 @@ impl Target {
         self.remat_cost
     }
 
-    /// Overrides the rematerialization cost (a `remat_cost >= load_cost`
-    /// effectively disables the remat preference in the cost model).
-    pub fn with_remat_cost(mut self, remat_cost: u64) -> Self {
-        self.remat_cost = remat_cost;
-        self
-    }
-
     /// Multiplier applied to the spill cost of variables live across a
     /// call site (ABI pressure on caller-saved registers).
     pub fn call_crossing_multiplier(&self) -> u64 {
@@ -191,8 +184,6 @@ mod tests {
             assert!(t.remat_cost() >= 1);
             assert!(t.remat_cost() < t.load_cost());
         }
-        let pinned = Target::new(TargetKind::St231).with_remat_cost(7);
-        assert_eq!(pinned.remat_cost(), 7);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use lra_targets as targets;
 
 pub use lra_core::{
     AllocatedFunction, AllocationPipeline, AllocatorRegistry, AllocatorSpec, BatchAllocator,
-    BatchItem, BatchReport, BatchSummary, CoalesceMode, PipelineError, Portfolio, PortfolioConfig,
+    BatchItem, BatchReport, BatchSummary, PipelineError, Portfolio, PortfolioConfig,
     PortfolioOutcome, PortfolioSource, ReportRow, RowStats, SolveBudget,
 };
 pub use lra_ir::AnalysisScratch;
