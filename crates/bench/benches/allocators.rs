@@ -10,7 +10,7 @@ use lra_core::layered::Layered;
 use lra_core::optimal::{branch_bound, SolveBudget};
 use lra_core::problem::{Allocator, Instance};
 use lra_core::{LayeredHeuristic, Optimal};
-use lra_graph::{generate, interval, Cost, Interval, WeightedGraph};
+use lra_graph::{generate, interval, CliqueTree, Cost, Interval, WeightedGraph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -77,6 +77,9 @@ fn bench_chordal_allocators(c: &mut Criterion) {
     group.bench_function("LH", |b| {
         b.iter(|| LayeredHeuristic::new().allocate(&inst, r))
     });
+    // The chordal DP's clique tree, from the instance's cached cliques.
+    let cliques = inst.maximal_cliques().expect("chordal");
+    group.bench_function("clique_tree/400", |b| b.iter(|| CliqueTree::build(cliques)));
     group.finish();
 }
 

@@ -45,7 +45,10 @@ fn bench_layered_vs_r(c: &mut Criterion) {
     group.finish();
 }
 
-/// PEO computation (maximum cardinality search + verification).
+/// The chordality test: maximum cardinality search with the
+/// elimination check fused in. Chordal graphs run the whole walk; the
+/// `general/<n>` rows (Erdős–Rényi, about 12 and 20 neighbours per
+/// vertex) stop at the first violation.
 fn bench_peo(c: &mut Criterion) {
     let mut group = c.benchmark_group("peo_mcs");
     group.sample_size(15);
@@ -54,6 +57,13 @@ fn bench_peo(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| peo::perfect_elimination_order(wg.graph()))
+        });
+    }
+    for (n, edge_percent) in [(200usize, 6), (2000, 1)] {
+        let g = generate::random_general(&mut ChaCha8Rng::seed_from_u64(4), n, edge_percent);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::new("general", n), &n, |b, _| {
+            b.iter(|| peo::perfect_elimination_order(&g))
         });
     }
     group.finish();

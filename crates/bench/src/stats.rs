@@ -9,22 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean; 0 for an empty slice.
-///
-/// # Panics
-///
-/// Panics if any value is non-positive.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    assert!(
-        xs.iter().all(|&x| x > 0.0),
-        "geomean requires positive values"
-    );
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 /// Five-number summary (min, first quartile, median, third quartile,
 /// max) — the whisker/box statistics of the distribution figures.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -80,18 +64,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_geomean_basics() {
+    fn mean_basics() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        let g = geomean(&[1.0, 4.0]);
-        assert!((g - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geomean_rejects_zero() {
-        let _ = geomean(&[1.0, 0.0]);
     }
 
     #[test]

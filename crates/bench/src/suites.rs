@@ -411,43 +411,6 @@ pub fn jit_huge_functions(seed: u64) -> Vec<lra_ir::Function> {
     })
 }
 
-/// Shape summary of a workload set, for calibration checks and the
-/// `stats` CLI command.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SuiteShape {
-    /// Workloads in the set.
-    pub functions: usize,
-    /// Workloads whose precise interference graph is chordal.
-    pub chordal: usize,
-    /// Largest variable count over the set.
-    pub max_vars: usize,
-    /// Largest MaxLive over the set.
-    pub max_pressure: usize,
-    /// Mean MaxLive over the set.
-    pub mean_pressure: f64,
-}
-
-/// Computes the [`SuiteShape`] of `ws`, or `None` for an empty
-/// workload set — the explicit empty-suite result callers must handle
-/// instead of the `max().unwrap()` panic this replaces.
-pub fn suite_shape(ws: &[Workload]) -> Option<SuiteShape> {
-    if ws.is_empty() {
-        return None;
-    }
-    let pressures: Vec<usize> = ws.iter().map(|w| w.instance.max_live()).collect();
-    Some(SuiteShape {
-        functions: ws.len(),
-        chordal: ws.iter().filter(|w| w.instance.is_chordal()).count(),
-        max_vars: ws
-            .iter()
-            .map(|w| w.instance.vertex_count())
-            .max()
-            .unwrap_or(0),
-        max_pressure: pressures.iter().copied().max().unwrap_or(0),
-        mean_pressure: pressures.iter().sum::<usize>() as f64 / pressures.len() as f64,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,44 +459,32 @@ mod tests {
     fn spec_pressure_is_high_enough_to_spill() {
         // The R-sweep only makes sense if functions actually overflow
         // mid-range register counts.
-        let ws = spec2000int(1);
-        let shape = suite_shape(&ws).expect("generated suite is non-empty");
-        assert!(
-            shape.max_pressure > 16,
-            "peak MaxLive {} too low",
-            shape.max_pressure
-        );
-        assert!(
-            shape.mean_pressure > 6.0,
-            "mean MaxLive {:.1} too low",
-            shape.mean_pressure
-        );
-    }
-
-    #[test]
-    fn suite_shape_of_an_empty_set_is_none_not_a_panic() {
-        assert_eq!(suite_shape(&[]), None);
+        let pressures: Vec<usize> = spec2000int(1)
+            .iter()
+            .map(|w| w.instance.max_live())
+            .collect();
+        let peak = pressures.iter().copied().max().expect("non-empty suite");
+        let mean = pressures.iter().sum::<usize>() as f64 / pressures.len() as f64;
+        assert!(peak > 16, "peak MaxLive {peak} too low");
+        assert!(mean > 6.0, "mean MaxLive {mean:.1} too low");
     }
 
     #[test]
     fn jit_large_methods_are_big_dense_and_mostly_non_chordal() {
         let ws = jit_large(1);
         assert_eq!(ws.len(), 9 * 3);
-        let shape = suite_shape(&ws).expect("non-empty");
+        let max_vars = ws.iter().map(|w| w.instance.vertex_count()).max();
+        let max_vars = max_vars.expect("non-empty");
         assert!(
-            shape.max_vars >= 150,
-            "corpus should reach ~200 temporaries (max {})",
-            shape.max_vars
+            max_vars >= 150,
+            "corpus should reach ~200 temporaries (max {max_vars})"
         );
+        assert!(max_vars > 35, "must exceed the JVM98 tractability cap");
+        let chordal = ws.iter().filter(|w| w.instance.is_chordal()).count();
         assert!(
-            shape.max_vars > 35,
-            "must exceed the JVM98 tractability cap"
-        );
-        assert!(
-            shape.chordal * 4 < shape.functions,
-            "large JIT graphs should be overwhelmingly non-chordal ({}/{})",
-            shape.chordal,
-            shape.functions
+            chordal * 4 < ws.len(),
+            "large JIT graphs should be overwhelmingly non-chordal ({chordal}/{})",
+            ws.len()
         );
         for w in &ws {
             assert!(w.interval_instance.is_some());

@@ -18,11 +18,12 @@
 //!
 //! Every bag accounts for all `2^|bag|` of its masks at one unit of
 //! node fuel each, so the fuel a solve needs, `Σ_b 2^|bag_b|`, is known
-//! as soon as the clique tree is built. Exhaustion is therefore decided
-//! up front: a DP that would run out of fuel is rejected before any
-//! table is built and charged all of the budget, exactly what a
-//! per-mask counter running out would have charged. Masks with more
-//! than `R` members are charged but skipped without work.
+//! from the instance's cached maximal cliques alone. Exhaustion is
+//! therefore decided up front: a DP that would run out of fuel is
+//! rejected before the clique tree or any table is built and charged
+//! all of the budget, exactly what a per-mask counter running out would
+//! have charged. Masks with more than `R` members are charged but
+//! skipped without work.
 //!
 //! # Tables
 //!
@@ -123,28 +124,30 @@ pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Al
     if budget.expired() {
         return None;
     }
-    let order = instance
-        .peo()
+    let cliques = instance
+        .maximal_cliques()
         .expect("chordal DP requires a chordal instance");
-    let g = instance.graph();
     let wg = instance.weighted_graph();
-    let n = g.vertex_count();
-    let tree = CliqueTree::build(g, order);
-    if tree.max_bag_size() > MAX_BAG {
+    let n = wg.vertex_count();
+    // The bags are the maximal cliques, so every early exit is decided
+    // from the clique sizes before any tree exists.
+    let max_bag = cliques.iter().map(<[u32]>::len).max().unwrap_or(0);
+    if max_bag > MAX_BAG {
         return None;
     }
 
     // Shortcut: R ≥ MaxLive means everything fits.
-    if r as usize >= tree.max_bag_size() {
+    if r as usize >= max_bag {
         return Some(instance.allocation_from_set(BitSet::full(n)));
     }
 
-    let needed: u64 = tree.bags.iter().map(|bag| 1u64 << bag.len()).sum();
+    let needed: u64 = cliques.iter().map(|c| 1u64 << c.len()).sum();
     if needed > budget.node_limit {
         budget.node_limit = 0;
         return None;
     }
 
+    let tree = CliqueTree::build(cliques);
     let k = tree.bag_count();
     // tables[b]: parent-separator subset -> best (value, full-bag mask).
     let mut tables: Vec<Vec<Entry>> = vec![Vec::new(); k];
@@ -457,7 +460,7 @@ mod tests {
             let g = generate::random_chordal(&mut rng, n, n + 10, 4 + seed as usize % 3);
             let w: Vec<Cost> = (0..n).map(|_| rng.gen_range(1..3)).collect();
             let inst = instance(g, w);
-            let tree = CliqueTree::build(inst.graph(), inst.peo().unwrap());
+            let tree = CliqueTree::build(inst.maximal_cliques().unwrap());
             let needed: u64 = tree.bags.iter().map(|bag| 1 << bag.len()).sum();
             assert_eq!(needed, masks, "seed {seed}");
 

@@ -89,7 +89,8 @@ impl Instance {
 
     /// A perfect elimination order, when the graph is chordal. The
     /// first call on an instance not built from intervals runs the
-    /// MCS-plus-Golumbic test (counted as
+    /// chordality test, one maximum cardinality search that checks each
+    /// vertex as it is visited and stops at the first violation (counted as
     /// [`crate::trace::TraceReport::chordality_tests`]); later calls
     /// and clones read the cached answer.
     pub fn peo(&self) -> Option<&[Vertex]> {
@@ -111,7 +112,9 @@ impl Instance {
     /// cached); `None` for non-chordal instances. Interval instances
     /// take them from the endpoint sweep
     /// ([`lra_graph::interval::maximal_cliques`]), other chordal ones
-    /// from the PEO.
+    /// from the PEO. The fixed point of `FPL`/`BFPL` counts over them,
+    /// and the chordal DP sizes its work and builds its clique tree
+    /// from them, so neither enumerates the cliques again.
     pub fn maximal_cliques(&self) -> Option<&Cliques> {
         self.cliques
             .get_or_init(|| match &self.intervals {

@@ -13,9 +13,9 @@
 //! * [`maximal_cliques`], for any chordal graph with a PEO `σ`. Every
 //!   maximal clique has the form `C(v) = {v} ∪ RN(v)`, where `RN(v)` are
 //!   the neighbours of `v` eliminated after `v` (Fulkerson & Gross).
-//!   `C(v)` fails to be maximal exactly when it is contained in `C(u)`
-//!   for some *earlier* neighbour `u` of `v`, which we test with bit-set
-//!   containment.
+//!   `C(v)` fails to be maximal exactly when some earlier `u` whose
+//!   first later neighbour is `v` has `|RN(u)| = |RN(v)| + 1`, a count
+//!   comparison per vertex: O(|V| + |E|), no bit sets.
 //! * [`crate::interval::maximal_cliques`], for interval graphs: the live
 //!   sets where a start is followed by an end in one sweep over the sorted
 //!   endpoints, O(n log n + Σ|C|).
@@ -23,8 +23,12 @@
 //! A **clique tree** is a maximum-weight spanning tree of the clique
 //! intersection graph (weights = intersection sizes); it satisfies the
 //! junction-tree property and serves as a tree decomposition.
+//! [`CliqueTree::build`] takes an arena from either enumeration (in
+//! `lra-core`, the one an instance caches), so the cliques are never
+//! enumerated a second time; the bags of each vertex are one CSR array
+//! and the candidate tree edges are deduplicated in one flat bit matrix.
 
-use crate::bitset::BitSet;
+use crate::bitset::{BitMatrix, BitSet};
 use crate::graph::{Graph, Vertex};
 use crate::peo;
 
@@ -109,6 +113,11 @@ impl Cliques {
 /// index order; a chordal graph on `n` vertices has at most
 /// `n` maximal cliques.
 ///
+/// Runs in O(|V| + |E|) with no bit sets: `C(v)` is contained in a
+/// larger `C(u)` exactly when some earlier `u` has `v` as its *parent*
+/// (its first later neighbour) and `|RN(u)| = |RN(v)| + 1` (Blair &
+/// Peyton), and every such `u` precedes `v` in `order`.
+///
 /// # Examples
 ///
 /// ```
@@ -124,38 +133,36 @@ impl Cliques {
 pub fn maximal_cliques(g: &Graph, order: &[Vertex]) -> Cliques {
     let n = g.vertex_count();
     debug_assert!(peo::is_perfect_elimination_order(g, order));
-    let mut pos = vec![0usize; n];
+    let mut pos = vec![0u32; n];
     for (i, v) in order.iter().enumerate() {
-        pos[v.index()] = i;
+        pos[v.index()] = i as u32;
     }
-
-    // Candidate clique of v: {v} ∪ later neighbours, as a bit set.
-    let candidate = |v: usize| -> BitSet {
-        let mut c = BitSet::new(n);
-        c.insert(v);
-        for &u in g.neighbor_indices(v) {
-            let u = u as usize;
-            if pos[u] > pos[v] {
-                c.insert(u);
-            }
-        }
-        c
-    };
-
-    let candidates: Vec<BitSet> = (0..n).map(candidate).collect();
+    // |RN(v)|: the neighbours of v eliminated after it.
+    let later: Vec<u32> = (0..n)
+        .map(|v| {
+            let nbrs = g.neighbor_indices(v);
+            nbrs.iter().filter(|&&u| pos[u as usize] > pos[v]).count() as u32
+        })
+        .collect();
+    let mut dominated = vec![false; n];
     let mut cliques = Cliques::new();
     for &v in order {
         let v = v.index();
-        let cv = &candidates[v];
-        // C(v) is maximal iff no earlier neighbour u has C(u) ⊇ C(v).
-        let dominated = g
+        let rn = g
             .neighbor_indices(v)
             .iter()
-            .map(|&u| u as usize)
-            .filter(|&u| pos[u] < pos[v])
-            .any(|u| cv.is_subset(&candidates[u]));
-        if !dominated {
-            cliques.members.extend(cv.iter().map(|u| u as u32));
+            .filter(|&&u| pos[u as usize] > pos[v]);
+        if let Some(&p) = rn.clone().min_by_key(|&&u| pos[u as usize]) {
+            if later[v] == later[p as usize] + 1 {
+                dominated[p as usize] = true;
+            }
+        }
+        if !dominated[v] {
+            // Neighbour lists are sorted: v slots in once.
+            let base = cliques.members.len();
+            cliques.members.extend(rn);
+            let at = base + cliques.members[base..].partition_point(|&u| (u as usize) < v);
+            cliques.members.insert(at, v as u32);
             cliques.close();
         }
     }
@@ -187,9 +194,10 @@ pub fn max_clique_size(g: &Graph, order: &[Vertex]) -> usize {
 /// Bags are the maximal cliques; for every vertex `v` the bags containing
 /// `v` form a connected subtree. Disconnected graphs yield a forest:
 /// every root has `parent == None`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CliqueTree {
-    /// The maximal cliques, each sorted by vertex index.
+    /// The maximal cliques in the arena's order, each sorted by vertex
+    /// index.
     pub bags: Vec<Vec<Vertex>>,
     /// Bag membership as bit sets, parallel to `bags`.
     pub bag_sets: Vec<BitSet>,
@@ -202,41 +210,62 @@ pub struct CliqueTree {
 }
 
 impl CliqueTree {
-    /// Builds a clique tree of the chordal graph `g` with PEO `order`.
+    /// Builds a clique tree over the maximal cliques of a chordal graph,
+    /// as [`maximal_cliques`] or [`crate::interval::maximal_cliques`]
+    /// return them. Every vertex lies in some maximal clique, so the
+    /// largest member fixes the vertex count of the bag sets.
     ///
     /// Uses a maximum-weight spanning forest of the clique intersection
     /// graph (weight = |Ki ∩ Kj|), which is a classical characterisation
     /// of clique trees.
-    pub fn build(g: &Graph, order: &[Vertex]) -> Self {
-        let n = g.vertex_count();
-        let bags: Vec<Vec<Vertex>> = maximal_cliques(g, order)
+    pub fn build(cliques: &Cliques) -> Self {
+        let members = cliques.members();
+        let n = members.iter().max().map_or(0, |&v| v as usize + 1);
+        let k = cliques.len();
+        // Sorted, so a separator's vertices come in the same order in
+        // both of its bags (interval arenas list them in sweep order).
+        let bags: Vec<Vec<Vertex>> = cliques
             .iter()
-            .map(|c| c.iter().map(|&v| Vertex::new(v as usize)).collect())
+            .map(|c| {
+                let mut bag: Vec<Vertex> = c.iter().map(|&v| Vertex::new(v as usize)).collect();
+                bag.sort_unstable();
+                bag
+            })
             .collect();
-        let k = bags.len();
-        let bag_sets: Vec<BitSet> = bags
+        let bag_sets: Vec<BitSet> = cliques
             .iter()
-            .map(|bag| BitSet::from_iter_with_capacity(n, bag.iter().map(|v| v.index())))
+            .map(|c| BitSet::from_iter_with_capacity(n, c.iter().map(|&v| v as usize)))
             .collect();
 
         // Candidate edges: bags sharing at least one vertex. Enumerate
-        // via per-vertex bag lists to avoid the full quadratic scan.
-        let mut bags_of_vertex: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, bag) in bags.iter().enumerate() {
-            for v in bag {
-                bags_of_vertex[v.index()].push(i);
+        // via per-vertex bag lists (CSR: vertex v's bags, in increasing
+        // order, are `holders[start[v]..start[v + 1]]`) to avoid the
+        // full quadratic scan.
+        let mut start = vec![0u32; n + 1];
+        for &v in members {
+            start[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut holders = vec![0u32; members.len()];
+        for (i, c) in cliques.iter().enumerate() {
+            for &v in c {
+                holders[fill[v as usize] as usize] = i as u32;
+                fill[v as usize] += 1;
             }
         }
-        // Candidate edges as (weight, i, j); pairs deduped with
-        // per-bag bit rows (keyed on the smaller index) instead of a
-        // hashed pair set.
+        // Candidate edges as (weight, i, j); pairs deduped in one k × k
+        // bit matrix (row = the smaller index).
         let mut edges: Vec<(usize, usize, usize)> = Vec::new();
-        let mut paired: Vec<BitSet> = vec![BitSet::new(k); k];
-        for list in &bags_of_vertex {
+        let mut paired = BitMatrix::new(k, k);
+        for v in 0..n {
+            let list = &holders[start[v] as usize..start[v + 1] as usize];
             for (a, &i) in list.iter().enumerate() {
                 for &j in &list[a + 1..] {
-                    let (lo, hi) = (i.min(j), i.max(j));
-                    if paired[lo].insert(hi) {
+                    let (lo, hi) = (i.min(j) as usize, i.max(j) as usize);
+                    if paired.insert(lo, hi) {
                         let w = bag_sets[lo].intersection_len(&bag_sets[hi]);
                         edges.push((w, lo, hi));
                     }
@@ -475,7 +504,7 @@ mod tests {
     fn clique_tree_junction_property() {
         let g = figure4();
         let order = peo::perfect_elimination_order(&g).unwrap();
-        let t = CliqueTree::build(&g, &order);
+        let t = CliqueTree::build(&maximal_cliques(&g, &order));
         assert_eq!(t.bag_count(), 4);
         assert!(t.junction_property_holds());
         assert_eq!(t.max_bag_size(), 3);
@@ -490,17 +519,192 @@ mod tests {
     fn clique_forest_on_disconnected_graph() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
         let order = peo::perfect_elimination_order(&g).unwrap();
-        let t = CliqueTree::build(&g, &order);
+        let t = CliqueTree::build(&maximal_cliques(&g, &order));
         assert_eq!(t.bag_count(), 2);
         assert_eq!(t.parent.iter().filter(|p| p.is_none()).count(), 2);
         assert!(t.junction_property_holds());
+    }
+
+    /// The bit-set containment enumeration that the parent test
+    /// replaced: `C(v)` is kept unless an earlier neighbour's candidate
+    /// contains it.
+    fn containment_cliques(g: &Graph, order: &[Vertex]) -> Cliques {
+        let n = g.vertex_count();
+        let mut pos = vec![0usize; n];
+        for (i, v) in order.iter().enumerate() {
+            pos[v.index()] = i;
+        }
+        let candidates: Vec<BitSet> = (0..n)
+            .map(|v| {
+                let later = g
+                    .neighbor_indices(v)
+                    .iter()
+                    .map(|&u| u as usize)
+                    .filter(|&u| pos[u] > pos[v]);
+                BitSet::from_iter_with_capacity(n, later.chain([v]))
+            })
+            .collect();
+        let mut cliques = Cliques::new();
+        for &v in order {
+            let v = v.index();
+            let dominated = g
+                .neighbor_indices(v)
+                .iter()
+                .map(|&u| u as usize)
+                .filter(|&u| pos[u] < pos[v])
+                .any(|u| candidates[v].is_subset(&candidates[u]));
+            if !dominated {
+                let members: Vec<u32> = candidates[v].iter().map(|u| u as u32).collect();
+                cliques.push(&members);
+            }
+        }
+        cliques
+    }
+
+    /// The tree construction that enumerated the cliques itself from `(g, order)`,
+    /// with per-vertex `Vec`s and one `BitSet` per bag for pair dedupe.
+    fn graph_built_tree(g: &Graph, order: &[Vertex]) -> CliqueTree {
+        let n = g.vertex_count();
+        let bags: Vec<Vec<Vertex>> = containment_cliques(g, order)
+            .iter()
+            .map(|c| c.iter().map(|&v| Vertex::new(v as usize)).collect())
+            .collect();
+        let k = bags.len();
+        let bag_sets: Vec<BitSet> = bags
+            .iter()
+            .map(|bag| BitSet::from_iter_with_capacity(n, bag.iter().map(|v| v.index())))
+            .collect();
+        let mut bags_of_vertex: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, bag) in bags.iter().enumerate() {
+            for v in bag {
+                bags_of_vertex[v.index()].push(i);
+            }
+        }
+        let mut edges: Vec<(usize, usize, usize)> = Vec::new();
+        let mut paired: Vec<BitSet> = vec![BitSet::new(k); k];
+        for list in &bags_of_vertex {
+            for (a, &i) in list.iter().enumerate() {
+                for &j in &list[a + 1..] {
+                    let (lo, hi) = (i.min(j), i.max(j));
+                    if paired[lo].insert(hi) {
+                        edges.push((bag_sets[lo].intersection_len(&bag_sets[hi]), lo, hi));
+                    }
+                }
+            }
+        }
+        edges.sort_by_key(|&(w, _, _)| std::cmp::Reverse(w));
+        let mut dsu: Vec<usize> = (0..k).collect();
+        fn find(dsu: &mut [usize], x: usize) -> usize {
+            if dsu[x] != x {
+                dsu[x] = find(dsu, dsu[x]);
+            }
+            dsu[x]
+        }
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); k];
+        for (_, i, j) in edges {
+            let (ri, rj) = (find(&mut dsu, i), find(&mut dsu, j));
+            if ri != rj {
+                dsu[ri] = rj;
+                adj[i].push(j);
+                adj[j].push(i);
+            }
+        }
+        let mut parent = vec![None; k];
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); k];
+        let mut topo = Vec::with_capacity(k);
+        let mut visited = vec![false; k];
+        for root in 0..k {
+            if visited[root] {
+                continue;
+            }
+            let mut stack = vec![root];
+            visited[root] = true;
+            while let Some(b) = stack.pop() {
+                topo.push(b);
+                for &c in &adj[b] {
+                    if !visited[c] {
+                        visited[c] = true;
+                        parent[c] = Some(b);
+                        children[b].push(c);
+                        stack.push(c);
+                    }
+                }
+            }
+        }
+        CliqueTree {
+            bags,
+            bag_sets,
+            parent,
+            children,
+            topo,
+        }
+    }
+
+    #[test]
+    fn arena_cliques_and_tree_match_the_graph_built_ones() {
+        use crate::generate;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xc1e);
+        let mut graphs = vec![Graph::empty(0), Graph::empty(1), Graph::empty(4), figure4()];
+        for round in 0..200 {
+            let n = rng.gen_range(1..80);
+            let tree_size = n + rng.gen_range(0..2 * n);
+            let g = generate::random_chordal(&mut rng, n, tree_size, 2 + round % 7);
+            // Every other graph gains a second component.
+            graphs.push(if round % 2 == 0 {
+                g
+            } else {
+                let mut edges: Vec<(usize, usize)> =
+                    g.edges().map(|(u, v)| (u.index(), v.index())).collect();
+                edges.extend([(n, n + 1), (n + 1, n + 2), (n, n + 2)]);
+                Graph::from_edges(n + 4, &edges)
+            });
+        }
+        let mut pairs = 0;
+        for (i, g) in graphs.iter().enumerate() {
+            let order = peo::perfect_elimination_order(g).expect("chordal");
+            let arena = maximal_cliques(g, &order);
+            assert_eq!(arena, containment_cliques(g, &order), "graph {i}");
+            let tree = CliqueTree::build(&arena);
+            assert_eq!(tree, graph_built_tree(g, &order), "graph {i}");
+            assert!(tree.junction_property_holds(), "graph {i}");
+            pairs += tree.parent.iter().flatten().count();
+        }
+        assert!(pairs > 1000, "only {pairs} tree edges");
+    }
+
+    #[test]
+    fn tree_from_an_interval_arena_sorts_its_bags() {
+        use crate::{generate, interval};
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x1b7);
+        let profile = generate::IntervalProfile {
+            n: 60,
+            points: 120,
+            mean_len: 10,
+            long_lived_percent: 15,
+        };
+        let ivs = generate::random_interval_set(&mut rng, &profile);
+        let arena = interval::maximal_cliques(&ivs);
+        assert!(
+            arena.iter().any(|c| !c.is_sorted()),
+            "the sweep lists some clique out of index order"
+        );
+        let tree = CliqueTree::build(&arena);
+        for (bag, c) in tree.bags.iter().zip(arena.iter()) {
+            assert!(bag.is_sorted());
+            let mut members: Vec<u32> = c.to_vec();
+            members.sort_unstable();
+            assert!(bag.iter().map(|v| v.index() as u32).eq(members));
+        }
+        assert!(tree.junction_property_holds());
     }
 
     #[test]
     fn separators_are_bag_intersections() {
         let g = figure4();
         let order = peo::perfect_elimination_order(&g).unwrap();
-        let t = CliqueTree::build(&g, &order);
+        let t = CliqueTree::build(&maximal_cliques(&g, &order));
         for b in 0..t.bag_count() {
             let sep = t.separator(b);
             if let Some(p) = t.parent[b] {

@@ -14,10 +14,121 @@
 //! * **Lexicographic BFS** (Rose, Tarjan & Lueker): partition-refinement
 //!   search whose reverse visit order is likewise a PEO iff chordal.
 //!
-//! [`is_perfect_elimination_order`] verifies a candidate order using the
-//! Golumbic check, and [`is_chordal`] combines MCS with that check.
+//! MCS keeps the unvisited vertices in intrusive bucket lists, one per
+//! current weight (`head`/`next`/`prev` arrays, no allocation per
+//! bucket). A vertex whose weight grows moves to the *head* of the next
+//! bucket, and the walk visits the head of the heaviest non-empty
+//! bucket, so among equally heavy vertices the one that reached that
+//! weight last goes first, and at weight 0 the highest index does.
+//!
+//! [`perfect_elimination_order`] runs that walk with the elimination
+//! check fused in (Tarjan & Yannakakis): when `v` is visited, its
+//! visited neighbours are exactly its later neighbours in the reversed
+//! order, the most recently visited of them is its *parent*, and every
+//! other one must be adjacent to the parent. The walk stops at the first
+//! violation, so a non-chordal graph is usually rejected long before
+//! MCS would have finished. [`is_perfect_elimination_order`] is the
+//! independent after-the-fact check of any candidate order.
 
 use crate::graph::{Graph, Vertex};
+
+/// The end of a bucket list, and the visit step of an unvisited vertex.
+const NONE: u32 = u32::MAX;
+
+/// The unvisited vertices of an MCS by current weight: one doubly
+/// linked list per weight, threaded through `next`/`prev`, with
+/// `head[w]` the vertex that reached weight `w` last.
+struct Buckets {
+    head: Vec<u32>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl Buckets {
+    /// Inserts `v` at the head of bucket `w`.
+    fn push(&mut self, w: usize, v: u32) {
+        let h = self.head[w];
+        self.next[v as usize] = h;
+        self.prev[v as usize] = NONE;
+        if h != NONE {
+            self.prev[h as usize] = v;
+        }
+        self.head[w] = v;
+    }
+
+    /// Removes `v` from bucket `w`.
+    fn unlink(&mut self, w: usize, v: u32) {
+        let (p, nx) = (self.prev[v as usize], self.next[v as usize]);
+        match p {
+            NONE => self.head[w] = nx,
+            p => self.next[p as usize] = nx,
+        }
+        if nx != NONE {
+            self.prev[nx as usize] = p;
+        }
+    }
+}
+
+/// Maximum cardinality search over `g`, in visit order. With `CHECK`,
+/// each vertex is checked against its parent as it is visited and the
+/// walk returns `None` at the first vertex whose visited neighbours do
+/// not form a clique; without it, the walk always completes.
+fn mcs<const CHECK: bool>(g: &Graph) -> Option<Vec<Vertex>> {
+    let n = g.vertex_count();
+    let mut buckets = Buckets {
+        head: vec![NONE; n + 1],
+        next: vec![NONE; n],
+        prev: vec![NONE; n],
+    };
+    for v in 0..n as u32 {
+        buckets.push(0, v);
+    }
+    let mut weight = vec![0u32; n];
+    // The step at which each vertex was visited, `NONE` until then.
+    let mut step = vec![NONE; n];
+    let mut max_weight = 0usize;
+    let mut order = Vec::with_capacity(n);
+
+    for i in 0..n as u32 {
+        while buckets.head[max_weight] == NONE {
+            debug_assert!(max_weight > 0, "bucket scan ran past weight 0");
+            max_weight -= 1;
+        }
+        let v = buckets.head[max_weight];
+        buckets.unlink(max_weight, v);
+        let v = v as usize;
+        step[v] = i;
+        order.push(Vertex::new(v));
+
+        let nbrs = g.neighbor_indices(v);
+        let mut parent = NONE;
+        for &u in nbrs {
+            let ui = u as usize;
+            if step[ui] != NONE {
+                if CHECK && (parent == NONE || step[ui] > step[parent as usize]) {
+                    parent = u;
+                }
+                continue;
+            }
+            let w = weight[ui] as usize;
+            buckets.unlink(w, u);
+            buckets.push(w + 1, u);
+            weight[ui] += 1;
+            max_weight = max_weight.max(w + 1);
+        }
+        // With at most one visited neighbour there is nothing to check.
+        if CHECK && weight[v] > 1 {
+            let row = g.neighbor_row(parent as usize);
+            let clique = nbrs
+                .iter()
+                .all(|&u| u == parent || step[u as usize] == NONE || row.contains(u as usize));
+            if !clique {
+                return None;
+            }
+        }
+    }
+    Some(order)
+}
 
 /// Computes a maximum-cardinality-search order of `g`.
 ///
@@ -34,47 +145,7 @@ use crate::graph::{Graph, Vertex};
 /// assert_eq!(order.len(), 3);
 /// ```
 pub fn mcs_order(g: &Graph) -> Vec<Vertex> {
-    let n = g.vertex_count();
-    let mut weight = vec![0usize; n];
-    let mut visited = vec![false; n];
-    // Buckets of vertices by current weight, with lazy deletion.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
-    for v in 0..n {
-        buckets[0].push(v as u32);
-    }
-    let mut max_weight = 0usize;
-    let mut order = Vec::with_capacity(n);
-
-    for _ in 0..n {
-        // Find the unvisited vertex of maximal current weight.
-        let v = loop {
-            match buckets[max_weight].pop() {
-                Some(c) => {
-                    let c = c as usize;
-                    if !visited[c] && weight[c] == max_weight {
-                        break c;
-                    }
-                }
-                None => {
-                    debug_assert!(max_weight > 0, "bucket scan ran past weight 0");
-                    max_weight -= 1;
-                }
-            }
-        };
-        visited[v] = true;
-        order.push(Vertex::new(v));
-        for u in g.neighbor_indices(v) {
-            let u = *u as usize;
-            if !visited[u] {
-                weight[u] += 1;
-                buckets[weight[u]].push(u as u32);
-                if weight[u] > max_weight {
-                    max_weight = weight[u];
-                }
-            }
-        }
-    }
-    order
+    mcs::<false>(g).expect("an unchecked walk always completes")
 }
 
 /// Computes a lexicographic-BFS order of `g`, in visit order.
@@ -148,8 +219,10 @@ pub fn is_perfect_elimination_order(g: &Graph, order: &[Vertex]) -> bool {
 
 /// Returns a perfect elimination order of `g` if one exists.
 ///
-/// Computes an MCS order and verifies it: the reverse MCS order is a PEO
-/// exactly when `g` is chordal, so `None` means *not chordal*.
+/// Runs MCS with the elimination check fused in and reverses the visit
+/// order: the reverse MCS order is a PEO exactly when `g` is chordal, so
+/// `None` means *not chordal*. The answer and the order are those of
+/// [`mcs_order`] reversed and checked by [`is_perfect_elimination_order`].
 ///
 /// # Examples
 ///
@@ -160,9 +233,10 @@ pub fn is_perfect_elimination_order(g: &Graph, order: &[Vertex]) -> bool {
 /// assert!(peo::perfect_elimination_order(&c4).is_none());
 /// ```
 pub fn perfect_elimination_order(g: &Graph) -> Option<Vec<Vertex>> {
-    let mut order = mcs_order(g);
+    let mut order = mcs::<true>(g)?;
     order.reverse();
-    is_perfect_elimination_order(g, &order).then_some(order)
+    debug_assert!(is_perfect_elimination_order(g, &order));
+    Some(order)
 }
 
 /// Returns `true` if `g` is chordal (every cycle of length ≥ 4 has a
@@ -364,6 +438,102 @@ mod tests {
             }
         }
         assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
+    }
+
+    /// The Vec-of-buckets MCS (LIFO buckets with lazy deletion) that
+    /// the bucket lists replaced.
+    fn vec_bucket_mcs(g: &Graph) -> Vec<Vertex> {
+        let n = g.vertex_count();
+        let mut weight = vec![0usize; n];
+        let mut visited = vec![false; n];
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
+        buckets[0].extend(0..n);
+        let mut max_weight = 0;
+        let mut order = Vec::with_capacity(n);
+        for _ in 0..n {
+            let v = loop {
+                match buckets[max_weight].pop() {
+                    Some(c) if !visited[c] && weight[c] == max_weight => break c,
+                    Some(_) => {}
+                    None => max_weight -= 1,
+                }
+            };
+            visited[v] = true;
+            order.push(Vertex::new(v));
+            for &u in g.neighbor_indices(v) {
+                let u = u as usize;
+                if !visited[u] {
+                    weight[u] += 1;
+                    buckets[weight[u]].push(u);
+                    max_weight = max_weight.max(weight[u]);
+                }
+            }
+        }
+        order
+    }
+
+    /// Seeded graphs of every shape the fused test must agree on:
+    /// chordal, chordal minus one edge, general (sparse and dense),
+    /// disconnected unions of those, and the empty and one-vertex graphs.
+    fn differential_graphs() -> Vec<Graph> {
+        use crate::generate;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x7a9);
+        let mut graphs = vec![Graph::empty(0), Graph::empty(1), Graph::empty(5)];
+        for _ in 0..120 {
+            let n = rng.gen_range(2..60);
+            let tree_size = n + rng.gen_range(0..n);
+            let chordal = generate::random_chordal(&mut rng, n, tree_size, 5);
+            let edges: Vec<(usize, usize)> = chordal
+                .edges()
+                .map(|(u, v)| (u.index(), v.index()))
+                .collect();
+            let minus_one = if edges.is_empty() {
+                chordal.clone()
+            } else {
+                let cut = rng.gen_range(0..edges.len());
+                let rest: Vec<(usize, usize)> = edges
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != cut)
+                    .map(|(_, &e)| e)
+                    .collect();
+                Graph::from_edges(n, &rest)
+            };
+            let percent = rng.gen_range(2..40);
+            let general = generate::random_general(&mut rng, n, percent);
+            // Two components side by side: the chordal graph, then the
+            // general one shifted past it.
+            let m = general.vertex_count();
+            let union: Vec<(usize, usize)> = edges
+                .iter()
+                .copied()
+                .chain(general.edges().map(|(u, v)| (u.index() + n, v.index() + n)))
+                .collect();
+            let disconnected = Graph::from_edges(n + m, &union);
+            graphs.extend([chordal, minus_one, general, disconnected]);
+        }
+        graphs
+    }
+
+    #[test]
+    fn fused_walk_matches_mcs_then_golumbic() {
+        let (mut chordal, mut not) = (0, 0);
+        for (i, g) in differential_graphs().iter().enumerate() {
+            let old = vec_bucket_mcs(g);
+            assert_eq!(mcs_order(g), old, "graph {i}: visit order");
+            let mut reversed = old;
+            reversed.reverse();
+            let want = is_perfect_elimination_order(g, &reversed).then_some(reversed);
+            let got = perfect_elimination_order(g);
+            assert_eq!(got, want, "graph {i}");
+            if got.is_some() {
+                chordal += 1;
+            } else {
+                not += 1;
+            }
+        }
+        assert!(chordal > 150 && not > 150, "{chordal} chordal / {not} not");
     }
 
     #[test]

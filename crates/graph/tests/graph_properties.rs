@@ -58,7 +58,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = generate::random_chordal(&mut rng, n, n + 8, 4);
         let order = peo::perfect_elimination_order(&g).expect("chordal");
-        let t = cliques::CliqueTree::build(&g, &order);
+        let t = cliques::CliqueTree::build(&cliques::maximal_cliques(&g, &order));
         prop_assert!(t.junction_property_holds());
         let colors = coloring::greedy_peo_coloring(&g, &order);
         prop_assert!(coloring::is_proper_coloring(&g, &colors, None));

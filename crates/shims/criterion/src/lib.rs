@@ -11,8 +11,10 @@
 //!
 //! Results are lost when the process exits unless `CRITERION_SHIM_JSON`
 //! names a file: then every benchmark also appends one JSON line
-//! (`{"group": …, "bench": …, "mean_ns": …, "iters": …}`, plus any
-//! [`BenchmarkGroup::metric`] columns), so bench numbers can be
+//! (`{"group": …, "bench": …, "mean_ns": …, "min_ns": …, "max_ns": …,
+//! "iters": …}`, plus any [`BenchmarkGroup::metric`] columns; `min_ns`
+//! and `max_ns` are the fastest and slowest timed pass, the noise band
+//! around the mean), so bench numbers can be
 //! persisted in-tree alongside `BENCH_batch.json` (see the repo's
 //! `BENCH_*.json` convention).
 
@@ -109,13 +111,15 @@ impl BenchmarkGroup<'_> {
         let mut bencher = Bencher {
             samples: self.samples.max(1),
             total: Duration::ZERO,
+            min: Duration::MAX,
+            max: Duration::ZERO,
             iters: 0,
         };
         f(&mut bencher);
-        let per_iter = if bencher.iters > 0 {
-            bencher.total / bencher.iters as u32
+        let (per_iter, min) = if bencher.iters > 0 {
+            (bencher.total / bencher.iters as u32, bencher.min)
         } else {
-            Duration::ZERO
+            (Duration::ZERO, Duration::ZERO)
         };
         let rate = match (&self.throughput, per_iter.as_secs_f64()) {
             (Some(Throughput::Elements(n)), s) if s > 0.0 => {
@@ -130,11 +134,25 @@ impl BenchmarkGroup<'_> {
             "{}/{id}: {per_iter:?}/iter over {} iters{rate}",
             self.name, bencher.iters
         );
-        persist_json(&self.name, &id, per_iter, bencher.iters, &self.metrics);
+        let timing = Timing {
+            mean: per_iter,
+            min,
+            max: bencher.max,
+            iters: bencher.iters,
+        };
+        persist_json(&self.name, &id, &timing, &self.metrics);
     }
 
     /// Ends the group (printing is incremental, so this is a no-op).
     pub fn finish(&mut self) {}
+}
+
+/// One benchmark's timed passes: their mean, fastest and slowest.
+struct Timing {
+    mean: Duration,
+    min: Duration,
+    max: Duration,
+    iters: usize,
 }
 
 /// Appends one JSON line per benchmark to the file named by
@@ -142,13 +160,7 @@ impl BenchmarkGroup<'_> {
 /// [`BenchmarkGroup::metric`] columns after the timing fields.
 /// Failures are silent: persistence is best-effort and must never fail
 /// a bench run.
-fn persist_json(
-    group: &str,
-    id: &str,
-    per_iter: Duration,
-    iters: usize,
-    metrics: &[(String, u64)],
-) {
+fn persist_json(group: &str, id: &str, timing: &Timing, metrics: &[(String, u64)]) {
     let Ok(path) = std::env::var("CRITERION_SHIM_JSON") else {
         return;
     };
@@ -161,11 +173,13 @@ fn persist_json(
         .map(|(k, v)| format!(", \"{}\": {v}", escape(k)))
         .collect();
     let line = format!(
-        "{{\"group\": \"{}\", \"bench\": \"{}\", \"mean_ns\": {}, \"iters\": {}{extra}}}\n",
+        "{{\"group\": \"{}\", \"bench\": \"{}\", \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"iters\": {}{extra}}}\n",
         escape(group),
         escape(id),
-        per_iter.as_nanos(),
-        iters
+        timing.mean.as_nanos(),
+        timing.min.as_nanos(),
+        timing.max.as_nanos(),
+        timing.iters
     );
     use std::io::Write as _;
     if let Ok(mut f) = std::fs::OpenOptions::new()
@@ -181,17 +195,23 @@ fn persist_json(
 pub struct Bencher {
     samples: usize,
     total: Duration,
+    min: Duration,
+    max: Duration,
     iters: usize,
 }
 
 impl Bencher {
-    /// Times `routine`: one warm-up call, then `samples` timed calls.
+    /// Times `routine`: one warm-up call, then `samples` timed calls,
+    /// keeping their total, the fastest and the slowest.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         let _warmup = routine();
         for _ in 0..self.samples {
             let start = Instant::now();
             let out = routine();
-            self.total += start.elapsed();
+            let took = start.elapsed();
+            self.total += took;
+            self.min = self.min.min(took);
+            self.max = self.max.max(took);
             self.iters += 1;
             drop(out);
         }
