@@ -59,6 +59,11 @@ pub const FUEL_SWEEP: [u64; 5] = [50_000, 25_000, 12_500, 5_000, 2_500];
 /// [`FUEL_SWEEP`] frontier picked. Fuel only, no wall-clock deadline,
 /// so the escalation outcome (and therefore the rendered report) is
 /// byte-identical at any worker count.
+///
+/// It only returns the default, but the name stays: the frozen
+/// benchmark package calls it (`perfbench/src/lib.rs` and
+/// `perfbench/src/layers.rs`), so removing it breaks the benchmark
+/// build.
 pub fn standard_portfolio_config() -> PortfolioConfig {
     PortfolioConfig::default()
 }

@@ -356,8 +356,8 @@ impl<V: Clone> ResultCache<V> {
         self.len() == 0
     }
 
-    /// The cumulative counters since construction (or the last
-    /// [`ResultCache::reset_stats`]): the per-shard counters summed.
+    /// The cumulative counters since construction: the per-shard
+    /// counters summed.
     pub fn stats(&self) -> CacheStats {
         self.shard_stats()
             .iter()
@@ -371,13 +371,6 @@ impl<V: Clone> ResultCache<V> {
             .iter()
             .map(|s| s.lock().expect("cache shard lock").stats)
             .collect()
-    }
-
-    /// Zeroes every counter (tests and benchmark resets).
-    pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard lock").stats = CacheStats::default();
-        }
     }
 }
 
@@ -457,8 +450,6 @@ mod tests {
             }
         );
         assert_eq!(cache.len(), 1);
-        cache.reset_stats();
-        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]

@@ -119,7 +119,6 @@ pub struct AllocationPipeline {
     allocator: String,
     registers: Option<u32>,
     max_rounds: u32,
-    optimized_spill: bool,
     /// The [`Portfolio`] policy's configuration; `Some` exactly when
     /// the pipeline runs the `Portfolio` allocator.
     portfolio: Option<PortfolioConfig>,
@@ -130,8 +129,8 @@ pub struct AllocationPipeline {
 impl AllocationPipeline {
     /// A pipeline for `target` with the defaults: the `BFPL` allocator,
     /// the precise-graph instance view, the target's architectural
-    /// register count, plain spill-everywhere rewriting,
-    /// and at most 8 spill-then-reanalyse rounds.
+    /// register count, no escalation tier, and at most 8
+    /// spill-then-reanalyse rounds.
     pub fn new(target: Target) -> Self {
         AllocationPipeline {
             target,
@@ -139,7 +138,6 @@ impl AllocationPipeline {
             allocator: "BFPL".to_string(),
             registers: None,
             max_rounds: 8,
-            optimized_spill: false,
             portfolio: None,
             full_reanalysis: None,
             escalation: false,
@@ -194,13 +192,6 @@ impl AllocationPipeline {
     pub fn max_rounds(mut self, rounds: u32) -> Self {
         assert!(rounds >= 1, "the pipeline needs at least one round");
         self.max_rounds = rounds;
-        self
-    }
-
-    /// Uses the §2.1 load-store-optimised rewriting (shared reloads
-    /// within a block) instead of plain spill-everywhere.
-    pub fn optimized_spill_code(mut self, enabled: bool) -> Self {
-        self.optimized_spill = enabled;
         self
     }
 
@@ -476,13 +467,7 @@ impl AllocationPipeline {
             // storage.
             let rewrite = {
                 let _s = crate::trace::span(crate::trace::Phase::Rewrite);
-                spill_code::rewrite_spill_code(
-                    &func,
-                    &spill_set,
-                    remat.as_mut(),
-                    self.optimized_spill,
-                    scratch,
-                )
+                spill_code::rewrite_spill_code(&func, &spill_set, remat.as_mut(), scratch)
             };
             stores += rewrite.stats.stores;
             loads += rewrite.stats.loads;

@@ -24,8 +24,10 @@ pub enum Feasibility {
     /// The colouring fails: a colour is out of range, or two
     /// interfering allocated variables share one.
     Infeasible(String),
-    /// Never returned: [`check`] always decides. Kept for callers that
-    /// match on every verdict by name.
+    /// Never returned: [`check`] always decides. It stays because the
+    /// frozen benchmark package matches on every verdict by name
+    /// (`perfbench/src/lib.rs`, its verdict label); deleting it breaks
+    /// the benchmark build.
     Unknown,
 }
 

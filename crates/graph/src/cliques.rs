@@ -331,11 +331,6 @@ impl CliqueTree {
         self.bags.len()
     }
 
-    /// The size of the largest bag.
-    pub fn max_bag_size(&self) -> usize {
-        self.bags.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// The separator of bag `b`: its intersection with its parent bag
     /// (empty for roots).
     pub fn separator(&self, b: usize) -> BitSet {
@@ -507,7 +502,7 @@ mod tests {
         let t = CliqueTree::build(&maximal_cliques(&g, &order));
         assert_eq!(t.bag_count(), 4);
         assert!(t.junction_property_holds());
-        assert_eq!(t.max_bag_size(), 3);
+        assert_eq!(t.bags.iter().map(Vec::len).max(), Some(3));
         // Exactly one root in a connected graph.
         assert_eq!(t.parent.iter().filter(|p| p.is_none()).count(), 1);
         // Topo order starts at a root and lists every bag once.

@@ -13,12 +13,15 @@ use crate::graph::{Graph, Vertex};
 /// A register (colour) index.
 pub type Color = u32;
 
-/// Colours a chordal graph optimally by scanning the reverse of the PEO
-/// `order`, assigning each vertex the smallest colour absent from its
-/// already-coloured neighbours.
+/// Greedily colours the vertices of `g` that `order` visits, in that
+/// order.
 ///
-/// Returns the colour vector indexed by vertex. The number of colours
-/// used equals the maximum clique size when `order` is a genuine PEO.
+/// Assigns each vertex the smallest colour not used by an
+/// already-coloured neighbour; vertices `order` skips get colour 0 and
+/// constrain no one, so a filtered order colours an induced subgraph.
+/// Optimal for chordal graphs when the order is a reversed PEO, using
+/// exactly as many colours as the largest clique; a heuristic
+/// otherwise.
 ///
 /// # Examples
 ///
@@ -27,21 +30,9 @@ pub type Color = u32;
 ///
 /// let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
 /// let order = peo::perfect_elimination_order(&g).unwrap();
-/// let colors = coloring::greedy_peo_coloring(&g, &order);
-/// assert_eq!(coloring::color_count(&colors), 3);
+/// let colors = coloring::greedy_coloring_in_order(&g, order.iter().rev().copied());
+/// assert_eq!(colors.iter().max(), Some(&2));
 /// ```
-pub fn greedy_peo_coloring(g: &Graph, order: &[Vertex]) -> Vec<Color> {
-    greedy_coloring_in_order(g, order.iter().rev().copied())
-}
-
-/// Greedily colours the vertices of `g` that `order` visits, in that
-/// order.
-///
-/// Assigns each vertex the smallest colour not used by an
-/// already-coloured neighbour; vertices `order` skips get colour 0 and
-/// constrain no one, so a filtered order colours an induced subgraph.
-/// Optimal for chordal graphs when the order is a reversed PEO; a
-/// heuristic otherwise.
 pub fn greedy_coloring_in_order(g: &Graph, order: impl Iterator<Item = Vertex>) -> Vec<Color> {
     let n = g.vertex_count();
     let mut colors: Vec<Option<Color>> = vec![None; n];
@@ -64,11 +55,6 @@ pub fn greedy_coloring_in_order(g: &Graph, order: impl Iterator<Item = Vertex>) 
         colors[v] = Some(c);
     }
     colors.into_iter().map(|c| c.unwrap_or(0)).collect()
-}
-
-/// The number of distinct colours in a colouring.
-pub fn color_count(colors: &[Color]) -> usize {
-    colors.iter().map(|&c| c + 1).max().unwrap_or(0) as usize
 }
 
 /// Checks that `colors` is a proper colouring of `g` restricted to
@@ -150,9 +136,9 @@ mod tests {
     fn triangle_needs_three() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let order = peo::perfect_elimination_order(&g).unwrap();
-        let colors = greedy_peo_coloring(&g, &order);
+        let colors = greedy_coloring_in_order(&g, order.iter().rev().copied());
         assert!(is_proper_coloring(&g, &colors, None));
-        assert_eq!(color_count(&colors), 3);
+        assert_eq!(colors.iter().max(), Some(&2));
     }
 
     #[test]
@@ -175,17 +161,17 @@ mod tests {
         }
         let g = b.build();
         let order = peo::perfect_elimination_order(&g).unwrap();
-        let colors = greedy_peo_coloring(&g, &order);
+        let colors = greedy_coloring_in_order(&g, order.iter().rev().copied());
         assert!(is_proper_coloring(&g, &colors, None));
-        assert_eq!(color_count(&colors), 3);
+        assert_eq!(colors.iter().max(), Some(&2));
     }
 
     #[test]
     fn edgeless_uses_one_color() {
         let g = Graph::empty(4);
         let order = peo::perfect_elimination_order(&g).unwrap();
-        let colors = greedy_peo_coloring(&g, &order);
-        assert_eq!(color_count(&colors), 1);
+        let colors = greedy_coloring_in_order(&g, order.iter().rev().copied());
+        assert_eq!(colors.iter().max(), Some(&0));
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! * [`random_interval_set`] — random live intervals over a linear code
 //!   order with a target register-pressure profile (the linear-scan
 //!   view of a function).
-//! * [`random_ktree_subgraph`] — partial k-trees, chordal graphs of
-//!   bounded clique size.
 //! * [`random_general`] — Erdős–Rényi graphs, generally non-chordal, as
 //!   produced by non-SSA (JIT) interference.
 //! * [`random_weights`] — skewed spill costs mimicking
@@ -146,60 +144,6 @@ pub fn random_interval_set(rng: &mut impl Rng, profile: &IntervalProfile) -> Vec
     out
 }
 
-/// Generates a partial k-tree: starts from a (k+1)-clique, attaches each
-/// new vertex to a random k-clique, then deletes each edge with
-/// probability `drop_percent`/100 (which keeps the graph chordal only
-/// for `drop_percent == 0`; use 0 for guaranteed chordality).
-pub fn random_ktree_subgraph(rng: &mut impl Rng, n: usize, k: usize, drop_percent: u32) -> Graph {
-    let k = k.max(1).min(n.saturating_sub(1)).max(1);
-    let mut b = GraphBuilder::new(n.max(1));
-    if n <= 1 {
-        return b.build();
-    }
-    let base = (k + 1).min(n);
-    let mut cliques: Vec<Vec<usize>> = Vec::new();
-    let first: Vec<usize> = (0..base).collect();
-    b.add_clique(&first);
-    // Record all k-subsets of the base clique.
-    for skip in 0..base {
-        let c: Vec<usize> = first.iter().copied().filter(|&x| x != skip).collect();
-        if c.len() == k {
-            cliques.push(c);
-        }
-    }
-    if cliques.is_empty() {
-        cliques.push(first.clone());
-    }
-    for v in base..n {
-        let host = cliques[rng.gen_range(0..cliques.len())].clone();
-        for &u in &host {
-            b.add_edge(v, u);
-        }
-        // New k-cliques: v plus each (k-1)-subset of host.
-        for skip in 0..host.len() {
-            let mut c: Vec<usize> = host
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(i, _)| i != skip)
-                .map(|(_, x)| x)
-                .collect();
-            c.push(v);
-            cliques.push(c);
-        }
-    }
-    let g = b.build();
-    if drop_percent == 0 {
-        return g;
-    }
-    let kept: Vec<(usize, usize)> = g
-        .edges()
-        .filter(|_| rng.gen_range(0..100) >= drop_percent)
-        .map(|(u, v)| (u.index(), v.index()))
-        .collect();
-    Graph::from_edges(n, &kept)
-}
-
 /// Erdős–Rényi random graph `G(n, p)` with edge probability
 /// `edge_percent`/100. Typically non-chordal for moderate densities —
 /// the model for non-SSA (JikesRVM-style) interference graphs.
@@ -276,21 +220,6 @@ mod tests {
         let g1 = random_chordal(&mut rng(7), 25, 30, 4);
         let g2 = random_chordal(&mut rng(7), 25, 30, 4);
         assert_eq!(g1, g2);
-    }
-
-    #[test]
-    fn ktree_without_drops_is_chordal() {
-        for seed in 0..10 {
-            let g = random_ktree_subgraph(&mut rng(seed), 30, 4, 0);
-            assert!(peo::is_chordal(&g));
-        }
-    }
-
-    #[test]
-    fn ktree_max_clique_bounded() {
-        let g = random_ktree_subgraph(&mut rng(3), 50, 5, 0);
-        let order = peo::perfect_elimination_order(&g).unwrap();
-        assert!(crate::cliques::max_clique_size(&g, &order) <= 6);
     }
 
     #[test]

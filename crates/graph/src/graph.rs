@@ -293,13 +293,6 @@ impl Graph {
         (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
-    /// The neighbours of `v` in increasing index order.
-    pub fn neighbors(&self, v: usize) -> impl Iterator<Item = Vertex> + '_ {
-        self.neighbor_indices(v)
-            .iter()
-            .map(|&u| Vertex::new(u as usize))
-    }
-
     /// The neighbours of `v` as a raw sorted slice of indices — a view
     /// into the shared CSR arena, not a per-vertex allocation.
     pub fn neighbor_indices(&self, v: usize) -> &[u32] {

@@ -59,11 +59,6 @@ impl Interval {
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
-
-    /// Returns `true` if `point` lies inside the interval.
-    pub fn contains_point(&self, point: u32) -> bool {
-        self.start <= point && point < self.end
-    }
 }
 
 // The start flag and the index field of a sweep event.
@@ -333,8 +328,6 @@ mod tests {
         assert!(!a.overlaps(&Interval::new(2, 4)));
         assert!(a.overlaps(&Interval::new(1, 2)));
         assert!(!a.overlaps(&Interval::new(1, 1))); // empty interval
-        assert!(a.contains_point(0));
-        assert!(!a.contains_point(2));
         assert_eq!(a.len(), 2);
     }
 

@@ -148,38 +148,6 @@ pub fn mcs_order(g: &Graph) -> Vec<Vertex> {
     mcs::<false>(g).expect("an unchecked walk always completes")
 }
 
-/// Computes a lexicographic-BFS order of `g`, in visit order.
-///
-/// Like [`mcs_order`], the reverse visit order is a PEO iff `g` is
-/// chordal. This implementation uses label lists and runs in
-/// O(|V| + |E| log |V|) — comfortably fast for interference graphs.
-pub fn lex_bfs_order(g: &Graph) -> Vec<Vertex> {
-    let n = g.vertex_count();
-    // labels[v] = decreasing list of visit positions of v's visited
-    // neighbours; compare lexicographically.
-    let mut labels: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-
-    for step in 0..n {
-        let v = (0..n)
-            .filter(|&v| !visited[v])
-            .max_by(|&a, &b| labels[a].cmp(&labels[b]).then(b.cmp(&a)))
-            .expect("an unvisited vertex remains");
-        visited[v] = true;
-        order.push(Vertex::new(v));
-        for u in g.neighbor_indices(v) {
-            let u = *u as usize;
-            if !visited[u] {
-                // Positions only grow, so pushing keeps labels sorted
-                // decreasingly if we store n - step.
-                labels[u].push((n - step) as u32);
-            }
-        }
-    }
-    order
-}
-
 /// Checks whether `order` (elimination order: first vertex eliminated
 /// first) is a perfect elimination order of `g`.
 ///
@@ -328,14 +296,6 @@ mod tests {
             perfect_elimination_order(&Graph::empty(3)).unwrap().len(),
             3
         );
-    }
-
-    #[test]
-    fn lex_bfs_reverse_is_peo_on_chordal() {
-        let g = figure4();
-        let mut order = lex_bfs_order(&g);
-        order.reverse();
-        assert!(is_perfect_elimination_order(&g, &order));
     }
 
     #[test]

@@ -127,17 +127,12 @@ mod tests {
         let analysis = FunctionAnalysis::compute(&f, s);
         for victim in 0..f.value_count as usize {
             let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [victim]);
-            for optimized in [false, true] {
-                let rewrite = rewrite_spill_code(&f, &spilled, None, optimized, s);
-                let incremental = analysis.after_spill(&rewrite.function, &rewrite.delta, s);
-                let fresh = FunctionAnalysis::compute(&rewrite.function, s);
-                assert_eq!(
-                    incremental.liveness, fresh.liveness,
-                    "victim {victim}, optimized {optimized}"
-                );
-                assert_eq!(incremental.linearization.base, fresh.linearization.base);
-                assert_eq!(incremental.linearization.order, fresh.linearization.order);
-            }
+            let rewrite = rewrite_spill_code(&f, &spilled, None, s);
+            let incremental = analysis.after_spill(&rewrite.function, &rewrite.delta, s);
+            let fresh = FunctionAnalysis::compute(&rewrite.function, s);
+            assert_eq!(incremental.liveness, fresh.liveness, "victim {victim}");
+            assert_eq!(incremental.linearization.base, fresh.linearization.base);
+            assert_eq!(incremental.linearization.order, fresh.linearization.order);
         }
     }
 
@@ -149,11 +144,11 @@ mod tests {
         let s = &mut AnalysisScratch::new();
         let analysis = FunctionAnalysis::compute(&f, s);
         let spilled1 = BitSet::from_iter_with_capacity(f.value_count as usize, [0]);
-        let r1 = rewrite_spill_code(&f, &spilled1, None, false, s);
+        let r1 = rewrite_spill_code(&f, &spilled1, None, s);
         let a1 = analysis.after_spill(&r1.function, &r1.delta, s);
 
         let spilled2 = BitSet::from_iter_with_capacity(r1.function.value_count as usize, [1, 2]);
-        let r2 = rewrite_spill_code(&r1.function, &spilled2, None, true, s);
+        let r2 = rewrite_spill_code(&r1.function, &spilled2, None, s);
         let a2 = a1.after_spill(&r2.function, &r2.delta, s);
         assert_eq!(
             a2.liveness,

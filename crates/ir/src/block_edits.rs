@@ -1,27 +1,23 @@
 //! Recycled per-block instruction-edit buffers for IR rewrites.
 //!
 //! The spill rewrite ([`crate::spill_code`]) and the live-range
-//! splitter ([`crate::split`]) follow the same shape:
-//! walk every block, emit a new instruction body, and append reloads /
-//! copies to the *tails* of predecessor blocks (φ operands materialise
-//! at the end of the incoming edge). Each used to allocate its own
-//! `Vec<Vec<Instr>>` body and tail spines — plus a φ-store staging
-//! buffer and a per-block availability map — fresh on every call,
-//! which in the spill-then-reanalyse loop means fresh allocations
-//! every round.
+//! splitter ([`crate::split`]) follow the same shape: walk every
+//! block, emit a new instruction body, and append reloads / copies to
+//! the *tails* of predecessor blocks (φ operands materialise at the
+//! end of the incoming edge). The spill rewrite also stages the stores
+//! of spilled φ defs until the block's φ run ends.
 //!
-//! [`BlockEdits`] is the one shared, scratch-backed version of that
-//! pattern. It lives inside [`crate::AnalysisScratch`]; every rewrite
-//! resets it to the function at hand (`reset` keeps all inner
-//! allocations), pushes instructions into `bodies`/`tails`, and drains
-//! the buffers into exact-capacity block bodies with `finish` — so the
-//! buffers are warm again for the next round. Results are
-//! byte-identical to the old fresh-allocation paths: `finish` emits
-//! each block as body-then-tail in block order, exactly as the
-//! rewrites used to splice them.
+//! [`BlockEdits`] holds those buffers: one body and one tail per block,
+//! plus the φ-store staging buffer. It lives inside
+//! [`crate::AnalysisScratch`], so the spill-then-reanalyse loop does
+//! not allocate them afresh every round. Every rewrite resets it to the
+//! function at hand (`reset` keeps all inner allocations), pushes
+//! instructions into `bodies`/`tails`, and drains the buffers into
+//! exact-capacity block bodies with `finish`, which emits each block
+//! as body-then-tail in block order. Reusing the buffers never changes
+//! the output.
 
-use crate::cfg::{Block, Function, Instr, Value};
-use std::collections::HashMap;
+use crate::cfg::{Block, Function, Instr};
 
 /// Recyclable per-block edit buffers shared by every IR rewrite. See
 /// the [module docs](self).
@@ -35,10 +31,6 @@ pub struct BlockEdits {
     /// Stores for spilled φ defs, staged until the φ run of the
     /// current block ends (φs are parallel and must stay first).
     pub(crate) phi_stores: Vec<Instr>,
-    /// Per-block map from a spilled value to the replacement already
-    /// materialised in the block (shared reloads, §2.1). Cleared at
-    /// each block boundary by the rewrites that use it.
-    pub(crate) avail: HashMap<Value, Value>,
 }
 
 impl BlockEdits {
@@ -62,7 +54,6 @@ impl BlockEdits {
         self.bodies.resize_with(n, Vec::new);
         self.tails.resize_with(n, Vec::new);
         self.phi_stores.clear();
-        self.avail.clear();
     }
 
     /// Appends the staged φ-def stores to block `b`'s body, leaving
@@ -99,7 +90,7 @@ impl BlockEdits {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::cfg::Opcode;
+    use crate::cfg::{Opcode, Value};
 
     #[test]
     fn reset_recycles_across_size_swings() {
@@ -108,13 +99,11 @@ mod tests {
         e.bodies[2].push(Instr::new(Opcode::Op, None, vec![]));
         e.tails[0].push(Instr::new(Opcode::Load, None, vec![]));
         e.phi_stores.push(Instr::new(Opcode::Store, None, vec![]));
-        e.avail.insert(Value(1), Value(2));
         e.reset(1);
         assert_eq!(e.bodies.len(), 1);
         assert_eq!(e.tails.len(), 1);
         assert!(e.bodies[0].is_empty());
         assert!(e.phi_stores.is_empty());
-        assert!(e.avail.is_empty());
         e.reset(4);
         assert!(e.bodies.iter().all(Vec::is_empty));
         assert!(e.tails.iter().all(Vec::is_empty));

@@ -561,7 +561,7 @@ mod tests {
         for victim in 0..f.value_count as usize {
             let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [victim]);
             let s = &mut AnalysisScratch::new();
-            let rw = spill_code::rewrite_spill_code(&f, &spilled, None, false, s);
+            let rw = spill_code::rewrite_spill_code(&f, &spilled, None, s);
             let (dirty, changed) = (&rw.delta.dirty_blocks, &rw.delta.changed_values);
             let inc = analyze_incremental(&rw.function, &prev, dirty, changed, s);
             assert_eq!(inc, analyze(&rw.function), "victim {victim}");
@@ -612,7 +612,7 @@ mod tests {
         assert!(prev.live_in[1].is_empty() && prev.live_out[1].is_empty());
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [x.index()]);
         let s = &mut AnalysisScratch::new();
-        let rw = crate::spill_code::rewrite_spill_code(&f, &spilled, None, false, s);
+        let rw = crate::spill_code::rewrite_spill_code(&f, &spilled, None, s);
         let (dirty, changed) = (&rw.delta.dirty_blocks, &rw.delta.changed_values);
         let inc = analyze_incremental(&rw.function, &prev, dirty, changed, s);
         assert_eq!(inc, analyze(&rw.function));

@@ -255,8 +255,8 @@ mod tests {
     use crate::spill_code::{rewrite_spill_code, SpillRewrite};
 
     /// The remat-aware rewrite through a fresh scratch.
-    fn rewrite(f: &Function, spilled: &BitSet, t: &mut RematTable, share: bool) -> SpillRewrite {
-        rewrite_spill_code(f, spilled, Some(t), share, &mut AnalysisScratch::new())
+    fn rewrite(f: &Function, spilled: &BitSet, t: &mut RematTable) -> SpillRewrite {
+        rewrite_spill_code(f, spilled, Some(t), &mut AnalysisScratch::new())
     }
 
     #[test]
@@ -315,7 +315,7 @@ mod tests {
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [k.index()]);
         let mut t = RematTable::compute(&f);
-        let rw = rewrite(&f, &spilled, &mut t, false);
+        let rw = rewrite(&f, &spilled, &mut t);
         assert_eq!(rw.stats.stores, 0);
         assert_eq!(rw.stats.loads, 0);
         assert_eq!(rw.stats.remats, 2);
@@ -339,7 +339,7 @@ mod tests {
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [y.index()]);
         let mut t = RematTable::compute(&f);
-        let rw = rewrite(&f, &spilled, &mut t, false);
+        let rw = rewrite(&f, &spilled, &mut t);
         assert_eq!(rw.stats.stores, 1);
         assert_eq!(rw.stats.loads, 2);
         assert_eq!(rw.stats.remats, 0);
@@ -347,7 +347,7 @@ mod tests {
         // The remat-aware rewrite is a superset of the plain one: on a
         // spill set with no `Const` value, one round with a fresh table
         // emits exactly what the table-free rewrite emits, over random
-        // SSA and JIT functions, with and without shared reloads.
+        // SSA and JIT functions.
         use crate::genprog::{random_jit_function, random_ssa_function, JitConfig, SsaConfig};
         use rand::{Rng, SeedableRng};
         for seed in 0..12u64 {
@@ -363,33 +363,13 @@ mod tests {
                 (0..f.value_count as usize)
                     .filter(|&v| fresh.class(v) != RematClass::Const && rng.gen_range(0..3) == 0),
             );
-            for share in [false, true] {
-                let scratch = &mut AnalysisScratch::new();
-                let plain = rewrite_spill_code(&f, &spilled, None, share, scratch);
-                let rw = rewrite(&f, &spilled, &mut fresh.clone(), share);
-                assert_eq!(rw.function, plain.function, "seed {seed} share {share}");
-                assert_eq!(rw.stats, plain.stats, "seed {seed} share {share}");
-                assert_eq!(rw.saved_loads, plain.saved_loads, "seed {seed}");
-                assert_eq!(rw.delta, plain.delta, "seed {seed} share {share}");
-            }
+            let scratch = &mut AnalysisScratch::new();
+            let plain = rewrite_spill_code(&f, &spilled, None, scratch);
+            let rw = rewrite(&f, &spilled, &mut fresh.clone());
+            assert_eq!(rw.function, plain.function, "seed {seed}");
+            assert_eq!(rw.stats, plain.stats, "seed {seed}");
+            assert_eq!(rw.delta, plain.delta, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn shared_materializations_mirror_shared_reloads() {
-        let mut b = FunctionBuilder::new("f");
-        let e = b.entry_block();
-        let next = b.block();
-        b.set_succs(e, &[next]);
-        let k = b.op(e, &[]);
-        b.op(next, &[k]);
-        b.op(next, &[k]); // same block: materialization shared
-        let f = b.finish();
-        let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [k.index()]);
-        let mut t = RematTable::compute(&f);
-        let rw = rewrite(&f, &spilled, &mut t, true);
-        assert_eq!(rw.stats.remats, 1);
-        assert_eq!(rw.saved_loads, 1);
     }
 
     #[test]
@@ -409,7 +389,7 @@ mod tests {
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [kl.index()]);
         let mut t = RematTable::compute(&f);
-        let rw = rewrite(&f, &spilled, &mut t, false);
+        let rw = rewrite(&f, &spilled, &mut t);
         assert_eq!(rw.stats.remats, 1);
         assert_eq!(rw.stats.loads, 0);
         let last_in_l = rw.function.blocks[l.index()].instrs.last().unwrap();
@@ -432,7 +412,7 @@ mod tests {
             ks[..3].iter().map(|v| v.index()),
         );
         let mut t = RematTable::compute(&f);
-        let rw = rewrite(&f, &spilled, &mut t, false);
+        let rw = rewrite(&f, &spilled, &mut t);
         assert!(liveness::analyze(&rw.function).max_live < 5);
         assert_eq!(rw.stats.remats, 3);
     }
@@ -450,7 +430,7 @@ mod tests {
             (0..f.value_count as usize).filter(|v| v % 2 == 0),
         );
         let mut t = RematTable::compute(&f);
-        let rw = rewrite(&f, &spilled, &mut t, false);
+        let rw = rewrite(&f, &spilled, &mut t);
         for (b, blk) in rw.function.blocks.iter().enumerate() {
             if rw.delta.dirty_blocks.contains(b) {
                 continue;
@@ -477,11 +457,11 @@ mod tests {
         let f = b.finish();
         let mut t = RematTable::compute(&f);
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [y.index()]);
-        let r1 = rewrite(&f, &spilled, &mut t, false);
+        let r1 = rewrite(&f, &spilled, &mut t);
         let reload = f.value_count as usize;
         assert_eq!(t.class(reload), RematClass::Reload);
         let respill = BitSet::from_iter_with_capacity(r1.function.value_count as usize, [reload]);
-        let r2 = rewrite(&r1.function, &respill, &mut t, false);
+        let r2 = rewrite(&r1.function, &respill, &mut t);
         assert_eq!(r2.stats.stores, 0, "slot-backed values are never re-stored");
         assert_eq!(r2.stats.loads, 1, "the eviction re-issues one load");
         // The re-issue is itself slot-backed, so round 3 behaves the same.
@@ -516,7 +496,6 @@ mod tests {
             &f,
             &BitSet::from_iter_with_capacity(f.value_count as usize, [v.index(), s.index()]),
             &mut t,
-            false,
         );
         assert_eq!(rw.stats.stores, 1, "only v is stored");
         assert!(rw.function.validate().is_ok());
@@ -565,7 +544,7 @@ mod tests {
 
     #[test]
     fn split_copies_inherit_their_origin_class() {
-        use crate::split::split_at_uses;
+        use crate::split::split_uses_where;
         let mut b = FunctionBuilder::new("f");
         let e = b.entry_block();
         let k = b.op(e, &[]);
@@ -573,7 +552,7 @@ mod tests {
         b.op(e, &[k, y]);
         let f = b.finish();
         let t = RematTable::compute(&f);
-        let s = split_at_uses(&f);
+        let s = split_uses_where(&f, |_| true, &mut AnalysisScratch::new());
         let ts = t.map_split(&s.origin);
         assert_eq!(ts.len(), s.function.value_count as usize);
         for v in f.value_count as usize..s.function.value_count as usize {

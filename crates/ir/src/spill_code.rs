@@ -4,26 +4,21 @@
 //! function so that each spilled value lives in memory: a
 //! [`Opcode::Store`] is inserted after its definition and a fresh
 //! [`Opcode::Load`] value is inserted before each use (φ uses reload at
-//! the end of the incoming predecessor). The reload values are
-//! short-lived, which is how spilling lowers the register pressure —
-//! the paper's §4.3 discusses exactly this residual pressure of
-//! reloads.
+//! the end of the incoming predecessor). This is the paper's
+//! spill-everywhere model: every use of a spilled value pays one
+//! reload, and every definition one store, even where an earlier
+//! reload in the same block could serve (that finer load-store
+//! optimisation of §2.1 is left to live-range splitting, see
+//! [`crate::split`]). The reload values are short-lived, which is how
+//! spilling lowers the register pressure — the paper's §4.3 discusses
+//! exactly this residual pressure of reloads.
 //!
-//! Two options refine that spill-everywhere rewrite:
-//!
-//! * `share_reloads` applies the basic load-store optimisation of
-//!   §2.1: within a basic block, consecutive uses of the same spilled
-//!   value share one reload ("if the variable can stay in a register
-//!   between two consecutive uses, a load is saved"), and uses in the
-//!   defining block read the defined value directly. Sound for SSA
-//!   inputs because the spill slot of an SSA value is written exactly
-//!   once.
-//! * a [`RematTable`] lets the escalation tier rematerialize instead of
-//!   spill: values classified [`RematClass::Const`](crate::remat::RematClass)
-//!   are re-issued before each use with no store, and evicted
-//!   slot-backed reloads re-issue their load with no second store (see
-//!   [`crate::remat`]). Without a table every value is treated as
-//!   `RematClass::Spill`.
+//! A [`RematTable`] lets the escalation tier rematerialize instead of
+//! spill: values classified [`RematClass::Const`](crate::remat::RematClass)
+//! are re-issued before each use with no store, and evicted
+//! slot-backed reloads re-issue their load with no second store (see
+//! [`crate::remat`]). Without a table every value is treated as
+//! `RematClass::Spill`.
 
 #![allow(clippy::needless_range_loop)] // parallel arrays indexed by block id
 
@@ -38,8 +33,8 @@ pub struct SpillStats {
     /// Stores inserted (one per definition of a spilled value that is
     /// not rematerializable).
     pub stores: usize,
-    /// Reloads inserted (one per use of a spilled value, fewer with
-    /// shared reloads).
+    /// Reloads inserted: one per use of a spilled value (φ uses
+    /// included) that is not rematerialized.
     pub loads: usize,
     /// Materializations inserted instead of reloads (always 0 without a
     /// [`RematTable`]).
@@ -77,25 +72,20 @@ impl SpillDelta {
 }
 
 /// The full result of a spill rewrite: the function, the insertion
-/// statistics, the loads saved by reload sharing, and the
-/// [`SpillDelta`] feeding incremental re-analysis.
+/// statistics, and the [`SpillDelta`] feeding incremental re-analysis.
 #[derive(Clone, Debug)]
 pub struct SpillRewrite {
     /// The rewritten function.
     pub function: Function,
     /// Stores/loads/materializations inserted.
     pub stats: SpillStats,
-    /// Reloads (and materializations) saved relative to plain spill
-    /// everywhere by the §2.1 load-store optimisation; always 0 without
-    /// `share_reloads`.
-    pub saved_loads: usize,
     /// Which blocks and values the rewrite touched.
     pub delta: SpillDelta,
 }
 
 /// Rewrites `f`, spilling every value in `spilled`, and reports which
 /// blocks and values were touched so the next analysis round can be
-/// incremental. See the [module docs](self) for the two options.
+/// incremental. See the [module docs](self).
 ///
 /// With `remat` set, spilled [`RematClass::Const`](crate::remat::RematClass)
 /// values are materialized before each use instead of stored and
@@ -119,7 +109,6 @@ pub fn rewrite_spill_code(
     f: &Function,
     spilled: &BitSet,
     mut remat: Option<&mut RematTable>,
-    share_reloads: bool,
     scratch: &mut AnalysisScratch,
 ) -> SpillRewrite {
     if let Some(table) = &remat {
@@ -131,7 +120,6 @@ pub fn rewrite_spill_code(
     }
     let mut next_value = f.value_count;
     let mut stats = SpillStats::default();
-    let mut saved = 0usize;
 
     let n = f.block_count();
     let edits = scratch.edits_for(n);
@@ -153,11 +141,6 @@ pub fn rewrite_spill_code(
     };
 
     for b in 0..n {
-        // Spilled value -> replacement already materialised in this
-        // block. Only the shared-reload path touches the map.
-        if share_reloads {
-            edits.avail.clear();
-        }
         // Stores for spilled φ defs wait until after the whole φ run
         // (φs are parallel and must stay first in the block).
         for instr in &f.blocks[b].instrs {
@@ -181,29 +164,16 @@ pub fn rewrite_spill_code(
                         continue;
                     }
                     dirty.insert(b);
-                    if let Some(&v) = share_reloads.then(|| edits.avail.get(u)).flatten() {
-                        saved += 1;
-                        *u = v;
-                        continue;
-                    }
                     let (v, repl) = fresh(&mut remat, &mut stats, *u);
                     edits.bodies[b].push(repl);
-                    if share_reloads {
-                        edits.avail.insert(*u, v);
-                    }
                     *u = v;
                 }
             }
             let def = instr.def.filter(|d| spilled.contains(d.index()));
-            if let Some(d) = def {
+            if def.is_some() {
                 // A spilled def is a changed value, so its block is
                 // dirty even when a rematerializable def is not stored.
                 dirty.insert(b);
-                if share_reloads {
-                    // The freshly computed value is itself usable until
-                    // the end of the block.
-                    edits.avail.insert(d, d);
-                }
             }
             edits.bodies[b].push(instr);
             // Rematerializable values are never stored: their spill
@@ -234,7 +204,6 @@ pub fn rewrite_spill_code(
     debug_assert_eq!(out.validate(), Ok(()));
     SpillRewrite {
         stats,
-        saved_loads: saved,
         delta: SpillDelta::new(f, spilled, next_value, dirty),
         function: out,
     }
@@ -247,21 +216,17 @@ mod tests {
     use crate::liveness;
 
     /// The rewrite without a remat table, through a fresh scratch.
-    fn rewrite(f: &Function, spilled: &BitSet, share_reloads: bool) -> SpillRewrite {
-        rewrite_spill_code(f, spilled, None, share_reloads, &mut AnalysisScratch::new())
+    fn rewrite(f: &Function, spilled: &BitSet) -> SpillRewrite {
+        rewrite_spill_code(f, spilled, None, &mut AnalysisScratch::new())
     }
 
-    /// Runs `check` on the rewrite of `spilled` under every
-    /// configuration: `remat` ∈ {None, Some(fresh table)} ×
-    /// `share_reloads` ∈ {false, true}.
-    fn each_config(f: &Function, spilled: &BitSet, mut check: impl FnMut(bool, SpillRewrite)) {
+    /// Runs `check` on the rewrite of `spilled` without and with a
+    /// fresh remat table.
+    fn each_config(f: &Function, spilled: &BitSet, mut check: impl FnMut(SpillRewrite)) {
         for with_table in [false, true] {
-            for share_reloads in [false, true] {
-                let mut table = with_table.then(|| RematTable::compute(f));
-                let scratch = &mut AnalysisScratch::new();
-                let rw = rewrite_spill_code(f, spilled, table.as_mut(), share_reloads, scratch);
-                check(share_reloads, rw);
-            }
+            let mut table = with_table.then(|| RematTable::compute(f));
+            let scratch = &mut AnalysisScratch::new();
+            check(rewrite_spill_code(f, spilled, table.as_mut(), scratch));
         }
     }
 
@@ -283,7 +248,7 @@ mod tests {
             f.value_count as usize,
             vs[..3].iter().map(|v| v.index()),
         );
-        let rw = rewrite(&f, &spilled, false);
+        let rw = rewrite(&f, &spilled);
         assert_eq!(rw.stats.stores, 3);
         assert_eq!(rw.stats.loads, 3);
         let live_after = liveness::analyze(&rw.function).max_live;
@@ -299,7 +264,7 @@ mod tests {
         b.op(e, &[x]);
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [x.index()]);
-        let rw = rewrite(&f, &spilled, false);
+        let rw = rewrite(&f, &spilled);
         assert_eq!(rw.stats.stores, 1);
         assert_eq!(rw.stats.loads, 2);
         assert_eq!(rw.function.value_count, f.value_count + 2);
@@ -329,7 +294,7 @@ mod tests {
         b.op(j, &[m]);
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [xl.index()]);
-        let rw = rewrite(&f, &spilled, false);
+        let rw = rewrite(&f, &spilled);
         assert_eq!(rw.stats.loads, 1);
         // The reload lands at the end of `l`, not in the join block.
         let last_in_l = rw.function.blocks[l.index()].instrs.last().unwrap();
@@ -344,81 +309,58 @@ mod tests {
         let x = b.op(e, &[]);
         b.op(e, &[x]);
         let f = b.finish();
-        let rw = rewrite(&f, &BitSet::new(f.value_count as usize), false);
+        let rw = rewrite(&f, &BitSet::new(f.value_count as usize));
         assert_eq!(rw.stats, SpillStats::default());
         assert_eq!(rw.function.instr_count(), f.instr_count());
         assert_eq!(rw.function.value_count, f.value_count);
     }
 
     #[test]
-    fn optimized_spilling_shares_reloads_within_a_block() {
-        let mut b = FunctionBuilder::new("f");
-        let e = b.entry_block();
-        let next = b.block();
-        b.set_succs(e, &[next]);
-        let x = b.op(e, &[]);
-        b.op(e, &[x]);
-        b.op(e, &[x]); // same block: reload shared
-        b.op(next, &[x]); // new block: fresh reload
-        let f = b.finish();
-        let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [x.index()]);
-
-        assert_eq!(rewrite(&f, &spilled, false).stats.loads, 3);
-
-        let rw = rewrite(&f, &spilled, true);
-        // Uses in the defining block reuse x's register directly; the
-        // second block needs the only real reload.
-        assert_eq!(rw.stats.loads, 1);
-        assert_eq!(rw.saved_loads, 2);
-        assert!(rw.function.validate().is_ok());
-    }
-
-    #[test]
-    fn optimized_spilling_reuses_the_defining_value() {
-        // Uses of a spilled value in its *defining* block need no
-        // reload at all: the value is still in its register.
-        let mut b = FunctionBuilder::new("f");
-        let e = b.entry_block();
-        let x = b.op(e, &[]);
-        b.op(e, &[x]);
-        b.op(e, &[x]);
-        let f = b.finish();
-        let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [x.index()]);
-        let rw = rewrite(&f, &spilled, true);
-        assert_eq!(rw.stats.loads, 0);
-        assert_eq!(rw.stats.stores, 1);
-        assert_eq!(rw.saved_loads, 2);
-        assert!(rw.function.validate().is_ok());
-    }
-
-    #[test]
-    fn optimized_never_inserts_more_than_plain() {
-        use crate::genprog::{random_ssa_function, SsaConfig};
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let f = random_ssa_function(&mut rng, &SsaConfig::default(), "f");
-        // Spill every other value.
-        let spilled = BitSet::from_iter_with_capacity(
-            f.value_count as usize,
-            (0..f.value_count as usize).filter(|v| v % 2 == 0),
-        );
-        // Per table configuration, the unshared rewrite runs first and
-        // the shared one must insert the same stores and account for
-        // every unshared reload or materialization as inserted or saved.
-        let mut plain = SpillStats::default();
-        each_config(&f, &spilled, |share_reloads, rw| {
-            assert!(rw.function.validate().is_ok());
-            if !share_reloads {
-                assert_eq!(rw.saved_loads, 0);
-                plain = rw.stats;
-                return;
-            }
-            assert_eq!(rw.stats.stores, plain.stores);
-            assert_eq!(
-                rw.stats.loads + rw.stats.remats + rw.saved_loads,
-                plain.loads + plain.remats
+    fn one_reload_per_spilled_use_and_one_store_per_spilled_def() {
+        // Spill everywhere, counted absolutely over random SSA and JIT
+        // functions: every use of a spilled value (φ uses included)
+        // gets its own reload or materialization, and every spilled
+        // definition that is not a `Const` remat gets one store.
+        use crate::genprog::{random_jit_function, random_ssa_function, JitConfig, SsaConfig};
+        use crate::remat::RematClass;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..8u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let f = if seed % 2 == 0 {
+                random_ssa_function(&mut rng, &SsaConfig::default(), "ssa")
+            } else {
+                random_jit_function(&mut rng, &JitConfig::default(), "jit")
+            };
+            let spilled = BitSet::from_iter_with_capacity(
+                f.value_count as usize,
+                (0..f.value_count as usize).filter(|_| rng.gen_range(0..3) == 0),
             );
-        });
+            let instrs = || f.blocks.iter().flat_map(|b| &b.instrs);
+            let uses = instrs()
+                .flat_map(|i| &i.uses)
+                .filter(|u| spilled.contains(u.index()))
+                .count();
+            for mut table in [None, Some(RematTable::compute(&f))] {
+                let stored = instrs()
+                    .filter_map(|i| i.def)
+                    .filter(|d| spilled.contains(d.index()))
+                    .filter(|d| {
+                        table
+                            .as_ref()
+                            .is_none_or(|t| t.class(d.index()) != RematClass::Const)
+                    })
+                    .count();
+                let with_table = table.is_some();
+                let scratch = &mut AnalysisScratch::new();
+                let rw = rewrite_spill_code(&f, &spilled, table.as_mut(), scratch);
+                assert!(rw.function.validate().is_ok());
+                assert_eq!(rw.stats.loads + rw.stats.remats, uses, "seed {seed}");
+                assert_eq!(rw.stats.stores, stored, "seed {seed} table {with_table}");
+                if !with_table {
+                    assert_eq!(rw.stats.remats, 0, "seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -440,7 +382,7 @@ mod tests {
         b.op(j, &[m]);
         let f = b.finish();
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [xl.index()]);
-        let rw = rewrite(&f, &spilled, false);
+        let rw = rewrite(&f, &spilled);
         let dirty: Vec<usize> = rw.delta.dirty_blocks.iter().collect();
         assert_eq!(dirty, vec![l.index(), j.index()]);
         // Changed values: the spilled original plus the one reload.
@@ -473,7 +415,7 @@ mod tests {
                 f.value_count as usize,
                 (0..f.value_count as usize).filter(|v| v % 3 == 0),
             );
-            each_config(f, &spilled, |_, rw| {
+            each_config(f, &spilled, |rw| {
                 for (b, blk) in rw.function.blocks.iter().enumerate() {
                     if rw.delta.dirty_blocks.contains(b) {
                         continue;
@@ -506,7 +448,7 @@ mod tests {
         // All six reloads feed one instruction, so the reloads themselves
         // are simultaneously live: pressure = 6 at that point, but the
         // original long ranges are gone elsewhere.
-        let ml = liveness::analyze(&rewrite(&f, &all, false).function).max_live;
+        let ml = liveness::analyze(&rewrite(&f, &all).function).max_live;
         assert!(ml >= 6); // spill-everywhere cannot fix single-instruction pressure
     }
 }

@@ -98,7 +98,7 @@ pub fn spill_costs_with_remat(
         RematClass::Const => Some(target.remat_cost()),
         RematClass::Spill | RematClass::Reload => None,
     });
-    // Evicting a point range — a split copy or an unshared reload,
+    // Evicting a point range — a split copy or a reload,
     // which lives only from the instruction directly before its single
     // use — cannot lower pressure: its replacement re-issue occupies
     // the very same program point. Steer allocators away from those
@@ -323,8 +323,7 @@ mod tests {
         let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [y.index()]);
         let mut table = RematTable::compute(&f);
         let scratch = &mut crate::AnalysisScratch::new();
-        let rw =
-            crate::spill_code::rewrite_spill_code(&f, &spilled, Some(&mut table), false, scratch);
+        let rw = crate::spill_code::rewrite_spill_code(&f, &spilled, Some(&mut table), scratch);
         // The rewrite introduced one reload of y, tagged Reload.
         let reload = f.value_count as usize;
         assert_eq!(rw.function.value_count as usize, reload + 1);

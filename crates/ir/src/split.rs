@@ -6,21 +6,21 @@
 //! (item 3), and that a spill-everywhere solution serves as an oracle
 //! for the finer-grained load-store optimisation problem (item 4).
 //!
-//! [`split_at_uses`] performs that transformation: before every use of
-//! a value a fresh [`Opcode::Copy`] is inserted and the use is rewritten
-//! to the copy. Each original value then carries only the *connector*
-//! range (def to last copy); each copy is a short single-use range.
-//! Spilling a connector while keeping its copies in registers is
-//! exactly "store once, reload before each use" — the allocator now
-//! decides load-store placement through ordinary spill-everywhere
-//! choices. The inserted copies are φ-free, so strict SSA (and hence
-//! chordality of the interference graph) is preserved.
-
+//! The split rewrite performs that transformation on a chosen set of
+//! values: before every use of such a value a fresh [`Opcode::Copy`] is
+//! inserted and the use is rewritten to the copy. Each original value
+//! then carries only the *connector* range (def to last copy); each
+//! copy is a short single-use range. Spilling a connector while keeping
+//! its copies in registers is exactly "store once, reload before each
+//! use" — the allocator now decides load-store placement through
+//! ordinary spill-everywhere choices. The inserted copies are φ-free,
+//! so strict SSA (and hence chordality of the interference graph) is
+//! preserved.
 //!
-//! [`split_pressure_ranges`] is the targeted variant the pipeline's
-//! escalation tier uses: it splits only the values that are live across
-//! the boundary of an **over-pressure** block (`block_max_live > R`),
-//! so the long ranges binding a stall point become several short,
+//! [`split_pressure_ranges`] is the entry point, used by the pipeline's
+//! escalation tier: it splits only the values that are live across the
+//! boundary of an **over-pressure** block (`block_max_live > R`), so
+//! the long ranges binding a stall point become several short,
 //! independently-spillable ones while the rest of the function keeps
 //! its original ranges (and its original spill costs).
 
@@ -31,7 +31,7 @@ use crate::liveness::Liveness;
 use crate::scratch::AnalysisScratch;
 use lra_graph::BitSet;
 
-/// Result of [`split_at_uses`].
+/// Result of a live-range split ([`split_pressure_ranges`]).
 #[derive(Clone, Debug)]
 pub struct SplitFunction {
     /// The rewritten function.
@@ -43,18 +43,9 @@ pub struct SplitFunction {
     pub copies: usize,
 }
 
-/// Splits every live range at each of its uses.
-///
-/// φ uses are split at the tail of the incoming predecessor (the same
-/// placement spill reloads would take). Uses that are already copies
-/// are left alone to keep the transformation idempotent-ish.
-pub fn split_at_uses(f: &Function) -> SplitFunction {
-    split_uses_where(f, |_| true, &mut AnalysisScratch::new())
-}
-
 /// Splits the live ranges binding a stall point: every use of a value
 /// that is live into or out of a block whose maximum pressure exceeds
-/// `r` gets a fresh copy, exactly as in [`split_at_uses`]. Values that
+/// `r` gets a fresh copy (see the [module docs](self)). Values that
 /// never cross an over-pressure boundary are left whole.
 ///
 /// Returns `None` when no block exceeds `r` (nothing is stalled) or
@@ -101,9 +92,12 @@ pub fn split_pressure_ranges(
     (split.copies > 0).then_some(split)
 }
 
-/// The shared rewrite: one fresh copy before every use of a value
-/// selected by `want` (φ uses at the tail of the incoming predecessor).
-fn split_uses_where(
+/// The split rewrite: one fresh copy before every use of a value
+/// selected by `want`. φ uses are split at the tail of the incoming
+/// predecessor (the same placement spill reloads would take). The
+/// operand of an existing copy is left alone: a copy is already a
+/// split point.
+pub(crate) fn split_uses_where(
     f: &Function,
     want: impl Fn(usize) -> bool,
     scratch: &mut AnalysisScratch,
@@ -188,7 +182,7 @@ mod tests {
         b.op(e, &[x]);
         b.op(e, &[x]);
         let f = b.finish();
-        let s = split_at_uses(&f);
+        let s = split_uses_where(&f, |_| true, &mut AnalysisScratch::new());
         assert_eq!(s.copies, 2);
         assert_eq!(s.function.value_count, f.value_count + 2);
         validate_strict_ssa(&s.function).expect("still strict SSA");
@@ -213,7 +207,7 @@ mod tests {
         let m = b.phi(j, &[xl, xr]);
         b.op(j, &[m]);
         let f = b.finish();
-        let s = split_at_uses(&f);
+        let s = split_uses_where(&f, |_| true, &mut AnalysisScratch::new());
         validate_strict_ssa(&s.function).expect("strict SSA");
         // The copy for xl sits at the end of block l.
         let last = s.function.blocks[l.index()].instrs.last().unwrap();
@@ -226,7 +220,7 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         for _ in 0..8 {
             let f = random_ssa_function(&mut rng, &SsaConfig::default(), "f");
-            let s = split_at_uses(&f);
+            let s = split_uses_where(&f, |_| true, &mut AnalysisScratch::new());
             validate_strict_ssa(&s.function).expect("strict SSA");
             let live = liveness::analyze(&s.function);
             let g = interference::interference_graph(&s.function, &live);
@@ -252,7 +246,7 @@ mod tests {
             };
             let f = random_ssa_function(&mut rng, &cfg, "f");
             let before = liveness::analyze(&f).max_live;
-            let s = split_at_uses(&f);
+            let s = split_uses_where(&f, |_| true, &mut AnalysisScratch::new());
             let after = liveness::analyze(&s.function).max_live;
             assert!(
                 after <= before + 2,
@@ -327,7 +321,7 @@ mod tests {
         let c = b.copy(e, x);
         b.op(e, &[c]);
         let f = b.finish();
-        let s = split_at_uses(&f);
+        let s = split_uses_where(&f, |_| true, &mut AnalysisScratch::new());
         // Only the final use is split; the copy's own use stays.
         assert_eq!(s.copies, 1);
     }

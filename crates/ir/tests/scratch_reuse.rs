@@ -3,11 +3,11 @@
 //! Every entry point taking an [`AnalysisScratch`] promises that
 //! reusing one scratch across arbitrary functions produces output
 //! identical to a fresh `AnalysisScratch::new()` per call. These tests
-//! drive the spill rewrite (in every configuration) and the pressure
-//! splitter through one long-lived scratch over functions whose sizes
-//! swing up and down (so the recycled block-edit buffers are exercised
-//! both growing and shrinking) and compare every result against a
-//! fresh scratch.
+//! drive the spill rewrite (with and without a remat table) and the
+//! pressure splitter through one long-lived scratch over functions
+//! whose sizes swing up and down (so the recycled block-edit buffers
+//! are exercised both growing and shrinking) and compare every result
+//! against a fresh scratch.
 
 use lra_graph::BitSet;
 use lra_ir::genprog::{random_ssa_function, SsaConfig};
@@ -49,19 +49,15 @@ fn spill_rewrites_reuse_matches_fresh_across_size_swings() {
     for f in &swinging_functions() {
         let spilled = alternating_spill_set(f);
         for with_table in [false, true] {
-            for share in [false, true] {
-                let mut fresh_table = with_table.then(|| RematTable::compute(f));
-                let mut reused_table = fresh_table.clone();
-                let scratch = &mut AnalysisScratch::new();
-                let fresh = rewrite_spill_code(f, &spilled, fresh_table.as_mut(), share, scratch);
-                let reused =
-                    rewrite_spill_code(f, &spilled, reused_table.as_mut(), share, &mut shared);
-                let config = format!("{}: table {with_table} share {share}", f.name);
-                assert_eq!(fresh.function, reused.function, "{config}");
-                assert_eq!(fresh.stats, reused.stats, "{config}");
-                assert_eq!(fresh.saved_loads, reused.saved_loads, "{config}");
-                assert_eq!(fresh.delta, reused.delta, "{config}");
-            }
+            let mut fresh_table = with_table.then(|| RematTable::compute(f));
+            let mut reused_table = fresh_table.clone();
+            let scratch = &mut AnalysisScratch::new();
+            let fresh = rewrite_spill_code(f, &spilled, fresh_table.as_mut(), scratch);
+            let reused = rewrite_spill_code(f, &spilled, reused_table.as_mut(), &mut shared);
+            let config = format!("{}: table {with_table}", f.name);
+            assert_eq!(fresh.function, reused.function, "{config}");
+            assert_eq!(fresh.stats, reused.stats, "{config}");
+            assert_eq!(fresh.delta, reused.delta, "{config}");
         }
     }
 }
@@ -79,15 +75,9 @@ fn remat_rewrite_reuse_matches_fresh_across_size_swings() {
         for round in 0..2 {
             let spilled = alternating_spill_set(&fresh_f);
             let scratch = &mut AnalysisScratch::new();
-            let fresh =
-                rewrite_spill_code(&fresh_f, &spilled, Some(&mut fresh_table), true, scratch);
-            let reused = rewrite_spill_code(
-                &reused_f,
-                &spilled,
-                Some(&mut reused_table),
-                true,
-                &mut shared,
-            );
+            let fresh = rewrite_spill_code(&fresh_f, &spilled, Some(&mut fresh_table), scratch);
+            let reused =
+                rewrite_spill_code(&reused_f, &spilled, Some(&mut reused_table), &mut shared);
             assert_eq!(fresh.function, reused.function, "{} round {round}", f.name);
             assert_eq!(fresh.stats, reused.stats);
             (fresh_f, reused_f) = (fresh.function, reused.function);

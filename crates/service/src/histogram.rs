@@ -135,12 +135,6 @@ impl HistogramSnapshot {
         }
         bucket_upper_us(BUCKETS - 1)
     }
-
-    /// Mean of the recorded values, in microseconds (0 when empty).
-    /// Exact — the sum is tracked outside the buckets.
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -220,7 +214,7 @@ mod tests {
     fn empty_and_single_sample_edges() {
         let snap = HistogramSnapshot::new();
         assert_eq!(snap.percentile_us(50), 0);
-        assert_eq!(snap.mean_us(), 0);
+        assert_eq!(snap.sum_us, 0);
 
         let h = LatencyHistogram::new();
         h.record_us(7);
@@ -229,7 +223,7 @@ mod tests {
         assert_eq!(snap.percentile_us(0), bucket_upper_us(bucket_of(7)));
         assert_eq!(snap.percentile_us(50), 7, "7 is its bucket's upper bound");
         assert_eq!(snap.percentile_us(100), 7);
-        assert_eq!(snap.mean_us(), 7);
+        assert_eq!((snap.count, snap.sum_us), (1, 7));
     }
 
     #[test]

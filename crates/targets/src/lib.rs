@@ -88,16 +88,6 @@ impl Target {
         self
     }
 
-    /// Overrides the memory-access costs. `store_cost = 0` gives the
-    /// Appel–George regime where a value may live in memory and
-    /// registers simultaneously (used by the live-range-splitting
-    /// study).
-    pub fn with_memory_costs(mut self, load_cost: u64, store_cost: u64) -> Self {
-        self.load_cost = load_cost;
-        self.store_cost = store_cost;
-        self
-    }
-
     /// Which architecture this models.
     pub fn kind(&self) -> TargetKind {
         self.kind

@@ -8,7 +8,8 @@ use lra::core::pipeline::{build_instance, InstanceKind};
 use lra::core::problem::Allocator;
 use lra::core::{assign, verify, Optimal};
 use lra::ir::genprog::{random_ssa_function, validate_strict_ssa, SsaConfig};
-use lra::ir::split::split_at_uses;
+use lra::ir::split::split_pressure_ranges;
+use lra::ir::{liveness, AnalysisScratch};
 use lra::targets::{Target, TargetKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -60,14 +61,19 @@ fn allocation_then_assignment_end_to_end() {
 
 #[test]
 fn split_then_allocate_models_reload_pressure() {
-    let target = Target::new(TargetKind::St231).with_memory_costs(3, 0);
+    // The splitter the escalation tier runs, at the register count the
+    // allocations below use.
+    let target = Target::new(TargetKind::St231);
+    let scratch = &mut AnalysisScratch::new();
+    let r = 4;
     for seed in 0..3u64 {
         let f = ssa_function(seed);
-        let s = split_at_uses(&f);
+        let live = liveness::analyze(&f);
+        let s = split_pressure_ranges(&f, &live, r as usize, scratch)
+            .unwrap_or_else(|| panic!("seed {seed}: no range crosses an over-pressure block"));
         validate_strict_ssa(&s.function).expect("split preserves SSA");
         let whole = build_instance(&f, &target, InstanceKind::LinearIntervals);
         let split = build_instance(&s.function, &target, InstanceKind::LinearIntervals);
-        let r = 4;
         let c_whole = Optimal.allocate(&whole, r).spill_cost;
         let c_split = Optimal.allocate(&split, r).spill_cost;
         // The split model accounts for reload sub-ranges, so it can

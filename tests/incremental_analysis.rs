@@ -1,8 +1,7 @@
 //! The incremental re-analysis contract, end to end:
 //!
 //! * property test — after a randomized spill rewrite of a random
-//!   (SSA or JIT) function, in every rewriter configuration (with or
-//!   without a remat table, with or without shared reloads),
+//!   (SSA or JIT) function, with or without a remat table,
 //!   `liveness::analyze_incremental` seeded
 //!   from the previous fixed point equals a fresh
 //!   `liveness::analyze` of the rewritten function, field for field;
@@ -37,11 +36,11 @@ fn random_function(rng: &mut ChaCha8Rng, jit: bool) -> Function {
     }
 }
 
-/// Rewrites `spilled` in the rewriter configuration `config` (0..4):
-/// bit 0 selects a fresh [`RematTable`], bit 1 shared reloads.
+/// Rewrites `spilled` in the rewriter configuration `config` (0..2):
+/// 1 selects a fresh [`RematTable`].
 fn rewrite(f: &Function, spilled: &BitSet, config: u64, s: &mut AnalysisScratch) -> SpillRewrite {
-    let mut table = (config & 1 == 1).then(|| RematTable::compute(f));
-    rewrite_spill_code(f, spilled, table.as_mut(), config & 2 == 2, s)
+    let mut table = (config == 1).then(|| RematTable::compute(f));
+    rewrite_spill_code(f, spilled, table.as_mut(), s)
 }
 
 fn random_spill_set(rng: &mut ChaCha8Rng, f: &Function, percent: u32) -> BitSet {
@@ -62,7 +61,7 @@ proptest! {
         let prev = liveness::analyze(&f);
         let spilled = random_spill_set(&mut rng, &f, percent);
         let s = &mut AnalysisScratch::new();
-        for config in 0..4 {
+        for config in 0..2 {
             let rw = rewrite(&f, &spilled, config, s);
             let (dirty, changed) = (&rw.delta.dirty_blocks, &rw.delta.changed_values);
             let incremental = liveness::analyze_incremental(&rw.function, &prev, dirty, changed, s);
@@ -86,15 +85,14 @@ proptest! {
         let a0 = liveness::analyze(&f);
         let s1 = random_spill_set(&mut rng, &f, 25);
         let s = &mut AnalysisScratch::new();
-        for config in 0..4u64 {
-            let mut table = (config & 1 == 1).then(|| RematTable::compute(&f));
-            let share = config & 2 == 2;
-            let r1 = rewrite_spill_code(&f, &s1, table.as_mut(), share, s);
+        for config in 0..2u64 {
+            let mut table = (config == 1).then(|| RematTable::compute(&f));
+            let r1 = rewrite_spill_code(&f, &s1, table.as_mut(), s);
             let a1 = liveness::analyze_incremental(
                 &r1.function, &a0, &r1.delta.dirty_blocks, &r1.delta.changed_values, s,
             );
             let s2 = random_spill_set(&mut rng, &r1.function, 20);
-            let r2 = rewrite_spill_code(&r1.function, &s2, table.as_mut(), !share, s);
+            let r2 = rewrite_spill_code(&r1.function, &s2, table.as_mut(), s);
             let a2 = liveness::analyze_incremental(
                 &r2.function, &a1, &r2.delta.dirty_blocks, &r2.delta.changed_values, s,
             );
@@ -113,7 +111,7 @@ fn function_analysis_after_spill_matches_compute() {
         let s = &mut AnalysisScratch::new();
         let analysis = FunctionAnalysis::compute(&f, s);
         let spilled = random_spill_set(&mut rng, &f, 30);
-        for config in 0..4 {
+        for config in 0..2 {
             let rw = rewrite(&f, &spilled, config, s);
             let incremental = analysis.after_spill(&rw.function, &rw.delta, s);
             let fresh = FunctionAnalysis::compute(&rw.function, s);
@@ -139,8 +137,7 @@ fn pipelines() -> Vec<AllocationPipeline> {
             .allocator("BFPL")
             .instance_kind(InstanceKind::LinearIntervals)
             .registers(4)
-            .max_rounds(4)
-            .optimized_spill_code(true),
+            .max_rounds(4),
     ]
 }
 

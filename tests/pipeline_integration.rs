@@ -66,7 +66,7 @@ fn spilling_the_optimal_set_reduces_pressure_towards_r() {
     let alloc = Layered::bfpl().allocate(&inst, r);
     let spilled = alloc.spilled_set(&inst);
     let scratch = &mut AnalysisScratch::new();
-    let rw = spill_code::rewrite_spill_code(&f, &spilled, None, false, scratch);
+    let rw = spill_code::rewrite_spill_code(&f, &spilled, None, scratch);
     let after = liveness::analyze(&rw.function).max_live;
     assert!(rw.stats.stores > 0 && rw.stats.loads > 0);
     assert!(

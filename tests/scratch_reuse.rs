@@ -3,7 +3,10 @@
 //! * property test — one long-lived [`lra::AnalysisScratch`] threaded
 //!   through a stream of random SSA and JIT functions of wildly
 //!   different sizes produces reports byte-identical to fresh scratch
-//!   per function (buffer recycling never changes output bits);
+//!   per function (buffer recycling never changes output bits). Both
+//!   pipelines run the escalation tier, so the stalled items also
+//!   drive the pressure split and the remat-aware spill rewrite
+//!   through the reused scratch;
 //! * the low-level analyses (`liveness::analyze_in`,
 //!   `interference_graph_in`, `live_intervals`) on the same reused
 //!   buffers agree with their scratch-free forms, or with a fresh
@@ -50,13 +53,14 @@ fn pipelines() -> Vec<AllocationPipeline> {
             .allocator("LH")
             .instance_kind(InstanceKind::PreciseGraph)
             .registers(4)
-            .max_rounds(4),
+            .max_rounds(4)
+            .escalation(true),
         AllocationPipeline::new(t)
             .allocator("BFPL")
             .instance_kind(InstanceKind::LinearIntervals)
             .registers(4)
             .max_rounds(4)
-            .optimized_spill_code(true),
+            .escalation(true),
     ]
 }
 
