@@ -346,7 +346,7 @@ fn run_record(seed: u64, out: &str) {
 
 /// `profile`: run the standard corpora single-worker with phase
 /// tracing armed and persist the merged per-phase self-times as
-/// `BENCH_phases.json` (schema `lra-bench/phases-v4`). `--chrome PATH`
+/// `BENCH_phases.json` (schema `lra-bench/phases-v5`). `--chrome PATH`
 /// additionally re-runs the heaviest jit-large function in span-event
 /// detail and writes a chrome://tracing document to `PATH`.
 fn run_profile(seed: u64, out: &str, chrome: Option<&str>) {

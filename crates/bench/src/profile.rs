@@ -11,7 +11,7 @@
 //! (CI asserts ≥ 90% coverage).
 
 use crate::batchrun::{standard_experiments, BatchExperiment};
-use lra_core::trace::{self, Phase, TraceReport};
+use lra_core::trace::{self, EscalationOutcome, Phase, TraceReport};
 use lra_core::BatchSummary;
 use std::time::{Duration, Instant};
 
@@ -85,14 +85,14 @@ pub fn profile(experiments: &[BatchExperiment]) -> Vec<CorpusProfile> {
 }
 
 /// Serialises corpus profiles as the `BENCH_phases.json` document
-/// (schema `lra-bench/phases-v4`; hand-rolled, no serde in the build
+/// (schema `lra-bench/phases-v5`; hand-rolled, no serde in the build
 /// environment). See `docs/benchmarks.md` for the field reference.
 pub fn to_json(seed: u64, host: &str, profiles: &[CorpusProfile]) -> String {
     use std::fmt::Write as _;
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"lra-bench/phases-v4\",");
+    let _ = writeln!(s, "  \"schema\": \"lra-bench/phases-v5\",");
     let _ = writeln!(s, "  \"seed\": {seed},");
     let _ = writeln!(s, "  \"host\": {host},");
     s.push_str("  \"corpora\": [\n");
@@ -111,6 +111,14 @@ pub fn to_json(seed: u64, host: &str, profiles: &[CorpusProfile]) -> String {
         let _ = writeln!(s, "      \"exact_tied\": {},", p.trace.exact_tied);
         let _ = writeln!(s, "      \"exact_improved\": {},", p.trace.exact_improved);
         let _ = writeln!(s, "      \"exact_exhausted\": {},", p.trace.exact_exhausted);
+        for outcome in EscalationOutcome::ALL {
+            let _ = writeln!(
+                s,
+                "      \"escalation_{}\": {},",
+                outcome.name(),
+                p.trace.escalations[outcome as usize]
+            );
+        }
         let _ = writeln!(
             s,
             "      \"chordality_tests\": {},",
@@ -236,6 +244,17 @@ mod tests {
         assert!(profiles.iter().any(|p| p.trace.exact_won > 0));
         assert!(profiles.iter().any(|p| p.trace.exact_improved > 0));
         assert!(profiles.iter().any(|p| p.trace.exact_exhausted > 0));
+        // Every escalation ends one way, and every corpus escalates.
+        for p in &profiles {
+            let escalations: u64 = p.trace.escalations.iter().sum();
+            assert_eq!(
+                escalations,
+                p.trace.phases[Phase::EscalatePrep as usize].count,
+                "{}",
+                p.name
+            );
+            assert!(escalations > 0, "{}: no escalation", p.name);
+        }
         // Outside the portfolio, the interval corpus carries its PEO
         // and LH never asks for one: neither runs a chordality test.
         for p in profiles.iter().filter(|p| !p.name.contains("Portfolio")) {
@@ -248,7 +267,7 @@ mod tests {
         let profiles = run(3);
         let host = crate::host::stamp_json(std::path::Path::new("."));
         let json = to_json(3, &host, &profiles);
-        assert!(json.contains("\"schema\": \"lra-bench/phases-v4\""));
+        assert!(json.contains("\"schema\": \"lra-bench/phases-v5\""));
         assert!(json.contains("\"host\": {\"nproc\": "));
         for name in [
             "lao-kernels/BFPL/R4",
@@ -267,6 +286,11 @@ mod tests {
             "exact_tied",
             "exact_improved",
             "exact_exhausted",
+            "escalation_not_splittable",
+            "escalation_failed",
+            "escalation_over_base_cost",
+            "escalation_unconverged",
+            "escalation_accepted",
             "chordality_tests",
         ] {
             assert_eq!(json.matches(&format!("\"{field}\": ")).count(), 4);

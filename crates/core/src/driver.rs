@@ -23,7 +23,10 @@
 //! the original function with its live ranges split and constants
 //! rematerialized: the escalation tier. It is a plain switch, off
 //! unless [`AllocationPipeline::escalation`] turns it on, for
-//! `Portfolio` as for every other allocator.
+//! `Portfolio` as for every other allocator. The restart is kept only
+//! when it converges at no higher spill cost than the stalled run, so
+//! the stalled run's total is its ceiling: a restart whose running cost
+//! passes it stops at that round, before the round's rewrite.
 //!
 //! The pipeline is builder-configured and returns an
 //! [`AllocatedFunction`] report with everything a client (or a test)
@@ -61,6 +64,7 @@ use crate::pipeline::{build_instance_from_costs, InstanceKind};
 use crate::portfolio::{Portfolio, PortfolioConfig};
 use crate::problem::{Allocator, Instance};
 use crate::registry::{AllocatorRegistry, AllocatorSpec};
+use crate::trace::EscalationOutcome;
 use crate::verify::{self, Feasibility};
 use lra_graph::BitSet;
 use lra_ir::remat::RematTable;
@@ -216,7 +220,8 @@ impl AllocationPipeline {
     /// rematerialized instead of spilled
     /// ([`spill_code::rewrite_spill_code`] with a [`RematTable`]),
     /// keeping the escalated result only when it converges at no
-    /// higher total spill cost.
+    /// higher total spill cost. An escalated loop whose running cost
+    /// passes the base run's total stops at that round.
     ///
     /// Off by default, for every allocator `Portfolio` included: the
     /// tier runs exactly when this was called with `true`.
@@ -293,7 +298,18 @@ impl AllocationPipeline {
             .full_reanalysis
             .unwrap_or_else(analysis::full_reanalysis_forced);
 
-        let base = self.run_loop(f, scratch, allocator.as_ref(), spec, r, force_full, None)?;
+        let base = self
+            .run_loop(
+                f,
+                scratch,
+                allocator.as_ref(),
+                spec,
+                r,
+                force_full,
+                None,
+                None,
+            )?
+            .expect("a loop without a ceiling is never cut");
         // The paper's spill-everywhere figure: the first base round's
         // cost on the original function. Saved before escalation can
         // replace the round history with the split function's.
@@ -355,6 +371,14 @@ impl AllocationPipeline {
     /// evictions as rematerializations instead of stores + reloads
     /// ([`spill_code::rewrite_spill_code`]); the table is kept in
     /// lockstep with the fresh values every rewrite introduces.
+    ///
+    /// With `ceiling` set the loop returns `Ok(None)` as soon as the
+    /// running sum of its round costs is above it, before that round's
+    /// rewrite and reanalysis. Round costs never fall below zero, so
+    /// such a loop could only have ended above the ceiling; a sum equal
+    /// to it runs on, because a later round that spills nothing still
+    /// ends at the ceiling. Without a ceiling the result is always
+    /// `Some`.
     #[allow(clippy::too_many_arguments)] // internal plumbing behind run_with
     fn run_loop(
         &self,
@@ -365,7 +389,8 @@ impl AllocationPipeline {
         r: u32,
         force_full: bool,
         mut remat: Option<RematTable>,
-    ) -> Result<LoopOutcome, PipelineError> {
+        ceiling: Option<u64>,
+    ) -> Result<Option<LoopOutcome>, PipelineError> {
         // The one analysis of the round: built once here, then updated
         // incrementally after each spill rewrite. Instance
         // construction, spill costs and the stall check below all
@@ -416,14 +441,6 @@ impl AllocationPipeline {
                 return Err(PipelineError::NeedsChordal(spec.name));
             }
             let round = allocate_round(&inst, allocator, r);
-
-            if round.spilled.is_empty() {
-                round_costs.push(round.cost);
-                crate::trace::add_round(round.cost);
-                converged = round.verdict.is_feasible();
-                break (round.assignment, round.verdict);
-            }
-
             let spill_set = BitSet::from_iter_with_capacity(
                 func.value_count as usize,
                 round.spilled.iter().copied(),
@@ -440,7 +457,7 @@ impl AllocationPipeline {
             // evictions of them are priced (and rewritten) as slot
             // re-loads.
             let charged = match remat.as_mut() {
-                Some(table) => {
+                Some(table) if !round.spilled.is_empty() => {
                     table.upgrade_slot_copies(&func, &spill_set);
                     let ins = spill_cost::spill_insert_costs(
                         &func,
@@ -455,10 +472,17 @@ impl AllocationPipeline {
                         .map(|&v| ins.get(v).copied().unwrap_or(0))
                         .sum()
                 }
-                None => round.cost,
+                _ => round.cost,
             };
             round_costs.push(charged);
             crate::trace::add_round(charged);
+            if ceiling.is_some_and(|c| round_costs.iter().sum::<u64>() > c) {
+                return Ok(None);
+            }
+            if round.spilled.is_empty() {
+                converged = round.verdict.is_feasible();
+                break (round.assignment, round.verdict);
+            }
 
             // Rewrite the function so the spilled values live in memory
             // (or, for remat-classed values, are re-issued at each use).
@@ -516,7 +540,7 @@ impl AllocationPipeline {
         // rewrite, and on a converged exit `func` is unchanged since
         // it was analysed.
         let max_live_after = func_analysis.liveness.max_live;
-        Ok(LoopOutcome {
+        Ok(Some(LoopOutcome {
             function: func,
             rounds,
             converged,
@@ -529,18 +553,20 @@ impl AllocationPipeline {
             verdict,
             max_live_before,
             max_live_after,
-        })
+        }))
     }
 
     /// The escalation tier: split the original function's over-pressure
-    /// live ranges ([`split::split_pressure_ranges`]), classify
-    /// rematerializable values across the split
-    /// ([`RematTable::map_split`]), and re-run the whole loop on the
-    /// transformed function. Returns the escalated outcome and the
-    /// number of split copies when it converged at no higher spill cost
-    /// than `base`; `None` (caller keeps `base`) when nothing was
-    /// splittable, the escalated loop errored (e.g. the split cost a
-    /// non-SSA function its chordality) or the result was worse.
+    /// live ranges and re-run the whole loop on the transformed
+    /// function ([`escalation_input`]). Returns the escalated outcome
+    /// and the number of split copies when it converged at no higher
+    /// spill cost than `base`; `None` (caller keeps `base`) when nothing
+    /// was splittable, the escalated loop errored (e.g. the split cost a
+    /// non-SSA function its chordality), or it did not converge. The
+    /// loop runs under `base`'s total spill cost as its ceiling, so one
+    /// that could only end costlier stops at the first round whose
+    /// running cost passes the base run's, before that round's rewrite.
+    /// Each call records its [`EscalationOutcome`] in the trace.
     #[allow(clippy::too_many_arguments)] // internal plumbing behind run_with
     fn escalate(
         &self,
@@ -554,15 +580,11 @@ impl AllocationPipeline {
     ) -> Option<(LoopOutcome, usize)> {
         let prep = {
             let _s = crate::trace::span(crate::trace::Phase::EscalatePrep);
-            let live = liveness::analyze_in(f, scratch);
-            split::split_pressure_ranges(f, &live, r as usize, scratch).map(|split| {
-                let table = RematTable::compute(f).map_split(&split.origin);
-                (split, table)
-            })
+            escalation_input(f, scratch, r)
         };
-        let (split, table) = prep?;
-        let mut esc = self
-            .run_loop(
+        let ended = match prep {
+            None => Err(EscalationOutcome::NotSplittable),
+            Some((split, table)) => match self.run_loop(
                 &split.function,
                 scratch,
                 allocator,
@@ -570,18 +592,41 @@ impl AllocationPipeline {
                 r,
                 force_full,
                 Some(table),
-            )
-            .ok()?;
-        if !esc.converged || esc.spill_cost() > base.spill_cost() {
-            return None;
-        }
+                Some(base.spill_cost()),
+            ) {
+                Err(_) => Err(EscalationOutcome::Failed),
+                Ok(None) => Err(EscalationOutcome::OverBaseCost),
+                Ok(Some(esc)) if !esc.converged => Err(EscalationOutcome::Unconverged),
+                Ok(Some(esc)) => Ok((esc, split.copies)),
+            },
+        };
+        crate::trace::add_escalation_outcome(match &ended {
+            Ok(_) => EscalationOutcome::Accepted,
+            Err(outcome) => *outcome,
+        });
+        let (mut esc, copies) = ended.ok()?;
         // The report should describe the whole pipeline run: rounds
         // count the total allocation effort (base + escalated) and
         // MaxLive-before is the original function's, not the split's.
         esc.rounds += base.rounds;
         esc.max_live_before = base.max_live_before;
-        Some((esc, split.copies))
+        Some((esc, copies))
     }
+}
+
+/// The escalation tier's input: `f` with its over-pressure live ranges
+/// split ([`split::split_pressure_ranges`]) and its rematerializable
+/// values classified across the split ([`RematTable::map_split`]);
+/// `None` when no range was splittable.
+fn escalation_input(
+    f: &Function,
+    scratch: &mut AnalysisScratch,
+    r: u32,
+) -> Option<(split::SplitFunction, RematTable)> {
+    let live = liveness::analyze_in(f, scratch);
+    let split = split::split_pressure_ranges(f, &live, r as usize, scratch)?;
+    let table = RematTable::compute(f).map_split(&split.origin);
+    Some((split, table))
 }
 
 /// One allocation round: allocate on `inst`, check the allocation
@@ -963,6 +1008,134 @@ mod tests {
                 r.split_copies,
             )
         )
+    }
+
+    /// The random non-SSA methods of the jit-large (`large`) or
+    /// jit-huge size classes, scaled down for an unoptimised test
+    /// build.
+    fn jit_function(seed: u64, large: bool) -> Function {
+        use lra_ir::genprog::{random_jit_function, JitConfig};
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (vars, blocks, instrs, cross, back, call) = if large {
+            (rng.gen_range(24..=90), 10, rng.gen_range(6..=9), 55, 40, 6)
+        } else {
+            (rng.gen_range(10..=60), 6, rng.gen_range(4..=7), 50, 35, 5)
+        };
+        let cfg = JitConfig {
+            vars,
+            blocks: (vars / 6).max(blocks),
+            instrs_per_block: instrs,
+            cross_percent: cross,
+            back_percent: back,
+            call_percent: call,
+        };
+        random_jit_function(&mut rng, &cfg, format!("j{seed}"))
+    }
+
+    /// Everything a loop reports, as text.
+    fn rendered_loop(l: &LoopOutcome) -> String {
+        format!(
+            "{}{:?}",
+            lra_ir::textio::print(&l.function),
+            (
+                l.rounds,
+                l.converged,
+                &l.round_costs,
+                &l.spilled_values,
+                (l.stores, l.loads, l.remats),
+                &l.assignment,
+                &l.verdict,
+                (l.max_live_before, l.max_live_after),
+            )
+        )
+    }
+
+    #[test]
+    fn the_base_cost_ceiling_cuts_only_loops_that_would_be_rejected() {
+        // Each escalated loop runs under the base run's total cost as
+        // its ceiling and with none. A loop the ceiling cut must end
+        // costlier than the base run (so `escalate` would have rejected
+        // it); a loop it did not cut must end identically.
+        use crate::portfolio::PortfolioConfig;
+        let arm = Target::new(TargetKind::ArmCortexA8);
+        let ssa: Vec<Function> = (0..8).map(small_function).collect();
+        let jit: Vec<Function> = (0..12)
+            .map(|s| jit_function(s, false))
+            .chain((12..16).map(|s| jit_function(s, true)))
+            .collect();
+        let pipelines = [
+            AllocationPipeline::new(arm).allocator("LH"),
+            AllocationPipeline::new(arm)
+                .allocator("BFPL")
+                .instance_kind(InstanceKind::LinearIntervals),
+            AllocationPipeline::new(arm).portfolio(PortfolioConfig::default().node_budget(2_000)),
+        ];
+        let (mut scratch, mut prep_scratch) = (AnalysisScratch::new(), AnalysisScratch::new());
+        let mut ended = [0usize; 2]; // [cut, run to the end]
+        for p in pipelines {
+            let spec = AllocatorRegistry::spec(&p.allocator).unwrap();
+            let allocator: Box<dyn Allocator> = match &p.portfolio {
+                Some(cfg) => Box::new(Portfolio::new(cfg.clone()).unwrap()),
+                None => spec.build(),
+            };
+            for (functions, r) in [(&ssa, 3u32), (&jit, 6)] {
+                for f in functions {
+                    let name = format!("{} {} R={r}", spec.name, f.name);
+                    let mut run = |f: &Function, remat, ceiling| {
+                        let a = allocator.as_ref();
+                        p.run_loop(f, &mut scratch, a, spec, r, false, remat, ceiling)
+                    };
+                    let base = run(f, None, None).unwrap().unwrap();
+                    if base.converged {
+                        continue;
+                    }
+                    let Some((split, table)) = escalation_input(f, &mut prep_scratch, r) else {
+                        continue;
+                    };
+                    let ceiling = base.spill_cost();
+                    let mut run = |remat, ceiling| run(&split.function, remat, ceiling);
+                    let full = run(Some(table.clone()), None).map(Option::unwrap);
+                    if let Ok(full) = &full {
+                        // The boundary: a loop whose running cost only
+                        // reaches the ceiling runs to the end; one unit
+                        // less cuts it.
+                        let own = full.spill_cost();
+                        let at = run(Some(table.clone()), Some(own)).unwrap();
+                        assert_eq!(
+                            at.as_ref().map(rendered_loop),
+                            Some(rendered_loop(full)),
+                            "{name}"
+                        );
+                        if own > 0 {
+                            let below = run(Some(table.clone()), Some(own - 1)).unwrap();
+                            assert!(below.is_none(), "{name}: ran past its ceiling");
+                        }
+                    }
+                    match (run(Some(table), Some(ceiling)), full) {
+                        // Cut: run to the end, the loop ended costlier
+                        // (or failed in a later round).
+                        (Ok(None), full) => {
+                            if let Ok(full) = full {
+                                assert!(full.spill_cost() > ceiling, "{name}: cut a keepable loop");
+                            }
+                            ended[0] += 1;
+                        }
+                        (Ok(Some(cut)), Ok(full)) => {
+                            assert_eq!(rendered_loop(&cut), rendered_loop(&full), "{name}");
+                            ended[1] += 1;
+                        }
+                        (Err(a), Err(b)) => assert_eq!(a, b, "{name}"),
+                        (a, b) => panic!(
+                            "{name}: with a ceiling {:?}, without {:?}",
+                            a.map(|l| l.is_some()),
+                            b.map(|l| l.spill_cost())
+                        ),
+                    }
+                }
+            }
+        }
+        assert!(ended.iter().all(|&k| k > 0), "{ended:?}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! (analysis, spill costs, instance build, allocate, verify, rewrite,
 //! reanalyse) — plus the side counters a phase budget needs: fuel
 //! granted to and consumed by exact solves, per-round spill deltas,
-//! exact-tier outcomes, chordality tests and result-cache hits and
-//! misses.
+//! exact-tier and escalation-tier outcomes, chordality tests and
+//! result-cache hits and misses.
 //!
 //! # Cost contract
 //!
@@ -224,6 +224,11 @@ pub struct TraceReport {
     /// Escalations whose exact search ran out of fuel (or time) with
     /// nothing cheaper than the cheap tier.
     pub exact_exhausted: u64,
+    /// How the runs of the split + remat escalation tier ended, indexed
+    /// by `EscalationOutcome as usize` and recorded via
+    /// [`add_escalation_outcome`]. One per escalation, so the entries
+    /// sum to the [`Phase::EscalatePrep`] span count.
+    pub escalations: [u64; ESCALATION_OUTCOME_COUNT],
     /// Chordality tests actually run, recorded via
     /// [`add_chordality_test`]: the first PEO request on an instance
     /// not built from intervals (see `Instance::peo`).
@@ -265,6 +270,9 @@ impl TraceReport {
         self.exact_tied += other.exact_tied;
         self.exact_improved += other.exact_improved;
         self.exact_exhausted += other.exact_exhausted;
+        for (into, from) in self.escalations.iter_mut().zip(other.escalations) {
+            *into += from;
+        }
         self.chordality_tests += other.chordality_tests;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -439,6 +447,57 @@ pub fn add_exact_outcome(outcome: ExactOutcome) {
     });
 }
 
+/// Number of [`EscalationOutcome`] variants.
+pub const ESCALATION_OUTCOME_COUNT: usize = 5;
+
+/// How one run of the split + remat escalation tier ended (the
+/// driver's `escalate`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(usize)]
+pub enum EscalationOutcome {
+    /// No live range could be split, so no escalated loop ran.
+    NotSplittable = 0,
+    /// The escalated loop failed, e.g. the split cost a non-SSA
+    /// function its chordality.
+    Failed = 1,
+    /// The escalated loop's running spill cost passed the base run's
+    /// total, so it was stopped at that round.
+    OverBaseCost = 2,
+    /// The escalated loop ended without converging.
+    Unconverged = 3,
+    /// The escalated loop converged at no higher spill cost than the
+    /// base run and replaced it.
+    Accepted = 4,
+}
+
+impl EscalationOutcome {
+    /// Every outcome, in discriminant order.
+    pub const ALL: [EscalationOutcome; ESCALATION_OUTCOME_COUNT] = [
+        EscalationOutcome::NotSplittable,
+        EscalationOutcome::Failed,
+        EscalationOutcome::OverBaseCost,
+        EscalationOutcome::Unconverged,
+        EscalationOutcome::Accepted,
+    ];
+
+    /// The stable snake_case name used in Prometheus labels and (with
+    /// an `escalation_` prefix) in `BENCH_phases.json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            EscalationOutcome::NotSplittable => "not_splittable",
+            EscalationOutcome::Failed => "failed",
+            EscalationOutcome::OverBaseCost => "over_base_cost",
+            EscalationOutcome::Unconverged => "unconverged",
+            EscalationOutcome::Accepted => "accepted",
+        }
+    }
+}
+
+/// Records how one run of the escalation tier ended.
+pub fn add_escalation_outcome(outcome: EscalationOutcome) {
+    with_report(|r| r.escalations[outcome as usize] += 1);
+}
+
 /// Records one completed allocation round and the spill cost it
 /// charged.
 pub fn add_round(spill_cost: u64) {
@@ -479,6 +538,7 @@ mod tests {
             add_fuel_consumed(10);
             add_round(5);
             add_chordality_test();
+            add_escalation_outcome(EscalationOutcome::Accepted);
             cache_access(true);
         }
         assert_eq!(take(), None);
@@ -503,6 +563,9 @@ mod tests {
             add_fuel_consumed(2_500);
             add_round(42);
             add_chordality_test();
+            add_escalation_outcome(EscalationOutcome::OverBaseCost);
+            add_escalation_outcome(EscalationOutcome::OverBaseCost);
+            add_escalation_outcome(EscalationOutcome::Accepted);
             cache_access(true);
             cache_access(false);
             cache_access(false);
@@ -534,6 +597,7 @@ mod tests {
         assert_eq!(r.rounds, 1);
         assert_eq!(r.spill_delta, 42);
         assert_eq!(r.chordality_tests, 1);
+        assert_eq!(r.escalations, [0, 0, 2, 0, 1]);
         assert_eq!((r.cache_hits, r.cache_misses), (1, 2));
         assert!(r.events.is_empty(), "no detail requested");
     }
@@ -568,6 +632,7 @@ mod tests {
         a.exact_won = 1;
         a.exact_exhausted = 2;
         a.chordality_tests = 4;
+        a.escalations = [1, 0, 2, 0, 3];
         a.cache_hits = 3;
         let mut b = TraceReport {
             rounds: 4,
@@ -577,6 +642,7 @@ mod tests {
             exact_improved: 2,
             exact_exhausted: 1,
             chordality_tests: 1,
+            escalations: [0, 1, 4, 1, 1],
             ..TraceReport::default()
         };
         b.phases[Phase::Allocate as usize] = PhaseStats {
@@ -608,6 +674,7 @@ mod tests {
             (1, 3, 2, 3)
         );
         assert_eq!(a.chordality_tests, 5);
+        assert_eq!(a.escalations, [1, 1, 6, 1, 4]);
         assert_eq!((a.cache_hits, a.cache_misses), (3, 2));
         assert!(a.events.is_empty());
     }
@@ -638,5 +705,13 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "names are unique");
+        let outcomes: Vec<&str> = EscalationOutcome::ALL.iter().map(|o| o.name()).collect();
+        for (i, o) in EscalationOutcome::ALL.iter().enumerate() {
+            assert_eq!(*o as usize, i, "discriminants index the counters");
+        }
+        let mut dedup = outcomes.clone();
+        dedup.sort_unstable();
+        dedup.dedup();
+        assert_eq!(dedup.len(), outcomes.len(), "outcome names are unique");
     }
 }

@@ -7,12 +7,15 @@
 //! allocators, an `LH` cluster, a `GC` select colour and a
 //! branch-and-bound colour row are each one register, and a set chosen
 //! on a chordal graph is coloured along the reverse PEO (the tree-scan).
-//! [`check`] does not search for a colouring; it checks that one in a
-//! single O(V + E) pass: every allocated variable has a colour below
-//! `R`, and no edge joins two allocated variables of the same colour.
+//! [`check`] does not search for a colouring; it checks that one: every
+//! allocated variable has a colour below `R`, and no edge joins two
+//! allocated variables of the same colour. The second test is
+//! word-level: the allocated variables are sorted into one bit set per
+//! colour, and each one's neighbour row is ANDed with its own colour's
+//! set, O(V²/64) word operations in all and no walk over the edges.
 
 use crate::problem::{Allocation, Instance};
-use lra_graph::coloring;
+use lra_graph::BitSet;
 
 /// The result of a feasibility check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,7 +50,22 @@ pub fn check(instance: &Instance, alloc: &Allocation, r: u32) -> Feasibility {
             colors[v]
         ));
     }
-    if !coloring::is_proper_coloring(instance.graph(), colors, Some(&alloc.allocated)) {
+    let g = instance.graph();
+    let used = alloc
+        .allocated
+        .iter()
+        .map(|v| colors[v] as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut classes = vec![BitSet::new(g.vertex_count()); used];
+    for v in alloc.allocated.iter() {
+        classes[colors[v] as usize].insert(v);
+    }
+    let clash = alloc
+        .allocated
+        .iter()
+        .any(|v| !g.neighbor_row(v).is_disjoint(&classes[colors[v] as usize]));
+    if clash {
         return Feasibility::Infeasible("two interfering variables share a colour".into());
     }
     Feasibility::Feasible(colors.clone())
@@ -56,7 +74,7 @@ pub fn check(instance: &Instance, alloc: &Allocation, r: u32) -> Feasibility {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lra_graph::{BitSet, Graph, WeightedGraph};
+    use lra_graph::{coloring, Graph, WeightedGraph};
 
     fn instance(n: usize, edges: &[(usize, usize)]) -> Instance {
         Instance::from_weighted_graph(WeightedGraph::unit(Graph::from_edges(n, edges)))
@@ -139,5 +157,48 @@ mod tests {
         let inst = instance(3, &[(0, 1), (1, 2), (0, 2)]);
         let none = inst.allocation_from_set(BitSet::new(3));
         assert!(check(&inst, &none, 0).is_feasible());
+    }
+
+    #[test]
+    fn word_level_check_agrees_with_the_edge_walk() {
+        // `is_proper_coloring` walks every edge; `check` must reach the
+        // same verdict on random graphs, allocated sets and colourings,
+        // many of them bad, across 64-vertex word boundaries.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(27);
+        let mut verdicts = [0usize; 2];
+        for _ in 0..300 {
+            let n = rng.gen_range(1..=150usize);
+            let density = rng.gen_range(1..=30u32);
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rng.gen_range(0..100u32) < density {
+                        edges.push((u, v));
+                    }
+                }
+            }
+            let inst = instance(n, &edges);
+            let allocated =
+                BitSet::from_iter_with_capacity(n, (0..n).filter(|_| rng.gen_range(0..4u32) > 0));
+            // A proper first-fit colouring, then (mostly) a few entries
+            // recoloured at random, up to `r` inclusive so some fall out
+            // of range.
+            let mut colors = coloring::greedy_coloring_in_order(
+                inst.graph(),
+                (0..n).map(lra_graph::Vertex::new),
+            );
+            let r = colors.iter().max().map_or(1, |&c| c + 1);
+            for _ in 0..rng.gen_range(0..4usize) {
+                colors[rng.gen_range(0..n)] = rng.gen_range(0..=r);
+            }
+            let want = allocated.iter().all(|v| colors[v] < r)
+                && coloring::is_proper_coloring(inst.graph(), &colors, Some(&allocated));
+            let alloc = inst.allocation_with_colors(allocated, colors);
+            let got = check(&inst, &alloc, r).is_feasible();
+            assert_eq!(got, want, "n {n}, density {density}%, r {r}");
+            verdicts[usize::from(got)] += 1;
+        }
+        assert!(verdicts.iter().all(|&k| k > 20), "{verdicts:?}");
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 use lra_core::cache::CacheStats;
-use lra_core::trace::{Phase, TraceReport};
+use lra_core::trace::{EscalationOutcome, Phase, TraceReport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -317,6 +317,20 @@ impl ServiceMetrics {
         }
         let _ = writeln!(
             out,
+            "# HELP lra_escalation_outcomes_total How runs of the split + remat escalation \
+             tier ended (populated for traced requests)."
+        );
+        let _ = writeln!(out, "# TYPE lra_escalation_outcomes_total counter");
+        for outcome in EscalationOutcome::ALL {
+            let _ = writeln!(
+                out,
+                "lra_escalation_outcomes_total{{outcome=\"{}\"}} {}",
+                outcome.name(),
+                self.trace.escalations[outcome as usize]
+            );
+        }
+        let _ = writeln!(
+            out,
             "# HELP lra_chordality_tests_total Chordality tests run on instances \
              (populated for traced requests)."
         );
@@ -394,6 +408,7 @@ mod tests {
         t.exact_won = 1;
         t.exact_improved = 3;
         t.exact_exhausted = 2;
+        t.escalations = [1, 0, 3, 2, 1];
         t.chordality_tests = 5;
         inner.record_trace(&t);
         inner.record_trace(&t);
@@ -411,6 +426,7 @@ mod tests {
             ),
             (2, 0, 6, 4)
         );
+        assert_eq!(m.escalations, [2, 0, 6, 4, 2]);
         assert_eq!(m.chordality_tests, 10);
     }
 
@@ -480,6 +496,7 @@ mod tests {
         t.phases[Phase::Allocate as usize].count = 1;
         t.phases[Phase::Allocate as usize].self_ns = 5_000;
         t.exact_tied = 4;
+        t.escalations[EscalationOutcome::OverBaseCost as usize] = 3;
         t.chordality_tests = 7;
         inner.record_trace(&t);
         let m = inner.snapshot(1, 8, 2, CacheStats::default());
@@ -507,6 +524,18 @@ mod tests {
             samples["lra_exact_outcomes_total{outcome=\"exhausted\"}"],
             "0"
         );
+        for (outcome, n) in [
+            ("not_splittable", "0"),
+            ("failed", "0"),
+            ("over_base_cost", "3"),
+            ("unconverged", "0"),
+            ("accepted", "0"),
+        ] {
+            assert_eq!(
+                samples[&format!("lra_escalation_outcomes_total{{outcome=\"{outcome}\"}}")],
+                n
+            );
+        }
         assert_eq!(samples["lra_chordality_tests_total"], "7");
         // Cumulative bucket counts are non-decreasing and end at count.
         let mut buckets: Vec<(u64, u64)> = samples
