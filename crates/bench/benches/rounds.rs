@@ -1,10 +1,7 @@
-//! Spill-then-reanalyse round cost: the shared incremental
-//! `FunctionAnalysis` path (the default) against forced full per-round
-//! recomputation (`LRA_FULL_REANALYSIS`). Both produce byte-identical
-//! reports — this bench measures the wall-clock gap on the largest
-//! `jit-large` methods, where re-analysis dominates the loop.
+//! Spill-then-reanalyse round cost: `LH` pipelines over the largest
+//! `jit-large` methods, where re-analysis weighs most in the loop.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use lra_bench::suites;
 use lra_core::driver::AllocationPipeline;
 use lra_core::pipeline::{build_instance, InstanceKind};
@@ -40,25 +37,21 @@ fn bench_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_rounds");
     group.sample_size(10);
     group.metric("bytes_per_instance", peak_instance_bytes(&fs, &target));
-    for full in [false, true] {
-        let label = if full { "full" } else { "incremental" };
-        // LH (not Portfolio) so the result cache and exact tier don't
-        // blur the re-analysis comparison.
-        let pipeline = AllocationPipeline::new(target)
-            .allocator("LH")
-            .instance_kind(InstanceKind::PreciseGraph)
-            .registers(6)
-            .max_rounds(4)
-            .full_reanalysis(full);
-        group.bench_with_input(BenchmarkId::from_parameter(label), &pipeline, |b, p| {
-            b.iter(|| {
-                for f in &fs {
-                    let report = p.run(f).expect("LH accepts any graph");
-                    assert!(report.rounds >= 1);
-                }
-            })
-        });
-    }
+    // LH (not Portfolio) so the result cache and exact tier don't
+    // blur the round cost.
+    let pipeline = AllocationPipeline::new(target)
+        .allocator("LH")
+        .instance_kind(InstanceKind::PreciseGraph)
+        .registers(6)
+        .max_rounds(4);
+    group.bench_function("LH", |b| {
+        b.iter(|| {
+            for f in &fs {
+                let report = pipeline.run(f).expect("LH accepts any graph");
+                assert!(report.rounds >= 1);
+            }
+        })
+    });
     group.finish();
 }
 

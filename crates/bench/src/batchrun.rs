@@ -222,7 +222,8 @@ pub struct RecordedExperiment {
 /// Records every standard experiment at each of `thread_counts`
 /// (`reps` repetitions each, median taken), panicking if any thread
 /// count renders a different report than the sequential path — the
-/// baseline must never persist non-deterministic numbers.
+/// baseline must never persist non-deterministic numbers. Each
+/// repetition runs every thread count in turn, 1 first.
 ///
 /// # Panics
 ///
@@ -246,33 +247,33 @@ pub fn record(seed: u64, thread_counts: &[usize], reps: usize) -> Vec<RecordedEx
             // (thread_counts starts at 1, so it is the sequential
             // path) — no extra untimed warm-up sweep.
             let mut reference: Option<(String, lra_core::BatchSummary)> = None;
-            let mut timings = Vec::new();
-            for &threads in thread_counts {
-                let mut samples: Vec<Duration> = (0..reps.max(1))
-                    .map(|_| {
-                        let report = exp.run(threads);
-                        match &reference {
-                            Some((render, _)) => assert_eq!(
-                                &report.render(),
-                                render,
-                                "{}: non-deterministic batch output at {threads} threads",
-                                exp.name
-                            ),
-                            None => {
-                                reference = Some((report.render(), report.summary.clone()));
-                            }
-                        }
-                        report.elapsed
-                    })
-                    .collect();
-                samples.sort();
-                timings.push(RecordedTiming {
-                    threads,
-                    min_ms: samples[0].as_secs_f64() * 1e3,
-                    median_ms: samples[samples.len() / 2].as_secs_f64() * 1e3,
-                    samples: samples.len(),
-                });
+            let mut samples: Vec<Vec<Duration>> = vec![Vec::new(); thread_counts.len()];
+            for (i, threads) in sample_order(thread_counts, reps) {
+                let report = exp.run(threads);
+                match &reference {
+                    Some((render, _)) => assert_eq!(
+                        &report.render(),
+                        render,
+                        "{}: non-deterministic batch output at {threads} threads",
+                        exp.name
+                    ),
+                    None => reference = Some((report.render(), report.summary.clone())),
+                }
+                samples[i].push(report.elapsed);
             }
+            let timings = thread_counts
+                .iter()
+                .zip(samples)
+                .map(|(&threads, mut samples)| {
+                    samples.sort();
+                    RecordedTiming {
+                        threads,
+                        min_ms: samples[0].as_secs_f64() * 1e3,
+                        median_ms: samples[samples.len() / 2].as_secs_f64() * 1e3,
+                        samples: samples.len(),
+                    }
+                })
+                .collect();
             let (_, m) = reference.expect("at least one thread count and one rep");
             RecordedExperiment {
                 name: exp.name.clone(),
@@ -286,6 +287,14 @@ pub fn record(seed: u64, thread_counts: &[usize], reps: usize) -> Vec<RecordedEx
             }
         })
         .collect()
+}
+
+/// The order [`record`] takes its samples in, as `(index into
+/// thread_counts, threads)`: rep by rep, every thread count within a
+/// rep. A burst of host load then lands on every row alike instead of
+/// covering one row's samples back to back.
+fn sample_order(thread_counts: &[usize], reps: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    (0..reps.max(1)).flat_map(move |_| thread_counts.iter().copied().enumerate())
 }
 
 /// One worker count's service-throughput measurement in the recorded
@@ -632,6 +641,14 @@ mod tests {
         assert!(json.contains("\"workers\": 2"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn record_interleaves_thread_counts_rep_by_rep() {
+        let order: Vec<_> = sample_order(&[1, 2, 4], 2).collect();
+        assert_eq!(order, [(0, 1), (1, 2), (2, 4), (0, 1), (1, 2), (2, 4)]);
+        // Zero reps still take one sample per thread count.
+        assert_eq!(sample_order(&[1, 2], 0).count(), 2);
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! 4. **re-analysis** — the rewritten function is re-analysed and
 //!    re-allocated until no further spilling is needed (the reloads of
 //!    §4.3 carry residual pressure, so one round is not always enough).
-//!    Each round shares one [`lra_ir::FunctionAnalysis`], updated
-//!    incrementally from the spill rewrite's dirty blocks; set
-//!    `LRA_FULL_REANALYSIS=1` (or [`AllocationPipeline::full_reanalysis`])
-//!    to force the byte-identical full recomputation instead,
+//!    Each round shares one [`lra_ir::FunctionAnalysis`]; after a
+//!    rewrite its liveness is solved afresh and its loop forest kept,
 //! 5. **assignment + verification** — the allocator's colouring is
 //!    checked ([`crate::verify`]) and becomes the register assignment.
 //!
@@ -68,7 +66,7 @@ use crate::trace::EscalationOutcome;
 use crate::verify::{self, Feasibility};
 use lra_graph::BitSet;
 use lra_ir::remat::RematTable;
-use lra_ir::{analysis, liveness, spill_code, spill_cost, split};
+use lra_ir::{liveness, spill_code, spill_cost, split};
 use lra_ir::{AnalysisScratch, Function, FunctionAnalysis};
 use lra_targets::Target;
 
@@ -126,7 +124,6 @@ pub struct AllocationPipeline {
     /// The [`Portfolio`] policy's configuration; `Some` exactly when
     /// the pipeline runs the `Portfolio` allocator.
     portfolio: Option<PortfolioConfig>,
-    full_reanalysis: Option<bool>,
     escalation: bool,
 }
 
@@ -143,7 +140,6 @@ impl AllocationPipeline {
             registers: None,
             max_rounds: 8,
             portfolio: None,
-            full_reanalysis: None,
             escalation: false,
         }
     }
@@ -196,19 +192,6 @@ impl AllocationPipeline {
     pub fn max_rounds(mut self, rounds: u32) -> Self {
         assert!(rounds >= 1, "the pipeline needs at least one round");
         self.max_rounds = rounds;
-        self
-    }
-
-    /// Forces (or forbids) full per-round recomputation of every
-    /// analysis instead of the default incremental re-analysis.
-    ///
-    /// The default (unset) defers to the `LRA_FULL_REANALYSIS`
-    /// environment variable ([`analysis::full_reanalysis_forced`]).
-    /// Both paths produce byte-identical reports — CI diffs them — so
-    /// this switch exists purely for that verification and for
-    /// benchmarking the incremental speedup.
-    pub fn full_reanalysis(mut self, enabled: bool) -> Self {
-        self.full_reanalysis = Some(enabled);
         self
     }
 
@@ -294,21 +277,9 @@ impl AllocationPipeline {
         let r = self
             .registers
             .unwrap_or_else(|| self.target.register_count());
-        let force_full = self
-            .full_reanalysis
-            .unwrap_or_else(analysis::full_reanalysis_forced);
 
         let base = self
-            .run_loop(
-                f,
-                scratch,
-                allocator.as_ref(),
-                spec,
-                r,
-                force_full,
-                None,
-                None,
-            )?
+            .run_loop(f, scratch, allocator.as_ref(), spec, r, None, None)?
             .expect("a loop without a ceiling is never cut");
         // The paper's spill-everywhere figure: the first base round's
         // cost on the original function. Saved before escalation can
@@ -322,7 +293,7 @@ impl AllocationPipeline {
         // cost, so escalation is monotone per function (and therefore
         // in every corpus aggregate).
         let (outcome, escalated, split_copies) = if !base.converged && self.escalation {
-            match self.escalate(f, scratch, allocator.as_ref(), spec, r, force_full, &base) {
+            match self.escalate(f, scratch, allocator.as_ref(), spec, r, &base) {
                 Some((esc, copies)) => (esc, true, copies),
                 None => (base, false, 0),
             }
@@ -387,12 +358,11 @@ impl AllocationPipeline {
         allocator: &dyn Allocator,
         spec: &'static AllocatorSpec,
         r: u32,
-        force_full: bool,
         mut remat: Option<RematTable>,
         ceiling: Option<u64>,
     ) -> Result<Option<LoopOutcome>, PipelineError> {
-        // The one analysis of the round: built once here, then updated
-        // incrementally after each spill rewrite. Instance
+        // The one analysis of the round: built once here, then
+        // re-analysed after each spill rewrite. Instance
         // construction, spill costs and the stall check below all
         // borrow it — no second liveness run per
         // round anywhere.
@@ -500,11 +470,7 @@ impl AllocationPipeline {
             func = rewrite.function;
             func_analysis = {
                 let _s = crate::trace::span(crate::trace::Phase::Reanalyse);
-                if force_full {
-                    FunctionAnalysis::compute(&func, scratch)
-                } else {
-                    func_analysis.after_spill(&func, &rewrite.delta, scratch)
-                }
+                func_analysis.after_spill(&func, scratch)
             };
 
             // Stop when out of budget, or when spilling stopped lowering
@@ -567,7 +533,6 @@ impl AllocationPipeline {
     /// that could only end costlier stops at the first round whose
     /// running cost passes the base run's, before that round's rewrite.
     /// Each call records its [`EscalationOutcome`] in the trace.
-    #[allow(clippy::too_many_arguments)] // internal plumbing behind run_with
     fn escalate(
         &self,
         f: &Function,
@@ -575,7 +540,6 @@ impl AllocationPipeline {
         allocator: &dyn Allocator,
         spec: &'static AllocatorSpec,
         r: u32,
-        force_full: bool,
         base: &LoopOutcome,
     ) -> Option<(LoopOutcome, usize)> {
         let prep = {
@@ -590,7 +554,6 @@ impl AllocationPipeline {
                 allocator,
                 spec,
                 r,
-                force_full,
                 Some(table),
                 Some(base.spill_cost()),
             ) {
@@ -1084,7 +1047,7 @@ mod tests {
                     let name = format!("{} {} R={r}", spec.name, f.name);
                     let mut run = |f: &Function, remat, ceiling| {
                         let a = allocator.as_ref();
-                        p.run_loop(f, &mut scratch, a, spec, r, false, remat, ceiling)
+                        p.run_loop(f, &mut scratch, a, spec, r, remat, ceiling)
                     };
                     let base = run(f, None, None).unwrap().unwrap();
                     if base.converged {

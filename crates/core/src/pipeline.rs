@@ -29,7 +29,7 @@ pub enum InstanceKind {
 /// Runs the full [`FunctionAnalysis`] (dominators, loops, liveness,
 /// linearisation) and the spill-cost estimate, then builds the
 /// instance with [`build_instance_from_costs`]. Callers inside the
-/// spill-then-reanalyse loop compute (or incrementally update) one
+/// spill-then-reanalyse loop compute (or re-analyse after a spill) one
 /// `FunctionAnalysis` per round and call [`build_instance_from_costs`]
 /// directly so nothing is analysed twice.
 pub fn build_instance(f: &Function, target: &Target, kind: InstanceKind) -> Instance {

@@ -91,7 +91,7 @@ pub enum Phase {
     Verify = 6,
     /// Spill code rewrite (stores/reloads/remats inserted).
     Rewrite = 7,
-    /// Incremental (or forced-full) reanalysis after a rewrite.
+    /// Liveness and linearisation redone after a rewrite.
     Reanalyse = 8,
     /// Escalation-tier preparation: liveness, pressure-range split,
     /// remat table mapping.

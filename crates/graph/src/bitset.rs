@@ -76,22 +76,6 @@ impl BitSet {
         &self.words
     }
 
-    /// Extends the capacity to `capacity`, keeping every present key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is smaller than the current capacity —
-    /// shrinking would silently drop keys.
-    pub fn grow(&mut self, capacity: usize) {
-        assert!(
-            capacity >= self.capacity,
-            "cannot grow capacity {} down to {capacity}",
-            self.capacity
-        );
-        self.words.resize(capacity.div_ceil(64), 0);
-        self.capacity = capacity;
-    }
-
     /// Overwrites `self` with the contents of `other`, reusing the
     /// existing allocation (unlike `*self = other.clone()`).
     ///
@@ -157,9 +141,9 @@ impl BitSet {
     }
 
     /// Empties the set and re-sizes it to exactly `capacity` keys,
-    /// reusing the word allocation. Unlike [`BitSet::grow`] this may
-    /// shrink — it is the reset scratch buffers use when the same set
-    /// is recycled across differently-sized functions.
+    /// reusing the word allocation. It may shrink: it is the reset
+    /// scratch buffers use when the same set is recycled across
+    /// differently-sized functions.
     pub fn reset(&mut self, capacity: usize) {
         self.words.clear();
         self.words.resize(capacity.div_ceil(64), 0);
@@ -604,26 +588,6 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-    }
-
-    #[test]
-    fn grow_preserves_keys_and_extends_capacity() {
-        let mut s = BitSet::from_iter_with_capacity(70, [0, 63, 69]);
-        s.grow(200);
-        assert_eq!(s.capacity(), 200);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 69]);
-        s.insert(199);
-        assert!(s.contains(199));
-        // Growing to an equal capacity is a no-op.
-        s.grow(200);
-        assert_eq!(s.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot grow")]
-    fn grow_rejects_shrinking() {
-        let mut s = BitSet::new(10);
-        s.grow(5);
     }
 
     #[test]

@@ -8,14 +8,10 @@
 //! [`FunctionAnalysis`] computes each analysis **once per round** and
 //! is threaded through all of them.
 //!
-//! Across rounds the work shrinks further: spill-code insertion never
-//! touches the CFG, so [`FunctionAnalysis::after_spill`] carries the
-//! loop analysis over verbatim and re-solves liveness incrementally
-//! from the rewrite's [`SpillDelta`] instead of starting from scratch.
-//! The result is identical to a fresh [`FunctionAnalysis::compute`];
-//! the `LRA_FULL_REANALYSIS` environment variable (see
-//! [`full_reanalysis_forced`]) forces the full recomputation so CI can
-//! diff the two paths byte for byte.
+//! Across rounds, spill-code insertion never touches the CFG, so
+//! [`FunctionAnalysis::after_spill`] keeps the loop analysis and
+//! re-runs only liveness (from scratch) and the linearisation. The
+//! result equals a fresh [`FunctionAnalysis::compute`].
 
 use crate::cfg::Function;
 use crate::dom::DomTree;
@@ -23,7 +19,6 @@ use crate::interference::{self, Linearization};
 use crate::liveness::{self, Liveness};
 use crate::loops::LoopInfo;
 use crate::scratch::AnalysisScratch;
-use crate::spill_code::SpillDelta;
 
 /// Everything one allocation round needs to know about a function:
 /// block-level liveness (with `MaxLive`), natural-loop frequencies and
@@ -54,42 +49,21 @@ impl FunctionAnalysis {
         }
     }
 
-    /// Re-analyses `f` after a spill rewrite described by `delta`,
-    /// reusing this (pre-rewrite) analysis.
+    /// Re-analyses `f` after a spill rewrite of the function this
+    /// analysis describes.
     ///
     /// Spill insertion changes instructions, never control flow, so the
-    /// loop analysis carries over unchanged; liveness is re-solved only
-    /// from the rewrite's dirty frontier
-    /// ([`liveness::analyze_incremental`]); the linearisation is
-    /// re-laid-out over the same block order because instruction counts
-    /// shifted. The result equals [`FunctionAnalysis::compute`] of `f`.
-    pub fn after_spill(
-        &self,
-        f: &Function,
-        delta: &SpillDelta,
-        scratch: &mut AnalysisScratch,
-    ) -> Self {
+    /// loop analysis carries over unchanged. Liveness is solved afresh
+    /// ([`liveness::analyze_in`]), and the linearisation is re-laid-out
+    /// over the same block order because instruction counts shifted.
+    /// The result equals [`FunctionAnalysis::compute`] of `f`.
+    pub fn after_spill(&self, f: &Function, scratch: &mut AnalysisScratch) -> Self {
         FunctionAnalysis {
-            liveness: liveness::analyze_incremental(
-                f,
-                &self.liveness,
-                &delta.dirty_blocks,
-                &delta.changed_values,
-                scratch,
-            ),
+            liveness: liveness::analyze_in(f, scratch),
             loops: self.loops.clone(),
             linearization: interference::linearize(f),
         }
     }
-}
-
-/// `true` when the `LRA_FULL_REANALYSIS` environment variable demands
-/// the pre-incremental behaviour: every analysis recomputed from
-/// scratch every round. Any non-empty value other than `0` counts.
-/// CI runs one batch under this flag and diffs it against the default
-/// incremental path for byte-identity.
-pub fn full_reanalysis_forced() -> bool {
-    std::env::var_os("LRA_FULL_REANALYSIS").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 #[cfg(test)]
@@ -120,54 +94,46 @@ mod tests {
         b.finish()
     }
 
+    /// `carried` equals a fresh analysis of `f` in every part.
+    fn assert_matches_fresh(carried: &FunctionAnalysis, f: &Function, s: &mut AnalysisScratch) {
+        let fresh = FunctionAnalysis::compute(f, s);
+        assert_eq!(carried.liveness, fresh.liveness);
+        // `LoopInfo` stores only per-block nesting depths (it keeps no
+        // headers); block frequencies follow from them.
+        assert_eq!(carried.loops, fresh.loops);
+        assert_eq!(carried.linearization.base, fresh.linearization.base);
+        assert_eq!(carried.linearization.order, fresh.linearization.order);
+        assert_eq!(carried.linearization.end, fresh.linearization.end);
+    }
+
     #[test]
     fn after_spill_matches_fresh_compute() {
         let f = loopy_function();
         let s = &mut AnalysisScratch::new();
         let analysis = FunctionAnalysis::compute(&f, s);
+        assert!(analysis.loops.max_depth() > 0);
         for victim in 0..f.value_count as usize {
             let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [victim]);
             let rewrite = rewrite_spill_code(&f, &spilled, None, s);
-            let incremental = analysis.after_spill(&rewrite.function, &rewrite.delta, s);
-            let fresh = FunctionAnalysis::compute(&rewrite.function, s);
-            assert_eq!(incremental.liveness, fresh.liveness, "victim {victim}");
-            assert_eq!(incremental.linearization.base, fresh.linearization.base);
-            assert_eq!(incremental.linearization.order, fresh.linearization.order);
+            let carried = analysis.after_spill(&rewrite.function, s);
+            assert_matches_fresh(&carried, &rewrite.function, s);
         }
     }
 
     #[test]
     fn after_spill_chains_across_rounds() {
-        // Two consecutive rewrites, each incrementally re-analysed from
-        // the previous round's result.
+        // Two consecutive rewrites, the second re-analysed from the
+        // first round's carried analysis.
         let f = loopy_function();
         let s = &mut AnalysisScratch::new();
         let analysis = FunctionAnalysis::compute(&f, s);
         let spilled1 = BitSet::from_iter_with_capacity(f.value_count as usize, [0]);
         let r1 = rewrite_spill_code(&f, &spilled1, None, s);
-        let a1 = analysis.after_spill(&r1.function, &r1.delta, s);
+        let a1 = analysis.after_spill(&r1.function, s);
 
         let spilled2 = BitSet::from_iter_with_capacity(r1.function.value_count as usize, [1, 2]);
         let r2 = rewrite_spill_code(&r1.function, &spilled2, None, s);
-        let a2 = a1.after_spill(&r2.function, &r2.delta, s);
-        assert_eq!(
-            a2.liveness,
-            FunctionAnalysis::compute(&r2.function, s).liveness
-        );
-    }
-
-    #[test]
-    fn full_reanalysis_flag_parses_conventionally() {
-        // The variable is read from the process environment by the
-        // driver; here we only pin the parsing convention (unset/empty/
-        // "0" = off) via the same predicate the driver uses.
-        fn forced(v: Option<&str>) -> bool {
-            v.is_some_and(|v| !v.is_empty() && v != "0")
-        }
-        assert!(!forced(None));
-        assert!(!forced(Some("")));
-        assert!(!forced(Some("0")));
-        assert!(forced(Some("1")));
-        assert!(forced(Some("yes")));
+        let a2 = a1.after_spill(&r2.function, s);
+        assert_matches_fresh(&a2, &r2.function, s);
     }
 }

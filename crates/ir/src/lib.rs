@@ -9,8 +9,7 @@
 //! * dominator trees (Cooper–Harvey–Kennedy) ([`dom`]),
 //! * natural-loop detection and block frequency estimation ([`loops`]),
 //! * backward liveness analysis with SSA φ semantics, per-point register
-//!   pressure and `MaxLive` — worklist-solved, with an incremental
-//!   re-analysis entry point for spill rounds ([`liveness`]),
+//!   pressure and `MaxLive`, worklist-solved ([`liveness`]),
 //! * the shared per-round analysis bundle threaded through the
 //!   allocation pipeline ([`analysis`]),
 //! * interference-graph construction — **chordal** for strict-SSA

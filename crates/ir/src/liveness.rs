@@ -11,6 +11,9 @@
 //!
 //! so φ-related values of different predecessors do not artificially
 //! interfere.
+//!
+//! There is one solver. The spill loop runs it from scratch on every
+//! rewritten function ([`crate::FunctionAnalysis::after_spill`]).
 
 use crate::cfg::{Function, Opcode};
 use crate::scratch::{reset_local_table, AnalysisScratch};
@@ -30,9 +33,8 @@ pub struct Liveness {
 }
 
 /// Per-block transfer-function inputs of the backward dataflow
-/// problem. `None` entries stand for the empty set (`no_keys`), so an
-/// incremental scan of a few dirty blocks allocates a few sets, not
-/// four per block.
+/// problem. `None` entries stand for the empty set (`no_keys`), so a
+/// block with no φ pays for no φ sets.
 struct LocalSets {
     nv: usize,
     /// The shared empty set returned for unmaterialised blocks.
@@ -48,9 +50,7 @@ struct LocalSets {
 }
 
 impl LocalSets {
-    /// Sets are materialised per block only when a scan touches them,
-    /// so the incremental path pays for the dirty frontier, not for
-    /// every block of the function.
+    /// Sets are materialised per block only when a scan touches them.
     ///
     /// The tables (and any set a previous function materialised) are
     /// borrowed from `scratch` and handed back by
@@ -101,23 +101,17 @@ impl LocalSets {
         self.phi_out[b].as_ref().unwrap_or(&self.no_keys)
     }
 
-    /// Scans `block` of `f` into the local sets. With `mask` set, only
-    /// values in the mask are recorded — the restriction used by
-    /// [`analyze_incremental`], sound because block-level liveness is
-    /// independent per value.
-    fn scan_block(&mut self, f: &Function, b: usize, mask: Option<&BitSet>) {
+    /// Scans `block` of `f` into the local sets.
+    fn scan_block(&mut self, f: &Function, b: usize) {
         let nv = self.nv;
         fn materialize(v: &mut [Option<BitSet>], b: usize, nv: usize) -> &mut BitSet {
             v[b].get_or_insert_with(|| BitSet::new(nv))
         }
-        let keep = |v: usize| mask.is_none_or(|m| m.contains(v));
         let block = &f.blocks[b];
         for instr in block.instrs.iter().rev() {
             if instr.opcode == Opcode::Phi {
                 if let Some(d) = instr.def {
-                    if keep(d.index()) {
-                        materialize(&mut self.phi_defs, b, nv).insert(d.index());
-                    }
+                    materialize(&mut self.phi_defs, b, nv).insert(d.index());
                 }
                 continue;
             }
@@ -125,75 +119,65 @@ impl LocalSets {
                 if let Some(ue) = self.ue[b].as_mut() {
                     ue.remove(d.index());
                 }
-                if keep(d.index()) {
-                    materialize(&mut self.defs, b, nv).insert(d.index());
-                }
+                materialize(&mut self.defs, b, nv).insert(d.index());
             }
             for u in &instr.uses {
-                if keep(u.index()) {
-                    materialize(&mut self.ue, b, nv).insert(u.index());
-                }
+                materialize(&mut self.ue, b, nv).insert(u.index());
             }
         }
         for instr in block.phis() {
             for (i, u) in instr.uses.iter().enumerate() {
-                if keep(u.index()) {
-                    let p = block.preds[i];
-                    materialize(&mut self.phi_out, p.index(), nv).insert(u.index());
-                }
+                let p = block.preds[i];
+                materialize(&mut self.phi_out, p.index(), nv).insert(u.index());
             }
         }
     }
 }
 
-/// Solves the backward dataflow equations with a worklist, mutating
-/// `live_in`/`live_out` in place from their current state (the bottom
-/// element for a full analysis; empty partial sets for the masked
-/// incremental solve). `seeds` must be given in reverse postorder:
-/// the stack then pops blocks in postorder, the fast order for
-/// backward problems. Only blocks with `reachable` set are processed —
-/// unreachable blocks keep their (empty) sets, matching the full
-/// analysis, which never visits them.
+/// Solves the backward dataflow equations with a worklist seeded in
+/// reverse postorder, so the stack pops blocks in postorder, the fast
+/// order for backward problems. Only reachable blocks are processed;
+/// unreachable ones keep empty sets. Returns `(live_in, live_out)`.
 fn solve(
     f: &Function,
     local: &LocalSets,
-    reachable: &[bool],
-    seeds: &[usize],
-    live_in: &mut [BitSet],
-    live_out: &mut [BitSet],
     scratch: &mut AnalysisScratch,
-) {
+) -> (Vec<BitSet>, Vec<BitSet>) {
     let n = f.block_count();
+    let mut live_in = vec![BitSet::new(local.nv); n];
+    let mut live_out = vec![BitSet::new(local.nv); n];
+    let mut reachable = vec![false; n];
     let on_list = &mut scratch.on_list;
     on_list.clear();
     on_list.resize(n, false);
     let stack = &mut scratch.stack;
     stack.clear();
-    for &b in seeds {
-        if reachable[b] && !on_list[b] {
-            on_list[b] = true;
-            stack.push(b);
-        }
+    for b in f.reverse_postorder() {
+        let b = b.index();
+        reachable[b] = true;
+        on_list[b] = true;
+        stack.push(b);
     }
+    // One buffer for every set difference below, so an iteration
+    // allocates nothing.
+    let mut tmp = BitSet::new(local.nv);
     while let Some(bi) = stack.pop() {
         on_list[bi] = false;
         // live_out(b) = Σ_succ (live_in(s) \ phi_defs(s)) ∪ phi_out(b)
-        let mut out = local.phi_out(bi).clone();
+        let out = &mut live_out[bi];
+        out.copy_from(local.phi_out(bi));
         for &s in &f.blocks[bi].succs {
-            let mut from_s = live_in[s.index()].clone();
-            from_s.difference_with(local.phi_defs(s.index()));
-            out.union_with(&from_s);
+            tmp.copy_from(&live_in[s.index()]);
+            tmp.difference_with(local.phi_defs(s.index()));
+            out.union_with(&tmp);
         }
         // live_in(b) = phi_defs ∪ ue ∪ (out \ defs)
-        let mut inn = out.clone();
-        inn.difference_with(local.defs(bi));
-        inn.union_with(local.ue(bi));
-        inn.union_with(local.phi_defs(bi));
-        if out != live_out[bi] {
-            live_out[bi] = out;
-        }
-        if inn != live_in[bi] {
-            live_in[bi] = inn;
+        tmp.copy_from(out);
+        tmp.difference_with(local.defs(bi));
+        tmp.union_with(local.ue(bi));
+        tmp.union_with(local.phi_defs(bi));
+        if tmp != live_in[bi] {
+            live_in[bi].copy_from(&tmp);
             // Only a live-in change is visible to predecessors.
             for &p in &f.blocks[bi].preds {
                 let pi = p.index();
@@ -204,11 +188,14 @@ fn solve(
             }
         }
     }
+    (live_in, live_out)
 }
 
 /// Backward pressure sweep of one block: the maximum live-set size over
 /// its program points. `live` is caller-provided sweep scratch (reset
 /// to the value-space capacity); its contents on entry are ignored.
+/// The live count is kept from what `insert` and `remove` report, so
+/// the sweep never counts the set's bits.
 fn block_pressure(
     f: &Function,
     b: usize,
@@ -217,7 +204,8 @@ fn block_pressure(
     live: &mut BitSet,
 ) -> usize {
     live.copy_from(live_out);
-    let mut local_max = live.len();
+    let mut count = live.len();
+    let mut local_max = count;
     for instr in f.blocks[b].instrs.iter().rev() {
         if instr.opcode == Opcode::Phi {
             // φ defs are conceptually parallel at block entry; they
@@ -225,23 +213,14 @@ fn block_pressure(
             break;
         }
         if let Some(d) = instr.def {
-            live.remove(d.index());
+            count -= usize::from(live.remove(d.index()));
         }
         for u in &instr.uses {
-            live.insert(u.index());
+            count += usize::from(live.insert(u.index()));
         }
-        local_max = local_max.max(live.len());
+        local_max = local_max.max(count);
     }
     local_max.max(live_in.len())
-}
-
-fn reachable_and_rpo(f: &Function) -> (Vec<bool>, Vec<usize>) {
-    let rpo: Vec<usize> = f.reverse_postorder().iter().map(|b| b.index()).collect();
-    let mut reachable = vec![false; f.block_count()];
-    for &b in &rpo {
-        reachable[b] = true;
-    }
-    (reachable, rpo)
 }
 
 /// Runs liveness analysis over `f`.
@@ -264,21 +243,9 @@ pub fn analyze_in(f: &Function, scratch: &mut AnalysisScratch) -> Liveness {
 
     let mut local = LocalSets::from_scratch(n, nv, scratch);
     for b in 0..n {
-        local.scan_block(f, b, None);
+        local.scan_block(f, b);
     }
-
-    let mut live_in = vec![BitSet::new(nv); n];
-    let mut live_out = vec![BitSet::new(nv); n];
-    let (reachable, rpo) = reachable_and_rpo(f);
-    solve(
-        f,
-        &local,
-        &reachable,
-        &rpo,
-        &mut live_in,
-        &mut live_out,
-        scratch,
-    );
+    let (live_in, live_out) = solve(f, &local, scratch);
     local.recycle(scratch);
 
     let mut block_max_live = vec![0usize; n];
@@ -286,108 +253,6 @@ pub fn analyze_in(f: &Function, scratch: &mut AnalysisScratch) -> Liveness {
     let sweep = scratch.live_for(nv);
     for b in 0..n {
         let local_max = block_pressure(f, b, &live_in[b], &live_out[b], sweep);
-        block_max_live[b] = local_max;
-        max_live = max_live.max(local_max);
-    }
-
-    Liveness {
-        live_in,
-        live_out,
-        max_live,
-        block_max_live,
-    }
-}
-
-/// Re-solves liveness after a rewrite that changed instructions only in
-/// `dirty_blocks` and live ranges only of `changed_values`, seeding
-/// from the previous fixed point `prev` instead of starting over.
-///
-/// Spill-code insertion is exactly such a rewrite (see
-/// [`crate::spill_code::SpillDelta`]): the CFG is untouched, every
-/// occurrence of a changed value (the spilled originals and the fresh
-/// reloads) sits in a dirty block, and block-level liveness is
-/// independent per value — so the carried-over sets stay exact for
-/// every unchanged value, and only the changed values need a (masked,
-/// dirty-seeded) dataflow solve. The result is **identical** to a
-/// fresh [`analyze`] of `f`; CI diffs the two paths end to end via the
-/// `LRA_FULL_REANALYSIS` escape hatch. `scratch` supplies recycled
-/// buffers, as for [`analyze_in`].
-///
-/// # Panics
-///
-/// Panics if `prev` has a different block count than `f`, if
-/// `changed_values`' capacity is not `f.value_count`, or if
-/// `dirty_blocks`' capacity is not the block count.
-pub fn analyze_incremental(
-    f: &Function,
-    prev: &Liveness,
-    dirty_blocks: &BitSet,
-    changed_values: &BitSet,
-    scratch: &mut AnalysisScratch,
-) -> Liveness {
-    let n = f.block_count();
-    let nv = f.value_count as usize;
-    assert_eq!(prev.live_in.len(), n, "block count changed across rounds");
-    assert_eq!(changed_values.capacity(), nv, "changed-value mask capacity");
-    assert_eq!(dirty_blocks.capacity(), n, "dirty-block mask capacity");
-
-    // Masked local sets: changed values occur only in dirty blocks.
-    let mut local = LocalSets::from_scratch(n, nv, scratch);
-    for b in dirty_blocks.iter() {
-        local.scan_block(f, b, Some(changed_values));
-    }
-
-    // Partial solve over the changed values only. Seeds: the dirty
-    // blocks plus any block that picked up a φ-edge contribution, in
-    // reverse postorder. The partial sets are dense on purpose: the
-    // returned `Liveness` owns a full set per block anyway, so the
-    // merge below is already O(blocks) word-level passes — the
-    // incremental saving lives in the solver iterations and the
-    // pressure sweeps, not here.
-    let mut pin = vec![BitSet::new(nv); n];
-    let mut pout = vec![BitSet::new(nv); n];
-    let (reachable, rpo) = reachable_and_rpo(f);
-    let seeds: Vec<usize> = rpo
-        .iter()
-        .copied()
-        .filter(|&b| dirty_blocks.contains(b) || !local.phi_out(b).is_empty())
-        .collect();
-    solve(f, &local, &reachable, &seeds, &mut pin, &mut pout, scratch);
-    local.recycle(scratch);
-
-    // Merge: carry the previous sets (grown to the new value space,
-    // changed values cleared) and union in the partial solution. A
-    // block whose live-out kept every bit and whose instructions are
-    // untouched reuses its recorded pressure; everything else is
-    // re-swept.
-    let mut live_in = Vec::with_capacity(n);
-    let mut live_out = Vec::with_capacity(n);
-    let mut out_carried_exactly = vec![false; n];
-    for b in 0..n {
-        let mut inn = prev.live_in[b].clone();
-        inn.grow(nv);
-        inn.difference_with(changed_values);
-        inn.union_with(&pin[b]);
-        live_in.push(inn);
-
-        let mut out = prev.live_out[b].clone();
-        out.grow(nv);
-        let lost = out.intersection_len(changed_values) > 0;
-        out.difference_with(changed_values);
-        out.union_with(&pout[b]);
-        out_carried_exactly[b] = !lost && pout[b].is_empty();
-        live_out.push(out);
-    }
-
-    let mut block_max_live = vec![0usize; n];
-    let mut max_live = 0usize;
-    let sweep = scratch.live_for(nv);
-    for b in 0..n {
-        let local_max = if out_carried_exactly[b] && !dirty_blocks.contains(b) {
-            prev.block_max_live[b]
-        } else {
-            block_pressure(f, b, &live_in[b], &live_out[b], sweep)
-        };
         block_max_live[b] = local_max;
         max_live = max_live.max(local_max);
     }
@@ -536,87 +401,55 @@ mod tests {
         assert!(live.live_out[0].is_empty());
     }
 
+    /// Per-block pressure by counting the live set's bits at every
+    /// program point: the oracle for the counted sweep.
+    fn popcount_pressure(f: &Function, live: &Liveness) -> Vec<usize> {
+        (0..f.block_count())
+            .map(|b| {
+                let mut set = live.live_out[b].clone();
+                let mut max = set.len();
+                for instr in f.blocks[b].instrs.iter().rev() {
+                    if instr.opcode == Opcode::Phi {
+                        break;
+                    }
+                    if let Some(d) = instr.def {
+                        set.remove(d.index());
+                    }
+                    for u in &instr.uses {
+                        set.insert(u.index());
+                    }
+                    max = max.max(set.len());
+                }
+                max.max(live.live_in[b].len())
+            })
+            .collect()
+    }
+
     #[test]
-    fn incremental_matches_fresh_analysis_after_spilling() {
-        use crate::spill_code;
-        use lra_graph::BitSet;
-        // Loop-carried φ plus a long-lived value: spilling either
-        // reshapes liveness across the whole loop.
-        let mut b = FunctionBuilder::new("loop");
-        let e = b.entry_block();
-        let init = b.op(e, &[]);
-        let long = b.op(e, &[]);
-        let h = b.block();
-        let body = b.block();
-        let exit = b.block();
-        b.set_succs(e, &[h]);
-        b.set_succs(h, &[body, exit]);
-        b.set_succs(body, &[h]);
-        let carried = b.phi(h, &[init, init]);
-        let next = b.op(body, &[carried, long]);
-        b.patch_phi_arg(h, carried, 1, next);
-        b.op(exit, &[carried, long]);
-        let f = b.finish();
-        let prev = analyze(&f);
-        for victim in 0..f.value_count as usize {
-            let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [victim]);
+    fn counted_pressure_equals_a_popcount_sweep() {
+        use crate::genprog::{random_jit_function, random_ssa_function, JitConfig, SsaConfig};
+        use crate::spill_code::rewrite_spill_code;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..12u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut f = if seed % 2 == 0 {
+                random_ssa_function(&mut rng, &SsaConfig::default(), "ssa")
+            } else {
+                random_jit_function(&mut rng, &JitConfig::default(), "jit")
+            };
             let s = &mut AnalysisScratch::new();
-            let rw = spill_code::rewrite_spill_code(&f, &spilled, None, s);
-            let (dirty, changed) = (&rw.delta.dirty_blocks, &rw.delta.changed_values);
-            let inc = analyze_incremental(&rw.function, &prev, dirty, changed, s);
-            assert_eq!(inc, analyze(&rw.function), "victim {victim}");
+            for round in 0..3 {
+                let live = analyze_in(&f, s);
+                let expected = popcount_pressure(&f, &live);
+                assert_eq!(live.block_max_live, expected, "seed {seed} round {round}");
+                assert_eq!(live.max_live, expected.iter().copied().max().unwrap_or(0));
+                let spilled = BitSet::from_iter_with_capacity(
+                    f.value_count as usize,
+                    (0..f.value_count as usize).filter(|_| rng.gen_range(0..4) == 0),
+                );
+                f = rewrite_spill_code(&f, &spilled, None, s).function;
+            }
         }
-    }
-
-    #[test]
-    fn incremental_with_nothing_dirty_is_the_identity() {
-        use lra_graph::BitSet;
-        let mut b = FunctionBuilder::new("f");
-        let e = b.entry_block();
-        let x = b.op(e, &[]);
-        let n1 = b.block();
-        b.set_succs(e, &[n1]);
-        b.op(n1, &[x]);
-        let f = b.finish();
-        let prev = analyze(&f);
-        let inc = analyze_incremental(
-            &f,
-            &prev,
-            &BitSet::new(f.block_count()),
-            &BitSet::new(f.value_count as usize),
-            &mut AnalysisScratch::new(),
-        );
-        assert_eq!(inc, prev);
-    }
-
-    #[test]
-    fn incremental_leaves_unreachable_blocks_empty() {
-        use crate::cfg::{Block, BlockId, Instr};
-        use lra_graph::BitSet;
-        // An unreachable block that reads a value and branches into
-        // the reachable CFG: the full analysis never visits it, so the
-        // incremental one must not either.
-        let mut b = FunctionBuilder::new("f");
-        let e = b.entry_block();
-        let x = b.op(e, &[]);
-        b.op(e, &[x]);
-        b.op(e, &[x]);
-        let mut f = b.finish();
-        f.blocks.push(Block {
-            instrs: vec![Instr::new(Opcode::Op, None, vec![crate::cfg::Value(0)])],
-            succs: vec![BlockId(0)],
-            preds: Vec::new(),
-        });
-        f.recompute_preds();
-        let prev = analyze(&f);
-        assert!(prev.live_in[1].is_empty() && prev.live_out[1].is_empty());
-        let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [x.index()]);
-        let s = &mut AnalysisScratch::new();
-        let rw = crate::spill_code::rewrite_spill_code(&f, &spilled, None, s);
-        let (dirty, changed) = (&rw.delta.dirty_blocks, &rw.delta.changed_values);
-        let inc = analyze_incremental(&rw.function, &prev, dirty, changed, s);
-        assert_eq!(inc, analyze(&rw.function));
-        assert!(inc.live_in[1].is_empty() && inc.live_out[1].is_empty());
     }
 
     #[test]

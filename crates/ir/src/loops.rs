@@ -10,7 +10,7 @@ use crate::cfg::{BlockId, Function};
 use crate::dom::DomTree;
 
 /// Per-block loop-nesting information.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoopInfo {
     depth: Vec<u32>,
 }

@@ -10,10 +10,10 @@
 //!
 //! [`AnalysisScratch`] is that recycled state. Every entry point that
 //! takes one ([`crate::liveness::analyze_in`],
-//! [`crate::liveness::analyze_incremental`],
 //! [`crate::interference::interference_graph_in`],
 //! [`crate::interference::live_intervals`],
-//! [`crate::FunctionAnalysis::compute`]) resets the buffers it
+//! [`crate::FunctionAnalysis::compute`],
+//! [`crate::FunctionAnalysis::after_spill`]) resets the buffers it
 //! takes to the function at hand before using them, so a scratch can
 //! be reused across functions of any sizes — and even after a caller
 //! caught a panic mid-analysis — without affecting a single output

@@ -41,51 +41,19 @@ pub struct SpillStats {
     pub remats: usize,
 }
 
-/// What a spill rewrite touched, in terms the incremental re-analysis
-/// ([`crate::liveness::analyze_incremental`]) consumes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpillDelta {
-    /// Blocks whose instruction list differs from the input function
-    /// (a use was remapped, or a load/store was inserted). Capacity =
-    /// block count.
-    pub dirty_blocks: BitSet,
-    /// Values whose live ranges may have changed: the spilled originals
-    /// plus every freshly inserted reload. Every occurrence of a
-    /// changed value sits inside a dirty block. Capacity = the
-    /// **rewritten** function's `value_count`.
-    pub changed_values: BitSet,
-}
-
-impl SpillDelta {
-    fn new(f: &Function, spilled: &BitSet, new_value_count: u32, dirty_blocks: BitSet) -> Self {
-        let changed_values = BitSet::from_iter_with_capacity(
-            new_value_count as usize,
-            spilled
-                .iter()
-                .chain(f.value_count as usize..new_value_count as usize),
-        );
-        SpillDelta {
-            dirty_blocks,
-            changed_values,
-        }
-    }
-}
-
-/// The full result of a spill rewrite: the function, the insertion
-/// statistics, and the [`SpillDelta`] feeding incremental re-analysis.
+/// The result of a spill rewrite: the function and the insertion
+/// statistics.
 #[derive(Clone, Debug)]
 pub struct SpillRewrite {
     /// The rewritten function.
     pub function: Function,
     /// Stores/loads/materializations inserted.
     pub stats: SpillStats,
-    /// Which blocks and values the rewrite touched.
-    pub delta: SpillDelta,
 }
 
-/// Rewrites `f`, spilling every value in `spilled`, and reports which
-/// blocks and values were touched so the next analysis round can be
-/// incremental. See the [module docs](self).
+/// Rewrites `f`, spilling every value in `spilled`. The CFG (every
+/// block's successors and predecessors, and the entry) is left as it
+/// was. See the [module docs](self).
 ///
 /// With `remat` set, spilled [`RematClass::Const`](crate::remat::RematClass)
 /// values are materialized before each use instead of stored and
@@ -123,7 +91,6 @@ pub fn rewrite_spill_code(
 
     let n = f.block_count();
     let edits = scratch.edits_for(n);
-    let mut dirty = BitSet::new(n);
 
     // One fresh value per reload *or* materialization, registered in
     // the table as it is created so value indices stay in lockstep.
@@ -153,8 +120,6 @@ pub fn rewrite_spill_code(
                         let (v, repl) = fresh(&mut remat, &mut stats, *u);
                         edits.tails[p.index()].push(repl);
                         *u = v;
-                        dirty.insert(b);
-                        dirty.insert(p.index());
                     }
                 }
             } else {
@@ -163,18 +128,12 @@ pub fn rewrite_spill_code(
                     if !spilled.contains(u.index()) {
                         continue;
                     }
-                    dirty.insert(b);
                     let (v, repl) = fresh(&mut remat, &mut stats, *u);
                     edits.bodies[b].push(repl);
                     *u = v;
                 }
             }
             let def = instr.def.filter(|d| spilled.contains(d.index()));
-            if def.is_some() {
-                // A spilled def is a changed value, so its block is
-                // dirty even when a rematerializable def is not stored.
-                dirty.insert(b);
-            }
             edits.bodies[b].push(instr);
             // Rematerializable values are never stored: their spill
             // slot is the defining instruction itself.
@@ -204,7 +163,6 @@ pub fn rewrite_spill_code(
     debug_assert_eq!(out.validate(), Ok(()));
     SpillRewrite {
         stats,
-        delta: SpillDelta::new(f, spilled, next_value, dirty),
         function: out,
     }
 }
@@ -218,16 +176,6 @@ mod tests {
     /// The rewrite without a remat table, through a fresh scratch.
     fn rewrite(f: &Function, spilled: &BitSet) -> SpillRewrite {
         rewrite_spill_code(f, spilled, None, &mut AnalysisScratch::new())
-    }
-
-    /// Runs `check` on the rewrite of `spilled` without and with a
-    /// fresh remat table.
-    fn each_config(f: &Function, spilled: &BitSet, mut check: impl FnMut(SpillRewrite)) {
-        for with_table in [false, true] {
-            let mut table = with_table.then(|| RematTable::compute(f));
-            let scratch = &mut AnalysisScratch::new();
-            check(rewrite_spill_code(f, spilled, table.as_mut(), scratch));
-        }
     }
 
     /// Five values all live at once; spilling three of them drops the
@@ -364,75 +312,47 @@ mod tests {
     }
 
     #[test]
-    fn delta_reports_dirty_blocks_and_changed_values() {
-        // Diamond with a φ: spilling a φ use dirties the join block
-        // (the φ's use list changed) AND the predecessor that received
-        // the tail reload — and nothing else.
-        let mut b = FunctionBuilder::new("f");
-        let e = b.entry_block();
-        let l = b.block();
-        let r = b.block();
-        let j = b.block();
-        b.set_succs(e, &[l, r]);
-        b.set_succs(l, &[j]);
-        b.set_succs(r, &[j]);
-        let xl = b.op(l, &[]);
-        let xr = b.op(r, &[]);
-        let m = b.phi(j, &[xl, xr]);
-        b.op(j, &[m]);
-        let f = b.finish();
-        let spilled = BitSet::from_iter_with_capacity(f.value_count as usize, [xl.index()]);
-        let rw = rewrite(&f, &spilled);
-        let dirty: Vec<usize> = rw.delta.dirty_blocks.iter().collect();
-        assert_eq!(dirty, vec![l.index(), j.index()]);
-        // Changed values: the spilled original plus the one reload.
-        assert_eq!(rw.function.value_count, f.value_count + 1);
-        assert_eq!(
-            rw.delta.changed_values.iter().collect::<Vec<_>>(),
-            vec![xl.index(), f.value_count as usize]
-        );
-        assert_eq!(
-            rw.delta.changed_values.capacity(),
-            rw.function.value_count as usize
-        );
-    }
-
-    #[test]
-    fn delta_every_changed_value_occurrence_is_in_a_dirty_block() {
-        // The contract analyze_incremental relies on, checked over
-        // random SSA and JIT functions and spill sets for every
-        // rewriter configuration (constants included, so the remat
-        // configurations materialize as well as reload).
+    fn rewrites_leave_the_cfg_unchanged() {
+        // Re-analysis after a spill keeps the loop forest
+        // (`FunctionAnalysis::after_spill`), which is sound only while
+        // the rewrite leaves every edge and the entry alone. Checked
+        // over random SSA and JIT functions, without and with a remat
+        // table, through two chained rounds.
         use crate::genprog::{random_jit_function, random_ssa_function, JitConfig, SsaConfig};
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-        let functions = [
-            random_jit_function(&mut rng, &JitConfig::default(), "jit"),
-            random_ssa_function(&mut rng, &SsaConfig::default(), "ssa"),
-        ];
-        for f in &functions {
-            let spilled = BitSet::from_iter_with_capacity(
-                f.value_count as usize,
-                (0..f.value_count as usize).filter(|v| v % 3 == 0),
-            );
-            each_config(f, &spilled, |rw| {
-                for (b, blk) in rw.function.blocks.iter().enumerate() {
-                    if rw.delta.dirty_blocks.contains(b) {
-                        continue;
-                    }
-                    // Clean block: instruction list byte-identical, no
-                    // occurrence of any changed value.
-                    assert_eq!(blk.instrs, f.blocks[b].instrs, "block {b} silently changed");
-                    for instr in &blk.instrs {
-                        for v in instr.def.iter().chain(instr.uses.iter()) {
-                            assert!(
-                                !rw.delta.changed_values.contains(v.index()),
-                                "changed value {v} in clean block {b}"
-                            );
-                        }
-                    }
+        use rand::{Rng, SeedableRng};
+        let cfg_of = |f: &Function| {
+            let edges: Vec<_> = f
+                .blocks
+                .iter()
+                .map(|b| (b.succs.clone(), b.preds.clone()))
+                .collect();
+            (f.entry, edges)
+        };
+        for seed in 0..8u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let f = if seed % 2 == 0 {
+                random_ssa_function(&mut rng, &SsaConfig::default(), "ssa")
+            } else {
+                random_jit_function(&mut rng, &JitConfig::default(), "jit")
+            };
+            let before = cfg_of(&f);
+            for with_table in [false, true] {
+                let mut table = with_table.then(|| RematTable::compute(&f));
+                let scratch = &mut AnalysisScratch::new();
+                let mut g = f.clone();
+                for round in 0..2 {
+                    let spilled = BitSet::from_iter_with_capacity(
+                        g.value_count as usize,
+                        (0..g.value_count as usize).filter(|_| rng.gen_range(0..3) == 0),
+                    );
+                    g = rewrite_spill_code(&g, &spilled, table.as_mut(), scratch).function;
+                    assert_eq!(
+                        cfg_of(&g),
+                        before,
+                        "seed {seed} table {with_table} round {round}"
+                    );
                 }
-            });
+            }
         }
     }
 

@@ -65,11 +65,9 @@ fn escalated_jvm98_runs_verify_and_never_cost_more() {
 }
 
 /// The escalation tier is deterministic: fuel-only budgets make the
-/// batch report byte-identical at any worker count, and the
-/// incremental-reanalysis fast path must not change a single byte
-/// against a full per-round reanalysis.
+/// batch report byte-identical at any worker count.
 #[test]
-fn escalation_is_thread_count_and_reanalysis_invariant() {
+fn escalation_is_thread_count_invariant() {
     let exp = experiment("jit-large/");
     let seq = exp.run(1);
     let par = exp.run(4);
@@ -79,21 +77,6 @@ fn escalation_is_thread_count_and_reanalysis_invariant() {
         seq.summary.escalated > 0,
         "the corpus must exercise the tier"
     );
-
-    let full = batchrun::BatchExperiment {
-        name: exp.name.clone(),
-        pipeline: exp.pipeline.clone().full_reanalysis(true),
-        functions: exp.functions.clone(),
-    };
-    let incremental = batchrun::BatchExperiment {
-        name: exp.name.clone(),
-        pipeline: exp.pipeline.clone().full_reanalysis(false),
-        functions: exp.functions,
-    };
-    let a = full.run(2);
-    let b = incremental.run(2);
-    assert_eq!(a.render(), b.render());
-    assert_eq!(a.summary, b.summary);
 }
 
 /// Regression: the converged counts the tier buys on the standard
