@@ -9,9 +9,9 @@
 //! measurement). `batch` renders each
 //! [`lra_core::BatchReport`] deterministically (timings go to stderr),
 //! so CI can diff two runs — and a `--threads 4` run against the
-//! sequential path — byte for byte. The standard portfolio
-//! configuration is fuel-only (no wall-clock deadline), so its
-//! escalation decisions are part of that determinism contract.
+//! sequential path — byte for byte. The portfolio's only cap is its
+//! node fuel, so its escalation decisions are part of that
+//! determinism contract.
 //!
 //! [`record`] reruns the same corpora at several worker counts,
 //! takes per-experiment **min and median** wall-clock times, and
@@ -56,8 +56,8 @@ pub const FUEL_SWEEP: [u64; 5] = [50_000, 25_000, 12_500, 5_000, 2_500];
 
 /// The portfolio configuration the standard corpora run under:
 /// [`PortfolioConfig::default`], whose 5,000-node fuel the
-/// [`FUEL_SWEEP`] frontier picked. Fuel only, no wall-clock deadline,
-/// so the escalation outcome (and therefore the rendered report) is
+/// [`FUEL_SWEEP`] frontier picked. Fuel is counted, not timed, so the
+/// escalation outcome (and therefore the rendered report) is
 /// byte-identical at any worker count.
 ///
 /// It only returns the default, but the name stays: the frozen
@@ -328,14 +328,6 @@ pub struct RecordedServiceRun {
     pub cache_hit_rate_warm: f64,
     /// Most requests ever queued at once.
     pub queue_high_water: usize,
-    /// Requests served on the degraded (cheap-tier-only) path. The
-    /// record runs carry no degrade watermark, so this stays 0 — the
-    /// field exists so the baseline schema matches what an
-    /// overload-configured server reports.
-    pub degraded: u64,
-    /// Requests shed at dequeue because their deadline had expired.
-    /// Record requests carry no deadline, so this stays 0.
-    pub deadline_exceeded: u64,
 }
 
 /// Queue capacity the service-throughput experiment runs under —
@@ -415,8 +407,6 @@ pub fn record_service(seed: u64, worker_counts: &[usize]) -> Vec<RecordedService
                 cache_hit_rate_cold: stats_cold.since(&stats_start).hit_rate(),
                 cache_hit_rate_warm: stats_warm.since(&stats_cold).hit_rate(),
                 queue_high_water: metrics.queue_high_water,
-                degraded: metrics.degraded,
-                deadline_exceeded: metrics.deadline_exceeded,
             }
         })
         .collect()
@@ -435,7 +425,7 @@ pub fn to_json(
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"lra-bench/batch-v5\",");
+    let _ = writeln!(s, "  \"schema\": \"lra-bench/batch-v6\",");
     let _ = writeln!(s, "  \"seed\": {seed},");
     let _ = writeln!(s, "  \"host\": {host},");
     s.push_str("  \"experiments\": [\n");
@@ -479,7 +469,7 @@ pub fn to_json(
     for (i, r) in service.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"workers\": {}, \"requests\": {}, \"queue_capacity\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"throughput_cold_per_s\": {:.1}, \"throughput_warm_per_s\": {:.1}, \"p50_us\": {}, \"p95_us\": {}, \"cache_hit_rate_cold\": {:.3}, \"cache_hit_rate_warm\": {:.3}, \"queue_high_water\": {}, \"degraded\": {}, \"deadline_exceeded\": {}}}",
+            "    {{\"workers\": {}, \"requests\": {}, \"queue_capacity\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"throughput_cold_per_s\": {:.1}, \"throughput_warm_per_s\": {:.1}, \"p50_us\": {}, \"p95_us\": {}, \"cache_hit_rate_cold\": {:.3}, \"cache_hit_rate_warm\": {:.3}, \"queue_high_water\": {}}}",
             r.workers,
             r.requests,
             SERVICE_RECORD_QUEUE_CAPACITY,
@@ -491,9 +481,7 @@ pub fn to_json(
             r.p95_us,
             r.cache_hit_rate_cold,
             r.cache_hit_rate_warm,
-            r.queue_high_water,
-            r.degraded,
-            r.deadline_exceeded
+            r.queue_high_water
         );
         s.push_str(if i + 1 < service.len() { ",\n" } else { "\n" });
     }
@@ -561,7 +549,7 @@ mod tests {
         }
 
         let json = to_json(3, &host(), &recorded, &[]);
-        assert!(json.contains("\"schema\": \"lra-bench/batch-v5\""));
+        assert!(json.contains("\"schema\": \"lra-bench/batch-v6\""));
         assert!(json.contains("\"host\": {\"nproc\": "));
         assert!(json.contains("\"escalated\""));
         assert!(json.contains("\"min_ms\""));

@@ -461,8 +461,8 @@ pub struct PortfolioRow {
 /// at `r` registers (on each workload's native instance view) and
 /// aggregates per program, in first-appearance order.
 ///
-/// Fans across the [`batch`] worker pool; with no wall-clock budget in
-/// `cfg` the outcome is deterministic at any thread count.
+/// Fans across the [`batch`] worker pool; the node fuel is counted,
+/// not timed, so the outcome is deterministic at any thread count.
 ///
 /// # Panics
 ///

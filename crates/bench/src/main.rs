@@ -55,7 +55,7 @@ const ALL: usize = 14;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lra-bench <{}|all> [--seed N] [--threads N] [--out PATH] [--chrome PATH] [--policy NAME] [--budget-nodes N] [--budget-ms N] [--sweep] [--addr HOST:PORT] [--queue N] [--repeat N] [--local] [--shutdown] [--panic-every N] [--latency-every N] [--latency-ms N] [--drop-every N]",
+        "usage: lra-bench <{}|all> [--seed N] [--threads N] [--out PATH] [--chrome PATH] [--policy NAME] [--budget-nodes N] [--sweep] [--addr HOST:PORT] [--queue N] [--repeat N] [--local] [--shutdown] [--panic-every N] [--latency-every N] [--latency-ms N] [--drop-every N]",
         COMMANDS.join("|")
     );
     std::process::exit(2)
@@ -121,14 +121,12 @@ fn run_loadgen(addr: &str, seed: u64, repeat: usize, local: bool, send_shutdown:
                 std::process::exit(1);
             });
     let mut total_retries = 0u64;
-    let mut total_deadline_rejections = 0u64;
     for pass in 0..repeat.max(1) {
         let result = client.allocate_all(&functions).unwrap_or_else(|e| {
             eprintln!("loadgen: pass {pass} failed: {e}");
             std::process::exit(1);
         });
         total_retries += result.retries;
-        total_deadline_rejections += result.deadline_rejections;
         print!("{}", result.render());
         println!();
         eprintln!(
@@ -139,8 +137,8 @@ fn run_loadgen(addr: &str, seed: u64, repeat: usize, local: bool, send_shutdown:
             result.retries
         );
     }
-    // End-of-run overload summary: the client-side counters plus the
-    // server's own shed/degrade totals. Stderr only — stdout carries
+    // End-of-run overload summary: the client-side retries plus the
+    // server's own rejection total. Stderr only — stdout carries
     // exclusively the deterministic reports CI diffs.
     let server_stat = |stats: &std::collections::BTreeMap<String, lra_service::proto::Json>,
                        key: &str| {
@@ -154,18 +152,14 @@ fn run_loadgen(addr: &str, seed: u64, repeat: usize, local: bool, send_shutdown:
             let fields: Vec<String> = stats.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
             eprintln!("(server stats: {})", fields.join(" "));
             eprintln!(
-                "(loadgen summary: {total_retries} backpressure retries, \
-                 {total_deadline_rejections} deadline rejections; server degraded {} \
-                 / deadline_exceeded {} / rejected {})",
-                server_stat(&stats, "degraded"),
-                server_stat(&stats, "deadline_exceeded"),
+                "(loadgen summary: {total_retries} backpressure retries; server rejected {})",
                 server_stat(&stats, "rejected"),
             );
         }
         Err(e) => {
             eprintln!(
-                "(loadgen summary: {total_retries} backpressure retries, \
-                 {total_deadline_rejections} deadline rejections; server stats unavailable: {e})"
+                "(loadgen summary: {total_retries} backpressure retries; \
+                 server stats unavailable: {e})"
             );
         }
     }
@@ -235,33 +229,23 @@ fn run_batch(seed: u64, threads: usize, policy: Option<&str>) {
 
 /// `portfolio`: run the budgeted portfolio policy over the large
 /// non-SSA JIT corpus and print the per-program cheap-vs-portfolio
-/// comparison. The node fuel is the deterministic cap: the default
-/// 5,000 nodes per escalation, or `--budget-nodes`. The optional
-/// `--budget-ms` wall-clock deadline is a latency guard whose
-/// escalation outcomes are machine-dependent (noted on stderr).
-fn run_portfolio(seed: u64, budget_nodes: Option<u64>, budget_ms: Option<u64>) {
+/// comparison. The node fuel is the one cap: the default 5,000 nodes
+/// per escalation, or `--budget-nodes`.
+fn run_portfolio(seed: u64, budget_nodes: Option<u64>) {
     use lra_core::portfolio::PortfolioConfig;
-    let mut cfg =
-        PortfolioConfig::default().time_budget(budget_ms.map(std::time::Duration::from_millis));
+    let mut cfg = PortfolioConfig::default();
     if let Some(nodes) = budget_nodes {
         cfg = cfg.node_budget(nodes);
     }
     let registers = 6;
     let ws = lra_bench::suites::jit_large(seed);
     let rows = lra_bench::experiments::portfolio_study(&ws, registers, &cfg);
-    let deadline = cfg
-        .time_budget
-        .map_or(String::new(), |d| format!(" + {} ms", d.as_millis()));
-    let budget_label = format!("{} nodes{deadline} per function", cfg.node_budget);
-    if cfg.time_budget.is_some() {
-        eprintln!("(wall-clock budget set: escalation outcomes depend on machine speed)");
-    }
     print!(
         "{}",
         lra_bench::experiments::render_portfolio_table(
             &format!(
-                "Portfolio policy on jit-large (R = {registers}, cheap = {}, budget = {budget_label})",
-                cfg.cheap
+                "Portfolio policy on jit-large (R = {registers}, cheap = {}, budget = {} nodes per function)",
+                cfg.cheap, cfg.node_budget
             ),
             &rows
         )
@@ -445,7 +429,6 @@ fn main() {
     let mut chrome: Option<String> = None;
     let mut policy: Option<String> = None;
     let mut budget_nodes: Option<u64> = None;
-    let mut budget_ms: Option<u64> = None;
     let mut addr = "127.0.0.1:7411".to_string();
     let mut queue = lra_service::DEFAULT_QUEUE_CAPACITY;
     let mut repeat = 1usize;
@@ -466,7 +449,6 @@ fn main() {
             "--chrome" => chrome = Some(arg(it.next())),
             "--policy" => policy = Some(arg(it.next())),
             "--budget-nodes" => budget_nodes = Some(arg(it.next())),
-            "--budget-ms" => budget_ms = Some(arg(it.next())),
             "--addr" => addr = arg(it.next()),
             "--queue" => queue = arg_where(it.next(), |&n| n > 0),
             "--repeat" => repeat = arg_where(it.next(), |&n| n > 0),
@@ -509,7 +491,7 @@ fn main() {
             "pipeline" => run_pipeline_demo(seed),
             "batch" => run_batch(seed, threads, policy.as_deref()),
             "portfolio" if sweep => run_fuel_sweep(seed),
-            "portfolio" => run_portfolio(seed, budget_nodes, budget_ms),
+            "portfolio" => run_portfolio(seed, budget_nodes),
             "serve" => run_serve(&addr, threads, queue),
             "loadgen" => run_loadgen(&addr, seed, repeat, local, send_shutdown),
             "chaos" => run_chaos(

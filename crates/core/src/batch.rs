@@ -776,29 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn allocate_item_under_an_expired_budget_still_answers() {
-        use crate::portfolio::PortfolioConfig;
-        // An already-expired budget must not error or hang: the
-        // portfolio degrades to its cheap tier and the item carries a
-        // normal report (identical to a cheap-tier-only run).
-        let fs = corpus(2);
-        let p = AllocationPipeline::new(Target::new(TargetKind::St231))
-            .portfolio(PortfolioConfig::default())
-            .registers(3);
-        let cheap = AllocationPipeline::new(Target::new(TargetKind::St231))
-            .portfolio(PortfolioConfig::default().node_budget(0))
-            .registers(3);
-        let p = p.time_budget(Some(Duration::ZERO));
-        let mut scratch = AnalysisScratch::new();
-        for f in &fs {
-            let item = allocate_item(&p, f, &mut scratch, false);
-            assert!(item.outcome.is_ok(), "{}", f.name);
-            let reference = allocate_item(&cheap, f, &mut scratch, false);
-            assert_eq!(item.row(), reference.row(), "{}", f.name);
-        }
-    }
-
-    #[test]
     fn allocate_item_matches_a_single_item_batch() {
         let fs = corpus(1);
         let p = pipeline();

@@ -8,8 +8,8 @@
 //!
 //! Keys are **exact**, not hashes-of-hashes: an [`InstanceKey`]
 //! embeds the full adjacency bit matrix and weight vector (plus the
-//! register count and any budget knobs), so a hit is guaranteed to be
-//! the same problem and the memoized result is byte-identical to a
+//! register count, cheap tier and node fuel), so a hit is guaranteed to
+//! be the same problem and the memoized result is byte-identical to a
 //! fresh solve. That makes the cache invisible to the batch driver's
 //! determinism contract — hit/miss patterns (and any eviction policy)
 //! can differ across thread counts and runs without changing a single
@@ -26,7 +26,6 @@
 
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use crate::problem::Instance;
 use lra_graph::{Cost, Interval};
@@ -34,7 +33,7 @@ use lra_graph::{Cost, Interval};
 /// An exact, self-contained description of one allocation query:
 /// the instance's adjacency bit matrix, weights and (for interval
 /// instances) the live intervals themselves, plus the query
-/// parameters (register count, solver budgets, cheap-tier name).
+/// parameters (register count, node fuel, cheap-tier name).
 ///
 /// Two keys compare equal **iff** a solver would see the identical
 /// problem, so memoized results are always safe to reuse. The
@@ -60,7 +59,6 @@ pub struct InstanceKey {
     registers: u32,
     cheap: String,
     node_budget: u64,
-    time_budget: Option<Duration>,
     weights: Vec<Cost>,
     /// Concatenated per-vertex adjacency rows (64 vertices per word).
     adjacency: Vec<u64>,
@@ -80,13 +78,7 @@ fn roll(h: u64, v: u64) -> u64 {
 
 impl InstanceKey {
     /// Fingerprints `instance` under the given query parameters.
-    pub fn new(
-        instance: &Instance,
-        registers: u32,
-        cheap: &str,
-        node_budget: u64,
-        time_budget: Option<Duration>,
-    ) -> Self {
+    pub fn new(instance: &Instance, registers: u32, cheap: &str, node_budget: u64) -> Self {
         let g = instance.graph();
         let n = g.vertex_count();
         // One contiguous copy of the packed adjacency matrix — same
@@ -102,10 +94,11 @@ impl InstanceKey {
             fp = roll(fp, b as u64);
         }
         fp = roll(fp, node_budget);
-        fp = roll(
-            fp,
-            time_budget.map_or(u64::MAX, |d| d.as_nanos() as u64 | 1),
-        );
+        // The word an unset wall-clock budget rolled here when keys
+        // carried one. Rolling it still keeps every fingerprint, and so
+        // every slot placement and warm hit rate, where it was (see the
+        // constant below for what a placement change costs).
+        fp = roll(fp, u64::MAX);
         // A constant with no meaning of its own. Keys are exact, so it
         // moves no output, only which keys share a slot of this lossy
         // cache. Dropping it was measured on a 2-vCPU Xeon: `record`'s
@@ -136,7 +129,6 @@ impl InstanceKey {
             registers,
             cheap: cheap.to_string(),
             node_budget,
-            time_budget,
             weights,
             adjacency,
             intervals,
@@ -154,7 +146,6 @@ impl PartialEq for InstanceKey {
             && self.vertices == other.vertices
             && self.registers == other.registers
             && self.node_budget == other.node_budget
-            && self.time_budget == other.time_budget
             && self.cheap == other.cheap
             && self.weights == other.weights
             && self.adjacency == other.adjacency
@@ -385,29 +376,28 @@ mod tests {
     }
 
     fn key_for(weight: Cost) -> InstanceKey {
-        InstanceKey::new(&inst(&[], vec![weight]), 1, "LH", 0, None)
+        InstanceKey::new(&inst(&[], vec![weight]), 1, "LH", 0)
     }
 
     #[test]
     fn identical_instances_share_a_key() {
         let a = inst(&[(0, 1), (1, 2)], vec![1, 2, 3]);
         let b = inst(&[(1, 2), (0, 1)], vec![1, 2, 3]);
-        let ka = InstanceKey::new(&a, 4, "LH", 100, None);
-        let kb = InstanceKey::new(&b, 4, "LH", 100, None);
+        let ka = InstanceKey::new(&a, 4, "LH", 100);
+        let kb = InstanceKey::new(&b, 4, "LH", 100);
         assert_eq!(ka, kb);
     }
 
     #[test]
     fn any_parameter_difference_changes_the_key() {
         let a = inst(&[(0, 1), (1, 2)], vec![1, 2, 3]);
-        let base = InstanceKey::new(&a, 4, "LH", 100, None);
+        let base = InstanceKey::new(&a, 4, "LH", 100);
         let diffs = [
-            InstanceKey::new(&inst(&[(0, 1)], vec![1, 2, 3]), 4, "LH", 100, None),
-            InstanceKey::new(&inst(&[(0, 1), (1, 2)], vec![1, 2, 4]), 4, "LH", 100, None),
-            InstanceKey::new(&a, 5, "LH", 100, None),
-            InstanceKey::new(&a, 4, "GC", 100, None),
-            InstanceKey::new(&a, 4, "LH", 101, None),
-            InstanceKey::new(&a, 4, "LH", 100, Some(Duration::from_millis(1))),
+            InstanceKey::new(&inst(&[(0, 1)], vec![1, 2, 3]), 4, "LH", 100),
+            InstanceKey::new(&inst(&[(0, 1), (1, 2)], vec![1, 2, 4]), 4, "LH", 100),
+            InstanceKey::new(&a, 5, "LH", 100),
+            InstanceKey::new(&a, 4, "GC", 100),
+            InstanceKey::new(&a, 4, "LH", 101),
         ];
         for (i, k) in diffs.iter().enumerate() {
             assert_ne!(&base, k, "variant {i} must not collide");
@@ -424,20 +414,32 @@ mod tests {
         let b =
             Instance::from_intervals(vec![Interval::new(0, 10), Interval::new(1, 3)], vec![1, 1]);
         assert_eq!(a.graph().edge_count(), b.graph().edge_count());
-        let ka = InstanceKey::new(&a, 1, "BLS", 100, None);
-        let kb = InstanceKey::new(&b, 1, "BLS", 100, None);
+        let ka = InstanceKey::new(&a, 1, "BLS", 100);
+        let kb = InstanceKey::new(&b, 1, "BLS", 100);
         assert_ne!(ka, kb);
         // An interval instance never collides with the bare-graph
         // instance of the same intersection graph.
         let bare = inst(&[(0, 1)], vec![1, 1]);
-        assert_ne!(ka, InstanceKey::new(&bare, 1, "BLS", 100, None));
+        assert_ne!(ka, InstanceKey::new(&bare, 1, "BLS", 100));
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Slot placement and warm hit rates follow the fingerprint, so
+        // a change to what `new` rolls must show up here first.
+        let graph = InstanceKey::new(&inst(&[(0, 1), (1, 2)], vec![1, 2, 3]), 4, "LH", 100);
+        assert_eq!(graph.fingerprint, 0x9845_7F5C_D7C2_10AF);
+        let intervals =
+            Instance::from_intervals(vec![Interval::new(0, 2), Interval::new(1, 3)], vec![1, 1]);
+        let key = InstanceKey::new(&intervals, 1, "BLS", 100);
+        assert_eq!(key.fingerprint, 0x758B_9057_01B5_D397);
     }
 
     #[test]
     fn get_insert_and_stats() {
         let cache: ResultCache<u64> = ResultCache::new(8);
         let a = inst(&[(0, 1)], vec![1, 2]);
-        let k = InstanceKey::new(&a, 2, "LH", 10, None);
+        let k = InstanceKey::new(&a, 2, "LH", 10);
         assert_eq!(cache.get(&k), None);
         cache.insert(k.clone(), 42);
         assert_eq!(cache.get(&k), Some(42));

@@ -213,35 +213,6 @@ impl AllocationPipeline {
         self
     }
 
-    /// Applies (or clears) a per-run wall-clock budget.
-    ///
-    /// On a `Portfolio` pipeline the budget flows into
-    /// [`PortfolioConfig::time_budget`], so the exact escalation tier
-    /// aborts cooperatively once the deadline passes and the cheap
-    /// tier's answer is kept — the paper's graceful-degradation
-    /// contract. The heuristic tiers are polynomial and fast, so on a
-    /// directly-selected allocator there is nothing to bound and the
-    /// call is a no-op. A `Some(Duration::ZERO)` budget is already
-    /// expired: the portfolio degrades deterministically to its cheap
-    /// tier (see [`PortfolioConfig::time_budget`]).
-    pub fn time_budget(mut self, budget: Option<std::time::Duration>) -> Self {
-        self.portfolio = self.portfolio.map(|cfg| cfg.time_budget(budget));
-        self
-    }
-
-    /// The load-shedding variant of this pipeline: the split + remat
-    /// escalation tier is forced off and a `Portfolio` allocator is
-    /// pinned to its cheap tier (zero node fuel), so every request
-    /// completes in polynomial time. Used by the serving layer when a
-    /// queue-depth watermark trips — throughput bends (cheaper, maybe
-    /// costlier allocations) instead of breaking (rejections).
-    pub fn degraded(&self) -> Self {
-        let mut p = self.clone();
-        p.escalation = false;
-        p.portfolio = p.portfolio.map(|cfg| cfg.node_budget(0));
-        p
-    }
-
     /// Runs the full pipeline on `f`.
     pub fn run(&self, f: &Function) -> Result<AllocatedFunction, PipelineError> {
         self.run_with(f, &mut AnalysisScratch::new())
@@ -1136,65 +1107,6 @@ mod tests {
             escalated[1] += usize::from(zero_on.escalated);
         }
         assert!(escalated[0] > 0 && escalated[1] > 0, "{escalated:?}");
-    }
-
-    #[test]
-    fn time_budget_flows_into_the_portfolio_config() {
-        use std::time::Duration;
-        let t = Target::new(TargetKind::St231);
-        let budget_of = |p: &AllocationPipeline| p.portfolio.as_ref().map(|cfg| cfg.time_budget);
-        let expired = AllocationPipeline::new(t)
-            .allocator("Portfolio")
-            .time_budget(Some(Duration::ZERO));
-        assert_eq!(budget_of(&expired), Some(Some(Duration::ZERO)));
-        let live = expired.clone().time_budget(Some(Duration::from_secs(5)));
-        assert_eq!(budget_of(&live), Some(Some(Duration::from_secs(5))));
-        // An expired budget degrades the portfolio to its cheap tier.
-        let lh = AllocationPipeline::new(t).allocator("LH");
-        for seed in 0..4u64 {
-            let f = small_function(seed);
-            assert_eq!(
-                rendered(&expired.clone().registers(3).run(&f).unwrap()),
-                rendered(&lh.clone().registers(3).run(&f).unwrap()),
-                "seed {seed}"
-            );
-        }
-        // On a directly-selected allocator the call is a no-op: no
-        // portfolio config materialises.
-        assert_eq!(budget_of(&lh.time_budget(Some(Duration::ZERO))), None);
-        // Clearing the budget restores the default behaviour.
-        assert_eq!(budget_of(&expired.time_budget(None)), Some(None));
-    }
-
-    #[test]
-    fn degraded_pipelines_pin_the_cheap_tier() {
-        use crate::portfolio::PortfolioConfig;
-        let t = Target::new(TargetKind::St231);
-        let fuel_of = |p: &AllocationPipeline| p.portfolio.as_ref().map(|cfg| cfg.node_budget);
-        let base = AllocationPipeline::new(t)
-            .portfolio(PortfolioConfig::default().node_budget(50_000))
-            .registers(3)
-            .escalation(true);
-        let shed = base.degraded();
-        assert_eq!(fuel_of(&shed), Some(0), "degraded runs are cheap-tier-only");
-        // The original pipeline is untouched (degraded() clones).
-        assert_eq!(fuel_of(&base), Some(50_000));
-        // Portfolio or not, a degraded run is the cheap allocator with
-        // the split + remat tier off, even where the original escalates.
-        let lh = AllocationPipeline::new(t).allocator("LH").registers(3);
-        let lh_shed = lh.clone().escalation(true).degraded();
-        assert_eq!(fuel_of(&lh_shed), None);
-        let mut escalated = 0;
-        for seed in 0..24u64 {
-            let f = small_function(seed);
-            escalated += usize::from(base.run(&f).unwrap().escalated);
-            let plain = rendered(&lh.run(&f).unwrap());
-            let report = shed.run(&f).expect("cheap tier still runs");
-            assert!(report.verdict.is_feasible());
-            assert_eq!(rendered(&report), plain, "seed {seed}");
-            assert_eq!(rendered(&lh_shed.run(&f).unwrap()), plain, "seed {seed}");
-        }
-        assert!(escalated > 0, "no seed exercised the escalation tier");
     }
 
     #[test]

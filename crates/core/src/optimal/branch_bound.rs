@@ -37,13 +37,11 @@
 //! There is one search body, generic over the row width: instances of
 //! up to 256 vertices run it at a compile-time width of 1–4 words and
 //! wider ones at a run-time width; either way a row update reads only
-//! the words that can hold a later position. Fuel and deadline are
-//! tested together at one precomputed node count (the next deadline
-//! stride or the end of the fuel, whichever is first), so counting a
-//! node costs one comparison. A child that cannot beat the best
-//! solution is counted where it is generated — the same node, fuel and
-//! deadline accounting a visit would do — instead of being visited by
-//! a recursive call.
+//! the words that can hold a later position. Counting a node costs one
+//! comparison against the fuel. A child that cannot beat the best
+//! solution is counted where it is generated — the same node and fuel
+//! accounting a visit would do — instead of being visited by a
+//! recursive call.
 //!
 //! The search is *anytime*: [`solve_from`] marks a completed search's
 //! answer certified, and when the budget runs out it still hands back
@@ -56,10 +54,6 @@ use super::SolveBudget;
 use crate::problem::{Allocation, Instance};
 use crate::trace;
 use lra_graph::{BitSet, Cost, Graph};
-use std::time::Instant;
-
-/// How many search nodes pass between cooperative deadline checks.
-const DEADLINE_STRIDE: u64 = 4096;
 
 /// The colour of a spilled position on the search path.
 const SPILLED: u32 = u32::MAX;
@@ -114,12 +108,7 @@ struct Kernel<'a, X> {
     /// The colour of each position in the best solution found.
     best_colour: Vec<u32>,
     nodes: u64,
-    /// The next node count at which [`Kernel::count_node`] looks at
-    /// the fuel or the clock: the first count past `node_limit` or the
-    /// next multiple of [`DEADLINE_STRIDE`], whichever comes first.
-    checkpoint: u64,
     node_limit: u64,
-    deadline: Option<Instant>,
 }
 
 /// The search's input, in search-position space.
@@ -190,34 +179,15 @@ impl<'a, X: Width> Kernel<'a, X> {
             // above the incumbent; if nothing beats it, it stands.
             best_spill: p.incumbent_spill + 1,
             nodes: 0,
-            checkpoint: budget.node_limit.saturating_add(1).min(DEADLINE_STRIDE),
             node_limit: budget.node_limit,
-            deadline: budget.deadline,
         }
     }
 
-    /// Charges one search node: `false` once the fuel is spent or, at
-    /// every [`DEADLINE_STRIDE`]th node, the deadline has passed.
+    /// Charges one search node: `false` once the fuel is spent.
     #[inline(always)]
     fn count_node(&mut self) -> bool {
         self.nodes += 1;
-        self.nodes < self.checkpoint || self.at_checkpoint()
-    }
-
-    /// [`Kernel::count_node`] at a checkpoint: the fuel test, the
-    /// deadline test, and the next checkpoint.
-    #[cold]
-    fn at_checkpoint(&mut self) -> bool {
-        if self.nodes > self.node_limit {
-            return false;
-        }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                return false;
-            }
-        }
-        self.checkpoint = (self.nodes + DEADLINE_STRIDE).min(self.node_limit.saturating_add(1));
-        true
+        self.nodes <= self.node_limit
     }
 
     /// Visits the child node at position `i`: one whose bound cannot
@@ -333,14 +303,13 @@ fn search<X: Width>(width: X, p: &Problem<'_>, budget: &SolveBudget) -> Outcome 
 /// Searches for an allocation of `instance` with `r` registers cheaper
 /// than `incumbent`, under `budget`: each search node costs one unit of
 /// node fuel, charged against `budget.node_limit` (an exhausted search
-/// is charged all of it), and the wall-clock deadline is checked every
-/// few thousand nodes. `incumbent` is the search's only seed: the
+/// is charged all of it). `incumbent` is the search's only seed: the
 /// forward-checking bound prunes against it from the first node, and
 /// nothing else runs first.
 ///
 /// Returns `Some((optimum, true))` when the search completes — a
 /// certified optimum, possibly no cheaper than `incumbent` — and, when
-/// a cap trips, `Some((best, false))` with the best allocation held if
+/// the fuel runs out, `Some((best, false))` with the best allocation held if
 /// it is strictly cheaper than `incumbent`, else `None`. The nodes
 /// visited go to [`trace::add_fuel_consumed`].
 pub fn solve_from(
@@ -349,9 +318,6 @@ pub fn solve_from(
     budget: &mut SolveBudget,
     incumbent: &Allocation,
 ) -> Option<(Allocation, bool)> {
-    if budget.expired() {
-        return None;
-    }
     let n = instance.vertex_count();
     if r == 0 {
         return Some((instance.allocation_from_set(BitSet::new(n)), true));
@@ -422,7 +388,7 @@ mod tests {
     /// The search before forward checking, kept as the reference the
     /// kernel must never lose to: its bound is the spill charged so
     /// far, and a colour is free iff no earlier neighbour holds it.
-    /// Same order, symmetry breaking and node accounting; no deadline.
+    /// Same order, symmetry breaking and node accounting.
     struct Reference {
         earlier: Vec<BitSet>,
         weight: Vec<Cost>,
@@ -561,33 +527,6 @@ mod tests {
         let inst = instance(g, vec![2, 3]);
         let a = solve(&inst, 0, &mut SolveBudget::nodes(1000)).unwrap();
         assert_eq!(a.spill_cost, 5);
-    }
-
-    #[test]
-    fn expired_deadline_aborts_before_searching() {
-        let c5 = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let inst = instance(c5, vec![5, 4, 3, 2, 1]);
-        let mut budget = SolveBudget::nodes(1_000_000).with_time(Some(std::time::Duration::ZERO));
-        assert!(solve(&inst, 2, &mut budget).is_none());
-        // The same search without the dead deadline completes.
-        assert!(solve(&inst, 2, &mut SolveBudget::nodes(1_000_000)).is_some());
-    }
-
-    #[test]
-    fn a_deadline_is_checked_every_stride_nodes() {
-        // Dense enough that ten million nodes cannot finish in time.
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let g = generate::random_general(&mut rng, 60, 30);
-        let inst = instance(g, generate::random_weights(&mut rng, 60, 2));
-        trace::begin(false);
-        let fuel = 10_000_000;
-        let mut budget =
-            SolveBudget::nodes(fuel).with_time(Some(std::time::Duration::from_millis(1)));
-        assert!(solve(&inst, 4, &mut budget).is_none());
-        let consumed = trace::take().expect("collecting").fuel_consumed;
-        assert!(consumed < fuel, "stopped by the clock, not the fuel");
-        assert_eq!(consumed % DEADLINE_STRIDE, 0, "{consumed} nodes");
-        assert_eq!(budget.node_limit, fuel - consumed);
     }
 
     #[test]

@@ -43,9 +43,6 @@ use lra_graph::{cliques::CliqueTree, BitSet, Cost, Vertex};
 /// Largest bag size the DP will attempt (2^22 masks ≈ 4M per bag).
 pub const MAX_BAG: usize = 22;
 
-/// How many DP masks pass between cooperative deadline checks.
-const DEADLINE_STRIDE: u64 = 65536;
-
 /// The mask of a table entry no bag mask has reached.
 const UNSET: u32 = u32::MAX;
 
@@ -110,20 +107,16 @@ impl Split {
 /// Solves a chordal instance exactly under `budget`. Every bag mask
 /// costs one unit of node fuel, charged against `budget.node_limit`
 /// (a DP needing more than the budget is rejected before it starts and
-/// charged all of it); the wall-clock deadline is checked every few
-/// tens of thousands of masks. Returns `None` on an oversized bag
-/// (beyond [`MAX_BAG`], charged nothing) *or* an exhausted budget —
-/// either way no certified optimum exists within the caps and the
-/// caller decides what to fall back to. [`trace::add_fuel_consumed`]
-/// receives only the masks actually enumerated.
+/// charged all of it). Returns `None` on an oversized bag (beyond
+/// [`MAX_BAG`], charged nothing) *or* an exhausted budget — either way
+/// no certified optimum exists within the fuel and the caller decides
+/// what to fall back to. [`trace::add_fuel_consumed`] receives only the
+/// masks actually enumerated.
 ///
 /// # Panics
 ///
 /// Panics if the instance is not chordal.
 pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Allocation> {
-    if budget.expired() {
-        return None;
-    }
     let cliques = instance
         .maximal_cliques()
         .expect("chordal DP requires a chordal instance");
@@ -156,7 +149,6 @@ pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Al
     let mut child_keys: Vec<Vec<Split>> = (0..k).map(|_| Vec::new()).collect();
     let no_parent = BitSet::new(n);
     let mut enumerated = 0u64;
-    let mut next_check = DEADLINE_STRIDE;
 
     // Children before parents.
     for &b in tree.topo.iter().rev() {
@@ -198,15 +190,6 @@ pub fn solve(instance: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Al
                 // `mask` and more, so none of them fits either.
                 mask += mask & mask.wrapping_neg();
                 continue;
-            }
-            let at = enumerated + u64::from(mask) + 1;
-            if at >= next_check {
-                next_check = at - at % DEADLINE_STRIDE + DEADLINE_STRIDE;
-                if budget.expired() {
-                    budget.charge(at);
-                    trace::add_fuel_consumed(at);
-                    return None;
-                }
             }
             let mut value = owned.at(mask);
             let mut feasible = true;
@@ -280,7 +263,7 @@ mod tests {
         let mut b = GraphBuilder::new(5);
         b.add_clique(&[0, 1, 2, 3, 4]);
         let inst = instance(b.build(), vec![5, 9, 2, 7, 4]);
-        let a = solve(&inst, 2, &mut SolveBudget::unlimited()).unwrap();
+        let a = solve(&inst, 2, &mut SolveBudget::nodes(u64::MAX)).unwrap();
         // Keep 9 and 7; spill 5+2+4 = 11.
         assert_eq!(a.spill_cost, 11);
         assert!(a.allocated.contains(1) && a.allocated.contains(3));
@@ -295,7 +278,7 @@ mod tests {
             let g = generate::random_chordal(&mut rng, 18, 24, 4);
             let w = generate::random_weights(&mut rng, 18, 2);
             let inst = instance(g, w);
-            let a = solve(&inst, 1, &mut SolveBudget::unlimited()).unwrap();
+            let a = solve(&inst, 1, &mut SolveBudget::nodes(u64::MAX)).unwrap();
             let brute = stable::max_weight_stable_set_brute(inst.weighted_graph(), None);
             assert_eq!(a.allocated_weight, brute.weight);
             assert!(verify::check(&inst, &a, 1).is_feasible());
@@ -308,7 +291,7 @@ mod tests {
         let g = generate::random_chordal(&mut rng, 25, 30, 5);
         let inst = instance(g, vec![3; 25]);
         let ml = inst.max_live() as u32;
-        let a = solve(&inst, ml, &mut SolveBudget::unlimited()).unwrap();
+        let a = solve(&inst, ml, &mut SolveBudget::nodes(u64::MAX)).unwrap();
         assert_eq!(a.spill_cost, 0);
     }
 
@@ -317,7 +300,7 @@ mod tests {
         // Two triangles; R=2 spills the cheapest vertex of each.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
         let inst = instance(g, vec![5, 1, 4, 2, 6, 3]);
-        let a = solve(&inst, 2, &mut SolveBudget::unlimited()).unwrap();
+        let a = solve(&inst, 2, &mut SolveBudget::nodes(u64::MAX)).unwrap();
         assert_eq!(a.spill_cost, 1 + 2);
         assert!(!a.allocated.contains(1));
         assert!(!a.allocated.contains(3));
@@ -333,7 +316,7 @@ mod tests {
             let w = generate::random_weights(&mut rng, 12, 2);
             let inst = instance(g.clone(), w.clone());
             for r in 1..=4u32 {
-                let a = solve(&inst, r, &mut SolveBudget::unlimited()).unwrap();
+                let a = solve(&inst, r, &mut SolveBudget::nodes(u64::MAX)).unwrap();
                 let best = brute_force(&inst, r);
                 assert_eq!(
                     a.allocated_weight, best,
@@ -371,16 +354,7 @@ mod tests {
         b.add_clique(&[0, 1, 2, 3, 4, 5]);
         let inst = instance(b.build(), vec![1; 6]);
         assert!(solve(&inst, 2, &mut SolveBudget::nodes(3)).is_none());
-        assert!(solve(&inst, 2, &mut SolveBudget::unlimited()).is_some());
-    }
-
-    #[test]
-    fn expired_deadline_returns_none() {
-        let mut b = GraphBuilder::new(5);
-        b.add_clique(&[0, 1, 2, 3, 4]);
-        let inst = instance(b.build(), vec![2; 5]);
-        let mut budget = SolveBudget::unlimited().with_time(Some(std::time::Duration::ZERO));
-        assert!(solve(&inst, 2, &mut budget).is_none());
+        assert!(solve(&inst, 2, &mut SolveBudget::nodes(u64::MAX)).is_some());
     }
 
     #[test]

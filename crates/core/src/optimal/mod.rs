@@ -32,28 +32,18 @@ pub mod flow;
 use crate::baselines::ChaitinBriggs;
 use crate::cluster::LayeredHeuristic;
 use crate::problem::{Allocation, Allocator, Instance};
-use std::time::{Duration, Instant};
 
-/// A cooperative work budget for the exact solvers.
+/// A cooperative work budget for the exact solvers: node fuel.
 ///
-/// Two independent caps, both optional in effect:
+/// One unit is charged per branch-and-bound node and per clique-tree
+/// DP mask, and exceeding the fuel aborts the solve. A DP's mask count
+/// is fixed by its clique tree, so a DP that would exceed the fuel is
+/// rejected before it enumerates anything, with the same outcome as
+/// running out mid-way. Because fuel is counted, not timed, two runs
+/// with the same fuel always abort (or complete) at exactly the same
+/// point, across the [`crate::batch`] worker pool at any thread count.
 ///
-/// * **node fuel** — a deterministic cap on the search/DP work, one
-///   unit per branch-and-bound node and per clique-tree DP mask.
-///   Exceeding it aborts the solve. A DP's mask count is fixed by its
-///   clique tree, so a DP that would exceed the cap is rejected before
-///   it enumerates anything, with the same outcome as running out
-///   mid-way. Because fuel is counted, not timed, two runs with the same
-///   fuel always abort (or complete) at exactly the same point — this
-///   is the budget to use when results must be reproducible, e.g.
-///   across the [`crate::batch`] worker pool at different thread
-///   counts.
-/// * **deadline** — a wall-clock cutoff checked cooperatively every
-///   few thousand work units. A deadline abort depends on machine
-///   speed and load, so results guarded only by a deadline are *not*
-///   deterministic; use it as a hard latency guard on top of the fuel.
-///
-/// When either cap trips, the DP returns `None` and branch-and-bound
+/// When the fuel runs out, the DP returns `None` and branch-and-bound
 /// returns its best allocation marked uncertified (or `None`) — a
 /// *bounded* outcome the caller can distinguish from a certified
 /// optimum. The solvers take the budget by `&mut` and
@@ -65,39 +55,12 @@ pub struct SolveBudget {
     /// Search nodes / DP masks left before the solver gives up. Each
     /// solve subtracts the work it charged.
     pub node_limit: u64,
-    /// Wall-clock instant after which the solver gives up.
-    pub deadline: Option<Instant>,
 }
 
 impl SolveBudget {
-    /// No caps: the solver runs to completion (or to the structural
-    /// limits like [`chordal_dp::MAX_BAG`]).
-    pub fn unlimited() -> Self {
-        SolveBudget {
-            node_limit: u64::MAX,
-            deadline: None,
-        }
-    }
-
-    /// A deterministic fuel-only budget of `n` work units.
+    /// A deterministic budget of `n` work units.
     pub fn nodes(n: u64) -> Self {
-        SolveBudget {
-            node_limit: n,
-            deadline: None,
-        }
-    }
-
-    /// Adds a wall-clock deadline of `d` from now (`None` leaves the
-    /// budget fuel-only). A zero `d` produces an already-expired
-    /// budget: every budgeted solve returns `None` immediately.
-    pub fn with_time(mut self, d: Option<Duration>) -> Self {
-        self.deadline = d.map(|d| Instant::now() + d);
-        self
-    }
-
-    /// `true` once the wall-clock deadline (if any) has passed.
-    pub fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
+        SolveBudget { node_limit: n }
     }
 
     /// Charges `work` units of node fuel.
@@ -140,9 +103,6 @@ impl Optimal {
         budget: &SolveBudget,
         incumbent: &Allocation,
     ) -> Option<(Allocation, bool)> {
-        if budget.expired() {
-            return None;
-        }
         if instance.intervals().is_some() {
             return Some((flow::solve(instance, r), true));
         }

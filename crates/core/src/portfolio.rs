@@ -14,16 +14,15 @@
 //!    `LH` by default since it accepts any graph);
 //! 2. if the cheap result still spills *and* the configured budget
 //!    permits, escalate to [`Optimal::try_allocate`] under a
-//!    [`SolveBudget`] — a deterministic node-fuel cap plus an optional
-//!    wall-clock deadline threaded cooperatively through the exact
-//!    solvers — with the cheap allocation as the search's incumbent;
+//!    [`SolveBudget`] — a deterministic node-fuel cap threaded through
+//!    the exact solvers — with the cheap allocation as the search's
+//!    incumbent;
 //! 3. keep whichever allocation costs less. The exact search is
 //!    anytime: when the budget runs out it still hands back the best
 //!    allocation it found, and the policy keeps that one, uncertified,
 //!    if it is strictly cheaper. An exhausted budget with nothing
-//!    cheaper in hand, an expired deadline, or a zero budget all
-//!    degrade to the cheap result — the policy never errors and never
-//!    runs unbounded.
+//!    cheaper in hand, or a zero budget, keeps the cheap result — the
+//!    policy never errors and never runs unbounded.
 //!
 //! # Fuel
 //!
@@ -35,13 +34,9 @@
 //!
 //! # Determinism
 //!
-//! With [`PortfolioConfig::time_budget`] unset (the default), every
-//! decision is a function of the instance and the node fuel alone, so
-//! batch reports are byte-identical at any worker count — the same
-//! contract the [`crate::batch`] driver ships under. A wall-clock
-//! budget adds a hard latency guard but makes the escalation outcome
-//! machine-dependent; use it in latency-sensitive deployments, not in
-//! reproducibility checks.
+//! Every decision is a function of the instance and the node fuel
+//! alone, so batch reports are byte-identical at any worker count — the
+//! same contract the [`crate::batch`] driver ships under.
 //!
 //! # Example
 //!
@@ -66,7 +61,6 @@ use crate::problem::{Allocation, Allocator, Instance};
 use crate::registry::{AllocatorRegistry, AllocatorSpec};
 use crate::trace::{self, ExactOutcome};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// Configuration for the [`Portfolio`] policy.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,25 +76,17 @@ pub struct PortfolioConfig {
     /// thread-count byte-identity contract. `0` disables escalation
     /// entirely.
     pub node_budget: u64,
-    /// Optional wall-clock budget for the exact escalation. `None`
-    /// (the default) keeps the policy fully deterministic;
-    /// `Some(Duration::ZERO)` — an already-expired budget — degrades
-    /// every decision to the cheap tier.
-    pub time_budget: Option<Duration>,
     /// Memoize decisions in the process-wide [`portfolio_cache`]
     /// (default `true`): a batch re-submitting an identical method —
     /// or a spill loop reproducing an identical instance — skips both
     /// tiers entirely. Exact-keyed, so results are byte-identical with
     /// the cache on or off; disable only to measure raw solver time.
-    /// Queries carrying a wall-clock [`PortfolioConfig::time_budget`]
-    /// are never memoized — their outcomes are timing-dependent, and
-    /// caching one would freeze a machine-speed artefact.
     pub cache: bool,
 }
 
 impl Default for PortfolioConfig {
-    /// `LH` first, then exact escalation under 5,000 nodes of fuel, no
-    /// wall-clock deadline, cache on.
+    /// `LH` first, then exact escalation under 5,000 nodes of fuel,
+    /// cache on.
     ///
     /// The fuel is the data's pick, not a guess: it is the smallest
     /// `lra-bench portfolio --sweep` fuel (50,000, 25,000, 12,500 and
@@ -114,7 +100,6 @@ impl Default for PortfolioConfig {
         PortfolioConfig {
             cheap: "LH".to_string(),
             node_budget: 5_000,
-            time_budget: None,
             cache: true,
         }
     }
@@ -130,13 +115,6 @@ impl PortfolioConfig {
     /// Sets the deterministic node fuel of each exact escalation.
     pub fn node_budget(mut self, nodes: u64) -> Self {
         self.node_budget = nodes;
-        self
-    }
-
-    /// Sets (or clears) the wall-clock budget for the exact
-    /// escalation.
-    pub fn time_budget(mut self, d: Option<Duration>) -> Self {
-        self.time_budget = d;
         self
     }
 
@@ -259,21 +237,10 @@ impl Portfolio {
     /// its memoized (bit-identical) outcome without running either
     /// tier.
     pub fn decide(&self, instance: &Instance, r: u32) -> PortfolioOutcome {
-        // A wall-clock budget makes the decision timing-dependent;
-        // memoizing it would freeze one machine-speed-dependent
-        // outcome for the whole process, so those queries always
-        // re-solve (they are already outside the determinism
-        // contract, but the cache must never *change* behaviour).
-        if !self.cfg.cache || self.cfg.time_budget.is_some() {
+        if !self.cfg.cache {
             return self.decide_uncached(instance, r);
         }
-        let key = InstanceKey::new(
-            instance,
-            r,
-            self.cheap_spec.name,
-            self.cfg.node_budget,
-            self.cfg.time_budget,
-        );
+        let key = InstanceKey::new(instance, r, self.cheap_spec.name, self.cfg.node_budget);
         if let Some(hit) = portfolio_cache().get(&key) {
             return hit;
         }
@@ -286,8 +253,7 @@ impl Portfolio {
         let cheap = self.cheap_for(instance).allocate(instance, r);
         let cheap_cost = cheap.spill_cost;
         let fuel = self.cfg.node_budget;
-        let escalate = cheap_cost > 0 && fuel > 0 && self.cfg.time_budget != Some(Duration::ZERO);
-        if !escalate {
+        if cheap_cost == 0 || fuel == 0 {
             return PortfolioOutcome {
                 allocation: cheap,
                 cheap_cost,
@@ -299,7 +265,7 @@ impl Portfolio {
         // The fuel *granted* to the exact tier, recorded at the
         // escalation decision; the solvers record what they consume.
         trace::add_fuel(fuel);
-        let budget = SolveBudget::nodes(fuel).with_time(self.cfg.time_budget);
+        let budget = SolveBudget::nodes(fuel);
         let (allocation, certified, source, settled) =
             match Optimal.try_allocate(instance, r, &budget, &cheap) {
                 Some((exact, certified)) if exact.spill_cost < cheap_cost => {
@@ -375,16 +341,6 @@ mod tests {
         assert!(!out.escalated);
         assert_eq!(out.source, PortfolioSource::Cheap);
         // Byte-equal to running the cheap allocator directly.
-        let direct = LayeredHeuristic::new().allocate(&c5(), 2);
-        assert_eq!(out.allocation, direct);
-    }
-
-    #[test]
-    fn expired_time_budget_degrades_to_the_cheap_tier() {
-        let p =
-            Portfolio::new(PortfolioConfig::default().time_budget(Some(Duration::ZERO))).unwrap();
-        let out = p.decide(&c5(), 2);
-        assert!(!out.escalated);
         let direct = LayeredHeuristic::new().allocate(&c5(), 2);
         assert_eq!(out.allocation, direct);
     }
@@ -534,23 +490,6 @@ mod tests {
         let _ = p.decide(&mk(), 1);
         let h1 = portfolio_cache().stats().hits;
         assert!(h1 >= h0 + 2, "expected 2 more hits ({h0} -> {h1})");
-    }
-
-    #[test]
-    fn time_budgeted_decisions_are_never_memoized() {
-        use crate::cache::InstanceKey;
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let inst =
-            Instance::from_weighted_graph(WeightedGraph::new(g, vec![6601, 6602, 6603, 6604, 1]));
-        let cfg = PortfolioConfig::default().time_budget(Some(Duration::from_secs(1000)));
-        let p = Portfolio::new(cfg.clone()).unwrap();
-        let out = p.decide(&inst, 2);
-        assert!(out.escalated);
-        let key = InstanceKey::new(&inst, 2, "LH", cfg.node_budget, cfg.time_budget);
-        assert!(
-            portfolio_cache().get(&key).is_none(),
-            "timing-dependent outcome must not be cached"
-        );
     }
 
     #[test]

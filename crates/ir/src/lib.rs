@@ -23,9 +23,9 @@
 //!   rematerialization of constant-like values ([`remat`]),
 //! * seeded random program generators shaped like the benchmark suites
 //!   of the paper ([`genprog`]),
-//! * a textual pretty-printer ([`pretty`]) and a canonical,
-//!   round-trippable text codec for shipping functions across process
-//!   boundaries ([`textio`]).
+//! * a canonical, round-trippable text codec ([`textio`]): the one
+//!   printer of the IR, read by people and by the service wire format
+//!   alike.
 //!
 //! # Example
 //!
@@ -59,7 +59,6 @@ pub mod genprog;
 pub mod interference;
 pub mod liveness;
 pub mod loops;
-pub mod pretty;
 pub mod remat;
 pub mod scratch;
 pub mod spill_code;

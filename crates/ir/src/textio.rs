@@ -1,8 +1,7 @@
 //! A compact, round-trippable text codec for [`Function`]s.
 //!
-//! [`pretty::print`](crate::pretty::print) renders functions for
-//! humans; this module renders them for *machines*: [`print()`] emits a
-//! canonical text form that [`parse`] reads back into a structurally
+//! [`print()`] emits a canonical text form, for people and for
+//! processes alike, that [`parse`] reads back into a structurally
 //! identical [`Function`] (`parse(print(f)) == f` for any function
 //! whose predecessor lists are in the canonical
 //! [`Function::recompute_preds`] order — which every builder- or

@@ -3,7 +3,7 @@
 //! responses into submission-ordered [`ReportRow`]s whose rendering is
 //! byte-identical to a local batch run.
 
-use crate::proto::{self, Json, RejectReason, Response};
+use crate::proto::{self, Json, Response};
 use lra_core::batch::{render_rows, ReportRow};
 use lra_ir::{textio, Function};
 use std::collections::BTreeMap;
@@ -12,8 +12,9 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// The 64-bit splitmix finalizer, used to derive deterministic retry
-/// jitter from (seed, request id, attempt) — no RNG state to carry.
-fn splitmix64(mut x: u64) -> u64 {
+/// jitter from (seed, request id, attempt) — no RNG state to carry —
+/// and, under chaos testing, each fault stream's cycle phase.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -61,7 +62,6 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     next_id: u64,
-    deadline_ms: Option<u64>,
 }
 
 /// What a [`Client::allocate_all`] run produced.
@@ -71,9 +71,6 @@ pub struct LoadResult {
     pub rows: Vec<ReportRow>,
     /// `queue_full` rejections that were retried.
     pub retries: u64,
-    /// Requests the server shed as `deadline_exceeded`; each appears
-    /// in [`LoadResult::rows`] as an error row.
-    pub deadline_rejections: u64,
     /// Wall-clock time from first send to last response.
     pub elapsed: Duration,
 }
@@ -111,17 +108,7 @@ impl Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
             next_id: 0,
-            deadline_ms: None,
         })
-    }
-
-    /// Attaches a relative deadline (milliseconds) to every alloc
-    /// request this client sends; a request still queued server-side
-    /// past it comes back as a `deadline_exceeded` error row instead
-    /// of a report. `None` (the default) sends no deadline.
-    pub fn deadline_ms(mut self, ms: Option<u64>) -> Self {
-        self.deadline_ms = ms;
-        self
     }
 
     /// Connects with retries — the load generator's default, so it can
@@ -166,9 +153,7 @@ impl Client {
     /// Ships every function through the server (pipelined up to a
     /// fixed window, resubmitting `queue_full` rejections after a
     /// capped, jittered exponential backoff, at most 1000 times per
-    /// request) and returns the rows in submission order. A
-    /// `deadline_exceeded` rejection is final — it becomes the
-    /// request's error row, not a retry.
+    /// request) and returns the rows in submission order.
     ///
     /// # Errors
     ///
@@ -184,7 +169,6 @@ impl Client {
         let mut outstanding = 0usize;
         let mut done = 0usize;
         let mut retries = 0u64;
-        let mut deadline_rejections = 0u64;
         let start = Instant::now();
         // A response id outside this run's range is a server bug; it
         // must surface as a protocol error, never as an index panic.
@@ -202,14 +186,7 @@ impl Client {
         while done < functions.len() {
             while outstanding < PIPELINE_WINDOW {
                 let Some(k) = pending.pop_front() else { break };
-                let req = proto::alloc_request_full(
-                    base + k as u64,
-                    &texts[k],
-                    self.deadline_ms,
-                    None,
-                    false,
-                );
-                self.send_line(&req)?;
+                self.send_line(&proto::alloc_request(base + k as u64, &texts[k]))?;
                 outstanding += 1;
             }
             match self.read_response()? {
@@ -225,43 +202,22 @@ impl Client {
                     outstanding -= 1;
                     done += 1;
                 }
-                Response::Rejected { id, reason } => {
+                Response::Rejected { id } => {
+                    // Backpressure: resubmission can succeed once the
+                    // pool drains — back off first, capped-exponentially
+                    // with deterministic jitter, up to the retry budget.
                     let k = index_of(id)?;
                     outstanding -= 1;
-                    match reason {
-                        RejectReason::QueueFull => {
-                            // Backpressure: resubmission can succeed
-                            // once the pool drains — back off first,
-                            // capped-exponentially with deterministic
-                            // jitter, up to the retry budget.
-                            let attempt = attempts[k];
-                            if attempt >= RETRY_BUDGET {
-                                return Err(io::Error::other(format!(
-                                    "retry budget exhausted: request {id} rejected {attempt} times"
-                                )));
-                            }
-                            attempts[k] = attempt + 1;
-                            retries += 1;
-                            pending.push_back(k);
-                            std::thread::sleep(backoff(id, attempt));
-                        }
-                        RejectReason::DeadlineExceeded => {
-                            // Final: the budget the request carried is
-                            // spent; resubmitting cannot help.
-                            if rows[k].is_some() {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!("duplicate response id {id}"),
-                                ));
-                            }
-                            rows[k] = Some(ReportRow {
-                                function: functions[k].name.clone(),
-                                outcome: Err("deadline_exceeded".to_string()),
-                            });
-                            deadline_rejections += 1;
-                            done += 1;
-                        }
+                    let attempt = attempts[k];
+                    if attempt >= RETRY_BUDGET {
+                        return Err(io::Error::other(format!(
+                            "retry budget exhausted: request {id} rejected {attempt} times"
+                        )));
                     }
+                    attempts[k] = attempt + 1;
+                    retries += 1;
+                    pending.push_back(k);
+                    std::thread::sleep(backoff(id, attempt));
                 }
                 Response::Other { fields, .. } => {
                     let msg = fields
@@ -278,7 +234,6 @@ impl Client {
                 .map(|r| r.expect("all rows filled"))
                 .collect(),
             retries,
-            deadline_rejections,
             elapsed: start.elapsed(),
         })
     }

@@ -12,17 +12,9 @@
 //! The module is compiled only under `#[cfg(any(test, feature =
 //! "chaos"))]` — a production build carries no injection branches.
 
+use crate::client::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// The 64-bit splitmix finalizer: a cheap, well-mixed hash used to
-/// derive each fault stream's cycle phase from the plan seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// A seeded, deterministic fault schedule. All fault kinds default to
 /// **off** (`every = 0`); each is enabled by its builder.

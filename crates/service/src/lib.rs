@@ -25,12 +25,12 @@
 //!   [`lra_ir::textio`] text, plus the matching pipelined
 //!   [`client::Client`] / load generator with a budgeted,
 //!   jittered-backoff retry loop.
-//! * an overload posture: requests may carry wall-clock deadlines
-//!   (shed unstarted at dequeue as `deadline_exceeded`), a queue
-//!   watermark that degrades service to the cheap allocator tier
-//!   under load, read/write timeouts on every connection, and — under
-//!   the `chaos` feature — deterministic fault injection ([`fault`])
-//!   for soak-testing the whole stack.
+//! * an overload posture: `queue_full` backpressure, a request-size
+//!   cap, read/write timeouts on every connection, and — under the
+//!   `chaos` feature — deterministic fault injection ([`fault`]) for
+//!   soak-testing the whole stack. Effort per request is bounded by
+//!   the portfolio's node fuel alone, so every answer is a function
+//!   of the request and the configuration.
 //!
 //! Because every item is produced by [`lra_core::batch::allocate_item`]
 //! — the exact engine batch workers run — a service dump over a corpus
@@ -58,6 +58,6 @@ pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use metrics::ServiceMetrics;
 pub use server::{serve, Server};
 pub use service::{
-    AllocationService, ServeOutcome, ServiceConfig, SubmitError, SubmitOptions, Ticket,
-    DEFAULT_QUEUE_CAPACITY, DEFAULT_READ_TIMEOUT,
+    AllocationService, ServiceConfig, SubmitError, SubmitOptions, Ticket, DEFAULT_QUEUE_CAPACITY,
+    DEFAULT_READ_TIMEOUT,
 };

@@ -26,8 +26,6 @@ use std::time::Duration;
 pub(crate) struct MetricsInner {
     served: AtomicU64,
     rejected: AtomicU64,
-    degraded: AtomicU64,
-    deadline_exceeded: AtomicU64,
     /// One latency shard per worker: worker `i` records only into
     /// `latency_shards[i]`, so the hot path is contention-free by
     /// construction. Merged on [`MetricsInner::snapshot`].
@@ -45,8 +43,6 @@ impl MetricsInner {
         MetricsInner {
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
             latency_shards: (0..workers.max(1))
                 .map(|_| LatencyHistogram::new())
                 .collect(),
@@ -65,14 +61,6 @@ impl MetricsInner {
 
     pub(crate) fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_degraded(&self) {
-        self.degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds one served item's trace into the merged report.
@@ -94,8 +82,6 @@ impl MetricsInner {
         ServiceMetrics {
             served: self.served.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             queue_high_water,
             queue_capacity,
             workers,
@@ -115,14 +101,6 @@ pub struct ServiceMetrics {
     pub served: u64,
     /// Submissions refused with `queue_full`.
     pub rejected: u64,
-    /// Requests served by the degraded (cheap-tier-only) pipeline
-    /// because the queue was above the configured watermark when a
-    /// worker picked them up. A subset of `served`.
-    pub degraded: u64,
-    /// Requests dropped at dequeue because their `deadline_ms` budget
-    /// had already run out — shed without burning a worker on an
-    /// answer nobody is waiting for.
-    pub deadline_exceeded: u64,
     /// Most requests ever queued at once.
     pub queue_high_water: usize,
     /// The configured queue capacity.
@@ -157,14 +135,12 @@ impl ServiceMetrics {
     /// part of any determinism contract).
     pub fn render(&self) -> String {
         format!(
-            "served {} | rejected {} | degraded {} | deadline-exceeded {} | \
+            "served {} | rejected {} | \
              queue high-water {}/{} | workers {} | \
              cache hits {} misses {} evictions {} (hit rate {:.1}%) | \
              service time p50 {:.3} ms p95 {:.3} ms",
             self.served,
             self.rejected,
-            self.degraded,
-            self.deadline_exceeded,
             self.queue_high_water,
             self.queue_capacity,
             self.workers,
@@ -200,16 +176,6 @@ impl ServiceMetrics {
             "lra_requests_rejected_total",
             "Submissions refused with queue_full backpressure.",
             self.rejected,
-        );
-        counter(
-            "lra_requests_degraded_total",
-            "Requests served by the degraded (cheap-tier-only) pipeline.",
-            self.degraded,
-        );
-        counter(
-            "lra_requests_deadline_exceeded_total",
-            "Requests shed at dequeue because their deadline had expired.",
-            self.deadline_exceeded,
         );
         counter(
             "lra_cache_hits_total",
@@ -361,9 +327,6 @@ mod tests {
         inner.record_served(0, Duration::from_micros(100));
         inner.record_served(1, Duration::from_micros(300));
         inner.record_rejected();
-        inner.record_degraded();
-        inner.record_deadline_exceeded();
-        inner.record_deadline_exceeded();
         let now = CacheStats {
             hits: 14,
             misses: 9,
@@ -372,8 +335,6 @@ mod tests {
         let m = inner.snapshot(3, 8, 2, now);
         assert_eq!(m.served, 2);
         assert_eq!(m.rejected, 1);
-        assert_eq!(m.degraded, 1);
-        assert_eq!(m.deadline_exceeded, 2);
         assert_eq!(m.cache.hits, 4);
         assert_eq!(m.cache.misses, 4);
         assert_eq!(m.cache.evictions, 0);
@@ -393,8 +354,7 @@ mod tests {
         assert_eq!(m.latency.count, 2);
         assert_eq!(m.latency.sum_us, 400);
         assert!(m.render().contains("served 2"));
-        assert!(m.render().contains("degraded 1"));
-        assert!(m.render().contains("deadline-exceeded 2"));
+        assert!(m.render().contains("rejected 1"));
     }
 
     #[test]

@@ -5,21 +5,17 @@
 //!
 //! ```text
 //! {"op":"alloc","id":3,"fn":"<lra_ir::textio text, JSON-escaped>"}
-//! {"op":"alloc","id":4,"fn":"...","deadline_ms":250}
 //! {"op":"alloc","id":5,"fn":"...","trace_id":"req-5","trace":true}
 //! {"op":"stats","id":7}
 //! {"op":"metrics","id":8}
 //! {"op":"shutdown","id":9}
 //! ```
 //!
-//! The optional `deadline_ms` is a relative wall-clock budget: the
-//! server anchors it at parse time and sheds the request
-//! (`"reason":"deadline_exceeded"`) if it is still queued when the
-//! budget runs out. An optional `trace_id` string is echoed verbatim
-//! in the request's response (alloc rows and rejections alike) so
-//! callers can correlate pipelined traffic; `trace:true` additionally
-//! asks the server to trace the request's run ([`lra_core::trace`])
-//! and return flat per-phase timing fields.
+//! An optional `trace_id` string is echoed verbatim in the request's
+//! response (alloc rows and rejections alike) so callers can correlate
+//! pipelined traffic; `trace:true` additionally asks the server to
+//! trace the request's run ([`lra_core::trace`]) and return flat
+//! per-phase timing fields. The server ignores any other field.
 //!
 //! Responses echo the request `id`:
 //!
@@ -31,7 +27,6 @@
 //!  "trace_cache_hits":0,"trace_cache_misses":1}
 //! {"id":3,"ok":false,"function":"gzip::f0","error":"..."}
 //! {"id":3,"rejected":true,"reason":"queue_full"}
-//! {"id":4,"rejected":true,"reason":"deadline_exceeded"}
 //! {"id":7,"ok":true,"served":27,...}
 //! ```
 //!
@@ -268,20 +263,15 @@ impl Parser<'_> {
 /// by [`lra_ir::textio::print`]) with none of the optional fields:
 /// [`alloc_request_full`] with every extension unset.
 pub fn alloc_request(id: u64, function_text: &str) -> String {
-    alloc_request_full(id, function_text, None, None, false)
+    alloc_request_full(id, function_text, None, false)
 }
 
-/// The `alloc` request builder: optional relative deadline (with
-/// `deadline_ms` set the server anchors a wall-clock budget at parse
-/// time; past it, a still-queued request is shed with
-/// [`RejectReason::DeadlineExceeded`] instead of served), optional
-/// correlation `trace_id` (echoed in the response), optional
-/// `trace:true` (the response then carries flat per-phase timing
-/// fields).
+/// The `alloc` request builder: optional correlation `trace_id`
+/// (echoed in the response), optional `trace:true` (the response then
+/// carries flat per-phase timing fields).
 pub fn alloc_request_full(
     id: u64,
     function_text: &str,
-    deadline_ms: Option<u64>,
     trace_id: Option<&str>,
     trace: bool,
 ) -> String {
@@ -289,9 +279,6 @@ pub fn alloc_request_full(
         "{{\"op\":\"alloc\",\"id\":{id},\"fn\":\"{}\"",
         escape(function_text)
     );
-    if let Some(ms) = deadline_ms {
-        let _ = write!(line, ",\"deadline_ms\":{ms}");
-    }
     if let Some(tid) = trace_id {
         let _ = write!(line, ",\"trace_id\":\"{}\"", escape(tid));
     }
@@ -363,46 +350,13 @@ pub fn alloc_response(
     line
 }
 
-/// Why the server shed a request instead of serving it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RejectReason {
-    /// The bounded request queue was full — backpressure; the request
-    /// is safe to resubmit after a backoff.
-    QueueFull,
-    /// The request's `deadline_ms` budget ran out while it was still
-    /// queued — resubmitting is pointless unless the caller extends
-    /// the deadline.
-    DeadlineExceeded,
-}
-
-impl RejectReason {
-    /// The wire token carried in the `reason` field.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RejectReason::QueueFull => "queue_full",
-            RejectReason::DeadlineExceeded => "deadline_exceeded",
-        }
-    }
-
-    fn from_wire(token: Option<&str>) -> Self {
-        // Absent/unknown reasons read as backpressure: that was the
-        // only rejection cause before reasons existed, so old servers
-        // stay interpretable.
-        match token {
-            Some("deadline_exceeded") => RejectReason::DeadlineExceeded,
-            _ => RejectReason::QueueFull,
-        }
-    }
-}
-
-/// Builds the load-shedding rejection line, echoing the request's
-/// `trace_id` (if any) so a pipelined caller can correlate sheds too
-/// (a shed request has no timing to report — the pipeline never ran).
-pub fn rejected_response(id: u64, reason: RejectReason, trace_id: Option<&str>) -> String {
-    let mut line = format!(
-        "{{\"id\":{id},\"rejected\":true,\"reason\":\"{}\"",
-        reason.as_str()
-    );
+/// Builds the backpressure rejection line for a request the full
+/// queue turned away, echoing the request's `trace_id` (if any) so a
+/// pipelined caller can correlate rejections too (a rejected request
+/// has no timing to report — the pipeline never ran). The request is
+/// safe to resubmit after a backoff.
+pub fn rejected_response(id: u64, trace_id: Option<&str>) -> String {
+    let mut line = format!("{{\"id\":{id},\"rejected\":true,\"reason\":\"queue_full\"");
     if let Some(tid) = trace_id {
         let _ = write!(line, ",\"trace_id\":\"{}\"", escape(tid));
     }
@@ -430,13 +384,11 @@ pub enum Response {
         /// The report row.
         row: ReportRow,
     },
-    /// The request was shed; whether resubmitting can help depends on
-    /// the reason.
+    /// The full queue turned the request away; resubmit after a
+    /// backoff.
     Rejected {
         /// Echoed request id.
         id: u64,
-        /// Why the server shed it.
-        reason: RejectReason,
     },
     /// A non-alloc reply (stats/shutdown acks) or a protocol error —
     /// the raw field map for the caller to pick over.
@@ -460,7 +412,6 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
     if fields.get("rejected").and_then(Json::as_bool) == Some(true) {
         return Ok(Response::Rejected {
             id: id.ok_or("rejected response without id")?,
-            reason: RejectReason::from_wire(fields.get("reason").and_then(Json::as_str)),
         });
     }
     let function = fields.get("function").and_then(Json::as_str);
@@ -582,29 +533,17 @@ mod tests {
 
     #[test]
     fn rejection_and_error_lines_parse() {
-        match parse_response(&rejected_response(11, RejectReason::QueueFull, None)).unwrap() {
-            Response::Rejected { id, reason } => {
-                assert_eq!(id, 11);
-                assert_eq!(reason, RejectReason::QueueFull);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_response(&rejected_response(12, RejectReason::DeadlineExceeded, None)).unwrap()
-        {
-            Response::Rejected { id, reason } => {
-                assert_eq!(id, 12);
-                assert_eq!(reason, RejectReason::DeadlineExceeded);
-            }
-            other => panic!("{other:?}"),
-        }
-        // A reason-less rejection (pre-reason servers) reads as
+        assert_eq!(
+            parse_response(&rejected_response(11, None)).unwrap(),
+            Response::Rejected { id: 11 }
+        );
+        // Whatever reason a rejection carries, or none, it reads as
         // backpressure.
-        match parse_response(r#"{"id":13,"rejected":true}"#).unwrap() {
-            Response::Rejected { id, reason } => {
-                assert_eq!(id, 13);
-                assert_eq!(reason, RejectReason::QueueFull);
-            }
-            other => panic!("{other:?}"),
+        for line in [
+            r#"{"id":13,"rejected":true}"#,
+            r#"{"id":13,"rejected":true,"reason":"draining"}"#,
+        ] {
+            assert_eq!(parse_response(line).unwrap(), Response::Rejected { id: 13 });
         }
         match parse_response(&error_response(Some(2), "bad fn")).unwrap() {
             Response::Other { id, fields } => {
@@ -631,14 +570,12 @@ mod tests {
         let req = alloc_request_full(
             5,
             "fn f values=0 entry=0 params=-\nbb0: succs=-\nend\n",
-            Some(100),
             Some("req-5"),
             true,
         );
         let map = parse_object(&req).unwrap();
         assert_eq!(map["trace_id"].as_str(), Some("req-5"));
         assert_eq!(map["trace"].as_bool(), Some(true));
-        assert_eq!(map["deadline_ms"].as_u64(), Some(100));
 
         let row = ReportRow {
             function: "jit::m0".to_string(),
@@ -687,32 +624,10 @@ mod tests {
         assert_eq!(fields["trace_id"].as_str(), Some("req-6"));
         assert!(!fields.contains_key("trace_total_us"));
 
-        let rej = rejected_response(7, RejectReason::QueueFull, Some("req-7"));
+        let rej = rejected_response(7, Some("req-7"));
         let fields = parse_object(&rej).unwrap();
         assert_eq!(fields["trace_id"].as_str(), Some("req-7"));
-        match parse_response(&rej).unwrap() {
-            Response::Rejected { id, reason } => {
-                assert_eq!((id, reason), (7, RejectReason::QueueFull));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn deadline_requests_carry_the_budget() {
-        let req = alloc_request_full(
-            9,
-            "fn f values=0 entry=0 params=-\nbb0: succs=-\nend\n",
-            Some(250),
-            None,
-            false,
-        );
-        let map = parse_object(&req).unwrap();
-        assert_eq!(map["deadline_ms"].as_u64(), Some(250));
-        // Without a deadline the field is absent, keeping the wire
-        // format of deadline-free clients unchanged.
-        let bare = alloc_request(9, "fn f values=0 entry=0 params=-\nbb0: succs=-\nend\n");
-        assert!(!parse_object(&bare).unwrap().contains_key("deadline_ms"));
+        assert_eq!(parse_response(&rej).unwrap(), Response::Rejected { id: 7 });
     }
 
     #[test]
@@ -753,22 +668,18 @@ mod tests {
             r#","trace_total_us":313,"phase_pipeline_us":0,"phase_round_us":0,"phase_analysis_us":0,"phase_spill_costs_us":0,"phase_instance_build_us":0,"phase_allocate_us":301,"phase_verify_us":12,"phase_rewrite_us":0,"phase_reanalyse_us":0,"phase_escalate_prep_us":0"#,
             r#","trace_rounds":3,"trace_spill_delta":17,"trace_fuel":100000,"trace_cache_hits":1,"trace_cache_misses":2}"#,
         );
-        let cases: [(String, &str); 14] = [
+        let cases: [(String, &str); 11] = [
             (
                 alloc_request(3, text),
                 r#"{"op":"alloc","id":3,"fn":"fn f values=1 entry=0 params=-\nbb0: succs=-\nend\n"}"#,
             ),
             (
-                alloc_request_full(4, text, None, Some("req-4"), false),
+                alloc_request_full(4, text, Some("req-4"), false),
                 r#"{"op":"alloc","id":4,"fn":"fn f values=1 entry=0 params=-\nbb0: succs=-\nend\n","trace_id":"req-4"}"#,
             ),
             (
-                alloc_request_full(5, text, None, Some("req-5"), true),
+                alloc_request_full(5, text, Some("req-5"), true),
                 r#"{"op":"alloc","id":5,"fn":"fn f values=1 entry=0 params=-\nbb0: succs=-\nend\n","trace_id":"req-5","trace":true}"#,
-            ),
-            (
-                alloc_request_full(6, text, Some(250), Some("req-6"), true),
-                r#"{"op":"alloc","id":6,"fn":"fn f values=1 entry=0 params=-\nbb0: succs=-\nend\n","deadline_ms":250,"trace_id":"req-6","trace":true}"#,
             ),
             (
                 alloc_response(5, &ok, None, None),
@@ -793,20 +704,12 @@ mod tests {
                 r#"{"id":6,"ok":false,"function":"jit::\"m1\"","error":"pipeline panicked: \"boom\"","trace_id":"req-6"}"#,
             ),
             (
-                rejected_response(7, RejectReason::QueueFull, None),
+                rejected_response(7, None),
                 r#"{"id":7,"rejected":true,"reason":"queue_full"}"#,
             ),
             (
-                rejected_response(7, RejectReason::QueueFull, Some("req-7")),
+                rejected_response(7, Some("req-7")),
                 r#"{"id":7,"rejected":true,"reason":"queue_full","trace_id":"req-7"}"#,
-            ),
-            (
-                rejected_response(8, RejectReason::DeadlineExceeded, None),
-                r#"{"id":8,"rejected":true,"reason":"deadline_exceeded"}"#,
-            ),
-            (
-                rejected_response(8, RejectReason::DeadlineExceeded, Some("req-8")),
-                r#"{"id":8,"rejected":true,"reason":"deadline_exceeded","trace_id":"req-8"}"#,
             ),
         ];
         for (i, (got, want)) in cases.iter().enumerate() {

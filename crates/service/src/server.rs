@@ -2,15 +2,16 @@
 //! thread per client, responses written from the worker callbacks.
 
 use crate::proto;
-use crate::service::{AllocationService, ServeOutcome, ServiceConfig, SubmitError, SubmitOptions};
+use crate::service::{AllocationService, ServiceConfig, SubmitError, SubmitOptions};
 use crate::ServiceMetrics;
+use lra_core::batch::BatchItem;
 use lra_ir::textio;
 use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A running TCP allocation server. Dropping it (or calling
 /// [`Server::wait`] after a client sent `shutdown`) drains the
@@ -254,12 +255,6 @@ fn handle_connection(
                     );
                     continue;
                 }
-                // A request-carried relative deadline is anchored here,
-                // at parse time: queue wait counts against it.
-                let deadline = fields
-                    .get("deadline_ms")
-                    .and_then(proto::Json::as_u64)
-                    .map(|ms| Instant::now() + Duration::from_millis(ms));
                 // Optional trace extensions: a correlation id echoed
                 // in every response to this request, and a per-request
                 // tracing flag (the worker traces the run; the response
@@ -273,23 +268,16 @@ fn handle_connection(
                 let cb_writer = Arc::clone(&writer);
                 #[cfg(any(test, feature = "chaos"))]
                 let cb_service = Arc::clone(service);
-                let on_done = move |outcome| {
-                    let line = match outcome {
-                        ServeOutcome::Served(item) => proto::alloc_response(
-                            id,
-                            &item.row(),
-                            trace_id.as_deref(),
-                            // Timings only when this request asked for
-                            // them — a globally traced server (LRA_TRACE)
-                            // keeps its wire format unchanged.
-                            if trace { item.trace.as_ref() } else { None },
-                        ),
-                        ServeOutcome::DeadlineExpired { .. } => proto::rejected_response(
-                            id,
-                            proto::RejectReason::DeadlineExceeded,
-                            trace_id.as_deref(),
-                        ),
-                    };
+                let on_done = move |item: BatchItem| {
+                    let line = proto::alloc_response(
+                        id,
+                        &item.row(),
+                        trace_id.as_deref(),
+                        // Timings only when this request asked for them
+                        // — a globally traced server (LRA_TRACE) keeps
+                        // its wire format unchanged.
+                        if trace { item.trace.as_ref() } else { None },
+                    );
                     #[cfg(any(test, feature = "chaos"))]
                     if cb_service
                         .fault_injector()
@@ -300,16 +288,12 @@ fn handle_connection(
                     }
                     write_line(&cb_writer, &line);
                 };
-                match service.submit_with(function, SubmitOptions { deadline, trace }, on_done) {
+                match service.submit_with(function, SubmitOptions { trace }, on_done) {
                     Ok(()) => {}
                     Err(SubmitError::QueueFull { .. }) => {
                         write_line(
                             &writer,
-                            &proto::rejected_response(
-                                id,
-                                proto::RejectReason::QueueFull,
-                                reject_trace_id.as_deref(),
-                            ),
+                            &proto::rejected_response(id, reject_trace_id.as_deref()),
                         );
                     }
                     Err(SubmitError::ShuttingDown { .. }) => {
@@ -374,11 +358,9 @@ fn sever_mid_response(writer: &ConnWriter, line: &str) {
 /// Serialises a metrics snapshot as the `stats` response line.
 fn stats_response(id: u64, m: &ServiceMetrics) -> String {
     format!(
-        "{{\"id\":{id},\"ok\":true,\"served\":{},\"rejected\":{},\"degraded\":{},\"deadline_exceeded\":{},\"queue_high_water\":{},\"queue_capacity\":{},\"workers\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\"p50_us\":{},\"p95_us\":{}}}",
+        "{{\"id\":{id},\"ok\":true,\"served\":{},\"rejected\":{},\"queue_high_water\":{},\"queue_capacity\":{},\"workers\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\"p50_us\":{},\"p95_us\":{}}}",
         m.served,
         m.rejected,
-        m.degraded,
-        m.deadline_exceeded,
         m.queue_high_water,
         m.queue_capacity,
         m.workers,

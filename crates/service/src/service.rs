@@ -1,13 +1,12 @@
 //! The in-process allocation service: a persistent worker pool over a
-//! bounded request queue, with deadline shedding and watermark-based
-//! graceful degradation.
+//! bounded request queue that answers overload with backpressure.
 //!
 //! A request enters through one of two calls that differ only in how
 //! the answer comes back: [`AllocationService::submit`] returns a
 //! [`Ticket`] to wait on, [`AllocationService::submit_with`] runs a
-//! callback on the worker thread. Both take [`SubmitOptions`] — an
-//! optional deadline and per-request tracing — and `submit` is
-//! `submit_with` whose callback feeds the ticket's channel.
+//! callback on the worker thread. Both take [`SubmitOptions`]
+//! (per-request tracing), and `submit` is `submit_with` whose callback
+//! feeds the ticket's channel.
 
 #[cfg(any(test, feature = "chaos"))]
 use crate::fault::{FaultInjector, FaultPlan};
@@ -34,15 +33,6 @@ pub struct ServiceConfig {
     /// Request-queue capacity: submissions beyond it are rejected
     /// with [`SubmitError::QueueFull`] (explicit backpressure).
     pub queue_capacity: usize,
-    /// Queue-depth watermark for graceful degradation: when a worker
-    /// picks up a job while **more** than this many requests are still
-    /// queued behind it, the job runs through the degraded
-    /// (cheap-tier-only, no-escalation) variant of the pipeline
-    /// ([`AllocationPipeline::degraded`]) and the `degraded` counter
-    /// ticks. `None` (the default) disables degradation — every
-    /// request then takes the full pipeline, keeping the byte-identity
-    /// contract with the batch path.
-    pub degrade_watermark: Option<usize>,
     /// Read timeout the TCP front end sets on accepted connections: a
     /// client silent for this long is treated as gone and its
     /// connection closed, so an idle peer cannot pin a handler thread.
@@ -65,13 +55,12 @@ pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 impl ServiceConfig {
     /// A config running `pipeline` with the default worker count and
-    /// queue capacity, no degradation watermark and no faults.
+    /// queue capacity and no faults.
     pub fn new(pipeline: AllocationPipeline) -> Self {
         ServiceConfig {
             pipeline,
             workers: 0,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            degrade_watermark: None,
             read_timeout: DEFAULT_READ_TIMEOUT,
             #[cfg(any(test, feature = "chaos"))]
             faults: None,
@@ -92,13 +81,6 @@ impl ServiceConfig {
     pub fn queue_capacity(mut self, n: usize) -> Self {
         assert!(n > 0, "a zero-capacity queue rejects everything");
         self.queue_capacity = n;
-        self
-    }
-
-    /// Sets (or clears) the graceful-degradation watermark — see
-    /// [`ServiceConfig::degrade_watermark`].
-    pub fn degrade_watermark(mut self, depth: Option<usize>) -> Self {
-        self.degrade_watermark = depth;
         self
     }
 
@@ -148,50 +130,10 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
-/// What the service did with one **accepted** request: served it (the
-/// common case), or shed it at dequeue because its deadline had
-/// already run out. Rejected submissions never get this far — they
-/// surface as [`SubmitError`] at submit time.
-#[derive(Debug)]
-// One outcome exists per completed request and moves a handful of
-// times; boxing the item to shrink the enum would buy nothing but an
-// extra allocation on the hot path.
-#[allow(clippy::large_enum_variant)]
-pub enum ServeOutcome {
-    /// The request ran through the pipeline; the item is byte-
-    /// compatible with a [`lra_core::batch::BatchAllocator`] run
-    /// (unless the request carried a deadline or was degraded — both
-    /// opt out of byte-identity by design).
-    Served(BatchItem),
-    /// The request's deadline expired while it was still queued; no
-    /// worker time was spent on it.
-    DeadlineExpired {
-        /// Name of the function the request carried.
-        function: String,
-    },
-}
-
-impl ServeOutcome {
-    /// The served item, or `None` for a deadline-shed request.
-    pub fn item(self) -> Option<BatchItem> {
-        match self {
-            ServeOutcome::Served(item) => Some(item),
-            ServeOutcome::DeadlineExpired { .. } => None,
-        }
-    }
-}
-
 /// Per-request options for [`AllocationService::submit`] and
-/// [`AllocationService::submit_with`]. The default sets neither: no
-/// deadline, no tracing — the byte-identical batch path.
+/// [`AllocationService::submit_with`]. The default traces nothing.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SubmitOptions {
-    /// Absolute deadline: a request still queued at this instant is
-    /// shed ([`ServeOutcome::DeadlineExpired`]) instead of run, and a
-    /// request that starts before it runs under the remaining
-    /// wall-clock budget ([`AllocationPipeline::time_budget`]). Wait on
-    /// such a ticket with [`Ticket::wait_outcome`].
-    pub deadline: Option<Instant>,
     /// Trace the run ([`lra_core::trace`]), so the item comes back with
     /// a populated [`lra_core::batch::BatchItem::trace`]. Output bytes
     /// are identical to an untraced submission. A service started with
@@ -200,7 +142,7 @@ pub struct SubmitOptions {
 }
 
 /// A completion callback, run on the worker thread.
-type OnDone = Box<dyn FnOnce(ServeOutcome) + Send>;
+type OnDone = Box<dyn FnOnce(BatchItem) + Send>;
 
 struct Job {
     function: Function,
@@ -212,11 +154,6 @@ struct Job {
 struct Shared {
     queue: BoundedQueue<Job>,
     pipeline: AllocationPipeline,
-    /// Prebuilt [`AllocationPipeline::degraded`] variant, so the
-    /// per-job degradation decision costs a pointer pick, not a
-    /// pipeline clone.
-    degraded_pipeline: AllocationPipeline,
-    degrade_watermark: Option<usize>,
     /// `LRA_TRACE` as read at start: trace every job.
     trace_all: bool,
     metrics: MetricsInner,
@@ -228,7 +165,7 @@ struct Shared {
 /// A pending request's receipt: [`Ticket::wait`] blocks until the
 /// worker pool finishes this request.
 pub struct Ticket {
-    rx: mpsc::Receiver<ServeOutcome>,
+    rx: mpsc::Receiver<BatchItem>,
 }
 
 impl Ticket {
@@ -238,32 +175,10 @@ impl Ticket {
     ///
     /// # Panics
     ///
-    /// Panics if the request was shed because its deadline expired —
-    /// deadline-carrying submissions must use
-    /// [`Ticket::wait_outcome`] — or if the worker processing this
-    /// request panicked so hard the response was never sent (the
-    /// pipeline itself is panic-caught, so that indicates a bug in the
-    /// service).
-    pub fn wait(self) -> BatchItem {
-        match self.wait_outcome() {
-            ServeOutcome::Served(item) => item,
-            ServeOutcome::DeadlineExpired { function } => panic!(
-                "request {function:?} was shed at its deadline; \
-                 deadline-carrying submissions must wait via wait_outcome()"
-            ),
-        }
-    }
-
-    /// Blocks until the request completes and returns the full
-    /// [`ServeOutcome`] — the wait for deadline-carrying submissions,
-    /// where shedding is an expected answer.
-    ///
-    /// # Panics
-    ///
     /// Panics if the service dropped the request without responding
     /// (a service bug; the drain contract promises every accepted
     /// request an answer).
-    pub fn wait_outcome(self) -> ServeOutcome {
+    pub fn wait(self) -> BatchItem {
         self.rx.recv().expect("service dropped an accepted request")
     }
 }
@@ -277,15 +192,11 @@ impl Ticket {
 /// * **Backpressure, not blocking**: [`AllocationService::submit`]
 ///   returns [`SubmitError::QueueFull`] instead of stalling.
 /// * **Lossless shutdown**: every accepted request is answered before
-///   [`AllocationService::shutdown`] returns (deadline-shed requests
-///   are answered with [`ServeOutcome::DeadlineExpired`]).
-/// * **Batch-identical output**: each deadline-free item is produced
-///   by [`lra_core::batch::allocate_item`] — the same per-item engine
-///   as [`lra_core::batch::BatchAllocator`] — so reports are
-///   byte-identical to a batch run at any worker count, **as long as
-///   the degradation watermark never trips** (degraded and
-///   deadline-budgeted runs trade that identity for survival, and say
-///   so in the metrics).
+///   [`AllocationService::shutdown`] returns.
+/// * **Batch-identical output**: each item is produced by
+///   [`lra_core::batch::allocate_item`] — the same per-item engine as
+///   [`lra_core::batch::BatchAllocator`] — so reports are
+///   byte-identical to a batch run at any worker count.
 ///
 /// # Example
 ///
@@ -323,9 +234,7 @@ impl AllocationService {
         };
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(cfg.queue_capacity),
-            degraded_pipeline: cfg.pipeline.degraded(),
             pipeline: cfg.pipeline,
-            degrade_watermark: cfg.degrade_watermark,
             trace_all: lra_core::trace::env_requested(),
             metrics: MetricsInner::new(portfolio_cache().stats(), workers),
             workers,
@@ -357,8 +266,8 @@ impl AllocationService {
         let (tx, rx) = mpsc::channel();
         // A submitter that dropped its ticket no longer wants the
         // answer, so a dead channel is ignored.
-        self.submit_with(function, opts, move |outcome| {
-            let _ = tx.send(outcome);
+        self.submit_with(function, opts, move |item| {
+            let _ = tx.send(item);
         })?;
         Ok(Ticket { rx })
     }
@@ -375,7 +284,7 @@ impl AllocationService {
         &self,
         function: Function,
         opts: SubmitOptions,
-        on_done: impl FnOnce(ServeOutcome) + Send + 'static,
+        on_done: impl FnOnce(BatchItem) + Send + 'static,
     ) -> Result<(), SubmitError> {
         let job = Job {
             function,
@@ -485,12 +394,12 @@ impl Drop for AllocationService {
 /// queue costs one lock round-trip per few jobs instead of per job.
 const WORKER_CLAIM: usize = 4;
 
-/// Delivers one outcome to its submitter, absorbing callback panics
+/// Delivers one item to its submitter, absorbing callback panics
 /// (user code must not kill a worker — the queue behind it still holds
 /// accepted requests the drain contract promises to serve; the panic
 /// message still reaches stderr via the process panic hook).
-fn respond(on_done: OnDone, outcome: ServeOutcome) {
-    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || on_done(outcome)));
+fn respond(on_done: OnDone, item: BatchItem) {
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || on_done(item)));
 }
 
 /// A chaos-injected worker panic, caught exactly the way a pipeline
@@ -541,69 +450,23 @@ fn worker_loop(shared: &Shared, worker_index: usize) {
                 std::thread::sleep(extra);
             }
 
-            // Deadline shedding at dequeue: an already-expired request
-            // is answered without burning a worker on a result nobody
-            // is waiting for. `saturating_duration_since` makes a
-            // deadline at-or-before now deterministically zero.
-            let remaining = job
-                .opts
-                .deadline
-                .map(|d| d.saturating_duration_since(Instant::now()));
-            if remaining.is_some_and(|left| left.is_zero()) {
-                shared.metrics.record_deadline_exceeded();
-                respond(
-                    job.on_done,
-                    ServeOutcome::DeadlineExpired {
-                        function: job.function.name,
-                    },
-                );
-                continue;
-            }
-
-            // Watermark degradation: the depth of the queue *behind*
-            // this job decides how much effort it gets — above the
-            // watermark the cheap-tier-only pipeline keeps the pool
-            // draining fast instead of escalating into exact solves.
-            let degraded = shared
-                .degrade_watermark
-                .is_some_and(|w| shared.queue.len() > w);
-            let pipeline = if degraded {
-                &shared.degraded_pipeline
-            } else {
-                &shared.pipeline
-            };
-            // A deadline-carrying request caps the exact tier at its
-            // remaining budget; budget-free requests stay on the
-            // byte-identical batch path.
-            let budgeted;
-            let pipeline = match remaining {
-                Some(left) => {
-                    budgeted = pipeline.clone().time_budget(Some(left));
-                    &budgeted
-                }
-                None => pipeline,
-            };
-
             let traced = job.opts.trace || shared.trace_all;
             #[cfg(any(test, feature = "chaos"))]
             let item = if fault.panic {
                 chaos_panic_item(&job.function)
             } else {
-                batch::allocate_item(pipeline, &job.function, &mut scratch, traced)
+                batch::allocate_item(&shared.pipeline, &job.function, &mut scratch, traced)
             };
             #[cfg(not(any(test, feature = "chaos")))]
-            let item = batch::allocate_item(pipeline, &job.function, &mut scratch, traced);
+            let item = batch::allocate_item(&shared.pipeline, &job.function, &mut scratch, traced);
 
-            if degraded {
-                shared.metrics.record_degraded();
-            }
             if let Some(trace) = &item.trace {
                 shared.metrics.record_trace(trace);
             }
             shared
                 .metrics
                 .record_served(worker_index, job.enqueued.elapsed());
-            respond(job.on_done, ServeOutcome::Served(item));
+            respond(job.on_done, item);
         }
     }
 }

@@ -8,9 +8,7 @@ use lra_core::pipeline::InstanceKind;
 use lra_core::portfolio::PortfolioConfig;
 use lra_ir::genprog::{random_jit_function, random_ssa_function, JitConfig, SsaConfig};
 use lra_ir::Function;
-use lra_service::{
-    serve, AllocationService, Client, ServeOutcome, ServiceConfig, SubmitError, SubmitOptions,
-};
+use lra_service::{serve, AllocationService, Client, ServiceConfig, SubmitError, SubmitOptions};
 use lra_targets::{Target, TargetKind};
 use rand::SeedableRng as _;
 use rand_chacha::ChaCha8Rng;
@@ -425,13 +423,47 @@ fn malformed_frames_get_error_responses_without_killing_the_connection() {
             "{frame:?} must get an error response, got {resp:?}"
         );
     }
-    // A non-numeric deadline is ignored, not fatal: the request runs.
-    let text = lra_ir::textio::print(&ssa_corpus(1)[0]);
-    let with_bad_deadline =
-        lra_service::proto::alloc_request(41, &text).replacen("{", "{\"deadline_ms\":\"soon\",", 1);
-    assert!(send(&with_bad_deadline).contains("\"ok\":true"));
     // And the connection survived all of the above.
+    let text = lra_ir::textio::print(&ssa_corpus(1)[0]);
     assert!(send(&lra_service::proto::alloc_request(42, &text)).contains("\"ok\":true"));
+}
+
+#[test]
+fn requests_from_clients_that_still_send_a_deadline_are_served_like_the_batch() {
+    use lra_service::proto::{self, Response};
+    use std::io::{BufRead as _, BufReader, Write as _};
+    // Clients written against older servers may still attach a
+    // per-request deadline field. The server ignores it, as it ignores
+    // any field it does not know, so each request gets its batch row.
+    let fs = ssa_corpus(2);
+    let reference = BatchAllocator::new(pipeline()).threads(1).run(&fs).rows();
+    let server = serve(
+        "127.0.0.1:0",
+        ServiceConfig::new(pipeline()).workers(1).queue_capacity(4),
+    )
+    .unwrap();
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for (k, (f, field)) in fs
+        .iter()
+        .zip([r#""deadline_ms":0"#, r#""deadline_ms":"soon""#])
+        .enumerate()
+    {
+        let text = lra_ir::textio::print(f);
+        let line = proto::alloc_request(k as u64, &text).replacen('{', &format!("{{{field},"), 1);
+        let mut w = &stream;
+        w.write_all(line.as_bytes()).unwrap();
+        w.write_all(b"\n").unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        match proto::parse_response(resp.trim_end()).unwrap() {
+            Response::Row { id, row } => {
+                assert_eq!(id, k as u64);
+                assert_eq!(row, reference[k], "{field}");
+            }
+            other => panic!("{field}: expected a row, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -488,123 +520,6 @@ fn shutdown_under_load_answers_every_accepted_request_exactly_once() {
 }
 
 #[test]
-fn expired_deadlines_are_shed_at_dequeue_not_run() {
-    let fs = ssa_corpus(3);
-    let service =
-        AllocationService::start(ServiceConfig::new(pipeline()).workers(1).queue_capacity(8));
-    // Pin the only worker so the doomed request waits in the queue
-    // past its (already expired) deadline.
-    let (entered_tx, entered_rx) = mpsc::channel();
-    let (release_tx, release_rx) = mpsc::channel();
-    service
-        .submit_with(fs[0].clone(), SubmitOptions::default(), move |_| {
-            entered_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        })
-        .expect("accepted");
-    entered_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-    let doomed = service
-        .submit(
-            fs[1].clone(),
-            SubmitOptions {
-                deadline: Some(Instant::now()),
-                trace: false,
-            },
-        )
-        .expect("accepted");
-    let healthy = service
-        .submit(fs[2].clone(), SubmitOptions::default())
-        .expect("accepted");
-    release_tx.send(()).unwrap();
-    match doomed.wait_outcome() {
-        ServeOutcome::DeadlineExpired { function } => assert_eq!(function, fs[1].name),
-        ServeOutcome::Served(_) => panic!("an expired deadline must not reach the pipeline"),
-    }
-    assert!(
-        healthy.wait().outcome.is_ok(),
-        "requests behind the shed one are unaffected"
-    );
-    let metrics = service.shutdown();
-    assert_eq!(metrics.deadline_exceeded, 1);
-    assert_eq!(metrics.served, 2, "a shed request does not count as served");
-}
-
-#[test]
-fn tcp_deadlines_come_back_as_deadline_exceeded_rows() {
-    // deadline_ms:0 anchors the deadline at parse time, so by the time
-    // a worker dequeues the job it has always expired — deterministic.
-    let fs = ssa_corpus(4);
-    let server = serve(
-        "127.0.0.1:0",
-        ServiceConfig::new(pipeline()).workers(1).queue_capacity(8),
-    )
-    .unwrap();
-    let mut client = Client::connect(&server.local_addr().to_string())
-        .unwrap()
-        .deadline_ms(Some(0));
-    let result = client.allocate_all(&fs).unwrap();
-    for (row, f) in result.rows.iter().zip(&fs) {
-        assert_eq!(row.function, f.name);
-        assert_eq!(
-            row.outcome.as_ref().err().map(String::as_str),
-            Some("deadline_exceeded")
-        );
-    }
-    client.shutdown().unwrap();
-    let metrics = server.wait();
-    assert_eq!(metrics.deadline_exceeded, fs.len() as u64);
-    assert_eq!(metrics.served, 0);
-}
-
-#[test]
-fn overload_degrades_to_the_cheap_tier_and_stays_available() {
-    // With the watermark at 1 and the only worker pinned, a burst
-    // leaves the queue deep enough that dequeued jobs run degraded —
-    // but every one of them is still answered successfully.
-    let fs = jit_corpus(6);
-    let service = AllocationService::start(
-        ServiceConfig::new(portfolio_pipeline())
-            .workers(1)
-            .queue_capacity(16)
-            .degrade_watermark(Some(1)),
-    );
-    let (entered_tx, entered_rx) = mpsc::channel();
-    let (release_tx, release_rx) = mpsc::channel();
-    service
-        .submit_with(fs[0].clone(), SubmitOptions::default(), move |_| {
-            entered_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        })
-        .expect("accepted");
-    entered_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-    let tickets: Vec<_> = fs[1..]
-        .iter()
-        .map(|f| {
-            service
-                .submit(f.clone(), SubmitOptions::default())
-                .expect("burst fits the queue")
-        })
-        .collect();
-    release_tx.send(()).unwrap();
-    for t in tickets {
-        assert!(
-            t.wait().outcome.is_ok(),
-            "degraded service still answers correctly"
-        );
-    }
-    let metrics = service.shutdown();
-    assert_eq!(metrics.served, fs.len() as u64);
-    assert!(
-        metrics.degraded > 0,
-        "a deep queue above the watermark must trip degradation"
-    );
-    assert!(
-        metrics.degraded < metrics.served,
-        "the tail of the burst drains below the watermark at full tier"
-    );
-}
-
-#[test]
 fn traced_submissions_return_traces_and_identical_rows() {
     let fs = jit_corpus(5);
     let reference: Vec<String> = BatchAllocator::new(portfolio_pipeline())
@@ -617,13 +532,7 @@ fn traced_submissions_return_traces_and_identical_rows() {
     let service = AllocationService::start(ServiceConfig::new(portfolio_pipeline()).workers(2));
     for (k, f) in fs.iter().enumerate() {
         let item = service
-            .submit(
-                f.clone(),
-                SubmitOptions {
-                    deadline: None,
-                    trace: true,
-                },
-            )
+            .submit(f.clone(), SubmitOptions { trace: true })
             .expect("queue has room")
             .wait();
         assert_eq!(
@@ -672,10 +581,7 @@ fn traced_and_plain_submissions_running_together_trace_only_their_own_jobs() {
     for pass in 0..4 {
         for (k, f) in fs.iter().enumerate() {
             let trace = (k + pass) % 2 == 0;
-            let opts = SubmitOptions {
-                deadline: None,
-                trace,
-            };
+            let opts = SubmitOptions { trace };
             let ticket = service.submit(f.clone(), opts).expect("queue has room");
             tickets.push((k, trace, ticket));
         }
@@ -763,7 +669,6 @@ fn tcp_trace_requests_echo_ids_and_carry_flat_phase_timings() {
     let traced = send(&lra_service::proto::alloc_request_full(
         2,
         &text,
-        None,
         Some("req-abc/1"),
         true,
     ));
@@ -784,7 +689,6 @@ fn tcp_trace_requests_echo_ids_and_carry_flat_phase_timings() {
     let tagged = send(&lra_service::proto::alloc_request_full(
         3,
         &text,
-        None,
         Some("tag-only"),
         false,
     ));

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example ssa_pipeline`
 
 use lra::ir::genprog::{random_ssa_function, SsaConfig};
-use lra::ir::{liveness, pretty};
+use lra::ir::{liveness, textio};
 use lra::targets::{Target, TargetKind};
 use lra::AllocationPipeline;
 use rand::SeedableRng;
@@ -24,7 +24,7 @@ fn main() {
         liveness_window: 10,
     };
     let function = random_ssa_function(&mut rng, &config, "demo::kernel");
-    println!("{}", pretty::print(&function));
+    println!("{}", textio::print(&function));
 
     let target = Target::new(TargetKind::St231).with_register_count(4);
     let report = AllocationPipeline::new(target)

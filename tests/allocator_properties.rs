@@ -91,7 +91,7 @@ proptest! {
     fn dp_and_flow_agree(seed in 0u64..10_000, n in 5usize..30, r in 1u32..6) {
         let inst = interval_instance(seed, n);
         let by_flow = flow::solve(&inst, r);
-        if let Some(by_dp) = chordal_dp::solve(&inst, r, &mut SolveBudget::unlimited()) {
+        if let Some(by_dp) = chordal_dp::solve(&inst, r, &mut SolveBudget::nodes(u64::MAX)) {
             prop_assert_eq!(by_flow.spill_cost, by_dp.spill_cost);
         }
         prop_assert!(verify::check(&inst, &by_flow, r).is_feasible());
@@ -102,7 +102,7 @@ proptest! {
     #[test]
     fn branch_bound_matches_dp(seed in 0u64..10_000, n in 5usize..16, r in 1u32..4) {
         let inst = chordal_instance(seed, n);
-        let dp = chordal_dp::solve(&inst, r, &mut SolveBudget::unlimited()).expect("small bags");
+        let dp = chordal_dp::solve(&inst, r, &mut SolveBudget::nodes(u64::MAX)).expect("small bags");
         let lh = LayeredHeuristic::new().allocate(&inst, r);
         let (bb, certified) = branch_bound::solve_from(&inst, r, &mut SolveBudget::nodes(50_000_000), &lh).expect("within budget");
         prop_assert!(certified);
