@@ -49,7 +49,7 @@ impl BatchExperiment {
     }
 }
 
-/// The fuels `lra-bench portfolio --sweep` compares: 1×, ½, ¼, ⅒ and
+/// The fuels `lra-bench portfolio` compares: 1×, ½, ¼, ⅒ and
 /// 1⁄20 of the 50,000 nodes the standard corpora ran under while an
 /// exhausted search still discarded what it had found.
 pub const FUEL_SWEEP: [u64; 5] = [50_000, 25_000, 12_500, 5_000, 2_500];

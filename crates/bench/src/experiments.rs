@@ -1,145 +1,141 @@
-//! Experiment runners: one per figure of the paper's evaluation.
+//! The paper's figures as views over one cost table per suite, and the
+//! instance-level studies.
 //!
-//! Costs are aggregated per *program* (summing over its functions) and
-//! normalised to the optimal allocation's cost for the same program and
-//! register count, exactly as in the paper. Programs whose optimal cost
-//! is zero at a given `R` (no spilling needed) are excluded from that
-//! configuration's normalised statistics.
+//! Figures 8–15 report one number per (allocator, `R`, function): the
+//! spill-everywhere allocation cost of the allocator on the function's
+//! interference instance. [`cost_table`] computes that number once per
+//! suite for every figure column at every register count, solving the
+//! instances the suite already built ([`Workload::instance`], or
+//! [`Workload::linear_scan_instance`] for the linear scans) and
+//! checking every allocation with [`verify::check`]. Those instances
+//! are what the allocation pipeline builds in its first round, so each
+//! entry equals the pipeline's first-round spill cost (a test in
+//! `tests/batch_determinism.rs` holds the two together).
 //!
-//! Every runner fans its per-function work across the
-//! [`lra_core::batch`] worker pool — pipeline sweeps go through
-//! [`BatchAllocator`], instance-level studies through
-//! [`batch::parallel_map`] — with the worker count resolved by
-//! [`batch::default_threads`] (the CLI's `--threads` flag). The
-//! figures are aggregates of per-function results combined in input
-//! order, so the numbers are identical at any thread count.
+//! Costs are summed per *program* and normalised to the optimal
+//! allocation's cost for the same program and register count, exactly
+//! as in the paper. Programs whose optimal cost is zero at a given `R`
+//! (no spilling needed) are excluded from that configuration's
+//! normalised statistics. [`mean_figure`], [`distribution_figure`] and
+//! [`per_benchmark_figure`] are the three views.
+//!
+//! Every runner fans its per-function work across
+//! [`batch::parallel_map`] with the worker count resolved by
+//! [`batch::default_threads`] (the CLI's `--threads` flag). Results are
+//! combined in input order, so the numbers are identical at any thread
+//! count.
 
 use crate::stats::{self, FiveNum};
 use crate::suites::Workload;
-use lra_core::batch::{self, BatchAllocator};
-use lra_core::driver::AllocationPipeline;
+use lra_core::batch;
 use lra_core::layered::Layered;
 use lra_core::pipeline::InstanceKind;
 use lra_core::problem::{Allocator, Instance};
-use lra_core::registry::{AllocatorRegistry, CHORDAL_FIGURE_SET, JVM_FIGURE_SET};
-use lra_core::Optimal;
+use lra_core::registry::AllocatorRegistry;
+use lra_core::{verify, Optimal};
 use std::collections::BTreeMap;
 
 /// The register counts of Figures 8–13.
 pub const CHORDAL_REGISTER_COUNTS: [u32; 6] = [1, 2, 4, 8, 16, 32];
-/// The register counts of Figure 14.
+/// The register counts of Figures 14 and 15.
 pub const JVM_REGISTER_COUNTS: [u32; 8] = [2, 4, 6, 8, 10, 12, 14, 16];
 
-/// An algorithm column of a figure, resolved from the
-/// [`AllocatorRegistry`] — the single source of truth for which
-/// allocators exist and what instance view each one needs.
-struct Column {
-    name: &'static str,
-    needs_intervals: bool,
+/// One suite's spill costs: for every figure column and register
+/// count, each program's total over its functions.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CostTable {
+    /// The columns (registered allocator names), in figure order.
+    pub columns: Vec<&'static str>,
+    /// The register counts, in figure order.
+    pub registers: Vec<u32>,
+    /// `(program, costs)` in program-name order: `costs[c][i]` is the
+    /// program's total under `columns[c]` at `registers[i]`.
+    pub programs: Vec<(&'static str, Vec<Vec<u64>>)>,
 }
 
-fn columns(names: &[&str]) -> Vec<Column> {
-    names
-        .iter()
-        .map(|n| {
-            let spec = AllocatorRegistry::spec(n).expect("figure allocator is registered");
-            Column {
-                name: spec.name,
-                needs_intervals: spec.needs_intervals,
-            }
-        })
-        .collect()
-}
-
-fn optimal_index(cols: &[Column]) -> usize {
-    cols.iter()
-        .position(|c| c.name == "Optimal")
-        .expect("column set includes Optimal")
-}
-
-/// The instance view `col` must see for `w`: linear scans need
-/// intervals; everyone else uses the suite's native view (interval for
-/// the SSA suites, precise for JVM).
-fn view_for(w: &Workload, col: &Column) -> InstanceKind {
-    if col.needs_intervals {
-        InstanceKind::LinearIntervals
-    } else {
-        w.kind
-    }
-}
-
-/// Per-program absolute costs for one algorithm at one register count:
-/// the paper's metric (first-round spill-everywhere allocation cost),
-/// produced by fanning the full [`AllocationPipeline`] (allocate →
-/// spill-code rewrite → assign → verify) over the workloads with a
-/// [`BatchAllocator`] and summing per program.
+/// Solves every workload with every allocator of `columns` at every
+/// register count of `registers`, and sums the spill costs per
+/// program.
 ///
-/// Workloads are batched per `(target, view)` configuration — one
-/// batch per suite in practice, since suites are homogeneous.
-fn per_program_costs(workloads: &[Workload], col: &Column, r: u32) -> BTreeMap<&'static str, u64> {
-    let mut acc: BTreeMap<&'static str, u64> = BTreeMap::new();
-    // Group indices by pipeline configuration without requiring
-    // Ord/Hash on Target; the group count is tiny.
-    let mut groups: Vec<(lra_targets::Target, InstanceKind, Vec<usize>)> = Vec::new();
-    for (i, w) in workloads.iter().enumerate() {
-        let kind = view_for(w, col);
-        match groups
-            .iter_mut()
-            .find(|(t, k, _)| *t == w.target && *k == kind)
-        {
-            Some((_, _, idxs)) => idxs.push(i),
-            None => groups.push((w.target, kind, vec![i])),
+/// # Panics
+///
+/// Panics if a column names no registered allocator, or if an
+/// allocation fails [`verify::check`].
+pub fn cost_table(workloads: &[Workload], columns: &[&str], registers: &[u32]) -> CostTable {
+    let specs: Vec<_> = columns
+        .iter()
+        .map(|n| AllocatorRegistry::spec(n).expect("figure allocator is registered"))
+        .collect();
+    let per_function = batch::parallel_map(workloads, batch::default_threads(), |_, w| {
+        specs
+            .iter()
+            .map(|spec| {
+                let inst = if spec.needs_intervals {
+                    w.linear_scan_instance()
+                } else {
+                    &w.instance
+                };
+                let allocator = spec.build();
+                registers
+                    .iter()
+                    .map(|&r| {
+                        let alloc = allocator.allocate(inst, r);
+                        assert!(
+                            verify::check(inst, &alloc, r).is_feasible(),
+                            "{} produced an infeasible allocation on {} at R = {r}",
+                            spec.name,
+                            w.function
+                        );
+                        alloc.spill_cost
+                    })
+                    .collect::<Vec<u64>>()
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut programs: BTreeMap<&'static str, Vec<Vec<u64>>> = BTreeMap::new();
+    for (w, costs) in workloads.iter().zip(per_function) {
+        let total = programs
+            .entry(w.program)
+            .or_insert_with(|| vec![vec![0; registers.len()]; specs.len()]);
+        for (t, c) in total.iter_mut().flatten().zip(costs.iter().flatten()) {
+            *t += c;
         }
     }
-    for (target, kind, idxs) in groups {
-        let pipeline = AllocationPipeline::new(target)
-            .allocator(col.name)
-            .instance_kind(kind)
-            .registers(r)
-            .max_rounds(1);
-        let functions: Vec<&lra_ir::Function> = idxs.iter().map(|&i| &workloads[i].ir).collect();
-        let report = BatchAllocator::new(pipeline).run_refs(&functions);
-        for (item, &i) in report.items.iter().zip(&idxs) {
-            let w = &workloads[i];
-            let r = match &item.outcome {
-                Ok(r) => r,
-                Err(e) => panic!("{} on {}: {e}", col.name, w.function),
-            };
-            debug_assert!(
-                r.verdict.is_feasible(),
-                "{} produced an infeasible allocation on {}",
-                col.name,
-                w.function
-            );
-            *acc.entry(w.program).or_insert(0) += r.first_round_spill_cost();
-        }
+    CostTable {
+        columns: specs.iter().map(|s| s.name).collect(),
+        registers: registers.to_vec(),
+        programs: programs.into_iter().collect(),
     }
-    acc
 }
 
-/// The normalised costs behind Figures 8–14 at `r` registers: per
-/// column, `cost(alg, program) / cost(Optimal, program)` over the
-/// programs whose optimal cost is positive, in program order.
-fn normalised_costs(workloads: &[Workload], cols: &[Column], r: u32) -> Vec<Vec<f64>> {
-    let per_alg: Vec<BTreeMap<&'static str, u64>> = cols
-        .iter()
-        .map(|c| per_program_costs(workloads, c, r))
-        .collect();
-    let opt = &per_alg[optimal_index(cols)];
-    let included: Vec<&'static str> = opt
-        .iter()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(&p, _)| p)
-        .collect();
-    per_alg
-        .iter()
-        .map(|costs| {
-            included
-                .iter()
-                .map(|p| costs[p] as f64 / opt[p] as f64)
-                .collect()
-        })
-        .collect()
+impl CostTable {
+    fn optimal(&self) -> usize {
+        self.columns
+            .iter()
+            .position(|&c| c == "Optimal")
+            .expect("column set includes Optimal")
+    }
+
+    /// Per column, `cost(alg, program) / cost(Optimal, program)` at
+    /// `registers[i]` over the programs whose optimal cost is
+    /// positive, in program order.
+    fn normalised(&self, i: usize) -> Vec<Vec<f64>> {
+        let opt = self.optimal();
+        let included: Vec<&Vec<Vec<u64>>> = self
+            .programs
+            .iter()
+            .map(|(_, costs)| costs)
+            .filter(|costs| costs[opt][i] > 0)
+            .collect();
+        (0..self.columns.len())
+            .map(|c| {
+                included
+                    .iter()
+                    .map(|costs| costs[c][i] as f64 / costs[opt][i] as f64)
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 /// One row of a mean-cost figure: register count plus the mean
@@ -154,28 +150,22 @@ pub struct MeanRow {
     pub programs: usize,
 }
 
-/// Runs a Figure-8/9/10-style experiment: for each `R`, the mean over
-/// programs of `cost(alg, program) / cost(Optimal, program)`.
-pub fn mean_cost_figure(workloads: &[Workload], rs: &[u32]) -> Vec<MeanRow> {
-    figure_with_columns(workloads, rs, columns(&CHORDAL_FIGURE_SET))
-}
-
-/// Figure 14: the same statistic on the non-chordal JVM suite with the
-/// JIT algorithm set.
-pub fn jvm_mean_figure(workloads: &[Workload], rs: &[u32]) -> Vec<MeanRow> {
-    figure_with_columns(workloads, rs, columns(&JVM_FIGURE_SET))
-}
-
-fn figure_with_columns(workloads: &[Workload], rs: &[u32], cols: Vec<Column>) -> Vec<MeanRow> {
-    rs.iter()
-        .map(|&r| {
-            let ratios = normalised_costs(workloads, &cols, r);
+/// Figures 8, 9, 10 and 14: for each `R`, the mean over programs of
+/// `cost(alg, program) / cost(Optimal, program)`.
+pub fn mean_figure(table: &CostTable) -> Vec<MeanRow> {
+    table
+        .registers
+        .iter()
+        .enumerate()
+        .map(|(i, &r)| {
+            let ratios = table.normalised(i);
             MeanRow {
                 registers: r,
-                values: cols
+                values: table
+                    .columns
                     .iter()
                     .zip(&ratios)
-                    .map(|(c, x)| (c.name, stats::mean(x)))
+                    .map(|(&c, x)| (c, stats::mean(x)))
                     .collect(),
                 programs: ratios[0].len(),
             }
@@ -195,23 +185,23 @@ pub struct DistributionRow {
     pub summary: FiveNum,
 }
 
-/// Runs a Figure-11/12/13-style experiment: the distribution over
-/// programs of normalised allocation costs, per algorithm and register
-/// count (Optimal excluded — it is 1.0 by definition).
-pub fn distribution_figure(workloads: &[Workload], rs: &[u32]) -> Vec<DistributionRow> {
-    let cols = columns(&CHORDAL_FIGURE_SET);
-    let opt_idx = optimal_index(&cols);
+/// Figures 11, 12 and 13: the distribution over programs of normalised
+/// allocation costs, per algorithm and register count (Optimal
+/// excluded — it is 1.0 by definition, and register counts at which no
+/// program spills are skipped).
+pub fn distribution_figure(table: &CostTable) -> Vec<DistributionRow> {
+    let opt = table.optimal();
     let mut out = Vec::new();
-    for &r in rs {
-        let ratios = normalised_costs(workloads, &cols, r);
-        if ratios[opt_idx].is_empty() {
+    for (i, &r) in table.registers.iter().enumerate() {
+        let ratios = table.normalised(i);
+        if ratios[opt].is_empty() {
             continue;
         }
-        for (i, (c, x)) in cols.iter().zip(&ratios).enumerate() {
-            if i != opt_idx {
+        for (c, (&algorithm, x)) in table.columns.iter().zip(&ratios).enumerate() {
+            if c != opt {
                 out.push(DistributionRow {
                     registers: r,
-                    algorithm: c.name,
+                    algorithm,
                     summary: stats::five_number_summary(x),
                 });
             }
@@ -230,26 +220,31 @@ pub struct PerBenchmarkRow {
     pub values: Vec<(&'static str, f64)>,
 }
 
-/// Figure 15: per-benchmark normalised costs on the JVM suite at `r`
-/// registers. Benchmarks with zero optimal cost report 1.0 for every
-/// algorithm that also spills nothing.
-pub fn jvm_per_benchmark_figure(workloads: &[Workload], r: u32) -> Vec<PerBenchmarkRow> {
-    let cols = columns(&JVM_FIGURE_SET);
-    let opt_idx = optimal_index(&cols);
-    let per_alg: Vec<BTreeMap<&'static str, u64>> = cols
+/// Figure 15: per-benchmark normalised costs at `r` registers.
+/// Benchmarks with zero optimal cost report 1.0 for every algorithm
+/// that also spills nothing, and infinity for one that spills.
+///
+/// # Panics
+///
+/// Panics if `r` is not one of the table's register counts.
+pub fn per_benchmark_figure(table: &CostTable, r: u32) -> Vec<PerBenchmarkRow> {
+    let i = table
+        .registers
         .iter()
-        .map(|c| per_program_costs(workloads, c, r))
-        .collect();
-    let programs: Vec<&'static str> = per_alg[opt_idx].keys().copied().collect();
-    programs
+        .position(|&x| x == r)
+        .expect("the table covers the figure's register count");
+    let opt = table.optimal();
+    table
+        .programs
         .iter()
-        .map(|&p| {
-            let opt_cost = per_alg[opt_idx][p];
-            let values = cols
+        .map(|(program, costs)| {
+            let opt_cost = costs[opt][i];
+            let values = table
+                .columns
                 .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let cost = per_alg[i][p];
+                .zip(costs)
+                .map(|(&c, col)| {
+                    let cost = col[i];
                     let ratio = if opt_cost == 0 {
                         if cost == 0 {
                             1.0
@@ -259,10 +254,10 @@ pub fn jvm_per_benchmark_figure(workloads: &[Workload], r: u32) -> Vec<PerBenchm
                     } else {
                         cost as f64 / opt_cost as f64
                     };
-                    (c.name, ratio)
+                    (c, ratio)
                 })
                 .collect();
-            PerBenchmarkRow { program: p, values }
+            PerBenchmarkRow { program, values }
         })
         .collect()
 }
@@ -404,176 +399,6 @@ pub fn ssa_conversion_study(workloads: &[Workload], rs: &[u32]) -> Vec<SsaConver
         .collect()
 }
 
-/// Renders the SSA-conversion study.
-///
-/// Absolute costs are not comparable across the two IRs (SSA versioning
-/// changes the value set and the SSA side uses the interval view), so
-/// the table also shows each heuristic normalised to *its own* exact
-/// optimum — the quantity that tells whether layered quasi-optimality
-/// survives the conversion.
-pub fn render_ssa_conversion_table(title: &str, rows: &[SsaConversionRow]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "# {title}");
-    let _ = writeln!(
-        s,
-        "{:>10} {:>12} {:>12} {:>9} {:>12} {:>12} {:>10}",
-        "registers", "LH(non-SSA)", "Opt(non-SSA)", "LH/Opt", "BFPL(SSA)", "Opt(SSA)", "BFPL/Opt"
-    );
-    for r in rows {
-        let [lh, bfpl] = r.ratios();
-        let _ = writeln!(
-            s,
-            "{:>10} {:>12} {:>12} {:>9.4} {:>12} {:>12} {:>10.4}",
-            r.registers, r.lh_non_ssa, r.opt_non_ssa, lh, r.bfpl_ssa, r.opt_ssa, bfpl
-        );
-    }
-    s
-}
-
-/// One row of the portfolio study: a program's aggregate spill cost
-/// under the cheap tier alone versus under the full budgeted policy,
-/// plus the policy's escalation statistics.
-#[derive(Clone, Debug, Default)]
-pub struct PortfolioRow {
-    /// Program (benchmark application) name.
-    pub program: &'static str,
-    /// Functions of this program in the suite.
-    pub functions: usize,
-    /// Total spill cost of the cheap tier's allocations.
-    pub cheap_cost: u64,
-    /// Total spill cost of the policy's final allocations.
-    pub portfolio_cost: u64,
-    /// Functions on which the policy escalated to the exact solver.
-    pub escalated: usize,
-    /// Escalations in which the exact solver finished inside the
-    /// budget (the result is a certified optimum).
-    pub certified: usize,
-    /// Escalations in which the certified exact result strictly beat
-    /// the cheap one.
-    pub exact_wins: usize,
-    /// Escalations that ran out of budget holding an allocation
-    /// strictly cheaper than the cheap one, kept uncertified.
-    pub improved: usize,
-}
-
-/// Runs the [`lra_core::portfolio::Portfolio`] policy over `workloads`
-/// at `r` registers (on each workload's native instance view) and
-/// aggregates per program, in first-appearance order.
-///
-/// Fans across the [`batch`] worker pool; the node fuel is counted,
-/// not timed, so the outcome is deterministic at any thread count.
-///
-/// # Panics
-///
-/// Panics if [`PortfolioConfig::cheap`](lra_core::portfolio::PortfolioConfig::cheap)
-/// names no registered allocator.
-pub fn portfolio_study(
-    workloads: &[Workload],
-    r: u32,
-    cfg: &lra_core::portfolio::PortfolioConfig,
-) -> Vec<PortfolioRow> {
-    use lra_core::portfolio::{Portfolio, PortfolioSource};
-    let policy =
-        Portfolio::new(cfg.clone()).expect("portfolio cheap tier is a registered allocator");
-    let outcomes = batch::parallel_map(workloads, batch::default_threads(), |_, w| {
-        policy.decide(&w.instance, r)
-    });
-    let mut rows: Vec<PortfolioRow> = Vec::new();
-    for (w, out) in workloads.iter().zip(&outcomes) {
-        let row = match rows.iter_mut().find(|row| row.program == w.program) {
-            Some(row) => row,
-            None => {
-                rows.push(PortfolioRow {
-                    program: w.program,
-                    ..PortfolioRow::default()
-                });
-                rows.last_mut().expect("just pushed")
-            }
-        };
-        row.functions += 1;
-        row.cheap_cost += out.cheap_cost;
-        row.portfolio_cost += out.allocation.spill_cost;
-        row.escalated += usize::from(out.escalated);
-        row.certified += usize::from(out.certified);
-        let exact = out.source == PortfolioSource::Exact;
-        row.exact_wins += usize::from(exact && out.certified);
-        row.improved += usize::from(exact && !out.certified);
-    }
-    rows
-}
-
-/// Renders the portfolio study with a totals line.
-pub fn render_portfolio_table(title: &str, rows: &[PortfolioRow]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "# {title}");
-    if rows.is_empty() {
-        s.push_str("(empty suite)\n");
-        return s;
-    }
-    let _ = writeln!(
-        s,
-        "{:>12} {:>5} {:>11} {:>11} {:>7} {:>9} {:>9} {:>6} {:>8}",
-        "program",
-        "fns",
-        "cheap",
-        "portfolio",
-        "saved%",
-        "escalated",
-        "certified",
-        "wins",
-        "improved"
-    );
-    let mut total = PortfolioRow {
-        program: "TOTAL",
-        ..PortfolioRow::default()
-    };
-    let saved = |cheap: u64, portfolio: u64| {
-        if cheap > 0 {
-            100.0 * (cheap - portfolio) as f64 / cheap as f64
-        } else {
-            0.0
-        }
-    };
-    for row in rows {
-        let _ = writeln!(
-            s,
-            "{:>12} {:>5} {:>11} {:>11} {:>6.2}% {:>9} {:>9} {:>6} {:>8}",
-            row.program,
-            row.functions,
-            row.cheap_cost,
-            row.portfolio_cost,
-            saved(row.cheap_cost, row.portfolio_cost),
-            row.escalated,
-            row.certified,
-            row.exact_wins,
-            row.improved
-        );
-        total.functions += row.functions;
-        total.cheap_cost += row.cheap_cost;
-        total.portfolio_cost += row.portfolio_cost;
-        total.escalated += row.escalated;
-        total.certified += row.certified;
-        total.exact_wins += row.exact_wins;
-        total.improved += row.improved;
-    }
-    let _ = writeln!(
-        s,
-        "{:>12} {:>5} {:>11} {:>11} {:>6.2}% {:>9} {:>9} {:>6} {:>8}",
-        total.program,
-        total.functions,
-        total.cheap_cost,
-        total.portfolio_cost,
-        saved(total.cheap_cost, total.portfolio_cost),
-        total.escalated,
-        total.certified,
-        total.exact_wins,
-        total.improved
-    );
-    s
-}
-
 /// Suite shape statistics (sizes and register pressure), for the
 /// `stats` CLI command.
 /// An empty workload set renders an explicit `(empty suite)` report
@@ -622,85 +447,17 @@ pub fn render_suite_stats(title: &str, workloads: &[Workload]) -> String {
     s
 }
 
-/// Renders mean rows as an aligned text table (the printed "figure").
-pub fn render_mean_table(title: &str, rows: &[MeanRow]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "# {title}");
-    if rows.is_empty() {
-        s.push_str("(no data)\n");
-        return s;
-    }
-    let _ = write!(s, "{:>10} {:>6}", "registers", "progs");
-    for (name, _) in &rows[0].values {
-        let _ = write!(s, " {name:>8}");
-    }
-    s.push('\n');
-    for row in rows {
-        let _ = write!(s, "{:>10} {:>6}", row.registers, row.programs);
-        for (_, v) in &row.values {
-            let _ = write!(s, " {v:>8.3}");
-        }
-        s.push('\n');
-    }
-    s
-}
-
-/// Renders distribution rows as an aligned text table.
-pub fn render_distribution_table(title: &str, rows: &[DistributionRow]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "# {title}");
-    let _ = writeln!(
-        s,
-        "{:>10} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "registers", "alg", "min", "q1", "median", "q3", "max"
-    );
-    for r in rows {
-        let f = r.summary;
-        let _ = writeln!(
-            s,
-            "{:>10} {:>6} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-            r.registers, r.algorithm, f.min, f.q1, f.median, f.q3, f.max
-        );
-    }
-    s
-}
-
-/// Renders Figure-15-style rows.
-pub fn render_per_benchmark_table(title: &str, rows: &[PerBenchmarkRow]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "# {title}");
-    if rows.is_empty() {
-        s.push_str("(no data)\n");
-        return s;
-    }
-    let _ = write!(s, "{:>10}", "benchmark");
-    for (name, _) in &rows[0].values {
-        let _ = write!(s, " {name:>8}");
-    }
-    s.push('\n');
-    for row in rows {
-        let _ = write!(s, "{:>10}", row.program);
-        for (_, v) in &row.values {
-            let _ = write!(s, " {v:>8.3}");
-        }
-        s.push('\n');
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::suites;
+    use lra_core::registry::{CHORDAL_FIGURE_SET, JVM_FIGURE_SET};
 
     #[test]
     fn mean_figure_smoke_on_tiny_suite() {
         // A couple of lao workloads keep this fast.
         let ws: Vec<Workload> = suites::lao_kernels(3).into_iter().take(4).collect();
-        let rows = mean_cost_figure(&ws, &[2, 4]);
+        let rows = mean_figure(&cost_table(&ws, &CHORDAL_FIGURE_SET, &[2, 4]));
         assert_eq!(rows.len(), 2);
         for row in &rows {
             // Optimal normalises to exactly 1.
@@ -718,7 +475,7 @@ mod tests {
     #[test]
     fn distribution_figure_consistent_with_mean() {
         let ws: Vec<Workload> = suites::lao_kernels(3).into_iter().take(4).collect();
-        let rows = distribution_figure(&ws, &[2]);
+        let rows = distribution_figure(&cost_table(&ws, &CHORDAL_FIGURE_SET, &[2]));
         for r in &rows {
             assert!(r.summary.min <= r.summary.median);
             assert!(r.summary.median <= r.summary.max);
@@ -729,50 +486,19 @@ mod tests {
     #[test]
     fn jvm_figures_smoke() {
         let ws: Vec<Workload> = suites::specjvm98(3).into_iter().take(6).collect();
-        let rows = jvm_mean_figure(&ws, &[6]);
+        let table = cost_table(&ws, &JVM_FIGURE_SET, &[6]);
+        let rows = mean_figure(&table);
         assert_eq!(rows.len(), 1);
         for (name, v) in &rows[0].values {
             assert!(*v >= 1.0 - 1e-12, "{name} beat Optimal: {v}");
         }
-        let per = jvm_per_benchmark_figure(&ws, 6);
+        let per = per_benchmark_figure(&table, 6);
         assert!(!per.is_empty());
-    }
-
-    #[test]
-    fn portfolio_study_smoke_on_large_jit_methods() {
-        let ws: Vec<Workload> = suites::jit_large(3).into_iter().take(4).collect();
-        let cfg = lra_core::portfolio::PortfolioConfig::default().node_budget(20_000);
-        let rows = portfolio_study(&ws, 6, &cfg);
-        assert!(!rows.is_empty());
-        for row in &rows {
-            assert!(
-                row.portfolio_cost <= row.cheap_cost,
-                "{}: the policy may never lose to its own cheap tier",
-                row.program
-            );
-            assert!(row.exact_wins <= row.certified);
-            assert!(row.certified + row.improved <= row.escalated);
-            assert!(row.escalated <= row.functions);
-        }
-        let t = render_portfolio_table("portfolio", &rows);
-        assert!(t.contains("TOTAL"));
-        assert!(t.contains("escalated"));
     }
 
     #[test]
     fn empty_suite_stats_render_explicitly_instead_of_panicking() {
         let t = render_suite_stats("empty", &[]);
         assert!(t.contains("(empty suite)"));
-        let t = render_portfolio_table("empty", &[]);
-        assert!(t.contains("(empty suite)"));
-    }
-
-    #[test]
-    fn tables_render() {
-        let ws: Vec<Workload> = suites::lao_kernels(3).into_iter().take(2).collect();
-        let rows = mean_cost_figure(&ws, &[2]);
-        let t = render_mean_table("fig", &rows);
-        assert!(t.contains("registers"));
-        assert!(t.contains("BFPL"));
     }
 }

@@ -7,21 +7,21 @@
 //! cargo run --release -p lra-bench -- fig14 --seed 7
 //! cargo run --release -p lra-bench -- batch --threads 4
 //! cargo run --release -p lra-bench -- batch --policy portfolio
-//! cargo run --release -p lra-bench -- portfolio --budget-nodes 100000
-//! cargo run --release -p lra-bench -- portfolio --sweep  # fuel frontier
+//! cargo run --release -p lra-bench -- portfolio        # fuel frontier
 //! cargo run --release -p lra-bench -- paper            # BENCH_paper.json
 //! cargo run --release -p lra-bench -- record           # BENCH_batch.json
 //! cargo run --release -p lra-bench -- profile          # BENCH_phases.json
 //! cargo run --release -p lra-bench -- chaos --seed 7   # fault-injected soak
 //! ```
 //!
-//! Tables are printed to stdout; `paper` writes every figure and study
-//! table to `BENCH_paper.json`, the one machine-readable form. `batch`
+//! `paper` writes every figure and study to `BENCH_paper.json`;
+//! `figN`, `inclusion` and `ssa` print a document holding only their
+//! own entry of it, byte for byte, to stdout. `batch`
 //! prints a **deterministic** report to stdout (identical at any
 //! `--threads` setting; timings go to stderr); `record` persists
 //! median wall-clock baselines to `BENCH_batch.json` at the repo root.
-//! `--threads N` also sets the worker count every figure runner fans
-//! out with.
+//! `--threads N` also sets the worker count the figures' cost tables
+//! and the studies fan out with.
 
 use lra_bench::experiments;
 use lra_bench::paper::{self, Suite, Suites};
@@ -43,19 +43,19 @@ const COMMANDS: [&str; 20] = [
     "stats",
     "pipeline",
     "batch",
-    "portfolio",
     "paper",
+    "portfolio",
     "serve",
     "loadgen",
     "chaos",
     "record",
     "profile",
 ];
-const ALL: usize = 14;
+const ALL: usize = 13;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lra-bench <{}|all> [--seed N] [--threads N] [--out PATH] [--chrome PATH] [--policy NAME] [--budget-nodes N] [--sweep] [--addr HOST:PORT] [--queue N] [--repeat N] [--local] [--shutdown] [--panic-every N] [--latency-every N] [--latency-ms N] [--drop-every N]",
+        "usage: lra-bench <{}|all> [--seed N] [--threads N] [--out PATH] [--chrome PATH] [--policy NAME] [--addr HOST:PORT] [--queue N] [--repeat N] [--local] [--shutdown] [--panic-every N] [--latency-every N] [--latency-ms N] [--drop-every N]",
         COMMANDS.join("|")
     );
     std::process::exit(2)
@@ -227,32 +227,7 @@ fn run_batch(seed: u64, threads: usize, policy: Option<&str>) {
     }
 }
 
-/// `portfolio`: run the budgeted portfolio policy over the large
-/// non-SSA JIT corpus and print the per-program cheap-vs-portfolio
-/// comparison. The node fuel is the one cap: the default 5,000 nodes
-/// per escalation, or `--budget-nodes`.
-fn run_portfolio(seed: u64, budget_nodes: Option<u64>) {
-    use lra_core::portfolio::PortfolioConfig;
-    let mut cfg = PortfolioConfig::default();
-    if let Some(nodes) = budget_nodes {
-        cfg = cfg.node_budget(nodes);
-    }
-    let registers = 6;
-    let ws = lra_bench::suites::jit_large(seed);
-    let rows = lra_bench::experiments::portfolio_study(&ws, registers, &cfg);
-    print!(
-        "{}",
-        lra_bench::experiments::render_portfolio_table(
-            &format!(
-                "Portfolio policy on jit-large (R = {registers}, cheap = {}, budget = {} nodes per function)",
-                cfg.cheap, cfg.node_budget
-            ),
-            &rows
-        )
-    );
-}
-
-/// `portfolio --sweep`: the fuel frontier. Runs the standard corpora
+/// `portfolio`: the fuel frontier. Runs the standard corpora
 /// on one traced worker at each [`FUEL_SWEEP`] fuel and prints, per
 /// corpus, the final total spill cost, the converged count and the
 /// `allocate` self-time — the data `standard_portfolio_config`'s fuel
@@ -428,12 +403,10 @@ fn main() {
     let mut out: Option<String> = None;
     let mut chrome: Option<String> = None;
     let mut policy: Option<String> = None;
-    let mut budget_nodes: Option<u64> = None;
     let mut addr = "127.0.0.1:7411".to_string();
     let mut queue = lra_service::DEFAULT_QUEUE_CAPACITY;
     let mut repeat = 1usize;
     let mut local = false;
-    let mut sweep = false;
     let mut send_shutdown = false;
     let mut panic_every = 7u64;
     let mut latency_every = 5u64;
@@ -448,7 +421,6 @@ fn main() {
             "--out" => out = Some(arg(it.next())),
             "--chrome" => chrome = Some(arg(it.next())),
             "--policy" => policy = Some(arg(it.next())),
-            "--budget-nodes" => budget_nodes = Some(arg(it.next())),
             "--addr" => addr = arg(it.next()),
             "--queue" => queue = arg_where(it.next(), |&n| n > 0),
             "--repeat" => repeat = arg_where(it.next(), |&n| n > 0),
@@ -457,7 +429,6 @@ fn main() {
             "--latency-ms" => latency_ms = arg(it.next()),
             "--drop-every" => drop_every = arg_where(it.next(), |&n| n != 1),
             "--local" => local = true,
-            "--sweep" => sweep = true,
             "--shutdown" => send_shutdown = true,
             "all" => which.extend(&COMMANDS[..ALL]),
             c if COMMANDS.contains(&c) => which.push(c),
@@ -465,23 +436,15 @@ fn main() {
         }
     }
 
-    // Every figure runner and suite sweep fans out through the batch
-    // pool; --threads pins its worker count process-wide.
+    // Every cost table, study and suite sweep fans out through the
+    // batch pool; --threads pins its worker count process-wide.
     lra_core::batch::set_default_threads(threads);
 
-    // Each suite is generated on first use, once.
+    // Each suite and its cost table are computed on first use, once.
     let suites = Suites::new(seed);
 
     for f in which {
         match f {
-            "inclusion" => print!("{}", paper::render_inclusion(&paper::inclusion(&suites))),
-            "ssa" => {
-                let rows = paper::ssa(&suites);
-                print!(
-                    "{}",
-                    experiments::render_ssa_conversion_table(paper::SSA_TITLE, &rows)
-                );
-            }
             "paper" => {
                 let out = out.as_deref().unwrap_or("BENCH_paper.json");
                 let json = paper::reproduce(&suites);
@@ -490,8 +453,7 @@ fn main() {
             }
             "pipeline" => run_pipeline_demo(seed),
             "batch" => run_batch(seed, threads, policy.as_deref()),
-            "portfolio" if sweep => run_fuel_sweep(seed),
-            "portfolio" => run_portfolio(seed, budget_nodes),
+            "portfolio" => run_fuel_sweep(seed),
             "serve" => run_serve(&addr, threads, queue),
             "loadgen" => run_loadgen(&addr, seed, repeat, local, send_shutdown),
             "chaos" => run_chaos(
@@ -529,11 +491,9 @@ fn main() {
                 );
                 println!();
             }
-            name => {
-                let fig = paper::FIGURES.iter().find(|f| f.name == name);
-                let fig = fig.expect("every other command is a figure");
-                print!("{}", fig.render(&fig.run(suites.get(fig.suite))));
-            }
+            // Every other command is a figure or study of the paper
+            // document.
+            key => print!("{}", paper::document(&suites, &[key])),
         }
         println!();
     }

@@ -1,21 +1,24 @@
 //! The paper's evaluation as one catalogue, and the `lra-bench paper`
 //! document built from it (`BENCH_paper.json`).
 //!
-//! [`FIGURES`] names Figures 8–15: the suite each runs on, its title
-//! and its row builder. The `figN`, `inclusion` and `ssa` commands
-//! print these tables; [`to_json`] writes the same rows, at the
-//! precision the tables print, as one deterministic document with no
-//! timings (schema `lra-bench/paper-v1`, see `docs/benchmarks.md`).
-//! The rows are aggregates combined in input order, so the document is
-//! identical at any `--threads` setting and CI diffs it against the
-//! committed copy.
+//! `FIGURES` names Figures 8–15: the suite each runs on, its title
+//! and its view of the suite's cost table. [`Suites`] generates each
+//! suite and computes its [`CostTable`] once, on first use, so every
+//! figure on one suite reads the same table. [`document`] is the one
+//! writer: `paper` writes every entry ([`reproduce`]), and the `figN`,
+//! `inclusion` and `ssa` commands each print a document holding only
+//! their own entry, byte for byte as it appears in the whole one. The
+//! document has no timings (schema `lra-bench/paper-v1`, see
+//! `docs/benchmarks.md`). Its rows are aggregates combined in input
+//! order, so it is identical at any `--threads` setting and CI diffs
+//! it against the committed copy.
 
 use crate::experiments::{
-    self, distribution_figure, jvm_mean_figure, jvm_per_benchmark_figure, mean_cost_figure,
-    DistributionRow, InclusionStats, MeanRow, PerBenchmarkRow, SsaConversionRow,
+    self, distribution_figure, mean_figure, per_benchmark_figure, CostTable, InclusionStats,
     CHORDAL_REGISTER_COUNTS, JVM_REGISTER_COUNTS,
 };
 use crate::suites::{self, Workload};
+use lra_core::registry::{CHORDAL_FIGURE_SET, JVM_FIGURE_SET};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
@@ -45,12 +48,24 @@ impl Suite {
             Suite::Jvm => "SPEC JVM98",
         }
     }
+
+    /// The columns and register counts of the suite's figures.
+    fn figure_set(self) -> (&'static [&'static str], &'static [u32]) {
+        match self {
+            Suite::Jvm => (&JVM_FIGURE_SET, &JVM_REGISTER_COUNTS),
+            Suite::Spec | Suite::Eembc | Suite::Lao => {
+                (&CHORDAL_FIGURE_SET, &CHORDAL_REGISTER_COUNTS)
+            }
+        }
+    }
 }
 
-/// The four suites at one seed, each generated on first use.
+/// The four suites at one seed and the cost table behind each suite's
+/// figures, each computed on first use.
 pub struct Suites {
     seed: u64,
-    cells: [OnceLock<Vec<Workload>>; 4],
+    workloads: [OnceLock<Vec<Workload>>; 4],
+    costs: [OnceLock<CostTable>; 4],
 }
 
 impl Suites {
@@ -58,46 +73,52 @@ impl Suites {
     pub fn new(seed: u64) -> Self {
         Suites {
             seed,
-            cells: Default::default(),
+            workloads: Default::default(),
+            costs: Default::default(),
         }
     }
 
     /// The workloads of `suite`, generating them on the first call.
     pub fn get(&self, suite: Suite) -> &[Workload] {
-        self.cells[suite as usize].get_or_init(|| match suite {
+        self.workloads[suite as usize].get_or_init(|| match suite {
             Suite::Spec => suites::spec2000int(self.seed),
             Suite::Eembc => suites::eembc(self.seed),
             Suite::Lao => suites::lao_kernels(self.seed),
             Suite::Jvm => suites::specjvm98(self.seed),
         })
     }
+
+    /// The cost table of `suite`'s figures, every column of its figure
+    /// set at every register count, computed on the first call.
+    pub fn costs(&self, suite: Suite) -> &CostTable {
+        self.costs[suite as usize].get_or_init(|| {
+            let (columns, registers) = suite.figure_set();
+            experiments::cost_table(self.get(suite), columns, registers)
+        })
+    }
 }
 
 #[derive(Clone, Copy)]
 enum Kind {
-    /// Mean normalised cost per `R` over the chordal algorithm set.
+    /// Mean normalised cost per `R`.
     Mean,
     /// Five-number summaries per `R` and algorithm.
     Distribution,
-    /// Mean normalised cost per `R` over the JIT algorithm set.
-    JvmMean,
     /// Per-benchmark normalised cost at one `R`.
     PerBenchmark(u32),
 }
 
 /// One figure of the paper's evaluation.
-pub struct Figure {
+struct Figure {
     /// CLI command and JSON key (`fig8` … `fig15`).
-    pub name: &'static str,
-    /// The suite it runs on.
-    pub suite: Suite,
-    /// Table title.
-    pub title: &'static str,
+    name: &'static str,
+    suite: Suite,
+    title: &'static str,
     kind: Kind,
 }
 
 /// Figures 8–15.
-pub const FIGURES: [Figure; 8] = [
+const FIGURES: [Figure; 8] = [
     Figure {
         name: "fig8",
         suite: Suite::Spec,
@@ -139,7 +160,7 @@ pub const FIGURES: [Figure; 8] = [
         suite: Suite::Jvm,
         title:
             "Figure 14: layered-heuristic vs other allocators, SPEC JVM98 (normalised to Optimal)",
-        kind: Kind::JvmMean,
+        kind: Kind::Mean,
     },
     Figure {
         name: "fig15",
@@ -149,157 +170,16 @@ pub const FIGURES: [Figure; 8] = [
     },
 ];
 
-/// A figure's rows.
-pub enum Table {
-    /// Figures 8–10 and 14.
-    Mean(Vec<MeanRow>),
-    /// Figures 11–13.
-    Distribution(Vec<DistributionRow>),
-    /// Figure 15.
-    PerBenchmark(Vec<PerBenchmarkRow>),
-}
-
 impl Figure {
-    /// Computes the figure's rows on its suite's `workloads`.
-    pub fn run(&self, workloads: &[Workload]) -> Table {
-        let (ws, chordal) = (workloads, &CHORDAL_REGISTER_COUNTS);
-        match self.kind {
-            Kind::Mean => Table::Mean(mean_cost_figure(ws, chordal)),
-            Kind::Distribution => Table::Distribution(distribution_figure(ws, chordal)),
-            Kind::JvmMean => Table::Mean(jvm_mean_figure(ws, &JVM_REGISTER_COUNTS)),
-            Kind::PerBenchmark(r) => Table::PerBenchmark(jvm_per_benchmark_figure(ws, r)),
-        }
-    }
-
-    /// The figure as the `figN` command prints it.
-    pub fn render(&self, table: &Table) -> String {
-        match table {
-            Table::Mean(rows) => experiments::render_mean_table(self.title, rows),
-            Table::Distribution(rows) => experiments::render_distribution_table(self.title, rows),
-            Table::PerBenchmark(rows) => experiments::render_per_benchmark_table(self.title, rows),
-        }
-    }
-}
-
-/// The §2.3 inclusion study's sweeps: label, suite, register counts.
-const INCLUSION_SWEEPS: [(&str, Suite, &[u32]); 2] = [
-    ("lao-kernels, R = 1..8", Suite::Lao, &[1, 2, 3, 4, 6, 8]),
-    (
-        "specjvm98 (interval view), R = 2..16",
-        Suite::Jvm,
-        &[2, 4, 6, 8, 10, 12, 14, 16],
-    ),
-];
-
-/// One sweep of the inclusion study.
-pub struct InclusionRow {
-    /// Printed label.
-    pub label: &'static str,
-    /// Suite key (`lao-kernels`, `specjvm98`).
-    pub suite: &'static str,
-    /// Register counts swept.
-    pub registers: &'static [u32],
-    /// Monotone and total function counts.
-    pub stats: InclusionStats,
-}
-
-/// Runs the §2.3 spill-set inclusion study on lao-kernels and SPEC
-/// JVM98 ([`experiments::spill_set_inclusion_study`]).
-pub fn inclusion(suites: &Suites) -> Vec<InclusionRow> {
-    INCLUSION_SWEEPS
-        .iter()
-        .map(|&(label, suite, registers)| {
-            let ws = suites.get(suite);
-            InclusionRow {
-                label,
-                suite: ws.first().map_or("", |w| w.suite),
-                registers,
-                stats: experiments::spill_set_inclusion_study(ws, registers),
-            }
-        })
-        .collect()
-}
-
-const INCLUSION_TITLE: &str =
-    "Spill-set inclusion study (§2.3): existence of inclusion-monotone optimal chains";
-
-/// The inclusion study as the `inclusion` command prints it.
-pub fn render_inclusion(rows: &[InclusionRow]) -> String {
-    let mut s = format!("# {INCLUSION_TITLE}\n");
-    for r in rows {
-        let _ = writeln!(
-            s,
-            "{}: {}/{} functions inclusion-monotone ({:.1}%)",
-            r.label,
-            r.stats.monotone,
-            r.stats.total,
-            100.0 * r.stats.monotone as f64 / r.stats.total.max(1) as f64
-        );
-    }
-    s
-}
-
-const SSA_REGISTER_COUNTS: [u32; 3] = [4, 6, 8];
-/// Title of the SSA-conversion table.
-pub const SSA_TITLE: &str =
-    "SSA conversion as a pre-spill phase (§7): JVM98 methods, total spill cost";
-
-/// Runs the §7 SSA-conversion study on SPEC JVM98
-/// ([`experiments::ssa_conversion_study`]).
-pub fn ssa(suites: &Suites) -> Vec<SsaConversionRow> {
-    experiments::ssa_conversion_study(suites.get(Suite::Jvm), &SSA_REGISTER_COUNTS)
-}
-
-/// Runs every figure and both studies, and serialises them as the
-/// `BENCH_paper.json` document.
-pub fn reproduce(suites: &Suites) -> String {
-    let figures: Vec<(&Figure, Table)> = FIGURES
-        .iter()
-        .map(|f| (f, f.run(suites.get(f.suite))))
-        .collect();
-    to_json(suites.seed, &figures, &inclusion(suites), &ssa(suites))
-}
-
-/// A ratio at the precision the tables print; `null` where the table
-/// has no finite value (a mean over zero programs, or a benchmark whose
-/// optimum spills nothing while the algorithm spills).
-fn cell(v: Option<f64>, decimals: usize) -> String {
-    match v {
-        Some(v) if v.is_finite() => format!("{v:.decimals$}"),
-        _ => "null".to_string(),
-    }
-}
-
-fn cells(values: impl Iterator<Item = Option<f64>>) -> String {
-    values.map(|v| cell(v, 3)).collect::<Vec<_>>().join(", ")
-}
-
-/// The `"columns"` field naming the algorithms of `values`.
-fn columns(values: &[(&str, f64)]) -> String {
-    let names: Vec<String> = values.iter().map(|(n, _)| format!("\"{n}\"")).collect();
-    format!("\"columns\": [{}]", names.join(", "))
-}
-
-/// Serialises the reproduction (schema `lra-bench/paper-v1`;
-/// hand-rolled, no serde in the build environment). Every entry is
-/// `{"title", <fields>, "rows"}` with one row per line. See
-/// `docs/benchmarks.md` for the field reference.
-pub fn to_json(
-    seed: u64,
-    figures: &[(&Figure, Table)],
-    inclusion: &[InclusionRow],
-    ssa: &[SsaConversionRow],
-) -> String {
-    // (key, title, fields before "rows", rows)
-    let mut entries: Vec<(&str, &str, Vec<String>, Vec<String>)> = Vec::new();
-    for (fig, table) in figures {
-        let (fields, rows) = match table {
-            Table::Mean(rows) => (
-                rows.first()
-                    .map(|r| columns(&r.values))
-                    .into_iter()
-                    .collect(),
-                rows.iter()
+    /// The figure's entry: its view of the suite's cost table.
+    fn entry(&self, costs: &CostTable) -> Entry {
+        let names: Vec<String> = costs.columns.iter().map(|c| format!("\"{c}\"")).collect();
+        let columns = format!("\"columns\": [{}]", names.join(", "));
+        let (fields, rows) = match self.kind {
+            Kind::Mean => (
+                vec![columns],
+                mean_figure(costs)
+                    .iter()
                     .map(|r| {
                         let some = r.programs > 0;
                         format!(
@@ -311,9 +191,10 @@ pub fn to_json(
                     })
                     .collect(),
             ),
-            Table::Distribution(rows) => (
+            Kind::Distribution => (
                 Vec::new(),
-                rows.iter()
+                distribution_figure(costs)
+                    .iter()
                     .map(|r| {
                         let f = r.summary;
                         format!(
@@ -324,13 +205,9 @@ pub fn to_json(
                     })
                     .collect(),
             ),
-            Table::PerBenchmark(rows) => {
-                let mut fields = Vec::new();
-                if let Kind::PerBenchmark(r) = fig.kind {
-                    fields.push(format!("\"registers\": {r}"));
-                }
-                fields.extend(rows.first().map(|r| columns(&r.values)));
-                let rows = rows
+            Kind::PerBenchmark(r) => (
+                vec![format!("\"registers\": {r}"), columns],
+                per_benchmark_figure(costs, r)
                     .iter()
                     .map(|r| {
                         format!(
@@ -339,29 +216,51 @@ pub fn to_json(
                             cells(r.values.iter().map(|&(_, v)| Some(v)))
                         )
                     })
-                    .collect();
-                (fields, rows)
-            }
+                    .collect(),
+            ),
         };
-        entries.push((fig.name, fig.title, fields, rows));
+        Entry {
+            title: self.title,
+            fields,
+            rows,
+        }
     }
-    let inclusion_rows = inclusion.iter().map(|r| {
-        let registers: Vec<String> = r.registers.iter().map(u32::to_string).collect();
+}
+
+/// The §2.3 inclusion study's sweeps: suite and register counts.
+const INCLUSION_SWEEPS: [(Suite, &[u32]); 2] = [
+    (Suite::Lao, &[1, 2, 3, 4, 6, 8]),
+    (Suite::Jvm, &[2, 4, 6, 8, 10, 12, 14, 16]),
+];
+
+/// The §2.3 spill-set inclusion study on lao-kernels and SPEC JVM98
+/// ([`experiments::spill_set_inclusion_study`]).
+fn inclusion_entry(suites: &Suites) -> Entry {
+    let rows = INCLUSION_SWEEPS.iter().map(|&(suite, registers)| {
+        let ws = suites.get(suite);
+        let InclusionStats { monotone, total } =
+            experiments::spill_set_inclusion_study(ws, registers);
+        let registers: Vec<String> = registers.iter().map(u32::to_string).collect();
         format!(
-            "{{\"suite\": \"{}\", \"registers\": [{}], \"monotone\": {}, \"total\": {}}}",
-            r.suite,
+            "{{\"suite\": \"{}\", \"registers\": [{}], \"monotone\": {monotone}, \"total\": {total}}}",
+            ws.first().map_or("", |w| w.suite),
             registers.join(", "),
-            r.stats.monotone,
-            r.stats.total
         )
     });
-    entries.push((
-        "inclusion",
-        INCLUSION_TITLE,
-        Vec::new(),
-        inclusion_rows.collect(),
-    ));
-    let ssa_rows = ssa.iter().map(|r| {
+    Entry {
+        title: "Spill-set inclusion study (§2.3): existence of inclusion-monotone optimal chains",
+        fields: Vec::new(),
+        rows: rows.collect(),
+    }
+}
+
+/// The §7 SSA-conversion study on SPEC JVM98
+/// ([`experiments::ssa_conversion_study`]). Absolute costs are not
+/// comparable across the two IRs, so each heuristic's cost is also
+/// given relative to its own exact optimum.
+fn ssa_entry(suites: &Suites) -> Entry {
+    let rows = experiments::ssa_conversion_study(suites.get(Suite::Jvm), &[4, 6, 8]);
+    let rows = rows.iter().map(|r| {
         let [lh, bfpl] = r.ratios();
         format!(
             "{{\"registers\": {}, \"lh_non_ssa\": {}, \"opt_non_ssa\": {}, \
@@ -375,42 +274,111 @@ pub fn to_json(
             cell(Some(bfpl), 4)
         )
     });
-    entries.push(("ssa", SSA_TITLE, Vec::new(), ssa_rows.collect()));
+    Entry {
+        title: "SSA conversion as a pre-spill phase (§7): JVM98 methods, total spill cost",
+        fields: Vec::new(),
+        rows: rows.collect(),
+    }
+}
 
-    let mut s = format!("{{\n  \"schema\": \"lra-bench/paper-v1\",\n  \"seed\": {seed}");
-    for (key, title, fields, rows) in entries {
-        let _ = write!(s, ",\n  \"{key}\": {{\n    \"title\": \"{title}\",\n");
-        for field in fields {
+/// A ratio at the document's precision; `null` where there is no
+/// finite value (a mean over zero programs, or a benchmark whose
+/// optimum spills nothing while the algorithm spills).
+fn cell(v: Option<f64>, decimals: usize) -> String {
+    match v {
+        Some(v) if v.is_finite() => format!("{v:.decimals$}"),
+        _ => "null".to_string(),
+    }
+}
+
+fn cells(values: impl Iterator<Item = Option<f64>>) -> String {
+    values.map(|v| cell(v, 3)).collect::<Vec<_>>().join(", ")
+}
+
+/// One entry of the document, written under its key as
+/// `{"title", <fields>, "rows"}` with one row per line.
+struct Entry {
+    title: &'static str,
+    fields: Vec<String>,
+    rows: Vec<String>,
+}
+
+/// The keys of the whole document, in order: Figures 8–15, then the
+/// inclusion and SSA studies.
+fn keys() -> impl Iterator<Item = &'static str> {
+    FIGURES.iter().map(|f| f.name).chain(["inclusion", "ssa"])
+}
+
+/// The `BENCH_paper.json` document restricted to `keys`, in the order
+/// given (schema `lra-bench/paper-v1`; hand-rolled, no serde in the
+/// build environment). See `docs/benchmarks.md` for the field
+/// reference.
+///
+/// # Panics
+///
+/// Panics if a key is none of `fig8` … `fig15`, `inclusion` and
+/// `ssa`.
+pub fn document(suites: &Suites, keys: &[&str]) -> String {
+    let mut s = format!(
+        "{{\n  \"schema\": \"lra-bench/paper-v1\",\n  \"seed\": {}",
+        suites.seed
+    );
+    for &key in keys {
+        let entry = match key {
+            "inclusion" => inclusion_entry(suites),
+            "ssa" => ssa_entry(suites),
+            _ => {
+                let fig = FIGURES.iter().find(|f| f.name == key);
+                let fig = fig.unwrap_or_else(|| panic!("{key:?} is not a paper entry"));
+                fig.entry(suites.costs(fig.suite))
+            }
+        };
+        let _ = write!(
+            s,
+            ",\n  \"{key}\": {{\n    \"title\": \"{}\",\n",
+            entry.title
+        );
+        for field in entry.fields {
             let _ = writeln!(s, "    {field},");
         }
         let _ = write!(
             s,
             "    \"rows\": [\n      {}\n    ]\n  }}",
-            rows.join(",\n      ")
+            entry.rows.join(",\n      ")
         );
     }
     s.push_str("\n}\n");
     s
 }
 
+/// Every figure and both studies: the whole `BENCH_paper.json`
+/// document.
+pub fn reproduce(suites: &Suites) -> String {
+    document(suites, &keys().collect::<Vec<_>>())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn paper_json_is_balanced_and_carries_the_schema() {
-        // Two workloads per suite keep the exact solvers fast; the
-        // document's shape does not depend on the suite sizes.
+    /// Two workloads per suite keep the exact solvers fast; the
+    /// document's shape does not depend on the suite sizes.
+    fn small_suites() -> Suites {
         let full = Suites::new(3);
         let suites = Suites::new(3);
         for s in Suite::ALL {
             let small = full.get(s).iter().take(2).cloned().collect();
-            assert!(suites.cells[s as usize].set(small).is_ok());
+            assert!(suites.workloads[s as usize].set(small).is_ok());
         }
-        let json = reproduce(&suites);
+        suites
+    }
+
+    #[test]
+    fn paper_json_is_balanced_and_carries_the_schema() {
+        let json = reproduce(&small_suites());
         assert!(json.contains("\"schema\": \"lra-bench/paper-v1\""));
         assert!(json.contains("\"seed\": 3,"));
-        for key in FIGURES.iter().map(|f| f.name).chain(["inclusion", "ssa"]) {
+        for key in keys() {
             assert_eq!(json.matches(&format!("\"{key}\": {{")).count(), 1, "{key}");
         }
         // Two programs spill nothing at R = 32: the mean rows there
@@ -424,5 +392,25 @@ mod tests {
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    /// What `figN`, `inclusion` and `ssa` print, the one-entry
+    /// documents, splice back into the whole document byte for byte.
+    #[test]
+    fn each_key_prints_exactly_its_entry_of_the_whole_document() {
+        let suites = small_suites();
+        let whole = reproduce(&suites);
+        let head = "{\n  \"schema\": \"lra-bench/paper-v1\",\n  \"seed\": 3";
+        let tail = "\n}\n";
+        let mut spliced = head.to_string();
+        for key in keys() {
+            let one = document(&suites, &[key]);
+            let entry = one.strip_prefix(head).and_then(|s| s.strip_suffix(tail));
+            let entry = entry.unwrap_or_else(|| panic!("{key}: not a one-entry document"));
+            assert!(entry.starts_with(&format!(",\n  \"{key}\": {{")), "{key}");
+            spliced.push_str(entry);
+        }
+        spliced.push_str(tail);
+        assert_eq!(spliced, whole);
     }
 }

@@ -36,11 +36,10 @@ use rand_chacha::ChaCha8Rng;
 /// One function-level allocation problem, tagged with its suite and
 /// program (benchmark application) names.
 ///
-/// A workload carries both the raw IR function (so the experiment
-/// runners can drive the full [`lra_core::AllocationPipeline`] on it)
-/// and the prebuilt instances (for the studies that operate on the
-/// instance level, such as the inclusion study and the suite-shape
-/// stats).
+/// A workload carries both the raw IR function (for the SSA-conversion
+/// study, and for driving the full [`lra_core::AllocationPipeline`] on
+/// it) and the prebuilt instances, which the figures' cost tables, the
+/// inclusion study and the suite-shape stats solve or measure.
 #[derive(Clone, Debug)]
 pub struct Workload {
     /// Suite identifier (`spec2000int`, `eembc`, …).

@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 
 /// Process-wide default worker count override (0 = resolve
 /// automatically). Set by CLI `--threads` flags so deep callers
-/// (figure runners, suite generators) need no plumbing.
+/// (the figures' cost tables, suite generators) need no plumbing.
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Overrides the process-wide default worker count used by
@@ -64,18 +64,11 @@ pub fn set_default_threads(n: usize) {
 }
 
 /// The worker count used when a caller does not pick one explicitly:
-/// the [`set_default_threads`] override if set, else the `LRA_THREADS`
-/// environment variable, else [`std::thread::available_parallelism`].
+/// the [`set_default_threads`] override if set, else
+/// [`std::thread::available_parallelism`].
 pub fn default_threads() -> usize {
     let n = DEFAULT_THREADS.load(Ordering::Relaxed);
     if n > 0 {
-        return n;
-    }
-    if let Some(n) = std::env::var("LRA_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
         return n;
     }
     std::thread::available_parallelism()

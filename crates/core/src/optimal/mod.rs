@@ -150,7 +150,7 @@ impl Allocator for Optimal {
 
     /// Computes a certified optimal allocation under
     /// [`OPTIMAL_NODE_LIMIT`]. An uncertified answer is never
-    /// returned: the figure runners normalise to this one.
+    /// returned: the paper's figures normalise to this one.
     ///
     /// # Panics
     ///

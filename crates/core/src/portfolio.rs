@@ -89,7 +89,7 @@ impl Default for PortfolioConfig {
     /// cache on.
     ///
     /// The fuel is the data's pick, not a guess: it is the smallest
-    /// `lra-bench portfolio --sweep` fuel (50,000, 25,000, 12,500 and
+    /// `lra-bench portfolio` fuel (50,000, 25,000, 12,500 and
     /// 5,000 nodes) at which the seed-2013 final `total_spill_cost` of
     /// both `jit-large/Portfolio/R6` and `jit-huge/Portfolio/R6` is no
     /// higher than under the old 50,000-node pin without anytime search

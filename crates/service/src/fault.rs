@@ -9,8 +9,9 @@
 //! what it injected so a harness can assert every enabled fault type
 //! actually fired ([`FaultInjector::report`]).
 //!
-//! The module is compiled only under `#[cfg(any(test, feature =
-//! "chaos"))]` — a production build carries no injection branches.
+//! Injection is off unless a plan is installed
+//! ([`ServiceConfig::faults`](crate::ServiceConfig::faults)); with the
+//! default `None` nothing fires.
 
 use crate::client::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};

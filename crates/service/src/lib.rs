@@ -26,8 +26,8 @@
 //!   [`client::Client`] / load generator with a budgeted,
 //!   jittered-backoff retry loop.
 //! * an overload posture: `queue_full` backpressure, a request-size
-//!   cap, read/write timeouts on every connection, and — under the
-//!   `chaos` feature — deterministic fault injection ([`fault`]) for
+//!   cap, read/write timeouts on every connection, and deterministic
+//!   fault injection ([`fault`], off unless a plan is installed) for
 //!   soak-testing the whole stack. Effort per request is bounded by
 //!   the portfolio's node fuel alone, so every answer is a function
 //!   of the request and the configuration.
@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-#[cfg(any(test, feature = "chaos"))]
 pub mod fault;
 pub mod histogram;
 pub mod metrics;

@@ -62,7 +62,6 @@ impl Server {
 
     /// Counts of the faults injected so far, when the server was
     /// started with a fault plan (`None` otherwise).
-    #[cfg(any(test, feature = "chaos"))]
     pub fn fault_report(&self) -> Option<crate::fault::FaultReport> {
         self.service.fault_report()
     }
@@ -266,7 +265,6 @@ fn handle_connection(
                 let trace = fields.get("trace").and_then(proto::Json::as_bool) == Some(true);
                 let reject_trace_id = trace_id.clone();
                 let cb_writer = Arc::clone(&writer);
-                #[cfg(any(test, feature = "chaos"))]
                 let cb_service = Arc::clone(service);
                 let on_done = move |item: BatchItem| {
                     let line = proto::alloc_response(
@@ -278,7 +276,6 @@ fn handle_connection(
                         // its wire format unchanged.
                         if trace { item.trace.as_ref() } else { None },
                     );
-                    #[cfg(any(test, feature = "chaos"))]
                     if cb_service
                         .fault_injector()
                         .is_some_and(|inj| inj.next_write_drops())
@@ -345,7 +342,6 @@ fn handle_connection(
 /// must survive. The byte split cannot tear a UTF-8 char across the
 /// cut because raw bytes are written, and the latched `dead` flag
 /// keeps later callbacks off the corpse.
-#[cfg(any(test, feature = "chaos"))]
 fn sever_mid_response(writer: &ConnWriter, line: &str) {
     let mut w = writer.stream.lock().unwrap_or_else(PoisonError::into_inner);
     let cut = line.len() / 2;

@@ -8,7 +8,6 @@
 //! (per-request tracing), and `submit` is `submit_with` whose callback
 //! feeds the ticket's channel.
 
-#[cfg(any(test, feature = "chaos"))]
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::{MetricsInner, ServiceMetrics};
 use crate::queue::{BoundedQueue, PushError};
@@ -37,10 +36,8 @@ pub struct ServiceConfig {
     /// client silent for this long is treated as gone and its
     /// connection closed, so an idle peer cannot pin a handler thread.
     pub read_timeout: Duration,
-    /// Deterministic fault schedule for chaos testing (compiled in
-    /// only under `cfg(any(test, feature = "chaos"))`). `None` — the
+    /// Deterministic fault schedule for chaos testing. `None` — the
     /// default — injects nothing.
-    #[cfg(any(test, feature = "chaos"))]
     pub faults: Option<FaultPlan>,
 }
 
@@ -62,7 +59,6 @@ impl ServiceConfig {
             workers: 0,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             read_timeout: DEFAULT_READ_TIMEOUT,
-            #[cfg(any(test, feature = "chaos"))]
             faults: None,
         }
     }
@@ -92,7 +88,6 @@ impl ServiceConfig {
     }
 
     /// Installs a deterministic fault schedule for chaos testing.
-    #[cfg(any(test, feature = "chaos"))]
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -158,7 +153,6 @@ struct Shared {
     trace_all: bool,
     metrics: MetricsInner,
     workers: usize,
-    #[cfg(any(test, feature = "chaos"))]
     faults: Option<FaultInjector>,
 }
 
@@ -238,7 +232,6 @@ impl AllocationService {
             trace_all: lra_core::trace::env_requested(),
             metrics: MetricsInner::new(portfolio_cache().stats(), workers),
             workers,
-            #[cfg(any(test, feature = "chaos"))]
             faults: cfg.faults.map(FaultInjector::new),
         });
         let handles = (0..workers)
@@ -357,13 +350,11 @@ impl AllocationService {
     /// injected so far (`None` when no plan is installed). A chaos
     /// harness asserts these are nonzero — a fault plan that never
     /// fires tests nothing.
-    #[cfg(any(test, feature = "chaos"))]
     pub fn fault_report(&self) -> Option<crate::fault::FaultReport> {
         self.shared.faults.as_ref().map(FaultInjector::report)
     }
 
     /// The live injector, for the TCP front end's write-path faults.
-    #[cfg(any(test, feature = "chaos"))]
     pub(crate) fn fault_injector(&self) -> Option<&FaultInjector> {
         self.shared.faults.as_ref()
     }
@@ -405,7 +396,6 @@ fn respond(on_done: OnDone, item: BatchItem) {
 /// A chaos-injected worker panic, caught exactly the way a pipeline
 /// panic is, so the recovery path under test is the production one:
 /// the job completes as an error item, the worker lives on.
-#[cfg(any(test, feature = "chaos"))]
 fn chaos_panic_item(function: &Function) -> BatchItem {
     use lra_core::driver::{AllocatedFunction, PipelineError};
     let t0 = Instant::now();
@@ -439,26 +429,21 @@ fn worker_loop(shared: &Shared, worker_index: usize) {
             return; // closed and drained
         }
         for job in run {
-            #[cfg(any(test, feature = "chaos"))]
             let fault = shared
                 .faults
                 .as_ref()
                 .map(FaultInjector::next_job)
                 .unwrap_or_default();
-            #[cfg(any(test, feature = "chaos"))]
             if let Some(extra) = fault.latency {
                 std::thread::sleep(extra);
             }
 
             let traced = job.opts.trace || shared.trace_all;
-            #[cfg(any(test, feature = "chaos"))]
             let item = if fault.panic {
                 chaos_panic_item(&job.function)
             } else {
                 batch::allocate_item(&shared.pipeline, &job.function, &mut scratch, traced)
             };
-            #[cfg(not(any(test, feature = "chaos")))]
-            let item = batch::allocate_item(&shared.pipeline, &job.function, &mut scratch, traced);
 
             if let Some(trace) = &item.trace {
                 shared.metrics.record_trace(trace);

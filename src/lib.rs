@@ -17,7 +17,7 @@
 //!   request queue with explicit backpressure feeding a persistent
 //!   worker pool, shared result cache, per-server metrics, and a TCP
 //!   JSON-lines front end plus client,
-//! * [`mod@bench`] — benchmark suites and the figure runners.
+//! * [`mod@bench`] — benchmark suites and the paper's figures.
 //!
 //! The pipeline types are re-exported at the top level: the normal way
 //! to allocate registers for a function is

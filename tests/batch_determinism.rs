@@ -1,7 +1,9 @@
 //! Integration tests for the parallel [`BatchAllocator`] driver: the
 //! batch path must produce byte-identical reports to the sequential
 //! path on real suite corpora, handle degenerate batches, and surface
-//! per-item failures without aborting the batch.
+//! per-item failures without aborting the batch. The figures' cost
+//! tables must be thread-count-invariant too, and equal the pipeline's
+//! first round.
 
 use lra::bench::{batchrun, suites};
 use lra::core::batch;
@@ -185,18 +187,64 @@ fn non_converged_runs_surface_in_summary() {
     assert!(report.render().contains("converged 1 | non-converged 1"));
 }
 
-/// The figure runners ride the same pool: a figure computed at 1 and
-/// 4 workers must be identical.
+/// The figures' cost tables ride the same pool: a table computed at 1
+/// and 4 workers must be identical.
 #[test]
 fn figure_runner_is_thread_count_invariant() {
-    use lra::bench::experiments;
+    use lra::bench::experiments::cost_table;
+    use lra::core::registry::CHORDAL_FIGURE_SET;
     let _serial = THREADS_KNOB.lock().unwrap_or_else(|e| e.into_inner());
     let ws: Vec<suites::Workload> = suites::lao_kernels(3).into_iter().take(6).collect();
     batch::set_default_threads(1);
-    let a = experiments::mean_cost_figure(&ws, &[2, 4]);
+    let a = cost_table(&ws, &CHORDAL_FIGURE_SET, &[2, 4]);
     batch::set_default_threads(4);
-    let b = experiments::mean_cost_figure(&ws, &[2, 4]);
+    let b = cost_table(&ws, &CHORDAL_FIGURE_SET, &[2, 4]);
     batch::set_default_threads(0);
-    let render = |rows: &[experiments::MeanRow]| experiments::render_mean_table("fig", rows);
-    assert_eq!(render(&a), render(&b));
+    assert_eq!(a, b);
+}
+
+/// The figures solve the instances each suite prebuilt, without the
+/// pipeline; every cost-table entry must still equal the shipped
+/// pipeline's first-round spill cost on the same function. Checked on
+/// the first two workloads of every suite, for every column of the
+/// suite's figure set at two register counts.
+#[test]
+fn cost_tables_equal_the_pipelines_first_round() {
+    use lra::bench::experiments::cost_table;
+    use lra::bench::paper::{Suite, Suites};
+    use lra::core::registry::{AllocatorRegistry, CHORDAL_FIGURE_SET, JVM_FIGURE_SET};
+    let suites = Suites::new(2013);
+    for suite in Suite::ALL {
+        let (columns, rs): (&[&str], [u32; 2]) = match suite {
+            Suite::Jvm => (&JVM_FIGURE_SET, [4, 6]),
+            _ => (&CHORDAL_FIGURE_SET, [2, 4]),
+        };
+        for w in &suites.get(suite)[..2] {
+            let table = cost_table(std::slice::from_ref(w), columns, &rs);
+            let (_, costs) = &table.programs[0];
+            for (c, &name) in table.columns.iter().enumerate() {
+                let spec = AllocatorRegistry::spec(name).expect("registered");
+                let view = if spec.needs_intervals {
+                    InstanceKind::LinearIntervals
+                } else {
+                    w.kind
+                };
+                for (i, &r) in rs.iter().enumerate() {
+                    let report = AllocationPipeline::new(w.target)
+                        .allocator(name)
+                        .instance_kind(view)
+                        .registers(r)
+                        .max_rounds(1)
+                        .run(&w.ir)
+                        .unwrap_or_else(|e| panic!("{name} on {}: {e}", w.function));
+                    assert_eq!(
+                        costs[c][i],
+                        report.first_round_spill_cost(),
+                        "{name} on {} at R = {r}",
+                        w.function
+                    );
+                }
+            }
+        }
+    }
 }
