@@ -17,9 +17,9 @@ fn largest_functions(count: usize) -> Vec<Function> {
 }
 
 /// Peak resident estimate of the heaviest first-round instance: the
-/// packed adjacency matrix + CSR neighbor arena plus the weight
-/// vector. Re-analysis rounds shrink the function's pressure, so the
-/// first round's instance bounds the loop's allocation footprint.
+/// packed adjacency matrix plus the weight vector. Re-analysis rounds
+/// shrink the function's pressure, so the first round's instance bounds
+/// the loop's allocation footprint.
 fn peak_instance_bytes(fs: &[Function], target: &Target) -> u64 {
     fs.iter()
         .map(|f| {

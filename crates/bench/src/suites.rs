@@ -415,6 +415,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_corpus_function_fits_the_service_admission_bound_with_margin() {
+        use lra_service::server::{dense_table_bytes, MAX_REQUEST_TABLE_BYTES};
+        let mut fs = lao_kernel_functions(2013);
+        fs.extend(specjvm98_functions(2013));
+        fs.extend(jit_large_functions(2013));
+        fs.extend(jit_huge_functions(2013));
+        let largest = fs.iter().map(dense_table_bytes).max().unwrap();
+        // The bound's doc promises about 60× the largest function's
+        // values, which is over 2,500× its table bytes.
+        assert!(largest < 7_000, "{largest}");
+        assert!(largest * 2_500 <= MAX_REQUEST_TABLE_BYTES, "{largest}");
+    }
+
+    #[test]
     fn ssa_suites_are_chordal_with_intervals() {
         for w in spec2000int(1).iter().take(6) {
             assert!(w.instance.is_chordal());

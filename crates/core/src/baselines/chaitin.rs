@@ -58,6 +58,7 @@ impl Allocator for ChaitinBriggs {
         let mut degree = vec![0usize; n];
         let mut stack: Vec<usize> = Vec::with_capacity(n);
         let mut color = vec![NO_COLOR; n];
+        let mut colored = BitSet::new(n);
         let mut used: Vec<u64> = Vec::new();
         loop {
             active.copy_from(&present);
@@ -84,28 +85,27 @@ impl Allocator for ChaitinBriggs {
                 active.remove(v);
                 simplifiable.remove(v);
                 stack.push(v);
-                for &u in g.neighbor_indices(v) {
-                    let u = u as usize;
-                    if active.contains(u) {
-                        degree[u] -= 1;
-                        if degree[u] < r_us {
-                            simplifiable.insert(u);
-                        }
+                for u in g.neighbor_row(v).iter_and(&active) {
+                    degree[u] -= 1;
+                    if degree[u] < r_us {
+                        simplifiable.insert(u);
                     }
                 }
             }
 
             // Select phase: optimistic colouring. A vertex's lowest free
             // colour is at most its degree, so the colours it can take
-            // fit a mask of min(R, degree + 1) bits.
+            // fit a mask of min(R, degree + 1) bits, and only coloured
+            // neighbours set any of them.
             color.fill(NO_COLOR);
+            colored.clear();
             let mut spilled_any = false;
             while let Some(v) = stack.pop() {
                 let span = r_us.min(g.degree(v) + 1);
                 used.clear();
                 used.resize(span.div_ceil(64), 0);
-                for &u in g.neighbor_indices(v) {
-                    let c = color[u as usize] as usize;
+                for u in g.neighbor_row(v).iter_and(&colored) {
+                    let c = color[u] as usize;
                     if c < span {
                         used[c / 64] |= 1 << (c % 64);
                     }
@@ -117,7 +117,10 @@ impl Allocator for ChaitinBriggs {
                     .map(|(k, word)| k * 64 + word.trailing_ones() as usize)
                     .filter(|&c| c < span);
                 match free {
-                    Some(c) => color[v] = c as u32,
+                    Some(c) => {
+                        color[v] = c as u32;
+                        colored.insert(v);
+                    }
                     None => {
                         present.remove(v);
                         spilled_any = true;
@@ -203,8 +206,7 @@ mod tests {
                 removed.insert(v);
                 remaining -= 1;
                 stack.push(v);
-                for &u in g.neighbor_indices(v) {
-                    let u = u as usize;
+                for u in g.neighbor_indices(v) {
                     if present.contains(u) && !removed.contains(u) {
                         degree[u] = degree[u].saturating_sub(1);
                     }
@@ -216,8 +218,8 @@ mod tests {
             let mut new_spills = Vec::new();
             while let Some(v) = stack.pop() {
                 let mut used = vec![false; r_us];
-                for &u in g.neighbor_indices(v) {
-                    if let Some(c) = color[u as usize] {
+                for u in g.neighbor_indices(v) {
+                    if let Some(c) = color[u] {
                         if (c as usize) < r_us {
                             used[c as usize] = true;
                         }

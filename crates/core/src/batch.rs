@@ -202,12 +202,6 @@ impl BatchAllocator {
     /// mismatch, non-chordal input, and even a panicking pipeline run)
     /// surface as per-item errors — one bad function never aborts the
     /// batch.
-    pub fn run(&self, functions: &[Function]) -> BatchReport {
-        self.run_refs(&functions.iter().collect::<Vec<_>>())
-    }
-
-    /// [`BatchAllocator::run`] over borrowed functions, for callers
-    /// (suite sweeps) whose corpus lives inside a larger structure.
     ///
     /// A panic inside one function's pipeline run is caught and
     /// recorded as that item's [`PipelineError::Panic`] instead of
@@ -219,7 +213,7 @@ impl BatchAllocator {
     ///
     /// The batch is traced ([`BatchItem::trace`]) when the calling
     /// thread holds a [`crate::trace::arm`] guard or `LRA_TRACE` is set.
-    pub fn run_refs(&self, functions: &[&Function]) -> BatchReport {
+    pub fn run(&self, functions: &[Function]) -> BatchReport {
         let threads = self.effective_threads(functions.len());
         let traced = crate::trace::enabled() || crate::trace::env_requested();
         let start = Instant::now();
@@ -240,7 +234,7 @@ impl BatchAllocator {
 /// Runs `pipeline` on one function exactly the way a batch worker
 /// does: wall-clock timed, with a panicking run caught and recorded as
 /// the item's [`PipelineError::Panic`]. This is the per-item engine
-/// behind [`BatchAllocator::run_refs`], exported so long-lived drivers
+/// behind [`BatchAllocator::run`], exported so long-lived drivers
 /// (the `lra-service` worker pool) produce items byte-compatible with
 /// a batch run.
 ///

@@ -160,8 +160,8 @@ impl AllocationPipeline {
     }
 
     /// Selects the [`Portfolio`] policy with an explicit
-    /// configuration (cheap tier, node fuel, optional wall-clock
-    /// budget). Equivalent to `.allocator("Portfolio")` except that
+    /// configuration (cheap tier, node fuel, decision cache).
+    /// Equivalent to `.allocator("Portfolio")` except that
     /// the policy runs with `cfg` instead of
     /// [`PortfolioConfig::default`].
     pub fn portfolio(mut self, cfg: PortfolioConfig) -> Self {

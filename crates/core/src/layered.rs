@@ -20,8 +20,8 @@
 //!   to a fixed point (§4.2, Algorithms 3–4).
 //! * **BFPL** — bias + fixed point.
 //!
-//! Complexity: `O(R(|V| + |E|))` — each layer is one linear-time Frank
-//! pass; the fixed-point bookkeeping touches each clique membership a
+//! Complexity: `O(R(|V|²/64 + |E|))` — each layer is one Frank pass
+//! over the adjacency bit rows; the fixed-point bookkeeping touches each clique membership a
 //! constant number of times per allocated vertex.
 
 use crate::problem::{Allocation, Allocator, Instance};

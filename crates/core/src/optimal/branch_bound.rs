@@ -132,7 +132,7 @@ impl<'a> Problem<'a> {
         let g = instance.graph();
         let wg = instance.weighted_graph();
         let mut order: Vec<usize> = (0..g.vertex_count()).collect();
-        order.sort_by_key(|&v| std::cmp::Reverse((wg.weight(v), g.degree(v))));
+        order.sort_by_cached_key(|&v| std::cmp::Reverse((wg.weight(v), g.degree(v))));
         Problem {
             g,
             weight: order.iter().map(|&v| wg.weight(v)).collect(),
@@ -152,13 +152,15 @@ impl<'a, X: Width> Kernel<'a, X> {
         for (i, &v) in p.order.iter().enumerate() {
             position[v] = i;
         }
+        // Position `i`'s later neighbours are its neighbours not yet
+        // placed, so only that part of each row is walked bit by bit.
         let mut later = vec![0; n * w];
+        let mut unplaced = BitSet::full(n);
         for (i, &v) in p.order.iter().enumerate() {
-            for &u in p.g.neighbor_indices(v) {
-                let q = position[u as usize];
-                if q > i {
-                    later[i * w + q / 64] |= 1 << (q % 64);
-                }
+            unplaced.remove(v);
+            for u in p.g.neighbor_row(v).iter_and(&unplaced) {
+                let q = position[u];
+                later[i * w + q / 64] |= 1 << (q % 64);
             }
         }
         // min(r, n) rows: the search can never use more colours than
@@ -447,10 +449,7 @@ mod tests {
             position[v] = i;
         }
         let earlier = p.order.iter().enumerate().map(|(i, &v)| {
-            let qs =
-                p.g.neighbor_indices(v)
-                    .iter()
-                    .map(|&u| position[u as usize]);
+            let qs = p.g.neighbor_indices(v).map(|u| position[u]);
             BitSet::from_iter_with_capacity(n, qs.filter(|&q| q < i))
         });
         let mut search = Reference {

@@ -142,7 +142,6 @@ impl Instance {
                 for v in 0..g.vertex_count() {
                     let mut clique = vec![v];
                     for u in g.neighbor_indices(v) {
-                        let u = *u as usize;
                         if clique.iter().all(|&c| g.has_edge(c, u)) {
                             clique.push(u);
                         }

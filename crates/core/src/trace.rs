@@ -32,7 +32,7 @@
 //! Whether a unit of work is traced is decided once, where it is
 //! submitted, and handed to the thread that runs it:
 //!
-//! * [`crate::batch::BatchAllocator::run_refs`] traces a batch when its
+//! * [`crate::batch::BatchAllocator::run`] traces a batch when its
 //!   calling thread holds an [`arm`] guard or the `LRA_TRACE`
 //!   environment variable is set ([`env_requested`]); every worker
 //!   then brackets each item with [`begin`] … [`take`];
@@ -217,11 +217,11 @@ pub struct TraceReport {
     /// Escalations whose exact search completed but certified the
     /// cheap tier's cost as optimal.
     pub exact_tied: u64,
-    /// Escalations whose exact search ran out of fuel (or time) but
+    /// Escalations whose exact search ran out of fuel but
     /// held a strictly cheaper allocation than the cheap tier, which
     /// the portfolio keeps uncertified.
     pub exact_improved: u64,
-    /// Escalations whose exact search ran out of fuel (or time) with
+    /// Escalations whose exact search ran out of fuel with
     /// nothing cheaper than the cheap tier.
     pub exact_exhausted: u64,
     /// How the runs of the split + remat escalation tier ended, indexed

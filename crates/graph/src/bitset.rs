@@ -115,22 +115,27 @@ impl BitSet {
         was
     }
 
+    /// The set as a read-only row view, which answers its queries.
+    fn as_row(&self) -> BitRow<'_> {
+        BitRow {
+            words: &self.words,
+            capacity: self.capacity,
+        }
+    }
+
     /// Returns `true` if `key` is in the set.
     pub fn contains(&self, key: usize) -> bool {
-        if key >= self.capacity {
-            return false;
-        }
-        self.words[key / 64] & (1 << (key % 64)) != 0
+        self.as_row().contains(key)
     }
 
     /// The number of keys currently in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.as_row().len()
     }
 
     /// Returns `true` if the set contains no keys.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.as_row().is_empty()
     }
 
     /// Removes every key.
@@ -152,7 +157,7 @@ impl BitSet {
 
     /// Returns `true` if `self` and `other` share no key.
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+        self.as_row().is_disjoint(other)
     }
 
     /// Returns `true` if every key of `self` is also in `other`.
@@ -186,11 +191,7 @@ impl BitSet {
 
     /// The number of keys present in both `self` and `other`.
     pub fn intersection_len(&self, other: &BitSet) -> usize {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
+        self.as_row().intersection_len(other)
     }
 
     /// In-place difference with a borrowed matrix row: removes every key
@@ -208,7 +209,7 @@ impl BitSet {
 
     /// Iterates over the keys in increasing order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter::over(&self.words)
+        self.as_row().iter()
     }
 }
 
@@ -236,19 +237,27 @@ impl Extend<usize> for BitSet {
 }
 
 /// Iterator over the keys of a [`BitSet`] or [`BitRow`] in increasing
-/// order.
+/// order, or over those of a row that are also in a set
+/// ([`BitRow::iter_and`]).
+#[derive(Clone)]
 pub struct Iter<'a> {
     words: &'a [u64],
+    /// ANDed into each word as it is loaded; `words` itself for a plain
+    /// iteration.
+    mask: &'a [u64],
     word_idx: usize,
     current: u64,
 }
 
 impl<'a> Iter<'a> {
-    fn over(words: &'a [u64]) -> Self {
+    fn over(words: &'a [u64], mask: &'a [u64]) -> Self {
+        assert_eq!(words.len(), mask.len(), "capacity mismatch");
+        let current = words.first().map_or(0, |w| w & mask[0]);
         Iter {
             words,
+            mask,
             word_idx: 0,
-            current: words.first().copied().unwrap_or(0),
+            current,
         }
     }
 }
@@ -267,7 +276,7 @@ impl Iterator for Iter<'_> {
             if self.word_idx >= self.words.len() {
                 return None;
             }
-            self.current = self.words[self.word_idx];
+            self.current = self.words[self.word_idx] & self.mask[self.word_idx];
         }
     }
 }
@@ -323,24 +332,32 @@ impl<'a> BitRow<'a> {
 
     /// Returns `true` if this row and `other` share no key.
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .all(|(a, b)| a & b == 0)
+        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
     /// The number of keys present in both this row and `other`.
     pub fn intersection_len(&self, other: &BitSet) -> usize {
         self.words
             .iter()
-            .zip(other.words.iter())
+            .zip(&other.words)
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum()
     }
 
     /// Iterates over the keys in increasing order.
     pub fn iter(&self) -> Iter<'a> {
-        Iter::over(self.words)
+        Iter::over(self.words, self.words)
+    }
+
+    /// Iterates over the keys in both this row and `other`, in
+    /// increasing order: one word-level AND per word, then only the
+    /// common bits one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other.capacity()` differs from the row's.
+    pub fn iter_and(&self, other: &'a BitSet) -> Iter<'a> {
+        Iter::over(self.words, &other.words)
     }
 }
 
@@ -399,18 +416,6 @@ impl BitMatrix {
         }
     }
 
-    /// Empties the matrix and re-sizes it to `rows × capacity`, reusing
-    /// the word allocation — the reset scratch buffers use when the
-    /// matrix is recycled across differently-sized functions.
-    pub fn reset(&mut self, rows: usize, capacity: usize) {
-        let wpr = capacity.div_ceil(64);
-        self.words.clear();
-        self.words.resize(rows * wpr, 0);
-        self.rows = rows;
-        self.capacity = capacity;
-        self.wpr = wpr;
-    }
-
     /// The number of rows.
     pub fn row_count(&self) -> usize {
         self.rows
@@ -419,11 +424,6 @@ impl BitMatrix {
     /// The number of columns each row can hold.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The number of words backing each row.
-    pub fn words_per_row(&self) -> usize {
-        self.wpr
     }
 
     /// The whole arena: row 0's words, then row 1's, and so on. Exposed
@@ -502,6 +502,38 @@ impl BitMatrix {
         }
     }
 
+    /// Makes a square matrix symmetric with an empty diagonal: row `c`
+    /// gains `r` whenever row `r` holds `c`, and no row keeps itself.
+    /// The mirror works on 64×64 word blocks — the transpose of block
+    /// `(i, j)` (word `j` of rows `64 i ..`) is ORed into block `(j, i)`
+    /// — so it costs O(n²/64) word operations whatever the edge count.
+    pub(crate) fn close_symmetric(&mut self) {
+        let (n, wpr) = (self.rows, self.wpr);
+        debug_assert_eq!(n, self.capacity, "closure of a non-square matrix");
+        for v in 0..n {
+            self.words[v * wpr + v / 64] &= !(1 << (v % 64));
+        }
+        let rows = |i: usize| i * 64..n;
+        for i in 0..wpr {
+            for j in i..wpr {
+                let mut upper = [0; 64];
+                let mut lower = [0; 64];
+                for (w, r) in upper.iter_mut().zip(rows(i)) {
+                    *w = self.words[r * wpr + j];
+                }
+                for (w, r) in lower.iter_mut().zip(rows(j)) {
+                    *w = self.words[r * wpr + i];
+                }
+                for (w, r) in transposed(upper).iter().zip(rows(j)) {
+                    self.words[r * wpr + i] |= w;
+                }
+                for (w, r) in transposed(lower).iter().zip(rows(i)) {
+                    self.words[r * wpr + j] |= w;
+                }
+            }
+        }
+    }
+
     /// The total number of set bits across all rows.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -511,6 +543,26 @@ impl BitMatrix {
     pub fn resident_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
+}
+
+/// The transpose of a 64×64 bit block (bit `c` of word `r` moves to bit
+/// `r` of word `c`): six rounds of masked swaps, each exchanging the
+/// off-diagonal `h×h` sub-blocks of every `2h×2h` tile.
+fn transposed(mut a: [u64; 64]) -> [u64; 64] {
+    let mut h = 32;
+    let mut mask: u64 = 0x0000_0000_ffff_ffff;
+    while h != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((a[k] >> h) ^ a[k + h]) & mask;
+            a[k] ^= t << h;
+            a[k + h] ^= t;
+            k = (k + h + 1) & !h;
+        }
+        h >>= 1;
+        mask ^= mask << h;
+    }
+    a
 }
 
 impl std::fmt::Debug for BitMatrix {
@@ -620,6 +672,25 @@ mod tests {
     }
 
     #[test]
+    fn transposed_matches_the_bitwise_transpose() {
+        let mut a = [0u64; 64];
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for w in a.iter_mut() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *w = x;
+        }
+        let t = transposed(a);
+        for (r, row) in a.iter().enumerate() {
+            for (c, col) in t.iter().enumerate() {
+                assert_eq!(col >> r & 1, row >> c & 1, "bit ({r}, {c})");
+            }
+        }
+        assert_eq!(transposed(t), a);
+    }
+
+    #[test]
     fn matrix_insert_remove_contains() {
         let mut m = BitMatrix::new(3, 130);
         assert!(m.insert(0, 129));
@@ -646,7 +717,6 @@ mod tests {
         m.insert(1, 0);
         assert_eq!(m.row(0).iter().collect::<Vec<_>>(), vec![69]);
         assert_eq!(m.row(1).iter().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(m.words_per_row(), 2);
         assert_eq!(m.words().len(), 4);
     }
 
@@ -658,18 +728,6 @@ mod tests {
         m.insert(1, 2);
         assert_eq!(m.row(1).iter().collect::<Vec<_>>(), vec![1, 2, 64, 99]);
         assert!(m.row(0).is_empty());
-    }
-
-    #[test]
-    fn matrix_reset_recycles_and_resizes() {
-        let mut m = BitMatrix::new(4, 200);
-        m.insert(3, 199);
-        m.reset(2, 10);
-        assert_eq!(m.row_count(), 2);
-        assert_eq!(m.capacity(), 10);
-        assert_eq!(m.count_ones(), 0);
-        m.insert(1, 9);
-        assert!(m.contains(1, 9));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   the neighbours of `v` eliminated after `v` (Fulkerson & Gross).
 //!   `C(v)` fails to be maximal exactly when some earlier `u` whose
 //!   first later neighbour is `v` has `|RN(u)| = |RN(v)| + 1`, a count
-//!   comparison per vertex: O(|V| + |E|), no bit sets.
+//!   comparison per vertex: O(|V|²/64 + |E|), no bit sets beyond the
+//!   adjacency rows.
 //! * [`crate::interval::maximal_cliques`], for interval graphs: the live
 //!   sets where a start is followed by an end in one sweep over the sorted
 //!   endpoints, O(n log n + Σ|C|).
@@ -113,10 +114,11 @@ impl Cliques {
 /// index order; a chordal graph on `n` vertices has at most
 /// `n` maximal cliques.
 ///
-/// Runs in O(|V| + |E|) with no bit sets: `C(v)` is contained in a
-/// larger `C(u)` exactly when some earlier `u` has `v` as its *parent*
-/// (its first later neighbour) and `|RN(u)| = |RN(v)| + 1` (Blair &
-/// Peyton), and every such `u` precedes `v` in `order`.
+/// Runs in O(|V|²/64 + |E|) with no bit sets but the adjacency rows:
+/// `C(v)` is contained in a larger `C(u)` exactly when some earlier `u`
+/// has `v` as its *parent* (its first later neighbour) and
+/// `|RN(u)| = |RN(v)| + 1` (Blair & Peyton), and every such `u`
+/// precedes `v` in `order`.
 ///
 /// # Examples
 ///
@@ -139,28 +141,22 @@ pub fn maximal_cliques(g: &Graph, order: &[Vertex]) -> Cliques {
     }
     // |RN(v)|: the neighbours of v eliminated after it.
     let later: Vec<u32> = (0..n)
-        .map(|v| {
-            let nbrs = g.neighbor_indices(v);
-            nbrs.iter().filter(|&&u| pos[u as usize] > pos[v]).count() as u32
-        })
+        .map(|v| g.neighbor_indices(v).filter(|&u| pos[u] > pos[v]).count() as u32)
         .collect();
     let mut dominated = vec![false; n];
     let mut cliques = Cliques::new();
     for &v in order {
         let v = v.index();
-        let rn = g
-            .neighbor_indices(v)
-            .iter()
-            .filter(|&&u| pos[u as usize] > pos[v]);
-        if let Some(&p) = rn.clone().min_by_key(|&&u| pos[u as usize]) {
-            if later[v] == later[p as usize] + 1 {
-                dominated[p as usize] = true;
+        let rn = g.neighbor_indices(v).filter(|&u| pos[u] > pos[v]);
+        if let Some(p) = rn.clone().min_by_key(|&u| pos[u]) {
+            if later[v] == later[p] + 1 {
+                dominated[p] = true;
             }
         }
         if !dominated[v] {
             // Neighbour lists are sorted: v slots in once.
             let base = cliques.members.len();
-            cliques.members.extend(rn);
+            cliques.members.extend(rn.map(|u| u as u32));
             let at = base + cliques.members[base..].partition_point(|&u| (u as usize) < v);
             cliques.members.insert(at, v as u32);
             cliques.close();
@@ -178,13 +174,7 @@ pub fn max_clique_size(g: &Graph, order: &[Vertex]) -> usize {
         pos[v.index()] = i;
     }
     (0..n)
-        .map(|v| {
-            1 + g
-                .neighbor_indices(v)
-                .iter()
-                .filter(|&&u| pos[u as usize] > pos[v])
-                .count()
-        })
+        .map(|v| 1 + g.neighbor_indices(v).filter(|&u| pos[u] > pos[v]).count())
         .max()
         .unwrap_or(0)
 }
@@ -531,11 +521,7 @@ mod tests {
         }
         let candidates: Vec<BitSet> = (0..n)
             .map(|v| {
-                let later = g
-                    .neighbor_indices(v)
-                    .iter()
-                    .map(|&u| u as usize)
-                    .filter(|&u| pos[u] > pos[v]);
+                let later = g.neighbor_indices(v).filter(|&u| pos[u] > pos[v]);
                 BitSet::from_iter_with_capacity(n, later.chain([v]))
             })
             .collect();
@@ -544,8 +530,6 @@ mod tests {
             let v = v.index();
             let dominated = g
                 .neighbor_indices(v)
-                .iter()
-                .map(|&u| u as usize)
                 .filter(|&u| pos[u] < pos[v])
                 .any(|u| candidates[v].is_subset(&candidates[u]));
             if !dominated {

@@ -36,16 +36,17 @@ pub type Color = u32;
 pub fn greedy_coloring_in_order(g: &Graph, order: impl Iterator<Item = Vertex>) -> Vec<Color> {
     let n = g.vertex_count();
     let mut colors: Vec<Option<Color>> = vec![None; n];
+    // The vertices coloured so far: only their colours can block `v`.
+    let mut colored = BitSet::new(n);
     let mut used = Vec::new();
     for v in order {
         let v = v.index();
         used.clear();
         used.resize(g.degree(v) + 1, false);
-        for &u in g.neighbor_indices(v) {
-            if let Some(c) = colors[u as usize] {
-                if (c as usize) < used.len() {
-                    used[c as usize] = true;
-                }
+        for u in g.neighbor_row(v).iter_and(&colored) {
+            let c = colors[u].expect("colored vertices carry a colour") as usize;
+            if c < used.len() {
+                used[c] = true;
             }
         }
         let c = used
@@ -53,6 +54,7 @@ pub fn greedy_coloring_in_order(g: &Graph, order: impl Iterator<Item = Vertex>) 
             .position(|&b| !b)
             .expect("first-fit colour exists") as Color;
         colors[v] = Some(c);
+        colored.insert(v);
     }
     colors.into_iter().map(|c| c.unwrap_or(0)).collect()
 }
@@ -104,8 +106,8 @@ pub fn exact_coloring(g: &Graph, domain: &BitSet, k: u32) -> Option<Vec<Color>> 
         let v = vs[i];
         let limit = (used_colors + 1).min(k);
         'next_color: for c in 0..limit {
-            for &u in g.neighbor_indices(v) {
-                if colors[u as usize] == Some(c) {
+            for u in g.neighbor_indices(v) {
+                if colors[u] == Some(c) {
                     continue 'next_color;
                 }
             }

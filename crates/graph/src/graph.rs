@@ -1,19 +1,16 @@
-//! Undirected graphs with compact adjacency storage.
+//! Undirected graphs stored as one adjacency bit matrix.
 //!
-//! Interference graphs are simple undirected graphs. We store the
-//! adjacency twice, both forms packed into single contiguous arenas:
-//!
-//! * a **CSR neighbor arena** — one `Vec<u32>` of sorted neighbour
-//!   indices plus a `Vec<u32>` of per-vertex offsets — for
-//!   cache-friendly iteration ([`Graph::neighbor_indices`] is a slice
-//!   into the arena, no per-vertex `Vec`s anywhere), and
-//! * a [`BitMatrix`] of adjacency bit rows for O(1) edge queries and
-//!   O(n/64) neighbourhood algebra, used heavily by clique enumeration
-//!   and the allocation verifier. The matrix is the canonical form:
-//!   every constructor funnels into [`Graph::from_bit_matrix`], which
-//!   derives the CSR arena in one O(V + E) pass.
+//! Interference graphs are simple undirected graphs. A graph keeps its
+//! adjacency once, as a [`BitMatrix`] of symmetric bit rows in one
+//! contiguous arena: O(1) edge queries, O(n/64) neighbourhood algebra
+//! for clique enumeration and the allocation verifier, and neighbour
+//! lists read straight off the rows ([`Graph::neighbor_indices`]
+//! iterates a row's set bits, [`Graph::degree`] is its popcount).
+//! Every constructor funnels into [`Graph::from_bit_matrix`], which
+//! takes the symmetric closure of whatever one-directional rows the
+//! caller filled.
 
-use crate::bitset::{BitMatrix, BitRow, BitSet};
+use crate::bitset::{BitMatrix, BitRow, BitSet, Iter};
 
 /// An index identifying a vertex (a variable) of a [`Graph`].
 ///
@@ -85,7 +82,7 @@ impl std::fmt::Display for Vertex {
 /// ```
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
-    n: usize,
+    /// Each edge in one direction; [`Graph::from_bit_matrix`] mirrors it.
     rows: BitMatrix,
 }
 
@@ -93,7 +90,6 @@ impl GraphBuilder {
     /// Creates a builder for a graph on `n` vertices and no edges.
     pub fn new(n: usize) -> Self {
         GraphBuilder {
-            n,
             rows: BitMatrix::new(n, n),
         }
     }
@@ -105,21 +101,8 @@ impl GraphBuilder {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn add_edge(&mut self, u: usize, v: usize) -> &mut Self {
-        assert!(
-            u < self.n && v < self.n,
-            "edge ({u},{v}) out of range for {} vertices",
-            self.n
-        );
-        if u != v {
-            self.rows.insert(u, v);
-            self.rows.insert(v, u);
-        }
+        self.rows.insert(u, v);
         self
-    }
-
-    /// Returns `true` if the edge `(u, v)` has been added.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.rows.contains(u, v)
     }
 
     /// Adds every edge of the clique over `members`.
@@ -155,10 +138,7 @@ impl GraphBuilder {
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
-    /// CSR neighbor arena: sorted neighbour indices of vertex `v` live
-    /// at `nbrs[offsets[v]..offsets[v + 1]]`.
-    nbrs: Vec<u32>,
-    offsets: Vec<u32>,
+    /// Row `v` holds the neighbours of `v`: symmetric, empty diagonal.
     rows: BitMatrix,
     edge_count: usize,
 }
@@ -172,10 +152,9 @@ impl Graph {
     /// union whole live sets into a definition's row with word-level
     /// [`BitMatrix::union_row_with`] — O(n/64) per definition instead
     /// of one `add_edge` call per live value — and this constructor
-    /// mirrors the edges and derives the CSR neighbor arena in one
-    /// final O(V + E) pass. The matrix is retained as the graph's
-    /// canonical adjacency; no per-vertex edge list is ever
-    /// materialized.
+    /// mirrors the edges by ORing the transpose of each 64×64 word
+    /// block into its mirror block. The matrix becomes the graph's
+    /// only adjacency; no per-vertex edge list is ever materialized.
     ///
     /// # Panics
     ///
@@ -187,61 +166,9 @@ impl Graph {
             n,
             "matrix capacity must equal the vertex count {n}"
         );
-        let wpr = rows.words_per_row();
-        for v in 0..n {
-            rows.remove(v, v);
-        }
-        // Mirror the edges recorded in one direction only. Words are
-        // copied out before mutating so row `u` can be walked while
-        // other rows gain bits; insertion is idempotent, so mirroring
-        // an already-symmetric edge is harmless.
-        for u in 0..n {
-            for wi in 0..wpr {
-                let mut w = rows.words()[u * wpr + wi];
-                while w != 0 {
-                    let v = wi * 64 + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    rows.insert(v, u);
-                }
-            }
-        }
-        let total = rows.count_ones();
-        let mut nbrs: Vec<u32> = Vec::with_capacity(total);
-        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        for v in 0..n {
-            nbrs.extend(rows.row(v).iter().map(|u| u as u32));
-            offsets.push(u32::try_from(nbrs.len()).expect("neighbor arena fits in u32"));
-        }
-        Graph {
-            nbrs,
-            offsets,
-            rows,
-            edge_count: total / 2,
-        }
-    }
-
-    /// Builds a graph from per-vertex adjacency bit rows (symmetric
-    /// closure, self-loops dropped) — a compatibility wrapper that
-    /// packs the rows into a [`BitMatrix`] and delegates to
-    /// [`Graph::from_bit_matrix`]. New code should build the matrix
-    /// directly and skip the copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's capacity differs from the number of rows.
-    pub fn from_bit_rows(rows: Vec<BitSet>) -> Self {
-        let n = rows.len();
-        let mut m = BitMatrix::new(n, n);
-        for (v, row) in rows.iter().enumerate() {
-            assert_eq!(
-                row.capacity(),
-                n,
-                "row {v} capacity must equal the vertex count {n}"
-            );
-            m.union_row_with(v, row);
-        }
-        Graph::from_bit_matrix(m)
+        rows.close_symmetric();
+        let edge_count = rows.count_ones() / 2;
+        Graph { rows, edge_count }
     }
 
     /// Creates a graph on `n` vertices from an edge list.
@@ -260,7 +187,7 @@ impl Graph {
 
     /// The number of vertices.
     pub fn vertex_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.rows.row_count()
     }
 
     /// The number of edges.
@@ -277,9 +204,8 @@ impl Graph {
     pub fn edges(&self) -> impl Iterator<Item = (Vertex, Vertex)> + '_ {
         (0..self.vertex_count()).flat_map(move |u| {
             self.neighbor_indices(u)
-                .iter()
-                .filter(move |&&v| (v as usize) > u)
-                .map(move |&v| (Vertex::new(u), Vertex::new(v as usize)))
+                .filter(move |&v| v > u)
+                .map(move |v| (Vertex::new(u), Vertex::new(v)))
         })
     }
 
@@ -288,15 +214,16 @@ impl Graph {
         self.rows.contains(u, v)
     }
 
-    /// The degree (number of neighbours) of `v`.
+    /// The degree (number of neighbours) of `v`: the popcount of its
+    /// adjacency row.
     pub fn degree(&self, v: usize) -> usize {
-        (self.offsets[v + 1] - self.offsets[v]) as usize
+        self.rows.row(v).len()
     }
 
-    /// The neighbours of `v` as a raw sorted slice of indices — a view
-    /// into the shared CSR arena, not a per-vertex allocation.
-    pub fn neighbor_indices(&self, v: usize) -> &[u32] {
-        &self.nbrs[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    /// The neighbours of `v` in increasing order: the set bits of
+    /// [`Graph::neighbor_row`], read word by word with no allocation.
+    pub fn neighbor_indices(&self, v: usize) -> Iter<'_> {
+        self.rows.row(v).iter()
     }
 
     /// The neighbourhood of `v` as a borrowed bit row over vertex
@@ -313,12 +240,9 @@ impl Graph {
         self.rows.words()
     }
 
-    /// An estimate of the heap bytes resident in this graph's packed
-    /// arenas (CSR neighbours + offsets + adjacency bit matrix).
+    /// The heap bytes resident in this graph's adjacency bit matrix.
     pub fn resident_bytes(&self) -> usize {
-        self.nbrs.capacity() * std::mem::size_of::<u32>()
-            + self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.rows.resident_bytes()
+        self.rows.resident_bytes()
     }
 
     /// Returns `true` if `vs` induces a clique (every two members adjacent).
@@ -407,56 +331,33 @@ mod tests {
     }
 
     #[test]
-    fn from_bit_rows_symmetrizes_and_drops_self_loops() {
+    fn from_bit_matrix_symmetrizes_and_drops_self_loops() {
         // Rows recorded in one direction only (as interference
         // construction produces them), plus a self-loop.
-        let mut rows = vec![BitSet::new(4); 4];
-        rows[0].insert(0); // self-loop, dropped
-        rows[0].insert(1);
-        rows[0].insert(3);
-        rows[2].insert(1);
-        let g = Graph::from_bit_rows(rows);
-        assert_eq!(g.edge_count(), 3);
-        assert!(g.has_edge(1, 0) && g.has_edge(0, 1));
-        assert!(g.has_edge(3, 0));
-        assert!(g.has_edge(1, 2));
-        assert!(!g.has_edge(0, 0));
-        // Sorted adjacency derived consistently with the rows.
-        assert_eq!(g.neighbor_indices(1), &[0, 2]);
-        assert_eq!(g.neighbor_row(1).iter().collect::<Vec<_>>(), vec![0, 2]);
-    }
-
-    #[test]
-    fn from_bit_rows_matches_builder_output() {
-        let edges = [(0usize, 1usize), (1, 2), (2, 3), (0, 3), (1, 3)];
-        let via_builder = Graph::from_edges(5, &edges);
-        let mut rows = vec![BitSet::new(5); 5];
-        for &(u, v) in &edges {
-            rows[u].insert(v); // one direction only
-        }
-        assert_eq!(Graph::from_bit_rows(rows), via_builder);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must equal the vertex count")]
-    fn from_bit_rows_rejects_mismatched_rows() {
-        let _ = Graph::from_bit_rows(vec![BitSet::new(3), BitSet::new(3)]);
-    }
-
-    #[test]
-    fn from_bit_matrix_matches_from_bit_rows() {
-        // Same one-directional edges through both constructors.
         let mut m = BitMatrix::new(4, 4);
         m.insert(0, 0); // self-loop, dropped
         m.insert(0, 1);
         m.insert(0, 3);
         m.insert(2, 1);
-        let mut rows = vec![BitSet::new(4); 4];
-        rows[0].insert(0);
-        rows[0].insert(1);
-        rows[0].insert(3);
-        rows[2].insert(1);
-        assert_eq!(Graph::from_bit_matrix(m), Graph::from_bit_rows(rows));
+        let g = Graph::from_bit_matrix(m);
+        assert_eq!(g.edge_count(), 3);
+        assert!(g.has_edge(1, 0) && g.has_edge(0, 1));
+        assert!(g.has_edge(3, 0));
+        assert!(g.has_edge(1, 2));
+        assert!(!g.has_edge(0, 0));
+        assert_eq!(g.neighbor_indices(1).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(g.neighbor_row(1).iter().collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    #[test]
+    fn from_bit_matrix_matches_builder_output() {
+        let edges = [(0usize, 1usize), (1, 2), (2, 3), (0, 3), (1, 3)];
+        let via_builder = Graph::from_edges(5, &edges);
+        let mut m = BitMatrix::new(5, 5);
+        for &(u, v) in &edges {
+            m.insert(v, u); // one direction only, the builder's other one
+        }
+        assert_eq!(Graph::from_bit_matrix(m), via_builder);
     }
 
     #[test]
@@ -478,13 +379,29 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_indices_are_csr_slices() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]);
-        for v in 0..5 {
-            assert_eq!(g.neighbor_indices(v).len(), g.degree(v));
-            let from_row: Vec<u32> = g.neighbor_row(v).iter().map(|u| u as u32).collect();
-            assert_eq!(g.neighbor_indices(v), from_row.as_slice());
+    fn neighbor_indices_list_the_row_in_order() {
+        // Edges inside one word and across the 64- and 128-bit word
+        // boundaries.
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (1, 3),
+            (0, 63),
+            (63, 64),
+            (5, 129),
+            (64, 129),
+        ];
+        let g = Graph::from_edges(130, &edges);
+        for v in 0..130 {
+            let listed: Vec<usize> = g.neighbor_indices(v).collect();
+            assert_eq!(listed, g.neighbor_row(v).iter().collect::<Vec<_>>());
+            assert!(listed.windows(2).all(|w| w[0] < w[1]), "increasing");
+            assert_eq!(listed.len(), g.degree(v));
         }
+        assert_eq!(g.neighbor_indices(64).collect::<Vec<_>>(), vec![63, 129]);
+        assert_eq!(g.degree(129), 2);
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn sweep_events(intervals: &[Interval]) -> Vec<u64> {
 /// One sweep over the sorted endpoints keeps the live intervals as a bit
 /// set; each start unions that set into its own adjacency row, a
 /// word-level O(n/64) step, and [`Graph::from_bit_matrix`] mirrors the
-/// rows. O(n log n + n²/64 + |E|) in all.
+/// rows by 64×64 word blocks. O(n log n + n²/64) in all.
 ///
 /// # Examples
 ///

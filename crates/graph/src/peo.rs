@@ -30,6 +30,7 @@
 //! MCS would have finished. [`is_perfect_elimination_order`] is the
 //! independent after-the-fact check of any candidate order.
 
+use crate::bitset::BitSet;
 use crate::graph::{Graph, Vertex};
 
 /// The end of a bucket list, and the visit step of an unvisited vertex.
@@ -84,8 +85,13 @@ fn mcs<const CHECK: bool>(g: &Graph) -> Option<Vec<Vertex>> {
         buckets.push(0, v);
     }
     let mut weight = vec![0u32; n];
-    // The step at which each vertex was visited, `NONE` until then.
+    // The step at which each vertex was visited, `NONE` until then, and
+    // the visited vertices as a set and its complement: a visit walks
+    // its unvisited neighbours bit by bit and checks the visited ones
+    // word by word.
     let mut step = vec![NONE; n];
+    let mut visited = BitSet::new(n);
+    let mut unvisited = BitSet::full(n);
     let mut max_weight = 0usize;
     let mut order = Vec::with_capacity(n);
 
@@ -99,33 +105,32 @@ fn mcs<const CHECK: bool>(g: &Graph) -> Option<Vec<Vertex>> {
         let v = v as usize;
         step[v] = i;
         order.push(Vertex::new(v));
+        unvisited.remove(v);
 
-        let nbrs = g.neighbor_indices(v);
-        let mut parent = NONE;
-        for &u in nbrs {
-            let ui = u as usize;
-            if step[ui] != NONE {
-                if CHECK && (parent == NONE || step[ui] > step[parent as usize]) {
-                    parent = u;
-                }
-                continue;
-            }
-            let w = weight[ui] as usize;
-            buckets.unlink(w, u);
-            buckets.push(w + 1, u);
-            weight[ui] += 1;
+        let row = g.neighbor_row(v);
+        for u in row.iter_and(&unvisited) {
+            let w = weight[u] as usize;
+            buckets.unlink(w, u as u32);
+            buckets.push(w + 1, u as u32);
+            weight[u] += 1;
             max_weight = max_weight.max(w + 1);
         }
         // With at most one visited neighbour there is nothing to check.
+        // Otherwise the parent (the neighbour visited last) must be the
+        // only visited neighbour outside its own neighbourhood.
         if CHECK && weight[v] > 1 {
-            let row = g.neighbor_row(parent as usize);
-            let clique = nbrs
-                .iter()
-                .all(|&u| u == parent || step[u as usize] == NONE || row.contains(u as usize));
-            if !clique {
+            let parent = row.iter_and(&visited).max_by_key(|&u| step[u]);
+            let prow = g.neighbor_row(parent.expect("weight > 1")).words();
+            let words = row.words().iter().zip(visited.words()).zip(prow);
+            if words
+                .map(|((a, b), p)| (a & b & !p).count_ones())
+                .sum::<u32>()
+                != 1
+            {
                 return None;
             }
         }
+        visited.insert(v);
     }
     Some(order)
 }
@@ -134,7 +139,7 @@ fn mcs<const CHECK: bool>(g: &Graph) -> Option<Vec<Vertex>> {
 ///
 /// The returned vector lists vertices in *visit* order. If `g` is
 /// chordal, the reverse of this order is a perfect elimination order.
-/// Runs in O(|V| + |E|).
+/// Runs in O(|V|²/64 + |E|): each neighbourhood is read off a bit row.
 ///
 /// # Examples
 ///
@@ -154,7 +159,7 @@ pub fn mcs_order(g: &Graph) -> Vec<Vertex> {
 /// Uses the standard single-pass check: for every vertex `v`, let its
 /// *parent* `u` be its earliest-eliminated later neighbour; then all
 /// other later neighbours of `v` must be adjacent to `u`. Two scans of
-/// each neighbour list and one bit-row probe per edge: O(|V| + |E|),
+/// each neighbour row and one bit-row probe per edge: O(|V|²/64 + |E|),
 /// with no allocation beyond the position table.
 ///
 /// Returns `false` (rather than panicking) if `order` is not a
@@ -172,8 +177,7 @@ pub fn is_perfect_elimination_order(g: &Graph, order: &[Vertex]) -> bool {
         pos[v.index()] = i;
     }
     for (i, &v) in order.iter().enumerate() {
-        let nbrs = g.neighbor_indices(v.index());
-        let later = nbrs.iter().map(|&u| u as usize).filter(|&u| pos[u] > i);
+        let later = g.neighbor_indices(v.index()).filter(|&u| pos[u] > i);
         let Some(parent) = later.clone().min_by_key(|&u| pos[u]) else {
             continue;
         };
@@ -333,12 +337,8 @@ mod tests {
         }
         for &v in order {
             let v = v.index();
-            let mut later: Vec<usize> = g
-                .neighbor_indices(v)
-                .iter()
-                .map(|&u| u as usize)
-                .filter(|&u| pos[u] > pos[v])
-                .collect();
+            let mut later: Vec<usize> =
+                g.neighbor_indices(v).filter(|&u| pos[u] > pos[v]).collect();
             if later.len() <= 1 {
                 continue;
             }
@@ -420,8 +420,7 @@ mod tests {
             };
             visited[v] = true;
             order.push(Vertex::new(v));
-            for &u in g.neighbor_indices(v) {
-                let u = u as usize;
+            for u in g.neighbor_indices(v) {
                 if !visited[u] {
                     weight[u] += 1;
                     buckets[weight[u]].push(u);

@@ -140,12 +140,12 @@ proptest! {
         prop_assert_eq!(bs.iter().collect::<Vec<_>>(), reference.iter().copied().collect::<Vec<_>>());
     }
 
-    /// Every constructor lands on the same CSR graph: `from_edges`,
-    /// `from_bit_rows` and `from_bit_matrix` built from the same edge
-    /// set agree on edges, degrees and (sorted) neighbor order, with
-    /// self-loops dropped and the symmetric closure taken.
+    /// Both ways in land on the same graph: `from_edges` and
+    /// `from_bit_matrix` built from the same edge set agree on edges,
+    /// degrees and (increasing) neighbour order, with self-loops dropped
+    /// and the symmetric closure taken.
     #[test]
-    fn csr_constructors_agree(seed in 0u64..10_000, n in 1usize..40) {
+    fn constructors_agree(seed in 0u64..10_000, n in 1usize..40) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let m = rng.gen_range(0..n * 2 + 1);
         // Directed, possibly duplicated, possibly self-looped raw pairs:
@@ -156,35 +156,66 @@ proptest! {
 
         let from_edges = Graph::from_edges(n, &edges);
 
-        let mut row_sets = vec![BitSet::new(n); n];
         let mut matrix = BitMatrix::new(n, n);
         for &(u, v) in &edges {
-            if u != v {
-                row_sets[u].insert(v);
-                row_sets[v].insert(u);
-            }
             // The matrix path gets only the one direction (and the
             // self-loops): from_bit_matrix owes us the closure.
             matrix.insert(u, v);
         }
-        let from_rows = Graph::from_bit_rows(row_sets);
         let from_matrix = Graph::from_bit_matrix(matrix);
 
-        prop_assert_eq!(&from_edges, &from_rows);
         prop_assert_eq!(&from_edges, &from_matrix);
-        for g in [&from_edges, &from_rows, &from_matrix] {
+        for g in [&from_edges, &from_matrix] {
             for v in 0..n {
-                let nbrs = g.neighbor_indices(v);
+                let nbrs: Vec<usize> = g.neighbor_indices(v).collect();
                 prop_assert_eq!(nbrs.len(), g.degree(v));
-                prop_assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-                prop_assert!(!nbrs.contains(&(v as u32)), "no self-loop survives");
-                // The bit rows are the canonical adjacency the CSR
-                // arena was unpacked from: they must agree bit for bit.
-                prop_assert_eq!(
-                    g.neighbor_row(v).iter().map(|u| u as u32).collect::<Vec<_>>(),
-                    nbrs.to_vec()
-                );
+                prop_assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "increasing, deduped");
+                prop_assert!(!nbrs.contains(&v), "no self-loop survives");
+                for &u in &nbrs {
+                    prop_assert!(edges.contains(&(u, v)) || edges.contains(&(v, u)));
+                }
+                prop_assert_eq!(g.neighbor_row(v).iter().collect::<Vec<_>>(), nbrs);
             }
         }
+    }
+
+    /// `from_bit_matrix` mirrors by 64×64 word blocks; the result must
+    /// equal the bit-by-bit symmetric closure of a random one-directional
+    /// matrix with diagonal bits set, at sizes on and around the word
+    /// boundaries.
+    #[test]
+    fn block_closure_matches_the_bitwise_mirror(seed in 0u64..10_000, size in 0usize..7) {
+        let n = [0, 1, 63, 64, 65, 130, 200][size];
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let density = f64::from(rng.gen_range(0u32..30)) / 100.0;
+        let mut matrix = BitMatrix::new(n, n);
+        for u in 0..n {
+            // Only the upper or only the lower triangle per row, plus
+            // the diagonal: most edges arrive in one direction.
+            let upper = rng.gen_bool(0.5);
+            for v in 0..n {
+                if v == u || ((v > u) == upper && rng.gen_bool(density)) {
+                    matrix.insert(u, v);
+                }
+            }
+        }
+        let reference = |u: usize, v: usize| {
+            u != v && (matrix.contains(u, v) || matrix.contains(v, u))
+        };
+        let g = Graph::from_bit_matrix(matrix.clone());
+        let mut ones = 0;
+        for u in 0..n {
+            prop_assert!(!g.has_edge(u, u), "diagonal bit {} survives", u);
+            for v in 0..n {
+                prop_assert_eq!(g.has_edge(u, v), reference(u, v), "({}, {})", u, v);
+                ones += usize::from(reference(u, v));
+            }
+            let nbrs: Vec<usize> = g.neighbor_indices(u).collect();
+            prop_assert_eq!(&nbrs, &g.neighbor_row(u).iter().collect::<Vec<_>>());
+            prop_assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "increasing");
+            prop_assert_eq!(nbrs.len(), g.degree(u));
+        }
+        prop_assert_eq!(g.edge_count(), ones / 2);
+        prop_assert_eq!(g.edges().count(), ones / 2);
     }
 }

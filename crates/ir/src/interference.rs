@@ -31,9 +31,10 @@ use lra_graph::{BitMatrix, Graph, Interval};
 /// each definition unions the current live set into its own row with
 /// one word-level [`BitMatrix::union_row_with`] — O(n/64) per
 /// definition instead of one `add_edge` call per live value — and
-/// [`Graph::from_bit_matrix`] mirrors the edges and derives the CSR
-/// neighbor arena in a single final pass. The whole adjacency is **one
-/// allocation**, not one `BitSet` per value.
+/// [`Graph::from_bit_matrix`] mirrors the edges by 64×64 word blocks
+/// and clears the diagonal in one final pass. That matrix is the
+/// graph's only adjacency: **one allocation**, not one `BitSet` or
+/// neighbour list per value.
 pub fn interference_graph(f: &Function, live: &Liveness) -> Graph {
     interference_graph_in(f, live, &mut AnalysisScratch::new())
 }
@@ -74,7 +75,6 @@ pub fn interference_graph_in(
         for instr in f.blocks[bi].phis() {
             if let Some(d) = instr.def {
                 rows.union_row_with(d.index(), &live.live_in[bi]);
-                rows.remove(d.index(), d.index());
             }
         }
     }

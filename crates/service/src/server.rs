@@ -5,8 +5,8 @@ use crate::proto;
 use crate::service::{AllocationService, ServiceConfig, SubmitError, SubmitOptions};
 use crate::ServiceMetrics;
 use lra_core::batch::BatchItem;
-use lra_ir::textio;
-use std::io::{self, BufRead as _, BufReader, Write as _};
+use lra_ir::{textio, Function};
+use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -127,14 +127,40 @@ fn accept_loop(
     }
 }
 
-/// The largest `values=` header an alloc request may carry. The
-/// header legitimately exceeds the values mentioned in the body (the
-/// codec round-trips sparse functions), but it also sizes every
-/// per-value analysis table — without a lid, a 40-byte request
-/// claiming four billion values would make a worker allocate
-/// gigabytes. Far above any real corpus (~200 temporaries), far below
-/// harm.
-pub const MAX_REQUEST_VALUES: u32 = 1_000_000;
+/// The most bytes of dense analysis tables one request may size (see
+/// [`dense_table_bytes`]). A header may claim more values than the body
+/// uses, and a failed allocation aborts the whole process: a 94-byte
+/// `values=1000000` request would ask for a 125 GB matrix. The largest
+/// corpus function at seed 2013 (jit-large, 194 values in 32 blocks)
+/// needs 6,256 bytes; 16 MiB is 2,600× that (about 60× its values).
+pub const MAX_REQUEST_TABLE_BYTES: u64 = 16 << 20;
+
+/// The longest request line read, newline excluded: 160× the longest
+/// corpus request. A longer line gets an in-band error and closes the
+/// connection, since framing cannot resume inside it.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// The bytes of `f`'s dense tables: the interference matrix
+/// (`values² / 8`) and each block's live-in and live-out sets
+/// (`2 × blocks × values / 8`).
+pub fn dense_table_bytes(f: &Function) -> u64 {
+    let (values, blocks) = (u128::from(f.value_count), f.block_count() as u128);
+    u64::try_from((values * values + 2 * blocks * values) / 8).unwrap_or(u64::MAX)
+}
+
+/// The in-band error for a function whose [`dense_table_bytes`] exceed
+/// [`MAX_REQUEST_TABLE_BYTES`]; the server asks before queueing it.
+pub fn admit(f: &Function) -> Result<(), String> {
+    let bytes = dense_table_bytes(f);
+    if bytes <= MAX_REQUEST_TABLE_BYTES {
+        return Ok(());
+    }
+    Err(format!(
+        "function too large: {} values in {} blocks need {bytes} bytes of dense tables, over the {MAX_REQUEST_TABLE_BYTES} byte limit",
+        f.value_count,
+        f.block_count()
+    ))
+}
 
 /// How long a worker callback may block writing a response before the
 /// connection is declared dead. A client that stops *reading* would
@@ -182,32 +208,43 @@ fn handle_connection(
     stream.set_nodelay(true).ok();
     stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
     stream.set_read_timeout(Some(read_timeout)).ok();
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let writer = Arc::new(ConnWriter {
         stream: Mutex::new(stream),
         dead: AtomicBool::new(false),
     });
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            // A peer silent past the read timeout is treated as gone
-            // (the mirror of WRITE_TIMEOUT): the handler thread exits
-            // instead of being pinned forever. In-flight responses
-            // still flush — worker callbacks hold their own writer Arc.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                break;
-            }
-            Err(e) => return Err(e),
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+        // EOF, a peer silent past the read timeout (the mirror of
+        // WRITE_TIMEOUT) or a broken stream ends the connection, so the
+        // handler thread is never pinned forever. In-flight responses
+        // still flush — worker callbacks hold their own writer Arc.
+        if matches!(
+            reader.by_ref().take(limit).read_until(b'\n', &mut buf),
+            Ok(0) | Err(_)
+        ) {
+            break;
+        }
+        if buf.last() != Some(&b'\n') && buf.len() > MAX_REQUEST_LINE_BYTES {
+            write_line(
+                &writer,
+                &proto::error_response(None, "request line too long"),
+            );
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
+        let line = match line.strip_suffix('\n') {
+            Some(line) => line.strip_suffix('\r').unwrap_or(line),
+            None => line,
         };
         if line.trim().is_empty() {
             continue;
         }
-        let fields = match proto::parse_object(&line) {
+        let fields = match proto::parse_object(line) {
             Ok(f) => f,
             Err(e) => {
                 write_line(
@@ -241,17 +278,8 @@ fn handle_connection(
                         continue;
                     }
                 };
-                if function.value_count > MAX_REQUEST_VALUES {
-                    write_line(
-                        &writer,
-                        &proto::error_response(
-                            Some(id),
-                            &format!(
-                                "function too large: {} values exceeds the {} limit",
-                                function.value_count, MAX_REQUEST_VALUES
-                            ),
-                        ),
-                    );
+                if let Err(e) = admit(&function) {
+                    write_line(&writer, &proto::error_response(Some(id), &e));
                     continue;
                 }
                 // Optional trace extensions: a correlation id echoed

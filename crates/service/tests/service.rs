@@ -382,6 +382,66 @@ fn a_silent_client_cannot_pin_a_handler_thread() {
     assert!(result.rows[0].outcome.is_ok());
 }
 
+/// One block holding one `op`, with a header claiming a million values:
+/// admitted by value count alone, its interference matrix would need
+/// 125 GB and the failed allocation would abort the server.
+const MILLION_VALUE_FN: &str = "fn dos values=1000000 entry=0 params=-\nbb0: succs=-\n  op\nend\n";
+
+#[test]
+fn admission_refuses_the_million_value_request_before_sizing_a_table() {
+    use lra_service::server::{admit, dense_table_bytes, MAX_REQUEST_TABLE_BYTES};
+    let f = lra_ir::textio::parse(MILLION_VALUE_FN).unwrap();
+    assert_eq!(
+        lra_service::proto::alloc_request(1, MILLION_VALUE_FN).len(),
+        94
+    );
+    assert_eq!(dense_table_bytes(&f), 125_000_250_000);
+    let err = admit(&f).unwrap_err();
+    assert!(err.starts_with("function too large"), "{err}");
+    // A header a little inside the bound is admitted; the square of the
+    // largest u32 still counts without overflow.
+    let mut g = f.clone();
+    g.value_count = 11_000;
+    assert!(dense_table_bytes(&g) <= MAX_REQUEST_TABLE_BYTES);
+    assert!(admit(&g).is_ok());
+    g.value_count = u32::MAX;
+    assert!(admit(&g).is_err());
+    for f in ssa_corpus(4).iter().chain(&jit_corpus(4)) {
+        assert!(admit(f).is_ok(), "{}", f.name);
+    }
+}
+
+#[test]
+fn an_over_long_line_gets_an_error_and_closes_only_its_connection() {
+    use lra_service::server::MAX_REQUEST_LINE_BYTES;
+    use std::io::{BufRead as _, BufReader, Write as _};
+    let server = serve(
+        "127.0.0.1:0",
+        ServiceConfig::new(pipeline()).workers(1).queue_capacity(4),
+    )
+    .unwrap();
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // One byte past the cap and no newline: the server reads all of it,
+    // so its close is an orderly one and the error line arrives.
+    (&stream)
+        .write_all(&vec![b' '; MAX_REQUEST_LINE_BYTES + 1])
+        .unwrap();
+    let mut resp = String::new();
+    reader.read_line(&mut resp).unwrap();
+    assert!(
+        resp.contains("\"ok\":false") && resp.contains("request line too long"),
+        "{resp:?}"
+    );
+    resp.clear();
+    assert_eq!(reader.read_line(&mut resp).unwrap(), 0, "closed: {resp:?}");
+    // The server itself still answers.
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    assert!(client.allocate_all(&ssa_corpus(1)).unwrap().rows[0]
+        .outcome
+        .is_ok());
+}
+
 #[test]
 fn malformed_frames_get_error_responses_without_killing_the_connection() {
     use std::io::{BufRead as _, BufReader, Write as _};
@@ -406,15 +466,16 @@ fn malformed_frames_get_error_responses_without_killing_the_connection() {
     // before the parser sees it) but broken at the JSON layer in a
     // different way. Each must come back as an in-band error.
     let bad = [
-        "{",                                                    // truncated object
-        "\"just a string\"",                                    // non-object root
-        "{\"op\":\"alloc\",\"id\":5,\"fn\":\"x\\u00\"}",        // truncated \u escape
-        "{\"op\":\"alloc\",\"id\":6,\"fn\":\"\\q\"}",           // unknown escape
-        "{\"op\":\"alloc\",\"id\":7,\"fn\":{}}",                // fn is not a string
-        "{\"op\":[\"alloc\"],\"id\":8}",                        // op is not a string
-        "{\"op\":\"alloc\",\"id\":-3}",                         // negative id
-        "{\"op\":\"alloc\",\"id\":99999999999999999999999999}", // id overflows u64
-        "{\"op\":\"alloc\",\"id\":9,\"fn\":\"fn\"} trailing",   // trailing garbage
+        "{",                                                      // truncated object
+        "\"just a string\"",                                      // non-object root
+        "{\"op\":\"alloc\",\"id\":5,\"fn\":\"x\\u00\"}",          // truncated \u escape
+        "{\"op\":\"alloc\",\"id\":6,\"fn\":\"\\q\"}",             // unknown escape
+        "{\"op\":\"alloc\",\"id\":7,\"fn\":{}}",                  // fn is not a string
+        "{\"op\":[\"alloc\"],\"id\":8}",                          // op is not a string
+        "{\"op\":\"alloc\",\"id\":-3}",                           // negative id
+        "{\"op\":\"alloc\",\"id\":99999999999999999999999999}",   // id overflows u64
+        "{\"op\":\"alloc\",\"id\":9,\"fn\":\"fn\"} trailing",     // trailing garbage
+        &lra_service::proto::alloc_request(10, MILLION_VALUE_FN), // 125 GB matrix
     ];
     for frame in bad {
         let resp = send(frame);
