@@ -34,25 +34,27 @@ fn interval_parts(n: usize) -> (Vec<Interval>, Vec<Cost>) {
     (ivs, w)
 }
 
-/// A general graph with about 12 neighbours per vertex: dense enough
-/// that every `exact_tier` search runs out of its fuel.
+/// A general graph with about 18 neighbours per vertex: dense enough
+/// that every `exact_tier` search runs out of its fuel, so the rows
+/// time the kernel per node (at 12 neighbours the searches complete in
+/// under 1,000 nodes).
 fn general_instance(n: usize) -> Instance {
     let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let g = generate::random_general(&mut rng, n, (1200 / n) as u32);
+    let g = generate::random_general(&mut rng, n, (1800 / n) as u32);
     let w = generate::random_weights(&mut rng, n, 3);
     Instance::from_weighted_graph(WeightedGraph::new(g, w))
 }
 
 /// The exact tier: the `LH` incumbent and a branch-and-bound search
-/// seeded with it under a fixed 50,000-node fuel (ten times the
+/// seeded with it under a fixed 50,000-node fuel (twenty times the
 /// standard corpora's, kept so the rows stay comparable) at each row
-/// width (40 vertices fit one word, 100 two, 200 four, and 300 need the
+/// width (48 vertices fit one word, 100 two, 200 four, and 300 need the
 /// run-time width).
 fn bench_exact_tier(c: &mut Criterion) {
     let r = 6;
     let mut group = c.benchmark_group("exact_tier");
     group.sample_size(10);
-    for n in [40usize, 100, 200, 300] {
+    for n in [48usize, 100, 200, 300] {
         let inst = general_instance(n);
         group.bench_with_input(BenchmarkId::new("branch_bound", n), &inst, |b, inst| {
             b.iter(|| {

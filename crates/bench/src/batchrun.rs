@@ -55,7 +55,7 @@ impl BatchExperiment {
 pub const FUEL_SWEEP: [u64; 5] = [50_000, 25_000, 12_500, 5_000, 2_500];
 
 /// The portfolio configuration the standard corpora run under:
-/// [`PortfolioConfig::default`], whose 5,000-node fuel the
+/// [`PortfolioConfig::default`], whose 2,500-node fuel the
 /// [`FUEL_SWEEP`] frontier picked. Fuel is counted, not timed, so the
 /// escalation outcome (and therefore the rendered report) is
 /// byte-identical at any worker count.
@@ -502,8 +502,8 @@ mod tests {
         // The default is the frontier's pick; the frozen benchmark
         // package reaches it through `standard_portfolio_config`.
         assert_eq!(standard_portfolio_config(), PortfolioConfig::default());
-        assert_eq!(PortfolioConfig::default().node_budget, 5_000);
-        assert!(FUEL_SWEEP.contains(&5_000));
+        assert_eq!(PortfolioConfig::default().node_budget, 2_500);
+        assert!(FUEL_SWEEP.contains(&2_500));
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //!   [`BatchAllocator`] reference on the same corpus — faults perturb
 //!   scheduling and transport, never results;
 //! * every fault kind enabled in the plan actually **fired** (a chaos
-//!   run that injected nothing proves nothing).
+//!   run that injected nothing proves nothing);
+//! * **oversized requests** (a function whose dense tables exceed the
+//!   admission bound, and a line twice [`MAX_REQUEST_LINE_BYTES`]) get
+//!   in-band errors on connections of their own, and the server still
+//!   answers afterwards.
 //!
 //! The CLI front end (`lra-bench chaos`) prints each pass's report to
 //! stdout in the exact `loadgen` format so CI can diff it against
@@ -22,6 +26,7 @@
 
 use lra_core::batch::{render_rows, BatchAllocator, ReportRow};
 use lra_service::fault::{FaultPlan, FaultReport};
+use lra_service::server::MAX_REQUEST_LINE_BYTES;
 use lra_service::{proto, serve, ServiceConfig, ServiceMetrics};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -37,6 +42,10 @@ const WINDOW: usize = 16;
 /// over the 27-method corpus needs a handful; hitting this means the
 /// server stopped making progress and the soak should fail loudly.
 const MAX_CONNECTIONS: usize = 10_000;
+
+/// A 94-byte request whose header asks for a million values: its dense
+/// tables would need 125 GB, so admission must refuse it unsized.
+const MILLION_VALUE_FN: &str = "fn dos values=1000000 entry=0 params=-\nbb0: succs=-\n  op\nend\n";
 
 /// What one chaos soak observed (see [`run`]).
 pub struct ChaosOutcome {
@@ -63,8 +72,9 @@ pub struct ChaosOutcome {
 ///
 /// Panics when any contract is violated: a duplicated or unknown
 /// response id, a surviving report that differs from the batch
-/// reference, an enabled fault kind that never fired, or a pass that
-/// exhausts its reconnect budget.
+/// reference, an enabled fault kind that never fired, a pass that
+/// exhausts its reconnect budget, or an oversized request that is not
+/// refused in band or leaves the server unresponsive.
 pub fn run(
     seed: u64,
     threads: usize,
@@ -103,6 +113,7 @@ pub fn run(
         );
         outcome.passes.push(rendered);
     }
+    oversized_requests(&addr.to_string());
 
     outcome.faults = server
         .fault_report()
@@ -248,4 +259,63 @@ fn drive_connection(
             }
         }
     }
+}
+
+/// Sends the oversized requests, each on a connection of its own so
+/// the passes' reports are untouched. The million-value function gets
+/// `function too large` and its connection stays up; a line of twice
+/// [`MAX_REQUEST_LINE_BYTES`] gets `request line too long` and an
+/// orderly close. A fresh connection's `stats` request must then be
+/// answered. Admission and over-long lines are refused before any
+/// worker runs, so the fault plan cannot touch these answers.
+fn oversized_requests(addr: &str) {
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect for oversized requests");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
+        let reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+        (stream, reader)
+    };
+    let read = |reader: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("an answer, not a reset");
+        line
+    };
+    let send = |mut stream: &TcpStream, line: &str| {
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+    };
+
+    let (stream, mut reader) = connect();
+    send(&stream, &proto::alloc_request(1, MILLION_VALUE_FN));
+    let refused = read(&mut reader);
+    assert!(
+        refused.contains("\"ok\":false") && refused.contains("function too large"),
+        "the million-value request: {refused:?}"
+    );
+    send(&stream, &proto::op_request(2, "stats"));
+    let stats = read(&mut reader);
+    assert!(
+        stats.starts_with("{\"id\":2,\"ok\":true"),
+        "same connection: {stats:?}"
+    );
+
+    let (mut stream, mut reader) = connect();
+    stream
+        .write_all(&vec![b' '; 2 * MAX_REQUEST_LINE_BYTES])
+        .expect("the server reads the whole line");
+    let refused = read(&mut reader);
+    assert!(
+        refused.contains("\"ok\":false") && refused.contains("request line too long"),
+        "the over-long line: {refused:?}"
+    );
+    assert!(read(&mut reader).is_empty(), "an orderly close");
+
+    let (stream, mut reader) = connect();
+    send(&stream, &proto::op_request(3, "stats"));
+    let stats = read(&mut reader);
+    assert!(
+        stats.starts_with("{\"id\":3,\"ok\":true"),
+        "after the oversized requests: {stats:?}"
+    );
 }

@@ -29,7 +29,6 @@ pub mod branch_bound;
 pub mod chordal_dp;
 pub mod flow;
 
-use crate::baselines::ChaitinBriggs;
 use crate::cluster::LayeredHeuristic;
 use crate::problem::{Allocation, Allocator, Instance};
 
@@ -118,28 +117,15 @@ impl Optimal {
         branch_bound::solve_from(instance, r, &mut budget, incumbent)
     }
 
-    /// [`Optimal::try_allocate`] seeded with [`certified_seed`],
-    /// keeping certified optima only: `None` when `budget` trips,
-    /// whatever the search held.
+    /// [`Optimal::try_allocate`] seeded with `LH`, keeping certified
+    /// optima only: `None` when `budget` trips, whatever the search
+    /// held.
     fn certified(&self, instance: &Instance, r: u32, budget: &SolveBudget) -> Option<Allocation> {
-        match self.try_allocate(instance, r, budget, &certified_seed(instance, r))? {
+        let seed = LayeredHeuristic::new().allocate(instance, r);
+        match self.try_allocate(instance, r, budget, &seed)? {
             (a, true) => Some(a),
             (_, false) => None,
         }
-    }
-}
-
-/// The incumbent of [`Optimal`]'s certified path: the cheaper of `LH`
-/// and `GC`. Both matter: branch-and-bound visits vertices by weight,
-/// and from `LH` alone it can search for millions of nodes for an
-/// `R`-colouring that `GC` finds at once.
-fn certified_seed(instance: &Instance, r: u32) -> Allocation {
-    let lh = LayeredHeuristic::new().allocate(instance, r);
-    let gc = ChaitinBriggs::new().allocate(instance, r);
-    if gc.spill_cost < lh.spill_cost {
-        gc
-    } else {
-        lh
     }
 }
 
@@ -260,15 +246,15 @@ mod tests {
         use lra_graph::generate;
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let g = generate::random_general(&mut rng, 30, 40);
+        let g = generate::random_general(&mut rng, 40, 40);
         let inst = Instance::from_weighted_graph(WeightedGraph::new(
             g,
-            generate::random_weights(&mut rng, 30, 2),
+            generate::random_weights(&mut rng, 40, 2),
         ));
         let starved = SolveBudget::nodes(1_000);
         // A worse incumbent than LH, so the exhausted search has
         // something to improve on.
-        let poor = inst.allocation_from_set(lra_graph::BitSet::new(30));
+        let poor = inst.allocation_from_set(lra_graph::BitSet::new(40));
         let (held, certified) = Optimal
             .try_allocate(&inst, 4, &starved, &poor)
             .expect("the search improves on spilling everything");

@@ -27,7 +27,7 @@
 //! # Fuel
 //!
 //! [`PortfolioConfig::node_budget`] is the one fuel setting: every
-//! escalation gets the same `n` nodes, 5,000 by default (the fuel
+//! escalation gets the same `n` nodes, 2,500 by default (the fuel
 //! frontier's pick, see [`PortfolioConfig::default`]), and `0` never
 //! escalates. The DP and branch-and-bound tiers of one escalation
 //! share that fuel.
@@ -85,21 +85,22 @@ pub struct PortfolioConfig {
 }
 
 impl Default for PortfolioConfig {
-    /// `LH` first, then exact escalation under 5,000 nodes of fuel,
+    /// `LH` first, then exact escalation under 2,500 nodes of fuel,
     /// cache on.
     ///
     /// The fuel is the data's pick, not a guess: it is the smallest
-    /// `lra-bench portfolio` fuel (50,000, 25,000, 12,500 and
-    /// 5,000 nodes) at which the seed-2013 final `total_spill_cost` of
+    /// `lra-bench portfolio` fuel (50,000, 25,000, 12,500, 5,000 and
+    /// 2,500 nodes) at which the seed-2013 final `total_spill_cost` of
     /// both `jit-large/Portfolio/R6` and `jit-huge/Portfolio/R6` is no
     /// higher than under the old 50,000-node pin without anytime search
     /// (`docs/benchmarks.md`, "Fuel frontier"). The exact tier keeps
-    /// what an exhausted search found, so most of the gain arrives
-    /// early in the search.
+    /// what an exhausted search found, and branch-and-bound branches on
+    /// the most constrained vertex first, so most of the gain arrives
+    /// early in the search: the pick was 5,000 under the static order.
     fn default() -> Self {
         PortfolioConfig {
             cheap: "LH".to_string(),
-            node_budget: 5_000,
+            node_budget: 2_500,
             cache: true,
         }
     }
@@ -370,13 +371,13 @@ mod tests {
         use rand::SeedableRng;
         use rand_chacha::ChaCha8Rng;
         // C5 at one node (exhausted) and at plenty (won), and a dense
-        // 30-vertex graph whose LH allocation the search improves on
+        // 40-vertex graph whose LH allocation the search improves on
         // long before it can finish (improved) or certifies (tied).
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let g = generate::random_general(&mut rng, 30, 40);
+        let g = generate::random_general(&mut rng, 40, 40);
         let dense = Instance::from_weighted_graph(WeightedGraph::new(
             g,
-            generate::random_weights(&mut rng, 30, 2),
+            generate::random_weights(&mut rng, 40, 2),
         ));
         let mut seen = [0; 4];
         for (inst, r, fuel) in [

@@ -7,7 +7,7 @@ use crate::ServiceMetrics;
 use lra_core::batch::BatchItem;
 use lra_ir::{textio, Function};
 use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -168,6 +168,11 @@ pub fn admit(f: &Function) -> Result<(), String> {
 /// whole pool and hanging shutdown drain.
 const WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
+/// How much of an over-long line's remainder the server reads, and for
+/// how long, after answering it and before it closes the connection.
+const DRAIN_BYTES: u64 = 4 * MAX_REQUEST_LINE_BYTES as u64;
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// A connection's shared write side. `dead` latches on the first
 /// write failure (including the [`WRITE_TIMEOUT`]) so later worker
 /// callbacks return immediately instead of queueing up on a socket
@@ -232,6 +237,17 @@ fn handle_connection(
                 &writer,
                 &proto::error_response(None, "request line too long"),
             );
+            // Closing a socket with unread input resets the connection,
+            // and a reset can discard the error line before the client
+            // reads it. So half-close (the client reads the error, then
+            // EOF) and read what the client still sends, up to a bound,
+            // before dropping the stream. Responses still queued for
+            // this connection are lost with it.
+            let stream = writer.stream.lock().unwrap_or_else(PoisonError::into_inner);
+            stream.shutdown(Shutdown::Write).ok();
+            stream.set_read_timeout(Some(DRAIN_TIMEOUT)).ok();
+            drop(stream);
+            io::copy(&mut reader.take(DRAIN_BYTES), &mut io::sink()).ok();
             break;
         }
         let Ok(line) = std::str::from_utf8(&buf) else {

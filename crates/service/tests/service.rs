@@ -443,6 +443,33 @@ fn an_over_long_line_gets_an_error_and_closes_only_its_connection() {
 }
 
 #[test]
+fn a_two_mib_line_is_answered_without_a_connection_reset() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    let server = serve(
+        "127.0.0.1:0",
+        ServiceConfig::new(pipeline()).workers(1).queue_capacity(4),
+    )
+    .unwrap();
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // Twice the cap: the server stops reading the line at the cap, so
+    // the rest is still in flight when it answers. It must read that
+    // rest before closing, or the close resets the connection and the
+    // error line can be lost; writing all of it must succeed too.
+    (&stream).write_all(&vec![b' '; 2 << 20]).unwrap();
+    let mut resp = String::new();
+    reader
+        .read_line(&mut resp)
+        .expect("the error line, not a reset");
+    assert!(
+        resp.contains("\"ok\":false") && resp.contains("request line too long"),
+        "{resp:?}"
+    );
+    resp.clear();
+    assert_eq!(reader.read_line(&mut resp).expect("an orderly close"), 0);
+}
+
+#[test]
 fn malformed_frames_get_error_responses_without_killing_the_connection() {
     use std::io::{BufRead as _, BufReader, Write as _};
     let server = serve(

@@ -174,45 +174,67 @@ fn interval_view_pipeline_matches_flow_optimum() {
 
 /// Rows of the standard corpora that once shipped `converged` with no
 /// register assignment at all, because the verifier searched for a
-/// colouring of a general graph and gave up. Each must converge with a
+/// colouring of a general graph and gave up, and every converged row
+/// of the seed-2013 jit-huge corpus. A converged row must carry a
 /// `Feasible` verdict, and every value the final function defines or
-/// uses must hold a register.
+/// uses must hold a register. `crypto::h6` still converges;
+/// `sunflow::h24` no longer does since branch-and-bound branches on the
+/// most blocked vertex first, and is held to the rule if it does again.
 #[test]
 fn converged_rows_carry_a_total_assignment() {
-    for (seed, experiment, names) in [
-        (
-            2013,
-            "jit-huge/Portfolio/R6",
-            &["crypto::h6", "sunflow::h24"][..],
-        ),
-        (2036, "specjvm98/LH/R6", &["raytrace::m0"][..]),
-    ] {
-        let exp = batchrun::standard_experiments(seed)
+    let check = |experiment: &str, name: &str, report: &lra::core::AllocatedFunction| {
+        assert!(
+            report.verdict.is_feasible(),
+            "{experiment} {name}: verdict {:?}",
+            report.verdict
+        );
+        let unassigned: Vec<usize> = report
+            .function
+            .blocks
+            .iter()
+            .flat_map(|b| &b.instrs)
+            .flat_map(|i| i.def.iter().chain(&i.uses))
+            .map(|v| v.index())
+            .filter(|&v| report.assignment.register_of(v).is_none())
+            .collect();
+        assert!(
+            unassigned.is_empty(),
+            "{experiment} {name}: values without a register: {unassigned:?}"
+        );
+    };
+    let experiment = |seed: u64, name: &str| {
+        batchrun::standard_experiments(seed)
             .into_iter()
-            .find(|e| e.name == experiment)
-            .unwrap_or_else(|| panic!("standard experiment {experiment}"));
-        for &name in names {
-            let f = exp.functions.iter().find(|f| f.name == name);
-            let report = exp.pipeline.run(f.expect(name)).expect(name);
-            assert!(report.converged, "{experiment} {name}: not converged");
-            assert!(
-                report.verdict.is_feasible(),
-                "{experiment} {name}: verdict {:?}",
-                report.verdict
-            );
-            let unassigned: Vec<usize> = report
-                .function
-                .blocks
-                .iter()
-                .flat_map(|b| &b.instrs)
-                .flat_map(|i| i.def.iter().chain(&i.uses))
-                .map(|v| v.index())
-                .filter(|&v| report.assignment.register_of(v).is_none())
-                .collect();
-            assert!(
-                unassigned.is_empty(),
-                "{experiment} {name}: values without a register: {unassigned:?}"
-            );
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("standard experiment {name}"))
+    };
+
+    let exp = experiment(2036, "specjvm98/LH/R6");
+    let f = exp.functions.iter().find(|f| f.name == "raytrace::m0");
+    let report = exp
+        .pipeline
+        .run(f.expect("raytrace::m0"))
+        .expect("allocates");
+    assert!(report.converged, "raytrace::m0: not converged");
+    check(&exp.name, "raytrace::m0", &report);
+
+    let exp = experiment(2013, "jit-huge/Portfolio/R6");
+    let mut converged = Vec::new();
+    for f in &exp.functions {
+        let report = exp.pipeline.run(f).expect(&f.name);
+        if report.converged {
+            check(&exp.name, &f.name, &report);
+            converged.push(f.name.as_str());
         }
     }
+    assert!(
+        converged.contains(&"crypto::h6"),
+        "crypto::h6: not converged"
+    );
+    assert!(exp.functions.iter().any(|f| f.name == "sunflow::h24"));
+    assert_eq!(
+        converged.len(),
+        322,
+        "converged rows of jit-huge at seed 2013"
+    );
 }

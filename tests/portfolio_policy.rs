@@ -75,7 +75,7 @@ fn portfolio_first_round_cost_never_exceeds_the_cheap_tier() {
 fn adaptive_budget_batches_are_byte_identical_across_thread_counts() {
     let fs = jit_subset(6);
     let cfg = PortfolioConfig::default();
-    assert_eq!(cfg.node_budget, 5_000, "the default budget is a fixed fuel");
+    assert_eq!(cfg.node_budget, 2_500, "the default budget is a fixed fuel");
     let pipeline = base_pipeline().portfolio(cfg);
     let seq = BatchAllocator::new(pipeline.clone()).threads(1).run(&fs);
     let par = BatchAllocator::new(pipeline.clone()).threads(2).run(&fs);
