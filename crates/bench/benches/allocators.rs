@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lra_core::baselines::{BeladyLinearScan, ChaitinBriggs, LinearScan};
 use lra_core::layered::Layered;
-use lra_core::optimal::{branch_bound, SolveBudget};
+use lra_core::optimal::branch_bound;
 use lra_core::problem::{Allocator, Instance};
 use lra_core::{LayeredHeuristic, Optimal};
 use lra_graph::{generate, interval, CliqueTree, Cost, Interval, WeightedGraph};
@@ -59,7 +59,7 @@ fn bench_exact_tier(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("branch_bound", n), &inst, |b, inst| {
             b.iter(|| {
                 let lh = LayeredHeuristic::new().allocate(inst, r);
-                branch_bound::solve_from(inst, r, &mut SolveBudget::nodes(50_000), &lh)
+                branch_bound::solve_from(inst, r, 50_000, &lh)
             })
         });
     }

@@ -255,9 +255,10 @@ mod tests {
             );
             assert!(escalations > 0, "{}: no escalation", p.name);
         }
-        // Outside the portfolio, the interval corpus carries its PEO
-        // and LH never asks for one: neither runs a chordality test.
-        for p in profiles.iter().filter(|p| !p.name.contains("Portfolio")) {
+        // The interval corpus carries its PEO, LH never asks for one,
+        // and the portfolio's escalation runs flow or branch-and-bound
+        // without asking either: no corpus runs a chordality test.
+        for p in &profiles {
             assert_eq!(p.trace.chordality_tests, 0, "{}", p.name);
         }
     }

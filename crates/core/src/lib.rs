@@ -70,7 +70,7 @@ pub use batch::{BatchAllocator, BatchItem, BatchReport, BatchSummary, ReportRow,
 pub use cluster::LayeredHeuristic;
 pub use driver::{AllocatedFunction, AllocationPipeline, PipelineError};
 pub use layered::Layered;
-pub use optimal::{Optimal, SolveBudget};
+pub use optimal::Optimal;
 pub use portfolio::{Portfolio, PortfolioConfig, PortfolioOutcome, PortfolioSource};
 pub use problem::{Allocation, Allocator, Instance};
 pub use registry::{AllocatorRegistry, AllocatorSpec, CHORDAL_FIGURE_SET, JVM_FIGURE_SET};

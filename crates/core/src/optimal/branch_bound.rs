@@ -62,13 +62,12 @@
 //! against the fuel.
 //!
 //! The search is *anytime*: [`solve_from`] marks a completed search's
-//! answer certified, and when the budget runs out it still hands back
+//! answer certified, and when the fuel runs out it still hands back
 //! the best allocation it holds, uncertified, if that is strictly
 //! cheaper than the caller's.
 //! Sparse graphs of a few hundred vertices can complete; a dense
 //! 40-vertex one may not.
 
-use super::SolveBudget;
 use crate::problem::{Allocation, Instance};
 use crate::trace;
 use lra_graph::{BitSet, Cost, Graph};
@@ -174,7 +173,7 @@ impl<'a> Problem<'a> {
 
 impl<'a, X: Width> Kernel<'a, X> {
     /// Builds the rows of `p`'s search at row width `width`.
-    fn new(width: X, p: &'a Problem<'_>, budget: &SolveBudget) -> Self {
+    fn new(width: X, p: &'a Problem<'_>, fuel: u64) -> Self {
         let w = width.words();
         let n = p.order.len();
         let position = p.positions();
@@ -205,7 +204,7 @@ impl<'a, X: Width> Kernel<'a, X> {
             // above the incumbent; if nothing beats it, it stands.
             best_spill: p.incumbent_spill + 1,
             nodes: 0,
-            node_limit: budget.node_limit,
+            node_limit: fuel,
         }
     }
 
@@ -296,7 +295,7 @@ impl<'a, X: Width> Kernel<'a, X> {
     /// Searches the subtree at `depth` decided positions with `spill`
     /// charged so far and `forced` the weight of the unplaced positions
     /// forced to spill; their sum must be below the best spill.
-    /// Returns `false` when the budget aborts the search.
+    /// Returns `false` when the fuel runs out.
     fn run(&mut self, depth: usize, spill: Cost, forced: Cost, used_colors: u32) -> bool {
         if !self.count_node() {
             return false;
@@ -386,8 +385,8 @@ struct Outcome {
 }
 
 /// Runs `p`'s search at row width `width`.
-fn search<X: Width>(width: X, p: &Problem<'_>, budget: &SolveBudget) -> Outcome {
-    let mut kernel = Kernel::new(width, p, budget);
+fn search<X: Width>(width: X, p: &Problem<'_>, fuel: u64) -> Outcome {
+    let mut kernel = Kernel::new(width, p, fuel);
     let completed = kernel.run(0, 0, 0, 0);
     Outcome {
         completed,
@@ -398,21 +397,21 @@ fn search<X: Width>(width: X, p: &Problem<'_>, budget: &SolveBudget) -> Outcome 
 }
 
 /// Searches for an allocation of `instance` with `r` registers cheaper
-/// than `incumbent`, under `budget`: each search node costs one unit of
-/// node fuel, charged against `budget.node_limit` (an exhausted search
-/// is charged all of it). `incumbent` is the search's only seed: the
-/// forward-checking bound prunes against it from the first node, and
-/// nothing else runs first.
+/// than `incumbent` within `fuel` search nodes, one unit of node fuel
+/// each. `incumbent` is the search's only seed: the forward-checking
+/// bound prunes against it from the first node, and nothing else runs
+/// first. Fuel is counted, not timed, so the same fuel always stops
+/// the search at the same node, at any thread count.
 ///
 /// Returns `Some((optimum, true))` when the search completes — a
 /// certified optimum, possibly no cheaper than `incumbent` — and, when
-/// the fuel runs out, `Some((best, false))` with the best allocation held if
-/// it is strictly cheaper than `incumbent`, else `None`. The nodes
-/// visited go to [`trace::add_fuel_consumed`].
+/// the fuel runs out, `Some((best, false))` with the best allocation
+/// held if it is strictly cheaper than `incumbent`, else `None`. The
+/// nodes visited, at most `fuel`, go to [`trace::add_fuel_consumed`].
 pub fn solve_from(
     instance: &Instance,
     r: u32,
-    budget: &mut SolveBudget,
+    fuel: u64,
     incumbent: &Allocation,
 ) -> Option<(Allocation, bool)> {
     let n = instance.vertex_count();
@@ -421,15 +420,13 @@ pub fn solve_from(
     }
     let problem = Problem::new(instance, r, incumbent.spill_cost);
     let outcome = match n.div_ceil(64) {
-        0 | 1 => search(Words::<1>, &problem, budget),
-        2 => search(Words::<2>, &problem, budget),
-        3 => search(Words::<3>, &problem, budget),
-        4 => search(Words::<4>, &problem, budget),
-        words => search(words, &problem, budget),
+        0 | 1 => search(Words::<1>, &problem, fuel),
+        2 => search(Words::<2>, &problem, fuel),
+        3 => search(Words::<3>, &problem, fuel),
+        4 => search(Words::<4>, &problem, fuel),
+        words => search(words, &problem, fuel),
     };
-    let visited = outcome.nodes.min(budget.node_limit);
-    budget.charge(visited);
-    trace::add_fuel_consumed(visited);
+    trace::add_fuel_consumed(outcome.nodes.min(fuel));
     if outcome.best_spill <= incumbent.spill_cost
         && (outcome.completed || outcome.best_spill < incumbent.spill_cost)
     {
@@ -469,9 +466,9 @@ mod tests {
 
     /// The search seeded the way `Optimal` seeds it (with `LH`),
     /// keeping certified optima only.
-    fn solve(inst: &Instance, r: u32, budget: &mut SolveBudget) -> Option<Allocation> {
+    fn solve(inst: &Instance, r: u32, fuel: u64) -> Option<Allocation> {
         let lh = LayeredHeuristic::new().allocate(inst, r);
-        let (a, certified) = solve_from(inst, r, budget, &lh)?;
+        let (a, certified) = solve_from(inst, r, fuel, &lh)?;
         certified.then_some(a)
     }
 
@@ -583,7 +580,7 @@ mod tests {
     fn c5_two_registers() {
         let c5 = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
         let inst = instance(c5, vec![5, 4, 3, 2, 1]);
-        let a = solve(&inst, 2, &mut SolveBudget::nodes(1_000_000)).unwrap();
+        let a = solve(&inst, 2, 1_000_000).unwrap();
         // C5 is 3-chromatic: one vertex must go; the cheapest is 1.
         assert_eq!(a.spill_cost, 1);
         assert!(verify::check(&inst, &a, 2).is_feasible());
@@ -603,8 +600,7 @@ mod tests {
                 let lh = LayeredHeuristic::new().allocate(&inst, r);
                 let none = inst.allocation_from_set(BitSet::new(n));
                 for incumbent in [&lh, &none] {
-                    let budget = &mut SolveBudget::nodes(10_000_000);
-                    let (a, certified) = solve_from(&inst, r, budget, incumbent).unwrap();
+                    let (a, certified) = solve_from(&inst, r, 10_000_000, incumbent).unwrap();
                     assert!(certified, "{n} vertices, {edge_percent}%, R={r}");
                     assert_eq!(
                         a.allocated_weight, best,
@@ -634,7 +630,7 @@ mod tests {
     fn r_zero_spills_everything() {
         let g = Graph::from_edges(2, &[(0, 1)]);
         let inst = instance(g, vec![2, 3]);
-        let a = solve(&inst, 0, &mut SolveBudget::nodes(1000)).unwrap();
+        let a = solve(&inst, 0, 1000).unwrap();
         assert_eq!(a.spill_cost, 5);
     }
 
@@ -643,7 +639,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let g = generate::random_general(&mut rng, 30, 40);
         let inst = instance(g, generate::random_weights(&mut rng, 30, 2));
-        assert!(solve(&inst, 4, &mut SolveBudget::nodes(10)).is_none());
+        assert!(solve(&inst, 4, 10).is_none());
     }
 
     #[test]
@@ -651,7 +647,7 @@ mod tests {
         // Edgeless graph: everything allocated by every heuristic; the
         // search should confirm rather than regress.
         let inst = instance(Graph::empty(6), vec![1, 2, 3, 4, 5, 6]);
-        let a = solve(&inst, 1, &mut SolveBudget::nodes(1000)).unwrap();
+        let a = solve(&inst, 1, 1000).unwrap();
         assert_eq!(a.spill_cost, 0);
     }
 
@@ -695,15 +691,13 @@ mod tests {
         for (seed, n, edge_percent, r, fuel, spill, spilled) in PINNED {
             let inst = pinned(seed, n, edge_percent);
             assert!(
-                solve(&inst, r, &mut SolveBudget::nodes(fuel - 1)).is_none(),
+                solve(&inst, r, fuel - 1).is_none(),
                 "seed {seed}: done below {fuel}"
             );
             trace::begin(false);
-            let mut budget = SolveBudget::nodes(fuel);
-            let a = solve(&inst, r, &mut budget).expect("completes at the pinned fuel");
+            let a = solve(&inst, r, fuel).expect("completes at the pinned fuel");
             let consumed = trace::take().expect("collecting").fuel_consumed;
             assert_eq!(consumed, fuel, "seed {seed}: nodes visited");
-            assert_eq!(budget.node_limit, 0, "seed {seed}: charged every node");
             assert_eq!(a.spill_cost, spill, "seed {seed}");
             let got: Vec<usize> = (0..n).filter(|&v| !a.allocated.contains(v)).collect();
             assert_eq!(got, spilled, "seed {seed}");
@@ -731,7 +725,7 @@ mod tests {
             fuels.push(needed);
             for fuel in fuels {
                 let (done, _, held) = reference_search(&inst, r, incumbent.spill_cost, fuel);
-                let got = solve_from(&inst, r, &mut SolveBudget::nodes(fuel), &incumbent);
+                let got = solve_from(&inst, r, fuel, &incumbent);
                 let (cost, certified) =
                     got.map_or((incumbent.spill_cost, false), |(a, c)| (a.spill_cost, c));
                 assert!(cost <= held, "seed {seed}, fuel {fuel}: {cost} > {held}");
@@ -755,7 +749,7 @@ mod tests {
         let inst = pinned(seed, n, edge_percent);
         let lh = LayeredHeuristic::new().allocate(&inst, r);
         assert!(lh.spill_cost > 0);
-        let got = solve_from(&inst, r, &mut SolveBudget::nodes(fuel), &lh);
+        let got = solve_from(&inst, r, fuel, &lh);
         let (a, certified) = got.expect("certifies from LH alone");
         assert!(certified);
         assert_eq!(a.spill_cost, 0);
@@ -795,8 +789,8 @@ mod tests {
             let lh = LayeredHeuristic::new().allocate(&inst, r);
             let none = inst.allocation_from_set(BitSet::new(n));
             for incumbent in [&lh, &none] {
-                let budget = &mut SolveBudget::nodes(10_000_000);
-                let (a, certified) = solve_from(&inst, r, budget, incumbent).expect("completes");
+                let (a, certified) =
+                    solve_from(&inst, r, 10_000_000, incumbent).expect("completes");
                 assert!(certified, "{n} intervals, R={r}");
                 assert_eq!(a.spill_cost, optimum.spill_cost, "{n} intervals, R={r}");
                 assert!(verify::check(&inst, &a, r).is_feasible());
@@ -821,7 +815,7 @@ mod tests {
             let none = inst.allocation_from_set(BitSet::new(n));
             for incumbent in [&lh, &none] {
                 trace::begin(false);
-                let complete = solve_from(&inst, r, &mut SolveBudget::nodes(u64::MAX), incumbent);
+                let complete = solve_from(&inst, r, u64::MAX, incumbent);
                 let needed = trace::take().expect("collecting").fuel_consumed;
                 let (optimum, certified) = complete.expect("an unlimited search completes");
                 assert!(certified, "seed {seed}");
@@ -833,7 +827,7 @@ mod tests {
                 fuels.sort_unstable();
                 let mut last = incumbent.spill_cost;
                 for fuel in fuels {
-                    let got = solve_from(&inst, r, &mut SolveBudget::nodes(fuel), incumbent);
+                    let got = solve_from(&inst, r, fuel, incumbent);
                     let cost = match got {
                         Some((a, certified)) => {
                             assert_eq!(certified, fuel >= needed, "seed {seed}, fuel {fuel}");
@@ -868,9 +862,7 @@ mod tests {
         let g = generate::random_general(&mut rng, 30, 40);
         let inst = instance(g, generate::random_weights(&mut rng, 30, 2));
         trace::begin(false);
-        let mut budget = SolveBudget::nodes(10);
-        assert!(solve(&inst, 4, &mut budget).is_none());
+        assert!(solve(&inst, 4, 10).is_none());
         assert_eq!(trace::take().expect("collecting").fuel_consumed, 10);
-        assert_eq!(budget.node_limit, 0);
     }
 }

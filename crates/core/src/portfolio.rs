@@ -13,10 +13,11 @@
 //! 1. run a **cheap** allocator (any [`AllocatorRegistry`] name;
 //!    `LH` by default since it accepts any graph);
 //! 2. if the cheap result still spills *and* the configured budget
-//!    permits, escalate to [`Optimal::try_allocate`] under a
-//!    [`SolveBudget`] — a deterministic node-fuel cap threaded through
-//!    the exact solvers — with the cheap allocation as the search's
-//!    incumbent;
+//!    permits, escalate to an exact solver: min-cost flow
+//!    ([`flow::solve`]) on interval instances, and on every other one
+//!    branch-and-bound ([`branch_bound::solve_from`]) under a
+//!    deterministic node-fuel cap, with the cheap allocation as the
+//!    search's incumbent;
 //! 3. keep whichever allocation costs less. The exact search is
 //!    anytime: when the budget runs out it still hands back the best
 //!    allocation it found, and the policy keeps that one, uncertified,
@@ -29,8 +30,10 @@
 //! [`PortfolioConfig::node_budget`] is the one fuel setting: every
 //! escalation gets the same `n` nodes, 2,500 by default (the fuel
 //! frontier's pick, see [`PortfolioConfig::default`]), and `0` never
-//! escalates. The DP and branch-and-bound tiers of one escalation
-//! share that fuel.
+//! escalates. Branch-and-bound is the only solver that spends it: the
+//! escalation runs no chordality test and no clique-tree DP, which
+//! stays inside [`Optimal`](crate::optimal::Optimal)'s unbudgeted
+//! path.
 //!
 //! # Determinism
 //!
@@ -56,7 +59,7 @@
 use crate::cache::{InstanceKey, ResultCache};
 use crate::cluster::LayeredHeuristic;
 use crate::driver::PipelineError;
-use crate::optimal::{Optimal, SolveBudget};
+use crate::optimal::{branch_bound, flow};
 use crate::problem::{Allocation, Allocator, Instance};
 use crate::registry::{AllocatorRegistry, AllocatorSpec};
 use crate::trace::{self, ExactOutcome};
@@ -71,10 +74,10 @@ pub struct PortfolioConfig {
     /// chordality the instance lacks), the policy substitutes `LH` for
     /// that instance instead of failing.
     pub cheap: String,
-    /// Deterministic node fuel for each exact escalation, per
-    /// [`SolveBudget::node_limit`]. Counted, not timed, so it keeps the
-    /// thread-count byte-identity contract. `0` disables escalation
-    /// entirely.
+    /// Deterministic node fuel for each exact escalation: the
+    /// branch-and-bound nodes it may visit. Counted, not timed, so it
+    /// keeps the thread-count byte-identity contract. `0` disables
+    /// escalation entirely.
     pub node_budget: u64,
     /// Memoize decisions in the process-wide [`portfolio_cache`]
     /// (default `true`): a batch re-submitting an identical method —
@@ -264,30 +267,33 @@ impl Portfolio {
             };
         }
         // The fuel *granted* to the exact tier, recorded at the
-        // escalation decision; the solvers record what they consume.
+        // escalation decision; branch-and-bound records what it
+        // consumes.
         trace::add_fuel(fuel);
-        let budget = SolveBudget::nodes(fuel);
-        let (allocation, certified, source, settled) =
-            match Optimal.try_allocate(instance, r, &budget, &cheap) {
-                Some((exact, certified)) if exact.spill_cost < cheap_cost => {
-                    let settled = if certified {
-                        ExactOutcome::Won
-                    } else {
-                        ExactOutcome::Improved
-                    };
-                    (exact, certified, PortfolioSource::Exact, settled)
-                }
-                // The exact solver certified that the cheap result is
-                // already optimal (or tied); keep the cheap allocation
-                // so the outcome is independent of solver tie-breaks.
-                Some((_, true)) => (cheap, true, PortfolioSource::Cheap, ExactOutcome::Tied),
-                _ => (
-                    cheap,
-                    false,
-                    PortfolioSource::Cheap,
-                    ExactOutcome::Exhausted,
-                ),
-            };
+        let exact = match instance.intervals() {
+            Some(_) => Some((flow::solve(instance, r), true)),
+            None => branch_bound::solve_from(instance, r, fuel, &cheap),
+        };
+        let (allocation, certified, source, settled) = match exact {
+            Some((exact, certified)) if exact.spill_cost < cheap_cost => {
+                let settled = if certified {
+                    ExactOutcome::Won
+                } else {
+                    ExactOutcome::Improved
+                };
+                (exact, certified, PortfolioSource::Exact, settled)
+            }
+            // The exact solver certified that the cheap result is
+            // already optimal (or tied); keep the cheap allocation
+            // so the outcome is independent of solver tie-breaks.
+            Some((_, true)) => (cheap, true, PortfolioSource::Cheap, ExactOutcome::Tied),
+            _ => (
+                cheap,
+                false,
+                PortfolioSource::Cheap,
+                ExactOutcome::Exhausted,
+            ),
+        };
         trace::add_exact_outcome(settled);
         PortfolioOutcome {
             allocation,
@@ -414,6 +420,32 @@ mod tests {
             seen[ended] += 1;
         }
         assert_eq!(seen, [1; 4], "won, tied, improved, exhausted");
+    }
+
+    #[test]
+    fn chordal_escalations_run_no_chordality_test_and_stay_within_fuel() {
+        use lra_graph::generate;
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+        // A chordal instance without intervals goes straight to
+        // branch-and-bound: no chordality test, no clique-tree DP, and
+        // no more nodes than the fuel.
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let g = generate::random_chordal(&mut rng, 60, 90, 6);
+        let inst = Instance::from_weighted_graph(WeightedGraph::new(
+            g,
+            generate::random_weights(&mut rng, 60, 3),
+        ));
+        assert!(inst.intervals().is_none());
+        let cfg = PortfolioConfig::default().cache(false);
+        trace::begin(false);
+        let out = Portfolio::new(cfg.clone()).unwrap().decide(&inst, 2);
+        let t = trace::take().expect("collecting");
+        assert!(out.escalated);
+        assert_eq!(t.chordality_tests, 0);
+        assert!(t.fuel_consumed > 0 && t.fuel_consumed <= cfg.node_budget);
+        // Tested only now, so the trace above did not count it.
+        assert!(inst.is_chordal());
     }
 
     #[test]

@@ -206,8 +206,7 @@ pub struct TraceReport {
     /// Exact-solve fuel (node budget) granted via [`add_fuel`].
     pub fuel: u64,
     /// Exact-solve work actually performed, recorded via
-    /// [`add_fuel_consumed`]: branch-and-bound nodes visited and
-    /// clique-tree DP masks enumerated.
+    /// [`add_fuel_consumed`]: branch-and-bound nodes visited.
     pub fuel_consumed: u64,
     /// Escalations to the exact tier that certified a strictly
     /// cheaper allocation than the cheap tier, recorded via
@@ -415,10 +414,10 @@ pub fn add_fuel(nodes: u64) {
 }
 
 /// Records exact-solve work actually performed: the branch-and-bound
-/// nodes a search visited or the masks a clique-tree DP enumerated.
-/// Only the portfolio grants fuel ([`add_fuel`]); inside it consumption
-/// never exceeds the grant, while an exact solve run outside it (the
-/// `Optimal` allocator, stepped layers) consumes without one.
+/// nodes a search visited. Only the portfolio grants fuel
+/// ([`add_fuel`]); inside it consumption never exceeds the grant,
+/// while an exact solve run outside it (the `Optimal` allocator,
+/// stepped layers) consumes without one.
 pub fn add_fuel_consumed(units: u64) {
     with_report(|r| r.fuel_consumed += units);
 }

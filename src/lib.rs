@@ -71,7 +71,7 @@ pub use lra_targets as targets;
 pub use lra_core::{
     AllocatedFunction, AllocationPipeline, AllocatorRegistry, AllocatorSpec, BatchAllocator,
     BatchItem, BatchReport, BatchSummary, PipelineError, Portfolio, PortfolioConfig,
-    PortfolioOutcome, PortfolioSource, ReportRow, RowStats, SolveBudget,
+    PortfolioOutcome, PortfolioSource, ReportRow, RowStats,
 };
 pub use lra_ir::AnalysisScratch;
 pub use lra_service::{AllocationService, ServiceConfig, ServiceMetrics, SubmitOptions};

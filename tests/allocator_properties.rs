@@ -3,7 +3,7 @@
 
 use lra::core::baselines::ChaitinBriggs;
 use lra::core::layered::Layered;
-use lra::core::optimal::{branch_bound, chordal_dp, flow, SolveBudget};
+use lra::core::optimal::{branch_bound, chordal_dp, flow};
 use lra::core::problem::{Allocator, Instance};
 use lra::core::{verify, LayeredHeuristic, Optimal};
 use lra::graph::{coloring, generate, peo, stable, WeightedGraph};
@@ -91,7 +91,7 @@ proptest! {
     fn dp_and_flow_agree(seed in 0u64..10_000, n in 5usize..30, r in 1u32..6) {
         let inst = interval_instance(seed, n);
         let by_flow = flow::solve(&inst, r);
-        if let Some(by_dp) = chordal_dp::solve(&inst, r, &mut SolveBudget::nodes(u64::MAX)) {
+        if let Some(by_dp) = chordal_dp::solve(&inst, r) {
             prop_assert_eq!(by_flow.spill_cost, by_dp.spill_cost);
         }
         prop_assert!(verify::check(&inst, &by_flow, r).is_feasible());
@@ -102,9 +102,9 @@ proptest! {
     #[test]
     fn branch_bound_matches_dp(seed in 0u64..10_000, n in 5usize..16, r in 1u32..4) {
         let inst = chordal_instance(seed, n);
-        let dp = chordal_dp::solve(&inst, r, &mut SolveBudget::nodes(u64::MAX)).expect("small bags");
+        let dp = chordal_dp::solve(&inst, r).expect("small bags");
         let lh = LayeredHeuristic::new().allocate(&inst, r);
-        let (bb, certified) = branch_bound::solve_from(&inst, r, &mut SolveBudget::nodes(50_000_000), &lh).expect("within budget");
+        let (bb, certified) = branch_bound::solve_from(&inst, r, 50_000_000, &lh).expect("within budget");
         prop_assert!(certified);
         prop_assert_eq!(dp.spill_cost, bb.spill_cost);
     }
@@ -117,7 +117,7 @@ proptest! {
         let inst = general_instance(seed, n);
         let lh = LayeredHeuristic::new().allocate(&inst, r);
         let gc = ChaitinBriggs::new().allocate(&inst, r);
-        let (opt, certified) = branch_bound::solve_from(&inst, r, &mut SolveBudget::nodes(50_000_000), &lh).expect("within budget");
+        let (opt, certified) = branch_bound::solve_from(&inst, r, 50_000_000, &lh).expect("within budget");
         prop_assert!(certified);
         for (name, a) in [("LH", &lh), ("GC", &gc), ("B&B", &opt)] {
             prop_assert!(verify::check(&inst, a, r).is_feasible(), "{} infeasible", name);

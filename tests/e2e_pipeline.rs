@@ -234,7 +234,7 @@ fn converged_rows_carry_a_total_assignment() {
     assert!(exp.functions.iter().any(|f| f.name == "sunflow::h24"));
     assert_eq!(
         converged.len(),
-        322,
+        323,
         "converged rows of jit-huge at seed 2013"
     );
 }
