@@ -341,7 +341,7 @@ impl BatchItem {
 
 /// The rendered columns of one successful report row — everything
 /// [`render_rows`] prints for an allocated function.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RowStats {
     /// Total spill cost over all rounds.
     pub spill_cost: u64,

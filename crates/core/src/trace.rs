@@ -4,10 +4,10 @@
 //! The recorder attributes wall time to the hierarchy the paper's
 //! evaluation reasons about — pipeline → spill round → phase
 //! (analysis, spill costs, instance build, allocate, verify, rewrite,
-//! reanalyse) — plus the side counters a phase budget needs: fuel
-//! granted to and consumed by exact solves, per-round spill deltas,
-//! exact-tier and escalation-tier outcomes, chordality tests and
-//! result-cache hits and misses.
+//! reanalyse) — plus the side counters a phase budget needs, one row
+//! each of [`COUNTERS`]: fuel granted to and consumed by exact solves,
+//! per-round spill deltas, exact-tier and escalation-tier outcomes,
+//! chordality tests and result-cache hits and misses.
 //!
 //! # Cost contract
 //!
@@ -192,53 +192,132 @@ pub struct SpanEvent {
     pub depth: u16,
 }
 
-/// Everything one traced unit of work recorded. Returned by [`take`];
-/// merged across items by [`TraceReport::merge`] for corpus-level
-/// aggregation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceReport {
-    /// Per-phase wall-time attribution, indexed by `Phase as usize`.
-    pub phases: [PhaseStats; PHASE_COUNT],
-    /// Allocation rounds recorded via [`add_round`].
-    pub rounds: u64,
-    /// Total spill cost charged across recorded rounds.
-    pub spill_delta: u64,
-    /// Exact-solve fuel (node budget) granted via [`add_fuel`].
-    pub fuel: u64,
-    /// Exact-solve work actually performed, recorded via
-    /// [`add_fuel_consumed`]: branch-and-bound nodes visited.
-    pub fuel_consumed: u64,
-    /// Escalations to the exact tier that certified a strictly
-    /// cheaper allocation than the cheap tier, recorded via
-    /// [`add_exact_outcome`]. With `exact_tied`, `exact_improved` and
-    /// `exact_exhausted` it sums to the escalations granted fuel.
-    pub exact_won: u64,
-    /// Escalations whose exact search completed but certified the
-    /// cheap tier's cost as optimal.
-    pub exact_tied: u64,
-    /// Escalations whose exact search ran out of fuel but
-    /// held a strictly cheaper allocation than the cheap tier, which
-    /// the portfolio keeps uncertified.
-    pub exact_improved: u64,
-    /// Escalations whose exact search ran out of fuel with
-    /// nothing cheaper than the cheap tier.
-    pub exact_exhausted: u64,
-    /// How the runs of the split + remat escalation tier ended, indexed
-    /// by `EscalationOutcome as usize` and recorded via
-    /// [`add_escalation_outcome`]. One per escalation, so the entries
-    /// sum to the [`Phase::EscalatePrep`] span count.
-    pub escalations: [u64; ESCALATION_OUTCOME_COUNT],
-    /// Chordality tests actually run, recorded via
-    /// [`add_chordality_test`]: the first PEO request on an instance
-    /// not built from intervals (see `Instance::peo`).
-    pub chordality_tests: u64,
-    /// Result-cache hits, recorded via [`cache_access`].
-    pub cache_hits: u64,
-    /// Result-cache misses.
-    pub cache_misses: u64,
-    /// Completed spans in completion order — populated only when the
-    /// collector was started in detail mode ([`begin`] with `detail`).
-    pub events: Vec<SpanEvent>,
+/// One row of [`COUNTERS`]: a side counter of [`TraceReport`] and the
+/// names it is published under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counter {
+    /// The field's name: its key in `BENCH_phases.json`, and with a
+    /// `trace_` prefix its field on a traced wire line.
+    pub key: &'static str,
+    /// The Prometheus family the counter is a sample of.
+    pub family: &'static str,
+    /// The sample's `(name, value)` label, for a family of several
+    /// counters.
+    pub label: Option<(&'static str, &'static str)>,
+    /// The family's `# HELP` text.
+    pub help: &'static str,
+}
+
+/// Declares [`TraceReport`], one `u64` field per counter, and the
+/// [`COUNTERS`] table in field order, from one list of Prometheus
+/// families and their rows, so a family's rows are adjacent.
+macro_rules! counters {
+    (@label) => { None };
+    (@label $name:ident = $value:literal) => { Some((stringify!($name), $value)) };
+    ($(
+        $family:literal, $help:literal {
+            $( $(#[$doc:meta])* $field:ident $({ $lname:ident = $lvalue:literal })?, )+
+        }
+    )+) => {
+        /// Everything one traced unit of work recorded. Returned by
+        /// [`take`]; merged across items by [`TraceReport::merge`] for
+        /// corpus-level aggregation.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct TraceReport {
+            /// Per-phase wall-time attribution, indexed by `Phase as usize`.
+            pub phases: [PhaseStats; PHASE_COUNT],
+            $($( $(#[$doc])* pub $field: u64, )+)+
+            /// Completed spans in completion order — populated only when the
+            /// collector was started in detail mode ([`begin`] with `detail`).
+            pub events: Vec<SpanEvent>,
+        }
+
+        /// Every side counter of [`TraceReport`], in field order: the
+        /// order of `BENCH_phases.json`, the Prometheus exposition and
+        /// the traced wire line, which all loop over this table.
+        pub const COUNTERS: &[Counter] = &[$($(
+            Counter {
+                key: stringify!($field),
+                family: $family,
+                label: counters!(@label $($lname = $lvalue)?),
+                help: $help,
+            },
+        )+)+];
+
+        impl TraceReport {
+            /// The side counters' values, in [`COUNTERS`] order.
+            pub fn counters(&self) -> [u64; COUNTERS.len()] {
+                [$($(self.$field,)+)+]
+            }
+
+            /// The side counters, in [`COUNTERS`] order.
+            pub fn counters_mut(&mut self) -> [&mut u64; COUNTERS.len()] {
+                [$($(&mut self.$field,)+)+]
+            }
+        }
+    };
+}
+
+counters! {
+    "lra_traced_rounds_total", "Allocation rounds run by traced requests." {
+        /// Allocation rounds recorded via [`add_round`].
+        rounds,
+    }
+    "lra_traced_spill_cost_total", "Spill cost charged by the rounds of traced requests." {
+        /// Total spill cost charged across recorded rounds.
+        spill_delta,
+    }
+    "lra_traced_fuel_granted_total", "Exact-solve node fuel granted to traced requests." {
+        /// Exact-solve fuel (node budget) granted via [`add_fuel`].
+        fuel,
+    }
+    "lra_traced_fuel_consumed_total", "Exact-solve nodes visited by traced requests." {
+        /// Exact-solve work actually performed, recorded via
+        /// [`add_fuel_consumed`]: branch-and-bound nodes visited.
+        fuel_consumed,
+    }
+    "lra_exact_outcomes_total",
+    "How escalations to the exact tier ended (populated for traced requests)." {
+        /// Escalations to the exact tier that ended [`ExactOutcome::Won`],
+        /// recorded via [`add_exact_outcome`]. The four `exact_*`
+        /// counters sum to the escalations granted fuel.
+        exact_won { outcome = "won" },
+        /// Escalations that ended [`ExactOutcome::Tied`].
+        exact_tied { outcome = "tied" },
+        /// Escalations that ended [`ExactOutcome::Improved`].
+        exact_improved { outcome = "improved" },
+        /// Escalations that ended [`ExactOutcome::Exhausted`].
+        exact_exhausted { outcome = "exhausted" },
+    }
+    "lra_escalation_outcomes_total",
+    "How runs of the split + remat escalation tier ended (populated for traced requests)." {
+        /// Runs of the split + remat escalation tier that ended
+        /// [`EscalationOutcome::NotSplittable`], recorded via
+        /// [`add_escalation_outcome`]. The five `escalation_*` counters
+        /// sum to the [`Phase::EscalatePrep`] span count.
+        escalation_not_splittable { outcome = "not_splittable" },
+        /// Runs that ended [`EscalationOutcome::Failed`].
+        escalation_failed { outcome = "failed" },
+        /// Runs that ended [`EscalationOutcome::OverBaseCost`].
+        escalation_over_base_cost { outcome = "over_base_cost" },
+        /// Runs that ended [`EscalationOutcome::Unconverged`].
+        escalation_unconverged { outcome = "unconverged" },
+        /// Runs that ended [`EscalationOutcome::Accepted`].
+        escalation_accepted { outcome = "accepted" },
+    }
+    "lra_chordality_tests_total",
+    "Chordality tests run on instances (populated for traced requests)." {
+        /// Chordality tests actually run, recorded via
+        /// [`add_chordality_test`]: the first PEO request on an instance
+        /// not built from intervals (see `Instance::peo`).
+        chordality_tests,
+    }
+    "lra_traced_cache_lookups_total", "Result-cache lookups made by traced requests." {
+        /// Result-cache hits, recorded via [`cache_access`].
+        cache_hits { result = "hit" },
+        /// Result-cache misses.
+        cache_misses { result = "miss" },
+    }
 }
 
 impl TraceReport {
@@ -261,20 +340,9 @@ impl TraceReport {
             into.total_ns += from.total_ns;
             into.self_ns += from.self_ns;
         }
-        self.rounds += other.rounds;
-        self.spill_delta += other.spill_delta;
-        self.fuel += other.fuel;
-        self.fuel_consumed += other.fuel_consumed;
-        self.exact_won += other.exact_won;
-        self.exact_tied += other.exact_tied;
-        self.exact_improved += other.exact_improved;
-        self.exact_exhausted += other.exact_exhausted;
-        for (into, from) in self.escalations.iter_mut().zip(other.escalations) {
+        for (into, from) in self.counters_mut().into_iter().zip(other.counters()) {
             *into += from;
         }
-        self.chordality_tests += other.chordality_tests;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
     }
 }
 
@@ -446,55 +514,34 @@ pub fn add_exact_outcome(outcome: ExactOutcome) {
     });
 }
 
-/// Number of [`EscalationOutcome`] variants.
-pub const ESCALATION_OUTCOME_COUNT: usize = 5;
-
 /// How one run of the split + remat escalation tier ended (the
 /// driver's `escalate`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
 pub enum EscalationOutcome {
     /// No live range could be split, so no escalated loop ran.
-    NotSplittable = 0,
+    NotSplittable,
     /// The escalated loop failed, e.g. the split cost a non-SSA
     /// function its chordality.
-    Failed = 1,
+    Failed,
     /// The escalated loop's running spill cost passed the base run's
     /// total, so it was stopped at that round.
-    OverBaseCost = 2,
+    OverBaseCost,
     /// The escalated loop ended without converging.
-    Unconverged = 3,
+    Unconverged,
     /// The escalated loop converged at no higher spill cost than the
     /// base run and replaced it.
-    Accepted = 4,
-}
-
-impl EscalationOutcome {
-    /// Every outcome, in discriminant order.
-    pub const ALL: [EscalationOutcome; ESCALATION_OUTCOME_COUNT] = [
-        EscalationOutcome::NotSplittable,
-        EscalationOutcome::Failed,
-        EscalationOutcome::OverBaseCost,
-        EscalationOutcome::Unconverged,
-        EscalationOutcome::Accepted,
-    ];
-
-    /// The stable snake_case name used in Prometheus labels and (with
-    /// an `escalation_` prefix) in `BENCH_phases.json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            EscalationOutcome::NotSplittable => "not_splittable",
-            EscalationOutcome::Failed => "failed",
-            EscalationOutcome::OverBaseCost => "over_base_cost",
-            EscalationOutcome::Unconverged => "unconverged",
-            EscalationOutcome::Accepted => "accepted",
-        }
-    }
+    Accepted,
 }
 
 /// Records how one run of the escalation tier ended.
 pub fn add_escalation_outcome(outcome: EscalationOutcome) {
-    with_report(|r| r.escalations[outcome as usize] += 1);
+    with_report(|r| match outcome {
+        EscalationOutcome::NotSplittable => r.escalation_not_splittable += 1,
+        EscalationOutcome::Failed => r.escalation_failed += 1,
+        EscalationOutcome::OverBaseCost => r.escalation_over_base_cost += 1,
+        EscalationOutcome::Unconverged => r.escalation_unconverged += 1,
+        EscalationOutcome::Accepted => r.escalation_accepted += 1,
+    });
 }
 
 /// Records one completed allocation round and the spill cost it
@@ -596,7 +643,7 @@ mod tests {
         assert_eq!(r.rounds, 1);
         assert_eq!(r.spill_delta, 42);
         assert_eq!(r.chordality_tests, 1);
-        assert_eq!(r.escalations, [0, 0, 2, 0, 1]);
+        assert_eq!((r.escalation_over_base_cost, r.escalation_accepted), (2, 1));
         assert_eq!((r.cache_hits, r.cache_misses), (1, 2));
         assert!(r.events.is_empty(), "no detail requested");
     }
@@ -620,36 +667,20 @@ mod tests {
 
     #[test]
     fn merge_sums_counters_and_ignores_events() {
+        // Every side counter is summed too: the table-driven test in
+        // `lra-bench` checks each row through every writer.
         let mut a = TraceReport::default();
         a.phases[Phase::Allocate as usize] = PhaseStats {
             count: 2,
             total_ns: 100,
             self_ns: 80,
         };
-        a.fuel = 7;
-        a.fuel_consumed = 5;
-        a.exact_won = 1;
-        a.exact_exhausted = 2;
-        a.chordality_tests = 4;
-        a.escalations = [1, 0, 2, 0, 3];
-        a.cache_hits = 3;
-        let mut b = TraceReport {
-            rounds: 4,
-            spill_delta: 9,
-            fuel_consumed: 2,
-            exact_tied: 3,
-            exact_improved: 2,
-            exact_exhausted: 1,
-            chordality_tests: 1,
-            escalations: [0, 1, 4, 1, 1],
-            ..TraceReport::default()
-        };
+        let mut b = TraceReport::default();
         b.phases[Phase::Allocate as usize] = PhaseStats {
             count: 1,
             total_ns: 50,
             self_ns: 50,
         };
-        b.cache_misses = 2;
         b.events.push(SpanEvent {
             phase: Phase::Allocate,
             start_ns: 0,
@@ -659,22 +690,6 @@ mod tests {
         a.merge(&b);
         let p = a.phases[Phase::Allocate as usize];
         assert_eq!((p.count, p.total_ns, p.self_ns), (3, 150, 130));
-        assert_eq!(a.rounds, 4);
-        assert_eq!(a.spill_delta, 9);
-        assert_eq!(a.fuel, 7);
-        assert_eq!(a.fuel_consumed, 7);
-        assert_eq!(
-            (
-                a.exact_won,
-                a.exact_tied,
-                a.exact_improved,
-                a.exact_exhausted
-            ),
-            (1, 3, 2, 3)
-        );
-        assert_eq!(a.chordality_tests, 5);
-        assert_eq!(a.escalations, [1, 1, 6, 1, 4]);
-        assert_eq!((a.cache_hits, a.cache_misses), (3, 2));
         assert!(a.events.is_empty());
     }
 
@@ -704,13 +719,30 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "names are unique");
-        let outcomes: Vec<&str> = EscalationOutcome::ALL.iter().map(|o| o.name()).collect();
-        for (i, o) in EscalationOutcome::ALL.iter().enumerate() {
-            assert_eq!(*o as usize, i, "discriminants index the counters");
+    }
+
+    #[test]
+    fn every_counter_is_documented() {
+        let doc = include_str!("../../../docs/benchmarks.md");
+        let (_, phases) = doc.split_once("## `BENCH_phases.json`").unwrap();
+        let phases = phases.split("\n## ").next().unwrap();
+        for c in COUNTERS {
+            let key = format!("`{}`", c.key);
+            assert!(
+                phases.contains(&key),
+                "{key} undocumented in BENCH_phases.json"
+            );
+            let row = doc
+                .lines()
+                .find(|l| l.starts_with("| `") && l.contains(&format!("`{}", c.family)))
+                .unwrap_or_else(|| panic!("{} has no Prometheus row", c.family));
+            if let Some((name, value)) = c.label {
+                assert!(
+                    row.contains(&format!("{name}=")) && row.contains(&format!("\"{value}\"")),
+                    "{}: label {name}={value} undocumented",
+                    c.family
+                );
+            }
         }
-        let mut dedup = outcomes.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), outcomes.len(), "outcome names are unique");
     }
 }

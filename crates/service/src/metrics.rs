@@ -16,7 +16,7 @@
 
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 use lra_core::cache::CacheStats;
-use lra_core::trace::{EscalationOutcome, Phase, TraceReport};
+use lra_core::trace::{Phase, PhaseStats, TraceReport, COUNTERS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -157,8 +157,9 @@ impl ServiceMetrics {
     /// (the `metrics` proto op's payload): `# HELP`/`# TYPE` headers,
     /// counters and gauges, the service-time histogram with
     /// cumulative `le` buckets, per-phase counters labelled
-    /// `phase="…"`, terminated by a `# EOF` line (no trailing
-    /// newline — the transport appends it).
+    /// `phase="…"`, one sample per row of [`COUNTERS`] under its family
+    /// and label, terminated by a `# EOF` line (no trailing newline —
+    /// the transport appends it).
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(2048);
@@ -240,72 +241,35 @@ impl ServiceMetrics {
         let _ = writeln!(out, "lra_service_time_us_sum {}", self.latency.sum_us);
         let _ = writeln!(out, "lra_service_time_us_count {}", self.latency.count);
 
-        let _ = writeln!(
-            out,
-            "# HELP lra_phase_self_us_total Pipeline self-time per phase, microseconds \
-             (populated for traced requests)."
-        );
-        let _ = writeln!(out, "# TYPE lra_phase_self_us_total counter");
-        for phase in Phase::ALL {
-            let _ = writeln!(
-                out,
-                "lra_phase_self_us_total{{phase=\"{}\"}} {}",
-                phase.name(),
-                self.trace.phase_self_us(phase)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP lra_phase_spans_total Completed trace spans per phase."
-        );
-        let _ = writeln!(out, "# TYPE lra_phase_spans_total counter");
-        for phase in Phase::ALL {
-            let _ = writeln!(
-                out,
-                "lra_phase_spans_total{{phase=\"{}\"}} {}",
-                phase.name(),
-                self.trace.phases[phase as usize].count
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP lra_exact_outcomes_total How escalations to the exact tier ended \
-             (populated for traced requests)."
-        );
-        let _ = writeln!(out, "# TYPE lra_exact_outcomes_total counter");
-        for (outcome, n) in [
-            ("won", self.trace.exact_won),
-            ("tied", self.trace.exact_tied),
-            ("improved", self.trace.exact_improved),
-            ("exhausted", self.trace.exact_exhausted),
+        for (family, help, stat) in [
+            (
+                "lra_phase_self_us_total",
+                "Pipeline self-time per phase, microseconds (populated for traced requests).",
+                (|s| s.self_ns / 1_000) as fn(PhaseStats) -> u64,
+            ),
+            (
+                "lra_phase_spans_total",
+                "Completed trace spans per phase.",
+                |s| s.count,
+            ),
         ] {
-            let _ = writeln!(out, "lra_exact_outcomes_total{{outcome=\"{outcome}\"}} {n}");
+            let _ = writeln!(out, "# HELP {family} {help}\n# TYPE {family} counter");
+            for phase in Phase::ALL {
+                let v = stat(self.trace.phases[phase as usize]);
+                let _ = writeln!(out, "{family}{{phase=\"{}\"}} {v}", phase.name());
+            }
         }
-        let _ = writeln!(
-            out,
-            "# HELP lra_escalation_outcomes_total How runs of the split + remat escalation \
-             tier ended (populated for traced requests)."
-        );
-        let _ = writeln!(out, "# TYPE lra_escalation_outcomes_total counter");
-        for outcome in EscalationOutcome::ALL {
-            let _ = writeln!(
-                out,
-                "lra_escalation_outcomes_total{{outcome=\"{}\"}} {}",
-                outcome.name(),
-                self.trace.escalations[outcome as usize]
-            );
+        let mut family = "";
+        for (c, v) in COUNTERS.iter().zip(self.trace.counters()) {
+            if c.family != family {
+                family = c.family;
+                let _ = writeln!(out, "# HELP {family} {}\n# TYPE {family} counter", c.help);
+            }
+            let _ = match c.label {
+                Some((name, value)) => writeln!(out, "{family}{{{name}=\"{value}\"}} {v}"),
+                None => writeln!(out, "{family} {v}"),
+            };
         }
-        let _ = writeln!(
-            out,
-            "# HELP lra_chordality_tests_total Chordality tests run on instances \
-             (populated for traced requests)."
-        );
-        let _ = writeln!(out, "# TYPE lra_chordality_tests_total counter");
-        let _ = writeln!(
-            out,
-            "lra_chordality_tests_total {}",
-            self.trace.chordality_tests
-        );
         out.push_str("# EOF");
         out
     }
@@ -365,11 +329,6 @@ mod tests {
         t.phases[Phase::Allocate as usize].self_ns = 9_000;
         t.phases[Phase::Verify as usize].count = 3;
         t.phases[Phase::Verify as usize].self_ns = 1_000;
-        t.exact_won = 1;
-        t.exact_improved = 3;
-        t.exact_exhausted = 2;
-        t.escalations = [1, 0, 3, 2, 1];
-        t.chordality_tests = 5;
         inner.record_trace(&t);
         inner.record_trace(&t);
         let m = inner.snapshot(0, 8, 1, CacheStats::default()).trace;
@@ -377,17 +336,6 @@ mod tests {
         assert_eq!(m.phases[Phase::Allocate as usize].self_ns, 18_000);
         assert_eq!(m.phases[Phase::Verify as usize].self_ns, 2_000);
         assert_eq!(m.phases[Phase::Rewrite as usize].count, 0);
-        assert_eq!(
-            (
-                m.exact_won,
-                m.exact_tied,
-                m.exact_improved,
-                m.exact_exhausted
-            ),
-            (2, 0, 6, 4)
-        );
-        assert_eq!(m.escalations, [2, 0, 6, 4, 2]);
-        assert_eq!(m.chordality_tests, 10);
     }
 
     /// A minimal Prometheus text-format checker: validates comment
@@ -412,7 +360,7 @@ mod tests {
                     matches!(kind.as_str(), "counter" | "gauge" | "histogram"),
                     "unknown type {kind}"
                 );
-                types.insert(name, kind);
+                assert!(types.insert(name, kind).is_none(), "family declared twice");
                 continue;
             }
             if line.starts_with('#') {
@@ -439,7 +387,8 @@ mod tests {
                 types.contains_key(name) || types.contains_key(family),
                 "sample {name} has no TYPE declaration"
             );
-            samples.insert(series.to_string(), value.to_string());
+            let dup = samples.insert(series.to_string(), value.to_string());
+            assert!(dup.is_none(), "sample {series} appears twice");
         }
         assert!(saw_eof, "exposition must end with # EOF");
         samples
@@ -455,9 +404,6 @@ mod tests {
         let mut t = TraceReport::default();
         t.phases[Phase::Allocate as usize].count = 1;
         t.phases[Phase::Allocate as usize].self_ns = 5_000;
-        t.exact_tied = 4;
-        t.escalations[EscalationOutcome::OverBaseCost as usize] = 3;
-        t.chordality_tests = 7;
         inner.record_trace(&t);
         let m = inner.snapshot(1, 8, 2, CacheStats::default());
         let text = m.render_prometheus();
@@ -474,29 +420,6 @@ mod tests {
         assert_eq!(samples["lra_service_time_us_bucket{le=\"+Inf\"}"], "3");
         assert_eq!(samples["lra_phase_self_us_total{phase=\"allocate\"}"], "5");
         assert_eq!(samples["lra_phase_spans_total{phase=\"allocate\"}"], "1");
-        assert_eq!(samples["lra_exact_outcomes_total{outcome=\"won\"}"], "0");
-        assert_eq!(samples["lra_exact_outcomes_total{outcome=\"tied\"}"], "4");
-        assert_eq!(
-            samples["lra_exact_outcomes_total{outcome=\"improved\"}"],
-            "0"
-        );
-        assert_eq!(
-            samples["lra_exact_outcomes_total{outcome=\"exhausted\"}"],
-            "0"
-        );
-        for (outcome, n) in [
-            ("not_splittable", "0"),
-            ("failed", "0"),
-            ("over_base_cost", "3"),
-            ("unconverged", "0"),
-            ("accepted", "0"),
-        ] {
-            assert_eq!(
-                samples[&format!("lra_escalation_outcomes_total{{outcome=\"{outcome}\"}}")],
-                n
-            );
-        }
-        assert_eq!(samples["lra_chordality_tests_total"], "7");
         // Cumulative bucket counts are non-decreasing and end at count.
         let mut buckets: Vec<(u64, u64)> = samples
             .iter()

@@ -15,7 +15,8 @@
 //! response (alloc rows and rejections alike) so callers can correlate
 //! pipelined traffic; `trace:true` additionally asks the server to
 //! trace the request's run ([`lra_core::trace`]) and return flat
-//! per-phase timing fields. The server ignores any other field.
+//! per-phase timing fields and one `trace_<key>` field per row of
+//! [`lra_core::trace::COUNTERS`]. The server ignores any other field.
 //!
 //! Responses echo the request `id`:
 //!
@@ -23,8 +24,8 @@
 //! {"id":3,"ok":true,"function":"gzip::f0","spill_cost":12,"rounds":2,
 //!  "stores":3,"loads":5,"converged":true,"verified":true}
 //! {"id":5,"ok":true,...,"trace_id":"req-5","trace_total_us":812,
-//!  "phase_allocate_us":301,...,"trace_rounds":2,"trace_fuel":100000,
-//!  "trace_cache_hits":0,"trace_cache_misses":1}
+//!  "phase_allocate_us":301,...,"trace_rounds":2,"trace_spill_delta":40,
+//!  "trace_fuel":2500,"trace_fuel_consumed":1830,...,"trace_cache_misses":1}
 //! {"id":3,"ok":false,"function":"gzip::f0","error":"..."}
 //! {"id":3,"rejected":true,"reason":"queue_full"}
 //! {"id":7,"ok":true,"served":27,...}
@@ -300,8 +301,8 @@ pub fn op_request(id: u64, op: &str) -> String {
 /// `trace:true` — the per-phase timing report as **flat** scalar
 /// fields (the protocol's parser rejects nested containers by
 /// design): `trace_total_us`, one `phase_<name>_us` self-time per
-/// [`lra_core::trace::Phase`], `trace_rounds`, `trace_spill_delta`,
-/// `trace_fuel`, `trace_cache_hits` and `trace_cache_misses`.
+/// [`lra_core::trace::Phase`], then one `trace_<key>` field per row of
+/// [`lra_core::trace::COUNTERS`], in table order.
 pub fn alloc_response(
     id: u64,
     row: &ReportRow,
@@ -339,12 +340,9 @@ pub fn alloc_response(
                 t.phase_self_us(phase)
             );
         }
-        let _ = write!(
-            line,
-            ",\"trace_rounds\":{},\"trace_spill_delta\":{},\"trace_fuel\":{},\
-             \"trace_cache_hits\":{},\"trace_cache_misses\":{}",
-            t.rounds, t.spill_delta, t.fuel, t.cache_hits, t.cache_misses
-        );
+        for (c, v) in lra_core::trace::COUNTERS.iter().zip(t.counters()) {
+            let _ = write!(line, ",\"trace_{}\":{v}", c.key);
+        }
     }
     line.push('}');
     line
@@ -592,9 +590,6 @@ mod tests {
         let mut t = lra_core::trace::TraceReport::default();
         t.phases[lra_core::trace::Phase::Allocate as usize].self_ns = 301_000;
         t.phases[lra_core::trace::Phase::Allocate as usize].count = 3;
-        t.rounds = 3;
-        t.fuel = 100_000;
-        t.cache_hits = 1;
         let line = alloc_response(5, &row, Some("req-5"), Some(&t));
         // The extended line is still one flat object the protocol
         // parser accepts, and the standard row survives intact.
@@ -602,10 +597,6 @@ mod tests {
         assert_eq!(fields["trace_id"].as_str(), Some("req-5"));
         assert_eq!(fields["phase_allocate_us"].as_u64(), Some(301));
         assert_eq!(fields["trace_total_us"].as_u64(), Some(301));
-        assert_eq!(fields["trace_rounds"].as_u64(), Some(3));
-        assert_eq!(fields["trace_fuel"].as_u64(), Some(100_000));
-        assert_eq!(fields["trace_cache_hits"].as_u64(), Some(1));
-        assert_eq!(fields["trace_cache_misses"].as_u64(), Some(0));
         match parse_response(&line).unwrap() {
             Response::Row { id, row: parsed } => {
                 assert_eq!(id, 5);
@@ -666,7 +657,11 @@ mod tests {
         let ok_traced = concat!(
             r#"{"id":5,"ok":true,"function":"jit::m0","spill_cost":42,"rounds":3,"stores":7,"loads":9,"converged":true,"verified":true,"escalated":false,"trace_id":"req-5""#,
             r#","trace_total_us":313,"phase_pipeline_us":0,"phase_round_us":0,"phase_analysis_us":0,"phase_spill_costs_us":0,"phase_instance_build_us":0,"phase_allocate_us":301,"phase_verify_us":12,"phase_rewrite_us":0,"phase_reanalyse_us":0,"phase_escalate_prep_us":0"#,
-            r#","trace_rounds":3,"trace_spill_delta":17,"trace_fuel":100000,"trace_cache_hits":1,"trace_cache_misses":2}"#,
+            r#","trace_rounds":3,"trace_spill_delta":17,"trace_fuel":100000,"trace_fuel_consumed":0"#,
+            r#","trace_exact_won":0,"trace_exact_tied":0,"trace_exact_improved":0,"trace_exact_exhausted":0"#,
+            r#","trace_escalation_not_splittable":0,"trace_escalation_failed":0,"trace_escalation_over_base_cost":0"#,
+            r#","trace_escalation_unconverged":0,"trace_escalation_accepted":0,"trace_chordality_tests":0"#,
+            r#","trace_cache_hits":1,"trace_cache_misses":2}"#,
         );
         let cases: [(String, &str); 11] = [
             (
